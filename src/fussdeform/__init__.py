@@ -9,9 +9,8 @@ a_n(p, t) = t raney(p,1,n) + (1-t) raney(p,2,n):
 - :mod:`fussdeform.posdef`    -- positivity classification and Hankel analysis
 - :mod:`fussdeform.cli`       -- the ``fussdeform`` command line tool
 
-Float-heavy kernels run on a compiled backend when the optional extension is
-built (``fussdeform.backend_name`` says which twin is active; the
-``FUSS_DEFORM_BACKEND`` environment variable overrides the choice).
+Float-heavy kernels live in one pure-Python module (``fussdeform.backend_name``
+is ``"python"``).
 """
 
 from ._backend import backend_name

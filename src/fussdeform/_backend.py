@@ -1,39 +1,10 @@
-"""Backend selection: compiled kernels when available, pure Python otherwise.
+"""The float kernels, bound under one name.
 
-The compiled extension is optional.  Selection order:
-
-1. ``FUSS_DEFORM_BACKEND=python`` forces the pure-Python kernels.
-2. ``FUSS_DEFORM_BACKEND=compiled`` requires the extension (ImportError if missing).
-3. Otherwise the extension is used when importable, with the pure twin as fallback.
-
-Downstream modules import ``kernels`` from here and never care which twin
-they got; ``backend_name`` reports the choice.
+``density``, ``posdef`` and ``verify`` call the kernels through the
+``kernels`` name imported from here, so a tracer can rebind that name in each
+module; ``backend_name`` is recorded in benchmark metadata.
 """
 
-import os
-
-from . import _kernels_py
-
-_requested = os.environ.get("FUSS_DEFORM_BACKEND", "").strip().lower()
-
-if _requested not in ("", "python", "compiled"):
-    raise ImportError(
-        f"FUSS_DEFORM_BACKEND={_requested!r} not understood; use 'python' or 'compiled'"
-    )
-
-if _requested == "python":
-    kernels = _kernels_py
-else:
-    try:
-        from . import _kernels_cy as _compiled  # type: ignore[attr-defined]
-
-        kernels = _compiled
-    except ImportError:
-        if _requested == "compiled":
-            raise ImportError(
-                "FUSS_DEFORM_BACKEND=compiled but the extension is not built; "
-                "reinstall without FUSS_DEFORM_PURE or drop the override"
-            ) from None
-        kernels = _kernels_py
+from . import _kernels_py as kernels
 
 backend_name = kernels.BACKEND

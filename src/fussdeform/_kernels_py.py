@@ -1,11 +1,7 @@
-"""Pure-Python float kernels: trig parametrization, feasibility scans, quadrature.
+"""Float kernels: trig parametrization, feasibility scans, quadrature.
 
-This module is the fallback twin of the compiled extension
-``fussdeform._kernels_cy``.  Every public function exists in both modules
-with the same name, signature, and algorithm (same evaluation order, same
-grids, same stopping rules), so the two backends agree to floating-point
-reproducibility.  Higher-level modules import whichever twin
-:mod:`fussdeform._backend` selected; tests compare them directly.
+Higher-level modules reach these through :mod:`fussdeform._backend`, which
+binds this module as ``kernels``.
 
 Only plain floats are used here.  Exact arithmetic lives elsewhere.
 """
@@ -212,7 +208,9 @@ def _gk15(f, a, b):
     resabs *= h
     d = fabs(kron - gauss)
     err = d
-    if d != 0.0:
+    # (200 d)^1.5 < d only when 200 d < 1; skipping it otherwise keeps the
+    # power from overflowing once the integrand is huge.
+    if 0.0 < 200.0 * d < 1.0:
         scaled = (200.0 * d) ** 1.5
         if scaled < err:
             err = scaled

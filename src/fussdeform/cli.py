@@ -8,17 +8,14 @@ one-shot verification suite.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 contradiction (a cross-check that genuinely failed).  Identical invocations
-produce byte-identical output; the only concurrency (domain-grid cells, capped
-by ``FUSS_DEFORM_THREADS``) sorts its results before writing.
+produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -113,16 +110,6 @@ def _jet_strings(series) -> list[str]:
     return [rational_str(series.coefficient(k)) for k in range(series.order + 1)]
 
 
-def _threads() -> int:
-    raw = os.environ.get("FUSS_DEFORM_THREADS", "").strip()
-    if not raw:
-        return 1
-    count = int(raw)
-    if count < 1:
-        raise ValueError("FUSS_DEFORM_THREADS must be a positive integer")
-    return count
-
-
 def _cmd_seq(args: argparse.Namespace, cfg: RunConfig) -> int:
     n = args.n
     if n < 0:
@@ -160,7 +147,7 @@ def _cmd_seq(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def _cmd_transforms(args: argparse.Namespace, cfg: RunConfig) -> int:
     params = Params.exact(args.p, args.t)
-    p, t = params.require_exact("transforms")
+    p, t = params.p, params.t
     order = cfg.series_order
     moments = moment_series(params, order)
     if args.route == "closed":
@@ -324,22 +311,12 @@ def _cmd_domain_grid(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise ValueError("the classification covers p >= 1")
     if p_max < p_min or t_max < t_min:
         raise ValueError("ranges must be nondecreasing")
-    cells = []
+    records = []
     for i in range(steps):
         p = p_min if steps == 1 else p_min + (p_max - p_min) * i / (steps - 1)
         for j in range(steps):
             t = t_min if steps == 1 else t_min + (t_max - t_min) * j / (steps - 1)
-            cells.append((i, j, p, t))
-    threads = _threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda c: (c[0], c[1], _classify_cell(c[2], c[3], cfg.hankel_size)), cells)
-            )
-    else:
-        results = [(i, j, _classify_cell(p, t, cfg.hankel_size)) for i, j, p, t in cells]
-    results.sort(key=lambda item: (item[0], item[1]))
-    records = [cell for _, _, cell in results]
+            records.append(_classify_cell(p, t, cfg.hankel_size))
     if cfg.output_format == "json":
         payload = [
             {
@@ -457,6 +434,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (InconsistencyError, QuadratureError) as exc:
         print(f"fussdeform: internal contradiction: {exc}", file=sys.stderr)
         return 3
+    except OverflowError:
+        print("fussdeform: error: a value left the float range", file=sys.stderr)
+        return 2
     except (ValueError, TypeError, IndexError, FussDeformError) as exc:
         print(f"fussdeform: error: {exc}", file=sys.stderr)
         return 2

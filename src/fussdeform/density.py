@@ -8,7 +8,7 @@ Two routes to the density f_{p,t} = t W_{p,1} + (1 - t) W_{p,2} on (0, c(p)):
 * closed     -- the six elementary closed forms for p in {2, 3, 3/2}, r in {1, 2}.
 
 Quadrature integrates in the angle variable (the substitution x = rho(phi)
-bounds the integrand at both support edges), using the backend's adaptive
+bounds the integrand at both support edges), using the adaptive
 Gauss-Kronrod kernels.  Everything here is float arithmetic; exact statements
 live in the rational modules.
 """

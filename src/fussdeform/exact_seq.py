@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, isfinite
-from typing import Iterable, Literal, Sequence, Union
+from math import factorial
+from typing import Iterable, Sequence, Union
 
 from .errors import InconsistencyError
 
@@ -46,9 +46,8 @@ __all__ = [
 def parse_rational(text: RationalLike) -> Fraction:
     """Parse ``num/den``, an integer literal, or a finite decimal into a Fraction.
 
-    Accepts Fraction and int unchanged.  Floats are deliberately rejected:
-    callers that work in float mode should say so explicitly instead of
-    smuggling binary-rounded values into exact code paths.
+    Accepts Fraction and int unchanged.  Floats are deliberately rejected, so
+    binary-rounded values never enter exact code paths.
     """
     if isinstance(text, Fraction):
         return text
@@ -72,34 +71,17 @@ def rational_str(value: Fraction) -> str:
 
 @dataclass(frozen=True)
 class Params:
-    """A (p, t) parameter pair, tagged exact (Fraction) or float.
+    """An exact (p, t) parameter pair.
 
-    Exact mode is required by every routine that promises exact arithmetic;
-    float mode is accepted by the density/quadrature layer.  Use the
-    :meth:`exact` / :meth:`floating` constructors rather than the raw
-    dataclass constructor.
+    Build it with :meth:`exact`, which parses both values into Fractions.
     """
 
-    p: Union[Fraction, float]
-    t: Union[Fraction, float]
-    mode: Literal["exact", "float"]
+    p: Fraction
+    t: Fraction
 
     @classmethod
     def exact(cls, p: RationalLike, t: RationalLike) -> "Params":
-        return cls(parse_rational(p), parse_rational(t), "exact")
-
-    @classmethod
-    def floating(cls, p: float, t: float) -> "Params":
-        p = float(p)
-        t = float(t)
-        if not (isfinite(p) and isfinite(t)):
-            raise ValueError("p and t must be finite")
-        return cls(p, t, "float")
-
-    def require_exact(self, operation: str) -> tuple[Fraction, Fraction]:
-        if self.mode != "exact":
-            raise ValueError(f"{operation} requires exact-mode Params")
-        return self.p, self.t  # type: ignore[return-value]
+        return cls(parse_rational(p), parse_rational(t))
 
     def as_floats(self) -> tuple[float, float]:
         return float(self.p), float(self.t)
@@ -193,7 +175,7 @@ def deformed_fuss(params: Params, n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    p, t = params.require_exact("deformed_fuss")
+    p, t = params.p, params.t
     affine = t * raney(p, 1, n) + (1 - t) * raney(p, 2, n)
     closed = _deformed_closed(p, t, n)
     if affine != closed:
@@ -205,7 +187,7 @@ def deformed_fuss(params: Params, n: int) -> Fraction:
 
 def deformed_table(params: Params, n_max: int) -> SeqTable:
     """SeqTable of a_0(p,t) .. a_{n_max}(p,t)."""
-    p, t = params.require_exact("deformed_table")
+    p, t = params.p, params.t
     values = [deformed_fuss(params, n) for n in range(n_max + 1)]
     return SeqTable(label=f"a(p={p};t={t})", offset=0, values=values)
 
@@ -392,7 +374,7 @@ def necessary_gap(params: Params) -> Fraction:
     positive definite.  The polynomial is cross-checked against the direct
     a_2 - a_1^2 evaluation.
     """
-    p, t = params.require_exact("necessary_gap")
+    p, t = params.p, params.t
     poly = 2 * p - p * t - t * t + 3 * t - 3
     direct = deformed_fuss(params, 2) - deformed_fuss(params, 1) ** 2
     if poly != direct:

@@ -203,7 +203,7 @@ def classify_point(params: Params, size: int = 6) -> dict:
     indefinite while t sits strictly inside the admissible interval (beyond
     the 1e-6 boundary tolerance) is a contradiction and raises.
     """
-    p, t = params.require_exact("classification")
+    p, t = params.p, params.t
     if p < 1:
         raise ValueError("the classification covers p >= 1")
     lower, upper = theorem_interval(p)

@@ -287,9 +287,9 @@ class CumulantTable:
 
     def to_json_obj(self) -> dict:
         obj: dict = {"cumulants": [rational_str(v) for v in self.values]}
-        if self.params is not None and self.params.mode == "exact":
-            obj["p"] = rational_str(self.params.p)  # type: ignore[arg-type]
-            obj["t"] = rational_str(self.params.t)  # type: ignore[arg-type]
+        if self.params is not None:
+            obj["p"] = rational_str(self.params.p)
+            obj["t"] = rational_str(self.params.t)
         return obj
 
 
@@ -309,7 +309,7 @@ def moment_series(params: Params, order: int) -> TruncSeries:
     against the product B_p * B_p computed by jet multiplication, which ties
     the series engine to the exact-sequence module.
     """
-    p, t = params.require_exact("moment_series")
+    p, t = params.p, params.t
     b1 = bp_series(p, 1, order)
     b2_product = b1 * b1
     b2_raney = bp_series(p, 2, order)
@@ -387,7 +387,7 @@ def s_series_closed(params: Params, order: int) -> TruncSeries:
     q = sqrt(1 + 4 (1-t) w / (2-t)^2), h = 1 + (2-t)(q-1)/2, d = (q+1)/2.
     Undefined at t = 2 (the family loses its first moment there).
     """
-    p, t = params.require_exact("s_series_closed")
+    p, t = params.p, params.t
     if t == 2:
         raise ValueError("the closed S-transform is singular at t = 2")
     if order < 0:

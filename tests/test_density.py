@@ -6,6 +6,7 @@ from math import pi, sin, sqrt
 
 import pytest
 
+import fussdeform
 from fussdeform import (
     BracketingError,
     Params,
@@ -210,6 +211,32 @@ def test_gk_rule_is_exact_on_polynomials():
     assert total == pytest.approx(2.0, rel=1e-12)
 
 
+def test_gk_error_estimate_survives_huge_integrands():
+    # Gauss and Kronrod differ by ~1e247 here, so (200 d)^1.5 would overflow.
+    val, err, _ = kernels._gk15(lambda x: 1e250 * x**40, 0.0, 1.0)
+    assert val == pytest.approx(1e250 / 41.0, rel=1e-6)
+    assert 0.0 < err < val
+
+
+def test_backend_name_is_python():
+    assert fussdeform.backend_name == kernels.BACKEND == "python"
+
+
+def test_rho_bisect_recovers_the_angle():
+    rng = random.Random(2026)
+    for _ in range(25):
+        p = 1.1 + 2.9 * rng.random()
+        top = pi / p
+        phi0 = (0.05 + 0.9 * rng.random()) * top
+        x = kernels.rho(p, phi0)
+        phi = kernels.rho_bisect(p, x, top * 1e-9, top * (1.0 - 1e-9))
+        assert abs(phi - phi0) <= 1e-9
+
+
+def test_moment_quad_is_deterministic():
+    assert kernels.moment_quad(1.5, 0.2, 3) == kernels.moment_quad(1.5, 0.2, 3)
+
+
 def test_masses_normalize_to_one():
     pairs = [
         (F(2), F(1, 2)),
@@ -342,3 +369,5 @@ def test_cumulant_quadrature_domain_checks():
         cumulant_quadrature("nope", 1.2, 0)
     with pytest.raises(ValueError):
         cumulant_quadrature("p3", 1.2, -1)
+    with pytest.raises(ValueError):
+        kernels.cumulant_quad("p4", 1.0, 0)

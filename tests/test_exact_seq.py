@@ -137,11 +137,6 @@ def test_deformed_closed_form_survives_vanishing_denominator():
         deformed_fuss(Params.exact(p, F(1, 3)), n)
 
 
-def test_deformed_requires_exact_mode():
-    with pytest.raises(ValueError):
-        deformed_fuss(Params.floating(2.0, 1.0), 3)
-
-
 def test_deformed_table_layout():
     table = deformed_table(Params.exact(2, F(4, 3)), 4)
     assert table.offset == 0

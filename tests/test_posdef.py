@@ -179,8 +179,6 @@ def test_classify_outside_the_admissible_interval():
 
 def test_classify_input_validation():
     with pytest.raises(ValueError):
-        classify_point(Params.floating(2.0, 1.0), 4)
-    with pytest.raises(ValueError):
         classify_point(Params.exact(F(1, 2), F(1)), 4)
 
 
