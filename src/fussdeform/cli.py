@@ -6,9 +6,10 @@ sequence tables, ``transforms`` prints jets of M, R, and S, ``density`` and
 ``domain-grid`` expose the positivity analysis, and ``verify`` runs the
 one-shot verification suite.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
-contradiction (a cross-check that genuinely failed).  Identical invocations
-produce byte-identical output.
+Exit codes: 0 success, 1 verification failure, 2 usage error or a float
+limit (a value left the float range, a quadrature did not converge), 3
+internal contradiction (a cross-check that genuinely failed).  Identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .density import density_grid, moment_quadrature_full
-from .errors import FussDeformError, InconsistencyError, QuadratureError
+from .errors import FussDeformError, InconsistencyError
 from .exact_seq import (
     Params,
     SeqTable,
@@ -341,7 +342,10 @@ def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     results = run_criteria(series_order=cfg.series_order, only=args.only)
     if not results:
         raise ValueError(f"--only {args.only!r} matches no criterion")
-    _emit(cfg, format_report(results) + "\n")
+    if cfg.output_format == "json":
+        _emit(cfg, _json_text([asdict(r) for r in results]))
+    else:
+        _emit(cfg, format_report(results) + "\n")
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -431,7 +435,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = _config(args)
         return args.func(args, cfg)
-    except (InconsistencyError, QuadratureError) as exc:
+    except InconsistencyError as exc:
         print(f"fussdeform: internal contradiction: {exc}", file=sys.stderr)
         return 3
     except OverflowError:

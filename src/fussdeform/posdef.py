@@ -10,10 +10,10 @@ the numerically certified minimum of psi.
 
 Independently, the moment sequence a_n(p, t) is positive definite exactly when
 every Hankel matrix (a_{i+j}) is positive semidefinite.  hankel_report works in
-exact rational arithmetic: leading principal minors decide definiteness, and a
-symmetric pivoted elimination separates semidefinite from indefinite when a
-minor vanishes.  classify_point runs both routes and refuses to return if they
-genuinely disagree.
+exact rational arithmetic: one symmetric elimination in natural order gives
+the leading principal minors (running products of the pivots) and the
+verdict (the signs of the pivots).  classify_point runs both routes and
+refuses to return if they genuinely disagree.
 """
 
 from __future__ import annotations
@@ -151,48 +151,45 @@ def _det(rows: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def _psd_or_indefinite(mat: list[list[Fraction]]) -> str:
-    """Exact symmetric elimination with max-diagonal pivoting.
-
-    Valid for symmetric rational matrices: a negative pivot (or a zero diagonal
-    facing a nonzero off-diagonal entry) certifies indefiniteness; completing
-    the elimination certifies positive semidefiniteness.
-    """
-    a = [list(r) for r in mat]
-    active = list(range(len(mat)))
-    while active:
-        if any(a[i][i] < 0 for i in active):
-            return "indefinite"
-        positive = [(a[i][i], i) for i in active if a[i][i] > 0]
-        if not positive:
-            for i in active:
-                for j in active:
-                    if a[i][j] != 0:
-                        return "indefinite"
-            return "positive_semidefinite"
-        pivot, k = max(positive)
-        active.remove(k)
-        for i in active:
-            if a[i][k] != 0:
-                f = a[i][k] / pivot
-                for j in active:
-                    a[i][j] -= f * a[k][j]
-    return "positive_semidefinite"
-
-
 def hankel_report(seq: Union[SeqTable, Sequence[Fraction]], size: int) -> HankelVerdict:
-    """Definiteness of H = (seq[i+j])_{0 <= i,j < size}, all arithmetic exact."""
+    """Definiteness of H = (seq[i+j])_{0 <= i,j < size}, all arithmetic exact.
+
+    One symmetric elimination in natural order yields both the leading
+    principal minors and the verdict.  Row operations with earlier pivot rows
+    keep every leading minor, so minor k is the product of pivots 0..k, and
+    the pivot signs give the inertia.  A zero pivot whose remaining row
+    vanishes drops out: every later minor is 0 and H is at best semidefinite.
+    A zero pivot facing a nonzero entry b makes H indefinite (a 2x2 principal
+    minor is -b^2); the later leading minors need not vanish there, so they
+    come from separate determinants.
+    """
     values = list(seq.values) if isinstance(seq, SeqTable) else [Fraction(v) for v in seq]
     if size < 1:
         raise ValueError("size must be positive")
     if len(values) < 2 * size - 1:
         raise ValueError(f"need at least {2 * size - 1} sequence values, got {len(values)}")
-    mat = [[values[i + j] for j in range(size)] for i in range(size)]
-    minors = [_det([row[: k + 1] for row in mat[: k + 1]]) for k in range(size)]
-    if all(m > 0 for m in minors):
-        verdict = "positive_definite"
-    else:
-        verdict = _psd_or_indefinite(mat)
+    a = [values[i : i + size] for i in range(size)]
+    minors: list[Fraction] = []
+    det = Fraction(1)
+    verdict = "positive_definite"
+    for k in range(size):
+        pivot = a[k][k]
+        if pivot == 0 and any(a[k][j] for j in range(k + 1, size)):
+            minors += [_det([values[i : i + m + 1] for i in range(m + 1)]) for m in range(k, size)]
+            return HankelVerdict(size=size, minors=minors, verdict="indefinite")
+        det *= pivot
+        minors.append(det)
+        if pivot < 0:
+            verdict = "indefinite"
+        elif pivot == 0:
+            if verdict == "positive_definite":
+                verdict = "positive_semidefinite"
+            continue
+        for i in range(k + 1, size):
+            if a[i][k]:
+                f = a[i][k] / pivot
+                for j in range(k + 1, size):
+                    a[i][j] -= f * a[k][j]
     return HankelVerdict(size=size, minors=minors, verdict=verdict)
 
 

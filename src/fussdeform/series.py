@@ -3,9 +3,10 @@
 A :class:`TruncSeries` is an eager, dense jet: a tuple of Fraction
 coefficients c_0..c_N.  Binary operations truncate to the shorter order, so
 every identity in this module is an identity of jets.  On top of the generic
-engine (multiply, divide, compose, revert, sqrt1p, pow1p) sit the domain
-series: the Fuss generating function B_p, the moment series of the deformed
-family, free cumulants, and the S- and R-transforms with their closed forms.
+engine (multiply, divide, compose, revert, and one power recurrence pow1p,
+of which sqrt1p is the alpha = 1/2 case) sit the domain series: the Fuss
+generating function B_p, the moment series of the deformed family, free
+cumulants, and the S- and R-transforms with their closed forms.
 
 Everything here is exact; floats never enter.
 """
@@ -237,14 +238,7 @@ def sqrt1p(f: TruncSeries) -> TruncSeries:
     """Square root of a jet with constant term 1 (principal branch)."""
     if f.coeffs[0] != 1:
         raise ValueError("sqrt1p needs constant term exactly 1")
-    n = f.order
-    out = [Fraction(1)]
-    for k in range(1, n + 1):
-        acc = f.coeffs[k]
-        for j in range(1, k):
-            acc -= out[j] * out[k - j]
-        out.append(acc / 2)
-    return TruncSeries(tuple(out))
+    return pow1p(f, Fraction(1, 2))
 
 
 def pow1p(f: TruncSeries, alpha: RationalLike) -> TruncSeries:
@@ -446,41 +440,29 @@ def r_series_closed(p: RationalLike, t: RationalLike, order: int) -> TruncSeries
     return r
 
 
-def _poly_product(*factors: Sequence[RationalLike]) -> list[Fraction]:
-    out = [Fraction(1)]
-    for poly in factors:
-        poly = [parse_rational(c) for c in poly]
-        new = [Fraction(0)] * (len(out) + len(poly) - 1)
-        for i, a in enumerate(out):
-            for j, b in enumerate(poly):
-                new[i + j] += a * b
-        out = new
-    return out
-
-
 def _gf_ex1(order: int) -> TruncSeries:
     # (1 + 18 z - 27 z^2 + sqrt((1 - z)(1 - 9 z)^3)) / 2
-    inner = _poly_product([1, -1], [1, -9], [1, -9], [1, -9])
-    rad = sqrt1p(TruncSeries.from_coeffs(inner, order))
+    f = TruncSeries.from_coeffs([1, -9], order)
+    rad = sqrt1p(TruncSeries.from_coeffs([1, -1], order) * f * f * f)
     return (TruncSeries.from_coeffs([1, 18, -27], order) + rad) / 2
 
 
 def _gf_a220910(order: int) -> TruncSeries:
     # (1 + 36 z + sqrt((1 - 12 z)^3)) / (2 (1 + 4 z)^2)
-    inner = _poly_product([1, -12], [1, -12], [1, -12])
-    rad = sqrt1p(TruncSeries.from_coeffs(inner, order))
+    f = TruncSeries.from_coeffs([1, -12], order)
+    rad = sqrt1p(f * f * f)
     num = TruncSeries.from_coeffs([1, 36], order) + rad
-    den = TruncSeries.from_coeffs(_poly_product([2], [1, 4], [1, 4]), order)
-    return num / den
+    g = TruncSeries.from_coeffs([1, 4], order)
+    return num / (2 * g * g)
 
 
 def _gf_a022558(order: int) -> TruncSeries:
     # (1 + 20 z - 8 z^2 + sqrt((1 - 8 z)^3)) / (2 (1 + z)^3)
-    inner = _poly_product([1, -8], [1, -8], [1, -8])
-    rad = sqrt1p(TruncSeries.from_coeffs(inner, order))
+    f = TruncSeries.from_coeffs([1, -8], order)
+    rad = sqrt1p(f * f * f)
     num = TruncSeries.from_coeffs([1, 20, -8], order) + rad
-    den = TruncSeries.from_coeffs(_poly_product([2], [1, 1], [1, 1], [1, 1]), order)
-    return num / den
+    g = TruncSeries.from_coeffs([1, 1], order)
+    return num / (2 * g * g * g)
 
 
 GF_NAMES = ("ex1_gf", "a220910_gf", "a022558_gf")

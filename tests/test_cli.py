@@ -1,12 +1,14 @@
 """Command-line front end: formats, exit codes, determinism."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+import fussdeform
 from fussdeform.cli import main
 
 A220910_CSV = """label,offset,n,value
@@ -283,11 +285,34 @@ def test_verify_unknown_filter(capsys):
     assert code == 2
 
 
+def test_verify_json_format(capsys):
+    code, out, _ = run(capsys, "verify", "--only", "c3", "--format", "json")
+    assert code == 0
+    (record,) = json.loads(out)
+    assert list(record) == ["ident", "label", "tags", "passed", "detail", "seconds"]
+    assert record["ident"] == "c3"
+    assert record["tags"] == ["exact"]
+    assert record["passed"] is True
+
+
+def test_nonconvergent_quadrature_is_a_limit(capsys):
+    # a_n nearly cancels above t = 2p/(p+1); the quadrature gives up at n = 20
+    code, _, err = run(capsys, "moments-check", "--p", "11/8", "--t", "6/5", "--n-max", "20")
+    assert code == 2
+    assert err.startswith("fussdeform: error: moment quadrature did not converge")
+    assert "internal contradiction" not in err
+    assert "Traceback" not in err
+
+
 def test_subprocess_module_invocation():
+    # the child imports the same package as this process, wherever it lives
+    src = os.path.dirname(os.path.dirname(fussdeform.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "fussdeform.cli", "seq", "a220910", "--n", "5"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert result.stdout == A220910_CSV

@@ -3,14 +3,18 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fussdeform import (
     InconsistencyError,
     Params,
     moment_series,
     necessary_gap,
+    posdef,
 )
 from fussdeform.exact_seq import catalan_table
 from fussdeform.posdef import (
@@ -142,6 +146,67 @@ def test_hankel_indefinite_section():
 def test_hankel_zero_diagonal_with_coupling_is_indefinite():
     # [[0, 1], [1, 0]] has eigenvalues +-1
     assert hankel_report([F(0), F(1), F(0)], 2).verdict == "indefinite"
+    # the second pivot of [[1, 1, 1], [1, 1, 2], [1, 2, 5]] is 0 facing 1,
+    # yet the next leading minor does not vanish
+    report = hankel_report([F(1), F(1), F(1), F(2), F(5)], 3)
+    assert report.minors == [F(1), F(0), F(-1)]
+    assert report.verdict == "indefinite"
+
+
+def test_hankel_needs_no_determinant_without_breakdown(monkeypatch):
+    calls = []
+    real_det = posdef._det
+    monkeypatch.setattr(posdef, "_det", lambda rows: calls.append(rows) or real_det(rows))
+    assert hankel_report(catalan_table(30), 16).verdict == "positive_definite"
+    assert hankel_report([F(1)] * 9, 5).verdict == "positive_semidefinite"
+    moments = moment_series(Params.exact(2, F(7, 5)), 14)
+    report = hankel_report([moments.coefficient(k) for k in range(15)], 8)
+    assert report.minors[3] < 0 and report.verdict == "indefinite"
+    assert calls == []
+
+
+def _minor(values, index):
+    return posdef._det([[values[i + j] for j in index] for i in index])
+
+
+_SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+# moments of a discrete measure, so semidefinite sections of every rank occur
+_MEASURE = st.lists(
+    st.tuples(_SMALL, st.fractions(min_value=F(1, 2), max_value=2, max_denominator=2)),
+    min_size=1,
+    max_size=5,
+)
+
+
+@st.composite
+def _sections(draw):
+    size = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        values = draw(st.lists(_SMALL, min_size=2 * size - 1, max_size=2 * size - 1))
+    else:
+        atoms = draw(_MEASURE)
+        values = [sum(w * x**k for x, w in atoms) for k in range(2 * size - 1)]
+    return values, size
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sections())
+def test_hankel_report_matches_brute_force(section):
+    values, size = section
+    report = hankel_report(values, size)
+    leading = [_minor(values, range(k + 1)) for k in range(size)]
+    assert report.minors == leading
+    if all(m > 0 for m in leading):
+        expected = "positive_definite"
+    elif all(
+        _minor(values, index) >= 0
+        for r in range(1, size + 1)
+        for index in combinations(range(size), r)
+    ):
+        expected = "positive_semidefinite"
+    else:
+        expected = "indefinite"
+    assert report.verdict == expected
 
 
 def test_hankel_input_validation():
