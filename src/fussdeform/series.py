@@ -317,20 +317,19 @@ def moment_series(params: Params, order: int) -> TruncSeries:
 def cumulants_from_moments(m: TruncSeries) -> CumulantTable:
     """Free cumulants r_1..r_N from a moment jet with m_0 = 1.
 
-    Solves 1 + R(z M(z)) = M(z) for the jet of R: revert u = z M(z), then
-    compose M - 1 with the reverted jet.
+    Solves 1 + R(z M(z)) = M(z) for the jet of R with one reversion: the
+    inverse v of u = z M(z) has v(w) M(v(w)) = w, so 1 + R(w) = M(v(w)) =
+    w / v(w).  Reverting u at order N + 1 uses every moment up to m_N.
     """
     if m.coeffs[0] != 1:
         raise ValueError("cumulants_from_moments needs a moment jet with m_0 = 1")
-    n = m.order
-    if n < 1:
+    if m.order < 1:
         raise ValueError("need at least order 1 to extract a cumulant")
-    u = m.shift_up(1).truncate(n)  # z * M(z), order n
-    inv = revert(u)
-    r = compose(m - 1, inv)
-    if r.coeffs[0] != 0:
-        raise InconsistencyError("cumulant jet has a nonzero constant term")
-    return CumulantTable(values=tuple(r.coeffs[1:]))
+    inv = revert(m.shift_up(1))  # inverse of z * M(z), order N + 1
+    one_plus_r = 1 / inv.shift_down(1)  # w / v(w), order N
+    if one_plus_r.coeffs[0] != 1:
+        raise InconsistencyError("cumulant jet has a constant term other than 1")
+    return CumulantTable(values=one_plus_r.coeffs[1:])
 
 
 def cumulant_jet(table: CumulantTable, order: Optional[int] = None) -> TruncSeries:

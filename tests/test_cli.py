@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -250,12 +251,98 @@ def test_out_flag_writes_the_same_bytes(tmp_path, capsys):
     [
         ("density", "--p", "1e400", "--t", "1"),
         ("moments-check", "--p", "4", "--t", "1/2", "--n-max", "600"),
+        # sin(p phi)^(p - 1) underflows to 0 next to the right endpoint
+        ("moments-check", "--p", "100", "--t", "1", "--n-max", "0"),
     ],
 )
 def test_float_range_overflow_is_usage_error(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
-    assert "left the float range" in err
+    assert err == "fussdeform: error: a value left the float range\n"
+
+
+# every flag takes one of these with probability 0.15, else a typical value
+_EDGES = ("0", "-1", "1/0", "x", "1e400", "nan", "inf")
+_RATIONALS = ("-1/2", "1/5", "1/2", "1", "6/5", "3/2", "2", "5/2", "3", "7/3", "100", "1000")
+_FLOATS = ("1", "1.5", "2", "3", "100", "1000")
+
+
+def _ints(top):
+    return tuple(str(k) for k in range(top + 1))
+
+
+_PT = {"--p": _RATIONALS, "--t": _RATIONALS}
+# per subcommand: flags it always gets (p, t and the sizes whose defaults are
+# large), flags it may get
+_FUZZ_COMMANDS = {
+    "seq": ({}, {
+        **_PT, "--r": _RATIONALS, "--n": _ints(12),
+        "--method": ("recurrence", "closed_a", "closed_b", "cumulant"),
+    }),
+    "transforms": (
+        {**_PT, "--series-order": _ints(6)}, {"--route": ("closed", "moments")}
+    ),
+    "density": ({**_PT, "--grid": _ints(5)}, {"--route": ("parametric", "closed")}),
+    "moments-check": ({**_PT, "--n-max": _ints(2)}, {}),
+    "gfun": ({"--steps": _ints(3)}, {"--p-min": _FLOATS, "--p-max": _FLOATS}),
+    "posdef": (_PT, {}),
+    "infdiv": (_PT, {}),
+    "domain-grid": ({"--steps": _ints(3)}, {
+        "--p-min": _RATIONALS, "--p-max": _RATIONALS, "--t-min": _RATIONALS,
+        "--t-max": _RATIONALS,
+    }),
+}
+_GLOBAL_FLAGS = {
+    "--format": ("csv", "json"),
+    "--series-order": _ints(6) + ("65",),
+    "--hankel-size": _ints(4) + ("17",),
+    "--tol": ("1e-10", "1e-6"),
+}
+_SUBJECTS = ("a", "raney", "constellation", "a220910", "a022558")
+
+
+def _fuzz_argv(rng):
+    def value(typical):
+        return rng.choice(_EDGES if rng.random() < 0.15 else typical)
+
+    command = rng.choice(sorted(_FUZZ_COMMANDS))
+    required, optional = _FUZZ_COMMANDS[command]
+    argv = [command]
+    if command == "seq":
+        argv.append(value(_SUBJECTS))
+    argv += [item for flag, typical in required.items() for item in (flag, value(typical))]
+    for flag, typical in {**optional, **_GLOBAL_FLAGS}.items():
+        if rng.random() < 0.5:
+            argv += [flag, value(typical)]
+    return argv
+
+
+def test_cli_fuzz_keeps_the_exit_code_contract(capsys):
+    rng = random.Random(20151)
+    for _ in range(400):
+        argv = _fuzz_argv(rng)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the arguments
+            code = exc.code
+            assert code == 2, argv
+        except Exception as exc:
+            pytest.fail(f"{' '.join(argv)} raised {exc!r}")
+        assert code in (0, 2, 3), argv
+        capsys.readouterr()
+
+
+def test_csv_does_not_render_the_minors_it_omits(capsys):
+    # at t = 10^-3000 the Hankel minors have more digits than str() of an int
+    # may produce; only the JSON payloads print them
+    for argv in (
+        ("posdef", "--p", "2", "--t", "1e-3000"),
+        ("infdiv", "--p", "2", "--t", "1e-3000"),
+        ("domain-grid", "--steps", "1", "--p-min", "2", "--t-min", "1e-3000", "--t-max", "1"),
+    ):
+        code, out, _ = run(capsys, *argv, "--hankel-size", "2")
+        assert code == 0
+        assert out.splitlines()[1].startswith("2/1,1/1" + "0" * 3000 + ",")
 
 
 def test_config_validation_errors(capsys):

@@ -5,6 +5,8 @@ import warnings
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fussdeform import (
     ClosedFormFallbackWarning,
@@ -404,3 +406,51 @@ def test_bp_trig_closed_forms_at_a_point():
     beta = asin(3.0 * sqrt(3.0) * z / 2.0) / 3.0
     b32 = 3.0 / (sqrt(3.0) * cos(beta) - sin(beta)) ** 2
     assert abs(horner(bp_series(F(3, 2), 1, 32)) - b32) <= 1e-9
+
+
+# -- properties of the jet engine -------------------------------------------------
+
+_COEFF = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
+_NONZERO = _COEFF.filter(bool)
+
+
+@st.composite
+def _jets(draw, count, lowest=0):
+    """``count`` jets of one random order in lowest..8."""
+    order = draw(st.integers(lowest, 8))
+    coeffs = st.lists(_COEFF, min_size=order + 1, max_size=order + 1)
+    return [TruncSeries(tuple(draw(coeffs))) for _ in range(count)]
+
+
+def _with(jet, index, value):
+    coeffs = list(jet.coeffs)
+    coeffs[index] = value
+    return TruncSeries(tuple(coeffs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_jets(3), _NONZERO)
+def test_jet_ring_identities(jets, g0):
+    f, g, h = jets
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    g = _with(g, 0, g0)
+    assert (f * g) / g == f
+
+
+@settings(max_examples=100, deadline=None)
+@given(_jets(1, lowest=1), _NONZERO)
+def test_revert_is_a_two_sided_involution(jets, f1):
+    f = _with(_with(jets[0], 0, F(0)), 1, f1)
+    g = revert(f)
+    z = TruncSeries.identity(f.order)
+    assert compose(f, g) == z
+    assert compose(g, f) == z
+    assert revert(g) == f
+
+
+@settings(max_examples=100, deadline=None)
+@given(_jets(1, lowest=1))
+def test_cumulant_moment_roundtrip_property(jets):
+    m = _with(jets[0], 0, F(1))
+    assert moments_from_cumulants(cumulants_from_moments(m)) == m
