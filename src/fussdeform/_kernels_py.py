@@ -6,6 +6,7 @@ binds this module as ``kernels``.
 Only plain floats are used here.  Exact arithmetic lives elsewhere.
 """
 
+from functools import partial
 from math import cos, fabs, pi, sin, sqrt
 
 BACKEND = "python"
@@ -111,6 +112,26 @@ def _golden_psi(p, t, a, b, tol):
     return xm, psi(p, t, xm)
 
 
+# The trig table of the last p scanned: (p, grid) and, at phi_i = i pi / grid,
+# the triples (sin((1 - 1/p) phi_i), sin phi_i, cos(phi_i / p)).  psi is
+# affine in t, so the bisection for g(p) evaluates each grid point once.
+_psi_grid = (None, ())
+
+
+def _psi_scan(p, t, grid):
+    """psi(p, t, i pi / grid) for i = 0..grid, grouped as psi groups it."""
+    global _psi_grid
+    if _psi_grid[0] != (p, grid):
+        step = pi / grid
+        table = []
+        for i in range(grid + 1):
+            phi = i * step
+            table.append((sin((1.0 - 1.0 / p) * phi), sin(phi), cos(phi / p)))
+        _psi_grid = ((p, grid), table)
+    k = 2.0 * (1.0 - t)
+    return [t * s1 + k * s * c for s1, s, c in _psi_grid[1]]
+
+
 def psi_min(p, t, grid=512, tol=1e-12):
     """Global minimum of psi(p, t, .) over [0, pi].
 
@@ -119,7 +140,7 @@ def psi_min(p, t, grid=512, tol=1e-12):
     the two edge cells).  Returns (value, argmin).
     """
     step = pi / grid
-    vals = [psi(p, t, i * step) for i in range(grid + 1)]
+    vals = _psi_scan(p, t, grid)
     best_val = vals[0]
     best_phi = 0.0
     for i in range(1, grid + 1):
@@ -187,18 +208,27 @@ _WG = (
 _EPS = 2.220446049250313e-16
 
 
-def _gk15(f, a, b):
-    """One 7-point Gauss / 15-point Kronrod panel: (kronrod, error, resabs)."""
+def _gk15_nodes(a, b):
+    """Half width of [a, b] and its 15 Kronrod nodes: the centre, then c -+ h x_j."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    fc = f(c)
+    nodes = [c]
+    for x in _XGK:
+        dx = h * x
+        nodes.append(c - dx)
+        nodes.append(c + dx)
+    return h, nodes
+
+
+def _gk15_sum(h, fx):
+    """Gauss 7 / Kronrod 15 sums of the values fx at _gk15_nodes: (kronrod, error, resabs)."""
+    fc = fx[0]
     kron = _WGK[7] * fc
     gauss = _WG[3] * fc
     resabs = _WGK[7] * fabs(fc)
     for j in range(7):
-        dx = h * _XGK[j]
-        f1 = f(c - dx)
-        f2 = f(c + dx)
+        f1 = fx[2 * j + 1]
+        f2 = fx[2 * j + 2]
         kron += _WGK[j] * (f1 + f2)
         resabs += _WGK[j] * (fabs(f1) + fabs(f2))
         if j & 1:
@@ -220,14 +250,23 @@ def _gk15(f, a, b):
     return kron, err, resabs
 
 
-def _adaptive(f, a, b, atol, rtol, max_depth, init_panels):
-    """Worst-panel-first refinement; returns (value, error_estimate, converged)."""
+def _gk15(f, a, b):
+    """One 7-point Gauss / 15-point Kronrod panel of f: (kronrod, error, resabs)."""
+    h, nodes = _gk15_nodes(a, b)
+    return _gk15_sum(h, [f(x) for x in nodes])
+
+
+def _adaptive(panel, a, b, atol, rtol, max_depth, init_panels):
+    """Worst-panel-first refinement of panel(a, b) -> (value, error, resabs).
+
+    Returns (value, error_estimate, converged).
+    """
     panels = []  # [a, b, value, err, depth]
     width = (b - a) / init_panels
     for i in range(init_panels):
         pa = a + i * width
         pb = b if i == init_panels - 1 else a + (i + 1) * width
-        v, e, _ = _gk15(f, pa, pb)
+        v, e, _ = panel(pa, pb)
         panels.append([pa, pb, v, e, 0])
     max_panels = 4096
     while True:
@@ -248,18 +287,32 @@ def _adaptive(f, a, b, atol, rtol, max_depth, init_panels):
             return total, err, False
         pa, pb, _, _, depth = panels[worst]
         mid = 0.5 * (pa + pb)
-        v1, e1, _ = _gk15(f, pa, mid)
-        v2, e2, _ = _gk15(f, mid, pb)
+        v1, e1, _ = panel(pa, mid)
+        v2, e2, _ = panel(mid, pb)
         panels[worst] = [pa, mid, v1, e1, depth + 1]
         panels.append([mid, pb, v2, e2, depth + 1])
 
 
 def integrate_callable(f, a, b, atol=1e-10, rtol=1e-12, max_depth=20, init_panels=8):
     """Adaptive Gauss-Kronrod integral of a Python callable on [a, b]."""
-    return _adaptive(f, a, b, atol, rtol, max_depth, init_panels)
+    return _adaptive(partial(_gk15, f), a, b, atol, rtol, max_depth, init_panels)
 
 
 _INSET = 1e-12
+
+
+# The angle-space samples of the last (p, t) integrated: ((p, t), panels),
+# where panels maps (a, b) to its half width and the triples
+# (rho, f_phi, |rho'|) at its 15 nodes.  They do not depend on n, so every
+# moment reuses them; one (p, t) is held at a time.
+_moment_nodes = (None, {})
+
+
+def _moment_panels(p, t):
+    global _moment_nodes
+    if _moment_nodes[0] != (p, t):
+        _moment_nodes = ((p, t), {})
+    return _moment_nodes[1]
 
 
 def moment_quad(p, t, n, atol=1e-10, rtol=1e-12, max_depth=20):
@@ -269,11 +322,18 @@ def moment_quad(p, t, n, atol=1e-10, rtol=1e-12, max_depth=20):
     int_0^{pi/p} rho^n * f_phi * |rho'| dphi, whose integrand stays bounded at
     both endpoints.  Returns (value, error_estimate, converged).
     """
+    samples = _moment_panels(p, t)
 
-    def g(phi):
-        return rho(p, phi) ** n * f_phi(p, t, phi) * fabs(rho_prime(p, phi))
+    def panel(a, b):
+        hit = samples.get((a, b))
+        if hit is None:
+            h, nodes = _gk15_nodes(a, b)
+            hit = (h, [(rho(p, x), f_phi(p, t, x), fabs(rho_prime(p, x))) for x in nodes])
+            samples[(a, b)] = hit
+        h, triples = hit
+        return _gk15_sum(h, [r ** n * f * w for r, f, w in triples])
 
-    return _adaptive(g, _INSET, pi / p - _INSET, atol, rtol, max_depth, 8)
+    return _adaptive(panel, _INSET, pi / p - _INSET, atol, rtol, max_depth, 8)
 
 
 def cumulant_quad(case, t, n, atol=1e-10, rtol=1e-12, max_depth=20):
@@ -301,7 +361,7 @@ def cumulant_quad(case, t, n, atol=1e-10, rtol=1e-12, max_depth=20):
                 / (2.0 * pi * (t - 1.0) * x * x * x)
             )
 
-        return _adaptive(g, lo + _INSET, hi - _INSET, atol, rtol, max_depth, 8)
+        return _adaptive(partial(_gk15, g), lo + _INSET, hi - _INSET, atol, rtol, max_depth, 8)
     if case == "p3":
 
         def g(u):
@@ -313,18 +373,18 @@ def cumulant_quad(case, t, n, atol=1e-10, rtol=1e-12, max_depth=20):
                 / (pi * ((t - 1.0) * x + 1.0) ** 2)
             )
 
-        return _adaptive(g, 0.0, 2.0 * sqrt(t) - _INSET, atol, rtol, max_depth, 8)
+        return _adaptive(partial(_gk15, g), 0.0, 2.0 * sqrt(t) - _INSET, atol, rtol, max_depth, 8)
     if case == "a220910":
 
         def g(u):
             x = u * u
             return x ** n * (12.0 - x) ** 1.5 / (pi * (x + 4.0) ** 2)
 
-        return _adaptive(g, 0.0, 2.0 * sqrt(3.0) - _INSET, atol, rtol, max_depth, 8)
+        return _adaptive(partial(_gk15, g), 0.0, 2.0 * sqrt(3.0) - _INSET, atol, rtol, max_depth, 8)
     if case == "a022558":
 
         def g(x):
             return x ** n * sqrt(x) * (8.0 - x) ** 1.5 / (2.0 * pi * (x + 1.0) ** 3)
 
-        return _adaptive(g, _INSET, 8.0 - _INSET, atol, rtol, max_depth, 8)
+        return _adaptive(partial(_gk15, g), _INSET, 8.0 - _INSET, atol, rtol, max_depth, 8)
     raise ValueError(f"unknown cumulant measure case {case!r}")

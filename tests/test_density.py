@@ -7,6 +7,7 @@ from math import pi, sin, sqrt
 import pytest
 
 import fussdeform
+import fussdeform.cli
 from fussdeform import (
     BracketingError,
     Params,
@@ -235,6 +236,36 @@ def test_rho_bisect_recovers_the_angle():
 
 def test_moment_quad_is_deterministic():
     assert kernels.moment_quad(1.5, 0.2, 3) == kernels.moment_quad(1.5, 0.2, 3)
+
+
+def _moment_quad_reference(p, t, n):
+    """moment_quad without its node store: every panel samples the integrand afresh."""
+
+    def g(phi):
+        return kernels.rho(p, phi) ** n * kernels.f_phi(p, t, phi) * abs(kernels.rho_prime(p, phi))
+
+    return kernels.integrate_callable(g, kernels._INSET, pi / p - kernels._INSET, 1e-10, 1e-12, 20)
+
+
+def test_moment_quad_reuse_is_bit_identical():
+    rng = random.Random(1507)
+    points = [(1.5, 0.2), (1.5, 1.2), (2.0, 0.5), (2.0, 4.0 / 3.0), (3.0, 1.0), (3.0, 0.0)]
+    for _ in range(20):
+        p = 4.0 - 3.0 * rng.random()
+        points.append((p, 2.0 * p / (p + 1.0) * rng.random()))
+    for p, t in points:
+        # random n interleave a new store with the tree of every earlier n
+        for n in sorted(rng.sample(range(201), 6)) + [0, 200]:
+            assert kernels.moment_quad(p, t, n) == _moment_quad_reference(p, t, n), (p, t, n)
+
+
+def test_moment_node_store_holds_the_last_point(capsys):
+    for argv in (("--p", "5/2", "--t", "1/2"), ("--p", "7/3", "--t", "2/3")):
+        assert fussdeform.cli.main(["moments-check", *argv, "--n-max", "12"]) == 0
+    capsys.readouterr()
+    (p, t), panels = kernels._moment_nodes
+    assert (p, t) == (7.0 / 3.0, 2.0 / 3.0)
+    assert panels and all(0.0 < a < b < pi / p for a, b in panels)
 
 
 def test_masses_normalize_to_one():

@@ -16,6 +16,7 @@ from fussdeform import (
     necessary_gap,
     posdef,
 )
+from fussdeform._backend import kernels
 from fussdeform.exact_seq import catalan_table
 from fussdeform.posdef import (
     HankelVerdict,
@@ -108,6 +109,52 @@ def test_g_strictly_decreasing_on_the_unit_gap():
     values = [g_of_p(1.0 + 0.05 * k) for k in range(20)]
     assert all(0.0 <= v <= 1.0 for v in values)
     assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def _psi_min_pointwise(p, t, grid=512, tol=1e-12):
+    """kernels.psi_min with every grid point evaluated by psi itself."""
+    step = math.pi / grid
+    vals = [kernels.psi(p, t, i * step) for i in range(grid + 1)]
+    best = min(range(grid + 1), key=vals.__getitem__)
+    best_val, best_phi = vals[best], best * step
+    cells = [i for i in range(1, grid) if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]]
+    brackets = [((i - 1) * step, (i + 1) * step) for i in cells]
+    if vals[0] <= vals[1]:
+        brackets.append((0.0, step))
+    if vals[grid] <= vals[grid - 1]:
+        brackets.append((math.pi - step, math.pi))
+    for a, b in brackets:
+        xm, fm = kernels._golden_psi(p, t, a, b, tol)
+        if fm < best_val:
+            best_val, best_phi = fm, xm
+    return best_val, best_phi
+
+
+def _g_pointwise(p):
+    def feasible(t):
+        return _psi_min_pointwise(p, t)[0] >= -posdef._FEAS_TOL
+
+    if feasible(0.0):
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > posdef._BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_psi_grid_reuse_is_bit_identical():
+    rng = random.Random(7312)
+    ps = [1.0, 1.5, 2.0, 3.0, 7.0, 20.0] + [1.0 + 3.0 * rng.random() for _ in range(4)]
+    for p in ps:
+        assert g_of_p(p) == _g_pointwise(p), p
+        for t in (0.0, rng.random(), 2.0 * rng.random()):
+            assert kernels.psi_min(p, t) == _psi_min_pointwise(p, t), (p, t)
+            pointwise = [kernels.psi(p, t, i * math.pi / 512) for i in range(513)]
+            assert kernels._psi_scan(p, t, 512) == pointwise, (p, t)
 
 
 def test_g_rejects_small_p():
