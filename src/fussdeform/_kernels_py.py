@@ -333,7 +333,18 @@ def moment_quad(p, t, n, atol=1e-10, rtol=1e-12, max_depth=20):
         h, triples = hit
         return _gk15_sum(h, [r ** n * f * w for r, f, w in triples])
 
-    return _adaptive(panel, _INSET, pi / p - _INSET, atol, rtol, max_depth, 8)
+    value, err, converged = _adaptive(panel, _INSET, pi / p - _INSET, atol, rtol, max_depth, 8)
+    # Two errors the panel estimates do not see; refinement ignores both.
+    # rho multiplies about 2p sines, each good to half an ulp, so rho^n is off
+    # by about n (p + 1) _EPS relative.  And the integral leaves out
+    # (0, _INSET), where the integrand vanishes like phi^2, and
+    # (pi/p - _INSET, pi/p), where it tends to rho^n t p^2 / pi with rho of
+    # order _INSET / sin(pi/p): only n = 0 leaves mass worth counting there,
+    # about _INSET t p^2 / pi, bounded by twice that.
+    err += n * (p + 1.0) * _EPS * fabs(value)
+    if n == 0:
+        err += 2.0 * _INSET * fabs(t) * p * p / pi
+    return value, err, converged
 
 
 def cumulant_quad(case, t, n, atol=1e-10, rtol=1e-12, max_depth=20):

@@ -6,6 +6,7 @@ import random
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -176,6 +177,16 @@ def test_moments_check_values(capsys):
         assert abs(row["value"] - expected) <= 1e-9
         assert row["est_error"] < 1e-8
         assert row["p"] == "2/1" and row["t"] == "1/1"
+
+
+@pytest.mark.parametrize("p, t", [("3/2", "1/5"), ("5/2", "1/2"), ("7/3", "2/3"), ("3", "3/2")])
+def test_moments_check_rows_lie_within_their_error(capsys, p, t):
+    # at n = 0 most of the error sits in the slices the quadrature leaves out
+    code, out, _ = run(capsys, "moments-check", "--p", p, "--t", t, "--n-max", "30", "--format", "json")
+    assert code == 0
+    exact = fussdeform.deformed_table(fussdeform.Params.exact(p, t), 30).values
+    for row, a_n in zip(json.loads(out), exact, strict=True):
+        assert abs(Fraction(row["value"]) - a_n) <= row["est_error"], row["n"]
 
 
 def test_gfun_table(capsys):

@@ -256,7 +256,11 @@ def test_moment_quad_reuse_is_bit_identical():
     for p, t in points:
         # random n interleave a new store with the tree of every earlier n
         for n in sorted(rng.sample(range(201), 6)) + [0, 200]:
-            assert kernels.moment_quad(p, t, n) == _moment_quad_reference(p, t, n), (p, t, n)
+            value, err, ok = kernels.moment_quad(p, t, n)
+            ref_value, ref_err, ref_ok = _moment_quad_reference(p, t, n)
+            assert (value, ok) == (ref_value, ref_ok), (p, t, n)
+            # moment_quad adds the rounding of rho^n and the end slices
+            assert err >= ref_err, (p, t, n)
 
 
 def test_moment_node_store_holds_the_last_point(capsys):
