@@ -16,6 +16,7 @@ is ``"python"``).
 from ._backend import backend_name
 from .errors import (
     BracketingError,
+    DigitLimitError,
     FussDeformError,
     InconsistencyError,
     QuadratureError,
@@ -82,6 +83,7 @@ __all__ = [
     "InconsistencyError",
     "QuadratureError",
     "BracketingError",
+    "DigitLimitError",
     "Params",
     "SeqTable",
     "parse_rational",

@@ -19,11 +19,12 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import cache
 from fractions import Fraction
 from typing import Optional
 
 from .density import density_grid, moment_quadrature_full
-from .errors import FussDeformError, InconsistencyError
+from .errors import DigitLimitError, FussDeformError, InconsistencyError
 from .exact_seq import (
     Params,
     SeqTable,
@@ -254,6 +255,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     # Each subcommand lists --p/--t first, then its own flags, then the
     # shared flags; argparse keeps that order in usage lines and --help.
@@ -332,6 +334,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         # exact paths check pivots, jet constant terms and t = 2 before they
         # divide, so a division by zero here is a float that underflowed to 0
         print("fussdeform: error: a value left the float range", file=sys.stderr)
+        return 2
+    except DigitLimitError as exc:
+        print(f"fussdeform: error: {exc}; try --format csv or a smaller input", file=sys.stderr)
         return 2
     except (ValueError, TypeError, IndexError, FussDeformError) as exc:
         print(f"fussdeform: error: {exc}", file=sys.stderr)

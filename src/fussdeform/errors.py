@@ -21,3 +21,7 @@ class QuadratureError(FussDeformError):
 
 class BracketingError(FussDeformError):
     """A bracketing / monotonicity precondition failed during root isolation."""
+
+
+class DigitLimitError(FussDeformError, ValueError):
+    """An exact value has more digits than Python converts to text (its int-to-str limit)."""

@@ -15,12 +15,13 @@ compared; a mismatch raises :class:`~fussdeform.errors.InconsistencyError`.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from typing import Iterable, Sequence, Union
 
-from .errors import InconsistencyError
+from .errors import DigitLimitError, InconsistencyError
 
 RationalLike = Union[Fraction, int, str]
 
@@ -66,7 +67,13 @@ def parse_rational(text: RationalLike) -> Fraction:
 
 def rational_str(value: Fraction) -> str:
     """Canonical ``num/den`` rendering used by every serializer in the package."""
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # the only one str(int) raises: past the digit limit
+        raise DigitLimitError(
+            f"an exact value has more than {sys.get_int_max_str_digits()} digits, "
+            "too many for fussdeform to print"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -272,6 +272,46 @@ def test_float_range_overflow_is_usage_error(capsys, argv):
     assert err == "fussdeform: error: a value left the float range\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("posdef", "--p", "2", "--t", "1e-3000", "--hankel-size", "2"),
+        ("infdiv", "--p", "2", "--t", "1e-3000", "--hankel-size", "2"),
+    ],
+)
+def test_too_many_digits_is_usage_error(capsys, argv):
+    # the JSON minors pass Python's int-to-str limit; the CSV row leaves them out
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"fussdeform: error: an exact value has more than {sys.get_int_max_str_digits()} digits, "
+        "too many for fussdeform to print; try --format csv or a smaller input\n"
+    )
+    assert run(capsys, *argv, "--format", "csv")[0] == 0
+
+
+def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):
+    # main builds its parser once per process; a usage error or --help in
+    # between must not change what a later call prints
+    monkeypatch.setenv("COLUMNS", "80")
+    src = os.path.dirname(os.path.dirname(fussdeform.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    good = ["posdef", "--p", "3/2", "--t", "1/5", "--format", "json"]
+    for argv in (good, ["posdef", "--p", "3/2"], ["--help"], ["seq", "--help"], good):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "fussdeform.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path, "COLUMNS": "80"},
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
 # every flag takes one of these with probability 0.15, else a typical value
 _EDGES = ("0", "-1", "1/0", "x", "1e400", "nan", "inf")
 _RATIONALS = ("-1/2", "1/5", "1/2", "1", "6/5", "3/2", "2", "5/2", "3", "7/3", "100", "1000")
@@ -348,7 +388,7 @@ def test_csv_does_not_render_the_minors_it_omits(capsys):
     # may produce; only the JSON payloads print them
     for argv in (
         ("posdef", "--p", "2", "--t", "1e-3000"),
-        ("infdiv", "--p", "2", "--t", "1e-3000"),
+        ("infdiv", "--p", "2", "--t", "1e-3000", "--hankel-size", "2"),
         ("domain-grid", "--steps", "1", "--p-min", "2", "--t-min", "1e-3000", "--t-max", "1"),
     ):
         code, out, _ = run(capsys, *argv, "--hankel-size", "2")
