@@ -304,15 +304,12 @@ _INSET = 1e-12
 # The angle-space samples of the last (p, t) integrated: ((p, t), panels),
 # where panels maps (a, b) to its half width and the triples
 # (rho, f_phi, |rho'|) at its 15 nodes.  They do not depend on n, so every
-# moment reuses them; one (p, t) is held at a time.
+# moment reuses them; one (p, t) is held at a time.  The moments-check runs of
+# the benchmark (n <= 200) need under 30 panels per (p, t), but a quadrature
+# that fails to converge splits into 4096, whose samples would take about
+# 20 MB, so at most _KEPT_PANELS are kept.
 _moment_nodes = (None, {})
-
-
-def _moment_panels(p, t):
-    global _moment_nodes
-    if _moment_nodes[0] != (p, t):
-        _moment_nodes = ((p, t), {})
-    return _moment_nodes[1]
+_KEPT_PANELS = 256
 
 
 def moment_quad(p, t, n, atol=1e-10, rtol=1e-12, max_depth=20):
@@ -322,14 +319,18 @@ def moment_quad(p, t, n, atol=1e-10, rtol=1e-12, max_depth=20):
     int_0^{pi/p} rho^n * f_phi * |rho'| dphi, whose integrand stays bounded at
     both endpoints.  Returns (value, error_estimate, converged).
     """
-    samples = _moment_panels(p, t)
+    global _moment_nodes
+    if _moment_nodes[0] != (p, t):
+        _moment_nodes = ((p, t), {})
+    samples = _moment_nodes[1]
 
     def panel(a, b):
         hit = samples.get((a, b))
         if hit is None:
             h, nodes = _gk15_nodes(a, b)
             hit = (h, [(rho(p, x), f_phi(p, t, x), fabs(rho_prime(p, x))) for x in nodes])
-            samples[(a, b)] = hit
+            if len(samples) < _KEPT_PANELS:
+                samples[(a, b)] = hit
         h, triples = hit
         return _gk15_sum(h, [r ** n * f * w for r, f, w in triples])
 

@@ -270,6 +270,11 @@ def test_moment_node_store_holds_the_last_point(capsys):
     (p, t), panels = kernels._moment_nodes
     assert (p, t) == (7.0 / 3.0, 2.0 / 3.0)
     assert panels and all(0.0 < a < b < pi / p for a, b in panels)
+    # a quadrature that gives up after 4096 panels keeps only some of them
+    value, _, ok = kernels.moment_quad(11.0 / 8.0, 6.0 / 5.0, 20)
+    assert len(kernels._moment_nodes[1]) == kernels._KEPT_PANELS
+    assert (value, ok) == _moment_quad_reference(11.0 / 8.0, 6.0 / 5.0, 20)[::2]
+    assert not ok
 
 
 def test_masses_normalize_to_one():
