@@ -254,7 +254,7 @@ def test_moment_quad_reuse_is_bit_identical():
         p = 4.0 - 3.0 * rng.random()
         points.append((p, 2.0 * p / (p + 1.0) * rng.random()))
     for p, t in points:
-        # random n interleave a new store with the tree of every earlier n
+        # each n reuses the samples the earlier n of this (p, t) left behind
         for n in sorted(rng.sample(range(201), 6)) + [0, 200]:
             value, err, ok = kernels.moment_quad(p, t, n)
             ref_value, ref_err, ref_ok = _moment_quad_reference(p, t, n)

@@ -153,7 +153,7 @@ def test_psi_grid_reuse_is_bit_identical():
         assert g_of_p(p) == _g_pointwise(p), p
         for t in (0.0, rng.random(), 2.0 * rng.random()):
             assert kernels.psi_min(p, t) == _psi_min_pointwise(p, t), (p, t)
-            pointwise = [kernels.psi(p, t, i * math.pi / 512) for i in range(513)]
+            pointwise = [kernels.psi(p, t, i * (math.pi / 512)) for i in range(513)]
             assert kernels._psi_scan(p, t, 512) == pointwise, (p, t)
 
 
