@@ -7,7 +7,7 @@ Only plain floats are used here.  Exact arithmetic lives elsewhere.
 """
 
 from functools import partial
-from math import cos, fabs, pi, sin, sqrt
+from math import cos, fabs, inf, pi, sin, sqrt
 
 BACKEND = "python"
 
@@ -20,6 +20,7 @@ __all__ = [
     "psi",
     "psi_forms",
     "psi_min",
+    "g_sup",
     "rho_bisect",
     "integrate_callable",
     "moment_quad",
@@ -89,81 +90,72 @@ def psi_forms(p, t, phi):
 _INVPHI = (sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_psi(p, t, a, b, tol):
-    """Golden-section minimum of psi(p, t, .) on [a, b] to width tol."""
+def _golden(f, a, b, tol):
+    """Golden-section minimum of f on [a, b] to width tol: (argmin, value)."""
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
-    f1 = psi(p, t, x1)
-    f2 = psi(p, t, x2)
+    f1 = f(x1)
+    f2 = f(x2)
     while (b - a) > tol:
         if f1 <= f2:
             b = x2
             x2 = x1
             f2 = f1
             x1 = b - _INVPHI * (b - a)
-            f1 = psi(p, t, x1)
+            f1 = f(x1)
         else:
             a = x1
             x1 = x2
             f1 = f2
             x2 = a + _INVPHI * (b - a)
-            f2 = psi(p, t, x2)
+            f2 = f(x2)
     xm = 0.5 * (a + b)
-    return xm, psi(p, t, xm)
+    return xm, f(xm)
 
 
-# The trig table of the last p scanned: (p, grid) and, at phi_i = i pi / grid,
-# the triples (sin((1 - 1/p) phi_i), sin phi_i, cos(phi_i / p)).  psi is
-# affine in t, so the bisection for g(p) evaluates each grid point once.
-_psi_grid = (None, ())
-
-
-def _psi_scan(p, t, grid):
-    """psi(p, t, i pi / grid) for i = 0..grid, grouped as psi groups it."""
-    global _psi_grid
-    if _psi_grid[0] != (p, grid):
-        step = pi / grid
-        table = []
-        for i in range(grid + 1):
-            phi = i * step
-            table.append((sin((1.0 - 1.0 / p) * phi), sin(phi), cos(phi / p)))
-        _psi_grid = ((p, grid), table)
-    k = 2.0 * (1.0 - t)
-    return [t * s1 + k * s * c for s1, s, c in _psi_grid[1]]
+def _grid_min(f, vals, tol):
+    """Minimum of f over [0, pi] from vals[i] = f(i pi / grid): (value, argmin).  Golden section
+    refines each cell bracketing a local minimum; +inf marks a point without a value."""
+    grid = len(vals) - 1
+    step = pi / grid
+    best = min(range(grid + 1), key=vals.__getitem__)
+    best_val, best_phi = vals[best], best * step
+    brackets = [
+        ((i - 1) * step, (i + 1) * step)
+        for i in range(1, grid)
+        if vals[i] < inf and vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]
+    ]
+    if vals[0] < inf and vals[0] <= vals[1]:
+        brackets.append((0.0, step))
+    if vals[grid] < inf and vals[grid] <= vals[grid - 1]:
+        brackets.append((pi - step, pi))
+    for a, b in brackets:
+        xm, fm = _golden(f, a, b, tol)
+        if fm < best_val:
+            best_val, best_phi = fm, xm
+    return best_val, best_phi
 
 
 def psi_min(p, t, grid=512, tol=1e-12):
-    """Global minimum of psi(p, t, .) over [0, pi].
+    """Global minimum of psi(p, t, .) over [0, pi]: (value, argmin); psi is written inline."""
+    k = 1.0 - 1.0 / p
+    phis = [i * (pi / grid) for i in range(grid + 1)]
+    vals = [t * sin(k * x) + 2.0 * (1.0 - t) * sin(x) * cos(x / p) for x in phis]
+    return _grid_min(partial(psi, p, t), vals, tol)
 
-    Dense grid scan followed by golden-section refinement of every bracketed
-    local minimum (interior sign pattern v[i] <= v[i-1], v[i] <= v[i+1], plus
-    the two edge cells).  Returns (value, argmin).
-    """
-    step = pi / grid
-    vals = _psi_scan(p, t, grid)
-    best_val = vals[0]
-    best_phi = 0.0
-    for i in range(1, grid + 1):
-        if vals[i] < best_val:
-            best_val = vals[i]
-            best_phi = i * step
-    for i in range(1, grid):
-        if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]:
-            xm, fm = _golden_psi(p, t, (i - 1) * step, (i + 1) * step, tol)
-            if fm < best_val:
-                best_val = fm
-                best_phi = xm
-    if vals[0] <= vals[1]:
-        xm, fm = _golden_psi(p, t, 0.0, step, tol)
-        if fm < best_val:
-            best_val = fm
-            best_phi = xm
-    if vals[grid] <= vals[grid - 1]:
-        xm, fm = _golden_psi(p, t, pi - step, pi, tol)
-        if fm < best_val:
-            best_val = fm
-            best_phi = xm
-    return best_val, best_phi
+
+def _t_bound(p, phi):
+    """B/A where A > 0, else inf, with psi(p, t, phi) = t A + B; there psi >= 0 iff t >= -B/A."""
+    b = 2.0 * sin(phi) * cos(phi / p)
+    a = sin((1.0 - 1.0 / p) * phi) - b
+    return b / a if a > 0.0 else inf
+
+
+def g_sup(p, grid=512, tol=1e-12):
+    """sup of -B/A over A > 0 (see _t_bound): psi(p, t, .) >= 0 needs t >= it.  (value, argmax)."""
+    bound = partial(_t_bound, p)
+    value, phi = _grid_min(bound, [bound(i * (pi / grid)) for i in range(grid + 1)], tol)
+    return -value, phi
 
 
 def rho_bisect(p, x, lo, hi, tol=1e-13):

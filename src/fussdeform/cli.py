@@ -64,8 +64,11 @@ def _emit(args: argparse.Namespace, header: str, rows: list[str], payload) -> No
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
 
 
 def _row(record: dict) -> str:

@@ -5,8 +5,8 @@ The density f_{p,t} is nonnegative exactly when the angle function
     psi_{p,t}(phi) = t sin((1 - 1/p) phi) + 2 (1 - t) sin(phi) cos(phi / p)
 
 stays nonnegative on (0, pi).  For each p >= 1 the admissible deformations
-form the closed interval [g(p), 2p/(p+1)]; g is computed here by bisection on
-the numerically certified minimum of psi.
+form the closed interval [g(p), 2p/(p+1)].  psi is affine in t, so g(p) is
+one maximisation over phi, which the minimum of psi at t = g(p) then checks.
 
 Independently, the moment sequence a_n(p, t) is positive definite exactly when
 every Hankel matrix (a_{i+j}) is positive semidefinite.  hankel_report works in
@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 _FEAS_TOL = 1e-12
-_BISECT_TOL = 1e-9
 _CLASSIFY_TOL = 1e-6
 
 
@@ -91,18 +90,16 @@ def psi_min(p: float, t: float, grid: int = 512, tol: float = 1e-12) -> PsiPoint
 def _g_cached(p: float) -> float:
     if kernels.psi_min(p, 0.0, 512, 1e-12)[0] >= -_FEAS_TOL:
         return 0.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if kernels.psi_min(p, mid, 512, 1e-12)[0] >= -_FEAS_TOL:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    g = min(1.0, max(0.0, kernels.g_sup(p, 512, 1e-12)[0]))
+    value = kernels.psi_min(p, g, 512, 1e-12)[0]
+    if value < -_FEAS_TOL:
+        raise InconsistencyError(f"g({p!r}) = {g!r}, yet the minimum of psi there is {value!r}")
+    return g
 
 
 def g_of_p(p: float) -> float:
-    """The least t with psi_{p,t} >= 0 on (0, pi): bisection to 1e-9 in t."""
+    """The least t in [0, 1] with psi_{p,t} >= 0 on (0, pi): max(0, sup -B/A over A > 0)
+    for psi = t A + B, checked by psi_min(p, g(p)) >= -1e-12 (else InconsistencyError)."""
     p = float(p)
     if not (isfinite(p) and p >= 1.0):
         raise ValueError("g is defined for p >= 1")

@@ -180,9 +180,9 @@ def _c06_transform_consistency(order: int) -> str:
 
 
 def _c07_boundary_function(order: int) -> str:
-    _assert(abs(g_of_p(1.5) - 0.2) <= 1e-6, "g(3/2) misses 1/5")
-    _assert(g_of_p(2.0) <= 1e-6, "g(2) misses 0")
-    _assert(abs(g_of_p(1.0) - 1.0) <= 1e-6, "g(1) misses 1")
+    _assert(abs(g_of_p(1.5) - 0.2) <= 1e-12, "g(3/2) misses 1/5")
+    _assert(g_of_p(2.0) == 0.0, "g(2) misses 0")
+    _assert(abs(g_of_p(1.0) - 1.0) <= 1e-12, "g(1) misses 1")
     values = [g_of_p(1.0 + 0.05 * k) for k in range(1, 20)]
     _assert(
         all(a > b for a, b in zip(values, values[1:])),

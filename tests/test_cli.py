@@ -97,6 +97,17 @@ def test_unknown_subject_is_argparse_error(capsys):
     assert info.value.code == 2
 
 
+def test_out_path_that_cannot_be_written_is_usage_error(capsys, tmp_path):
+    for path, reason in (
+        (tmp_path, "Is a directory"),
+        (tmp_path / "missing" / "table.csv", "No such file or directory"),
+    ):
+        code, out, err = run(capsys, "seq", "a220910", "--n", "2", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"fussdeform: error: cannot write {path}: {reason}\n"
+
+
 def test_transforms_routes_agree(capsys):
     code, closed, _ = run(
         capsys, "transforms", "--p", "2", "--t", "1/2", "--route", "closed",

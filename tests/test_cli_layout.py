@@ -157,7 +157,7 @@ FLOAT_CASES = [
         ["gfun", "--p-min", "1.5", "--p-max", "2.5", "--steps", "3"],
         "p,g",
         ["p", "g"],
-        [(1.5, 0.20000000018626451), (2.0, 0.0), (2.5, 0.0)],
+        [(1.5, 0.2), (2.0, 0.0), (2.5, 0.0)],
     ),
 ]
 

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 from itertools import combinations
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from fussdeform import (
     posdef,
 )
 from fussdeform._backend import kernels
+from fussdeform.cli import main
 from fussdeform.exact_seq import catalan_table
 from fussdeform.posdef import (
     HankelVerdict,
@@ -95,7 +97,7 @@ def test_psi_min_flags_negative_regions():
 
 
 def test_g_landmark_values():
-    assert g_of_p(1.5) == pytest.approx(0.2, abs=1e-8)
+    assert g_of_p(1.5) == pytest.approx(0.2, abs=1e-12)
     assert g_of_p(2.0) <= 1e-6
     assert g_of_p(1.0) == pytest.approx(1.0, abs=1e-6)
 
@@ -124,20 +126,22 @@ def _psi_min_pointwise(p, t, grid=512, tol=1e-12):
     if vals[grid] <= vals[grid - 1]:
         brackets.append((math.pi - step, math.pi))
     for a, b in brackets:
-        xm, fm = kernels._golden_psi(p, t, a, b, tol)
+        xm, fm = kernels._golden(lambda phi: kernels.psi(p, t, phi), a, b, tol)
         if fm < best_val:
             best_val, best_phi = fm, xm
     return best_val, best_phi
 
 
-def _g_pointwise(p):
+def _g_bisection(p):
+    """The least t in [0, 1] that psi_min finds feasible, bracketed to 1e-9 by bisection."""
+
     def feasible(t):
-        return _psi_min_pointwise(p, t)[0] >= -posdef._FEAS_TOL
+        return kernels.psi_min(p, t)[0] >= -posdef._FEAS_TOL
 
     if feasible(0.0):
         return 0.0
     lo, hi = 0.0, 1.0
-    while hi - lo > posdef._BISECT_TOL:
+    while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             hi = mid
@@ -146,15 +150,68 @@ def _g_pointwise(p):
     return hi
 
 
-def test_psi_grid_reuse_is_bit_identical():
+def test_psi_min_is_pointwise_psi_and_g_meets_the_bisection():
     rng = random.Random(7312)
     ps = [1.0, 1.5, 2.0, 3.0, 7.0, 20.0] + [1.0 + 3.0 * rng.random() for _ in range(4)]
     for p in ps:
-        assert g_of_p(p) == _g_pointwise(p), p
+        assert 0.0 <= _g_bisection(p) - g_of_p(p) <= 1e-9, p
         for t in (0.0, rng.random(), 2.0 * rng.random()):
             assert kernels.psi_min(p, t) == _psi_min_pointwise(p, t), (p, t)
-            pointwise = [kernels.psi(p, t, i * (math.pi / 512)) for i in range(513)]
-            assert kernels._psi_scan(p, t, 512) == pointwise, (p, t)
+
+
+def _g_reference(p, points=1000):
+    """g(p) = max(0, sup of -B/A over A > 0) at 50 digits, psi = t A + B.
+
+    A finer grid than the kernel's, then golden section in mpmath around the
+    best grid point.
+    """
+    with mpmath.workdps(50):
+        p = mpmath.mpf(p)
+
+        def ratio(phi):
+            b = 2 * mpmath.sin(phi) * mpmath.cos(phi / p)
+            a = mpmath.sin((1 - 1 / p) * phi) - b
+            return -b / a if a > 0 else mpmath.ninf
+
+        step = mpmath.pi / points
+        best = max(range(points + 1), key=lambda i: ratio(i * step))
+        if ratio(best * step) == mpmath.ninf:
+            return 0.0
+        lo, hi = max(best - 1, 0) * step, min(best + 1, points) * step
+        inv = (mpmath.sqrt(5) - 1) / 2
+        while hi - lo > mpmath.mpf(10) ** -30:
+            x1, x2 = hi - inv * (hi - lo), lo + inv * (hi - lo)
+            if ratio(x1) >= ratio(x2):
+                hi = x2
+            else:
+                lo = x1
+        return float(min(1, max(0, ratio((lo + hi) / 2))))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.05, 1.25, 1.5, 1.75, 1.99, 2.0, 3.0, 7.0, 20.0])
+def test_g_matches_the_50_digit_reference(p):
+    assert abs(g_of_p(p) - _g_reference(p)) <= 1e-14
+
+
+def test_g_is_certified_by_psi_min(monkeypatch, capsys):
+    for p in (1.05, 1.5, 1.99):
+        g = g_of_p(p)
+        assert kernels.psi_min(p, g)[0] >= -1e-12
+    sup = kernels.g_sup
+
+    def low_sup(*args):
+        value, phi = sup(*args)
+        return value - 1e-6, phi
+
+    monkeypatch.setattr(kernels, "g_sup", low_sup)
+    posdef._g_cached.cache_clear()
+    try:
+        with pytest.raises(InconsistencyError):
+            g_of_p(1.5)
+        assert main(["gfun", "--p-min", "1.5", "--p-max", "1.5", "--steps", "1"]) == 3
+        assert "internal contradiction" in capsys.readouterr().err
+    finally:
+        posdef._g_cached.cache_clear()
 
 
 def test_g_rejects_small_p():
