@@ -24,6 +24,7 @@ __all__ = [
     "rho_bisect",
     "integrate_callable",
     "moment_quad",
+    "CUMULANT_MEASURES",
     "cumulant_quad",
 ]
 
@@ -115,7 +116,8 @@ def _golden(f, a, b, tol):
 
 def _grid_min(f, vals, tol):
     """Minimum of f over [0, pi] from vals[i] = f(i pi / grid): (value, argmin).  Golden section
-    refines each cell bracketing a local minimum; +inf marks a point without a value."""
+    refines each cell bracketing a local minimum, one per flat run of equal values (the run's
+    last point, where the values rise again); +inf marks a point without a value."""
     grid = len(vals) - 1
     step = pi / grid
     best = min(range(grid + 1), key=vals.__getitem__)
@@ -123,7 +125,7 @@ def _grid_min(f, vals, tol):
     brackets = [
         ((i - 1) * step, (i + 1) * step)
         for i in range(1, grid)
-        if vals[i] < inf and vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]
+        if vals[i] < inf and vals[i] <= vals[i - 1] and vals[i] < vals[i + 1]
     ]
     if vals[0] < inf and vals[0] <= vals[1]:
         brackets.append((0.0, step))
@@ -340,55 +342,63 @@ def moment_quad(p, t, n, atol=1e-10, rtol=1e-12, max_depth=20):
     return value, err, converged
 
 
+# -- the cumulant-side measures ----------------------------------------------
+#
+# Their moments are the free cumulants of the (2, t) and (3, t) families and of
+# two fixed sequences (which ignore t).  case -> (support(t) = (lo, hi),
+# density(t, x), root_edge: a 1/sqrt(x) edge at x = 0).
+
+
+def _p2_support(t):
+    half = 2.0 * sqrt(t * t - t)
+    return 2.0 * t - 1.0 - half, 2.0 * t - 1.0 + half
+
+
+def _p2_density(t, x):
+    rad = 4.0 * t * (t - 1.0) - (x - 2.0 * t + 1.0) ** 2
+    return (1.0 - t * x + x) * sqrt(rad) / (2.0 * pi * (t - 1.0) * x**3)
+
+
+def _p3_density(t, x):
+    den = 2.0 * pi * (t * x - x + 1.0) ** 2 * sqrt(x)
+    return (t - x * (t - 1.0) ** 2) * sqrt(4.0 * t - x) / den
+
+
+def _a220910_density(t, x):
+    return sqrt((12.0 - x) ** 3) / (2.0 * pi * (x + 4.0) ** 2 * sqrt(x))
+
+
+def _a022558_density(t, x):
+    return sqrt(x * (8.0 - x) ** 3) / (2.0 * pi * (x + 1.0) ** 3)
+
+
+CUMULANT_MEASURES = {
+    "p2": (_p2_support, _p2_density, False),
+    "p3": (lambda t: (0.0, 4.0 * t), _p3_density, True),
+    "a220910": (lambda t: (0.0, 12.0), _a220910_density, True),
+    "a022558": (lambda t: (0.0, 8.0), _a022558_density, False),
+}
+
+
 def cumulant_quad(case, t, n, atol=1e-10, rtol=1e-12, max_depth=20):
-    """Moment integrals of the cumulant-side measures; returns (value, err, converged).
+    """Integral of x^n against the CUMULANT_MEASURES case at t: (value, err, converged).
 
-    case "p2":     x^n (1 - t x + x) sqrt(4 t (t-1) - (x - 2t + 1)^2) / (2 pi (t-1) x^3)
-                   on [2t - 1 - 2 sqrt(t^2-t), 2t - 1 + 2 sqrt(t^2-t)]  (needs t > 1)
-    case "p3":     x^n (t - x (t-1)^2) sqrt(4t - x) / (2 pi ((t-1) x + 1)^2 sqrt(x))
-                   on [0, 4t], computed with x = u^2
-    case "a220910": x^n sqrt((12 - x)^3) / (2 pi (x + 4)^2 sqrt(x)) on [0, 12],
-                   computed with x = u^2
-    case "a022558": x^n sqrt(x (8 - x)^3) / (2 pi (x + 1)^3) on [0, 8]
-    """
-    if case == "p2":
-        half = 2.0 * sqrt(t * t - t)
-        lo = 2.0 * t - 1.0 - half
-        hi = 2.0 * t - 1.0 + half
-
-        def g(x):
-            rad = 4.0 * t * (t - 1.0) - (x - 2.0 * t + 1.0) ** 2
-            return (
-                x ** n
-                * (1.0 - t * x + x)
-                * sqrt(rad)
-                / (2.0 * pi * (t - 1.0) * x * x * x)
-            )
-
-        return _adaptive(partial(_gk15, g), lo + _INSET, hi - _INSET, atol, rtol, max_depth, 8)
-    if case == "p3":
+    Each edge is inset by _INSET, but a root edge is integrated in u = sqrt(x),
+    where 2 u x^n density(t, x) stays bounded at u = 0."""
+    try:
+        support, density, root_edge = CUMULANT_MEASURES[case]
+    except KeyError:
+        raise ValueError(f"unknown cumulant measure case {case!r}") from None
+    lo, hi = support(t)
+    if root_edge:
 
         def g(u):
             x = u * u
-            return (
-                x ** n
-                * (t - x * (t - 1.0) * (t - 1.0))
-                * sqrt(4.0 * t - x)
-                / (pi * ((t - 1.0) * x + 1.0) ** 2)
-            )
+            return x**n * density(t, x) * 2.0 * u
 
-        return _adaptive(partial(_gk15, g), 0.0, 2.0 * sqrt(t) - _INSET, atol, rtol, max_depth, 8)
-    if case == "a220910":
+        return integrate_callable(g, 0.0, sqrt(hi) - _INSET, atol, rtol, max_depth)
 
-        def g(u):
-            x = u * u
-            return x ** n * (12.0 - x) ** 1.5 / (pi * (x + 4.0) ** 2)
+    def g(x):
+        return x**n * density(t, x)
 
-        return _adaptive(partial(_gk15, g), 0.0, 2.0 * sqrt(3.0) - _INSET, atol, rtol, max_depth, 8)
-    if case == "a022558":
-
-        def g(x):
-            return x ** n * sqrt(x) * (8.0 - x) ** 1.5 / (2.0 * pi * (x + 1.0) ** 3)
-
-        return _adaptive(partial(_gk15, g), _INSET, 8.0 - _INSET, atol, rtol, max_depth, 8)
-    raise ValueError(f"unknown cumulant measure case {case!r}")
+    return integrate_callable(g, lo + _INSET, hi - _INSET, atol, rtol, max_depth)

@@ -7,10 +7,12 @@ Two routes to the density f_{p,t} = t W_{p,1} + (1 - t) W_{p,2} on (0, c(p)):
   converted into a runtime check by a 64-point monotone scan per p;
 * closed     -- the six elementary closed forms for p in {2, 3, 3/2}, r in {1, 2}.
 
-Quadrature integrates in the angle variable (the substitution x = rho(phi)
-bounds the integrand at both support edges), using the adaptive
-Gauss-Kronrod kernels.  Everything here is float arithmetic; exact statements
-live in the rational modules.
+Each call resolves its route, and on the closed route the form for p, once.
+Moment quadrature integrates in the angle variable (x = rho(phi) bounds the
+integrand at both support edges) with the adaptive Gauss-Kronrod kernels.  The
+cumulant-side measures are defined in the kernels; this module checks ranges.
+Everything here is float arithmetic; exact statements live in the rational
+modules.
 """
 
 from __future__ import annotations
@@ -179,6 +181,17 @@ def _w_closed_32(r: int, x: float) -> float:
     ) * d23 / (4.0 * pi)
 
 
+# Keyed by value: 2.0, Fraction(2) and 2 all find the same form.
+_CLOSED_FORMS = {2: _w_closed_2, 3: _w_closed_3, Fraction(3, 2): _w_closed_32}
+
+
+def _closed_form(p):
+    form = _CLOSED_FORMS.get(p)
+    if form is None:
+        raise ValueError("closed forms cover p in {2, 3, 3/2}")
+    return form
+
+
 def w_closed(p, r: int, x: float) -> float:
     """The six elementary closed forms: p in {2, 3, 3/2}, r in {1, 2}."""
     try:
@@ -188,25 +201,34 @@ def w_closed(p, r: int, x: float) -> float:
     if r not in (1, 2):
         raise ValueError("closed forms cover r in {1, 2}")
     _, x = _check_x(float(p_key), x)
-    if p_key == 2:
-        return _w_closed_2(r, x)
-    if p_key == 3:
-        return _w_closed_3(r, x)
-    if p_key == Fraction(3, 2):
-        return _w_closed_32(r, x)
-    raise ValueError("closed forms cover p in {2, 3, 3/2}")
+    return _closed_form(p_key)(r, x)
+
+
+def _pointwise(p: float, t: float, route: str):
+    """x -> (phi, f_{p,t}(x)) on the route (phi is None on the closed route).  The route,
+    and on the closed route the form for p, are resolved here, once."""
+    if route == "parametric":
+
+        def point(x):
+            phi = _solve_phi(p, x)
+            return phi, kernels.f_phi(p, t, phi)
+
+    elif route == "closed":
+        form = _closed_form(p)
+
+        def point(x):
+            return None, t * form(1, x) + (1.0 - t) * form(2, x)
+
+    else:
+        raise ValueError("route must be 'parametric' or 'closed'")
+    return point
 
 
 def f_pt(params: Params, x: float, route: str = "parametric") -> float:
     """Density f_{p,t}(x) = t W_{p,1}(x) + (1-t) W_{p,2}(x)."""
     p, t = params.as_floats()
     p, x = _check_x(p, x)
-    if route == "parametric":
-        phi = _solve_phi(p, x)
-        return kernels.f_phi(p, t, phi)
-    if route == "closed":
-        return t * w_closed(p, 1, x) + (1.0 - t) * w_closed(p, 2, x)
-    raise ValueError("route must be 'parametric' or 'closed'")
+    return _pointwise(p, t, route)(x)[1]
 
 
 def density_grid(params: Params, grid_size: int, route: str = "parametric") -> list[DensitySample]:
@@ -215,16 +237,12 @@ def density_grid(params: Params, grid_size: int, route: str = "parametric") -> l
         raise ValueError("grid_size must be positive")
     p, t = params.as_floats()
     upper = support_c(p).upper
+    point = _pointwise(p, t, route)
     out = []
     for i in range(1, grid_size + 1):
         x = upper * i / (grid_size + 1)
-        if route == "parametric":
-            phi = _solve_phi(p, x)
-            out.append(DensitySample(x=x, phi=phi, value=kernels.f_phi(p, t, phi)))
-        elif route == "closed":
-            out.append(DensitySample(x=x, phi=None, value=f_pt(params, x, "closed")))
-        else:
-            raise ValueError("route must be 'parametric' or 'closed'")
+        phi, value = point(x)
+        out.append(DensitySample(x=x, phi=phi, value=value))
     return out
 
 
@@ -251,45 +269,29 @@ def moment_quadrature(params: Params, n: int, tol: float = 1e-10, max_depth: int
     return moment_quadrature_full(params, n, tol, max_depth)[0]
 
 
-CUMULANT_CASES = ("p2", "p3", "a220910", "a022558")
+CUMULANT_CASES = tuple(kernels.CUMULANT_MEASURES)
 
 
-def _cumulant_support(case: str, t: float) -> tuple[float, float]:
-    if case == "p2":
-        if not 1.0 < t <= 4.0 / 3.0 + 1e-12:
-            raise ValueError("case p2 requires 1 < t <= 4/3")
-        half = 2.0 * sqrt(t * t - t)
-        return 2.0 * t - 1.0 - half, 2.0 * t - 1.0 + half
-    if case == "p3":
-        if not 0.5 - 1e-12 <= t <= 1.5 + 1e-12:
-            raise ValueError("case p3 requires 1/2 <= t <= 3/2")
-        return 0.0, 4.0 * t
-    if case == "a220910":
-        return 0.0, 12.0
-    if case == "a022558":
-        return 0.0, 8.0
-    raise ValueError(f"unknown case {case!r}; expected one of {CUMULANT_CASES}")
+def _cumulant_measure(case: str, t: float):
+    """The kernel definition (support, density, root_edge) of case, once t is in range."""
+    if case not in CUMULANT_CASES:
+        raise ValueError(f"unknown case {case!r}; expected one of {CUMULANT_CASES}")
+    if case == "p2" and not 1.0 < t <= 4.0 / 3.0 + 1e-12:
+        raise ValueError("case p2 requires 1 < t <= 4/3")
+    if case == "p3" and not 0.5 - 1e-12 <= t <= 1.5 + 1e-12:
+        raise ValueError("case p3 requires 1/2 <= t <= 3/2")
+    return kernels.CUMULANT_MEASURES[case]
 
 
 def cumulant_measure_eval(case: str, t: float, x: float) -> float:
-    """Pointwise density of the named cumulant-side measure (verbatim formulas)."""
+    """Pointwise density of the named cumulant-side measure."""
     t = float(t)
     x = float(x)
-    lo, hi = _cumulant_support(case, t)
+    support, density, _ = _cumulant_measure(case, t)
+    lo, hi = support(t)
     if not (isfinite(x) and lo < x < hi):
         raise ValueError(f"x={x} outside the open support ({lo}, {hi}) of case {case}")
-    if case == "p2":
-        rad = 4.0 * t * (t - 1.0) - (x - 2.0 * t + 1.0) ** 2
-        return (1.0 - t * x + x) * sqrt(rad) / (2.0 * pi * (t - 1.0) * x**3)
-    if case == "p3":
-        return (
-            (t - x * (t - 1.0) ** 2)
-            * sqrt(4.0 * t - x)
-            / (2.0 * pi * (t * x - x + 1.0) ** 2 * sqrt(x))
-        )
-    if case == "a220910":
-        return sqrt((12.0 - x) ** 3) / (2.0 * pi * (x + 4.0) ** 2 * sqrt(x))
-    return sqrt(x * (8.0 - x) ** 3) / (2.0 * pi * (x + 1.0) ** 3)
+    return density(t, x)
 
 
 def cumulant_quadrature(
@@ -299,7 +301,7 @@ def cumulant_quadrature(
     if n < 0:
         raise ValueError("n must be nonnegative")
     t = float(t)
-    _cumulant_support(case, t)  # domain validation
+    _cumulant_measure(case, t)  # domain validation
     value, err, ok = kernels.cumulant_quad(case, t, n, tol, 1e-12, max_depth)
     if not ok:
         raise QuadratureError(

@@ -14,7 +14,6 @@ compared; a mismatch raises :class:`~fussdeform.errors.InconsistencyError`.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -134,9 +133,6 @@ class SeqTable:
             "offset": self.offset,
             "values": [rational_str(v) for v in self.values],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2) + "\n"
 
 
 def raney(p: RationalLike, r: RationalLike, n: int) -> Fraction:

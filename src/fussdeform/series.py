@@ -13,7 +13,6 @@ Everything here is exact; floats never enter.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -192,9 +191,6 @@ class TruncSeries:
             "coeffs": [rational_str(c) for c in self.coeffs],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2) + "\n"
-
 
 def compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     """Jet of f(g(z)); requires g(0) = 0 so the composition is well defined."""
@@ -263,10 +259,9 @@ def pow1p(f: TruncSeries, alpha: RationalLike) -> TruncSeries:
 
 @dataclass(frozen=True)
 class CumulantTable:
-    """Free cumulants r_1..r_N, optionally remembering the parameters they came from."""
+    """Free cumulants r_1..r_N."""
 
     values: tuple[Fraction, ...]
-    params: Optional[Params] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(parse_rational(v) for v in self.values))
@@ -280,11 +275,7 @@ class CumulantTable:
         return self.values[n - 1]
 
     def to_json_obj(self) -> dict:
-        obj: dict = {"cumulants": [rational_str(v) for v in self.values]}
-        if self.params is not None:
-            obj["p"] = rational_str(self.params.p)
-            obj["t"] = rational_str(self.params.t)
-        return obj
+        return {"cumulants": [rational_str(v) for v in self.values]}
 
 
 def bp_series(p: RationalLike, r: RationalLike, order: int) -> TruncSeries:

@@ -176,6 +176,19 @@ def test_density_closed_route_unsupported_p(capsys):
     assert "closed forms" in err
 
 
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        ("5", "closed forms cover p in {2, 3, 3/2}"),
+        ("1", "support requires p > 1"),
+        ("1e400", "a value left the float range"),
+    ],
+)
+def test_density_closed_route_error_lines(capsys, p, message):
+    code, out, err = run(capsys, "density", "--p", p, "--t", "1/2", "--route", "closed")
+    assert (code, out, err) == (2, "", f"fussdeform: error: {message}\n")
+
+
 def test_moments_check_values(capsys):
     code, out, _ = run(
         capsys, "moments-check", "--p", "2", "--t", "1", "--n-max", "4", "--format", "json"

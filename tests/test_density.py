@@ -124,6 +124,33 @@ def test_w_closed_domain_checks():
         w_closed(2, 1, 0.0)
 
 
+def test_closed_route_error_messages():
+    # The first failing check names the fault.  w_closed checks that p is a
+    # number, then r, p > 1, x and the form for p; f_pt p > 1, x, the route
+    # and the form; density_grid the grid size, p > 1, the route and the form.
+    two, five, one = Params.exact(2, 1), Params.exact(5, 1), Params.exact(1, 1)
+    cases = [
+        (lambda: w_closed("two", 1, 1.0), "unsupported p='two' for the closed forms"),
+        (lambda: w_closed(1, 1, 0.5), "support requires p > 1"),
+        (lambda: w_closed(5, 3, 1.0), "closed forms cover r in {1, 2}"),
+        (lambda: w_closed(5, 1, 100.0), "x must lie in the open support (0, 12.20703125)"),
+        (lambda: w_closed(2, 1, 4.0), "x must lie in the open support (0, 4.0)"),
+        (lambda: w_closed(5, 1, 1.0), "closed forms cover p in {2, 3, 3/2}"),
+        (lambda: f_pt(one, 0.5, "closed"), "support requires p > 1"),
+        (lambda: f_pt(two, 4.0, "series"), "x must lie in the open support (0, 4.0)"),
+        (lambda: f_pt(five, 1.0, "series"), "route must be 'parametric' or 'closed'"),
+        (lambda: f_pt(five, 1.0, "closed"), "closed forms cover p in {2, 3, 3/2}"),
+        (lambda: density_grid(one, 0, "series"), "grid_size must be positive"),
+        (lambda: density_grid(one, 3, "series"), "support requires p > 1"),
+        (lambda: density_grid(five, 3, "series"), "route must be 'parametric' or 'closed'"),
+        (lambda: density_grid(five, 3, "closed"), "closed forms cover p in {2, 3, 3/2}"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
 def test_w32_component_takes_negative_values():
     # the r=2 component at p=3/2 dips below zero for small x
     assert w_closed(F(3, 2), 2, 0.3) < -0.1
@@ -358,6 +385,27 @@ def test_cumulant_measure_domain_checks():
         cumulant_measure_eval("p3", 1.2, 5.0)  # x outside (0, 4t)
     with pytest.raises(ValueError):
         cumulant_measure_eval("hankel", 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "case, t, lo, hi",
+    [
+        ("p2", 7 / 6, 4 / 3 - 2 * sqrt(7 / 36), 4 / 3 + 2 * sqrt(7 / 36)),
+        ("p3", 5 / 4, 0.0, 5.0),
+        ("a220910", 0.0, 0.0, 12.0),
+        ("a022558", 0.0, 0.0, 8.0),
+    ],
+)
+def test_cumulant_quadrature_integrates_the_pointwise_density(case, t, lo, hi):
+    # Integrated directly in x.  n starts at 1: at n = 0 the 1/sqrt(x) edge of
+    # p3 and a220910 keeps the x-space rule from converging.
+    for n in range(1, 9):
+        value, _ = cumulant_quadrature(case, t, n)
+        direct, _, ok = kernels.integrate_callable(
+            lambda x: x**n * cumulant_measure_eval(case, t, x), lo + 1e-12, hi - 1e-12
+        )
+        assert ok
+        assert abs(value - direct) <= 1e-9 * abs(direct), (n, value, direct)
 
 
 def test_fixed_measures_reproduce_integer_sequences():

@@ -214,6 +214,24 @@ def test_g_is_certified_by_psi_min(monkeypatch, capsys):
         posdef._g_cached.cache_clear()
 
 
+def test_flat_scans_refine_one_cell_per_run(monkeypatch):
+    # At p = 1, psi(1, 1, .) is 0 on the whole grid and B/A is -1 wherever
+    # A > 0, so each scan is flat runs only; each run is refined once.
+    golden = kernels._golden
+    calls = []
+
+    def counting_golden(*args):
+        calls.append(args)
+        return golden(*args)
+
+    monkeypatch.setattr(kernels, "_golden", counting_golden)
+    assert kernels.psi_min(1.0, 1.0) == (0.0, 0.0)
+    assert len(calls) <= 2
+    calls.clear()
+    assert kernels.g_sup(1.0) == (1.0, 1.576932249946439)
+    assert len(calls) <= 2
+
+
 def test_g_rejects_small_p():
     with pytest.raises(ValueError):
         g_of_p(0.99)

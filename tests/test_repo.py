@@ -1,6 +1,8 @@
 """Repository hygiene: the README's library tour runs, no build artifact is tracked,
-and the benchmark's layer tracer still finds every entry point it wraps."""
+the benchmark's layer tracer still finds every entry point it wraps, and every name
+in an ``__all__`` resolves."""
 
+import importlib
 import importlib.util
 import re
 import shutil
@@ -67,3 +69,12 @@ def test_layer_tracer_finds_every_entry_point():
     finally:
         tracer.uninstall()
     assert all(getattr(fussdeform, user).kernels is _backend.kernels for user in layertrace._KERNEL_USERS)
+
+
+@pytest.mark.parametrize(
+    "module", ["", ".exact_seq", ".series", ".density", ".posdef", ".cli", ".verify", "._kernels_py"]
+)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module("fussdeform" + module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
