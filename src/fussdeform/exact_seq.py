@@ -142,6 +142,10 @@ def raney(p: RationalLike, r: RationalLike, n: int) -> Fraction:
     are the Fuss numbers counting nonnegative lattice paths with steps in
     {1, 1 - p}; the reflection raney(p, r, n) * (-1)^n = raney(1-p, -r, n)
     holds identically in (p, r).
+
+    With p = a/b and r = c/d the product is taken in integers, each factor
+    n p + r - i scaled by b d, and reduced once:
+    c * prod (n a d + c b - i b d) / (d (b d)^(n-1) n!).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -149,11 +153,14 @@ def raney(p: RationalLike, r: RationalLike, n: int) -> Fraction:
     r = parse_rational(r)
     if n == 0:
         return Fraction(1)
-    acc = r
-    base = n * p + r
+    a, b = p.numerator, p.denominator
+    c, d = r.numerator, r.denominator
+    bd = b * d
+    base = n * a * d + c * b
+    num = c
     for i in range(1, n):
-        acc *= base - i
-    return acc / factorial(n)
+        num *= base - i * bd
+    return Fraction(num, d * bd ** (n - 1) * factorial(n))
 
 
 def _deformed_closed(p: Fraction, t: Fraction, n: int) -> Fraction:

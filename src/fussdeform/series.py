@@ -8,7 +8,11 @@ of which sqrt1p is the alpha = 1/2 case) sit the domain series: the Fuss
 generating function B_p, the moment series of the deformed family, free
 cumulants, and the S- and R-transforms with their closed forms.
 
-Everything here is exact; floats never enter.
+Everything here is exact; floats never enter.  Coefficients are stored as
+Fractions, but a product or quotient of jets sums each output coefficient in
+integers: numerators over one running denominator, which widens (one gcd)
+only when a term's denominator does not divide it, and one Fraction
+normalisation per coefficient at the end.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence, Union
 
 from .errors import InconsistencyError
@@ -44,6 +49,18 @@ __all__ = [
 
 class ClosedFormFallbackWarning(RuntimeWarning):
     """A closed form is singular at the requested parameters; a generic route ran instead."""
+
+
+def _split(coeffs: Sequence[Fraction]) -> tuple[list[int], list[int]]:
+    """Numerators and denominators of a run of coefficients, read once."""
+    return [c.numerator for c in coeffs], [c.denominator for c in coeffs]
+
+
+def _widen(num: int, den: int, d: int) -> tuple[int, int, int]:
+    """Rewrite num/den over lcm(den, d); also return the multiplier lcm // d."""
+    g = gcd(den, d)
+    m = d // g
+    return num * m, den * m, den // g
 
 
 @dataclass(frozen=True)
@@ -126,14 +143,23 @@ class TruncSeries:
             c = parse_rational(other)
             return TruncSeries(tuple(ci * c for ci in self.coeffs))
         n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, ci in enumerate(self.coeffs[: n + 1]):
-            if ci == 0:
-                continue
-            for j in range(0, n + 1 - i):
-                cj = other.coeffs[j]
-                if cj:
-                    out[i + j] += ci * cj
+        an, ad = _split(self.coeffs[: n + 1])
+        bn, bd = _split(other.coeffs[: n + 1])
+        live = [i for i in range(n + 1) if an[i]]  # skips the zeros of z-divisible jets
+        out = []
+        for k in range(n + 1):
+            num, den = 0, 1
+            for i in live:
+                if i > k:
+                    break
+                y = bn[k - i]
+                if y:
+                    d = ad[i] * bd[k - i]
+                    q, r = divmod(den, d)
+                    if r:
+                        num, den, q = _widen(num, den, d)
+                    num += an[i] * y * q
+            out.append(Fraction(num, den))
         return TruncSeries(tuple(out))
 
     __rmul__ = __mul__
@@ -149,13 +175,25 @@ class TruncSeries:
                 "jet division needs a nonzero constant term; strip z factors explicitly"
             )
         n = min(self.order, other.order)
-        g0 = other.coeffs[0]
+        an, ad = _split(self.coeffs[: n + 1])
+        bn, bd = _split(other.coeffs[: n + 1])
         out: list[Fraction] = []
+        on: list[int] = []
+        od: list[int] = []
         for k in range(n + 1):
-            acc = self.coeffs[k]
+            num, den = an[k], ad[k]
             for j in range(1, k + 1):
-                acc -= other.coeffs[j] * out[k - j]
-            out.append(acc / g0)
+                x = bn[j]
+                if x and on[k - j]:
+                    d = bd[j] * od[k - j]
+                    q, r = divmod(den, d)
+                    if r:
+                        num, den, q = _widen(num, den, d)
+                    num -= x * on[k - j] * q
+            c = Fraction(num * bd[0], den * bn[0])
+            out.append(c)
+            on.append(c.numerator)
+            od.append(c.denominator)
         return TruncSeries(tuple(out))
 
     def __rtruediv__(self, other: RationalLike) -> "TruncSeries":
@@ -200,7 +238,8 @@ def compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     g = g.truncate(n)
     acc = TruncSeries.constant(f.coeffs[n], n)
     for k in range(n - 1, -1, -1):
-        acc = acc * g + f.coeffs[k]
+        # acc * g has constant term 0 (g(0) = 0), so adding f_k sets it
+        acc = TruncSeries((f.coeffs[k],) + (acc * g).coeffs[1:])
     return acc
 
 

@@ -6,6 +6,8 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fussdeform import (
     InconsistencyError,
@@ -25,6 +27,7 @@ from fussdeform import (
     parse_rational,
     raney,
 )
+from fussdeform import exact_seq
 
 A220910_PREFIX = [1, 1, 3, 14, 83, 570, 4318, 35068, 299907, 2668994, 24513578]
 EX1_PREFIX = [1, 2, 5, 16, 64, 304, 1632, 9552, 59520, 388720, 2632864]
@@ -90,6 +93,34 @@ def test_raney_reflection_identity():
         r = F(rng.randint(-40, 40), rng.randint(1, 12))
         for n in range(8):
             assert raney(p, r, n) * (-1) ** n == raney(1 - p, -r, n)
+
+
+def _raney_loop(p, r, n):
+    """Reference: (r / n!) * prod_{i=1}^{n-1} (n p + r - i), one Fraction at a time."""
+    acc = F(1) if n == 0 else r
+    for i in range(1, n):
+        acc *= n * p + r - i
+    for k in range(2, n + 1):
+        acc /= k
+    return acc
+
+
+_RATIONAL = st.builds(F, st.integers(-60, 60), st.integers(1, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RATIONAL, _RATIONAL, st.integers(0, 40))
+def test_raney_matches_fraction_loop(p, r, n):
+    assert raney(p, r, n) == _raney_loop(p, r, n)
+
+
+def test_affine_closed_check_fires(monkeypatch):
+    real = exact_seq.raney
+    monkeypatch.setattr(exact_seq, "raney", lambda p, r, n: real(p, r, n) + (n == 5))
+    params = Params.exact(F(5, 2), F(1, 3))
+    assert deformed_fuss(params, 4) == exact_seq._deformed_closed(params.p, params.t, 4)
+    with pytest.raises(InconsistencyError):
+        deformed_fuss(params, 5)
 
 
 def test_raney_rejects_negative_index():

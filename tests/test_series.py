@@ -29,6 +29,8 @@ from fussdeform import (
     s_series_from_moments,
     sqrt1p,
 )
+from fussdeform import series
+from fussdeform.cli import main
 
 A220910_PREFIX = [1, 1, 3, 14, 83, 570, 4318, 35068, 299907, 2668994, 24513578]
 EX1_PREFIX = [1, 2, 5, 16, 64, 304, 1632, 9552, 59520, 388720, 2632864]
@@ -454,3 +456,92 @@ def test_revert_is_a_two_sided_involution(jets, f1):
 def test_cumulant_moment_roundtrip_property(jets):
     m = _with(jets[0], 0, F(1))
     assert moments_from_cumulants(cumulants_from_moments(m)) == m
+
+
+# -- products and quotients against a schoolbook reference ------------------------
+
+
+def _schoolbook_mul(f, g):
+    n = min(f.order, g.order)
+    out = [F(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += f.coeffs[i] * g.coeffs[j]
+    return tuple(out)
+
+
+def _schoolbook_div(f, g):
+    n = min(f.order, g.order)
+    out = []
+    for k in range(n + 1):
+        acc = f.coeffs[k]
+        for j in range(1, k + 1):
+            acc -= g.coeffs[j] * out[k - j]
+        out.append(acc / g.coeffs[0])
+    return tuple(out)
+
+
+@st.composite
+def _wide_jet(draw):
+    """A jet of order 0..10: small rationals, all zeros, or tiny-t shaped.
+
+    The tiny-t shape has a j-th coefficient over about s^j, with s up to
+    10^300, as the moment jets of the family have at t near 10^-300.
+    """
+    order = draw(st.integers(0, 10))
+    shape = draw(st.sampled_from(("small", "zero", "tiny")))
+    if shape == "zero":
+        return TruncSeries((F(0),) * (order + 1))
+    if shape == "small":
+        return TruncSeries(tuple(draw(st.lists(_COEFF, min_size=order + 1, max_size=order + 1))))
+    s = draw(st.integers(2, 10**300))
+    nums = st.integers(-(10**40), 10**40)
+    return TruncSeries(
+        tuple(F(draw(nums), s**j * draw(st.integers(1, 7))) for j in range(order + 1))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_jet(), _wide_jet())
+def test_product_matches_schoolbook(f, g):
+    product = f * g
+    assert product.coeffs == _schoolbook_mul(f, g)
+    assert all(type(c) is F for c in product.coeffs)
+
+
+_HUGE = st.integers(1, 10**300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_jet(), _wide_jet(), _NONZERO | st.builds(F, _HUGE, _HUGE))
+def test_quotient_matches_schoolbook(f, g, g0):
+    g = _with(g, 0, g0)
+    assert (f / g).coeffs == _schoolbook_div(f, g)
+
+
+# -- the independent-route cross-checks still fire --------------------------------
+
+
+def _off_by_one(jet, index):
+    return _with(jet, index, jet.coeffs[index] + 1)
+
+
+def test_revert_self_check_fires(monkeypatch, capsys):
+    real = series.compose
+    monkeypatch.setattr(series, "compose", lambda f, g: _off_by_one(real(f, g), 2))
+    with pytest.raises(InconsistencyError):
+        revert(TruncSeries.from_coeffs([0, 1, 1, 1]))
+    assert main(["transforms", "--p", "2", "--t", "1/2", "--series-order", "6"]) == 3
+    assert "internal contradiction" in capsys.readouterr().err
+
+
+def test_bp_square_check_fires(monkeypatch):
+    real = series.bp_series
+
+    def skewed(p, r, order):
+        jet = real(p, r, order)
+        return _off_by_one(jet, 3) if r == 2 else jet
+
+    monkeypatch.setattr(series, "bp_series", skewed)
+    with pytest.raises(InconsistencyError):
+        moment_series(Params.exact(F(5, 2), F(1, 3)), 6)
