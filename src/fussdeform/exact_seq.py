@@ -1,7 +1,12 @@
 """Exact integer/rational sequences built from Raney numbers.
 
-Everything in this module is computed in exact rational arithmetic
-(``fractions.Fraction``).  The central object is the two-parameter family
+Every value in this module is exact and returned as a ``fractions.Fraction``.
+The products and sums behind them (Raney numbers, the closed form of a_n,
+constellation counts, the A220910 closed sums, the binomial transform) are
+accumulated in Python integers over one known denominator and reduced once
+per value.  ``Fraction`` arithmetic is left only where a value takes a few
+operations (the affine route of a_n, the A220910 recurrence).  The central
+object is the two-parameter family
 
     a_n(p, t) = t * raney(p, 1, n) + (1 - t) * raney(p, 2, n),
 
@@ -17,7 +22,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import DigitLimitError, InconsistencyError
@@ -166,14 +171,19 @@ def raney(p: RationalLike, r: RationalLike, n: int) -> Fraction:
 def _deformed_closed(p: Fraction, t: Fraction, n: int) -> Fraction:
     # Single product form with the vanishing linear factors cancelled, so it
     # stays well defined when (n p - n + 1)(n p - n + 2) has a zero factor.
+    # For p = a/b: prod_{i<n-2} (n a - i b) / b^(n-2), times the last factor
+    # n (2p - t - pt) + 2, over n!, reduced once.
     if n == 0:
         return Fraction(1)
     if n == 1:
         return 2 - t
-    prod = Fraction(1)
+    a, b = p.numerator, p.denominator
+    na = n * a
+    num = 1
     for i in range(n - 2):
-        prod *= n * p - i
-    return prod * (n * (2 * p - t - p * t) + 2) / factorial(n)
+        num *= na - i * b
+    last = n * (2 * p - t - p * t) + 2
+    return Fraction(num * last.numerator, b ** (n - 2) * last.denominator * factorial(n))
 
 
 def deformed_fuss(params: Params, n: int) -> Fraction:
@@ -202,24 +212,28 @@ def deformed_table(params: Params, n_max: int) -> SeqTable:
     return SeqTable(label=f"a(p={p};t={t})", offset=0, values=values)
 
 
+def _constellation_direct(p: int, n: int) -> Fraction:
+    # binom(np, n) / ((np-n+1)(np-n+2)) cancels to prod_{i<n-2} (np - i) / n!
+    if n == 1:
+        return Fraction(1)
+    num = (p + 1) * p ** (n - 1)
+    for i in range(n - 2):
+        num *= n * p - i
+    return Fraction(num, factorial(n))
+
+
 def constellation_count(p: int, n: int) -> Fraction:
     """Number of p-constellations with n polygons (p >= 2 integer, n >= 1).
 
     Evaluated directly from binom(np, n) * (p+1) * p^(n-1) / ((np-n+1)(np-n+2))
-    and cross-checked against the deformed-family identity
-    C_p(n) = (p+1) p^n / (2p) * a_n(p, 2p/(p+1)).
+    as one integer product over n!, and cross-checked against the
+    deformed-family identity C_p(n) = (p+1) p^n / (2p) * a_n(p, 2p/(p+1)).
     """
     if not isinstance(p, int) or isinstance(p, bool) or p < 2:
         raise ValueError("constellation counts require integer p >= 2")
     if n < 1:
         raise ValueError("constellation counts start at n = 1")
-    if n == 1:
-        direct = Fraction(1)
-    else:
-        prod = Fraction(1)
-        for i in range(n - 2):
-            prod *= n * p - i
-        direct = prod * (p + 1) * Fraction(p) ** (n - 1) / factorial(n)
+    direct = _constellation_direct(p, n)
     t_star = Fraction(2 * p, p + 1)
     via_family = (
         Fraction(p + 1) * Fraction(p) ** n / (2 * p)
@@ -241,26 +255,29 @@ def binomial_transform(seq: SeqTable, direction: str = "forward") -> SeqTable:
     """Forward binomial transform b_n = sum_k (-1)^(n-k) binom(n,k) a_k, or its inverse.
 
     The transform acts on absolute indices, so the input table must start at
-    offset 0.  forward followed by inverse is the identity.
+    offset 0.  forward followed by inverse is the identity.  The inputs are
+    scaled once to the lcm of their denominators; b_n is then the head of the
+    n-th row of a difference table whose rows follow c'_i = c_{i+1} - c_i
+    (forward) or c'_i = c_{i+1} + c_i (inverse), in integer additions only.
     """
-    from math import comb
-
     if seq.offset != 0:
         raise ValueError("binomial transform is defined for offset-0 tables")
     if not seq.values:
         raise ValueError("binomial transform of an empty table")
-    a = seq.values
-    out: list[Fraction] = []
     if direction == "forward":
-        for n in range(len(a)):
-            out.append(sum(((-1) ** (n - k)) * comb(n, k) * a[k] for k in range(n + 1)))
+        sign = -1
         label = f"binomial({seq.label})"
     elif direction == "inverse":
-        for n in range(len(a)):
-            out.append(sum(comb(n, k) * a[k] for k in range(n + 1)))
+        sign = 1
         label = f"inv-binomial({seq.label})"
     else:
         raise ValueError("direction must be 'forward' or 'inverse'")
+    den = lcm(*(v.denominator for v in seq.values))
+    row = [v.numerator * (den // v.denominator) for v in seq.values]
+    out = []
+    while row:
+        out.append(Fraction(row[0], den))
+        row = [y + sign * x for x, y in zip(row, row[1:])]
     return SeqTable(label=label, offset=0, values=out)
 
 
@@ -276,41 +293,39 @@ def _a220910_recurrence(n_max: int) -> list[Fraction]:
 
 
 def _a220910_closed_a(n: int) -> Fraction:
-    # Hypergeometric-style finite sum; the running products keep every term
-    # exact without ever forming a factorial of a half-integer.
-    from math import comb
-
-    if n == 0:
-        return Fraction(1)
-    head = Fraction(1 - 8 * n, 2) * Fraction(-4) ** n
-    total = Fraction(0)
-    falling = Fraction(1)  # prod_{i=0}^{k-1} (n - i)
-    halfprod = (n - Fraction(1, 2)) * (n - Fraction(3, 2))  # prod_{i=0}^{k+1}(n-i-1/2)
-    three_pow = Fraction(3) ** (n + 1)
-    sign_pow = Fraction(1)  # (-3)^k
+    # (1 - 8n)/2 (-4)^n + binom(2n, n) sum_{k<=n} 3^(n+1) (k+1) n!/(n-k)! / (8 (-3)^k h_k)
+    # with h_k = prod_{i<=k+1} (n - i - 1/2) = o_k / 2^(k+2), o_k a product of
+    # odd integers.  Over the common denominator 2 o_n the k-th term carries
+    # the cofactor 3^(n-k) o_n / o_k, folded in Horner fashion: step k
+    # multiplies the partial sum by 3 o_k / o_{k-1} = 3 (2n - 2k - 3).
+    acc = 0
+    lead = 1  # (-2)^k n!/(n-k)!
     for k in range(n + 1):
-        if k > 0:
-            falling *= n - (k - 1)
-            halfprod *= n - k - Fraction(3, 2)
-            sign_pow *= -3
-        total += three_pow * (k + 1) * falling / (8 * sign_pow * halfprod)
-    return head + comb(2 * n, n) * total
+        if k:
+            lead *= -2 * (n - k + 1)
+            acc *= 3 * (2 * n - 2 * k - 3)
+        acc += (k + 1) * lead
+    odd = 1
+    for i in range(n + 2):
+        odd *= 2 * n - 2 * i - 1
+    return Fraction((1 - 8 * n) * (-4) ** n * odd + 3 * comb(2 * n, n) * acc, 2 * odd)
 
 
-def _a220910_closed_b(n: int) -> Fraction:
-    from math import comb
-
-    if n == 0:
-        return Fraction(1)
-    # Inner alternating sum, accumulated strictly left to right.
-    term = Fraction(1)  # k = 0 term of (-3)^k / k! * prod_{i=0}^{k-1} (i - 3/2)
-    inner = term
-    for k in range(1, n + 2):
-        term *= Fraction(-3) * (k - Fraction(5, 2)) / k
-        inner += term
-    head = Fraction(-4) ** n * Fraction(1 - 8 * n, 16) * (8 - inner)
-    tail = comb(2 * n, n) * Fraction(3) ** (n + 3) / (32 * (n + 1))
-    return head + tail
+def _a220910_closed_b(n_max: int) -> list[Fraction]:
+    # a_n = (-4)^n (1 - 8n)/16 (8 - s_{n+1}) + binom(2n, n) 3^(n+3) / (32 (n+1)),
+    # s_K = sum_{k<=K} (-3)^k prod_{i<k} (2i - 3) / (2^k k!).  s_K is carried
+    # across n as num / den with den = 2^K K!, so s_{K+1} costs one term.
+    term = num = den = 1  # K = 0
+    values = []
+    for n in range(n_max + 1):
+        k = n + 1
+        term *= -3 * (2 * k - 5)
+        num = num * 2 * k + term
+        den *= 2 * k
+        head = 2 * (-4) ** n * (1 - 8 * n) * (8 * den - num)
+        tail = comb(2 * n, n) * 3 ** (n + 3) * (den // k)
+        values.append(Fraction(head + tail, 32 * den))
+    return values
 
 
 def _a220910_cumulant(n_max: int) -> list[Fraction]:
@@ -343,7 +358,7 @@ def a220910_table(n_max: int, method: str = "recurrence") -> SeqTable:
     elif method == "closed_a":
         values = [_a220910_closed_a(n) for n in range(n_max + 1)]
     elif method == "closed_b":
-        values = [_a220910_closed_b(n) for n in range(n_max + 1)]
+        values = _a220910_closed_b(n_max)
     else:
         values = _a220910_cumulant(n_max)
     return SeqTable(label="A220910", offset=0, values=values)

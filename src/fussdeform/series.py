@@ -9,10 +9,10 @@ generating function B_p, the moment series of the deformed family, free
 cumulants, and the S- and R-transforms with their closed forms.
 
 Everything here is exact; floats never enter.  Coefficients are stored as
-Fractions, but a product or quotient of jets sums each output coefficient in
-integers: numerators over one running denominator, which widens (one gcd)
-only when a term's denominator does not divide it, and one Fraction
-normalisation per coefficient at the end.
+Fractions, but a product or quotient of jets, and the pow1p recurrence, sum
+each output coefficient in integers: numerators over one running
+denominator, which widens (one gcd) only when a term's denominator does not
+divide it, and one Fraction normalisation per coefficient at the end.
 """
 
 from __future__ import annotations
@@ -280,19 +280,32 @@ def pow1p(f: TruncSeries, alpha: RationalLike) -> TruncSeries:
     """f^alpha for a jet with constant term 1 and exact rational alpha.
 
     Coefficient recurrence: n g_n = sum_{j=1}^{n} (j (alpha + 1) - n) f_j g_{n-j}.
+    With alpha = u/v the sum is taken in integers, (j (u + v) - n v) f_j g_{n-j}
+    over one running denominator as in the jet product, and divided by v n once.
     """
     if f.coeffs[0] != 1:
         raise ValueError("pow1p needs constant term exactly 1")
     a = parse_rational(alpha)
+    u, v = a.numerator, a.denominator
     n = f.order
+    fn, fd = _split(f.coeffs)
     out = [Fraction(1)]
+    on = [1]
+    od = [1]
     for k in range(1, n + 1):
-        acc = Fraction(0)
+        num, den = 0, 1
         for j in range(1, k + 1):
-            fj = f.coeffs[j]
-            if fj:
-                acc += (j * (a + 1) - k) * fj * out[k - j]
-        out.append(acc / k)
+            x = fn[j]
+            if x and on[k - j]:
+                d = fd[j] * od[k - j]
+                q, r = divmod(den, d)
+                if r:
+                    num, den, q = _widen(num, den, d)
+                num += (j * (u + v) - k * v) * x * on[k - j] * q
+        c = Fraction(num, den * v * k)
+        out.append(c)
+        on.append(c.numerator)
+        od.append(c.denominator)
     return TruncSeries(tuple(out))
 
 

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction as F
 from itertools import product
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +28,8 @@ from fussdeform import (
     raney,
 )
 from fussdeform import exact_seq
+from fussdeform.cli import main
+from fussdeform.verify import run_criteria
 
 A220910_PREFIX = [1, 1, 3, 14, 83, 570, 4318, 35068, 299907, 2668994, 24513578]
 EX1_PREFIX = [1, 2, 5, 16, 64, 304, 1632, 9552, 59520, 388720, 2632864]
@@ -123,6 +125,50 @@ def test_affine_closed_check_fires(monkeypatch):
         deformed_fuss(params, 5)
 
 
+def _deformed_closed_loop(p, t, n):
+    """Reference: the closed form of a_n, one Fraction at a time."""
+    if n == 0:
+        return F(1)
+    if n == 1:
+        return 2 - t
+    prod = F(1)
+    for i in range(n - 2):
+        prod *= n * p - i
+    return prod * (n * (2 * p - t - p * t) + 2) / factorial(n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RATIONAL, _RATIONAL, st.integers(0, 40))
+def test_deformed_closed_matches_fraction_loop(p, t, n):
+    assert exact_seq._deformed_closed(p, t, n) == _deformed_closed_loop(p, t, n)
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_deformed_closed_where_the_textbook_denominator_vanishes(n):
+    # n p - n + 1 = 0 at p = (n - 1)/n and n p - n + 2 = 0 at p = (n - 2)/n
+    for p in (F(n - 1, n), F(n - 2, n)):
+        for t in (F(0), F(1), F(-7, 3), F(5, 4)):
+            closed = exact_seq._deformed_closed(p, t, n)
+            assert closed == _deformed_closed_loop(p, t, n)
+            assert closed == deformed_fuss(Params(p, t), n)
+
+
+def test_affine_closed_check_fires_on_the_closed_route(monkeypatch, capsys):
+    real = exact_seq._deformed_closed
+
+    def one_factor_too_many(p, t, n):
+        value = real(p, t, n)
+        return value * (n * p - (n - 2)) if n == 5 else value
+
+    monkeypatch.setattr(exact_seq, "_deformed_closed", one_factor_too_many)
+    params = Params.exact(F(5, 2), F(1, 3))
+    assert deformed_fuss(params, 4) == real(params.p, params.t, 4)
+    with pytest.raises(InconsistencyError):
+        deformed_fuss(params, 5)
+    assert main(["seq", "a", "--p", "5/2", "--t", "1/3", "--n", "6"]) == 3
+    assert "internal contradiction" in capsys.readouterr().err
+
+
 def test_raney_rejects_negative_index():
     with pytest.raises(ValueError):
         raney(2, 1, -1)
@@ -207,6 +253,32 @@ def test_constellation_positive_integer():
             assert v > 0
 
 
+def _constellation_loop(p, n):
+    """Reference: the direct constellation count, one Fraction at a time."""
+    if n == 1:
+        return F(1)
+    prod = F(1)
+    for i in range(n - 2):
+        prod *= n * p - i
+    return prod * (p + 1) * F(p) ** (n - 1) / factorial(n)
+
+
+@pytest.mark.parametrize("p", range(2, 13))
+def test_constellation_matches_fraction_loop(p):
+    for n in range(1, 41):
+        assert constellation_count(p, n) == _constellation_loop(p, n)
+
+
+def test_constellation_cross_check_fires(monkeypatch):
+    real = exact_seq._constellation_direct
+    monkeypatch.setattr(
+        exact_seq, "_constellation_direct", lambda p, n: real(p, n) + (n == 4)
+    )
+    assert constellation_count(3, 3) == real(3, 3)
+    with pytest.raises(InconsistencyError):
+        constellation_count(3, 4)
+
+
 def test_constellation_rejects_bad_parameters():
     with pytest.raises(ValueError):
         constellation_count(1, 3)
@@ -226,6 +298,33 @@ def test_binomial_transform_definition_and_roundtrip():
         assert fwd.values[n] == expected
     back = binomial_transform(fwd, "inverse")
     assert back.values == values
+
+
+def _binomial_loop(values, sign):
+    """Reference: sum_k sign^(n-k) binom(n, k) a_k, one Fraction at a time."""
+    out = []
+    for n in range(len(values)):
+        acc = F(0)
+        for k in range(n + 1):
+            acc += sign ** (n - k) * comb(n, k) * values[k]
+        out.append(acc)
+    return out
+
+
+_WIDE_RATIONAL = st.builds(F, st.integers(-(10**30), 10**30), st.integers(1, 10**12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_RATIONAL | _WIDE_RATIONAL, min_size=1, max_size=30))
+def test_binomial_transform_matches_fraction_loop(values):
+    seq = SeqTable(label="rand", offset=0, values=values)
+    fwd = binomial_transform(seq, "forward")
+    inv = binomial_transform(seq, "inverse")
+    assert fwd.values == _binomial_loop(values, -1)
+    assert inv.values == _binomial_loop(values, 1)
+    assert all(type(v) is F for v in fwd.values + inv.values)
+    assert binomial_transform(fwd, "inverse").values == values
+    assert binomial_transform(inv, "forward").values == values
 
 
 def test_binomial_transform_rejects_offset_and_empty():
@@ -250,6 +349,82 @@ def test_a220910_methods_agree_to_50():
     for v in ref:
         assert v.denominator == 1
         assert v > 0
+
+
+def _closed_a_loop(n):
+    """Reference: the first A220910 closed sum, one Fraction at a time."""
+    if n == 0:
+        return F(1)
+    head = F(1 - 8 * n, 2) * F(-4) ** n
+    total = F(0)
+    falling = F(1)  # prod_{i=0}^{k-1} (n - i)
+    halfprod = (n - F(1, 2)) * (n - F(3, 2))  # prod_{i=0}^{k+1} (n - i - 1/2)
+    sign_pow = F(1)  # (-3)^k
+    for k in range(n + 1):
+        if k > 0:
+            falling *= n - (k - 1)
+            halfprod *= n - k - F(3, 2)
+            sign_pow *= -3
+        total += F(3) ** (n + 1) * (k + 1) * falling / (8 * sign_pow * halfprod)
+    return head + comb(2 * n, n) * total
+
+
+def _closed_b_loop(n):
+    """Reference: the second A220910 closed sum for one n, one Fraction at a time."""
+    if n == 0:
+        return F(1)
+    term = F(1)  # (-3)^k / k! * prod_{i=0}^{k-1} (i - 3/2)
+    inner = term
+    for k in range(1, n + 2):
+        term *= F(-3) * (k - F(5, 2)) / k
+        inner += term
+    head = F(-4) ** n * F(1 - 8 * n, 16) * (8 - inner)
+    return head + comb(2 * n, n) * F(3) ** (n + 3) / (32 * (n + 1))
+
+
+def test_a220910_closed_sums_match_fraction_loops():
+    closed_b = a220910_table(60, "closed_b").values
+    for n in range(61):
+        assert exact_seq._a220910_closed_a(n) == _closed_a_loop(n), n
+        assert closed_b[n] == _closed_b_loop(n), n
+
+
+def test_a220910_methods_agree_at_the_benchmark_tail():
+    ref = a220910_table(300, "recurrence").values
+    for method in ("closed_a", "closed_b", "cumulant"):
+        assert a220910_table(300, method).values == ref, method
+
+
+def test_a220910_closed_b_term_is_the_table_entry():
+    # closed_b carries its inner sum across n, so a short table must end
+    # where the long one passes through.
+    table = a220910_table(120, "closed_b").values
+    for n in (0, 1, 2, 7, 33, 64, 120):
+        assert a220910(n, "closed_b") == table[n], n
+
+
+def _verify_c1():
+    (result,) = run_criteria(only="c1")
+    assert not result.passed
+    return result.detail
+
+
+def test_verify_a220910_check_fires_on_closed_a(monkeypatch):
+    real = exact_seq._a220910_closed_a
+    monkeypatch.setattr(exact_seq, "_a220910_closed_a", lambda n: real(n) + (n == 30))
+    assert _verify_c1() == "method closed_a deviates before n = 50"
+
+
+def test_verify_a220910_check_fires_on_closed_b(monkeypatch):
+    real = exact_seq._a220910_closed_b
+
+    def skewed(n_max):
+        values = real(n_max)
+        values[30] += 1
+        return values
+
+    monkeypatch.setattr(exact_seq, "_a220910_closed_b", skewed)
+    assert _verify_c1() == "method closed_b deviates before n = 50"
 
 
 def test_a220910_scalar_and_errors():

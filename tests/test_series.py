@@ -519,6 +519,29 @@ def test_quotient_matches_schoolbook(f, g, g0):
     assert (f / g).coeffs == _schoolbook_div(f, g)
 
 
+def _pow1p_loop(f, alpha):
+    """Reference: n g_n = sum_j (j (alpha + 1) - n) f_j g_{n-j}, one Fraction at a time."""
+    out = [F(1)]
+    for n in range(1, f.order + 1):
+        acc = F(0)
+        for j in range(1, n + 1):
+            acc += (j * (alpha + 1) - n) * f.coeffs[j] * out[n - j]
+        out.append(acc / n)
+    return tuple(out)
+
+
+_ALPHA = st.builds(F, st.integers(-9, 9), st.integers(1, 8)) | st.builds(F, _HUGE, _HUGE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_jet(), _ALPHA)
+def test_pow1p_matches_fraction_recurrence(f, alpha):
+    f = _with(f, 0, F(1))
+    power = pow1p(f, alpha)
+    assert power.coeffs == _pow1p_loop(f, alpha)
+    assert all(type(c) is F for c in power.coeffs)
+
+
 # -- the independent-route cross-checks still fire --------------------------------
 
 
