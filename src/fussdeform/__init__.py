@@ -56,7 +56,6 @@ from .density import (
     w_param,
 )
 from .series import (
-    ClosedFormFallbackWarning,
     CumulantTable,
     TruncSeries,
     bp_series,
@@ -102,7 +101,6 @@ __all__ = [
     "catalan_table",
     "TruncSeries",
     "CumulantTable",
-    "ClosedFormFallbackWarning",
     "compose",
     "revert",
     "sqrt1p",

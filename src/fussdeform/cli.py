@@ -28,6 +28,7 @@ from .errors import DigitLimitError, FussDeformError, InconsistencyError
 from .exact_seq import (
     Params,
     SeqTable,
+    _A220910_METHODS,
     a022558_table,
     a220910_table,
     constellation_table,
@@ -291,8 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     seq.add_argument("--t", default=None)
     seq.add_argument("--r", default=None)
     seq.add_argument("--n", type=int, default=10, help="last index to print")
-    methods = ("recurrence", "closed_a", "closed_b", "cumulant")
-    seq.add_argument("--method", choices=methods, default="recurrence")
+    seq.add_argument("--method", choices=_A220910_METHODS, default="recurrence")
     own["transforms"].add_argument("--route", choices=("closed", "moments"), default="moments")
     own["density"].add_argument("--grid", type=int, default=400)
     own["density"].add_argument("--route", choices=("parametric", "closed"), default="parametric")

@@ -126,12 +126,6 @@ class SeqTable:
             raise IndexError(f"index {n} outside stored range")
         return self.values[i]
 
-    def to_csv(self) -> str:
-        lines = ["label,offset,n,value"]
-        for i, v in enumerate(self.values):
-            lines.append(f"{self.label},{self.offset},{self.offset + i},{rational_str(v)}")
-        return "\n".join(lines) + "\n"
-
     def to_json_obj(self) -> dict:
         return {
             "label": self.label,
@@ -365,7 +359,12 @@ def a220910_table(n_max: int, method: str = "recurrence") -> SeqTable:
 
 
 def a220910(n: int, method: str = "recurrence") -> Fraction:
-    """Single term of A220910 (1, 1, 3, 14, 83, 570, ...)."""
+    """Single term of A220910 (1, 1, 3, 14, 83, 570, ...).
+
+    ``closed_a`` is a per-term formula; the other methods build the table to n.
+    """
+    if method == "closed_a" and n >= 0:
+        return _a220910_closed_a(n)
     return a220910_table(n, method).values[n]
 
 

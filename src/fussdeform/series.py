@@ -17,19 +17,17 @@ divide it, and one Fraction normalisation per coefficient at the end.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence, Union
 
 from .errors import InconsistencyError
-from .exact_seq import Params, RationalLike, parse_rational, rational_str, raney
+from .exact_seq import Params, RationalLike, parse_rational, raney
 
 __all__ = [
     "TruncSeries",
     "CumulantTable",
-    "ClosedFormFallbackWarning",
     "compose",
     "revert",
     "sqrt1p",
@@ -45,10 +43,6 @@ __all__ = [
     "gf_closed_expand",
     "GF_NAMES",
 ]
-
-
-class ClosedFormFallbackWarning(RuntimeWarning):
-    """A closed form is singular at the requested parameters; a generic route ran instead."""
 
 
 def _split(coeffs: Sequence[Fraction]) -> tuple[list[int], list[int]]:
@@ -220,15 +214,6 @@ class TruncSeries:
             raise ValueError("shift amount must be nonnegative")
         return TruncSeries((Fraction(0),) * k + self.coeffs)
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        return {
-            "order": self.order,
-            "mode": "exact",
-            "coeffs": [rational_str(c) for c in self.coeffs],
-        }
-
 
 def compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     """Jet of f(g(z)); requires g(0) = 0 so the composition is well defined."""
@@ -325,9 +310,6 @@ class CumulantTable:
         if not 1 <= n <= len(self.values):
             raise IndexError(f"cumulant index {n} outside 1..{len(self.values)}")
         return self.values[n - 1]
-
-    def to_json_obj(self) -> dict:
-        return {"cumulants": [rational_str(v) for v in self.values]}
 
 
 def bp_series(p: RationalLike, r: RationalLike, order: int) -> TruncSeries:
@@ -441,9 +423,10 @@ def r_series_closed(p: RationalLike, t: RationalLike, order: int) -> TruncSeries
     """Closed-form R-transform jet for p = 2 or p = 3.
 
     p = 2, t = 1 is the Catalan case R = z/(1-z).  The p = 3 closed form has
-    a denominator 2(t - 1 + z)^2 whose constant vanishes at t = 1; there the
-    function falls back to the generic moment route and emits a
-    ClosedFormFallbackWarning.
+    a denominator 2(t - 1 + z)^2, which is 2 z^2 at t = 1; there the numerator
+    z - 2 z^2 - z sqrt(1 - 4z) shares the factor z^2, so both are built two
+    orders higher and divided by z^2 first, which leaves R = C(z) - 1 with C
+    the Catalan generating function.  No t needs a second route.
     """
     p = parse_rational(p)
     t = parse_rational(t)
@@ -457,24 +440,15 @@ def r_series_closed(p: RationalLike, t: RationalLike, order: int) -> TruncSeries
         num = TruncSeries.from_coeffs([1 - t, 3 * t - 2, -1], order) + front * rad
         r = num / (2 * (t - 1))
     elif p == 3:
-        if t == 1:
-            warnings.warn(
-                "closed R-transform is singular at (p, t) = (3, 1); "
-                "falling back to the moment route",
-                ClosedFormFallbackWarning,
-                stacklevel=2,
-            )
-            table = cumulants_from_moments(moment_series(Params.exact(3, 1), order))
-            return cumulant_jet(table)
-        rad = sqrt1p(TruncSeries.from_coeffs([1, -4 * t], order))
+        shift = 2 if t == 1 else 0
+        n = order + shift
+        rad = sqrt1p(TruncSeries.from_coeffs([1, -4 * t], n))
         num = (
-            TruncSeries.from_coeffs([-((t - 1) ** 2), 4 - 7 * t + 4 * t * t, -2], order)
-            + TruncSeries.from_coeffs([(1 - t) ** 2, -t], order) * rad
+            TruncSeries.from_coeffs([-((t - 1) ** 2), 4 - 7 * t + 4 * t * t, -2], n)
+            + TruncSeries.from_coeffs([(1 - t) ** 2, -t], n) * rad
         )
-        den = TruncSeries.from_coeffs(
-            [2 * (t - 1) ** 2, 4 * (t - 1), 2], order
-        )
-        r = num / den
+        den = TruncSeries.from_coeffs([2 * (t - 1) ** 2, 4 * (t - 1), 2], n)
+        r = num.shift_down(shift) / den.shift_down(shift)
     else:
         raise ValueError("closed R-transform is implemented for p in {2, 3} only")
     if r.coeffs[0] != 0:

@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, permutations
 
 import mpmath
 import pytest
@@ -287,8 +287,21 @@ def test_hankel_needs_no_determinant_without_breakdown(monkeypatch):
     assert calls == []
 
 
+def _leibniz_det(rows):
+    # sum over permutations of sign * product, independent of posdef._det
+    n = len(rows)
+    total = F(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = F(-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
 def _minor(values, index):
-    return posdef._det([[values[i + j] for j in index] for i in index])
+    return _leibniz_det([[values[i + j] for j in index] for i in index])
 
 
 _SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=2)

@@ -1,15 +1,14 @@
 """Series engine and transform layer: jet algebra, reversion, closed forms."""
 
 import random
-import warnings
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fussdeform import (
-    ClosedFormFallbackWarning,
     CumulantTable,
     InconsistencyError,
     Params,
@@ -98,11 +97,6 @@ def test_deriv_shift_and_accessors():
         f.coefficient(4)
     assert f.truncate(1).coeffs == (F(5), F(1))
     assert f.truncate(5).coeffs == (F(5), F(1), F(2), F(3), F(0), F(0))
-
-
-def test_serialization():
-    f = TruncSeries.from_coeffs([1, F(-2, 3)])
-    assert f.to_json_obj() == {"order": 1, "mode": "exact", "coeffs": ["1/1", "-2/3"]}
 
 
 # -- compose / revert ---------------------------------------------------------
@@ -320,11 +314,35 @@ def test_r_closed_catalan_slice():
     assert r_series_closed(2, 1, 6).coeffs == (F(0),) + (F(1),) * 6
 
 
-def test_r_closed_p3_t1_falls_back_with_warning():
-    with pytest.warns(ClosedFormFallbackWarning):
-        r = r_series_closed(3, 1, 8)
-    table = cumulants_from_moments(moment_series(Params.exact(3, 1), 8))
-    assert r == cumulant_jet(table)
+def test_r_closed_p3_t1_is_catalan():
+    # the free cumulants of the Fuss-Catalan law pi(3) are the Catalan numbers
+    for n in (1, 2, 8, 40):
+        r = r_series_closed(3, 1, n)
+        assert r.coeffs == (F(0),) + tuple(F(comb(2 * k, k) // (k + 1)) for k in range(1, n + 1))
+        table = cumulants_from_moments(moment_series(Params.exact(3, 1), n))
+        assert r == cumulant_jet(table), n
+
+
+def test_r_closed_p3_t1_needs_no_moment_route(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the closed R-transform took a second route")
+
+    monkeypatch.setattr(series, "revert", refuse)
+    monkeypatch.setattr(series, "moment_series", refuse)
+    assert r_series_closed(3, 1, 12).coeffs[12] == 208012
+
+
+def test_cli_closed_r_at_p3_t1_matches_moment_route(capsys):
+    rows = {}
+    for route in ("closed", "moments"):
+        argv = ["transforms", "--route", route, "--p", "3", "--t", "1", "--series-order", "12"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        if route == "closed":
+            assert err == ""
+        rows[route] = [line for line in out.splitlines() if line.startswith("r,")]
+    assert len(rows["closed"]) == 13
+    assert rows["closed"] == rows["moments"]
 
 
 def test_r_closed_rejects_other_p():
