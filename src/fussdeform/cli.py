@@ -53,13 +53,20 @@ __all__ = ["main"]
 _CELL_HEADER = "p,t,theorem,hankel_verdict"
 
 
+class _JsonOnlyDigitLimit(DigitLimitError):
+    """The JSON payload passed the digit limit in a value its CSV rows leave out."""
+
+
 def _emit(args: argparse.Namespace, header: str, rows: list[str], payload) -> None:
     """Write ``payload`` as JSON or ``header`` and ``rows`` as CSV, to ``--out`` or stdout.
 
     Only JSON renders the Fractions left in ``payload`` (the Hankel minors).
     """
     if args.format == "json":
-        text = json.dumps(payload, indent=2, default=rational_str) + "\n"
+        try:
+            text = json.dumps(payload, indent=2, default=rational_str) + "\n"
+        except DigitLimitError as exc:  # the CSV rows are rendered already, so CSV would print
+            raise _JsonOnlyDigitLimit(exc) from None
     else:
         text = "\n".join([header, *rows]) + "\n"
     if args.out is None:
@@ -339,7 +346,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("fussdeform: error: a value left the float range", file=sys.stderr)
         return 2
     except DigitLimitError as exc:
-        print(f"fussdeform: error: {exc}; try --format csv or a smaller input", file=sys.stderr)
+        csv = "--format csv or " if isinstance(exc, _JsonOnlyDigitLimit) else ""
+        print(f"fussdeform: error: {exc}; try {csv}a smaller input", file=sys.stderr)
         return 2
     except (ValueError, TypeError, IndexError, FussDeformError) as exc:
         print(f"fussdeform: error: {exc}", file=sys.stderr)

@@ -69,15 +69,19 @@ def parse_rational(text: RationalLike) -> Fraction:
         raise ValueError(f"cannot parse rational literal {text!r}") from exc
 
 
+def _digit_limit() -> DigitLimitError:
+    return DigitLimitError(
+        f"an exact value has more than {sys.get_int_max_str_digits()} digits, "
+        "too many for fussdeform to print"
+    )
+
+
 def rational_str(value: Fraction) -> str:
     """Canonical ``num/den`` rendering used by every serializer in the package."""
     try:
         return f"{value.numerator}/{value.denominator}"
     except ValueError:  # the only one str(int) raises: past the digit limit
-        raise DigitLimitError(
-            f"an exact value has more than {sys.get_int_max_str_digits()} digits, "
-            "too many for fussdeform to print"
-        ) from None
+        raise _digit_limit() from None
 
 
 @dataclass(frozen=True)
@@ -203,7 +207,11 @@ def deformed_table(params: Params, n_max: int) -> SeqTable:
     """SeqTable of a_0(p,t) .. a_{n_max}(p,t)."""
     p, t = params.p, params.t
     values = [deformed_fuss(params, n) for n in range(n_max + 1)]
-    return SeqTable(label=f"a(p={p};t={t})", offset=0, values=values)
+    try:
+        label = f"a(p={p};t={t})"
+    except ValueError:  # str(Fraction) past the digit limit
+        raise _digit_limit() from None
+    return SeqTable(label=label, offset=0, values=values)
 
 
 def _constellation_direct(p: int, n: int) -> Fraction:

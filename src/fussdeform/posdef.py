@@ -9,10 +9,13 @@ form the closed interval [g(p), 2p/(p+1)].  psi is affine in t, so g(p) is
 one maximisation over phi, which the minimum of psi at t = g(p) then checks.
 
 Independently, the moment sequence a_n(p, t) is positive definite exactly when
-every Hankel matrix (a_{i+j}) is positive semidefinite.  hankel_report works in
-exact rational arithmetic: one symmetric elimination in natural order gives
-the leading principal minors (running products of the pivots) and the
-verdict (the signs of the pivots).  classify_point runs both routes and
+every Hankel matrix (a_{i+j}) is positive semidefinite.  hankel_report is
+exact and runs in Python integers: it scales the section once by the lcm of
+its denominators, and one symmetric fraction-free (Bareiss) elimination in
+natural order gives the leading principal minors (the pivots themselves, each
+divided once by a power of the scale) and the verdict (the signs of the
+pivots).  Every division in it is exact, because each intermediate entry is
+itself a minor of the integer section.  classify_point runs both routes and
 refuses to return if they genuinely disagree.
 """
 
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isfinite, pi
+from math import isfinite, lcm, pi
 from typing import Sequence, Union
 
 from ._backend import kernels
@@ -151,31 +154,51 @@ def _det(rows: list[list[Fraction]]) -> Fraction:
 def hankel_report(seq: Union[SeqTable, Sequence[Fraction]], size: int) -> HankelVerdict:
     """Definiteness of H = (seq[i+j])_{0 <= i,j < size}, all arithmetic exact.
 
-    One symmetric elimination in natural order yields both the leading
-    principal minors and the verdict.  Row operations with earlier pivot rows
-    keep every leading minor, so minor k is the product of pivots 0..k, and
-    the pivot signs give the inertia.  A zero pivot whose remaining row
-    vanishes drops out: every later minor is 0 and H is at best semidefinite.
-    A zero pivot facing a nonzero entry b makes H indefinite (a 2x2 principal
-    minor is -b^2); the later leading minors need not vanish there, so they
-    come from separate determinants.
+    H is scaled once to the integer section B = L H, L the lcm of the
+    denominators of its 2 size - 1 values, and one symmetric fraction-free
+    (Bareiss) elimination in natural order runs on the upper triangle of B.
+    Each update
+
+        b[i][j] = (pivot * b[i][j] - b[k][i] * b[k][j]) // prev
+
+    yields, by Sylvester's identity, the minor of B on the rows of the
+    pivots so far plus i and their columns plus j.  That minor is an integer,
+    so the division by the previous pivot is exact, and each pivot is a
+    principal minor of B: pivot k is the leading minor of order k + 1, which
+    is L^(k+1) times that of H, so each reported minor is one Fraction.  The
+    rational pivots are the ratios pivot / prev and give the inertia; the
+    first negative one follows positive ones, so H is indefinite exactly when
+    some integer pivot is negative.  A zero pivot whose remaining row
+    vanishes drops out: the elimination goes on with the same previous
+    pivot, which is Bareiss on the principal submatrix without that index,
+    so the divisions stay exact; every later minor is 0 and H is at best
+    semidefinite.  A zero pivot facing a nonzero entry b makes H indefinite
+    (a 2x2 principal minor is -b^2); the later leading minors need not
+    vanish there, so they come from separate determinants.
     """
     values = list(seq.values) if isinstance(seq, SeqTable) else [Fraction(v) for v in seq]
     if size < 1:
         raise ValueError("size must be positive")
     if len(values) < 2 * size - 1:
         raise ValueError(f"need at least {2 * size - 1} sequence values, got {len(values)}")
-    a = [values[i : i + size] for i in range(size)]
+    values = values[: 2 * size - 1]
+    scale = lcm(*(v.denominator for v in values))
+    h = [v.numerator * (scale // v.denominator) for v in values]
+    b = [h[i : i + size] for i in range(size)]
     minors: list[Fraction] = []
-    det = Fraction(1)
     verdict = "positive_definite"
+    prev = 1
+    power = 1  # scale ** (k + 1)
+    singular = False
     for k in range(size):
-        pivot = a[k][k]
-        if pivot == 0 and any(a[k][j] for j in range(k + 1, size)):
+        row = b[k]
+        pivot = row[k]
+        power *= scale
+        if pivot == 0 and any(row[k + 1 :]):
             minors += [_det([values[i : i + m + 1] for i in range(m + 1)]) for m in range(k, size)]
             return HankelVerdict(size=size, minors=minors, verdict="indefinite")
-        det *= pivot
-        minors.append(det)
+        singular = singular or pivot == 0
+        minors.append(Fraction(0) if singular else Fraction(pivot, power))
         if pivot < 0:
             verdict = "indefinite"
         elif pivot == 0:
@@ -183,10 +206,10 @@ def hankel_report(seq: Union[SeqTable, Sequence[Fraction]], size: int) -> Hankel
                 verdict = "positive_semidefinite"
             continue
         for i in range(k + 1, size):
-            if a[i][k]:
-                f = a[i][k] / pivot
-                for j in range(k + 1, size):
-                    a[i][j] -= f * a[k][j]
+            r, f = b[i], row[i]
+            for j in range(i, size):
+                r[j] = (pivot * r[j] - f * row[j]) // prev
+        prev = pivot
     return HankelVerdict(size=size, minors=minors, verdict=verdict)
 
 

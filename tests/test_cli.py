@@ -314,6 +314,25 @@ def test_too_many_digits_is_usage_error(capsys, argv):
     assert run(capsys, *argv, "--format", "csv")[0] == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the CSV rows print the value that passes the limit, so CSV cannot help
+        ("transforms", "--p", "2", "--t", "1e-5000", "--series-order", "2"),
+        ("posdef", "--p", "2", "--t", "1e-5000", "--hankel-size", "2", "--format", "json"),
+        # the label of the table once leaked Python's own int-to-str message
+        ("seq", "a", "--p", "2", "--t", "1e-5000", "--n", "1"),
+    ],
+)
+def test_too_many_digits_without_a_csv_way_out(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"fussdeform: error: an exact value has more than {sys.get_int_max_str_digits()} digits, "
+        "too many for fussdeform to print; try a smaller input\n"
+    )
+
+
 def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):
     # main builds its parser once per process; a usage error or --help in
     # between must not change what a later call prints

@@ -304,10 +304,11 @@ def _minor(values, index):
     return _leibniz_det([[values[i + j] for j in index] for i in index])
 
 
-_SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+# mixed denominators, so the integer elimination scales by a nontrivial lcm
+_SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=12)
 # moments of a discrete measure, so semidefinite sections of every rank occur
 _MEASURE = st.lists(
-    st.tuples(_SMALL, st.fractions(min_value=F(1, 2), max_value=2, max_denominator=2)),
+    st.tuples(_SMALL, st.fractions(min_value=F(1, 2), max_value=2, max_denominator=12)),
     min_size=1,
     max_size=5,
 )
@@ -342,6 +343,46 @@ def test_hankel_report_matches_brute_force(section):
     else:
         expected = "indefinite"
     assert report.verdict == expected
+
+
+def _moments(p, t, size):
+    jet = moment_series(Params.exact(p, t), 2 * size - 2)
+    return [jet.coefficient(k) for k in range(2 * size - 1)]
+
+
+@pytest.mark.parametrize("size", [12, 16])
+def test_hankel_minors_are_the_leading_determinants(monkeypatch, size):
+    # hankel-grid-like points: p over 8..48, t over 3..12; (3/2, 0) breaks down
+    calls = []
+    real_det = posdef._det
+    monkeypatch.setattr(posdef, "_det", lambda rows: calls.append(rows) or real_det(rows))
+    points = {
+        (F(37, 24), F(5, 12)): "positive_definite",
+        (F(11, 8), F(4, 5)): "positive_definite",
+        (F(83, 48), F(7, 3)): "indefinite",
+        (F(3, 2), F(0)): "indefinite",
+    }
+    for (p, t), verdict in points.items():
+        calls.clear()
+        values = _moments(p, t, size)
+        report = hankel_report(values, size)
+        leading = [real_det([values[i : i + k + 1] for i in range(k + 1)]) for k in range(size)]
+        assert report.minors == leading, (p, t)
+        assert report.verdict == verdict, (p, t)
+        assert bool(calls) == (t == 0), (p, t)  # only the breakdown point reaches _det
+
+
+def test_hankel_zero_row_mid_section_keeps_the_elimination_exact():
+    # two atoms: rank 2, so the third pivot is 0 and every later row vanishes
+    atoms = [(F(1, 2), F(1, 3)), (F(-3, 2), F(2, 3))]
+    values = [sum(w * x**k for x, w in atoms) for k in range(11)]
+    report = hankel_report(values, 6)
+    assert report.minors == [F(1), F(8, 9), F(0), F(0), F(0), F(0)]
+    assert report.verdict == "positive_semidefinite"
+    # [[1, 1, 1], [1, 1, 1], [1, 1, 2]]: a zero row at index 1, then a positive pivot
+    assert hankel_report([F(1), F(1), F(1), F(1), F(2)], 3).verdict == "positive_semidefinite"
+    # [[1, 1, 1], [1, 1, 1], [1, 1, 0]]: a zero row at index 1, then a negative pivot
+    assert hankel_report([F(1), F(1), F(1), F(1), F(0)], 3).verdict == "indefinite"
 
 
 def test_hankel_input_validation():
