@@ -31,6 +31,7 @@ from .exact_seq import (
     _A220910_METHODS,
     a022558_table,
     a220910_table,
+    check_printable,
     constellation_table,
     deformed_table,
     parse_rational,
@@ -39,6 +40,7 @@ from .exact_seq import (
 )
 from .posdef import classify_point, g_of_p, infdiv_check
 from .series import (
+    TruncSeries,
     cumulant_jet,
     cumulants_from_moments,
     moment_series,
@@ -146,17 +148,24 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     return 0
 
 
+def _printable(jet: TruncSeries) -> TruncSeries:
+    """``jet``, once each coefficient is known to print: a jet past the digit
+    limit stops the command before the next, larger jet is built."""
+    check_printable(jet.coeffs)
+    return jet
+
+
 def _cmd_transforms(args: argparse.Namespace) -> int:
     params = Params.exact(args.p, args.t)
     p, t = params.p, params.t
     order = args.series_order
-    moments = moment_series(params, order)
+    moments = _printable(moment_series(params, order))
     if args.route == "closed":
-        r_jet = r_series_closed(p, t, order)
-        s_jet = s_series_closed(params, order - 1)
+        r_jet = _printable(r_series_closed(p, t, order))
+        s_jet = _printable(s_series_closed(params, order - 1))
     else:
-        r_jet = cumulant_jet(cumulants_from_moments(moments))
-        s_jet = s_series_from_moments(moments)
+        r_jet = _printable(cumulant_jet(cumulants_from_moments(moments)))
+        s_jet = _printable(s_series_from_moments(moments))
     jets = {
         name: [rational_str(c) for c in jet.coeffs]
         for name, jet in (("m", moments), ("r", r_jet), ("s", s_jet))

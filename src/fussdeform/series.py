@@ -9,17 +9,24 @@ generating function B_p, the moment series of the deformed family, free
 cumulants, and the S- and R-transforms with their closed forms.
 
 Everything here is exact; floats never enter.  Coefficients are stored as
-Fractions, but a product or quotient of jets, and the pow1p recurrence, sum
-each output coefficient in integers: numerators over one running
-denominator, which widens (one gcd) only when a term's denominator does not
-divide it, and one Fraction normalisation per coefficient at the end.
+Fractions, but every sum of products runs in integers.  A product or
+quotient of jets, and the pow1p recurrence, sum each output coefficient
+over one running denominator, which widens (one gcd) only when a term's
+denominator does not divide it, and one Fraction normalisation per
+coefficient at the end.  compose and revert keep each working jet as a list
+of integer numerators over one common denominator: a jet product is an
+integer convolution and one gcd that divides out the common content, and
+Fractions are made only for the returned coefficients.  Both first rescale
+the variable, z -> lam z, so that the shared denominator does not grow with
+the coefficient index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .errors import InconsistencyError
@@ -55,6 +62,28 @@ def _widen(num: int, den: int, d: int) -> tuple[int, int, int]:
     g = gcd(den, d)
     m = d // g
     return num * m, den * m, den // g
+
+
+def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
+    """The jet nums/den with the common content of nums and den divided out."""
+    g = gcd(den, *nums)
+    return [x // g for x in nums], den // g
+
+
+def _scaled(coeffs: Sequence[Fraction], s: int) -> tuple[list[int], int]:
+    """The jet of c_k s^k as reduced integer numerators over one common denominator."""
+    den = lcm(*[c.denominator for c in coeffs])
+    nums = []
+    w = 1
+    for c in coeffs:
+        nums.append(c.numerator * (den // c.denominator) * w)
+        w *= s
+    return _reduced(nums, den)
+
+
+def _conv(a: list[int], b: list[int], n: int) -> list[int]:
+    """Numerators 0..n of the product of integer jets a and b; b needs length > n."""
+    return [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(n + 1)]
 
 
 @dataclass(frozen=True)
@@ -216,37 +245,63 @@ class TruncSeries:
 
 
 def compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
-    """Jet of f(g(z)); requires g(0) = 0 so the composition is well defined."""
+    """Jet of f(g(z)); requires g(0) = 0 so the composition is well defined.
+
+    Horner's rule on the rescaled inner jet G(z) = g(mu z), mu = den(g_2 / g_1)
+    (1 if g_1 or g_2 vanishes), which gives f(g(mu z)); coefficient k is then
+    divided by mu^k.  G and the running result are integer numerators over
+    one common denominator each, and the step that adds f_k only needs the
+    result up to z^(n - k).
+    """
     if g.coeffs[0] != 0:
         raise ValueError("composition needs an inner jet with zero constant term")
     n = min(f.order, g.order)
-    g = g.truncate(n)
-    acc = TruncSeries.constant(f.coeffs[n], n)
+    mu = (g.coeffs[2] / g.coeffs[1]).denominator if n >= 2 and g.coeffs[1] else 1
+    gn, gd = _scaled(g.coeffs[: n + 1], mu)
+    acc, den = [f.coeffs[n].numerator], f.coeffs[n].denominator
     for k in range(n - 1, -1, -1):
-        # acc * g has constant term 0 (g(0) = 0), so adding f_k sets it
-        acc = TruncSeries((f.coeffs[k],) + (acc * g).coeffs[1:])
-    return acc
+        # acc * G has constant term 0 (G(0) = 0), so adding f_k sets it
+        fk = f.coeffs[k]
+        den *= gd
+        common = lcm(den, fk.denominator)
+        acc = [x * (common // den) for x in _conv(acc, gn, n - k)]
+        acc[0] = fk.numerator * (common // fk.denominator)
+        acc, den = _reduced(acc, common)
+    out = []
+    for x in acc:
+        out.append(Fraction(x, den))
+        den *= mu
+    return TruncSeries(tuple(out))
 
 
 def revert(f: TruncSeries) -> TruncSeries:
     """Compositional inverse jet: g with f(g(z)) = z.  Needs c_0 = 0, c_1 != 0.
 
-    Uses the Lagrange inversion coefficients g_n = [w^{n-1}] (w / f(w))^n / n,
-    with (w/f)^n accumulated by repeated jet multiplication.
+    Reverts F(z) = f(lam z) / lam, F_k = f_k lam^(k-1) with lam = den(f_2 / f_1),
+    by the Lagrange inversion coefficients G_k = [w^{k-1}] (w / F(w))^k / k,
+    and returns g_k = G_k / lam^(k-1).  w / F(w) and its powers are integer
+    numerators over one common denominator each, so a power is one integer
+    convolution and one gcd.  The self-check composes the unscaled f with
+    the returned g.
     """
     if f.coeffs[0] != 0:
         raise ValueError("reversion needs a jet with zero constant term")
     if f.order < 1 or f.coeffs[1] == 0:
         raise ValueError("reversion needs a nonzero linear coefficient")
     n = f.order
-    base = TruncSeries(f.coeffs[1:])  # f/z, constant term f_1 != 0
-    h = TruncSeries.constant(1, n - 1) / base.truncate(n - 1)  # jet of w/f(w)
-    out = [Fraction(0)] * (n + 1)
-    power = h
+    lam = (f.coeffs[2] / f.coeffs[1]).denominator if n >= 2 else 1
+    bn, bd = _scaled(f.coeffs[1:], lam)  # F / z
+    # h = w / F(w) = bd / bn(w) to order n - 1, one coefficient at a time
+    hn, hd = _reduced([bd], bn[0])
+    for k in range(1, n):
+        s = sum(map(mul, bn[1 : k + 1], hn[::-1]))
+        hn, hd = _reduced([x * bn[0] for x in hn] + [-s], hd * bn[0])
+    out = [Fraction(0)]
+    power, den = hn, hd
     for k in range(1, n + 1):
-        out[k] = power.coeffs[k - 1] / k
+        out.append(Fraction(power[k - 1], den * k * lam ** (k - 1)))
         if k < n:
-            power = power * h
+            power, den = _reduced(_conv(power, hn, n - 1), den * hd)
     g = TruncSeries(tuple(out))
     check = compose(f, g)
     if check != TruncSeries.identity(n):

@@ -333,6 +333,33 @@ def test_too_many_digits_without_a_csv_way_out(capsys, argv):
     )
 
 
+@pytest.mark.parametrize(
+    "t, order, never_built",
+    [
+        # the moment jet itself is past the limit
+        ("1e-5000", "2", ("cumulants_from_moments", "s_series_from_moments")),
+        # the r jet is (about 23,900 bits); S, the slowest jet, would be next
+        ("1e-300", "24", ("s_series_from_moments",)),
+    ],
+)
+def test_transforms_stops_at_the_first_jet_past_the_digit_limit(
+    capsys, monkeypatch, t, order, never_built
+):
+    def refuse(*args):
+        raise AssertionError("built a jet after one past the digit limit")
+
+    for name in never_built:
+        monkeypatch.setattr(fussdeform.cli, name, refuse)
+    for fmt in ("csv", "json"):
+        argv = ("transforms", "--p", "2", "--t", t, "--series-order", order, "--format", fmt)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"fussdeform: error: an exact value has more than {sys.get_int_max_str_digits()} digits, "
+            "too many for fussdeform to print; try a smaller input\n"
+        )
+
+
 def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):
     # main builds its parser once per process; a usage error or --help in
     # between must not change what a later call prints

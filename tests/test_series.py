@@ -560,6 +560,48 @@ def test_pow1p_matches_fraction_recurrence(f, alpha):
     assert all(type(c) is F for c in power.coeffs)
 
 
+# -- compose and revert against one-Fraction-at-a-time references ------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_jet(), _wide_jet(), st.sampled_from(((), (1,), (2,), (1, 2))))
+def test_compose_matches_brute_force(f, g, zeros):
+    # g_1 = 0 or g_2 = 0 leaves the inner jet unscaled
+    for i in (0, *zeros):
+        if i <= g.order:
+            g = _with(g, i, F(0))
+    h = compose(f, g)
+    assert h == brute_compose(f, g)
+    assert all(type(c) is F for c in h.coeffs)
+
+
+def _lagrange_loop(f):
+    """Reference: g_k = [w^(k-1)] (w / f(w))^k / k, one Fraction at a time."""
+    n = f.order
+    base = f.coeffs[1:]
+    h = []
+    for k in range(n):
+        acc = F(int(k == 0))
+        for j in range(1, k + 1):
+            acc -= base[j] * h[k - j]
+        h.append(acc / base[0])
+    out = [F(0)]
+    power = h
+    for k in range(1, n + 1):
+        out.append(power[k - 1] / k)
+        power = [sum((power[i] * h[j - i] for i in range(j + 1)), F(0)) for j in range(n)]
+    return tuple(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wide_jet(), _NONZERO | st.builds(F, _HUGE, _HUGE))
+def test_revert_matches_lagrange_reference(f, f1):
+    f = _with(_with(f.truncate(max(f.order, 1)), 0, F(0)), 1, f1)
+    g = revert(f)
+    assert g.coeffs == _lagrange_loop(f)
+    assert all(type(c) is F for c in g.coeffs)
+
+
 # -- the independent-route cross-checks still fire --------------------------------
 
 
@@ -572,6 +614,41 @@ def test_revert_self_check_fires(monkeypatch, capsys):
     monkeypatch.setattr(series, "compose", lambda f, g: _off_by_one(real(f, g), 2))
     with pytest.raises(InconsistencyError):
         revert(TruncSeries.from_coeffs([0, 1, 1, 1]))
+    assert main(["transforms", "--p", "2", "--t", "1/2", "--series-order", "6"]) == 3
+    assert "internal contradiction" in capsys.readouterr().err
+
+
+def _skew_first_call(monkeypatch, name, skew):
+    """Make the first call of ``series.<name>`` return ``skew`` of its result."""
+    real = getattr(series, name)
+    calls = []
+
+    def skewed(*args):
+        calls.append(args)
+        out = real(*args)
+        return skew(out) if len(calls) == 1 else out
+
+    monkeypatch.setattr(series, name, skewed)
+
+
+def _bump(nums):
+    return [nums[0], nums[1] + 1, *nums[2:]]
+
+
+@pytest.mark.parametrize(
+    "name, skew",
+    [
+        ("_conv", _bump),  # (w / F(w))^2 inside the power loop
+        ("_scaled", lambda jet: (_bump(jet[0]), jet[1])),  # F / z, rescaled by lam = 2
+    ],
+)
+def test_revert_self_check_sees_the_working_jets(monkeypatch, capsys, name, skew):
+    # the self-check composes the caller's f, so a wrong rescaled F cannot pass
+    _skew_first_call(monkeypatch, name, skew)
+    with pytest.raises(InconsistencyError):
+        revert(TruncSeries.from_coeffs([0, 2, 1, F(3, 5)]))
+    monkeypatch.undo()
+    _skew_first_call(monkeypatch, name, skew)
     assert main(["transforms", "--p", "2", "--t", "1/2", "--series-order", "6"]) == 3
     assert "internal contradiction" in capsys.readouterr().err
 
