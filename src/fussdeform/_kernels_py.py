@@ -7,7 +7,7 @@ Only plain floats are used here.  Exact arithmetic lives elsewhere.
 """
 
 from functools import partial
-from math import cos, fabs, inf, pi, sin, sqrt
+from math import cos, fabs, inf, log, pi, sin, sqrt, tan
 
 BACKEND = "python"
 
@@ -160,11 +160,89 @@ def g_sup(p, grid=512, tol=1e-12):
     return -value, phi
 
 
+def _rho_window(p, x, lo, hi):
+    """A window [a, b] of [lo, hi] with rho(p, phi) >= x proven for every float phi in [lo, a]
+    and rho(p, phi) < x for every one in [b, hi]; (lo, hi) when none is proven.
+
+    Newton in log rho predicts the root, and one evaluation at each end of the window proves it.
+    """
+    width = hi - lo
+    # End cells get no window: near 0 the three cotangents of the slope below cancel (each is
+    # about 1/phi, their sum is O(phi)), and near pi/p the sines lose their relative accuracy.
+    if not (1.0 < p and 0.0 < x and 0.0 < 0.5 * width <= lo and p * (hi + 0.5 * width) < pi):
+        return lo, hi
+    # Float error of rho = sin(p phi)^p / (sin(phi) sin(q phi)^q) on the cell, q = p - 1.0
+    # (exact for 1 < p < 2^53), in units of u = _EPS / 2, the relative error of a correctly
+    # rounded operation.  p phi and q phi round by u, and sin turns an argument error into a
+    # relative one by its condition number |v cot v| <= v / sin v, which grows on (0, pi), so
+    # its value at hi bounds the cell; sin and pow are good to one ulp (2 u), the product and
+    # quotient to u.  To first order, |float rho / rho - 1| <= e with
+    #     e = u (p (k_p + 2) + q (k_q + 2) + 8),  k_p = p hi / sin(p hi),  k_q = q hi / sin(q hi).
+    # The bound needs every intermediate to be a normal float, so sin(p phi)^p and
+    # sin(phi) sin(q phi)^q stay above 1e-300 (each sine is least at an end of the cell, as sin
+    # is concave on (0, pi)), and e small enough that its square does not count.
+    q = p - 1.0
+    s_p, s_q = sin(p * hi), sin(q * hi)
+    if not (
+        min(sin(p * lo), s_p) ** p > 1e-300
+        and min(sin(lo), sin(hi)) * min(sin(q * lo), s_q) ** q > 1e-300
+    ):
+        return lo, hi
+    e = 0.5 * _EPS * (p * (p * hi / s_p + 2.0) + q * (q * hi / s_q + 2.0) + 8.0)
+    # For phi <= a in the cell, float rho(phi) >= rho(phi) (1 - e) >= rho(a) (1 - e) (rho
+    # decreases) >= float rho(a) (1 - e) / (1 + e), which is >= x once float rho(a) >= x (1 + eta)
+    # with eta >= 2 e / (1 - e); likewise at b.  eta = 4 e is twice that, which also covers
+    # the rounding of x (1 +- eta).
+    eta = 4.0 * e
+    if not eta < 1e-3:
+        return lo, hi
+    # log rho is concave in phi (its second derivative, with csc^2 = 1 + cot^2 the negative of
+    # curve below, is negative wherever sampled for p from 1.001 to 300), so from any start one
+    # Newton step lands right of the root, and from there the steps go left and do not pass it;
+    # a step past hi restarts at hi.  miss (in log rho) is four times the error C s^2 that the last
+    # step s leaves, C = |l''| / (2 |l'|).  Where concavity failed, the check at a and b would
+    # reject the window.
+    lx = log(x)
+    pp, qq = p * p, q * q
+    phi = 0.5 * (lo + hi)
+    for _ in range(8):
+        cp, c1, cq = 1.0 / tan(p * phi), 1.0 / tan(phi), 1.0 / tan(q * phi)
+        slope = pp * cp - c1 - qq * cq
+        if not slope < 0.0:
+            return lo, hi
+        step = (log(rho(p, phi)) - lx) / slope
+        phi -= step
+        if phi > hi:
+            phi = hi
+        elif not phi > lo:
+            return lo, hi
+        curve = pp * p * (1.0 + cp * cp) - 1.0 - c1 * c1 - qq * q * (1.0 + cq * cq)
+        miss = 2.0 * step * step * fabs(curve)
+        if miss <= eta:
+            break
+    else:
+        return lo, hi
+    # In log rho the window reaches eta past the root for the check, e for the rounding of rho,
+    # and eta / 4 to spare, beyond what Newton may miss.
+    half = (1.5 * eta + miss) / -slope
+    a, b = phi - half, phi + half
+    if lo <= a and b <= hi and rho(p, a) >= x * (1.0 + eta) and rho(p, b) < x * (1.0 - eta):
+        return a, b
+    return lo, hi
+
+
 def rho_bisect(p, x, lo, hi, tol=1e-13):
-    """Solve rho(p, phi) = x by bisection on a bracket with rho(lo) >= x >= rho(hi)."""
+    """Solve rho(p, phi) = x by bisection on a bracket with rho(lo) >= x >= rho(hi).
+
+    The bisection runs every midpoint, but rho is evaluated only at those inside the window of
+    _rho_window; one outside it is decided by its position, as rho would decide it.  So the
+    result is the float plain bisection returns; with no window (a, b) = (lo, hi), which is
+    plain bisection.
+    """
+    a, b = _rho_window(p, x, lo, hi)
     while (hi - lo) > tol:
         mid = 0.5 * (lo + hi)
-        if rho(p, mid) >= x:
+        if mid <= a or (mid < b and rho(p, mid) >= x):
             lo = mid
         else:
             hi = mid
@@ -214,22 +292,28 @@ def _gk15_nodes(a, b):
     return h, nodes
 
 
+_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7 = _WGK
+_G0, _G1, _G2, _G3 = _WG
+
+
 def _gk15_sum(h, fx):
-    """Gauss 7 / Kronrod 15 sums of the values fx at _gk15_nodes: (kronrod, error, resabs)."""
-    fc = fx[0]
-    kron = _WGK[7] * fc
-    gauss = _WG[3] * fc
-    resabs = _WGK[7] * fabs(fc)
-    for j in range(7):
-        f1 = fx[2 * j + 1]
-        f2 = fx[2 * j + 2]
-        kron += _WGK[j] * (f1 + f2)
-        resabs += _WGK[j] * (fabs(f1) + fabs(f2))
-        if j & 1:
-            gauss += _WG[(j - 1) // 2] * (f1 + f2)
-    kron *= h
-    gauss *= h
-    resabs *= h
+    """Gauss 7 / Kronrod 15 sums of the values fx at _gk15_nodes: (kronrod, error, resabs).
+
+    Pair j holds the nodes c -+ h x_j; Gauss uses pairs 1, 3 and 5.  Each sum runs left to
+    right and is scaled by h last."""
+    fc, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6 = fx
+    s1, s3, s5 = l1 + r1, l3 + r3, l5 + r5
+    kron = (
+        _K7 * fc + _K0 * (l0 + r0) + _K1 * s1 + _K2 * (l2 + r2) + _K3 * s3
+        + _K4 * (l4 + r4) + _K5 * s5 + _K6 * (l6 + r6)
+    ) * h
+    gauss = (_G3 * fc + _G0 * s1 + _G1 * s3 + _G2 * s5) * h
+    resabs = (
+        _K7 * fabs(fc) + _K0 * (fabs(l0) + fabs(r0)) + _K1 * (fabs(l1) + fabs(r1))
+        + _K2 * (fabs(l2) + fabs(r2)) + _K3 * (fabs(l3) + fabs(r3))
+        + _K4 * (fabs(l4) + fabs(r4)) + _K5 * (fabs(l5) + fabs(r5))
+        + _K6 * (fabs(l6) + fabs(r6))
+    ) * h
     d = fabs(kron - gauss)
     err = d
     # (200 d)^1.5 < d only when 200 d < 1; skipping it otherwise keeps the

@@ -21,6 +21,7 @@ import sys
 from dataclasses import asdict
 from functools import cache
 from fractions import Fraction
+from math import isfinite
 from typing import Optional
 
 from .density import density_grid, moment_quadrature_full
@@ -66,9 +67,11 @@ def _emit(args: argparse.Namespace, header: str, rows: list[str], payload) -> No
     """
     if args.format == "json":
         try:
-            text = json.dumps(payload, indent=2, default=rational_str) + "\n"
+            text = json.dumps(payload, indent=2, default=rational_str, allow_nan=False) + "\n"
         except DigitLimitError as exc:  # the CSV rows are rendered already, so CSV would print
             raise _JsonOnlyDigitLimit(exc) from None
+        except ValueError:  # JSON has no NaN or infinity
+            raise OverflowError("a non-finite value has no JSON form") from None
     else:
         text = "\n".join([header, *rows]) + "\n"
     if args.out is None:
@@ -208,11 +211,18 @@ def _cmd_moments_check(args: argparse.Namespace) -> int:
 def _cmd_gfun(args: argparse.Namespace) -> int:
     if args.steps < 1:
         raise ValueError("--steps must be positive")
+    if not isfinite(args.p_min):
+        raise ValueError("--p-min must be finite")
+    if not isfinite(args.p_max):
+        raise ValueError("--p-max must be finite")
     if args.p_min < 1:
         raise ValueError("g is defined for p >= 1")
     if args.p_max < args.p_min:
         raise ValueError("--p-max must not be below --p-min")
-    records = [{"p": p, "g": g_of_p(p)} for p in _axis(args.p_min, args.p_max, args.steps)]
+    axis = _axis(args.p_min, args.p_max, args.steps)
+    if not all(map(isfinite, axis)):
+        raise OverflowError("the p axis leaves the float range")
+    records = [{"p": p, "g": g_of_p(p)} for p in axis]
     _emit(args, "p,g", [_row(r) for r in records], records)
     return 0
 

@@ -17,10 +17,12 @@ modules.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isfinite, pi, sqrt
+from operator import neg
 from typing import Optional
 
 from ._backend import kernels
@@ -115,18 +117,15 @@ def _solve_phi(p: float, x: float) -> float:
     phis, vals = _rho_scan(p)
     top = pi / p
     inset = top * 1e-12
-    lo, hi = None, None
     if x > vals[0]:
         lo, hi = inset, phis[0]
     elif x < vals[-1]:
         lo, hi = phis[-1], top - inset
     else:
-        for i in range(len(vals) - 1):
-            if vals[i] >= x >= vals[i + 1]:
-                lo, hi = phis[i], phis[i + 1]
-                break
-    if lo is None:
-        raise BracketingError(f"no bracket found for x={x} at p={p}")
+        # vals decreases, so the first cell with vals[i] >= x >= vals[i + 1] starts one before
+        # the count of values above x (at 0 when x is vals[0])
+        i = max(bisect_left(vals, -x, key=neg) - 1, 0)
+        lo, hi = phis[i], phis[i + 1]
     return kernels.rho_bisect(p, x, lo, hi, 1e-13)
 
 
@@ -224,11 +223,18 @@ def _pointwise(p: float, t: float, route: str):
     return point
 
 
+def _finite(p: float, t: float, x: float, value: float) -> float:
+    """value, the density at x, once it is known to be finite: a huge |t| overflows it."""
+    if not isfinite(value):
+        raise OverflowError(f"f_(p,t)(x) is {value} at p={p}, t={t}, x={x}")
+    return value
+
+
 def f_pt(params: Params, x: float, route: str = "parametric") -> float:
     """Density f_{p,t}(x) = t W_{p,1}(x) + (1-t) W_{p,2}(x)."""
     p, t = params.as_floats()
     p, x = _check_x(p, x)
-    return _pointwise(p, t, route)(x)[1]
+    return _finite(p, t, x, _pointwise(p, t, route)(x)[1])
 
 
 def density_grid(params: Params, grid_size: int, route: str = "parametric") -> list[DensitySample]:
@@ -242,7 +248,7 @@ def density_grid(params: Params, grid_size: int, route: str = "parametric") -> l
     for i in range(1, grid_size + 1):
         x = upper * i / (grid_size + 1)
         phi, value = point(x)
-        out.append(DensitySample(x=x, phi=phi, value=value))
+        out.append(DensitySample(x=x, phi=phi, value=_finite(p, t, x, value)))
     return out
 
 

@@ -1,5 +1,6 @@
 """Command-line front end: formats, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import random
@@ -11,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import fussdeform
+import fussdeform.cli as cli
 from fussdeform.cli import main
 
 A220910_CSV = """label,offset,n,value
@@ -222,6 +224,42 @@ def test_gfun_table(capsys):
     assert [r[0] for r in rows] == ["1.0", "1.5", "2.0"]
     assert abs(float(rows[1][1]) - 0.2) <= 1e-6
     assert float(rows[2][1]) == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--p-min", "1", "--p-max", "1e309", "--steps", "2"), "--p-max must be finite"),
+        (("--p-min=-inf",), "--p-min must be finite"),
+        (("--p-min", "nan"), "--p-min must be finite"),
+        # (1e308 - 1) * 2 overflows before it is divided by 2
+        (("--p-min", "1", "--p-max", "1e308", "--steps", "3"), "a value left the float range"),
+    ],
+)
+def test_gfun_names_a_non_finite_axis(capsys, argv, message):
+    code, out, err = run(capsys, "gfun", *argv)
+    assert (code, out, err) == (2, "", f"fussdeform: error: {message}\n")
+
+
+def test_gfun_prints_a_wide_finite_axis(capsys):
+    code, out, _ = run(capsys, "gfun", "--p-min", "1", "--p-max", "1e307", "--steps", "3")
+    assert (code, out) == (0, "p,g\n1.0,1.0\n5e+306,0.0\n1e+307,0.0\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("t", ["1e308", "-1e308"])
+@pytest.mark.parametrize("route, p", [("parametric", "3/2"), ("closed", "2")])
+def test_non_finite_density_is_a_float_limit(capsys, route, p, t, fmt):
+    argv = ("density", "--p", p, f"--t={t}", "--route", route, "--format", fmt)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "fussdeform: error: a value left the float range\n")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_json_payloads_carry_no_nan_or_infinity(value):
+    args = argparse.Namespace(format="json", out=None)
+    with pytest.raises(OverflowError):
+        cli._emit(args, "f", [], [{"f": value}])
 
 
 def test_posdef_csv_row(capsys):

@@ -8,6 +8,7 @@ import pytest
 
 import fussdeform
 import fussdeform.cli
+import fussdeform.density as density
 from fussdeform import (
     BracketingError,
     Params,
@@ -181,6 +182,18 @@ def test_f_pt_routes_agree():
             assert a == pytest.approx(b, rel=1e-10, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "route, p, x", [("parametric", F(3, 2), 0.649519052838329), ("closed", F(2), 0.01)]
+)
+@pytest.mark.parametrize("t", [F(10) ** 308, -F(10) ** 308])
+def test_non_finite_density_is_a_float_limit(route, p, x, t):
+    params = Params.exact(p, t)
+    with pytest.raises(OverflowError):
+        f_pt(params, x, route=route)
+    with pytest.raises(OverflowError):
+        density_grid(params, 3 if route == "parametric" else 400, route=route)
+
+
 def test_f_pt_rejects_unknown_route():
     with pytest.raises(ValueError):
         f_pt(Params.exact(2, 1), 1.0, route="series")
@@ -239,6 +252,61 @@ def test_gk_rule_is_exact_on_polynomials():
     assert total == pytest.approx(2.0, rel=1e-12)
 
 
+def _gk15_sum_loop(h, fx):
+    """_gk15_sum as a loop over the node pairs, branching per pair for the Gauss sum;
+    also returns d = |kronrod - gauss|."""
+    fc = fx[0]
+    kron = kernels._WGK[7] * fc
+    gauss = kernels._WG[3] * fc
+    resabs = kernels._WGK[7] * abs(fc)
+    for j in range(7):
+        f1 = fx[2 * j + 1]
+        f2 = fx[2 * j + 2]
+        kron += kernels._WGK[j] * (f1 + f2)
+        resabs += kernels._WGK[j] * (abs(f1) + abs(f2))
+        if j & 1:
+            gauss += kernels._WG[(j - 1) // 2] * (f1 + f2)
+    kron *= h
+    gauss *= h
+    resabs *= h
+    d = abs(kron - gauss)
+    err = d
+    if 0.0 < 200.0 * d < 1.0:
+        scaled = (200.0 * d) ** 1.5
+        if scaled < err:
+            err = scaled
+    floor = 50.0 * kernels._EPS * resabs
+    if err < floor:
+        err = floor
+    return (kron, err, resabs), d
+
+
+def test_gk15_sum_matches_the_loop():
+    rng = random.Random(1983)
+    scaled_d = {"below 1": 0, "at least 1": 0}
+    for _ in range(4000):
+        h = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if rng.random() < 0.5:
+            # entries of wholly different sizes and signs, some of them zero
+            fx = [
+                0.0 if rng.random() < 0.1
+                else rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0)
+                for _ in range(15)
+            ]
+        else:
+            # a smooth-looking panel at one scale, so Gauss and Kronrod nearly agree
+            scale = 10.0 ** rng.uniform(-300.0, 300.0)
+            fx = [
+                scale * (1.0 + 10.0 ** rng.uniform(-16.0, 0.0) * rng.uniform(-1.0, 1.0))
+                for _ in range(15)
+            ]
+        expected, d = _gk15_sum_loop(h, fx)
+        assert kernels._gk15_sum(h, fx) == expected, (h, fx)
+        if d > 0.0:
+            scaled_d["below 1" if 200.0 * d < 1.0 else "at least 1"] += 1
+    assert min(scaled_d.values()) > 500, scaled_d
+
+
 def test_gk_error_estimate_survives_huge_integrands():
     # Gauss and Kronrod differ by ~1e247 here, so (200 d)^1.5 would overflow.
     val, err, _ = kernels._gk15(lambda x: 1e250 * x**40, 0.0, 1.0)
@@ -250,6 +318,17 @@ def test_backend_name_is_python():
     assert fussdeform.backend_name == kernels.BACKEND == "python"
 
 
+def _plain_bisect(p, x, lo, hi, tol=1e-13):
+    """rho_bisect as plain bisection, which evaluates rho at every midpoint."""
+    while (hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        if kernels.rho(p, mid) >= x:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def test_rho_bisect_recovers_the_angle():
     rng = random.Random(2026)
     for _ in range(25):
@@ -259,6 +338,78 @@ def test_rho_bisect_recovers_the_angle():
         x = kernels.rho(p, phi0)
         phi = kernels.rho_bisect(p, x, top * 1e-9, top * (1.0 - 1e-9))
         assert abs(phi - phi0) <= 1e-9
+        assert phi == _plain_bisect(p, x, top * 1e-9, top * (1.0 - 1e-9))
+
+
+def test_rho_bisect_is_plain_bisection_with_fewer_rho_calls(monkeypatch):
+    real_rho, real_bisect = kernels.rho, kernels.rho_bisect
+    count = [0]
+    solves = []
+
+    def counted_rho(p, phi):
+        count[0] += 1
+        return real_rho(p, phi)
+
+    def recorded_bisect(p, x, lo, hi, tol):
+        before = count[0]
+        phi = real_bisect(p, x, lo, hi, tol)
+        solves.append((p, x, lo, hi, tol, phi, count[0] - before))
+        return phi
+
+    monkeypatch.setattr(kernels, "rho", counted_rho)
+    monkeypatch.setattr(kernels, "rho_bisect", recorded_bisect)
+    for p in (F(101, 100), F(3, 2), F(2), F(37, 13), F(4), F(20), F(100)):
+        params = Params.exact(p, F(1, 3))
+        density_grid(params, 2000)
+        # one point in each end cell: above the first scan value, below the last
+        _, vals = density._rho_scan(float(p))
+        for x in ((vals[0] + support_c(p).upper) / 2.0, vals[-1] / 2.0):
+            f_pt(params, x)
+    end_cells = 0
+    for p, x, lo, hi, tol, phi, calls in solves:
+        count[0] = 0
+        assert phi == _plain_bisect(p, x, lo, hi, tol), (p, x)
+        phis, _ = density._rho_scan(p)
+        if lo < phis[0] or hi > phis[-1]:
+            # no window: every midpoint is evaluated, as in plain bisection
+            end_cells += 1
+            assert calls == count[0], (p, x)
+        else:
+            assert calls <= 12, (p, x, calls)
+    assert end_cells >= 2 * 7
+
+
+def test_rho_bisect_proves_its_window(monkeypatch):
+    # a rho with a relative error of 1e-6, far past the bound the window assumes: the checks
+    # at the ends of the window see it, so the result stays plain bisection's
+    real_rho = kernels.rho
+
+    def noisy_rho(p, phi):
+        return real_rho(p, phi) * (1.0 + 1e-6 * sin(1e9 * phi))
+
+    monkeypatch.setattr(kernels, "rho", noisy_rho)
+    rng = random.Random(7)
+    for _ in range(200):
+        p = 1.1 + 2.9 * rng.random()
+        phis, _ = density._rho_scan(p)
+        i = rng.randrange(len(phis) - 1)
+        lo, hi = phis[i], phis[i + 1]
+        x = real_rho(p, lo + (hi - lo) * rng.random())
+        assert kernels.rho_bisect(p, x, lo, hi) == _plain_bisect(p, x, lo, hi), (p, x)
+
+
+def test_solve_phi_brackets_in_the_first_scan_cell_that_holds_x(monkeypatch):
+    brackets = []
+    monkeypatch.setattr(kernels, "rho_bisect", lambda p, x, lo, hi, tol: brackets.append((lo, hi)))
+    for p in (1.01, 1.5, 2.0, 37.0 / 13.0, 20.0):
+        phis, vals = density._rho_scan(p)
+        # every scan value, where two cells hold x, and a point inside each cell
+        xs = list(vals) + [(a + b) / 2.0 for a, b in zip(vals, vals[1:])]
+        for x in xs:
+            brackets.clear()
+            density._solve_phi(p, x)
+            i = next(i for i in range(len(vals) - 1) if vals[i] >= x >= vals[i + 1])
+            assert brackets == [(phis[i], phis[i + 1])], (p, x)
 
 
 def test_moment_quad_is_deterministic():
