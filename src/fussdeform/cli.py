@@ -84,14 +84,10 @@ def _emit(args: argparse.Namespace, header: str, rows: list[str], payload) -> No
             raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
 
 
-def _row(record: dict) -> str:
-    """A flat record as a CSV row: text as is, booleans as in JSON, None empty, numbers by repr."""
-    cells = []
-    for value in record.values():
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        cells.append(value if isinstance(value, str) else "" if value is None else repr(value))
-    return ",".join(cells)
+def _cell_row(cell: dict) -> str:
+    """A ``posdef``/``domain-grid`` cell as a CSV row, its theorem verdict spelt as in JSON."""
+    theorem = "true" if cell["theorem"] else "false"
+    return ",".join((cell["p"], cell["t"], theorem, cell["hankel_verdict"]))
 
 
 def _axis(lo, hi, steps: int) -> list:
@@ -191,7 +187,8 @@ def _cmd_density(args: argparse.Namespace) -> int:
         raise ValueError("--grid must be positive")
     samples = density_grid(params, args.grid, route=args.route)
     records = [{"x": s.x, "phi": s.phi, "f": s.value} for s in samples]
-    _emit(args, "x,phi,f", [_row(r) for r in records], records)
+    rows = [f"{s.x!r},{'' if s.phi is None else repr(s.phi)},{s.value!r}" for s in samples]
+    _emit(args, "x,phi,f", rows, records)
     return 0
 
 
@@ -200,11 +197,12 @@ def _cmd_moments_check(args: argparse.Namespace) -> int:
     p, t = rational_str(params.p), rational_str(params.t)
     if args.n_max < 0:
         raise ValueError("--n-max must be nonnegative")
-    records = []
+    records, rows = [], []
     for n in range(args.n_max + 1):
         value, err = moment_quadrature_full(params, n, tol=args.tol)
         records.append({"p": p, "t": t, "n": n, "value": value, "est_error": err})
-    _emit(args, "p,t,n,value,est_error", [_row(r) for r in records], records)
+        rows.append(f"{p},{t},{n},{value!r},{err!r}")
+    _emit(args, "p,t,n,value,est_error", rows, records)
     return 0
 
 
@@ -223,7 +221,7 @@ def _cmd_gfun(args: argparse.Namespace) -> int:
     if not all(map(isfinite, axis)):
         raise OverflowError("the p axis leaves the float range")
     records = [{"p": p, "g": g_of_p(p)} for p in axis]
-    _emit(args, "p,g", [_row(r) for r in records], records)
+    _emit(args, "p,g", [f"{r['p']!r},{r['g']!r}" for r in records], records)
     return 0
 
 
@@ -236,7 +234,7 @@ def _cmd_posdef(args: argparse.Namespace) -> int:
         "theorem_verdict": cell["theorem"],
         "hankel": {"size": size, "minors": hankel.minors, "verdict": hankel.verdict},
     }
-    _emit(args, _CELL_HEADER, [_row(cell)], payload)
+    _emit(args, _CELL_HEADER, [_cell_row(cell)], payload)
     return 0
 
 
@@ -272,7 +270,7 @@ def _cmd_domain_grid(args: argparse.Namespace) -> int:
         for p in _axis(p_min, p_max, steps)
         for t in _axis(t_min, t_max, steps)
     ]
-    _emit(args, _CELL_HEADER, [_row(c) for c in cells], cells)
+    _emit(args, _CELL_HEADER, [_cell_row(c) for c in cells], cells)
     return 0
 
 

@@ -1,12 +1,13 @@
 """Exact integer/rational sequences built from Raney numbers.
 
 Every value in this module is exact and returned as a ``fractions.Fraction``.
-The products and sums behind them (Raney numbers, the closed form of a_n,
-constellation counts, the A220910 closed sums, the binomial transform) are
-accumulated in Python integers over one known denominator and reduced once
-per value.  ``Fraction`` arithmetic is left only where a value takes a few
-operations (the affine route of a_n, the A220910 recurrence).  The central
-object is the two-parameter family
+The products and sums behind them (Raney numbers, both routes of a_n,
+constellation counts, the A220910 recurrence and closed sums, the binomial
+transform) are accumulated in Python integers over one known denominator and
+reduced once per value.  Two routes to one value are compared as unreduced
+integer pairs (numerator, denominator), by one equality when the
+denominators agree and by cross-multiplication otherwise, so the check costs
+no gcd.  The central object is the two-parameter family
 
     a_n(p, t) = t * raney(p, 1, n) + (1 - t) * raney(p, 2, n),
 
@@ -23,7 +24,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from typing import Iterable, Sequence, Union
 
 from .errors import DigitLimitError, InconsistencyError
@@ -158,6 +159,18 @@ class SeqTable:
         }
 
 
+def _raney_parts(p: Fraction | int, r: Fraction | int, n: int) -> tuple[int, int]:
+    # raney(p, r, n) as an unreduced integer pair: with p = a/b and r = c/d,
+    # c * prod_{i=1}^{n-1} (n a d + c b - i b d) over d (b d)^(n-1) n!.
+    if n == 0:
+        return 1, 1
+    a, b = p.numerator, p.denominator
+    c, d = r.numerator, r.denominator
+    bd = b * d
+    base = n * a * d + c * b
+    return c * prod(range(base - bd, base - n * bd, -bd)), d * bd ** (n - 1) * factorial(n)
+
+
 def raney(p: RationalLike, r: RationalLike, n: int) -> Fraction:
     """Raney number: 1 for n = 0, else (r / n!) * prod_{i=1}^{n-1} (n p + r - i).
 
@@ -172,61 +185,71 @@ def raney(p: RationalLike, r: RationalLike, n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    p = parse_rational(p)
-    r = parse_rational(r)
-    if n == 0:
-        return Fraction(1)
-    a, b = p.numerator, p.denominator
-    c, d = r.numerator, r.denominator
-    bd = b * d
-    base = n * a * d + c * b
-    num = c
-    for i in range(1, n):
-        num *= base - i * bd
-    return Fraction(num, d * bd ** (n - 1) * factorial(n))
+    return Fraction(*_raney_parts(parse_rational(p), parse_rational(r), n))
 
 
-def _deformed_closed(p: Fraction, t: Fraction, n: int) -> Fraction:
+def _same(num: int, den: int, other_num: int, other_den: int) -> bool:
+    """Whether num/den == other_num/other_den, for unreduced pairs with positive denominators."""
+    if den == other_den:
+        return num == other_num
+    return num * other_den == other_num * den
+
+
+def _affine_parts(p: Fraction | int, t: Fraction, n: int) -> tuple[int, int]:
+    # t * raney(p, 1, n) + (1 - t) * raney(p, 2, n) with t = u/v.  Both Raney
+    # pairs carry the denominator b^(n-1) n! (r is an integer), so the sum is
+    # over v b^(n-1) n!.
+    u, v = t.numerator, t.denominator
+    num1, den = _raney_parts(p, 1, n)
+    num2, _ = _raney_parts(p, 2, n)
+    return u * num1 + (v - u) * num2, v * den
+
+
+def _deformed_closed_parts(p: Fraction | int, t: Fraction, n: int) -> tuple[int, int]:
     # Single product form with the vanishing linear factors cancelled, so it
     # stays well defined when (n p - n + 1)(n p - n + 2) has a zero factor.
-    # For p = a/b: prod_{i<n-2} (n a - i b) / b^(n-2), times the last factor
-    # n (2p - t - pt) + 2, over n!, reduced once.
+    # For p = a/b and t = u/v: prod_{i<n-2} (n a - i b) times the last factor
+    # n (2p - t - pt) + 2 scaled by b v, over b^(n-1) v n!.
+    u, v = t.numerator, t.denominator
     if n == 0:
-        return Fraction(1)
+        return 1, 1
     if n == 1:
-        return 2 - t
+        return 2 * v - u, v
     a, b = p.numerator, p.denominator
     na = n * a
-    num = 1
-    for i in range(n - 2):
-        num *= na - i * b
-    last = n * (2 * p - t - p * t) + 2
-    return Fraction(num * last.numerator, b ** (n - 2) * last.denominator * factorial(n))
+    num = prod(range(na, na - (n - 2) * b, -b))
+    last = n * (2 * a * v - u * b - a * u) + 2 * b * v
+    return num * last, b ** (n - 1) * v * factorial(n)
+
+
+def _deformed_parts(p: Fraction | int, t: Fraction, n: int) -> tuple[int, int]:
+    """a_n(p, t) as an unreduced integer pair, the affine route checked against the closed one."""
+    num, den = _affine_parts(p, t, n)
+    closed_num, closed_den = _deformed_closed_parts(p, t, n)
+    if not _same(num, den, closed_num, closed_den):
+        raise InconsistencyError(
+            f"a_{n}({p},{t}): affine route {Fraction(num, den)} "
+            f"!= closed form {Fraction(closed_num, closed_den)}"
+        )
+    return num, den
 
 
 def deformed_fuss(params: Params, n: int) -> Fraction:
     """a_n(p, t), computed by two independent routes and cross-checked.
 
     Route one is the affine combination t*raney(p,1,n) + (1-t)*raney(p,2,n);
-    route two is the single product closed form.  Both are exact; a mismatch
-    raises InconsistencyError.
+    route two is the single product closed form.  Both are exact integer
+    pairs, compared without reduction; a mismatch raises InconsistencyError.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    p, t = params.p, params.t
-    affine = t * raney(p, 1, n) + (1 - t) * raney(p, 2, n)
-    closed = _deformed_closed(p, t, n)
-    if affine != closed:
-        raise InconsistencyError(
-            f"a_{n}({p},{t}): affine route {affine} != closed form {closed}"
-        )
-    return affine
+    return Fraction(*_deformed_parts(params.p, params.t, n))
 
 
 def deformed_table(params: Params, n_max: int) -> SeqTable:
     """SeqTable of a_0(p,t) .. a_{n_max}(p,t)."""
     p, t = params.p, params.t
-    values = [deformed_fuss(params, n) for n in range(n_max + 1)]
+    values = [Fraction(*_deformed_parts(p, t, n)) for n in range(n_max + 1)]
     try:
         label = f"a(p={p};t={t})"
     except ValueError:  # str(Fraction) past the digit limit
@@ -234,14 +257,12 @@ def deformed_table(params: Params, n_max: int) -> SeqTable:
     return SeqTable(label=label, offset=0, values=values)
 
 
-def _constellation_direct(p: int, n: int) -> Fraction:
+def _constellation_parts(p: int, n: int) -> tuple[int, int]:
     # binom(np, n) / ((np-n+1)(np-n+2)) cancels to prod_{i<n-2} (np - i) / n!
     if n == 1:
-        return Fraction(1)
-    num = (p + 1) * p ** (n - 1)
-    for i in range(n - 2):
-        num *= n * p - i
-    return Fraction(num, factorial(n))
+        return 1, 1
+    top = n * p
+    return (p + 1) * p ** (n - 1) * prod(range(top, top - (n - 2), -1)), factorial(n)
 
 
 def constellation_count(p: int, n: int) -> Fraction:
@@ -255,17 +276,15 @@ def constellation_count(p: int, n: int) -> Fraction:
         raise ValueError("constellation counts require integer p >= 2")
     if n < 1:
         raise ValueError("constellation counts start at n = 1")
-    direct = _constellation_direct(p, n)
-    t_star = Fraction(2 * p, p + 1)
-    via_family = (
-        Fraction(p + 1) * Fraction(p) ** n / (2 * p)
-        * deformed_fuss(Params.exact(p, t_star), n)
-    )
-    if direct != via_family:
+    num, den = _constellation_parts(p, n)
+    a_num, a_den = _deformed_parts(p, Fraction(2 * p, p + 1), n)
+    via_num, via_den = (p + 1) * p ** (n - 1) * a_num, 2 * a_den
+    if not _same(num, den, via_num, via_den):
         raise InconsistencyError(
-            f"C_{p}({n}): direct {direct} != deformed-family route {via_family}"
+            f"C_{p}({n}): direct {Fraction(num, den)} "
+            f"!= deformed-family route {Fraction(via_num, via_den)}"
         )
-    return direct
+    return Fraction(num, den)
 
 
 def constellation_table(p: int, n_max: int) -> SeqTable:
@@ -306,11 +325,20 @@ def binomial_transform(seq: SeqTable, direction: str = "forward") -> SeqTable:
 _A220910_METHODS = ("recurrence", "closed_a", "closed_b", "cumulant")
 
 
-def _a220910_recurrence(n_max: int) -> list[Fraction]:
-    # n * a_n = (8n - 34) a_{n-1} + 24 (2n - 3) a_{n-2}, seeds a_0 = a_1 = 1.
-    vals = [Fraction(1), Fraction(1)]
+def _a220910_step(n: int, prev: int, prev2: int) -> int:
+    # n * a_n = (8n - 34) a_{n-1} + 24 (2n - 3) a_{n-2}
+    return (8 * n - 34) * prev + 24 * (2 * n - 3) * prev2
+
+
+def _a220910_recurrence(n_max: int) -> list[int]:
+    # Seeds a_0 = a_1 = 1; every term is an integer, so a step that leaves a
+    # remainder on division by n is a contradiction, not a fraction.
+    vals = [1, 1]
     for n in range(2, n_max + 1):
-        vals.append(((8 * n - 34) * vals[n - 1] + 24 * (2 * n - 3) * vals[n - 2]) / n)
+        term, rem = divmod(_a220910_step(n, vals[n - 1], vals[n - 2]), n)
+        if rem:
+            raise InconsistencyError(f"A220910 recurrence: n = {n} does not divide the step")
+        vals.append(term)
     return vals[: n_max + 1]
 
 

@@ -215,6 +215,31 @@ def test_moments_check_rows_lie_within_their_error(capsys, p, t):
         assert abs(Fraction(row["value"]) - a_n) <= row["est_error"], row["n"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("density", "--p", "3/2", "--t", "1/5", "--grid", "7"),
+        ("density", "--p", "2", "--t", "1", "--route", "closed", "--grid", "4"),
+        ("moments-check", "--p", "5/2", "--t", "1/2", "--n-max", "6"),
+        ("gfun", "--p-min", "1", "--p-max", "3", "--steps", "4"),
+    ],
+)
+def test_float_csv_rows_are_the_json_records_by_repr(capsys, argv):
+    # CSV cells: text as is, None empty, numbers by repr (JSON floats round-trip exactly)
+    code, csv_out, _ = run(capsys, *argv)
+    assert code == 0
+    code, json_out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    records = json.loads(json_out)
+
+    def cell(value):
+        return value if isinstance(value, str) else "" if value is None else repr(value)
+
+    header, *rows = csv_out.splitlines()
+    assert header.split(",") == list(records[0])
+    assert rows == [",".join(map(cell, record.values())) for record in records]
+
+
 def test_gfun_table(capsys):
     code, out, _ = run(capsys, "gfun", "--p-min", "1", "--p-max", "2", "--steps", "3")
     assert code == 0

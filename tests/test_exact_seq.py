@@ -117,13 +117,24 @@ def test_raney_matches_fraction_loop(p, r, n):
     assert raney(p, r, n) == _raney_loop(p, r, n)
 
 
-def test_affine_closed_check_fires(monkeypatch):
-    real = exact_seq.raney
-    monkeypatch.setattr(exact_seq, "raney", lambda p, r, n: real(p, r, n) + (n == 5))
+def _closed(p, t, n):
+    return F(*exact_seq._deformed_closed_parts(p, t, n))
+
+
+def test_affine_closed_check_fires(monkeypatch, capsys):
+    real = exact_seq._raney_parts
+
+    def off_by_one(p, r, n):
+        num, den = real(p, r, n)
+        return num + den * (n == 5), den
+
+    monkeypatch.setattr(exact_seq, "_raney_parts", off_by_one)
     params = Params.exact(F(5, 2), F(1, 3))
-    assert deformed_fuss(params, 4) == exact_seq._deformed_closed(params.p, params.t, 4)
+    assert deformed_fuss(params, 4) == _closed(params.p, params.t, 4)
     with pytest.raises(InconsistencyError):
         deformed_fuss(params, 5)
+    assert main(["seq", "a", "--p", "5/2", "--t", "1/3", "--n", "6"]) == 3
+    assert "internal contradiction" in capsys.readouterr().err
 
 
 def _deformed_closed_loop(p, t, n):
@@ -141,7 +152,7 @@ def _deformed_closed_loop(p, t, n):
 @settings(max_examples=300, deadline=None)
 @given(_RATIONAL, _RATIONAL, st.integers(0, 40))
 def test_deformed_closed_matches_fraction_loop(p, t, n):
-    assert exact_seq._deformed_closed(p, t, n) == _deformed_closed_loop(p, t, n)
+    assert _closed(p, t, n) == _deformed_closed_loop(p, t, n)
 
 
 @pytest.mark.parametrize("n", range(2, 25))
@@ -149,25 +160,55 @@ def test_deformed_closed_where_the_textbook_denominator_vanishes(n):
     # n p - n + 1 = 0 at p = (n - 1)/n and n p - n + 2 = 0 at p = (n - 2)/n
     for p in (F(n - 1, n), F(n - 2, n)):
         for t in (F(0), F(1), F(-7, 3), F(5, 4)):
-            closed = exact_seq._deformed_closed(p, t, n)
+            closed = _closed(p, t, n)
             assert closed == _deformed_closed_loop(p, t, n)
             assert closed == deformed_fuss(Params(p, t), n)
 
 
 def test_affine_closed_check_fires_on_the_closed_route(monkeypatch, capsys):
-    real = exact_seq._deformed_closed
+    real = exact_seq._deformed_closed_parts
 
     def one_factor_too_many(p, t, n):
-        value = real(p, t, n)
-        return value * (n * p - (n - 2)) if n == 5 else value
+        num, den = real(p, t, n)
+        if n == 5:  # the factor n p - (n - 2) = (n a - (n - 2) b) / b
+            num, den = num * (n * p.numerator - (n - 2) * p.denominator), den * p.denominator
+        return num, den
 
-    monkeypatch.setattr(exact_seq, "_deformed_closed", one_factor_too_many)
+    monkeypatch.setattr(exact_seq, "_deformed_closed_parts", one_factor_too_many)
     params = Params.exact(F(5, 2), F(1, 3))
-    assert deformed_fuss(params, 4) == real(params.p, params.t, 4)
+    assert deformed_fuss(params, 4) == F(*real(params.p, params.t, 4))
     with pytest.raises(InconsistencyError):
         deformed_fuss(params, 5)
     assert main(["seq", "a", "--p", "5/2", "--t", "1/3", "--n", "6"]) == 3
     assert "internal contradiction" in capsys.readouterr().err
+
+
+@st.composite
+def _deformed_case(draw):
+    """(p, t, n) with p and t of either sign or zero, and the p = (n - 1)/n and
+    (n - 2)/n where a factor of the Raney and closed products vanishes."""
+    n = draw(st.integers(0, 40))
+    vanishing = [F(n - 1, n), F(n - 2, n)] if n else [F(0)]
+    p = draw(_RATIONAL | st.sampled_from(vanishing))
+    t = draw(_RATIONAL | st.sampled_from([F(0), F(1)]))
+    return p, t, n
+
+
+@settings(max_examples=400, deadline=None)
+@given(_deformed_case())
+def test_deformed_pairs_match_fraction_loops(case):
+    p, t, n = case
+    expected = t * _raney_loop(p, 1, n) + (1 - t) * _raney_loop(p, 2, n)
+    value = deformed_fuss(Params(p, t), n)
+    assert type(value) is F and value == expected
+    assert deformed_table(Params(p, t), n).values[n] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 60))
+def test_constellation_pairs_match_fraction_loop(p, n):
+    value = constellation_count(p, n)
+    assert type(value) is F and value == _constellation_loop(p, n)
 
 
 def test_raney_rejects_negative_index():
@@ -271,13 +312,33 @@ def test_constellation_matches_fraction_loop(p):
 
 
 def test_constellation_cross_check_fires(monkeypatch):
-    real = exact_seq._constellation_direct
-    monkeypatch.setattr(
-        exact_seq, "_constellation_direct", lambda p, n: real(p, n) + (n == 4)
-    )
-    assert constellation_count(3, 3) == real(3, 3)
+    real = exact_seq._constellation_parts
+
+    def off_by_one(p, n):
+        num, den = real(p, n)
+        return num + den * (n == 4), den
+
+    monkeypatch.setattr(exact_seq, "_constellation_parts", off_by_one)
+    assert constellation_count(3, 3) == F(*real(3, 3))
     with pytest.raises(InconsistencyError):
         constellation_count(3, 4)
+
+
+def test_constellation_cross_check_fires_on_the_family_route(monkeypatch, capsys):
+    # a_n enters the count through the deformed-family identity only; a fault
+    # there passes the affine/closed check (it wraps it) and must meet the direct count.
+    real = exact_seq._deformed_parts
+
+    def off_by_one(p, t, n):
+        num, den = real(p, t, n)
+        return num + den * (n == 4), den
+
+    monkeypatch.setattr(exact_seq, "_deformed_parts", off_by_one)
+    assert constellation_count(3, 3) == F(*exact_seq._constellation_parts(3, 3))
+    with pytest.raises(InconsistencyError):
+        constellation_count(3, 4)
+    assert main(["seq", "constellation", "--p", "3", "--n", "5"]) == 3
+    assert "internal contradiction" in capsys.readouterr().err
 
 
 def test_constellation_rejects_bad_parameters():
@@ -427,6 +488,18 @@ def test_verify_a220910_check_fires_on_closed_b(monkeypatch):
 
     monkeypatch.setattr(exact_seq, "_a220910_closed_b", skewed)
     assert _verify_c1() == "method closed_b deviates before n = 50"
+
+
+def test_a220910_recurrence_checks_each_division(monkeypatch, capsys):
+    real = exact_seq._a220910_step
+    monkeypatch.setattr(
+        exact_seq, "_a220910_step", lambda n, prev, prev2: real(n, prev, prev2) + (n == 7)
+    )
+    assert a220910_table(6).values == A220910_PREFIX[:7]
+    with pytest.raises(InconsistencyError, match="n = 7"):
+        a220910_table(7)
+    assert main(["seq", "a220910", "--n", "10"]) == 3
+    assert "internal contradiction" in capsys.readouterr().err
 
 
 def test_a220910_scalar_and_errors():
