@@ -18,19 +18,23 @@ of integer numerators over one common denominator: a jet product is an
 integer convolution and one gcd that divides out the common content, and
 Fractions are made only for the returned coefficients.  Both first rescale
 the variable, z -> lam z, so that the shared denominator does not grow with
-the coefficient index.
+the coefficient index.  revert needs one coefficient of each Lagrange power
+and reads it as one dot product of a baby-step and a giant-step power (Brent
+and Kung), so an order-n reversion makes about 2 sqrt(n) jet products.  The
+moment jet is built and its B_p^2 check made on integer jets scaled by
+b^n n!, one Fraction per moment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from operator import mul
+from math import gcd, isqrt, lcm
+from operator import add, mul
 from typing import Optional, Sequence, Union
 
 from .errors import InconsistencyError
-from .exact_seq import Params, RationalLike, parse_rational, raney
+from .exact_seq import Params, RationalLike, _raney_parts, parse_rational, raney
 
 __all__ = [
     "TruncSeries",
@@ -278,11 +282,14 @@ def revert(f: TruncSeries) -> TruncSeries:
     """Compositional inverse jet: g with f(g(z)) = z.  Needs c_0 = 0, c_1 != 0.
 
     Reverts F(z) = f(lam z) / lam, F_k = f_k lam^(k-1) with lam = den(f_2 / f_1),
-    by the Lagrange inversion coefficients G_k = [w^{k-1}] (w / F(w))^k / k,
-    and returns g_k = G_k / lam^(k-1).  w / F(w) and its powers are integer
-    numerators over one common denominator each, so a power is one integer
-    convolution and one gcd.  The self-check composes the unscaled f with
-    the returned g.
+    by the Lagrange inversion coefficients G_k = [w^{k-1}] H^k / k of
+    H = w / F(w), and returns g_k = G_k / lam^(k-1).  With s = isqrt(n) and
+    k = i s + j, 1 <= j <= s, [w^{k-1}] H^k is one dot product of the giant
+    power H^(i s) with the baby power H^j: the powers H^1..H^s and H^(2s),
+    H^(3s), ... are built to order n - 1, about 2 sqrt(n) jet products in
+    place of n - 1.  Each is integer numerators over one common denominator,
+    so a product is one integer convolution and one gcd.  The self-check
+    composes the unscaled f with the returned g.
     """
     if f.coeffs[0] != 0:
         raise ValueError("reversion needs a jet with zero constant term")
@@ -296,12 +303,25 @@ def revert(f: TruncSeries) -> TruncSeries:
     for k in range(1, n):
         s = sum(map(mul, bn[1 : k + 1], hn[::-1]))
         hn, hd = _reduced([x * bn[0] for x in hn] + [-s], hd * bn[0])
+    # G_k = [w^(k-1)] H^(i s) H^j for k = i s + j, 1 <= j <= s: baby powers
+    # H^1..H^s, giant powers H^0, H^s, H^(2s), ..., one dot product per k
+    s = isqrt(n)
+    baby = [(hn, hd)]
+    for _ in range(1, s):
+        nums, den = baby[-1]
+        baby.append(_reduced(_conv(nums, hn, n - 1), den * hd))
+    step, step_den = baby[-1]
+    giant = [([1], 1), baby[-1]]
+    for _ in range(2, (n - 1) // s + 1):
+        nums, den = giant[-1]
+        giant.append(_reduced(_conv(nums, step, n - 1), den * step_den))
     out = [Fraction(0)]
-    power, den = hn, hd
     for k in range(1, n + 1):
-        out.append(Fraction(power[k - 1], den * k * lam ** (k - 1)))
-        if k < n:
-            power, den = _reduced(_conv(power, hn, n - 1), den * hd)
+        i, j = divmod(k - 1, s)
+        gnums, gden = giant[i]
+        bnums, bden = baby[j]
+        dot = sum(map(mul, gnums[:k], bnums[k - 1 :: -1]))
+        out.append(Fraction(dot, gden * bden * k * lam ** (k - 1)))
     g = TruncSeries(tuple(out))
     check = compose(f, g)
     if check != TruncSeries.identity(n):
@@ -379,19 +399,33 @@ def bp_series(p: RationalLike, r: RationalLike, order: int) -> TruncSeries:
 def moment_series(params: Params, order: int) -> TruncSeries:
     """Moment jet of the deformed family: t B_p + (1 - t) B_p^2.
 
-    The affine combination of Raney jets is cross-checked coefficientwise
-    against the product B_p * B_p computed by jet multiplication, which ties
-    the series engine to the exact-sequence module.
+    With p = a/b, A_n = b^n n! raney(p, 1, n) and E_n = b^n n! raney(p, 2, n)
+    are integers, b times the numerators of the Raney pairs.  B_p * B_p =
+    B_p^2 scaled by b^n n! is the integer identity
+    sum_k C(n, k) A_k A_(n-k) = E_n, checked at every n: the product of the
+    r = 1 jet against the Raney formula for r = 2.  With t = u/v each moment
+    is (u A_n + (v - u) E_n) / (v b^n n!), one Fraction.
     """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     p, t = params.p, params.t
-    b1 = bp_series(p, 1, order)
-    b2_product = b1 * b1
-    b2_raney = bp_series(p, 2, order)
-    if b2_product != b2_raney:
-        raise InconsistencyError(
-            f"B_{p}^2 jet disagrees between multiplication and the Raney formula"
-        )
-    return t * b1 + (1 - t) * b2_raney
+    b = p.denominator
+    u, v = t.numerator, t.denominator
+    ones = [1]
+    out = [Fraction(1)]
+    binom = [1]  # row n of Pascal's triangle
+    scale = 1  # b^n n!
+    for n in range(1, order + 1):
+        ones.append(b * _raney_parts(p, 1, n)[0])
+        two = b * _raney_parts(p, 2, n)[0]
+        binom = [1, *map(add, binom, binom[1:]), 1]
+        if sum(map(mul, map(mul, binom, ones), reversed(ones))) != two:
+            raise InconsistencyError(
+                f"B_{p}^2 jet disagrees between multiplication and the Raney formula"
+            )
+        scale *= b * n
+        out.append(Fraction(u * ones[n] + (v - u) * two, v * scale))
+    return TruncSeries(tuple(out))
 
 
 def cumulants_from_moments(m: TruncSeries) -> CumulantTable:
@@ -445,8 +479,8 @@ def s_series_from_moments(m: TruncSeries) -> TruncSeries:
     """
     if m.coeffs[0] != 1:
         raise ValueError("s_series_from_moments needs m_0 = 1")
-    if m.order < 2 or m.coeffs[1] == 0:
-        raise ValueError("s_series_from_moments needs m_1 != 0 and order >= 2")
+    if m.order < 1 or m.coeffs[1] == 0:
+        raise ValueError("s_series_from_moments needs m_1 != 0 and order >= 1")
     chi = revert(m - 1)
     ratio = chi.shift_down(1)  # chi / w, constant term 1/m_1
     one_plus_w = TruncSeries.from_coeffs([1, 1], ratio.order)

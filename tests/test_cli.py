@@ -129,6 +129,26 @@ def test_transforms_routes_agree(capsys):
     assert a["r"][1] == "3/2"  # r_1 = 2 - t
 
 
+@pytest.mark.parametrize("p, t, s0", [("2", "1/2", "2/3"), ("3", "1", "1/1")])
+def test_transforms_routes_agree_at_order_one(capsys, p, t, s0):
+    # S at order 0 is 1/m_1 on both routes
+    outs = [
+        run(capsys, "transforms", "--p", p, "--t", t, "--series-order", "1", "--route", route)
+        for route in ("closed", "moments")
+    ]
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0
+    assert outs[0][1].endswith(f"\ns,0,{s0}\n")
+
+
+def test_transforms_moments_route_needs_a_first_moment(capsys):
+    code, out, err = run(
+        capsys, "transforms", "--p", "2", "--t", "2", "--series-order", "1", "--route", "moments"
+    )
+    assert (code, out) == (2, "")
+    assert "m_1 != 0" in err
+
+
 def test_transforms_closed_route_needs_supported_p(capsys):
     code, _, err = run(capsys, "transforms", "--p", "3/2", "--t", "1/5", "--route", "closed")
     assert code == 2

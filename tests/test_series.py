@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction as F
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +30,7 @@ from fussdeform import (
 )
 from fussdeform import series
 from fussdeform.cli import main
+from test_exact_seq import _raney_loop
 
 A220910_PREFIX = [1, 1, 3, 14, 83, 570, 4318, 35068, 299907, 2668994, 24513578]
 EX1_PREFIX = [1, 2, 5, 16, 64, 304, 1632, 9552, 59520, 388720, 2632864]
@@ -618,15 +619,15 @@ def test_revert_self_check_fires(monkeypatch, capsys):
     assert "internal contradiction" in capsys.readouterr().err
 
 
-def _skew_first_call(monkeypatch, name, skew):
-    """Make the first call of ``series.<name>`` return ``skew`` of its result."""
+def _skew_call(monkeypatch, name, skew, call):
+    """Make call number ``call`` of ``series.<name>`` return ``skew`` of its result."""
     real = getattr(series, name)
     calls = []
 
     def skewed(*args):
         calls.append(args)
         out = real(*args)
-        return skew(out) if len(calls) == 1 else out
+        return skew(out) if len(calls) == call else out
 
     monkeypatch.setattr(series, name, skewed)
 
@@ -636,30 +637,106 @@ def _bump(nums):
 
 
 @pytest.mark.parametrize(
-    "name, skew",
+    "name, skew, call",
     [
-        ("_conv", _bump),  # (w / F(w))^2 inside the power loop
-        ("_scaled", lambda jet: (_bump(jet[0]), jet[1])),  # F / z, rescaled by lam = 2
+        # H^2, the first baby power (order 7: s = 2)
+        pytest.param("_conv", _bump, 1, id="_conv-_bump"),
+        # H^4 = H^2 H^2, the first giant-step product
+        pytest.param("_conv", _bump, 2, id="_conv-_bump-giant"),
+        # F / z, rescaled by lam = 2
+        pytest.param("_scaled", lambda jet: (_bump(jet[0]), jet[1]), 1, id="_scaled-<lambda>"),
     ],
 )
-def test_revert_self_check_sees_the_working_jets(monkeypatch, capsys, name, skew):
-    # the self-check composes the caller's f, so a wrong rescaled F cannot pass
-    _skew_first_call(monkeypatch, name, skew)
+def test_revert_self_check_sees_the_working_jets(monkeypatch, capsys, name, skew, call):
+    # the self-check composes the caller's f, so a wrong rescaled F cannot pass;
+    # transforms at order 6 reverts z M(z) at order 7 first
+    _skew_call(monkeypatch, name, skew, call)
     with pytest.raises(InconsistencyError):
-        revert(TruncSeries.from_coeffs([0, 2, 1, F(3, 5)]))
+        revert(TruncSeries.from_coeffs([0, 2, 1, F(3, 5), -1, F(1, 2), 2, 1]))
     monkeypatch.undo()
-    _skew_first_call(monkeypatch, name, skew)
+    _skew_call(monkeypatch, name, skew, call)
     assert main(["transforms", "--p", "2", "--t", "1/2", "--series-order", "6"]) == 3
     assert "internal contradiction" in capsys.readouterr().err
 
 
-def test_bp_square_check_fires(monkeypatch):
-    real = series.bp_series
+_BOUNDARY_ORDERS = [*range(1, 13), *(s * s + d for s in range(4, 9) for d in (-1, 0, 1))]
 
-    def skewed(p, r, order):
-        jet = real(p, r, order)
-        return _off_by_one(jet, 3) if r == 2 else jet
 
-    monkeypatch.setattr(series, "bp_series", skewed)
+def _boundary_jet(n, shape):
+    """A deterministic reversible jet of order n with small, f_2 = 0 or 10^300-scale coefficients."""
+    coeffs = [F(0), F(3, 2)] + [F((-1) ** k * (k % 5 + 1), k % 4 + 1) for k in range(2, n + 1)]
+    if shape == "f2 = 0" and n >= 2:
+        coeffs[2] = F(0)
+    if shape == "huge f1":
+        coeffs[1] = F(10**300 + 7, 3)
+    return TruncSeries(tuple(coeffs[: n + 1]))
+
+
+@pytest.mark.parametrize("shape, top", [("small", 65), ("f2 = 0", 37), ("huge f1", 10)])
+def test_revert_at_every_block_boundary(monkeypatch, shape, top):
+    # orders 1..12 and s^2 - 1, s^2, s^2 + 1 for s = 4..8: every way the
+    # baby-step giant-step split can end, up to the order 65 that
+    # transforms --series-order 64 reverts (the reference costs O(n^3)
+    # Fraction operations, so the wider jets stop earlier)
+    real_conv, real_compose = series._conv, series.compose
+    convs, seen = [], []
+
+    def conv(*args):
+        convs.append(args)
+        return real_conv(*args)
+
+    def compose(f, g):
+        seen.append(len(convs))
+        return real_compose(f, g)
+
+    monkeypatch.setattr(series, "_conv", conv)
+    monkeypatch.setattr(series, "compose", compose)
+    for n in (n for n in _BOUNDARY_ORDERS if n <= top):
+        f = _boundary_jet(n, shape)
+        convs.clear()
+        seen.clear()
+        g = revert(f)
+        assert g.coeffs == _lagrange_loop(f), n
+        ceil_sqrt = isqrt(n - 1) + 1
+        assert seen[0] <= 2 * ceil_sqrt + 1, n  # jet products before the self-check
+
+
+def test_bp_square_check_fires(monkeypatch, capsys):
+    # r = 2 off by one at n = 3, where moment_series reads the Raney formula
+    real = series._raney_parts
+
+    def skewed(p, r, n):
+        num, den = real(p, r, n)
+        return num + (r == 2 and n == 3), den
+
+    monkeypatch.setattr(series, "_raney_parts", skewed)
+    params = Params.exact(F(5, 2), F(1, 3))
+    moment_series(params, 2)
     with pytest.raises(InconsistencyError):
-        moment_series(Params.exact(F(5, 2), F(1, 3)), 6)
+        moment_series(params, 6)
+    for command in ("transforms", "posdef"):
+        assert main([command, "--p", "5/2", "--t", "1/3"]) == 3
+        assert "internal contradiction" in capsys.readouterr().err
+
+
+_P_OR_T = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
+
+
+@st.composite
+def _moment_params(draw):
+    """(p, t, order): p of either sign or 0 or (k - 1)/k, (k - 2)/k; t likewise or tiny."""
+    k = draw(st.integers(1, 40))
+    p = draw(_P_OR_T | st.sampled_from((F(0), F(k - 1, k), F(k - 2, k))))
+    t = draw(_P_OR_T | st.sampled_from((F(0), F(1), F(2), F(1, 10**300), F(-3, 10**299))))
+    return p, t, draw(st.integers(0, 64))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_moment_params())
+def test_moment_series_matches_fraction_reference(args):
+    p, t, order = args
+    m = moment_series(Params.exact(p, t), order)
+    assert m.coeffs == tuple(
+        t * _raney_loop(p, 1, n) + (1 - t) * _raney_loop(p, 2, n) for n in range(order + 1)
+    )
+    assert all(type(c) is F for c in m.coeffs)
