@@ -22,6 +22,7 @@ __all__ = [
     "psi_min",
     "g_sup",
     "rho_bisect",
+    "rho_bisect_grid",
     "integrate_callable",
     "moment_quad",
     "CUMULANT_MEASURES",
@@ -160,17 +161,16 @@ def g_sup(p, grid=512, tol=1e-12):
     return -value, phi
 
 
-def _rho_window(p, x, lo, hi):
-    """A window [a, b] of [lo, hi] with rho(p, phi) >= x proven for every float phi in [lo, a]
-    and rho(p, phi) < x for every one in [b, hi]; (lo, hi) when none is proven.
-
-    Newton in log rho predicts the root, and one evaluation at each end of the window proves it.
+def _cell_eta(p, lo, hi):
+    """The margin eta by which rho must clear x at the ends of a window in [lo, hi] to prove
+    it (see _rho_window), or None where no window can be proven.  It depends only on the cell.
     """
     width = hi - lo
-    # End cells get no window: near 0 the three cotangents of the slope below cancel (each is
-    # about 1/phi, their sum is O(phi)), and near pi/p the sines lose their relative accuracy.
-    if not (1.0 < p and 0.0 < x and 0.0 < 0.5 * width <= lo and p * (hi + 0.5 * width) < pi):
-        return lo, hi
+    # End cells get no window: near 0 the three cotangents of the slope in _rho_window cancel
+    # (each is about 1/phi, their sum is O(phi)), and near pi/p the sines lose their relative
+    # accuracy.
+    if not (1.0 < p and 0.0 < 0.5 * width <= lo and p * (hi + 0.5 * width) < pi):
+        return None
     # Float error of rho = sin(p phi)^p / (sin(phi) sin(q phi)^q) on the cell, q = p - 1.0
     # (exact for 1 < p < 2^53), in units of u = _EPS / 2, the relative error of a correctly
     # rounded operation.  p phi and q phi round by u, and sin turns an argument error into a
@@ -187,59 +187,66 @@ def _rho_window(p, x, lo, hi):
         min(sin(p * lo), s_p) ** p > 1e-300
         and min(sin(lo), sin(hi)) * min(sin(q * lo), s_q) ** q > 1e-300
     ):
-        return lo, hi
+        return None
     e = 0.5 * _EPS * (p * (p * hi / s_p + 2.0) + q * (q * hi / s_q + 2.0) + 8.0)
     # For phi <= a in the cell, float rho(phi) >= rho(phi) (1 - e) >= rho(a) (1 - e) (rho
     # decreases) >= float rho(a) (1 - e) / (1 + e), which is >= x once float rho(a) >= x (1 + eta)
     # with eta >= 2 e / (1 - e); likewise at b.  eta = 4 e is twice that, which also covers
     # the rounding of x (1 +- eta).
     eta = 4.0 * e
-    if not eta < 1e-3:
-        return lo, hi
+    return eta if eta < 1e-3 else None
+
+
+def _rho_window(p, x, lo, hi, eta, start):
+    """A window [a, b] of [lo, hi] with rho(p, phi) >= x proven for every float phi in [lo, a]
+    and rho(p, phi) < x for every one in [b, hi], and the slope and curve of log rho at the
+    last Newton iterate: (a, b, slope, curve); (lo, hi, None, None) when none is proven.
+
+    eta is _cell_eta(p, lo, hi).  Newton in log rho from start in the cell predicts the root,
+    and one evaluation at each end of the window proves it.
+    """
+    if eta is None or not 0.0 < x:
+        return lo, hi, None, None
     # log rho is concave in phi (its second derivative, with csc^2 = 1 + cot^2 the negative of
-    # curve below, is negative wherever sampled for p from 1.001 to 300), so from any start one
-    # Newton step lands right of the root, and from there the steps go left and do not pass it;
-    # a step past hi restarts at hi.  miss (in log rho) is four times the error C s^2 that the last
-    # step s leaves, C = |l''| / (2 |l'|).  Where concavity failed, the check at a and b would
-    # reject the window.
+    # curve below, is negative wherever sampled for p from 1.001 to 300), so from any start,
+    # the cell midpoint or one predicted from a neighbouring root, one Newton step lands right
+    # of the root, and from there the steps go left and do not pass it; a step past hi
+    # restarts at hi.  miss (in log rho) is four times the error C s^2 that the last step s
+    # leaves, C = |l''| / (2 |l'|).  Where concavity failed, the check at a and b would reject
+    # the window.
     lx = log(x)
+    q = p - 1.0
     pp, qq = p * p, q * q
-    phi = 0.5 * (lo + hi)
+    phi = start
     for _ in range(8):
         cp, c1, cq = 1.0 / tan(p * phi), 1.0 / tan(phi), 1.0 / tan(q * phi)
         slope = pp * cp - c1 - qq * cq
         if not slope < 0.0:
-            return lo, hi
+            return lo, hi, None, None
         step = (log(rho(p, phi)) - lx) / slope
         phi -= step
         if phi > hi:
             phi = hi
         elif not phi > lo:
-            return lo, hi
+            return lo, hi, None, None
         curve = pp * p * (1.0 + cp * cp) - 1.0 - c1 * c1 - qq * q * (1.0 + cq * cq)
         miss = 2.0 * step * step * fabs(curve)
         if miss <= eta:
             break
     else:
-        return lo, hi
+        return lo, hi, None, None
     # In log rho the window reaches eta past the root for the check, e for the rounding of rho,
     # and eta / 4 to spare, beyond what Newton may miss.
     half = (1.5 * eta + miss) / -slope
     a, b = phi - half, phi + half
     if lo <= a and b <= hi and rho(p, a) >= x * (1.0 + eta) and rho(p, b) < x * (1.0 - eta):
-        return a, b
-    return lo, hi
+        return a, b, slope, curve
+    return lo, hi, None, None
 
 
-def rho_bisect(p, x, lo, hi, tol=1e-13):
-    """Solve rho(p, phi) = x by bisection on a bracket with rho(lo) >= x >= rho(hi).
-
-    The bisection runs every midpoint, but rho is evaluated only at those inside the window of
-    _rho_window; one outside it is decided by its position, as rho would decide it.  So the
-    result is the float plain bisection returns; with no window (a, b) = (lo, hi), which is
-    plain bisection.
-    """
-    a, b = _rho_window(p, x, lo, hi)
+def _bisect(p, x, lo, hi, a, b, tol):
+    """Bisection of [lo, hi] for rho(p, phi) = x that evaluates rho only at the midpoints inside
+    the window (a, b) and decides one outside it by its position, as rho would decide it."""
     while (hi - lo) > tol:
         mid = 0.5 * (lo + hi)
         if mid <= a or (mid < b and rho(p, mid) >= x):
@@ -247,6 +254,47 @@ def rho_bisect(p, x, lo, hi, tol=1e-13):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def rho_bisect(p, x, lo, hi, tol=1e-13):
+    """Solve rho(p, phi) = x by bisection on a bracket with rho(lo) >= x >= rho(hi).
+
+    The bisection runs every midpoint, but rho is evaluated only at those inside the window of
+    _rho_window, started at the middle of the bracket.  So the result is the float plain
+    bisection returns; with no window (a, b) = (lo, hi), which is plain bisection.
+    """
+    a, b, _, _ = _rho_window(p, x, lo, hi, _cell_eta(p, lo, hi), 0.5 * (lo + hi))
+    return _bisect(p, x, lo, hi, a, b, tol)
+
+
+def rho_bisect_grid(p, xs, brackets, tol=1e-13):
+    """[rho_bisect(p, x, lo, hi, tol) for x, (lo, hi) in zip(xs, brackets)], the same floats,
+    for increasing xs.
+
+    eta is computed once per run of equal brackets.  Newton starts from a second-order
+    prediction off the previous root: d = dlog x / slope, then d += curve d^2 / (2 slope), with
+    the slope l' and curve -l'' of l = log rho at that root's last Newton iterate; it starts at
+    the bracket midpoint when there is none or the prediction leaves the bracket.  Each root
+    still comes from a window whose two ends rho has proven.
+    """
+    roots = []
+    cell = eta = slope = None
+    for x, bracket in zip(xs, brackets):
+        lo, hi = bracket
+        if bracket != cell:
+            cell, eta = bracket, _cell_eta(p, lo, hi)
+        start = 0.5 * (lo + hi)
+        if slope is not None:
+            d = (log(x) - lx) / slope
+            d += curve * d * d / (2.0 * slope)
+            if lo < root + d < hi:
+                start = root + d
+        a, b, slope, curve = _rho_window(p, x, lo, hi, eta, start)
+        root = _bisect(p, x, lo, hi, a, b, tol)
+        roots.append(root)
+        if slope is not None:
+            lx = log(x)
+    return roots
 
 
 # -- Gauss-Kronrod 7/15 adaptive quadrature ----------------------------------
@@ -430,7 +478,8 @@ def moment_quad(p, t, n, atol=1e-10, rtol=1e-12, max_depth=20):
 #
 # Their moments are the free cumulants of the (2, t) and (3, t) families and of
 # two fixed sequences (which ignore t).  case -> (support(t) = (lo, hi),
-# density(t, x), root_edge: a 1/sqrt(x) edge at x = 0).
+# density(t, x), root_edge: lo = 0, a 1/sqrt(x) edge there and a half-integer
+# power of hi - x at hi).
 
 
 def _p2_support(t):
@@ -467,8 +516,9 @@ CUMULANT_MEASURES = {
 def cumulant_quad(case, t, n, atol=1e-10, rtol=1e-12, max_depth=20):
     """Integral of x^n against the CUMULANT_MEASURES case at t: (value, err, converged).
 
-    Each edge is inset by _INSET, but a root edge is integrated in u = sqrt(x),
-    where 2 u x^n density(t, x) stays bounded at u = 0."""
+    A case with root edges is integrated in theta over (0, pi/2), x = hi sin(theta)^2, where
+    2 hi sin(theta) cos(theta) x^n density(t, x) stays smooth at both ends; the others in x,
+    each edge inset by _INSET."""
     try:
         support, density, root_edge = CUMULANT_MEASURES[case]
     except KeyError:
@@ -476,11 +526,12 @@ def cumulant_quad(case, t, n, atol=1e-10, rtol=1e-12, max_depth=20):
     lo, hi = support(t)
     if root_edge:
 
-        def g(u):
-            x = u * u
-            return x**n * density(t, x) * 2.0 * u
+        def g(theta):
+            s, c = sin(theta), cos(theta)
+            x = hi * s * s
+            return x**n * density(t, x) * 2.0 * hi * s * c
 
-        return integrate_callable(g, 0.0, sqrt(hi) - _INSET, atol, rtol, max_depth)
+        return integrate_callable(g, 0.0, 0.5 * pi, atol, rtol, max_depth)
 
     def g(x):
         return x**n * density(t, x)

@@ -186,8 +186,11 @@ def _cmd_density(args: argparse.Namespace) -> int:
     if args.grid < 1:
         raise ValueError("--grid must be positive")
     samples = density_grid(params, args.grid, route=args.route)
-    records = [{"x": s.x, "phi": s.phi, "f": s.value} for s in samples]
-    rows = [f"{s.x!r},{'' if s.phi is None else repr(s.phi)},{s.value!r}" for s in samples]
+    if args.format == "json":
+        rows, records = [], [{"x": x, "phi": phi, "f": f} for x, phi, f in samples]
+    else:
+        rows = [f"{x!r},{'' if phi is None else repr(phi)},{f!r}" for x, phi, f in samples]
+        records = None
     _emit(args, "x,phi,f", rows, records)
     return 0
 

@@ -4,7 +4,9 @@ Two routes to the density f_{p,t} = t W_{p,1} + (1 - t) W_{p,2} on (0, c(p)):
 
 * parametric -- solve x = rho(phi) on (0, pi/p) and evaluate the angle form
   (works for every p > 1); rho is assumed strictly decreasing, an assumption
-  converted into a runtime check by a 64-point monotone scan per p;
+  converted into a runtime check by a 64-point monotone scan per p, whose
+  cells bracket the bisection.  A density grid is solved by one kernel call
+  that starts Newton's method at each point from the previous point's root;
 * closed     -- the six elementary closed forms for p in {2, 3, 3/2}, r in {1, 2}.
 
 Each call resolves its route, and on the closed route the form for p, once.
@@ -23,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isfinite, pi, sqrt
 from operator import neg
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ._backend import kernels
 from .errors import BracketingError, QuadratureError
@@ -47,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DensitySample:
+class DensitySample(NamedTuple):
     """A density evaluation: support coordinate x, solved angle (if any), value."""
 
     x: float
@@ -112,20 +113,29 @@ def _rho_scan(p: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return phis, vals
 
 
-def _solve_phi(p: float, x: float) -> float:
-    """Invert x = rho(p, phi) by scan bracketing plus bisection to 1e-13."""
+def _brackets(p: float, xs) -> list[tuple[float, float]]:
+    """The bisection bracket of each x: the first scan cell that holds it, or an end cell."""
     phis, vals = _rho_scan(p)
     top = pi / p
     inset = top * 1e-12
-    if x > vals[0]:
-        lo, hi = inset, phis[0]
-    elif x < vals[-1]:
-        lo, hi = phis[-1], top - inset
-    else:
-        # vals decreases, so the first cell with vals[i] >= x >= vals[i + 1] starts one before
-        # the count of values above x (at 0 when x is vals[0])
-        i = max(bisect_left(vals, -x, key=neg) - 1, 0)
-        lo, hi = phis[i], phis[i + 1]
+    first, last = (inset, phis[0]), (phis[-1], top - inset)
+    out = []
+    for x in xs:
+        if x > vals[0]:
+            out.append(first)
+        elif x < vals[-1]:
+            out.append(last)
+        else:
+            # vals decreases, so the first cell with vals[i] >= x >= vals[i + 1] starts one
+            # before the count of values above x (at 0 when x is vals[0])
+            i = max(bisect_left(vals, -x, key=neg) - 1, 0)
+            out.append((phis[i], phis[i + 1]))
+    return out
+
+
+def _solve_phi(p: float, x: float) -> float:
+    """Invert x = rho(p, phi) by scan bracketing plus bisection to 1e-13."""
+    ((lo, hi),) = _brackets(p, (x,))
     return kernels.rho_bisect(p, x, lo, hi, 1e-13)
 
 
@@ -238,17 +248,25 @@ def f_pt(params: Params, x: float, route: str = "parametric") -> float:
 
 
 def density_grid(params: Params, grid_size: int, route: str = "parametric") -> list[DensitySample]:
-    """grid_size samples of f_{p,t} at x_i = c(p) i/(grid_size+1), i = 1..grid_size."""
+    """grid_size samples of f_{p,t} at x_i = c(p) i/(grid_size+1), i = 1..grid_size.
+
+    On the parametric route the whole increasing grid is inverted by one kernel call."""
     if grid_size < 1:
         raise ValueError("grid_size must be positive")
     p, t = params.as_floats()
     upper = support_c(p).upper
+    xs = [upper * i / (grid_size + 1) for i in range(1, grid_size + 1)]
+    if route == "parametric":
+        f_phi = kernels.f_phi
+        phis = kernels.rho_bisect_grid(p, xs, _brackets(p, xs), 1e-13)
+        return [
+            DensitySample(x, phi, _finite(p, t, x, f_phi(p, t, phi))) for x, phi in zip(xs, phis)
+        ]
     point = _pointwise(p, t, route)
     out = []
-    for i in range(1, grid_size + 1):
-        x = upper * i / (grid_size + 1)
+    for x in xs:
         phi, value = point(x)
-        out.append(DensitySample(x=x, phi=phi, value=_finite(p, t, x, value)))
+        out.append(DensitySample(x, phi, _finite(p, t, x, value)))
     return out
 
 
@@ -308,6 +326,12 @@ def cumulant_quadrature(
         raise ValueError("n must be nonnegative")
     t = float(t)
     _cumulant_measure(case, t)  # domain validation
+    if case == "p3" and not 0.6 - 1e-12 <= t:
+        raise ValueError(
+            "case p3 quadrature requires 3/5 <= t <= 3/2: below 3/5 the pole at "
+            "x = 1/(1 - t) crowds the support edge 4t, and at t = 1/2 the measure "
+            "has an atom at x = 2 that its density leaves out"
+        )
     value, err, ok = kernels.cumulant_quad(case, t, n, tol, 1e-12, max_depth)
     if not ok:
         raise QuadratureError(

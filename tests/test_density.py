@@ -5,12 +5,15 @@ from fractions import Fraction as F
 from math import pi, sin, sqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fussdeform
 import fussdeform.cli
 import fussdeform.density as density
 from fussdeform import (
     BracketingError,
+    DensitySample,
     Params,
     QuadratureError,
     a022558_table,
@@ -341,8 +344,23 @@ def test_rho_bisect_recovers_the_angle():
         assert phi == _plain_bisect(p, x, top * 1e-9, top * (1.0 - 1e-9))
 
 
+def _scan_cell(p, x):
+    """The bracket _solve_phi bisects for x: the cell above the first scan value, the one below
+    the last, or else the first scan cell with vals[i] >= x >= vals[i + 1]."""
+    phis, vals = density._rho_scan(p)
+    top = pi / p
+    if x > vals[0]:
+        return top * 1e-12, phis[0]
+    if x < vals[-1]:
+        return phis[-1], top - top * 1e-12
+    i = next(i for i in range(len(vals) - 1) if vals[i] >= x >= vals[i + 1])
+    return phis[i], phis[i + 1]
+
+
 def test_rho_bisect_is_plain_bisection_with_fewer_rho_calls(monkeypatch):
-    real_rho, real_bisect = kernels.rho, kernels.rho_bisect
+    # every point of density_grid (rho_bisect_grid) and of f_pt (rho_bisect) ends in one
+    # _bisect call, which closes the count of its rho calls
+    real_rho, real_bisect = kernels.rho, kernels._bisect
     count = [0]
     solves = []
 
@@ -350,23 +368,27 @@ def test_rho_bisect_is_plain_bisection_with_fewer_rho_calls(monkeypatch):
         count[0] += 1
         return real_rho(p, phi)
 
-    def recorded_bisect(p, x, lo, hi, tol):
-        before = count[0]
-        phi = real_bisect(p, x, lo, hi, tol)
-        solves.append((p, x, lo, hi, tol, phi, count[0] - before))
+    def recorded_bisect(p, x, lo, hi, a, b, tol):
+        phi = real_bisect(p, x, lo, hi, a, b, tol)
+        solves.append((p, x, lo, hi, tol, phi, count[0]))
+        count[0] = 0
         return phi
 
     monkeypatch.setattr(kernels, "rho", counted_rho)
-    monkeypatch.setattr(kernels, "rho_bisect", recorded_bisect)
+    monkeypatch.setattr(kernels, "_bisect", recorded_bisect)
     for p in (F(101, 100), F(3, 2), F(2), F(37, 13), F(4), F(20), F(100)):
         params = Params.exact(p, F(1, 3))
-        density_grid(params, 2000)
-        # one point in each end cell: above the first scan value, below the last
         _, vals = density._rho_scan(float(p))
+        count[0] = 0
+        before = len(solves)
+        density_grid(params, 2000)
+        assert len(solves) == before + 2000
+        # one point in each end cell: above the first scan value, below the last
         for x in ((vals[0] + support_c(p).upper) / 2.0, vals[-1] / 2.0):
             f_pt(params, x)
     end_cells = 0
     for p, x, lo, hi, tol, phi, calls in solves:
+        assert (lo, hi) == _scan_cell(p, x), (p, x)
         count[0] = 0
         assert phi == _plain_bisect(p, x, lo, hi, tol), (p, x)
         phis, _ = density._rho_scan(p)
@@ -398,18 +420,87 @@ def test_rho_bisect_proves_its_window(monkeypatch):
         assert kernels.rho_bisect(p, x, lo, hi) == _plain_bisect(p, x, lo, hi), (p, x)
 
 
+def test_rho_bisect_grid_proves_its_windows(monkeypatch):
+    # the noisy rho of test_rho_bisect_proves_its_window along sorted grids: neither a start
+    # predicted from a neighbouring root nor the midpoint start reaches the result
+    real_rho = kernels.rho
+
+    def noisy_rho(p, phi):
+        return real_rho(p, phi) * (1.0 + 1e-6 * sin(1e9 * phi))
+
+    rng = random.Random(8)
+    grids = []
+    for _ in range(20):
+        p = 1.1 + 2.9 * rng.random()
+        upper = support_c(p).upper
+        xs = [upper * i / 301 for i in range(1, 301)]
+        grids.append((p, xs, density._brackets(p, xs)))
+    monkeypatch.setattr(kernels, "rho", noisy_rho)
+    for p, xs, brackets in grids:
+        plain = [_plain_bisect(p, x, lo, hi) for x, (lo, hi) in zip(xs, brackets)]
+        assert kernels.rho_bisect_grid(p, xs, brackets) == plain, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.floats(min_value=1.0, max_value=100.0, exclude_min=True),
+    us=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)),
+    repeats=st.lists(st.integers(min_value=0, max_value=200), max_size=8),
+)
+def test_rho_bisect_grid_solves_each_point_as_solve_phi(p, us, repeats):
+    try:
+        _, vals = density._rho_scan(p)
+    except BracketingError:  # p so close to 1 that the scan cannot tell rho decreases
+        with pytest.raises(BracketingError):
+            density._solve_phi(p, 0.5)
+        return
+    upper = support_c(p).upper
+    # random points, every scan value, a point in each end cell, then duplicates
+    xs = [upper * u for u in us] + list(vals) + [(vals[0] + upper) / 2.0, vals[-1] / 2.0]
+    xs += [xs[i % len(xs)] for i in repeats]
+    xs.sort()
+    brackets = density._brackets(p, xs)
+    expected = []
+    for x in xs:
+        try:
+            expected.append(density._solve_phi(p, x))
+        except ZeroDivisionError:
+            # x within an ulp or so of c(p) at large p: bisection reaches a phi where rho's
+            # denominator underflows, and the grid stops at the same point
+            with pytest.raises(ZeroDivisionError):
+                kernels.rho_bisect_grid(p, xs, brackets, 1e-13)
+            return
+    assert kernels.rho_bisect_grid(p, xs, brackets, 1e-13) == expected
+
+
 def test_solve_phi_brackets_in_the_first_scan_cell_that_holds_x(monkeypatch):
     brackets = []
     monkeypatch.setattr(kernels, "rho_bisect", lambda p, x, lo, hi, tol: brackets.append((lo, hi)))
     for p in (1.01, 1.5, 2.0, 37.0 / 13.0, 20.0):
-        phis, vals = density._rho_scan(p)
+        _, vals = density._rho_scan(p)
         # every scan value, where two cells hold x, and a point inside each cell
         xs = list(vals) + [(a + b) / 2.0 for a, b in zip(vals, vals[1:])]
         for x in xs:
             brackets.clear()
             density._solve_phi(p, x)
-            i = next(i for i in range(len(vals) - 1) if vals[i] >= x >= vals[i + 1])
-            assert brackets == [(phis[i], phis[i + 1])], (p, x)
+            assert brackets == [_scan_cell(p, x)], (p, x)
+
+
+@pytest.mark.parametrize("p, t", [(F(3, 2), F(1, 5)), (F(5, 2), F(1, 2)), (F(97, 37), F(1, 3))])
+def test_density_grid_matches_w_param_and_f_pt(p, t):
+    params = Params.exact(p, t)
+    for s in density_grid(params, 1000):
+        assert s.phi == w_param(float(p), 1, s.x).phi, s.x
+        assert s.value == f_pt(params, s.x), s.x
+
+
+def test_density_sample_fields_are_fixed():
+    sample = density_grid(Params.exact(2, 1), 3)[0]
+    assert DensitySample._fields == ("x", "phi", "value")
+    assert sample == DensitySample(x=sample.x, phi=sample.phi, value=sample.value)
+    for name in DensitySample._fields:
+        with pytest.raises(AttributeError):
+            setattr(sample, name, 0.0)
 
 
 def test_moment_quad_is_deterministic():
@@ -507,6 +598,23 @@ def test_cumulant_measure_p3_matches_free_cumulants():
             value, _ = cumulant_quadrature("p3", float(t), n)
             exact = float(cum.coefficient(n))
             assert abs(value - exact) <= 1e-7 * abs(exact), (t, n, value, exact)
+
+
+def test_cumulant_measure_p3_quadrature_from_three_fifths():
+    for k in range(6, 16):
+        t = F(k, 10)
+        cum = r_series_closed(F(3), t, 9)
+        for n in range(9):
+            value, err = cumulant_quadrature("p3", float(t), n)
+            exact = 1.0 if n == 0 else float(cum.coefficient(n))
+            assert abs(value - exact) <= err, (t, n, value, exact, err)
+
+
+@pytest.mark.parametrize("t", [0.5, 0.55])
+def test_cumulant_quadrature_p3_stops_at_three_fifths(t):
+    with pytest.raises(ValueError, match="3/5 <= t"):
+        cumulant_quadrature("p3", t, 0)
+    assert cumulant_measure_eval("p3", t, 1.0) > 0.0
 
 
 def test_cumulant_measure_p3_pointwise_positive_at_edges_of_t():
