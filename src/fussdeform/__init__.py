@@ -42,7 +42,6 @@ from .exact_seq import (
 from .density import (
     CUMULANT_CASES,
     DensitySample,
-    SupportInfo,
     cumulant_measure_eval,
     cumulant_quadrature,
     density_grid,
@@ -115,7 +114,6 @@ __all__ = [
     "r_series_closed",
     "gf_closed_expand",
     "DensitySample",
-    "SupportInfo",
     "CUMULANT_CASES",
     "support_c",
     "rho",

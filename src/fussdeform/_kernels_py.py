@@ -4,12 +4,26 @@ Higher-level modules reach these through :mod:`fussdeform._backend`, which
 binds this module as ``kernels``.
 
 Only plain floats are used here.  Exact arithmetic lives elsewhere.
+
+The settings no caller varies are module constants: psi and -B/A are scanned at _PSI_GRID + 1
+points of [0, pi] and refined by golden section to width _PSI_TOL; rho is inverted by bisection
+to width _RHO_TOL; the adaptive quadrature starts from _INIT_PANELS panels, halves a panel at
+most _MAX_DEPTH times and stops once its error estimate is within _ATOL + _RTOL |value|.
+moment_quad alone takes its absolute tolerance as an argument.
 """
 
 from functools import partial
 from math import cos, fabs, inf, log, pi, sin, sqrt, tan
 
 BACKEND = "python"
+
+_PSI_GRID = 512
+_PSI_TOL = 1e-12
+_RHO_TOL = 1e-13
+_ATOL = 1e-10
+_RTOL = 1e-12
+_MAX_DEPTH = 20
+_INIT_PANELS = 8
 
 __all__ = [
     "BACKEND",
@@ -22,7 +36,6 @@ __all__ = [
     "psi_min",
     "g_sup",
     "rho_bisect",
-    "rho_bisect_grid",
     "integrate_callable",
     "moment_quad",
     "CUMULANT_MEASURES",
@@ -92,13 +105,13 @@ def psi_forms(p, t, phi):
 _INVPHI = (sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden(f, a, b, tol):
-    """Golden-section minimum of f on [a, b] to width tol: (argmin, value)."""
+def _golden(f, a, b):
+    """Golden-section minimum of f on [a, b] to width _PSI_TOL: (argmin, value)."""
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1 = f(x1)
     f2 = f(x2)
-    while (b - a) > tol:
+    while (b - a) > _PSI_TOL:
         if f1 <= f2:
             b = x2
             x2 = x1
@@ -115,7 +128,7 @@ def _golden(f, a, b, tol):
     return xm, f(xm)
 
 
-def _grid_min(f, vals, tol):
+def _grid_min(f, vals):
     """Minimum of f over [0, pi] from vals[i] = f(i pi / grid): (value, argmin).  Golden section
     refines each cell bracketing a local minimum, one per flat run of equal values (the run's
     last point, where the values rise again); +inf marks a point without a value."""
@@ -133,18 +146,18 @@ def _grid_min(f, vals, tol):
     if vals[grid] < inf and vals[grid] <= vals[grid - 1]:
         brackets.append((pi - step, pi))
     for a, b in brackets:
-        xm, fm = _golden(f, a, b, tol)
+        xm, fm = _golden(f, a, b)
         if fm < best_val:
             best_val, best_phi = fm, xm
     return best_val, best_phi
 
 
-def psi_min(p, t, grid=512, tol=1e-12):
+def psi_min(p, t):
     """Global minimum of psi(p, t, .) over [0, pi]: (value, argmin); psi is written inline."""
     k = 1.0 - 1.0 / p
-    phis = [i * (pi / grid) for i in range(grid + 1)]
+    phis = [i * (pi / _PSI_GRID) for i in range(_PSI_GRID + 1)]
     vals = [t * sin(k * x) + 2.0 * (1.0 - t) * sin(x) * cos(x / p) for x in phis]
-    return _grid_min(partial(psi, p, t), vals, tol)
+    return _grid_min(partial(psi, p, t), vals)
 
 
 def _t_bound(p, phi):
@@ -154,10 +167,10 @@ def _t_bound(p, phi):
     return b / a if a > 0.0 else inf
 
 
-def g_sup(p, grid=512, tol=1e-12):
+def g_sup(p):
     """sup of -B/A over A > 0 (see _t_bound): psi(p, t, .) >= 0 needs t >= it.  (value, argmax)."""
     bound = partial(_t_bound, p)
-    value, phi = _grid_min(bound, [bound(i * (pi / grid)) for i in range(grid + 1)], tol)
+    value, phi = _grid_min(bound, [bound(i * (pi / _PSI_GRID)) for i in range(_PSI_GRID + 1)])
     return -value, phi
 
 
@@ -244,10 +257,11 @@ def _rho_window(p, x, lo, hi, eta, start):
     return lo, hi, None, None
 
 
-def _bisect(p, x, lo, hi, a, b, tol):
-    """Bisection of [lo, hi] for rho(p, phi) = x that evaluates rho only at the midpoints inside
-    the window (a, b) and decides one outside it by its position, as rho would decide it."""
-    while (hi - lo) > tol:
+def _bisect(p, x, lo, hi, a, b):
+    """Bisection of [lo, hi] to width _RHO_TOL for rho(p, phi) = x that evaluates rho only at
+    the midpoints inside the window (a, b) and decides one outside it by its position, as rho
+    would decide it."""
+    while (hi - lo) > _RHO_TOL:
         mid = 0.5 * (lo + hi)
         if mid <= a or (mid < b and rho(p, mid) >= x):
             lo = mid
@@ -256,26 +270,18 @@ def _bisect(p, x, lo, hi, a, b, tol):
     return 0.5 * (lo + hi)
 
 
-def rho_bisect(p, x, lo, hi, tol=1e-13):
-    """Solve rho(p, phi) = x by bisection on a bracket with rho(lo) >= x >= rho(hi).
+def rho_bisect(p, xs, brackets):
+    """Solve rho(p, phi) = x for each x of the increasing xs by bisection on its bracket
+    (lo, hi), rho(lo) >= x >= rho(hi): the list of roots.
 
     The bisection runs every midpoint, but rho is evaluated only at those inside the window of
-    _rho_window, started at the middle of the bracket.  So the result is the float plain
-    bisection returns; with no window (a, b) = (lo, hi), which is plain bisection.
-    """
-    a, b, _, _ = _rho_window(p, x, lo, hi, _cell_eta(p, lo, hi), 0.5 * (lo + hi))
-    return _bisect(p, x, lo, hi, a, b, tol)
-
-
-def rho_bisect_grid(p, xs, brackets, tol=1e-13):
-    """[rho_bisect(p, x, lo, hi, tol) for x, (lo, hi) in zip(xs, brackets)], the same floats,
-    for increasing xs.
-
-    eta is computed once per run of equal brackets.  Newton starts from a second-order
-    prediction off the previous root: d = dlog x / slope, then d += curve d^2 / (2 slope), with
-    the slope l' and curve -l'' of l = log rho at that root's last Newton iterate; it starts at
-    the bracket midpoint when there is none or the prediction leaves the bracket.  Each root
-    still comes from a window whose two ends rho has proven.
+    _rho_window, so each root is the float plain bisection returns; with no window (a, b) =
+    (lo, hi), which is plain bisection.  eta is computed once per run of equal brackets.
+    Newton starts from a second-order prediction off the previous root: d = dlog x / slope,
+    then d += curve d^2 / (2 slope), with the slope l' and curve -l'' of l = log rho at that
+    root's last Newton iterate; it starts at the bracket midpoint when there is none (as for
+    the first x) or the prediction leaves the bracket.  Each root still comes from a window
+    whose two ends rho has proven.
     """
     roots = []
     cell = eta = slope = None
@@ -290,7 +296,7 @@ def rho_bisect_grid(p, xs, brackets, tol=1e-13):
             if lo < root + d < hi:
                 start = root + d
         a, b, slope, curve = _rho_window(p, x, lo, hi, eta, start)
-        root = _bisect(p, x, lo, hi, a, b, tol)
+        root = _bisect(p, x, lo, hi, a, b)
         roots.append(root)
         if slope is not None:
             lx = log(x)
@@ -382,16 +388,17 @@ def _gk15(f, a, b):
     return _gk15_sum(h, [f(x) for x in nodes])
 
 
-def _adaptive(panel, a, b, atol, rtol, max_depth, init_panels):
-    """Worst-panel-first refinement of panel(a, b) -> (value, error, resabs).
+def _adaptive(panel, a, b, atol):
+    """Worst-panel-first refinement of panel(a, b) -> (value, error, resabs), from _INIT_PANELS
+    panels, each halved at most _MAX_DEPTH times, until the error is within atol + _RTOL |value|.
 
     Returns (value, error_estimate, converged).
     """
     panels = []  # [a, b, value, err, depth]
-    width = (b - a) / init_panels
-    for i in range(init_panels):
+    width = (b - a) / _INIT_PANELS
+    for i in range(_INIT_PANELS):
         pa = a + i * width
-        pb = b if i == init_panels - 1 else a + (i + 1) * width
+        pb = b if i == _INIT_PANELS - 1 else a + (i + 1) * width
         v, e, _ = panel(pa, pb)
         panels.append([pa, pb, v, e, 0])
     max_panels = 4096
@@ -401,12 +408,12 @@ def _adaptive(panel, a, b, atol, rtol, max_depth, init_panels):
         for row in panels:
             total += row[2]
             err += row[3]
-        if err <= atol + rtol * fabs(total):
+        if err <= atol + _RTOL * fabs(total):
             return total, err, True
         worst = -1
         worst_err = -1.0
         for i, row in enumerate(panels):
-            if row[4] < max_depth and row[3] > worst_err:
+            if row[4] < _MAX_DEPTH and row[3] > worst_err:
                 worst = i
                 worst_err = row[3]
         if worst < 0 or len(panels) >= max_panels:
@@ -419,9 +426,9 @@ def _adaptive(panel, a, b, atol, rtol, max_depth, init_panels):
         panels.append([mid, pb, v2, e2, depth + 1])
 
 
-def integrate_callable(f, a, b, atol=1e-10, rtol=1e-12, max_depth=20, init_panels=8):
-    """Adaptive Gauss-Kronrod integral of a Python callable on [a, b]."""
-    return _adaptive(partial(_gk15, f), a, b, atol, rtol, max_depth, init_panels)
+def integrate_callable(f, a, b):
+    """Adaptive Gauss-Kronrod integral of a Python callable on [a, b]: (value, error, converged)."""
+    return _adaptive(partial(_gk15, f), a, b, _ATOL)
 
 
 _INSET = 1e-12
@@ -438,7 +445,7 @@ _moment_nodes = (None, {})
 _KEPT_PANELS = 256
 
 
-def moment_quad(p, t, n, atol=1e-10, rtol=1e-12, max_depth=20):
+def moment_quad(p, t, n, atol=_ATOL):
     """n-th moment of the density of the (p, t) family, integrated in angle space.
 
     The x-space integral over (0, p^p (p-1)^(1-p)) becomes
@@ -460,7 +467,7 @@ def moment_quad(p, t, n, atol=1e-10, rtol=1e-12, max_depth=20):
         h, triples = hit
         return _gk15_sum(h, [r ** n * f * w for r, f, w in triples])
 
-    value, err, converged = _adaptive(panel, _INSET, pi / p - _INSET, atol, rtol, max_depth, 8)
+    value, err, converged = _adaptive(panel, _INSET, pi / p - _INSET, atol)
     # Two errors the panel estimates do not see; refinement ignores both.
     # rho multiplies about 2p sines, each good to half an ulp, so rho^n is off
     # by about n (p + 1) _EPS relative.  And the integral leaves out
@@ -513,7 +520,7 @@ CUMULANT_MEASURES = {
 }
 
 
-def cumulant_quad(case, t, n, atol=1e-10, rtol=1e-12, max_depth=20):
+def cumulant_quad(case, t, n):
     """Integral of x^n against the CUMULANT_MEASURES case at t: (value, err, converged).
 
     A case with root edges is integrated in theta over (0, pi/2), x = hi sin(theta)^2, where
@@ -531,9 +538,9 @@ def cumulant_quad(case, t, n, atol=1e-10, rtol=1e-12, max_depth=20):
             x = hi * s * s
             return x**n * density(t, x) * 2.0 * hi * s * c
 
-        return integrate_callable(g, 0.0, 0.5 * pi, atol, rtol, max_depth)
+        return integrate_callable(g, 0.0, 0.5 * pi)
 
     def g(x):
         return x**n * density(t, x)
 
-    return integrate_callable(g, lo + _INSET, hi - _INSET, atol, rtol, max_depth)
+    return integrate_callable(g, lo + _INSET, hi - _INSET)

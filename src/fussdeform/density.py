@@ -5,24 +5,27 @@ Two routes to the density f_{p,t} = t W_{p,1} + (1 - t) W_{p,2} on (0, c(p)):
 * parametric -- solve x = rho(phi) on (0, pi/p) and evaluate the angle form
   (works for every p > 1); rho is assumed strictly decreasing, an assumption
   converted into a runtime check by a 64-point monotone scan per p, whose
-  cells bracket the bisection.  A density grid is solved by one kernel call
-  that starts Newton's method at each point from the previous point's root;
+  cells bracket the bisection.  The points of a call, one or a whole grid,
+  are solved by one kernel call that starts Newton's method at each point
+  from the previous point's root;
 * closed     -- the six elementary closed forms for p in {2, 3, 3/2}, r in {1, 2}.
 
-Each call resolves its route, and on the closed route the form for p, once.
-Moment quadrature integrates in the angle variable (x = rho(phi) bounds the
-integrand at both support edges) with the adaptive Gauss-Kronrod kernels.  The
+f_pt, w_param and density_grid evaluate through one helper, which resolves the
+route, and on the closed route the form for p, once per call.  Moment
+quadrature integrates in the angle variable (x = rho(phi) bounds the integrand
+at both support edges) with the adaptive Gauss-Kronrod kernels.  The
 cumulant-side measures are defined in the kernels; this module checks ranges.
-Everything here is float arithmetic; exact statements live in the rational
-modules.
+The kernels' settings are constants of fussdeform._kernels_py (bisection width
+_RHO_TOL; quadrature _ATOL, _RTOL, _MAX_DEPTH and _INIT_PANELS); only the
+absolute tolerance of moment quadrature is an argument here.  Everything here
+is float arithmetic; exact statements live in the rational modules.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import isfinite, pi, sqrt
 from operator import neg
 from typing import NamedTuple, Optional
@@ -33,7 +36,6 @@ from .exact_seq import Params
 
 __all__ = [
     "DensitySample",
-    "SupportInfo",
     "support_c",
     "rho",
     "rho_prime",
@@ -57,20 +59,12 @@ class DensitySample(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class SupportInfo:
-    """The support (0, upper) of the family's density for a given p > 1."""
-
-    p: float
-    upper: float
-
-
-def support_c(p: float) -> SupportInfo:
-    """c(p) = p^p (p-1)^(1-p), the right support endpoint."""
+def support_c(p: float) -> float:
+    """c(p) = p^p (p-1)^(1-p), the right endpoint of the support (0, c(p))."""
     p = float(p)
     if not (isfinite(p) and p > 1.0):
         raise ValueError("support requires p > 1")
-    return SupportInfo(p=p, upper=p**p * (p - 1.0) ** (1.0 - p))
+    return p**p * (p - 1.0) ** (1.0 - p)
 
 
 def _check_phi(p: float, phi: float) -> tuple[float, float]:
@@ -104,7 +98,7 @@ def _rho_scan(p: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     top = pi / p
     phis = tuple(top * (i + 1) / (_SCAN_POINTS + 1) for i in range(_SCAN_POINTS))
     vals = tuple(kernels.rho(p, f) for f in phis)
-    chain = (support_c(p).upper,) + vals + (0.0,)
+    chain = (support_c(p),) + vals + (0.0,)
     for a, b in zip(chain, chain[1:]):
         if not a > b:
             raise BracketingError(
@@ -133,16 +127,10 @@ def _brackets(p: float, xs) -> list[tuple[float, float]]:
     return out
 
 
-def _solve_phi(p: float, x: float) -> float:
-    """Invert x = rho(p, phi) by scan bracketing plus bisection to 1e-13."""
-    ((lo, hi),) = _brackets(p, (x,))
-    return kernels.rho_bisect(p, x, lo, hi, 1e-13)
-
-
 def _check_x(p: float, x: float) -> tuple[float, float]:
     p = float(p)
     x = float(x)
-    upper = support_c(p).upper
+    upper = support_c(p)
     if not (isfinite(x) and 0.0 < x < upper):
         raise ValueError(f"x must lie in the open support (0, {upper})")
     return p, x
@@ -151,8 +139,7 @@ def _check_x(p: float, x: float) -> tuple[float, float]:
 def w_param(p: float, r: float, x: float) -> DensitySample:
     """Component density W_{p,r}(x) through the angle parametrization."""
     p, x = _check_x(p, x)
-    phi = _solve_phi(p, x)
-    return DensitySample(x=x, phi=phi, value=kernels.w_phi(p, float(r), phi))
+    return _samples(p, [x], "parametric", partial(kernels.w_phi, p, float(r)))[0]
 
 
 _THIRD = 1.0 / 3.0
@@ -213,24 +200,35 @@ def w_closed(p, r: int, x: float) -> float:
     return _closed_form(p_key)(r, x)
 
 
-def _pointwise(p: float, t: float, route: str):
-    """x -> (phi, f_{p,t}(x)) on the route (phi is None on the closed route).  The route,
-    and on the closed route the form for p, are resolved here, once."""
-    if route == "parametric":
-
-        def point(x):
-            phi = _solve_phi(p, x)
-            return phi, kernels.f_phi(p, t, phi)
-
-    elif route == "closed":
+def _samples(p: float, xs: list[float], route: str, angle, closed=None) -> list[DensitySample]:
+    """A sample at each of the increasing xs.  parametric: its phi solves x = rho(p, phi), all
+    of them by one kernel call, and its value is angle(phi); closed: phi is None and the value
+    is closed(form, x), with the closed form for p read once.  A float limit on the way (rho's
+    denominator or the angle form underflows to 0 next to c(p)) raises OverflowError."""
+    if route == "closed":
         form = _closed_form(p)
-
-        def point(x):
-            return None, t * form(1, x) + (1.0 - t) * form(2, x)
-
-    else:
+        return [DensitySample(x, None, closed(form, x)) for x in xs]
+    if route != "parametric":
         raise ValueError("route must be 'parametric' or 'closed'")
-    return point
+    try:
+        phis = kernels.rho_bisect(p, xs, _brackets(p, xs))
+        return [DensitySample(x, phi, angle(phi)) for x, phi in zip(xs, phis)]
+    except ZeroDivisionError:
+        at = xs[0] if len(xs) == 1 else f"{xs[0]}..{xs[-1]}"
+        raise OverflowError(
+            f"the angle parametrization left the float range at p={p}, x={at}"
+        ) from None
+
+
+def _mixed(p: float, t: float, xs: list[float], route: str) -> list[DensitySample]:
+    """_samples of f_{p,t} = t W_{p,1} + (1 - t) W_{p,2}, each value checked by _finite."""
+    samples = _samples(
+        p, xs, route, partial(kernels.f_phi, p, t),
+        lambda form, x: t * form(1, x) + (1.0 - t) * form(2, x),
+    )
+    for x, _, value in samples:
+        _finite(p, t, x, value)
+    return samples
 
 
 def _finite(p: float, t: float, x: float, value: float) -> float:
@@ -244,42 +242,32 @@ def f_pt(params: Params, x: float, route: str = "parametric") -> float:
     """Density f_{p,t}(x) = t W_{p,1}(x) + (1-t) W_{p,2}(x)."""
     p, t = params.as_floats()
     p, x = _check_x(p, x)
-    return _finite(p, t, x, _pointwise(p, t, route)(x)[1])
+    return _mixed(p, t, [x], route)[0].value
 
 
 def density_grid(params: Params, grid_size: int, route: str = "parametric") -> list[DensitySample]:
-    """grid_size samples of f_{p,t} at x_i = c(p) i/(grid_size+1), i = 1..grid_size.
-
-    On the parametric route the whole increasing grid is inverted by one kernel call."""
+    """grid_size samples of f_{p,t} at x_i = c(p) i/(grid_size+1), i = 1..grid_size."""
     if grid_size < 1:
         raise ValueError("grid_size must be positive")
     p, t = params.as_floats()
-    upper = support_c(p).upper
-    xs = [upper * i / (grid_size + 1) for i in range(1, grid_size + 1)]
-    if route == "parametric":
-        f_phi = kernels.f_phi
-        phis = kernels.rho_bisect_grid(p, xs, _brackets(p, xs), 1e-13)
-        return [
-            DensitySample(x, phi, _finite(p, t, x, f_phi(p, t, phi))) for x, phi in zip(xs, phis)
-        ]
-    point = _pointwise(p, t, route)
-    out = []
-    for x in xs:
-        phi, value = point(x)
-        out.append(DensitySample(x, phi, _finite(p, t, x, value)))
-    return out
+    upper = support_c(p)
+    return _mixed(p, t, [upper * i / (grid_size + 1) for i in range(1, grid_size + 1)], route)
 
 
-def moment_quadrature_full(
-    params: Params, n: int, tol: float = 1e-10, max_depth: int = 20
-) -> tuple[float, float]:
-    """(value, error estimate) for the n-th moment of f_{p,t} by angle-space quadrature."""
+def moment_quadrature_full(params: Params, n: int, tol: float = 1e-10) -> tuple[float, float]:
+    """(value, error estimate) for the n-th moment of f_{p,t} by angle-space quadrature to the
+    absolute tolerance tol."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     p, t = params.as_floats()
     if not p > 1.0:
         raise ValueError("moment quadrature requires p > 1")
-    value, err, ok = kernels.moment_quad(p, t, n, tol, 1e-12, max_depth)
+    try:
+        value, err, ok = kernels.moment_quad(p, t, n, tol)
+    except ZeroDivisionError:  # at large p, f_phi's denominator underflows to 0 near both ends
+        raise OverflowError(
+            f"moment quadrature left the float range at p={p}, t={t}, n={n}"
+        ) from None
     if not ok:
         raise QuadratureError(
             f"moment quadrature did not converge at (p={p}, t={t}, n={n}): "
@@ -288,9 +276,9 @@ def moment_quadrature_full(
     return value, err
 
 
-def moment_quadrature(params: Params, n: int, tol: float = 1e-10, max_depth: int = 20) -> float:
+def moment_quadrature(params: Params, n: int, tol: float = 1e-10) -> float:
     """The n-th moment of f_{p,t}; see moment_quadrature_full for the error estimate."""
-    return moment_quadrature_full(params, n, tol, max_depth)[0]
+    return moment_quadrature_full(params, n, tol)[0]
 
 
 CUMULANT_CASES = tuple(kernels.CUMULANT_MEASURES)
@@ -318,9 +306,7 @@ def cumulant_measure_eval(case: str, t: float, x: float) -> float:
     return density(t, x)
 
 
-def cumulant_quadrature(
-    case: str, t: float, n: int, tol: float = 1e-10, max_depth: int = 20
-) -> tuple[float, float]:
+def cumulant_quadrature(case: str, t: float, n: int) -> tuple[float, float]:
     """(integral of x^n against the named measure, error estimate)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -332,7 +318,7 @@ def cumulant_quadrature(
             "x = 1/(1 - t) crowds the support edge 4t, and at t = 1/2 the measure "
             "has an atom at x = 2 that its density leaves out"
         )
-    value, err, ok = kernels.cumulant_quad(case, t, n, tol, 1e-12, max_depth)
+    value, err, ok = kernels.cumulant_quad(case, t, n)
     if not ok:
         raise QuadratureError(
             f"cumulant quadrature did not converge for case {case} "

@@ -80,10 +80,10 @@ def psi(p: float, t: float, phi: float) -> PsiPoint:
     return PsiPoint(p=p, t=t, phi=phi, value=a, form_spread=spread)
 
 
-def psi_min(p: float, t: float, grid: int = 512, tol: float = 1e-12) -> PsiPoint:
+def psi_min(p: float, t: float) -> PsiPoint:
     """Global minimum of psi_{p,t} over [0, pi] (grid scan + golden refinement)."""
     p, t = _check_pt(p, t)
-    value, arg = kernels.psi_min(p, t, grid, tol)
+    value, arg = kernels.psi_min(p, t)
     a, b, c = kernels.psi_forms(p, t, arg)
     spread = max(abs(a - b), abs(a - c), abs(b - c))
     return PsiPoint(p=p, t=t, phi=arg, value=value, form_spread=spread)
@@ -91,10 +91,10 @@ def psi_min(p: float, t: float, grid: int = 512, tol: float = 1e-12) -> PsiPoint
 
 @lru_cache(maxsize=1024)
 def _g_cached(p: float) -> float:
-    if kernels.psi_min(p, 0.0, 512, 1e-12)[0] >= -_FEAS_TOL:
+    if kernels.psi_min(p, 0.0)[0] >= -_FEAS_TOL:
         return 0.0
-    g = min(1.0, max(0.0, kernels.g_sup(p, 512, 1e-12)[0]))
-    value = kernels.psi_min(p, g, 512, 1e-12)[0]
+    g = min(1.0, max(0.0, kernels.g_sup(p)[0]))
+    value = kernels.psi_min(p, g)[0]
     if value < -_FEAS_TOL:
         raise InconsistencyError(f"g({p!r}) = {g!r}, yet the minimum of psi there is {value!r}")
     return g

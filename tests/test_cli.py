@@ -225,7 +225,10 @@ def test_moments_check_values(capsys):
         assert row["p"] == "2/1" and row["t"] == "1/1"
 
 
-@pytest.mark.parametrize("p, t", [("3/2", "1/5"), ("5/2", "1/2"), ("7/3", "2/3"), ("3", "3/2")])
+@pytest.mark.parametrize(
+    "p, t",
+    [("3/2", "1/5"), ("5/2", "1/2"), ("7/3", "2/3"), ("3", "3/2"), ("7", "1/2"), ("20", "1/3")],
+)
 def test_moments_check_rows_lie_within_their_error(capsys, p, t):
     # at n = 0 most of the error sits in the slices the quadrature leaves out
     code, out, _ = run(capsys, "moments-check", "--p", p, "--t", t, "--n-max", "30", "--format", "json")
@@ -368,6 +371,7 @@ def test_out_flag_writes_the_same_bytes(tmp_path, capsys):
     "argv",
     [
         ("density", "--p", "1e400", "--t", "1"),
+        ("density", "--p", "1000", "--t", "1/3", "--grid", "3"),
         ("moments-check", "--p", "4", "--t", "1/2", "--n-max", "600"),
         # sin(p phi)^(p - 1) underflows to 0 next to the right endpoint
         ("moments-check", "--p", "100", "--t", "1", "--n-max", "0"),

@@ -1,6 +1,7 @@
 """Density layer: parametrization vs closed forms, quadrature vs exact values."""
 
 import random
+import re
 from fractions import Fraction as F
 from math import pi, sin, sqrt
 
@@ -37,9 +38,9 @@ from fussdeform._backend import kernels
 
 
 def test_support_endpoint_values():
-    assert support_c(2).upper == pytest.approx(4.0, abs=1e-14)
-    assert support_c(3).upper == pytest.approx(27.0 / 4.0, abs=1e-13)
-    assert support_c(1.5).upper == pytest.approx(3.0 * sqrt(3.0) / 2.0, abs=1e-14)
+    assert support_c(2) == pytest.approx(4.0, abs=1e-14)
+    assert support_c(3) == pytest.approx(27.0 / 4.0, abs=1e-13)
+    assert support_c(1.5) == pytest.approx(3.0 * sqrt(3.0) / 2.0, abs=1e-14)
 
 
 def test_support_rejects_small_p():
@@ -57,7 +58,7 @@ def test_rho_closed_value_p2():
 def test_rho_limits():
     for p in (2.0, 3.0, 1.5, 2.5):
         top = pi / p
-        assert rho(p, 1e-8) == pytest.approx(support_c(p).upper, rel=1e-10)
+        assert rho(p, 1e-8) == pytest.approx(support_c(p), rel=1e-10)
         assert rho(p, top * (1 - 1e-8)) < 1e-6
 
 
@@ -103,7 +104,7 @@ def test_w_param_closed_values_p2():
 
 def test_w_param_agrees_with_all_six_closed_forms():
     for p in (F(2), F(3), F(3, 2)):
-        upper = support_c(float(p)).upper
+        upper = support_c(float(p))
         for r in (1, 2):
             for i in range(1, 51):
                 x = upper * i / 51
@@ -175,7 +176,7 @@ def test_f_pt_p2_display_formula():
 def test_f_pt_routes_agree():
     rng = random.Random(77)
     for p in (F(2), F(3), F(3, 2)):
-        upper = support_c(float(p)).upper
+        upper = support_c(float(p))
         for _ in range(20):
             t = F(rng.randint(0, 8), 6)
             x = rng.uniform(0.02, 0.98) * upper
@@ -250,7 +251,7 @@ def test_gk_rule_is_exact_on_polynomials():
     val, err, resabs = kernels._gk15(lambda x: x**13, 0.0, 1.0)
     assert val == pytest.approx(1.0 / 14.0, rel=1e-14)
     assert err < 1e-12
-    total, err, ok = kernels.integrate_callable(sin, 0.0, pi, 1e-12, 1e-12, 12)
+    total, err, ok = kernels.integrate_callable(sin, 0.0, pi)
     assert ok
     assert total == pytest.approx(2.0, rel=1e-12)
 
@@ -339,13 +340,13 @@ def test_rho_bisect_recovers_the_angle():
         top = pi / p
         phi0 = (0.05 + 0.9 * rng.random()) * top
         x = kernels.rho(p, phi0)
-        phi = kernels.rho_bisect(p, x, top * 1e-9, top * (1.0 - 1e-9))
+        (phi,) = kernels.rho_bisect(p, [x], [(top * 1e-9, top * (1.0 - 1e-9))])
         assert abs(phi - phi0) <= 1e-9
         assert phi == _plain_bisect(p, x, top * 1e-9, top * (1.0 - 1e-9))
 
 
 def _scan_cell(p, x):
-    """The bracket _solve_phi bisects for x: the cell above the first scan value, the one below
+    """The bracket rho_bisect bisects for x: the cell above the first scan value, the one below
     the last, or else the first scan cell with vals[i] >= x >= vals[i + 1]."""
     phis, vals = density._rho_scan(p)
     top = pi / p
@@ -358,8 +359,8 @@ def _scan_cell(p, x):
 
 
 def test_rho_bisect_is_plain_bisection_with_fewer_rho_calls(monkeypatch):
-    # every point of density_grid (rho_bisect_grid) and of f_pt (rho_bisect) ends in one
-    # _bisect call, which closes the count of its rho calls
+    # every point of density_grid and of f_pt ends in one _bisect call, which closes the count
+    # of its rho calls
     real_rho, real_bisect = kernels.rho, kernels._bisect
     count = [0]
     solves = []
@@ -368,9 +369,9 @@ def test_rho_bisect_is_plain_bisection_with_fewer_rho_calls(monkeypatch):
         count[0] += 1
         return real_rho(p, phi)
 
-    def recorded_bisect(p, x, lo, hi, a, b, tol):
-        phi = real_bisect(p, x, lo, hi, a, b, tol)
-        solves.append((p, x, lo, hi, tol, phi, count[0]))
+    def recorded_bisect(p, x, lo, hi, a, b):
+        phi = real_bisect(p, x, lo, hi, a, b)
+        solves.append((p, x, lo, hi, phi, count[0]))
         count[0] = 0
         return phi
 
@@ -384,13 +385,13 @@ def test_rho_bisect_is_plain_bisection_with_fewer_rho_calls(monkeypatch):
         density_grid(params, 2000)
         assert len(solves) == before + 2000
         # one point in each end cell: above the first scan value, below the last
-        for x in ((vals[0] + support_c(p).upper) / 2.0, vals[-1] / 2.0):
+        for x in ((vals[0] + support_c(p)) / 2.0, vals[-1] / 2.0):
             f_pt(params, x)
     end_cells = 0
-    for p, x, lo, hi, tol, phi, calls in solves:
+    for p, x, lo, hi, phi, calls in solves:
         assert (lo, hi) == _scan_cell(p, x), (p, x)
         count[0] = 0
-        assert phi == _plain_bisect(p, x, lo, hi, tol), (p, x)
+        assert phi == _plain_bisect(p, x, lo, hi), (p, x)
         phis, _ = density._rho_scan(p)
         if lo < phis[0] or hi > phis[-1]:
             # no window: every midpoint is evaluated, as in plain bisection
@@ -417,7 +418,7 @@ def test_rho_bisect_proves_its_window(monkeypatch):
         i = rng.randrange(len(phis) - 1)
         lo, hi = phis[i], phis[i + 1]
         x = real_rho(p, lo + (hi - lo) * rng.random())
-        assert kernels.rho_bisect(p, x, lo, hi) == _plain_bisect(p, x, lo, hi), (p, x)
+        assert kernels.rho_bisect(p, [x], [(lo, hi)]) == [_plain_bisect(p, x, lo, hi)], (p, x)
 
 
 def test_rho_bisect_grid_proves_its_windows(monkeypatch):
@@ -432,13 +433,13 @@ def test_rho_bisect_grid_proves_its_windows(monkeypatch):
     grids = []
     for _ in range(20):
         p = 1.1 + 2.9 * rng.random()
-        upper = support_c(p).upper
+        upper = support_c(p)
         xs = [upper * i / 301 for i in range(1, 301)]
         grids.append((p, xs, density._brackets(p, xs)))
     monkeypatch.setattr(kernels, "rho", noisy_rho)
     for p, xs, brackets in grids:
         plain = [_plain_bisect(p, x, lo, hi) for x, (lo, hi) in zip(xs, brackets)]
-        assert kernels.rho_bisect_grid(p, xs, brackets) == plain, p
+        assert kernels.rho_bisect(p, xs, brackets) == plain, p
 
 
 @settings(max_examples=60, deadline=None)
@@ -448,42 +449,90 @@ def test_rho_bisect_grid_proves_its_windows(monkeypatch):
     repeats=st.lists(st.integers(min_value=0, max_value=200), max_size=8),
 )
 def test_rho_bisect_grid_solves_each_point_as_solve_phi(p, us, repeats):
+    # the roots of a sorted grid, solved by one call, against each point solved on its own
+    def solve(xs):
+        return [s.phi for s in density._samples(p, xs, "parametric", abs)]
+
     try:
         _, vals = density._rho_scan(p)
     except BracketingError:  # p so close to 1 that the scan cannot tell rho decreases
         with pytest.raises(BracketingError):
-            density._solve_phi(p, 0.5)
+            solve([0.5])
         return
-    upper = support_c(p).upper
+    upper = support_c(p)
     # random points, every scan value, a point in each end cell, then duplicates
     xs = [upper * u for u in us] + list(vals) + [(vals[0] + upper) / 2.0, vals[-1] / 2.0]
     xs += [xs[i % len(xs)] for i in repeats]
     xs.sort()
-    brackets = density._brackets(p, xs)
     expected = []
     for x in xs:
         try:
-            expected.append(density._solve_phi(p, x))
-        except ZeroDivisionError:
+            expected += solve([x])
+        except OverflowError:
             # x within an ulp or so of c(p) at large p: bisection reaches a phi where rho's
             # denominator underflows, and the grid stops at the same point
-            with pytest.raises(ZeroDivisionError):
-                kernels.rho_bisect_grid(p, xs, brackets, 1e-13)
+            with pytest.raises(OverflowError):
+                solve(xs)
             return
-    assert kernels.rho_bisect_grid(p, xs, brackets, 1e-13) == expected
+    assert solve(xs) == expected
 
 
 def test_solve_phi_brackets_in_the_first_scan_cell_that_holds_x(monkeypatch):
     brackets = []
-    monkeypatch.setattr(kernels, "rho_bisect", lambda p, x, lo, hi, tol: brackets.append((lo, hi)))
+
+    def recorded_rho_bisect(p, xs, cells):
+        brackets.extend(cells)
+        return [0.5 * (lo + hi) for lo, hi in cells]
+
+    monkeypatch.setattr(kernels, "rho_bisect", recorded_rho_bisect)
     for p in (1.01, 1.5, 2.0, 37.0 / 13.0, 20.0):
         _, vals = density._rho_scan(p)
         # every scan value, where two cells hold x, and a point inside each cell
         xs = list(vals) + [(a + b) / 2.0 for a, b in zip(vals, vals[1:])]
         for x in xs:
             brackets.clear()
-            density._solve_phi(p, x)
+            w_param(p, 1, x)
             assert brackets == [_scan_cell(p, x)], (p, x)
+
+
+def test_each_evaluation_solves_its_points_by_one_kernel_call(monkeypatch):
+    real_brackets, real_rho_bisect = density._brackets, kernels.rho_bisect
+    calls = []
+
+    def recorded_brackets(p, xs):
+        calls.append(("brackets", len(xs)))
+        return real_brackets(p, xs)
+
+    def recorded_rho_bisect(p, xs, brackets):
+        calls.append(("rho_bisect", len(xs)))
+        return real_rho_bisect(p, xs, brackets)
+
+    monkeypatch.setattr(density, "_brackets", recorded_brackets)
+    monkeypatch.setattr(kernels, "rho_bisect", recorded_rho_bisect)
+    params = Params.exact(2, F(1, 3))
+    for evaluate, points in (
+        (lambda: density_grid(params, 500), 500),
+        (lambda: f_pt(params, 1.0), 1),
+        (lambda: w_param(2.0, 2, 1.0), 1),
+        (lambda: density_grid(params, 500, route="closed"), None),
+        (lambda: f_pt(params, 1.0, route="closed"), None),
+    ):
+        calls.clear()
+        evaluate()
+        assert calls == ([] if points is None else [("brackets", points), ("rho_bisect", points)])
+    assert not hasattr(kernels, "rho_bisect_grid")
+
+
+def test_float_limits_next_to_c_are_overflow_errors():
+    # x this close to c(62) sends the end-cell bisection to phi near 1e-7, where
+    # sin((p - 1) phi)^(p - 1) in rho's denominator underflows to 0; at p = 100 the moment
+    # quadrature meets the same underflow in f_phi
+    x = support_c(62) * (1.0 - 1e-12)
+    for evaluate in (lambda: f_pt(Params.exact(62, F(1, 3)), x), lambda: w_param(62, 1, x)):
+        with pytest.raises(OverflowError, match=re.escape(f"p=62.0, x={x}")):
+            evaluate()
+    with pytest.raises(OverflowError, match=re.escape("p=100.0, t=1.0, n=0")):
+        moment_quadrature_full(Params.exact(100, 1), 0)
 
 
 @pytest.mark.parametrize("p, t", [(F(3, 2), F(1, 5)), (F(5, 2), F(1, 2)), (F(97, 37), F(1, 3))])
@@ -513,7 +562,7 @@ def _moment_quad_reference(p, t, n):
     def g(phi):
         return kernels.rho(p, phi) ** n * kernels.f_phi(p, t, phi) * abs(kernels.rho_prime(p, phi))
 
-    return kernels.integrate_callable(g, kernels._INSET, pi / p - kernels._INSET, 1e-10, 1e-12, 20)
+    return kernels.integrate_callable(g, kernels._INSET, pi / p - kernels._INSET)
 
 
 def test_moment_quad_reuse_is_bit_identical():
@@ -690,16 +739,14 @@ def test_verbatim_moment_integral_on_one_nine():
         return g
 
     for n in range(7):
-        value, _, ok = kernels.integrate_callable(
-            make_integrand(n), 1.0 + 1e-12, 9.0 - 1e-12, 1e-10, 1e-12, 20
-        )
+        value, _, ok = kernels.integrate_callable(make_integrand(n), 1.0 + 1e-12, 9.0 - 1e-12)
         assert ok
         assert value == pytest.approx(float(table.term(n)), rel=1e-7)
 
 
 def test_quadrature_error_when_depth_exhausted():
     with pytest.raises(QuadratureError):
-        moment_quadrature(Params.exact(F(3, 2), F(1, 5)), 40, max_depth=0)
+        moment_quadrature(Params.exact(F(11, 8), F(6, 5)), 20)
 
 
 def test_moment_quadrature_domain_checks():

@@ -113,8 +113,9 @@ def test_g_strictly_decreasing_on_the_unit_gap():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def _psi_min_pointwise(p, t, grid=512, tol=1e-12):
+def _psi_min_pointwise(p, t):
     """kernels.psi_min with every grid point evaluated by psi itself."""
+    grid = kernels._PSI_GRID
     step = math.pi / grid
     vals = [kernels.psi(p, t, i * step) for i in range(grid + 1)]
     best = min(range(grid + 1), key=vals.__getitem__)
@@ -126,7 +127,7 @@ def _psi_min_pointwise(p, t, grid=512, tol=1e-12):
     if vals[grid] <= vals[grid - 1]:
         brackets.append((math.pi - step, math.pi))
     for a, b in brackets:
-        xm, fm = kernels._golden(lambda phi: kernels.psi(p, t, phi), a, b, tol)
+        xm, fm = kernels._golden(lambda phi: kernels.psi(p, t, phi), a, b)
         if fm < best_val:
             best_val, best_phi = fm, xm
     return best_val, best_phi
