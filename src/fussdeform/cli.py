@@ -6,6 +6,13 @@ sequence tables, ``transforms`` prints jets of M, R, and S, ``density`` and
 ``domain-grid`` expose the positivity analysis, and ``verify`` runs the
 one-shot verification suite.
 
+Every subcommand takes ``--format`` and ``--out``.  The flags of one object
+of the paper go only to the subcommands that read them: the jet order
+``--series-order`` to ``transforms`` and ``verify``, the Hankel section size
+``--hankel-size`` to ``posdef``, ``infdiv`` and ``domain-grid``, and the
+moment quadrature's tolerance ``--tol`` to ``moments-check``.  Any other
+subcommand rejects them as unknown flags.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error or a float
 limit (a value left the float range: an overflow, or an underflow to zero
 that a division then met; a quadrature did not converge), 3 internal
@@ -32,7 +39,6 @@ from .exact_seq import (
     _A220910_METHODS,
     a022558_table,
     a220910_table,
-    check_printable,
     constellation_table,
     deformed_table,
     parse_rational,
@@ -147,28 +153,24 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     return 0
 
 
-def _printable(jet: TruncSeries) -> TruncSeries:
-    """``jet``, once each coefficient is known to print: a jet past the digit
-    limit stops the command before the next, larger jet is built."""
-    check_printable(jet.coeffs)
-    return jet
+def _rendered(jet: TruncSeries) -> list[str]:
+    """The coefficients of ``jet`` as text: a jet past the digit limit stops
+    the command before the next, larger jet is built."""
+    return [rational_str(c) for c in jet.coeffs]
 
 
 def _cmd_transforms(args: argparse.Namespace) -> int:
     params = Params.exact(args.p, args.t)
     p, t = params.p, params.t
     order = args.series_order
-    moments = _printable(moment_series(params, order))
+    moments = moment_series(params, order)
+    jets = {"m": _rendered(moments)}
     if args.route == "closed":
-        r_jet = _printable(r_series_closed(p, t, order))
-        s_jet = _printable(s_series_closed(params, order - 1))
+        jets["r"] = _rendered(r_series_closed(p, t, order))
+        jets["s"] = _rendered(s_series_closed(params, order - 1))
     else:
-        r_jet = _printable(cumulant_jet(cumulants_from_moments(moments)))
-        s_jet = _printable(s_series_from_moments(moments))
-    jets = {
-        name: [rational_str(c) for c in jet.coeffs]
-        for name, jet in (("m", moments), ("r", r_jet), ("s", s_jet))
-    }
+        jets["r"] = _rendered(cumulant_jet(cumulants_from_moments(moments)))
+        jets["s"] = _rendered(s_series_from_moments(moments))
     rows = [f"{name},{k},{c}" for name, coeffs in jets.items() for k, c in enumerate(coeffs)]
     payload = {
         "p": rational_str(p),
@@ -289,13 +291,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     # Each subcommand lists --p/--t first, then its own flags, then the
-    # shared flags; argparse keeps that order in usage lines and --help.
+    # flags every subcommand takes (--format, --out); argparse keeps that
+    # order in usage lines and --help.
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=("csv", "json"), default="csv")
     shared.add_argument("--out", metavar="PATH", default=None)
-    shared.add_argument("--series-order", type=int, default=16, metavar="N")
-    shared.add_argument("--hankel-size", type=int, default=6, metavar="M")
-    shared.add_argument("--tol", type=float, default=1e-10, metavar="X")
 
     commands = {
         "seq": (_cmd_seq, "exact sequence tables"),
@@ -335,6 +335,11 @@ def _build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--t-max", default="2")
     grid.add_argument("--steps", type=int, default=20)
     own["verify"].add_argument("--only", default=None, help="tag or identifier filter")
+    for name in ("transforms", "verify"):
+        own[name].add_argument("--series-order", type=int, default=16, metavar="N")
+    for name in ("posdef", "infdiv", "domain-grid"):
+        own[name].add_argument("--hankel-size", type=int, default=6, metavar="M")
+    own["moments-check"].add_argument("--tol", type=float, default=1e-10, metavar="X")
 
     parser = argparse.ArgumentParser(
         prog="fussdeform",
@@ -350,12 +355,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if not args.tol > 0:
-            raise ValueError("--tol must be positive")
-        if not 1 <= args.series_order <= 64:
+        # a subcommand's namespace holds only the flags it takes
+        if "series_order" in args and not 1 <= args.series_order <= 64:
             raise ValueError("--series-order must lie in 1..64")
-        if not 1 <= args.hankel_size <= 16:
+        if "hankel_size" in args and not 1 <= args.hankel_size <= 16:
             raise ValueError("--hankel-size must lie in 1..16")
+        if "tol" in args and not args.tol > 0:
+            raise ValueError("--tol must be positive")
         return args.func(args)
     except InconsistencyError as exc:
         print(f"fussdeform: internal contradiction: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from math import isfinite, pi, sqrt
 from operator import neg
 from typing import NamedTuple, Optional
@@ -92,7 +92,6 @@ def rho_prime(p: float, phi: float) -> float:
 _SCAN_POINTS = 64
 
 
-@lru_cache(maxsize=256)
 def _rho_scan(p: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Monotonicity check + bisection bracket grid for rho(p, .)."""
     top = pi / p

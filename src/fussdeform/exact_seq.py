@@ -23,9 +23,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from math import comb, factorial, lcm, prod
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 from .errors import DigitLimitError, InconsistencyError
 
@@ -36,7 +35,6 @@ __all__ = [
     "SeqTable",
     "parse_rational",
     "rational_str",
-    "check_printable",
     "raney",
     "deformed_fuss",
     "deformed_table",
@@ -85,24 +83,6 @@ def rational_str(value: Fraction) -> str:
         return f"{value.numerator}/{value.denominator}"
     except ValueError:  # the only one str(int) raises: past the digit limit
         raise _digit_limit() from None
-
-
-def check_printable(values: Iterable[Fraction]) -> None:
-    """Raise the error :func:`rational_str` would raise on one of ``values``, without rendering.
-
-    A value is past the digit limit when its numerator or denominator has
-    more than ``sys.get_int_max_str_digits()`` digits (0 means no limit).
-    """
-    limit = sys.get_int_max_str_digits()
-    if limit:
-        bound = _power_of_ten(limit)
-        if any(abs(v.numerator) >= bound or v.denominator >= bound for v in values):
-            raise _digit_limit()
-
-
-@cache
-def _power_of_ten(k: int) -> int:
-    return 10**k
 
 
 @dataclass(frozen=True)

@@ -480,6 +480,7 @@ def _ints(top):
 
 
 _PT = {"--p": _RATIONALS, "--t": _RATIONALS}
+_HANKEL_SIZES = _ints(4) + ("17",)
 # per subcommand: flags it always gets (p, t and the sizes whose defaults are
 # large), flags it may get
 _FUZZ_COMMANDS = {
@@ -488,24 +489,20 @@ _FUZZ_COMMANDS = {
         "--method": ("recurrence", "closed_a", "closed_b", "cumulant"),
     }),
     "transforms": (
-        {**_PT, "--series-order": _ints(6)}, {"--route": ("closed", "moments")}
+        {**_PT, "--series-order": _ints(6)},
+        {"--route": ("closed", "moments"), "--series-order": _ints(6) + ("65",)},
     ),
     "density": ({**_PT, "--grid": _ints(5)}, {"--route": ("parametric", "closed")}),
-    "moments-check": ({**_PT, "--n-max": _ints(2)}, {}),
+    "moments-check": ({**_PT, "--n-max": _ints(2)}, {"--tol": ("1e-10", "1e-6")}),
     "gfun": ({"--steps": _ints(3)}, {"--p-min": _FLOATS, "--p-max": _FLOATS}),
-    "posdef": (_PT, {}),
-    "infdiv": (_PT, {}),
+    "posdef": (_PT, {"--hankel-size": _HANKEL_SIZES}),
+    "infdiv": (_PT, {"--hankel-size": _HANKEL_SIZES}),
     "domain-grid": ({"--steps": _ints(3)}, {
         "--p-min": _RATIONALS, "--p-max": _RATIONALS, "--t-min": _RATIONALS,
-        "--t-max": _RATIONALS,
+        "--t-max": _RATIONALS, "--hankel-size": _HANKEL_SIZES,
     }),
 }
-_GLOBAL_FLAGS = {
-    "--format": ("csv", "json"),
-    "--series-order": _ints(6) + ("65",),
-    "--hankel-size": _ints(4) + ("17",),
-    "--tol": ("1e-10", "1e-6"),
-}
+_GLOBAL_FLAGS = {"--format": ("csv", "json")}
 _SUBJECTS = ("a", "raney", "constellation", "a220910", "a022558")
 
 
@@ -554,12 +551,53 @@ def test_csv_does_not_render_the_minors_it_omits(capsys):
 
 
 def test_config_validation_errors(capsys):
-    code, _, err = run(capsys, "seq", "a220910", "--n", "3", "--series-order", "65")
-    assert code == 2
-    code, _, err = run(capsys, "seq", "a220910", "--n", "3", "--hankel-size", "17")
-    assert code == 2
-    code, _, err = run(capsys, "verify", "--tol", "0")
-    assert code == 2
+    for argv, message in (
+        (("transforms", "--p", "2", "--t", "1/2", "--series-order", "65"),
+         "--series-order must lie in 1..64"),
+        (("posdef", "--p", "2", "--t", "1/2", "--hankel-size", "17"),
+         "--hankel-size must lie in 1..16"),
+        (("moments-check", "--p", "2", "--t", "1/2", "--tol", "0"), "--tol must be positive"),
+    ):
+        assert run(capsys, *argv) == (2, "", f"fussdeform: error: {message}\n"), argv
+
+
+# a valid invocation of each subcommand, and the subcommands that take each
+# flag of one object of the paper (jet order, Hankel size, quadrature tolerance)
+_MINIMAL_ARGV = {
+    "seq": ("seq", "a022558", "--n", "1"),
+    "transforms": ("transforms", "--p", "2", "--t", "1/2"),
+    "density": ("density", "--p", "2", "--t", "1/2"),
+    "moments-check": ("moments-check", "--p", "2", "--t", "1/2"),
+    "gfun": ("gfun",),
+    "posdef": ("posdef", "--p", "2", "--t", "1/2"),
+    "infdiv": ("infdiv", "--p", "2", "--t", "1/2"),
+    "domain-grid": ("domain-grid",),
+    "verify": ("verify",),
+}
+_FLAG_OWNERS = {
+    ("--series-order", "8"): ("transforms", "verify"),
+    ("--hankel-size", "4"): ("posdef", "infdiv", "domain-grid"),
+    ("--tol", "1e-6"): ("moments-check",),
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (command, flag, value)
+        for (flag, value), owners in _FLAG_OWNERS.items()
+        for command in _MINIMAL_ARGV
+        if command not in owners
+    ],
+)
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*_MINIMAL_ARGV[command], flag, value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    assert f"unrecognized arguments: {flag} {value}" in err
 
 
 def test_verify_subset_passes(capsys):

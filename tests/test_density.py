@@ -361,7 +361,7 @@ def _scan_cell(p, x):
 def test_rho_bisect_is_plain_bisection_with_fewer_rho_calls(monkeypatch):
     # every point of density_grid and of f_pt ends in one _bisect call, which closes the count
     # of its rho calls
-    real_rho, real_bisect = kernels.rho, kernels._bisect
+    real_rho, real_bisect, real_scan = kernels.rho, kernels._bisect, density._rho_scan
     count = [0]
     solves = []
 
@@ -375,8 +375,15 @@ def test_rho_bisect_is_plain_bisection_with_fewer_rho_calls(monkeypatch):
         count[0] = 0
         return phi
 
+    def uncounted_scan(p):
+        # the scan brackets every point of a call; its rho calls belong to no one solve
+        scan = real_scan(p)
+        count[0] = 0
+        return scan
+
     monkeypatch.setattr(kernels, "rho", counted_rho)
     monkeypatch.setattr(kernels, "_bisect", recorded_bisect)
+    monkeypatch.setattr(density, "_rho_scan", uncounted_scan)
     for p in (F(101, 100), F(3, 2), F(2), F(37, 13), F(4), F(20), F(100)):
         params = Params.exact(p, F(1, 3))
         _, vals = density._rho_scan(float(p))
@@ -390,9 +397,9 @@ def test_rho_bisect_is_plain_bisection_with_fewer_rho_calls(monkeypatch):
     end_cells = 0
     for p, x, lo, hi, phi, calls in solves:
         assert (lo, hi) == _scan_cell(p, x), (p, x)
+        phis, _ = density._rho_scan(p)
         count[0] = 0
         assert phi == _plain_bisect(p, x, lo, hi), (p, x)
-        phis, _ = density._rho_scan(p)
         if lo < phis[0] or hi > phis[-1]:
             # no window: every midpoint is evaluated, as in plain bisection
             end_cells += 1

@@ -1,7 +1,6 @@
 """Exact sequence layer: brute-force oracles, frozen prefixes, cross-checks."""
 
 import random
-import sys
 from fractions import Fraction as F
 from itertools import product
 from math import comb, factorial
@@ -555,18 +554,3 @@ def test_parse_rational():
         parse_rational("1/0")
     with pytest.raises(TypeError):
         parse_rational(1.5)
-
-
-def test_check_printable_fails_exactly_where_rendering_does():
-    bound = 10 ** sys.get_int_max_str_digits()
-    for value in (F(bound - 1), F(1 - bound), F(1, bound - 1), F(bound), F(-bound), F(1, bound)):
-        try:
-            exact_seq.rational_str(value)
-            renders = True
-        except exact_seq.DigitLimitError:
-            renders = False
-        if renders:
-            exact_seq.check_printable([F(1), value])
-        else:
-            with pytest.raises(exact_seq.DigitLimitError):
-                exact_seq.check_printable([F(1), value])
