@@ -7,4 +7,4 @@ module; ``backend_name`` is recorded in benchmark metadata.
 
 from . import _kernels_py as kernels
 
-backend_name = kernels.BACKEND
+backend_name = "python"

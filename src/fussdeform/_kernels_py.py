@@ -15,8 +15,6 @@ moment_quad alone takes its absolute tolerance as an argument.
 from functools import partial
 from math import cos, fabs, inf, log, pi, sin, sqrt, tan
 
-BACKEND = "python"
-
 _PSI_GRID = 512
 _PSI_TOL = 1e-12
 _RHO_TOL = 1e-13
@@ -26,7 +24,6 @@ _MAX_DEPTH = 20
 _INIT_PANELS = 8
 
 __all__ = [
-    "BACKEND",
     "rho",
     "rho_prime",
     "w_phi",

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "FussDeformError",
+    "InconsistencyError",
+    "QuadratureError",
+    "BracketingError",
+    "DigitLimitError",
+]
+
 
 class FussDeformError(Exception):
     """Base class for package-specific failures."""

@@ -38,6 +38,7 @@ __all__ = [
     "raney",
     "deformed_fuss",
     "deformed_table",
+    "ex1_table",
     "constellation_count",
     "constellation_table",
     "binomial_transform",
@@ -395,12 +396,7 @@ def a220910_table(n_max: int, method: str = "recurrence") -> SeqTable:
 
 
 def a220910(n: int, method: str = "recurrence") -> Fraction:
-    """Single term of A220910 (1, 1, 3, 14, 83, 570, ...).
-
-    ``closed_a`` is a per-term formula; the other methods build the table to n.
-    """
-    if method == "closed_a" and n >= 0:
-        return _a220910_closed_a(n)
+    """Single term of A220910 (1, 1, 3, 14, 83, 570, ...), read off the table to n."""
     return a220910_table(n, method).values[n]
 
 

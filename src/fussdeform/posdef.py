@@ -241,7 +241,7 @@ def classify_point(params: Params, size: int = 6) -> dict:
     return {"theorem_verdict": theorem_verdict, "hankel": hankel}
 
 
-def infdiv_check(p: Union[int, Fraction], t, size: int = 5) -> HankelVerdict:
+def infdiv_check(p: Union[int, Fraction], t, size: int = 6) -> HankelVerdict:
     """Hankel test of the shifted free-cumulant sequence (r_2, r_3, ...).
 
     The distribution is freely infinitely divisible exactly when every such

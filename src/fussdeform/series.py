@@ -446,12 +446,9 @@ def cumulants_from_moments(m: TruncSeries) -> CumulantTable:
     return CumulantTable(values=one_plus_r.coeffs[1:])
 
 
-def cumulant_jet(table: CumulantTable, order: Optional[int] = None) -> TruncSeries:
+def cumulant_jet(table: CumulantTable) -> TruncSeries:
     """The jet of R(z) = r_1 z + r_2 z^2 + ... from a cumulant table."""
-    n = len(table.values) if order is None else order
-    if n > len(table.values):
-        raise ValueError("requested order exceeds the stored cumulants")
-    return TruncSeries((Fraction(0),) + table.values[:n])
+    return TruncSeries((Fraction(0),) + table.values)
 
 
 def moments_from_cumulants(table: CumulantTable) -> TruncSeries:

@@ -1,64 +1,18 @@
-"""Acceptance gate: the full verification battery, one test per criterion.
+"""Acceptance gate: the full verification battery, one test case per criterion.
 
-The same battery backs ``fussdeform verify``.  Each test prints its
+The same battery backs ``fussdeform verify``.  Each case prints its
 criterion's PASS/FAIL line (shown with ``pytest -s``, and always shown on
 failure) so a run of this module reads as the acceptance report.
 """
 
-from fussdeform.verify import run_criteria
+import pytest
 
-_RESULTS = {}
-
-
-def _check(ident):
-    if not _RESULTS:
-        for res in run_criteria():
-            _RESULTS[res.ident] = res
-    res = _RESULTS[ident]
-    status = "PASS" if res.passed else "FAIL"
-    print(f"{status}  {res.ident:<4} {res.label}: {res.detail} [{res.seconds:.2f}s]")
-    assert res.passed, f"{res.ident} {res.label}: {res.detail}"
+from fussdeform.verify import CRITERIA, format_report, run_criteria
 
 
-def test_c1_integer_sequence_four_routes():
-    _check("c1")
-
-
-def test_c2_scaled_cumulant_sequence_three_routes():
-    _check("c2")
-
-
-def test_c3_binomial_transform_and_gf():
-    _check("c3")
-
-
-def test_c4_cumulant_polynomials_and_determinant():
-    _check("c4")
-
-
-def test_c5_generating_function_identities():
-    _check("c5")
-
-
-def test_c6_transform_consistency():
-    _check("c6")
-
-
-def test_c7_boundary_function_g():
-    _check("c7")
-
-
-def test_c8_density_agreement():
-    _check("c8")
-
-
-def test_c9_moment_and_measure_quadrature():
-    _check("c9")
-
-
-def test_c10_positivity_classification():
-    _check("c10")
-
-
-def test_c11_recurrence_and_differential_identity():
-    _check("c11")
+@pytest.mark.parametrize("ident", [ident for ident, *_ in CRITERIA])
+def test_criterion(ident):
+    (res,) = run_criteria(only=ident)
+    line = format_report([res]).splitlines()[0]
+    print(line)
+    assert res.passed, line

@@ -457,8 +457,8 @@ def test_a220910_methods_agree_at_the_benchmark_tail():
 
 
 def test_a220910_term_is_the_table_entry():
-    # closed_b carries its inner sum across n and closed_a is computed per
-    # term, so a single term must equal the entry the long table passes through.
+    # closed_b carries its inner sum across n, so a single term must equal the
+    # entry the long table passes through.
     for method in ("recurrence", "closed_a", "closed_b", "cumulant"):
         table = a220910_table(120, method).values
         for n in (0, 1, 2, 7, 33, 64, 120):

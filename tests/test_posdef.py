@@ -1,5 +1,6 @@
 """Positivity layer: psi criterion, the boundary curve g, exact Hankel verdicts."""
 
+import inspect
 import math
 import random
 from fractions import Fraction as F
@@ -18,7 +19,7 @@ from fussdeform import (
     posdef,
 )
 from fussdeform._backend import kernels
-from fussdeform.cli import main
+from fussdeform.cli import _build_parser, main
 from fussdeform.exact_seq import catalan_table
 from fussdeform.posdef import (
     HankelVerdict,
@@ -489,3 +490,10 @@ def test_infdiv_covers_only_the_closed_description():
         infdiv_check(4, F(1), 3)
     with pytest.raises(ValueError):
         infdiv_check(F(3, 2), F(1), 3)
+
+
+def test_infdiv_default_size_is_the_cli_default():
+    # infdiv_check(p, t) tests the same section as `fussdeform infdiv --p P --t T`.
+    size = _build_parser().parse_args(["infdiv", "--p", "2", "--t", "7/6"]).hankel_size
+    for f in (infdiv_check, classify_point):
+        assert inspect.signature(f).parameters["size"].default == size == 6, f.__name__

@@ -1,12 +1,14 @@
-"""Repository hygiene: the README's library tour runs, no build artifact is tracked,
-the benchmark's layer tracer still finds every entry point it wraps and wraps every
-kernel the package calls but the per-point ones, and every name in an ``__all__``
-resolves."""
+"""Repository hygiene: the README's library tour runs and its CLI tour shows what the
+commands print, no build artifact is tracked, the benchmark's layer tracer still finds
+every entry point it wraps and wraps every kernel the package calls but the per-point
+ones, every name in an ``__all__`` resolves, and the package re-exports each module's
+``__all__`` once."""
 
 import ast
 import importlib
 import importlib.util
 import re
+import shlex
 import shutil
 import subprocess
 from fractions import Fraction
@@ -26,6 +28,36 @@ def test_readme_library_tour_runs():
     # the values the tour shows in its comments
     assert ns["deformed_fuss"](ns["params"], 4) == Fraction(15, 1)
     assert ns["g_of_p"](1.5) == 0.19999999999999998
+
+
+def _cli_tour_examples():
+    """(argv, head, shown lines) for each ``$ fussdeform ...`` example of the README's CLI tour."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## CLI tour", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for block in re.findall(r"```text\n(.*?)```", tour, re.DOTALL):
+        for chunk in re.split(r"^\$ ", block, flags=re.MULTILINE)[1:]:
+            command, *shown = chunk.strip().splitlines()
+            command, _, head = command.partition(" | head -")
+            examples.append((shlex.split(command)[1:], int(head) if head else None, shown))
+    return examples
+
+
+def test_readme_cli_tour_matches(capsys):
+    from fussdeform.cli import main
+
+    examples = _cli_tour_examples()
+    assert len(examples) == 9
+    for argv, head, shown in examples:
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out.splitlines()
+        if head is not None:
+            assert out[:head] == shown, argv
+            continue
+        # every shown line but "..." appears in the output, in order
+        rest = iter(out)
+        missing = [line for line in shown if line != "..." and line not in rest]
+        assert missing == [], argv
 
 
 def test_no_tracked_file_is_ignored():
@@ -94,9 +126,19 @@ def test_every_kernel_the_package_calls_is_traced_or_per_point():
 
 
 @pytest.mark.parametrize(
-    "module", ["", ".exact_seq", ".series", ".density", ".posdef", ".cli", ".verify", "._kernels_py"]
+    "module",
+    ["", ".errors", ".exact_seq", ".series", ".density", ".posdef", ".cli", ".verify", "._kernels_py"],
 )
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module("fussdeform" + module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_package_reexports_each_module_all_once():
+    import fussdeform
+
+    assert len(fussdeform.__all__) == len(set(fussdeform.__all__))
+    for module in ("errors", "exact_seq", "series", "density"):
+        mod = importlib.import_module("fussdeform." + module)
+        assert [n for n in mod.__all__ if getattr(fussdeform, n, None) is not getattr(mod, n)] == [], module
