@@ -6,10 +6,12 @@ binds this module as ``kernels``.
 Only plain floats are used here.  Exact arithmetic lives elsewhere.
 
 The settings no caller varies are module constants: psi and -B/A are scanned at _PSI_GRID + 1
-points of [0, pi] and refined by golden section to width _PSI_TOL; rho is inverted by bisection
-to width _RHO_TOL; the adaptive quadrature starts from _INIT_PANELS panels, halves a panel at
-most _MAX_DEPTH times and stops once its error estimate is within _ATOL + _RTOL |value|.
-moment_quad alone takes its absolute tolerance as an argument.
+points of [0, pi] and refined by golden section to width _PSI_TOL.  Both scans read the grid
+samples of the last p scanned (_psi_samples), so psi_min(p, 0), g_sup(p) and the check
+psi_min(p, g) of one g(p) compute them once; the refinement evaluates each point afresh.  rho
+is inverted by bisection to width _RHO_TOL; the adaptive quadrature starts from _INIT_PANELS
+panels, halves a panel at most _MAX_DEPTH times and stops once its error estimate is within
+_ATOL + _RTOL |value|.  moment_quad alone takes its absolute tolerance as an argument.
 """
 
 from functools import partial
@@ -149,11 +151,35 @@ def _grid_min(f, vals):
     return best_val, best_phi
 
 
+# The grid samples of the last p scanned: (p, sin((1 - 1/p) phi_i), sin(phi_i), cos(phi_i / p))
+# at phi_i = i pi / _PSI_GRID, as three flat lists.  They do not depend on t, so the scans of one
+# g(p) (psi_min at t = 0, g_sup, psi_min at t = g) share them; one p is held at a time.
+_psi_samples = (None, (), (), ())
+
+
+def _grid_samples(p):
+    """The grid samples of psi at p (see _psi_samples), built when p is not the one held."""
+    global _psi_samples
+    if _psi_samples[0] != p:
+        # drop the old samples first, so that two sets never coexist
+        _psi_samples = (None, (), (), ())
+        k = 1.0 - 1.0 / p
+        step = pi / _PSI_GRID
+        grid = range(_PSI_GRID + 1)
+        _psi_samples = (
+            p,
+            [sin(k * (i * step)) for i in grid],
+            [sin(i * step) for i in grid],
+            [cos(i * step / p) for i in grid],
+        )
+    return _psi_samples
+
+
 def psi_min(p, t):
-    """Global minimum of psi(p, t, .) over [0, pi]: (value, argmin); psi is written inline."""
-    k = 1.0 - 1.0 / p
-    phis = [i * (pi / _PSI_GRID) for i in range(_PSI_GRID + 1)]
-    vals = [t * sin(k * x) + 2.0 * (1.0 - t) * sin(x) * cos(x / p) for x in phis]
+    """Global minimum of psi(p, t, .) over [0, pi]: (value, argmin); psi is written inline on
+    the grid samples and evaluated pointwise by the refinement."""
+    _, sin_k, sin_1, cos_p = _grid_samples(p)
+    vals = [t * a + 2.0 * (1.0 - t) * s * c for a, s, c in zip(sin_k, sin_1, cos_p)]
     return _grid_min(partial(psi, p, t), vals)
 
 
@@ -165,9 +191,15 @@ def _t_bound(p, phi):
 
 
 def g_sup(p):
-    """sup of -B/A over A > 0 (see _t_bound): psi(p, t, .) >= 0 needs t >= it.  (value, argmax)."""
-    bound = partial(_t_bound, p)
-    value, phi = _grid_min(bound, [bound(i * (pi / _PSI_GRID)) for i in range(_PSI_GRID + 1)])
+    """sup of -B/A over A > 0 (see _t_bound): psi(p, t, .) >= 0 needs t >= it.  (value, argmax).
+    _t_bound is written inline on the grid samples and evaluated pointwise by the refinement."""
+    _, sin_k, sin_1, cos_p = _grid_samples(p)
+    vals = []
+    for u, s, c in zip(sin_k, sin_1, cos_p):
+        b = 2.0 * s * c
+        a = u - b
+        vals.append(b / a if a > 0.0 else inf)
+    value, phi = _grid_min(partial(_t_bound, p), vals)
     return -value, phi
 
 

@@ -7,6 +7,9 @@ The density f_{p,t} is nonnegative exactly when the angle function
 stays nonnegative on (0, pi).  For each p >= 1 the admissible deformations
 form the closed interval [g(p), 2p/(p+1)].  psi is affine in t, so g(p) is
 one maximisation over phi, which the minimum of psi at t = g(p) then checks.
+For p >= 2, phi / p <= pi / 2 on [0, pi] makes psi_{p,0} >= 0, so g(p) = 0
+with no scan.  Below 2, the minimum at t = 0, the maximisation and the check
+read one set of grid samples of p, which the kernels compute once.
 
 Independently, the moment sequence a_n(p, t) is positive definite exactly when
 every Hankel matrix (a_{i+j}) is positive semidefinite.  hankel_report is
@@ -91,7 +94,9 @@ def psi_min(p: float, t: float) -> PsiPoint:
 
 @lru_cache(maxsize=1024)
 def _g_cached(p: float) -> float:
-    if kernels.psi_min(p, 0.0)[0] >= -_FEAS_TOL:
+    # For p >= 2, phi / p <= pi / 2 on [0, pi], so psi_{p,0}(phi) = 2 sin(phi) cos(phi / p) >= 0
+    # (in floats too, as float pi < pi) and g(p) = 0 needs no scan.
+    if p >= 2.0 or kernels.psi_min(p, 0.0)[0] >= -_FEAS_TOL:
         return 0.0
     g = min(1.0, max(0.0, kernels.g_sup(p)[0]))
     value = kernels.psi_min(p, g)[0]
@@ -102,7 +107,9 @@ def _g_cached(p: float) -> float:
 
 def g_of_p(p: float) -> float:
     """The least t in [0, 1] with psi_{p,t} >= 0 on (0, pi): max(0, sup -B/A over A > 0)
-    for psi = t A + B, checked by psi_min(p, g(p)) >= -1e-12 (else InconsistencyError)."""
+    for psi = t A + B.  It is 0 with no scan for p >= 2.  Below 2 it is 0 where psi_min(p, 0)
+    >= -1e-12; otherwise it is checked by psi_min(p, g(p)) >= -1e-12 (else InconsistencyError).
+    Its three scans share one set of grid samples."""
     p = float(p)
     if not (isfinite(p) and p >= 1.0):
         raise ValueError("g is defined for p >= 1")

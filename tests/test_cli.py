@@ -327,6 +327,20 @@ def test_posdef_json_minors(capsys):
     assert payload["hankel"]["minors"] == ["1/1", "1/1", "1/1", "1/1"]
 
 
+def test_posdef_negative_t_needs_the_equals_form(capsys):
+    # argparse reads "-1/3" after "--t" as a flag, so a negative t is given as --t=-1/3
+    code, out, _ = run(capsys, "posdef", "--p", "2", "--t=-1/3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["theorem_verdict"] is False
+    with pytest.raises(SystemExit) as exc:
+        main(["posdef", "--p", "2", "--t", "-1/3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    assert "argument --t: expected one argument" in err
+
+
 def test_infdiv_csv_row(capsys):
     code, out, _ = run(capsys, "infdiv", "--p", "2", "--t", "1/2", "--hankel-size", "2")
     assert code == 0

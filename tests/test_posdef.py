@@ -114,24 +114,47 @@ def test_g_strictly_decreasing_on_the_unit_gap():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def _psi_min_pointwise(p, t):
-    """kernels.psi_min with every grid point evaluated by psi itself."""
+def _scan_pointwise(f):
+    """The kernels' grid scan of f over [0, pi], every grid point evaluated by f itself; +inf
+    marks a point without a value."""
     grid = kernels._PSI_GRID
     step = math.pi / grid
-    vals = [kernels.psi(p, t, i * step) for i in range(grid + 1)]
+    vals = [f(i * step) for i in range(grid + 1)]
     best = min(range(grid + 1), key=vals.__getitem__)
     best_val, best_phi = vals[best], best * step
-    cells = [i for i in range(1, grid) if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]]
+    cells = [
+        i
+        for i in range(1, grid)
+        if vals[i] < math.inf and vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]
+    ]
     brackets = [((i - 1) * step, (i + 1) * step) for i in cells]
-    if vals[0] <= vals[1]:
+    if vals[0] < math.inf and vals[0] <= vals[1]:
         brackets.append((0.0, step))
-    if vals[grid] <= vals[grid - 1]:
+    if vals[grid] < math.inf and vals[grid] <= vals[grid - 1]:
         brackets.append((math.pi - step, math.pi))
     for a, b in brackets:
-        xm, fm = kernels._golden(lambda phi: kernels.psi(p, t, phi), a, b)
+        xm, fm = kernels._golden(f, a, b)
         if fm < best_val:
             best_val, best_phi = fm, xm
     return best_val, best_phi
+
+
+def _psi_min_pointwise(p, t):
+    """kernels.psi_min with every grid point evaluated by psi itself."""
+    return _scan_pointwise(lambda phi: kernels.psi(p, t, phi))
+
+
+def _t_bound(p, phi):
+    """B/A where A > 0, else inf, for psi = t A + B at phi."""
+    b = 2.0 * math.sin(phi) * math.cos(phi / p)
+    a = math.sin((1.0 - 1.0 / p) * phi) - b
+    return b / a if a > 0.0 else math.inf
+
+
+def _g_sup_pointwise(p):
+    """kernels.g_sup with every grid point evaluated by _t_bound itself."""
+    value, phi = _scan_pointwise(lambda x: _t_bound(p, x))
+    return -value, phi
 
 
 def _g_bisection(p):
@@ -214,6 +237,64 @@ def test_g_is_certified_by_psi_min(monkeypatch, capsys):
         assert "internal contradiction" in capsys.readouterr().err
     finally:
         posdef._g_cached.cache_clear()
+
+
+_P_EDGES = [1.0, 1.5, math.nextafter(2.0, 0.0), 2.0, 1e6]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ps=st.lists(
+        st.one_of(st.sampled_from(_P_EDGES), st.floats(1.0, 2.0), st.floats(1.0, 1e6)),
+        min_size=1,
+        max_size=4,
+    ),
+    order=st.lists(st.integers(0, 3), min_size=2, max_size=8),
+    t=st.floats(0.0, 2.0),
+)
+def test_the_grid_samples_follow_p(ps, order, t):
+    # psi_min and g_sup read their grid values from the samples of the last p scanned; any
+    # interleaving of p values, repeats included, must give the pointwise scans' floats.
+    for i in order:
+        p = ps[i % len(ps)]
+        assert kernels.psi_min(p, t) == _psi_min_pointwise(p, t), (p, t)
+        assert kernels.g_sup(p) == _g_sup_pointwise(p), p
+
+
+def test_g_needs_no_scan_from_two_on(monkeypatch):
+    rng = random.Random(2718)
+    ps = [2.0, math.nextafter(2.0, math.inf), 2.5, 3.0, 7.0, 1e6, 1e307]
+    ps += [rng.uniform(2.0, 100.0) for _ in range(20)]
+    # the scan the shortcut skips would find psi(p, 0, .) >= 0, so g(p) = 0 either way
+    for p in ps:
+        assert kernels.psi_min(p, 0.0)[0] >= -posdef._FEAS_TOL, p
+    posdef._g_cached.cache_clear()
+    monkeypatch.setattr(posdef, "kernels", object())  # any kernel call raises AttributeError
+    try:
+        assert [g_of_p(p) for p in ps] == [0.0] * len(ps)
+    finally:
+        posdef._g_cached.cache_clear()
+
+
+def test_g_builds_one_sample_grid_below_two(monkeypatch):
+    built = kernels._grid_samples
+    seen = []
+
+    def recording(p):
+        seen.append(built(p))
+        return seen[-1]
+
+    monkeypatch.setattr(kernels, "_grid_samples", recording)
+    monkeypatch.setattr(kernels, "_psi_samples", (None, (), (), ()))
+    posdef._g_cached.cache_clear()
+    try:
+        assert g_of_p(1.5) == 0.19999999999999998
+    finally:
+        posdef._g_cached.cache_clear()
+    # psi_min at t = 0, g_sup and the certificate psi_min at t = g read one set of samples
+    assert len(seen) == 3
+    assert all(samples is seen[0] for samples in seen)
+    assert seen[0][0] == 1.5
 
 
 def test_flat_scans_refine_one_cell_per_run(monkeypatch):
