@@ -9,13 +9,16 @@ The settings no caller varies are module constants: psi and -B/A are scanned at 
 points of [0, pi] and refined by golden section to width _PSI_TOL.  Both scans read the grid
 samples of the last p scanned (_psi_samples), so psi_min(p, 0), g_sup(p) and the check
 psi_min(p, g) of one g(p) compute them once; the refinement evaluates each point afresh.  rho
-is inverted by bisection to width _RHO_TOL; the adaptive quadrature starts from _INIT_PANELS
-panels, halves a panel at most _MAX_DEPTH times and stops once its error estimate is within
-_ATOL + _RTOL |value|.  moment_quad alone takes its absolute tolerance as an argument.
+is inverted by bisection to width _RHO_TOL, which halves a dyadic bracket down to leaves of
+width _LEAF = 2^-44, the largest power of two within _RHO_TOL.  The adaptive quadrature starts
+from _INIT_PANELS panels, halves a panel at most _MAX_DEPTH times and stops once its error
+estimate is within _ATOL + _RTOL |value|.  moment_quad alone takes its absolute tolerance as an
+argument.
 """
 
 from functools import partial
-from math import cos, fabs, inf, log, pi, sin, sqrt, tan
+from math import cos, fabs, frexp, inf, ldexp, log, pi, sin, sqrt, tan
+from sys import float_info
 
 _PSI_GRID = 512
 _PSI_TOL = 1e-12
@@ -239,15 +242,15 @@ def _cell_eta(p, lo, hi):
     return eta if eta < 1e-3 else None
 
 
-def _rho_window(p, x, lo, hi, eta, start):
+def _rho_window(p, x, lx, lo, hi, eta, start):
     """A window [a, b] of [lo, hi] with rho(p, phi) >= x proven for every float phi in [lo, a]
     and rho(p, phi) < x for every one in [b, hi], and the slope and curve of log rho at the
     last Newton iterate: (a, b, slope, curve); (lo, hi, None, None) when none is proven.
 
-    eta is _cell_eta(p, lo, hi).  Newton in log rho from start in the cell predicts the root,
-    and one evaluation at each end of the window proves it.
+    lx is log x (None when x <= 0) and eta is _cell_eta(p, lo, hi).  Newton in log rho from
+    start in the cell predicts the root, and one evaluation at each end of the window proves it.
     """
-    if eta is None or not 0.0 < x:
+    if eta is None or lx is None:
         return lo, hi, None, None
     # log rho is concave in phi (its second derivative, with csc^2 = 1 + cot^2 the negative of
     # curve below, is negative wherever sampled for p from 1.001 to 300), so from any start,
@@ -256,7 +259,6 @@ def _rho_window(p, x, lo, hi, eta, start):
     # restarts at hi.  miss (in log rho) is four times the error C s^2 that the last step s
     # leaves, C = |l''| / (2 |l'|).  Where concavity failed, the check at a and b would reject
     # the window.
-    lx = log(x)
     q = p - 1.0
     pp, qq = p * p, q * q
     phi = start
@@ -286,10 +288,29 @@ def _rho_window(p, x, lo, hi, eta, start):
     return lo, hi, None, None
 
 
+# Bisection of a dyadic bracket (see _bisect) halves it down to leaves of width _LEAF, the
+# largest power of two within _RHO_TOL, so each midpoint on the way is a multiple of _LEAF.
+_LEAF = 2.0**-44
+
+
 def _bisect(p, x, lo, hi, a, b):
     """Bisection of [lo, hi] to width _RHO_TOL for rho(p, phi) = x that evaluates rho only at
     the midpoints inside the window (a, b) and decides one outside it by its position, as rho
-    would decide it."""
+    would decide it.
+
+    A dyadic bracket in (0, pi) (a power-of-two width of at least _LEAF, a left end that is a
+    multiple of it) has exact midpoints, and its bisection passes through each dyadic interval
+    that holds [a, b]; the loop starts from the smallest one that holds the leaves of a and b,
+    read off their indices, so the midpoints it skips are all <= a or >= b, and the result is
+    the same float."""
+    width = hi - lo  # exact once lo is 0 or a multiple of it (Sterbenz)
+    if _LEAF <= width and hi < pi and frexp(width)[0] == 0.5 and lo % width == 0.0:
+        ia, ib = int(a / _LEAF), int(b / _LEAF)
+        level = (ia ^ ib).bit_length()
+        node = ldexp(_LEAF, level)
+        if node < width:
+            lo = (ia >> level << level) * _LEAF
+            hi = lo + node
     while (hi - lo) > _RHO_TOL:
         mid = 0.5 * (lo + hi)
         if mid <= a or (mid < b and rho(p, mid) >= x):
@@ -303,32 +324,38 @@ def rho_bisect(p, xs, brackets):
     """Solve rho(p, phi) = x for each x of the increasing xs by bisection on its bracket
     (lo, hi), rho(lo) >= x >= rho(hi): the list of roots.
 
-    The bisection runs every midpoint, but rho is evaluated only at those inside the window of
-    _rho_window, so each root is the float plain bisection returns; with no window (a, b) =
-    (lo, hi), which is plain bisection.  eta is computed once per run of equal brackets.
-    Newton starts from a second-order prediction off the previous root: d = dlog x / slope,
-    then d += curve d^2 / (2 slope), with the slope l' and curve -l'' of l = log rho at that
-    root's last Newton iterate; it starts at the bracket midpoint when there is none (as for
-    the first x) or the prediction leaves the bracket.  Each root still comes from a window
-    whose two ends rho has proven.
+    Each root is the float plain bisection returns, but rho is evaluated only at the midpoints
+    inside the window of _rho_window, and in a dyadic bracket the loop starts from the smallest
+    dyadic interval that holds the window (see _bisect); with no window (a, b) = (lo, hi), which
+    is plain bisection.  eta is computed once per run of equal brackets.  Newton starts from a
+    second-order prediction off the previous root: d = dlog x / slope, then
+    d += curve d^2 / (2 slope), with the slope l' and curve -l'' of l = log rho at that root's
+    last Newton iterate; it starts at the bracket midpoint when there is none (as for the first
+    x) or the prediction leaves the bracket.  Each root still comes from a window whose two ends
+    rho has proven.  log x is computed once per point.  A root found without a window at which
+    rho's denominator sin(phi) sin((p - 1) phi)^(p - 1) is below the normal floats (next to
+    c(p) at large p) raises ZeroDivisionError: rho there has lost its relative accuracy.
     """
     roots = []
     cell = eta = slope = None
+    q = p - 1.0
     for x, bracket in zip(xs, brackets):
         lo, hi = bracket
         if bracket != cell:
             cell, eta = bracket, _cell_eta(p, lo, hi)
+        lx = log(x) if 0.0 < x else None
         start = 0.5 * (lo + hi)
         if slope is not None:
-            d = (log(x) - lx) / slope
+            d = (lx - last_lx) / slope
             d += curve * d * d / (2.0 * slope)
             if lo < root + d < hi:
                 start = root + d
-        a, b, slope, curve = _rho_window(p, x, lo, hi, eta, start)
+        a, b, slope, curve = _rho_window(p, x, lx, lo, hi, eta, start)
         root = _bisect(p, x, lo, hi, a, b)
+        if slope is None and sin(root) * sin(q * root) ** q < float_info.min:
+            raise ZeroDivisionError(f"rho's denominator underflows at p={p}, phi={root}")
         roots.append(root)
-        if slope is not None:
-            lx = log(x)
+        last_lx = lx
     return roots
 
 

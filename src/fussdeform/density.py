@@ -4,10 +4,12 @@ Two routes to the density f_{p,t} = t W_{p,1} + (1 - t) W_{p,2} on (0, c(p)):
 
 * parametric -- solve x = rho(phi) on (0, pi/p) and evaluate the angle form
   (works for every p > 1); rho is assumed strictly decreasing, an assumption
-  converted into a runtime check by a 64-point monotone scan per p, whose
-  cells bracket the bisection.  The points of a call, one or a whole grid,
-  are solved by one kernel call that starts Newton's method at each point
-  from the previous point's root;
+  converted into a runtime check by a monotone scan per p at 64 or more
+  multiples of a power of two, whose cells bracket the bisection.  Each
+  interior cell is a dyadic interval, so the bisection starts from the
+  smallest dyadic interval that holds the window Newton's method proves.  The
+  points of a call, one or a whole grid, are solved by one kernel call that
+  starts Newton's method at each point from the previous point's root;
 * closed     -- the six elementary closed forms for p in {2, 3, 3/2}, r in {1, 2}.
 
 f_pt, w_param and density_grid evaluate through one helper, which resolves the
@@ -26,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
-from math import isfinite, pi, sqrt
+from math import ceil, frexp, isfinite, ldexp, pi, sqrt
 from operator import neg
 from typing import NamedTuple, Optional
 
@@ -93,9 +95,15 @@ _SCAN_POINTS = 64
 
 
 def _rho_scan(p: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Monotonicity check + bisection bracket grid for rho(p, .)."""
+    """Monotonicity check + bisection bracket grid for rho(p, .): the scan points h, 2h, ..., K h
+    for the largest power of two h that leaves K >= _SCAN_POINTS with (K + 1) h < pi/p, and rho
+    at each.  Every interior cell is then a dyadic interval (a power-of-two width, a left end
+    that is a multiple of it), so each bisection midpoint in it is exact."""
     top = pi / p
-    phis = tuple(top * (i + 1) / (_SCAN_POINTS + 1) for i in range(_SCAN_POINTS))
+    h = ldexp(1.0, frexp(top / (_SCAN_POINTS + 1))[1] - 1)
+    if (_SCAN_POINTS + 1) * h >= top:
+        h *= 0.5
+    phis = tuple(i * h for i in range(1, ceil(top / h) - 1))
     vals = tuple(kernels.rho(p, f) for f in phis)
     chain = (support_c(p),) + vals + (0.0,)
     for a, b in zip(chain, chain[1:]):
@@ -203,7 +211,8 @@ def _samples(p: float, xs: list[float], route: str, angle, closed=None) -> list[
     """A sample at each of the increasing xs.  parametric: its phi solves x = rho(p, phi), all
     of them by one kernel call, and its value is angle(phi); closed: phi is None and the value
     is closed(form, x), with the closed form for p read once.  A float limit on the way (rho's
-    denominator or the angle form underflows to 0 next to c(p)) raises OverflowError."""
+    denominator leaves the normal floats, or the angle form's underflows to 0, next to c(p))
+    raises OverflowError."""
     if route == "closed":
         form = _closed_form(p)
         return [DensitySample(x, None, closed(form, x)) for x in xs]

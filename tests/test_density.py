@@ -3,10 +3,11 @@
 import random
 import re
 from fractions import Fraction as F
-from math import pi, sin, sqrt
+from math import frexp, pi, sin, sqrt
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fussdeform
@@ -333,6 +334,77 @@ def _plain_bisect(p, x, lo, hi, tol=1e-13):
     return 0.5 * (lo + hi)
 
 
+def test_rho_scan_cells_are_dyadic_with_a_window():
+    # the scan points are h, 2h, ..., K h for a power of two h with (K + 1) h < pi/p, so each
+    # interior cell has a power-of-two width and a left end that is a multiple of it, and
+    # stays far enough from pi/p for _cell_eta to bound its window; p near 1, a spread of
+    # rational p = a/b in (1, 4] with b from 8 to 48, and large p
+    ps = (
+        [1.0 + i / 1000 for i in range(1, 50)]
+        + [float(F(a, b)) for b in range(8, 49, 4) for a in range(b + 1, 4 * b + 1, 3)]
+        + [20.0, 62.0, 100.0]
+    )
+    for p in ps:
+        phis, _ = density._rho_scan(p)
+        h = phis[0]
+        assert len(phis) >= 64, p
+        assert frexp(h)[0] == 0.5 and phis == tuple(i * h for i in range(1, len(phis) + 1)), p
+        assert (len(phis) + 1) * h < pi / p, p
+        for lo, hi in zip(phis, phis[1:]):
+            width = hi - lo
+            assert frexp(width)[0] == 0.5 and lo % width == 0.0, (p, lo)
+            assert kernels._cell_eta(p, lo, hi) is not None, (p, lo)
+
+
+@st.composite
+def _bracket_windows(draw):
+    """A bracket [lo, hi] in (0, pi) and a window lo <= a < b <= hi: mostly a dyadic bracket,
+    sometimes one moved by a third of its width or stretched by 11/8, which is not; each end
+    of the window the bracket's, a leaf boundary or a point inside a leaf, the window inside
+    one leaf, across a few or across many."""
+    level = draw(st.integers(min_value=-44, max_value=-2))
+    width = 2.0**level
+    lo = draw(st.integers(min_value=0, max_value=int(pi / width) - 3)) * width
+    lo += draw(st.sampled_from([0.0, 0.0, 0.0, 1.0 / 3.0])) * width
+    hi = lo + draw(st.sampled_from([1.0, 1.0, 1.0, 1.375])) * width
+    leaf = kernels._LEAF
+    leaves = int((hi - lo) / leaf)
+    inside = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    ia = draw(st.integers(min_value=0, max_value=leaves))
+    ib = draw(
+        st.one_of(
+            st.just(ia),
+            st.integers(min_value=ia, max_value=min(ia + 3, leaves)),
+            st.integers(min_value=ia, max_value=leaves),
+        )
+    )
+    a = draw(st.one_of(st.just(lo), st.just(min(lo + (ia + draw(inside)) * leaf, hi))))
+    b = draw(st.one_of(st.just(hi), st.just(min(lo + (ib + draw(inside)) * leaf, hi))))
+    return lo, hi, a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(window=_bracket_windows(), salt=st.integers(min_value=0, max_value=2**32))
+def test_bisect_jump_returns_plain_bisection(window, salt):
+    # a rho that is >= x up to a, < x from b on and arbitrary in between: whatever it says
+    # inside the window, _bisect returns the float of plain bisection over the whole bracket,
+    # from the dyadic interval that holds the window in a dyadic bracket, from the bracket in
+    # any other
+    lo, hi, a, b = window
+    assume(a < b)
+
+    def window_rho(p, phi):
+        if phi <= a:
+            return 1.0
+        if phi >= b:
+            return 0.0
+        return float(hash((phi, salt)) & 1)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "rho", window_rho)
+        assert kernels._bisect(2.0, 0.5, lo, hi, a, b) == _plain_bisect(2.0, 0.5, lo, hi)
+
+
 def test_rho_bisect_recovers_the_angle():
     rng = random.Random(2026)
     for _ in range(25):
@@ -548,6 +620,51 @@ def test_density_grid_matches_w_param_and_f_pt(p, t):
     for s in density_grid(params, 1000):
         assert s.phi == w_param(float(p), 1, s.x).phi, s.x
         assert s.value == f_pt(params, s.x), s.x
+
+
+def _density_reference(p, t, x):
+    """(phi*, f(phi*), f'(phi*)) at 50 digits for the float inputs p, t, x: phi* solves
+    rho(p, phi) = x by mpmath's bracketed Illinois solver in the cell of an even 64-cell scan
+    of (0, pi/p) that holds x, and f is the angle form of f_{p,t}."""
+    cells = 64
+    with mpmath.workdps(50):
+        p, t, x = mpmath.mpf(p), mpmath.mpf(t), mpmath.mpf(x)
+        q = p - 1
+
+        def rho_mp(phi):
+            return mpmath.sin(p * phi) ** p / (mpmath.sin(phi) * mpmath.sin(q * phi) ** q)
+
+        def f_mp(phi):
+            s1 = mpmath.sin(q * phi)
+            mixed = t * s1 + 2 * (1 - t) * mpmath.sin(p * phi) * mpmath.cos(phi)
+            return mpmath.sin(phi) ** 2 * s1 ** (p - 3) * mixed / (
+                mpmath.pi * mpmath.sin(p * phi) ** (p - 1)
+            )
+
+        top = mpmath.pi / p
+        tiny = mpmath.mpf(10) ** -30
+        ends = [top * tiny] + [top * j / cells for j in range(1, cells)] + [top * (1 - tiny)]
+        j = next(j for j in range(cells) if rho_mp(ends[j + 1]) < x)
+        phi = mpmath.findroot(lambda u: rho_mp(u) - x, (ends[j], ends[j + 1]), solver="illinois")
+        return phi, f_mp(phi), mpmath.diff(f_mp, phi)
+
+
+@pytest.mark.parametrize(
+    "p, t",
+    [(F(101, 100), F(1, 3)), (F(3, 2), F(1, 5)), (F(2), F(1)), (F(37, 13), F(1, 2)),
+     (F(4), F(-1, 3)), (F(20), F(1, 3))],
+)
+def test_density_grid_matches_a_50_digit_reference(p, t):
+    # each phi is within the bisection width of the root; each value is off by at most what
+    # that moves f, |f'(phi*)| _RHO_TOL, plus a rounding allowance of 1e-14 of the largest value
+    params = Params.exact(p, t)
+    pf, tf = params.as_floats()
+    samples = density_grid(params, 30)
+    refs = [_density_reference(pf, tf, s.x) for s in samples]
+    scale = max(abs(f_star) for _, f_star, _ in refs)
+    for s, (phi_star, f_star, slope) in zip(samples, refs):
+        assert abs(s.phi - phi_star) <= kernels._RHO_TOL, s.x
+        assert abs(s.value - f_star) <= abs(slope) * kernels._RHO_TOL + 1e-14 * scale, s.x
 
 
 def test_density_sample_fields_are_fixed():
