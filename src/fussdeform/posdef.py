@@ -13,10 +13,13 @@ read one set of grid samples of p, which the kernels compute once.
 
 Independently, the moment sequence a_n(p, t) is positive definite exactly when
 every Hankel matrix (a_{i+j}) is positive semidefinite.  hankel_report is
-exact and runs in Python integers: it scales the section once by the lcm of
-its denominators, and one symmetric fraction-free (Bareiss) elimination in
-natural order gives the leading principal minors (the pivots themselves, each
-divided once by a power of the scale) and the verdict (the signs of the
+exact and runs in Python integers.  It first rescales the section to
+s^(i+j) a_{i+j}, which is D H D with D = diag(1, s, ..., s^(m-1)) and again a
+Hankel section; the integer s = den(a_2) / gcd(den(a_1), den(a_2)) takes out
+the geometric growth of the denominators.  It then clears the remaining
+denominators by their lcm L, and one symmetric fraction-free (Bareiss)
+elimination in natural order gives the leading principal minors (the pivots,
+each divided once by a power of L and of s) and the verdict (the signs of the
 pivots).  Every division in it is exact, because each intermediate entry is
 itself a minor of the integer section.  classify_point runs both routes and
 refuses to return if they genuinely disagree.
@@ -27,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isfinite, lcm, pi
+from math import gcd, isfinite, lcm, pi
 from typing import Sequence, Union
 
 from ._backend import kernels
@@ -161,10 +164,15 @@ def _det(rows: list[list[Fraction]]) -> Fraction:
 def hankel_report(seq: Union[SeqTable, Sequence[Fraction]], size: int) -> HankelVerdict:
     """Definiteness of H = (seq[i+j])_{0 <= i,j < size}, all arithmetic exact.
 
-    H is scaled once to the integer section B = L H, L the lcm of the
-    denominators of its 2 size - 1 values, and one symmetric fraction-free
-    (Bareiss) elimination in natural order runs on the upper triangle of B.
-    Each update
+    With d_k the denominator of v_k = seq[k], s = d_2 // gcd(d_1, d_2) (s = 1
+    at size 1) is the part of d_2 not in d_1: the ratio b for moment sections
+    at p = a/b, the growth of den(t) for cumulant sections at tiny t.  The
+    values w_k = s^k v_k form D H D, D = diag(1, s, ..., s^(size-1)), which
+    is again a Hankel section, and its leading minor of order k + 1 is
+    s^(k(k+1)) times that of H, a positive factor.  D H D is scaled to the
+    integer Hankel section B = L D H D, L the lcm of the denominators of the
+    w_k, and one symmetric fraction-free (Bareiss) elimination in natural
+    order runs on the upper triangle of B.  Each update
 
         b[i][j] = (pivot * b[i][j] - b[k][i] * b[k][j]) // prev
 
@@ -172,7 +180,8 @@ def hankel_report(seq: Union[SeqTable, Sequence[Fraction]], size: int) -> Hankel
     pivots so far plus i and their columns plus j.  That minor is an integer,
     so the division by the previous pivot is exact, and each pivot is a
     principal minor of B: pivot k is the leading minor of order k + 1, which
-    is L^(k+1) times that of H, so each reported minor is one Fraction.  The
+    is L^(k+1) s^(k(k+1)) times that of H, so each reported minor is one
+    Fraction.  Any positive s gives the same minors and verdict.  The
     rational pivots are the ratios pivot / prev and give the inertia; the
     first negative one follows positive ones, so H is indefinite exactly when
     some integer pivot is negative.  A zero pivot whose remaining row
@@ -189,18 +198,21 @@ def hankel_report(seq: Union[SeqTable, Sequence[Fraction]], size: int) -> Hankel
     if len(values) < 2 * size - 1:
         raise ValueError(f"need at least {2 * size - 1} sequence values, got {len(values)}")
     values = values[: 2 * size - 1]
-    scale = lcm(*(v.denominator for v in values))
-    h = [v.numerator * (scale // v.denominator) for v in values]
+    d1, d2 = (values[1].denominator, values[2].denominator) if size > 1 else (1, 1)
+    s = d2 // gcd(d1, d2)
+    w = [v * s**k for k, v in enumerate(values)]
+    scale = lcm(*(v.denominator for v in w))
+    h = [v.numerator * (scale // v.denominator) for v in w]
     b = [h[i : i + size] for i in range(size)]
     minors: list[Fraction] = []
     verdict = "positive_definite"
     prev = 1
-    power = 1  # scale ** (k + 1)
+    power = 1  # scale ** (k + 1) * s ** (k * (k + 1))
     singular = False
     for k in range(size):
         row = b[k]
         pivot = row[k]
-        power *= scale
+        power *= scale * s ** (2 * k)
         if pivot == 0 and any(row[k + 1 :]):
             minors += [_det([values[i : i + m + 1] for i in range(m + 1)]) for m in range(k, size)]
             return HankelVerdict(size=size, minors=minors, verdict="indefinite")

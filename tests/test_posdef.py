@@ -31,6 +31,7 @@ from fussdeform.posdef import (
     psi_min,
     theorem_interval,
 )
+from fussdeform.series import cumulants_from_moments
 
 PHI_STAR = 3.0 * math.asin(math.sqrt(5.0 / 8.0))
 
@@ -431,6 +432,52 @@ def test_hankel_report_matches_brute_force(section):
 def _moments(p, t, size):
     jet = moment_series(Params.exact(p, t), 2 * size - 2)
     return [jet.coefficient(k) for k in range(2 * size - 1)]
+
+
+@st.composite
+def _geometric_sections(draw):
+    # v_k = c_k r^k with r = u / s0: the denominators grow like s0^k, so
+    # hankel_report rescales by s = d_2 // gcd(d_1, d_2) > 1 in most examples
+    size = draw(st.integers(1, 5))
+    r = F(draw(st.integers(1, 50)) * draw(st.sampled_from([1, -1])), draw(st.integers(2, 10**6)))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(_SMALL.filter(bool), min_size=2 * size - 1, max_size=2 * size - 1))
+        values = [c * r**k for k, c in enumerate(coeffs)]
+        if size > 1 and draw(st.integers(0, 3)) == 0:
+            values[draw(st.sampled_from([1, 2]))] = F(0)  # s = d_2 at v_1 = 0, s = 1 at v_2 = 0
+    else:
+        atoms = draw(_MEASURE)
+        values = [sum(w * (x * r) ** k for x, w in atoms) for k in range(2 * size - 1)]
+    return values, size
+
+
+@settings(max_examples=300, deadline=None)
+@given(_geometric_sections())
+def test_hankel_report_rescaled_sections_match_brute_force(section):
+    # the brute-force minors and verdict rules of the test above, on these sections
+    test_hankel_report_matches_brute_force.hypothesis.inner_test(section)
+
+
+def _leading_dets(values, size):
+    return [posdef._det([values[i : i + k + 1] for i in range(k + 1)]) for k in range(size)]
+
+
+@pytest.mark.parametrize("p, t, size", [(2, F(1, 10**300), 5), (3, F(7, 10**300), 4)])
+def test_infdiv_minors_stay_exact_at_tiny_t(p, t, size):
+    # the cumulant denominators grow like 10^(300 k), so s is about 10^300
+    cumulants = cumulants_from_moments(moment_series(Params.exact(p, t), 2 * size))
+    shifted = [cumulants.cumulant(n) for n in range(2, 2 * size + 1)]
+    report = infdiv_check(p, t, size)
+    assert report.minors == _leading_dets(shifted, size)
+    assert report.verdict == "indefinite"
+
+
+def test_classify_minors_stay_exact_at_size_16():
+    # a hankel-grid-like point: den(a_n) grows like 37^(n-1) n!
+    p, t = F(97, 37), F(5, 12)
+    report = classify_point(Params.exact(p, t), 16)["hankel"]
+    assert report.minors == _leading_dets(_moments(p, t, 16), 16)
+    assert report.verdict == "positive_definite"
 
 
 @pytest.mark.parametrize("size", [12, 16])
