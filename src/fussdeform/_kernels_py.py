@@ -13,7 +13,8 @@ is inverted by bisection to width _RHO_TOL, which halves a dyadic bracket down t
 width _LEAF = 2^-44, the largest power of two within _RHO_TOL.  The adaptive quadrature starts
 from _INIT_PANELS panels, halves a panel at most _MAX_DEPTH times and stops once its error
 estimate is within _ATOL + _RTOL |value|.  moment_quad alone takes its absolute tolerance as an
-argument.
+argument.  cumulant_quad integrates every cumulant-side measure by one rule, in theta with
+x = lo + (hi - lo) sin(theta)^2.
 """
 
 from functools import partial
@@ -541,8 +542,7 @@ def moment_quad(p, t, n, atol=_ATOL):
 #
 # Their moments are the free cumulants of the (2, t) and (3, t) families and of
 # two fixed sequences (which ignore t).  case -> (support(t) = (lo, hi),
-# density(t, x), root_edge: lo = 0, a 1/sqrt(x) edge there and a half-integer
-# power of hi - x at hi).
+# density(t, x)).
 
 
 def _p2_support(t):
@@ -569,34 +569,29 @@ def _a022558_density(t, x):
 
 
 CUMULANT_MEASURES = {
-    "p2": (_p2_support, _p2_density, False),
-    "p3": (lambda t: (0.0, 4.0 * t), _p3_density, True),
-    "a220910": (lambda t: (0.0, 12.0), _a220910_density, True),
-    "a022558": (lambda t: (0.0, 8.0), _a022558_density, False),
+    "p2": (_p2_support, _p2_density),
+    "p3": (lambda t: (0.0, 4.0 * t), _p3_density),
+    "a220910": (lambda t: (0.0, 12.0), _a220910_density),
+    "a022558": (lambda t: (0.0, 8.0), _a022558_density),
 }
 
 
 def cumulant_quad(case, t, n):
     """Integral of x^n against the CUMULANT_MEASURES case at t: (value, err, converged).
 
-    A case with root edges is integrated in theta over (0, pi/2), x = hi sin(theta)^2, where
-    2 hi sin(theta) cos(theta) x^n density(t, x) stays smooth at both ends; the others in x,
-    each edge inset by _INSET."""
+    Every case is integrated in theta over (0, pi/2), x = lo + (hi - lo) sin(theta)^2, where
+    2 (hi - lo) sin(theta) cos(theta) x^n density(t, x) stays smooth at both ends: at each end
+    of the support each density behaves as a half-integer power of the distance to it."""
     try:
-        support, density, root_edge = CUMULANT_MEASURES[case]
+        support, density = CUMULANT_MEASURES[case]
     except KeyError:
         raise ValueError(f"unknown cumulant measure case {case!r}") from None
     lo, hi = support(t)
-    if root_edge:
+    width = hi - lo
 
-        def g(theta):
-            s, c = sin(theta), cos(theta)
-            x = hi * s * s
-            return x**n * density(t, x) * 2.0 * hi * s * c
+    def g(theta):
+        s, c = sin(theta), cos(theta)
+        x = lo + width * s * s
+        return x**n * density(t, x) * 2.0 * width * s * c
 
-        return integrate_callable(g, 0.0, 0.5 * pi)
-
-    def g(x):
-        return x**n * density(t, x)
-
-    return integrate_callable(g, lo + _INSET, hi - _INSET)
+    return integrate_callable(g, 0.0, 0.5 * pi)

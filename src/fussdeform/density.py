@@ -16,7 +16,8 @@ f_pt, w_param and density_grid evaluate through one helper, which resolves the
 route, and on the closed route the form for p, once per call.  Moment
 quadrature integrates in the angle variable (x = rho(phi) bounds the integrand
 at both support edges) with the adaptive Gauss-Kronrod kernels.  The
-cumulant-side measures are defined in the kernels; this module checks ranges.
+cumulant-side measures are defined in the kernels; cumulant_quadrature checks
+the range of t and integrates x^n against them.
 The kernels' settings are constants of fussdeform._kernels_py (bisection width
 _RHO_TOL; quadrature _ATOL, _RTOL, _MAX_DEPTH and _INIT_PANELS); only the
 absolute tolerance of moment quadrature is an argument here.  Everything here
@@ -47,9 +48,7 @@ __all__ = [
     "density_grid",
     "moment_quadrature",
     "moment_quadrature_full",
-    "cumulant_measure_eval",
     "cumulant_quadrature",
-    "CUMULANT_CASES",
 ]
 
 
@@ -289,37 +288,19 @@ def moment_quadrature(params: Params, n: int, tol: float = 1e-10) -> float:
     return moment_quadrature_full(params, n, tol)[0]
 
 
-CUMULANT_CASES = tuple(kernels.CUMULANT_MEASURES)
-
-
-def _cumulant_measure(case: str, t: float):
-    """The kernel definition (support, density, root_edge) of case, once t is in range."""
-    if case not in CUMULANT_CASES:
-        raise ValueError(f"unknown case {case!r}; expected one of {CUMULANT_CASES}")
+def cumulant_quadrature(case: str, t: float, n: int) -> tuple[float, float]:
+    """(integral of x^n against the named cumulant-side measure, error estimate), once t is in
+    the range of the case."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    t = float(t)
+    cases = tuple(kernels.CUMULANT_MEASURES)
+    if case not in cases:
+        raise ValueError(f"unknown case {case!r}; expected one of {cases}")
     if case == "p2" and not 1.0 < t <= 4.0 / 3.0 + 1e-12:
         raise ValueError("case p2 requires 1 < t <= 4/3")
     if case == "p3" and not 0.5 - 1e-12 <= t <= 1.5 + 1e-12:
         raise ValueError("case p3 requires 1/2 <= t <= 3/2")
-    return kernels.CUMULANT_MEASURES[case]
-
-
-def cumulant_measure_eval(case: str, t: float, x: float) -> float:
-    """Pointwise density of the named cumulant-side measure."""
-    t = float(t)
-    x = float(x)
-    support, density, _ = _cumulant_measure(case, t)
-    lo, hi = support(t)
-    if not (isfinite(x) and lo < x < hi):
-        raise ValueError(f"x={x} outside the open support ({lo}, {hi}) of case {case}")
-    return density(t, x)
-
-
-def cumulant_quadrature(case: str, t: float, n: int) -> tuple[float, float]:
-    """(integral of x^n against the named measure, error estimate)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    t = float(t)
-    _cumulant_measure(case, t)  # domain validation
     if case == "p3" and not 0.6 - 1e-12 <= t:
         raise ValueError(
             "case p3 quadrature requires 3/5 <= t <= 3/2: below 3/5 the pole at "

@@ -9,7 +9,8 @@ form the closed interval [g(p), 2p/(p+1)].  psi is affine in t, so g(p) is
 one maximisation over phi, which the minimum of psi at t = g(p) then checks.
 For p >= 2, phi / p <= pi / 2 on [0, pi] makes psi_{p,0} >= 0, so g(p) = 0
 with no scan.  Below 2, the minimum at t = 0, the maximisation and the check
-read one set of grid samples of p, which the kernels compute once.
+read one set of grid samples of p, which the kernels compute once.  psi_min
+checks p and t and returns the kernels' (value, phi) of that minimum.
 
 Independently, the moment sequence a_n(p, t) is positive definite exactly when
 every Hankel matrix (a_{i+j}) is positive semidefinite.  hankel_report is
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isfinite, lcm, pi
+from math import gcd, isfinite, lcm
 from typing import Sequence, Union
 
 from ._backend import kernels
@@ -39,8 +40,6 @@ from .exact_seq import Params, SeqTable
 from .series import cumulants_from_moments, moment_series
 
 __all__ = [
-    "PsiPoint",
-    "psi",
     "psi_min",
     "g_of_p",
     "HankelVerdict",
@@ -54,45 +53,15 @@ _FEAS_TOL = 1e-12
 _CLASSIFY_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class PsiPoint:
-    """One evaluation of psi: location, value, and spread of its three writings."""
-
-    p: float
-    t: float
-    phi: float
-    value: float
-    form_spread: float
-
-
-def _check_pt(p: float, t: float) -> tuple[float, float]:
+def psi_min(p: float, t: float) -> tuple[float, float]:
+    """Global minimum of psi_{p,t} over [0, pi] (grid scan + golden refinement): (value, phi)."""
     p = float(p)
     t = float(t)
     if not (isfinite(p) and p >= 1.0):
         raise ValueError("psi requires p >= 1")
     if not isfinite(t):
         raise ValueError("t must be finite")
-    return p, t
-
-
-def psi(p: float, t: float, phi: float) -> PsiPoint:
-    """Evaluate psi_{p,t} at phi in [0, pi], recording the three-form spread."""
-    p, t = _check_pt(p, t)
-    phi = float(phi)
-    if not (0.0 <= phi <= pi):
-        raise ValueError("phi must lie in [0, pi]")
-    a, b, c = kernels.psi_forms(p, t, phi)
-    spread = max(abs(a - b), abs(a - c), abs(b - c))
-    return PsiPoint(p=p, t=t, phi=phi, value=a, form_spread=spread)
-
-
-def psi_min(p: float, t: float) -> PsiPoint:
-    """Global minimum of psi_{p,t} over [0, pi] (grid scan + golden refinement)."""
-    p, t = _check_pt(p, t)
-    value, arg = kernels.psi_min(p, t)
-    a, b, c = kernels.psi_forms(p, t, arg)
-    spread = max(abs(a - b), abs(a - c), abs(b - c))
-    return PsiPoint(p=p, t=t, phi=arg, value=value, form_spread=spread)
+    return kernels.psi_min(p, t)
 
 
 @lru_cache(maxsize=1024)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import fussdeform
 import fussdeform.cli
 import fussdeform.density as density
+import fussdeform.verify as verify
 from fussdeform import (
     BracketingError,
     DensitySample,
@@ -20,7 +21,6 @@ from fussdeform import (
     QuadratureError,
     a022558_table,
     a220910_table,
-    cumulant_measure_eval,
     cumulant_quadrature,
     density_grid,
     ex1_table,
@@ -783,18 +783,22 @@ def test_cumulant_measure_p3_quadrature_from_three_fifths():
             assert abs(value - exact) <= err, (t, n, value, exact, err)
 
 
+def _cumulant_density(case):
+    return kernels.CUMULANT_MEASURES[case][1]
+
+
 @pytest.mark.parametrize("t", [0.5, 0.55])
 def test_cumulant_quadrature_p3_stops_at_three_fifths(t):
     with pytest.raises(ValueError, match="3/5 <= t"):
         cumulant_quadrature("p3", t, 0)
-    assert cumulant_measure_eval("p3", t, 1.0) > 0.0
+    assert _cumulant_density("p3")(t, 1.0) > 0.0
 
 
 def test_cumulant_measure_p3_pointwise_positive_at_edges_of_t():
     for t in (0.5, 1.5):
         for i in range(1, 60):
             x = 4.0 * t * i / 60
-            assert cumulant_measure_eval("p3", t, x) >= 0.0
+            assert _cumulant_density("p3")(t, x) >= 0.0
 
 
 def test_cumulant_measure_p2_pointwise_positive():
@@ -803,20 +807,22 @@ def test_cumulant_measure_p2_pointwise_positive():
         hi = 2 * t - 1 + 2 * sqrt(t * t - t)
         for i in range(1, 60):
             x = lo + (hi - lo) * i / 60
-            assert cumulant_measure_eval("p2", t, x) >= 0.0
+            assert _cumulant_density("p2")(t, x) >= 0.0
 
 
-def test_cumulant_measure_domain_checks():
-    with pytest.raises(ValueError):
-        cumulant_measure_eval("p2", 1.0, 1.0)  # t must exceed 1
-    with pytest.raises(ValueError):
-        cumulant_measure_eval("p2", 1.5, 1.0)  # t above 4/3
-    with pytest.raises(ValueError):
-        cumulant_measure_eval("p3", 0.4, 0.5)
-    with pytest.raises(ValueError):
-        cumulant_measure_eval("p3", 1.2, 5.0)  # x outside (0, 4t)
-    with pytest.raises(ValueError):
-        cumulant_measure_eval("hankel", 1.0, 1.0)
+@pytest.mark.parametrize(
+    "t", [F(7, 6), F(4, 3), F(11, 10), None], ids=["p2-7_6", "p2-4_3", "p2-11_10", "a022558"]
+)
+def test_cumulant_moments_to_fourteen_digits(t):
+    # p2 at t (None: a022558) against its exact moments 1, r_1, ..., r_8 (the a022558 terms)
+    if t is None:
+        case, tf, exact = "a022558", 0.0, a022558_table(8).values
+    else:
+        r = r_series_closed(F(2), t, 8)
+        case, tf, exact = "p2", float(t), [F(1)] + [r.coefficient(n) for n in range(1, 9)]
+    for n in range(9):
+        value, _ = cumulant_quadrature(case, tf, n)
+        assert abs(value - float(exact[n])) <= 1e-14 * float(exact[n]), (case, t, n, value)
 
 
 @pytest.mark.parametrize(
@@ -829,13 +835,13 @@ def test_cumulant_measure_domain_checks():
     ],
 )
 def test_cumulant_quadrature_integrates_the_pointwise_density(case, t, lo, hi):
-    # Integrated directly in x.  n starts at 1: at n = 0 the 1/sqrt(x) edge of
-    # p3 and a220910 keeps the x-space rule from converging.
+    # An independent reference for the theta rule: the density integrated directly in x.  n
+    # starts at 1: at n = 0 the 1/sqrt(x) edge of p3 and a220910 keeps the x-space rule from
+    # converging.
+    f = _cumulant_density(case)
     for n in range(1, 9):
         value, _ = cumulant_quadrature(case, t, n)
-        direct, _, ok = kernels.integrate_callable(
-            lambda x: x**n * cumulant_measure_eval(case, t, x), lo + 1e-12, hi - 1e-12
-        )
+        direct, _, ok = kernels.integrate_callable(lambda x: x**n * f(t, x), lo + 1e-12, hi - 1e-12)
         assert ok
         assert abs(value - direct) <= 1e-9 * abs(direct), (n, value, direct)
 
@@ -852,7 +858,8 @@ def test_fixed_measures_reproduce_integer_sequences():
 
 
 def test_verbatim_moment_integral_on_one_nine():
-    # same measure as the p2 cumulant case at t = 4/3, pushed forward by x -> 3x:
+    # same measure as the p2 cumulant case at t = 4/3, pushed forward by x -> 3x, written out
+    # and integrated in x as an independent reference for the theta rule:
     # integral over [1, 9] of x^n sqrt((x-1)(9-x)^3) / (2 pi x^3)
     table = ex1_table(6)
 
@@ -881,11 +888,58 @@ def test_moment_quadrature_domain_checks():
 
 
 def test_cumulant_quadrature_domain_checks():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="1 < t <= 4/3"):
         cumulant_quadrature("p2", 0.9, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="1 < t <= 4/3"):
+        cumulant_quadrature("p2", 1.0, 0)  # t must exceed 1
+    with pytest.raises(ValueError, match="1 < t <= 4/3"):
+        cumulant_quadrature("p2", 1.5, 0)  # t above 4/3
+    with pytest.raises(ValueError, match="1/2 <= t <= 3/2"):
+        cumulant_quadrature("p3", 0.4, 0)
+    with pytest.raises(ValueError, match="1/2 <= t <= 3/2"):
+        cumulant_quadrature("p3", 1.6, 0)
+    with pytest.raises(ValueError, match="unknown case"):
         cumulant_quadrature("nope", 1.2, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown case"):
+        cumulant_quadrature("hankel", 1.0, 0)
+    with pytest.raises(ValueError, match="nonnegative"):
         cumulant_quadrature("p3", 1.2, -1)
     with pytest.raises(ValueError):
         kernels.cumulant_quad("p4", 1.0, 0)
+
+
+def _c9(monkeypatch, case, f):
+    """The c9 result with the kernel density of case replaced by f."""
+    support = kernels.CUMULANT_MEASURES[case][0]
+    monkeypatch.setitem(kernels.CUMULANT_MEASURES, case, (support, f))
+    (res,) = verify.run_criteria(only="c9")
+    return res
+
+
+def test_c9_fails_on_a_scaled_p3_density(monkeypatch):
+    p3 = _cumulant_density("p3")
+    res = _c9(monkeypatch, "p3", lambda t, x: p3(t, x) * (1.0 + 1e-9))
+    assert not res.passed
+    assert res.detail.startswith("p3 moment 0 at t = 3/5 off by"), res.detail
+
+
+def test_c9_fails_on_a_negative_density_value(monkeypatch):
+    # at t = 1 the p3 support is (0, 4) and its grid point 17 is 17/16, a float the
+    # quadrature nodes do not meet
+    p3 = _cumulant_density("p3")
+    res = _c9(monkeypatch, "p3", lambda t, x: -1e-300 if (t, x) == (1.0, 1.0625) else p3(t, x))
+    assert not res.passed
+    assert res.detail == "p3 density negative at t = 1, x = 1.0625", res.detail
+
+
+def test_c9_reaches_every_cumulant_measure(monkeypatch):
+    seen = []
+
+    def recording(case, t, n):
+        seen.append(case)
+        return cumulant_quadrature(case, t, n)
+
+    monkeypatch.setattr(verify, "cumulant_quadrature", recording)
+    (res,) = verify.run_criteria(only="c9")
+    assert res.passed, res.detail
+    assert set(seen) == set(kernels.CUMULANT_MEASURES)

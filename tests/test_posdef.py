@@ -27,7 +27,6 @@ from fussdeform.posdef import (
     g_of_p,
     hankel_report,
     infdiv_check,
-    psi,
     psi_min,
     theorem_interval,
 )
@@ -42,7 +41,7 @@ def test_psi_reduces_to_a_sine_at_p1():
         t = rng.uniform(-2.0, 2.0)
         phi = rng.uniform(0.0, math.pi)
         expected = (1.0 - t) * math.sin(2.0 * phi)
-        assert psi(1.0, t, phi).value == pytest.approx(expected, abs=1e-12)
+        assert kernels.psi(1.0, t, phi) == pytest.approx(expected, abs=1e-12)
 
 
 def test_psi_value_at_pi():
@@ -50,14 +49,13 @@ def test_psi_value_at_pi():
     for _ in range(30):
         p = 1.0 + rng.uniform(0.0, 4.0)
         t = rng.uniform(-2.0, 2.0)
-        assert psi(p, t, math.pi).value == pytest.approx(t * math.sin(math.pi / p), abs=1e-12)
+        assert kernels.psi(p, t, math.pi) == pytest.approx(t * math.sin(math.pi / p), abs=1e-12)
 
 
 def test_psi_nonnegative_at_t1():
     for p in (1.0, 1.5, 2.0, 3.0, 5.0):
         for i in range(51):
-            point = psi(p, 1.0, math.pi * i / 50)
-            assert point.value >= -1e-15
+            assert kernels.psi(p, 1.0, math.pi * i / 50) >= -1e-15
 
 
 def test_psi_three_forms_agree():
@@ -66,36 +64,36 @@ def test_psi_three_forms_agree():
         p = 1.0 + rng.uniform(0.0, 5.0)
         t = rng.uniform(-3.0, 3.0)
         phi = rng.uniform(0.0, math.pi)
-        assert psi(p, t, phi).form_spread <= 1e-12
+        a, b, c = kernels.psi_forms(p, t, phi)
+        assert max(abs(a - b), abs(a - c), abs(b - c)) <= 1e-12
 
 
 def test_psi_domain_checks():
-    with pytest.raises(ValueError):
-        psi(0.9, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        psi(2.0, 1.0, -0.1)
-    with pytest.raises(ValueError):
-        psi(2.0, 1.0, math.pi + 0.1)
+    with pytest.raises(ValueError, match="p >= 1"):
+        psi_min(0.9, 1.0)
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            psi_min(2.0, t)
 
 
 def test_psi_min_landmarks():
-    assert psi_min(1.0, 1.0).value == pytest.approx(0.0, abs=1e-14)
-    assert psi_min(2.0, 0.0).value == pytest.approx(0.0, abs=1e-14)
+    assert psi_min(1.0, 1.0)[0] == pytest.approx(0.0, abs=1e-14)
+    assert psi_min(2.0, 0.0)[0] == pytest.approx(0.0, abs=1e-14)
     # the critical deformation at p = 3/2: the minimum just touches zero
-    assert psi_min(1.5, 0.2).value == pytest.approx(0.0, abs=1e-9)
-    assert psi(1.5, 0.2, PHI_STAR).value == pytest.approx(0.0, abs=1e-12)
+    assert psi_min(1.5, 0.2)[0] == pytest.approx(0.0, abs=1e-9)
+    assert kernels.psi(1.5, 0.2, PHI_STAR) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_psi_min_locates_the_critical_angle():
     # just below the critical deformation the minimum is negative, near phi*
-    report = psi_min(1.5, 0.19)
-    assert report.value < -0.009
-    assert abs(report.phi - PHI_STAR) < 0.05
+    value, phi = psi_min(1.5, 0.19)
+    assert value < -0.009
+    assert abs(phi - PHI_STAR) < 0.05
 
 
 def test_psi_min_flags_negative_regions():
-    assert psi_min(1.5, 0.1).value < -0.01
-    assert psi_min(1.0, 0.5).value == pytest.approx(-0.5, abs=1e-10)
+    assert psi_min(1.5, 0.1)[0] < -0.01
+    assert psi_min(1.0, 0.5)[0] == pytest.approx(-0.5, abs=1e-10)
 
 
 def test_g_landmark_values():
