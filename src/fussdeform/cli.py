@@ -23,9 +23,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import asdict
 from functools import cache
 from fractions import Fraction
 from math import isfinite
@@ -55,7 +53,6 @@ from .series import (
     s_series_closed,
     s_series_from_moments,
 )
-from .verify import format_report, run_criteria
 
 __all__ = ["main"]
 
@@ -72,6 +69,8 @@ def _emit(args: argparse.Namespace, header: str, rows: list[str], payload) -> No
     Only JSON renders the Fractions left in ``payload`` (the Hankel minors).
     """
     if args.format == "json":
+        import json  # loaded on first use: a CSV run never needs it
+
         try:
             text = json.dumps(payload, indent=2, default=rational_str, allow_nan=False) + "\n"
         except DigitLimitError as exc:  # the CSV rows are rendered already, so CSV would print
@@ -280,11 +279,14 @@ def _cmd_domain_grid(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # loaded on first use: no other command needs it
+    from .verify import format_report, run_criteria
+
     results = run_criteria(series_order=args.series_order, only=args.only)
     if not results:
         raise ValueError(f"--only {args.only!r} matches no criterion")
     # the text report is printed whole, as the CSV header with no rows
-    _emit(args, format_report(results), [], [asdict(r) for r in results])
+    _emit(args, format_report(results), [], [r._asdict() for r in results])
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -21,10 +21,9 @@ compared; a mismatch raises :class:`~fussdeform.errors.InconsistencyError`.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
-from typing import Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import DigitLimitError, InconsistencyError
 
@@ -86,8 +85,7 @@ def rational_str(value: Fraction) -> str:
         raise _digit_limit() from None
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(NamedTuple):
     """An exact (p, t) parameter pair.
 
     Build it with :meth:`exact`, which parses both values into Fractions.
@@ -104,7 +102,6 @@ class Params:
         return float(self.p), float(self.t)
 
 
-@dataclass
 class SeqTable:
     """A labelled run of consecutive sequence values.
 
@@ -112,16 +109,24 @@ class SeqTable:
     free of commas so the CSV rendering needs no quoting.
     """
 
-    label: str
-    offset: int
-    values: list[Fraction] = field(default_factory=list)
+    __slots__ = ("label", "offset", "values")
 
-    def __post_init__(self) -> None:
-        if "," in self.label or "\n" in self.label:
+    def __init__(self, label: str, offset: int, values: Iterable[RationalLike] = ()) -> None:
+        if "," in label or "\n" in label:
             raise ValueError("sequence label must not contain commas or newlines")
-        if self.offset < 0:
+        if offset < 0:
             raise ValueError("offset must be nonnegative")
-        self.values = [parse_rational(v) for v in self.values]
+        self.label = label
+        self.offset = offset
+        self.values = [parse_rational(v) for v in values]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.label, self.offset, self.values) == (other.label, other.offset, other.values)
+
+    def __repr__(self) -> str:
+        return f"SeqTable(label={self.label!r}, offset={self.offset!r}, values={self.values!r})"
 
     def __len__(self) -> int:
         return len(self.values)
@@ -140,16 +145,22 @@ class SeqTable:
         }
 
 
-def _raney_parts(p: Fraction | int, r: Fraction | int, n: int) -> tuple[int, int]:
-    # raney(p, r, n) as an unreduced integer pair: with p = a/b and r = c/d,
-    # c * prod_{i=1}^{n-1} (n a d + c b - i b d) over d (b d)^(n-1) n!.
-    if n == 0:
-        return 1, 1
+def _raney_num(p: Fraction | int, r: Fraction | int, n: int) -> int:
+    # The numerator of raney(p, r, n) for n >= 1 over d (b d)^(n-1) n!, with
+    # p = a/b and r = c/d: c * prod_{i=1}^{n-1} (n a d + c b - i b d).
     a, b = p.numerator, p.denominator
     c, d = r.numerator, r.denominator
     bd = b * d
     base = n * a * d + c * b
-    return c * prod(range(base - bd, base - n * bd, -bd)), d * bd ** (n - 1) * factorial(n)
+    return c * prod(range(base - bd, base - n * bd, -bd))
+
+
+def _raney_parts(p: Fraction | int, r: Fraction | int, n: int) -> tuple[int, int]:
+    # raney(p, r, n) as an unreduced integer pair (see _raney_num).
+    if n == 0:
+        return 1, 1
+    b, d = p.denominator, r.denominator
+    return _raney_num(p, r, n), d * (b * d) ** (n - 1) * factorial(n)
 
 
 def raney(p: RationalLike, r: RationalLike, n: int) -> Fraction:

@@ -28,11 +28,10 @@ refuses to return if they genuinely disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isfinite, lcm
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from ._backend import kernels
 from .errors import InconsistencyError
@@ -96,8 +95,7 @@ def theorem_interval(p: Union[int, Fraction, float]) -> tuple[float, Fraction]:
     return g_of_p(float(frac)), Fraction(2, 1) * frac / (frac + 1)
 
 
-@dataclass(frozen=True)
-class HankelVerdict:
+class HankelVerdict(NamedTuple):
     """Exact definiteness report for the leading m x m Hankel section."""
 
     size: int

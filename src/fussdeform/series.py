@@ -27,14 +27,13 @@ b^n n!, one Fraction per moment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import add, mul
 from typing import Optional, Sequence, Union
 
 from .errors import InconsistencyError
-from .exact_seq import Params, RationalLike, _raney_parts, parse_rational, raney
+from .exact_seq import Params, RationalLike, _raney_num, parse_rational, raney
 
 __all__ = [
     "TruncSeries",
@@ -90,16 +89,38 @@ def _conv(a: list[int], b: list[int], n: int) -> list[int]:
     return [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(n + 1)]
 
 
-@dataclass(frozen=True)
 class TruncSeries:
-    """Jet c_0 + c_1 z + ... + c_N z^N with exact rational coefficients."""
+    """Jet c_0 + c_1 z + ... + c_N z^N with exact rational coefficients.
 
-    coeffs: tuple[Fraction, ...]
+    Immutable: ``coeffs`` is set once, by the constructor.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Sequence[RationalLike]) -> None:
+        if not coeffs:
             raise ValueError("a jet needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(parse_rational(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(parse_rational(c) for c in coeffs))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable TruncSeries")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable TruncSeries")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"TruncSeries(coeffs={self.coeffs!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, as __setattr__ refuses
+        return TruncSeries, (self.coeffs,)
 
     # -- construction -------------------------------------------------------
 
@@ -369,14 +390,36 @@ def pow1p(f: TruncSeries, alpha: RationalLike) -> TruncSeries:
     return TruncSeries(tuple(out))
 
 
-@dataclass(frozen=True)
 class CumulantTable:
-    """Free cumulants r_1..r_N."""
+    """Free cumulants r_1..r_N.
 
-    values: tuple[Fraction, ...]
+    Immutable: ``values`` is set once, by the constructor.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(parse_rational(v) for v in self.values))
+    __slots__ = ("values",)
+
+    def __init__(self, values: Sequence[RationalLike]) -> None:
+        object.__setattr__(self, "values", tuple(parse_rational(v) for v in values))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable CumulantTable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable CumulantTable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash(self.values)
+
+    def __repr__(self) -> str:
+        return f"CumulantTable(values={self.values!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, as __setattr__ refuses
+        return CumulantTable, (self.values,)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -416,8 +459,8 @@ def moment_series(params: Params, order: int) -> TruncSeries:
     binom = [1]  # row n of Pascal's triangle
     scale = 1  # b^n n!
     for n in range(1, order + 1):
-        ones.append(b * _raney_parts(p, 1, n)[0])
-        two = b * _raney_parts(p, 2, n)[0]
+        ones.append(b * _raney_num(p, 1, n))
+        two = b * _raney_num(p, 2, n)
         binom = [1, *map(add, binom, binom[1:]), 1]
         if sum(map(mul, map(mul, binom, ones), reversed(ones))) != two:
             raise InconsistencyError(

@@ -10,8 +10,8 @@ the result list; the acceptance test asserts every line passes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction as F
+from typing import NamedTuple
 
 from .density import (
     cumulant_quadrature,
@@ -54,8 +54,7 @@ _EX1 = (1, 2, 5, 16, 64, 304, 1632, 9552, 59520, 388720, 2632864)
 _A022558 = (1, 1, 2, 6, 23, 103, 512, 2740, 15485, 91245, 555662)
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     ident: str
     label: str
     tags: tuple[str, ...]

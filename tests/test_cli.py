@@ -655,14 +655,23 @@ def test_subprocess_module_invocation():
     # the child imports the same package as this process, wherever it lives
     src = os.path.dirname(os.path.dirname(fussdeform.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "fussdeform.cli", "seq", "a220910", "--n", "5"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+
+    def child(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "fussdeform.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+
+    result = child("seq", "a220910", "--n", "5")
     assert result.returncode == 0
     assert result.stdout == A220910_CSV
+    # a fresh process loads verify and json on first use
+    result = child("verify", "--only", "c3", "--format", "json")
+    assert result.returncode == 0, result.stderr
+    (record,) = json.loads(result.stdout)
+    assert list(record) == ["ident", "label", "tags", "passed", "detail", "seconds"]
 
 
 def test_console_script_if_installed():

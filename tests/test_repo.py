@@ -1,20 +1,29 @@
 """Repository hygiene: the README's library tour runs and its CLI tour shows what the
 commands print, no build artifact is tracked, the benchmark's layer tracer still finds
 every entry point it wraps and wraps every kernel the package calls but the per-point
-ones, every name in an ``__all__`` resolves, and the package re-exports each module's
-``__all__`` once."""
+ones, every name in an ``__all__`` resolves, the package re-exports each module's
+``__all__`` once, importing the CLI loads only what every command needs, and the
+package's records keep their fields, constructors and (im)mutability."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import pickle
 import re
 import shlex
 import shutil
 import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from fussdeform.exact_seq import Params, SeqTable
+from fussdeform.posdef import HankelVerdict
+from fussdeform.series import CumulantTable, TruncSeries
+from fussdeform.verify import CriterionResult
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -142,3 +151,76 @@ def test_package_reexports_each_module_all_once():
     for module in ("errors", "exact_seq", "series", "density"):
         mod = importlib.import_module("fussdeform." + module)
         assert [n for n in mod.__all__ if getattr(fussdeform, n, None) is not getattr(mod, n)] == [], module
+
+
+def test_cli_import_loads_only_what_every_command_needs():
+    # Start-up is paid by every command: verify and json load on first use, and no
+    # record is a dataclass (dataclasses pulls in inspect).  Modules that site loads
+    # before the import do not count.
+    import fussdeform
+
+    src = os.path.dirname(os.path.dirname(fussdeform.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import fussdeform.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "fussdeform.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "json", "fussdeform.verify"} == set()
+
+
+_RECORDS = {
+    Params: {"p": Fraction(5, 2), "t": Fraction(1, 3)},
+    SeqTable: {"label": "demo", "offset": 1, "values": [Fraction(1), Fraction(3, 2)]},
+    TruncSeries: {"coeffs": (Fraction(1), Fraction(-2, 3))},
+    CumulantTable: {"values": (Fraction(1), Fraction(1, 2))},
+    HankelVerdict: {"size": 2, "minors": [Fraction(1), Fraction(1, 3)], "verdict": "positive_definite"},
+    CriterionResult: {
+        "ident": "c0",
+        "label": "demo",
+        "tags": ("exact",),
+        "passed": True,
+        "detail": "ok",
+        "seconds": 0.5,
+    },
+}
+
+
+@pytest.mark.parametrize("cls", list(_RECORDS), ids=lambda cls: cls.__name__)
+def test_record_fields_are_fixed(cls):
+    fields = _RECORDS[cls]
+    record = cls(**fields)
+    assert record == cls(*fields.values())
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert [getattr(record, name) for name in fields] == list(fields.values())
+    text = repr(record)
+    assert text.startswith(cls.__name__ + "(")
+    assert all(f"{name}=" in text for name in fields)
+    if cls is SeqTable:  # mutable and unhashable; checks its label and offset, parses its values
+        record.offset = 2
+        assert record != cls(**fields)
+        with pytest.raises(TypeError):
+            hash(record)
+        assert cls("x", 0, ["1/2", 3]).values == [Fraction(1, 2), Fraction(3)]
+        for bad in ({"label": "a,b"}, {"label": "a\nb"}, {"offset": -1}):
+            with pytest.raises(ValueError):
+                cls(**{**fields, **bad})
+        return
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert [getattr(record, name) for name in fields] == list(fields.values())
+    if cls is not HankelVerdict:  # its minors are a list
+        assert hash(record) == hash(cls(**fields))
