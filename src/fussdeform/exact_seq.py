@@ -189,12 +189,13 @@ def _same(num: int, den: int, other_num: int, other_den: int) -> bool:
 
 def _affine_parts(p: Fraction | int, t: Fraction, n: int) -> tuple[int, int]:
     # t * raney(p, 1, n) + (1 - t) * raney(p, 2, n) with t = u/v.  Both Raney
-    # pairs carry the denominator b^(n-1) n! (r is an integer), so the sum is
-    # over v b^(n-1) n!.
+    # numerators are over b^(n-1) n! (r is an integer), so the sum is over
+    # v b^(n-1) n!.
+    if n == 0:
+        return 1, 1
     u, v = t.numerator, t.denominator
-    num1, den = _raney_parts(p, 1, n)
-    num2, _ = _raney_parts(p, 2, n)
-    return u * num1 + (v - u) * num2, v * den
+    num = u * _raney_num(p, 1, n) + (v - u) * _raney_num(p, 2, n)
+    return num, v * p.denominator ** (n - 1) * factorial(n)
 
 
 def _deformed_closed_parts(p: Fraction | int, t: Fraction, n: int) -> tuple[int, int]:
@@ -370,18 +371,16 @@ def _a220910_closed_b(n_max: int) -> list[Fraction]:
     return values
 
 
-def _a220910_cumulant(n_max: int) -> list[Fraction]:
-    # a_n = 2^n * r_n(3, 3/2) where r is the free-cumulant sequence of the
-    # (3, 3/2) family; the closed R expansion lives in the series module.
+def _scaled_cumulants(p: int, t: Fraction, s: int, n_max: int) -> list[Fraction]:
+    # 1, then s^n r_n(p, t) for n = 1..n_max, with r_n the free cumulants of
+    # the (p, t) family; the closed R expansion lives in the series module.
     from . import series
 
-    if n_max == 0:
-        return [Fraction(1)]
-    r = series.r_series_closed(3, Fraction(3, 2), n_max)
-    out = [Fraction(1)]
-    for n in range(1, n_max + 1):
-        out.append(Fraction(2) ** n * r.coeffs[n])
-    return out
+    values = [Fraction(1)]
+    if n_max >= 1:
+        r = series.r_series_closed(p, t, n_max)
+        values += [Fraction(s) ** n * r.coeffs[n] for n in range(1, n_max + 1)]
+    return values
 
 
 def a220910_table(n_max: int, method: str = "recurrence") -> SeqTable:
@@ -401,8 +400,8 @@ def a220910_table(n_max: int, method: str = "recurrence") -> SeqTable:
         values = [_a220910_closed_a(n) for n in range(n_max + 1)]
     elif method == "closed_b":
         values = _a220910_closed_b(n_max)
-    else:
-        values = _a220910_cumulant(n_max)
+    else:  # a_n = 2^n r_n(3, 3/2)
+        values = _scaled_cumulants(3, Fraction(3, 2), 2, n_max)
     return SeqTable(label="A220910", offset=0, values=values)
 
 
@@ -413,16 +412,9 @@ def a220910(n: int, method: str = "recurrence") -> Fraction:
 
 def ex1_table(n_max: int) -> SeqTable:
     """The sequence 1, 2, 5, 16, 64, ...: a_0 = 1 and a_n = 3^n r_n(2, 4/3) for n >= 1."""
-    from . import series
-
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    values = [Fraction(1)]
-    if n_max >= 1:
-        r = series.r_series_closed(2, Fraction(4, 3), n_max)
-        for n in range(1, n_max + 1):
-            values.append(Fraction(3) ** n * r.coeffs[n])
-    return SeqTable(label="ex1", offset=0, values=values)
+    return SeqTable(label="ex1", offset=0, values=_scaled_cumulants(2, Fraction(4, 3), 3, n_max))
 
 
 def a022558_table(n_max: int) -> SeqTable:

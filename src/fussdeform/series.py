@@ -9,20 +9,23 @@ generating function B_p, the moment series of the deformed family, free
 cumulants, and the S- and R-transforms with their closed forms.
 
 Everything here is exact; floats never enter.  Coefficients are stored as
-Fractions, but every sum of products runs in integers.  A product or
-quotient of jets, and the pow1p recurrence, sum each output coefficient
-over one running denominator, which widens (one gcd) only when a term's
-denominator does not divide it, and one Fraction normalisation per
-coefficient at the end.  compose and revert keep each working jet as a list
-of integer numerators over one common denominator: a jet product is an
-integer convolution and one gcd that divides out the common content, and
-Fractions are made only for the returned coefficients.  Both first rescale
-the variable, z -> lam z, so that the shared denominator does not grow with
-the coefficient index.  revert needs one coefficient of each Lagrange power
-and reads it as one dot product of a baby-step and a giant-step power (Brent
-and Kung), so an order-n reversion makes about 2 sqrt(n) jet products.  The
-moment jet is built and its B_p^2 check made on integer jets scaled by
-b^n n!, one Fraction per moment.
+Fractions, but every sum of products runs in integers.  A jet product
+(``*``, each Horner step of compose, each power in revert) is one integer
+convolution over one common denominator.  ``*`` convolves only the nonzero
+span of the factor whose span is shorter, as the closed R jets multiply
+short polynomials by dense radicals (untrimmed, perfbench seq-tables ran
+6.4% slower).  The quotient and pow1p are recurrences, each coefficient
+summed over one running denominator that widens (one gcd) only when a
+term's denominator does not divide it (on one common denominator seq-tables
+ran 1.6 to 1.8 times slower).  revert keeps its own recurrence for w / F(w)
+(through the jet quotient perfbench jets ran 4% slower).  compose and
+revert first rescale the variable, z -> lam z, so that the shared
+denominator does not grow with the coefficient index.  revert needs one
+coefficient of each Lagrange power and reads it as one dot product of a
+baby-step and a giant-step power (Brent and Kung), so an order-n reversion
+makes about 2 sqrt(n) jet products.  The moment jet is built and its B_p^2
+check made on integer jets scaled by b^n n!, one Fraction per moment.
+Timings are from a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -84,9 +87,17 @@ def _scaled(coeffs: Sequence[Fraction], s: int) -> tuple[list[int], int]:
     return _reduced(nums, den)
 
 
+def _span(a: list[int]) -> tuple[int, int]:
+    """lo, hi with a[lo:hi] running from the first to the last nonzero of a; (0, 0) if none."""
+    live = [i for i, x in enumerate(a) if x]
+    return (live[0], live[-1] + 1) if live else (0, 0)
+
+
 def _conv(a: list[int], b: list[int], n: int) -> list[int]:
-    """Numerators 0..n of the product of integer jets a and b; b needs length > n."""
-    return [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(n + 1)]
+    """Numerators 0..n of the product of integer jets a and b, b longer than n; each
+    coefficient takes at most len(a) products, so a short a is cheap."""
+    rb, m = b[::-1], len(b) - 1  # rb[m - k :] is b[k], b[k - 1], ..., b[0]
+    return [sum(map(mul, a, rb[m - k : m - k + len(a)])) for k in range(n + 1)]
 
 
 class TruncSeries:
@@ -191,24 +202,14 @@ class TruncSeries:
             c = parse_rational(other)
             return TruncSeries(tuple(ci * c for ci in self.coeffs))
         n = min(self.order, other.order)
-        an, ad = _split(self.coeffs[: n + 1])
-        bn, bd = _split(other.coeffs[: n + 1])
-        live = [i for i in range(n + 1) if an[i]]  # skips the zeros of z-divisible jets
-        out = []
-        for k in range(n + 1):
-            num, den = 0, 1
-            for i in live:
-                if i > k:
-                    break
-                y = bn[k - i]
-                if y:
-                    d = ad[i] * bd[k - i]
-                    q, r = divmod(den, d)
-                    if r:
-                        num, den, q = _widen(num, den, d)
-                    num += an[i] * y * q
-            out.append(Fraction(num, den))
-        return TruncSeries(tuple(out))
+        an, ad = _scaled(self.coeffs[: n + 1], 1)
+        bn, bd = _scaled(other.coeffs[: n + 1], 1)
+        (alo, ahi), (blo, bhi) = _span(an), _span(bn)
+        if bhi - blo < ahi - alo:  # convolve the shorter nonzero span against the other jet
+            an, bn, alo, ahi = bn, an, blo, bhi
+        d = ad * bd
+        nums = [0] * alo + _conv(an[alo:ahi], bn, n - alo)
+        return TruncSeries(tuple(Fraction(x, d) for x in nums))
 
     __rmul__ = __mul__
 
@@ -362,7 +363,7 @@ def pow1p(f: TruncSeries, alpha: RationalLike) -> TruncSeries:
 
     Coefficient recurrence: n g_n = sum_{j=1}^{n} (j (alpha + 1) - n) f_j g_{n-j}.
     With alpha = u/v the sum is taken in integers, (j (u + v) - n v) f_j g_{n-j}
-    over one running denominator as in the jet product, and divided by v n once.
+    over one running denominator as in the jet quotient, and divided by v n once.
     """
     if f.coeffs[0] != 1:
         raise ValueError("pow1p needs constant term exactly 1")

@@ -502,17 +502,27 @@ def _schoolbook_div(f, g):
 
 @st.composite
 def _wide_jet(draw):
-    """A jet of order 0..10: small rationals, all zeros, or tiny-t shaped.
+    """A jet of order 0..10: small rationals, all zeros, z-divisible, short, or tiny-t shaped.
 
-    The tiny-t shape has a j-th coefficient over about s^j, with s up to
-    10^300, as the moment jets of the family have at t near 10^-300.
+    The z-divisible shape starts with one or more zeros; the short shape is a
+    polynomial of up to three terms padded with zeros, as the sparse factors
+    of the closed R jets are.  The tiny-t shape has a j-th coefficient over
+    about s^j, with s up to 10^300, as the moment jets of the family have at
+    t near 10^-300.
     """
     order = draw(st.integers(0, 10))
-    shape = draw(st.sampled_from(("small", "zero", "tiny")))
+    shape = draw(st.sampled_from(("small", "zero", "z-divisible", "short", "tiny")))
     if shape == "zero":
         return TruncSeries((F(0),) * (order + 1))
     if shape == "small":
         return TruncSeries(tuple(draw(st.lists(_COEFF, min_size=order + 1, max_size=order + 1))))
+    if shape == "z-divisible":
+        lead = draw(st.integers(1, order + 1))
+        rest = draw(st.lists(_COEFF, min_size=order + 1 - lead, max_size=order + 1 - lead))
+        return TruncSeries((F(0),) * lead + tuple(rest))
+    if shape == "short":
+        head = draw(st.lists(_COEFF, min_size=1, max_size=3))
+        return TruncSeries.from_coeffs(head, order)
     s = draw(st.integers(2, 10**300))
     nums = st.integers(-(10**40), 10**40)
     return TruncSeries(
