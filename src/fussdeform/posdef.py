@@ -14,7 +14,8 @@ checks p and t and returns the kernels' (value, phi) of that minimum.
 
 Independently, the moment sequence a_n(p, t) is positive definite exactly when
 every Hankel matrix (a_{i+j}) is positive semidefinite.  hankel_report is
-exact and runs in Python integers.  It first rescales the section to
+exact and runs in Python integers: it reads the section as reduced integer
+pairs (numerator, denominator).  It first rescales the section to
 s^(i+j) a_{i+j}, which is D H D with D = diag(1, s, ..., s^(m-1)) and again a
 Hankel section; the integer s = den(a_2) / gcd(den(a_1), den(a_2)) takes out
 the geometric growth of the denominators.  It then clears the remaining
@@ -22,7 +23,9 @@ denominators by their lcm L, and one symmetric fraction-free (Bareiss)
 elimination in natural order gives the leading principal minors (the pivots,
 each divided once by a power of L and of s) and the verdict (the signs of the
 pivots).  Every division in it is exact, because each intermediate entry is
-itself a minor of the integer section.  classify_point runs both routes and
+itself a minor of the integer section.  classify_point takes a cell's section
+straight from the moment jet's Raney integers (series._moment_parts, B_p^2
+check included), one gcd per entry and no Fraction, runs both routes and
 refuses to return if they genuinely disagree.
 """
 
@@ -36,7 +39,7 @@ from typing import NamedTuple, Sequence, Union
 from ._backend import kernels
 from .errors import InconsistencyError
 from .exact_seq import Params, SeqTable
-from .series import cumulants_from_moments, moment_series
+from .series import _moment_parts, cumulants_from_moments, moment_series
 
 __all__ = [
     "psi_min",
@@ -128,15 +131,28 @@ def _det(rows: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def hankel_report(seq: Union[SeqTable, Sequence[Fraction]], size: int) -> HankelVerdict:
+class _IntSection(list):
+    """A Hankel section as a list of reduced integer pairs (numerator, denominator > 0)."""
+
+    __slots__ = ()
+
+
+def hankel_report(
+    seq: Union[SeqTable, Sequence[Union[Fraction, int, str]]], size: int
+) -> HankelVerdict:
     """Definiteness of H = (seq[i+j])_{0 <= i,j < size}, all arithmetic exact.
 
+    The values are read as reduced integer pairs (numerator, denominator):
+    those of a SeqTable, of Fractions and ints, of anything else Fraction
+    accepts (such as "1/3") after one conversion, or the pairs that
+    classify_point takes straight from the moment jet's Raney integers.
     With d_k the denominator of v_k = seq[k], s = d_2 // gcd(d_1, d_2) (s = 1
     at size 1) is the part of d_2 not in d_1: the ratio b for moment sections
     at p = a/b, the growth of den(t) for cumulant sections at tiny t.  The
     values w_k = s^k v_k form D H D, D = diag(1, s, ..., s^(size-1)), which
     is again a Hankel section, and its leading minor of order k + 1 is
-    s^(k(k+1)) times that of H, a positive factor.  D H D is scaled to the
+    s^(k(k+1)) times that of H, a positive factor.  w_k is the reduced pair
+    (n_k s^k / g, d_k / g), g = gcd(s^k, d_k).  D H D is scaled to the
     integer Hankel section B = L D H D, L the lcm of the denominators of the
     w_k, and one symmetric fraction-free (Bareiss) elimination in natural
     order runs on the upper triangle of B.  Each update
@@ -159,17 +175,28 @@ def hankel_report(seq: Union[SeqTable, Sequence[Fraction]], size: int) -> Hankel
     (a 2x2 principal minor is -b^2); the later leading minors need not
     vanish there, so they come from separate determinants.
     """
-    values = list(seq.values) if isinstance(seq, SeqTable) else [Fraction(v) for v in seq]
+    pairs = seq
+    if not isinstance(seq, _IntSection):
+        pairs = []
+        for v in seq.values if isinstance(seq, SeqTable) else seq:
+            if not isinstance(v, (int, Fraction)):
+                v = Fraction(v)
+            pairs.append((v.numerator, v.denominator))
     if size < 1:
         raise ValueError("size must be positive")
-    if len(values) < 2 * size - 1:
-        raise ValueError(f"need at least {2 * size - 1} sequence values, got {len(values)}")
-    values = values[: 2 * size - 1]
-    d1, d2 = (values[1].denominator, values[2].denominator) if size > 1 else (1, 1)
+    if len(pairs) < 2 * size - 1:
+        raise ValueError(f"need at least {2 * size - 1} sequence values, got {len(pairs)}")
+    pairs = pairs[: 2 * size - 1]
+    d1, d2 = (pairs[1][1], pairs[2][1]) if size > 1 else (1, 1)
     s = d2 // gcd(d1, d2)
-    w = [v * s**k for k, v in enumerate(values)]
-    scale = lcm(*(v.denominator for v in w))
-    h = [v.numerator * (scale // v.denominator) for v in w]
+    w = []
+    sk = 1  # s ** k
+    for num, den in pairs:
+        g = gcd(sk, den)
+        w.append((num * (sk // g), den // g))
+        sk *= s
+    scale = lcm(*(den for _, den in w))
+    h = [num * (scale // den) for num, den in w]
     b = [h[i : i + size] for i in range(size)]
     minors: list[Fraction] = []
     verdict = "positive_definite"
@@ -181,6 +208,7 @@ def hankel_report(seq: Union[SeqTable, Sequence[Fraction]], size: int) -> Hankel
         pivot = row[k]
         power *= scale * s ** (2 * k)
         if pivot == 0 and any(row[k + 1 :]):
+            values = [Fraction(num, den) for num, den in pairs]
             minors += [_det([values[i : i + m + 1] for i in range(m + 1)]) for m in range(k, size)]
             return HankelVerdict(size=size, minors=minors, verdict="indefinite")
         singular = singular or pivot == 0
@@ -212,9 +240,11 @@ def classify_point(params: Params, size: int = 6) -> dict:
     lower, upper = theorem_interval(p)
     tf = float(t)
     theorem_verdict = (lower - _CLASSIFY_TOL <= tf) and (tf <= float(upper) + _CLASSIFY_TOL)
-    moments = moment_series(params, 2 * size - 2)
-    values = [moments.coefficient(k) for k in range(2 * size - 1)]
-    hankel = hankel_report(values, size)
+    section = _IntSection()
+    for num, den in _moment_parts(params, 2 * size - 2):
+        g = gcd(num, den)
+        section.append((num // g, den // g))
+    hankel = hankel_report(section, size)
     if (
         hankel.verdict == "indefinite"
         and lower + _CLASSIFY_TOL <= tf

@@ -24,7 +24,8 @@ denominator does not grow with the coefficient index.  revert needs one
 coefficient of each Lagrange power and reads it as one dot product of a
 baby-step and a giant-step power (Brent and Kung), so an order-n reversion
 makes about 2 sqrt(n) jet products.  The moment jet is built and its B_p^2
-check made on integer jets scaled by b^n n!, one Fraction per moment.
+check made on integer jets scaled by b^n n!, one Fraction per moment; the
+exact Hankel test of posdef reads those integer pairs without the Fractions.
 Timings are from a 2-vCPU host.
 """
 
@@ -440,15 +441,15 @@ def bp_series(p: RationalLike, r: RationalLike, order: int) -> TruncSeries:
     return TruncSeries(tuple(raney(p, r, n) for n in range(order + 1)))
 
 
-def moment_series(params: Params, order: int) -> TruncSeries:
-    """Moment jet of the deformed family: t B_p + (1 - t) B_p^2.
+def _moment_parts(params: Params, order: int) -> list[tuple[int, int]]:
+    """Unreduced integer pairs (numerator, denominator) of the moments m_0..m_order.
 
     With p = a/b, A_n = b^n n! raney(p, 1, n) and E_n = b^n n! raney(p, 2, n)
     are integers, b times the numerators of the Raney pairs.  B_p * B_p =
     B_p^2 scaled by b^n n! is the integer identity
     sum_k C(n, k) A_k A_(n-k) = E_n, checked at every n: the product of the
-    r = 1 jet against the Raney formula for r = 2.  With t = u/v each moment
-    is (u A_n + (v - u) E_n) / (v b^n n!), one Fraction.
+    r = 1 jet against the Raney formula for r = 2.  With t = u/v, m_n is
+    (u A_n + (v - u) E_n) / (v b^n n!), and m_0 is (1, 1).
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -456,7 +457,7 @@ def moment_series(params: Params, order: int) -> TruncSeries:
     b = p.denominator
     u, v = t.numerator, t.denominator
     ones = [1]
-    out = [Fraction(1)]
+    out = [(1, 1)]
     binom = [1]  # row n of Pascal's triangle
     scale = 1  # b^n n!
     for n in range(1, order + 1):
@@ -468,8 +469,19 @@ def moment_series(params: Params, order: int) -> TruncSeries:
                 f"B_{p}^2 jet disagrees between multiplication and the Raney formula"
             )
         scale *= b * n
-        out.append(Fraction(u * ones[n] + (v - u) * two, v * scale))
-    return TruncSeries(tuple(out))
+        out.append((u * ones[n] + (v - u) * two, v * scale))
+    return out
+
+
+def moment_series(params: Params, order: int) -> TruncSeries:
+    """Moment jet of the deformed family: t B_p + (1 - t) B_p^2.
+
+    One Fraction per integer pair of _moment_parts, whose B_p^2 check (the
+    product of the r = 1 Raney jet against the Raney formula for r = 2) runs
+    at every n.  posdef.classify_point reads the same pairs, reduced by one
+    gcd each, as its Hankel section, and builds no Fraction from them.
+    """
+    return TruncSeries(tuple(Fraction(num, den) for num, den in _moment_parts(params, order)))
 
 
 def cumulants_from_moments(m: TruncSeries) -> CumulantTable:

@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fussdeform import (
@@ -20,7 +20,7 @@ from fussdeform import (
 )
 from fussdeform._backend import kernels
 from fussdeform.cli import _build_parser, main
-from fussdeform.exact_seq import catalan_table
+from fussdeform.exact_seq import SeqTable, catalan_table
 from fussdeform.posdef import (
     HankelVerdict,
     classify_point,
@@ -524,6 +524,47 @@ def test_hankel_accepts_table_or_plain_sequence():
     table = catalan_table(8)
     assert hankel_report(table, 4) == hankel_report(list(table.values), 4)
     assert isinstance(hankel_report([1, 1, 2], 2), HankelVerdict)
+
+
+@pytest.mark.parametrize(
+    "values, size",
+    [
+        ([F(1), F(1, 3), F(1, 3), F(-2, 9), F(5, 4)], 3),
+        ([F(0), F(1), F(0)], 2),
+        ([F(1), F(1), F(1), F(2), F(5)], 3),  # the breakdown branch through _det
+        ([F(2), F(-6, 5), F(1), F(0), F(7, 2), F(3, 8), F(11, 6)], 4),
+    ],
+)
+def test_hankel_input_forms_give_one_report(values, size):
+    # Fractions, ints (cleared by the lcm of the denominators), strings and a
+    # SeqTable of the same values are all read as the same reduced pairs
+    scale = math.lcm(*(v.denominator for v in values))
+    report = hankel_report(values, size)
+    assert report == hankel_report(SeqTable("x", 0, values), size)
+    assert report == hankel_report([str(v) for v in values], size)
+    assert report == hankel_report((v for v in values), size)
+    scaled = hankel_report([int(v * scale) for v in values], size)
+    assert scaled.verdict == report.verdict
+    assert scaled.minors == [m * scale ** (k + 1) for k, m in enumerate(report.minors)]
+    assert hankel_report([int(v) for v in values], size) == hankel_report(
+        [F(int(v)) for v in values], size
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 48).flatmap(lambda b: st.tuples(st.integers(b, 4 * b), st.just(b))),
+    st.integers(1, 12).flatmap(lambda v: st.tuples(st.integers(0, 3 * v - 1), st.just(v))),
+    st.integers(1, 16),
+)
+@example((1, 1), (1, 1), 2)  # rank one: positive_semidefinite through a zero pivot
+@example((3, 2), (0, 1), 3)  # a zero pivot facing a nonzero entry: indefinite through _det
+def test_classify_reads_the_moment_section_as_hankel_report_does(p, t, size):
+    # classify_point's integer section against the Fraction moment jet, with t
+    # on both sides of 2p/(p+1)
+    params = Params.exact(F(*p), F(*t))
+    values = moment_series(params, 2 * size - 2).coeffs
+    assert classify_point(params, size)["hankel"] == hankel_report(values, size)
 
 
 def test_classify_inside_the_admissible_interval():
