@@ -10,7 +10,7 @@ cumulants, and the S- and R-transforms with their closed forms.
 
 Everything here is exact; floats never enter.  Coefficients are stored as
 Fractions, but every sum of products runs in integers.  A jet product
-(``*``, each Horner step of compose, each power in revert) is one integer
+(``*``, each power and each giant step of compose and revert) is one integer
 convolution over one common denominator.  ``*`` convolves only the nonzero
 span of the factor whose span is shorter, as the closed R jets multiply
 short polynomials by dense radicals (untrimmed, perfbench seq-tables ran
@@ -20,12 +20,16 @@ term's denominator does not divide it (on one common denominator seq-tables
 ran 1.6 to 1.8 times slower).  revert keeps its own recurrence for w / F(w)
 (through the jet quotient perfbench jets ran 4% slower).  compose and
 revert first rescale the variable, z -> lam z, so that the shared
-denominator does not grow with the coefficient index.  revert needs one
-coefficient of each Lagrange power and reads it as one dot product of a
-baby-step and a giant-step power (Brent and Kung), so an order-n reversion
-makes about 2 sqrt(n) jet products.  The moment jet is built and its B_p^2
-check made on integer jets scaled by b^n n!, one Fraction per moment; the
-exact Hankel test of posdef reads those integer pairs without the Fractions.
+denominator does not grow with the coefficient index.  Both share one
+baby-step giant-step split, s = isqrt(n), and one chain of powers, so each
+makes about 2 sqrt(n) jet products at order n: compose adds blocks of s
+coefficients of f on the baby powers G^0..G^s by Horner's rule in G^s
+(Paterson and Stockmeyer; Horner's rule in G, n products, made perfbench
+jets 13% slower), and revert needs one coefficient of each Lagrange power
+and reads it as one dot product of a baby-step and a giant-step power
+(Brent and Kung).  The moment jet is built and its B_p^2 check made on
+integer jets scaled by b^n n!, one Fraction per moment; the exact Hankel
+test of posdef reads those integer pairs without the Fractions.
 Timings are from a 2-vCPU host.
 """
 
@@ -99,6 +103,29 @@ def _conv(a: list[int], b: list[int], n: int) -> list[int]:
     coefficient takes at most len(a) products, so a short a is cheap."""
     rb, m = b[::-1], len(b) - 1  # rb[m - k :] is b[k], b[k - 1], ..., b[0]
     return [sum(map(mul, a, rb[m - k : m - k + len(a)])) for k in range(n + 1)]
+
+
+def _powers(nums: list[int], den: int, v: int, count: int, n: int) -> list[tuple[list[int], int]]:
+    """The powers 0..count of the integer jet nums/den, which starts at z^v, to order n,
+    each as reduced numerators over one denominator: count - 1 jet products, each
+    past the leading zeros of its factors."""
+    out = [([1] + [0] * n, 1), (nums, den)]
+    for j in range(2, count + 1):
+        pn, pd = out[-1]
+        lo = min(v * j, n + 1)
+        out.append(_reduced([0] * lo + _conv(pn[lo - v :], nums[v:], n - lo), pd * den))
+    return out[: count + 1]
+
+
+def _lincomb(terms: list[tuple[int, int, list[int], int]], n: int) -> tuple[list[int], int]:
+    """Numerators 0..n, reduced over one denominator, of the sum of (cn / cd) (nums / den)
+    over the terms (cn, cd, nums, den); each nums is longer than n."""
+    common = lcm(*[cd * den for _, cd, _, den in terms])
+    acc = [0] * (n + 1)
+    for cn, cd, nums, den in terms:
+        m = cn * (common // (cd * den))
+        acc = [x + m * y for x, y in zip(acc, nums)]
+    return _reduced(acc, common)
 
 
 class TruncSeries:
@@ -274,26 +301,37 @@ class TruncSeries:
 def compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     """Jet of f(g(z)); requires g(0) = 0 so the composition is well defined.
 
-    Horner's rule on the rescaled inner jet G(z) = g(mu z), mu = den(g_2 / g_1)
+    Evaluates f at the rescaled inner jet G(z) = g(mu z), mu = den(g_2 / g_1)
     (1 if g_1 or g_2 vanishes), which gives f(g(mu z)); coefficient k is then
-    divided by mu^k.  G and the running result are integer numerators over
-    one common denominator each, and the step that adds f_k only needs the
-    result up to z^(n - k).
+    divided by mu^k.  Baby-step giant-step (Paterson and Stockmeyer), on the
+    split and the chain of powers of revert: with s = isqrt(n), the baby
+    powers G^0..G^s are built to order n, each block
+    P_i = sum_{j < s} f_(i s + j) G^j is one integer combination, and Horner's
+    rule in G^s adds them, P_i + G^s (P_(i+1) + ...), in about 2 sqrt(n) jet
+    products where Horner's rule in G takes n.  G^j starts at z^(v j), v the
+    valuation of G, so its products skip the leading zeros, and block i is
+    only needed to order n - i s.  Every jet is integer numerators over one
+    common denominator.
     """
     if g.coeffs[0] != 0:
         raise ValueError("composition needs an inner jet with zero constant term")
     n = min(f.order, g.order)
     mu = (g.coeffs[2] / g.coeffs[1]).denominator if n >= 2 and g.coeffs[1] else 1
     gn, gd = _scaled(g.coeffs[: n + 1], mu)
-    acc, den = [f.coeffs[n].numerator], f.coeffs[n].denominator
-    for k in range(n - 1, -1, -1):
-        # acc * G has constant term 0 (G(0) = 0), so adding f_k sets it
-        fk = f.coeffs[k]
-        den *= gd
-        common = lcm(den, fk.denominator)
-        acc = [x * (common // den) for x in _conv(acc, gn, n - k)]
-        acc[0] = fk.numerator * (common // fk.denominator)
-        acc, den = _reduced(acc, common)
+    v = _span(gn)[0] or n + 1  # G starts at z^v; a zero G at z^(n + 1)
+    s = isqrt(n) or 1
+    baby = _powers(gn, gd, v, s, n)
+    giant, giant_den = baby[s]
+    top = n // s
+    for i in range(top, -1, -1):
+        # P_i and, above the top block, G^s times the running sum, to order n - i s
+        m = n - i * s
+        block = f.coeffs[i * s : min(i * s + s, n + 1)]
+        terms = [(c.numerator, c.denominator, *baby[j]) for j, c in enumerate(block) if c]
+        if i < top:
+            lo = min(v * s, m + 1)
+            terms.append((1, 1, [0] * lo + _conv(giant[lo:], acc, m - lo), giant_den * den))
+        acc, den = _lincomb(terms, m)
     out = []
     for x in acc:
         out.append(Fraction(x, den))
@@ -327,22 +365,15 @@ def revert(f: TruncSeries) -> TruncSeries:
         s = sum(map(mul, bn[1 : k + 1], hn[::-1]))
         hn, hd = _reduced([x * bn[0] for x in hn] + [-s], hd * bn[0])
     # G_k = [w^(k-1)] H^(i s) H^j for k = i s + j, 1 <= j <= s: baby powers
-    # H^1..H^s, giant powers H^0, H^s, H^(2s), ..., one dot product per k
+    # H^0..H^s, giant powers H^0, H^s, H^(2s), ..., one dot product per k
     s = isqrt(n)
-    baby = [(hn, hd)]
-    for _ in range(1, s):
-        nums, den = baby[-1]
-        baby.append(_reduced(_conv(nums, hn, n - 1), den * hd))
-    step, step_den = baby[-1]
-    giant = [([1], 1), baby[-1]]
-    for _ in range(2, (n - 1) // s + 1):
-        nums, den = giant[-1]
-        giant.append(_reduced(_conv(nums, step, n - 1), den * step_den))
+    baby = _powers(hn, hd, 0, s, n - 1)
+    giant = _powers(*baby[s], 0, (n - 1) // s, n - 1)
     out = [Fraction(0)]
     for k in range(1, n + 1):
         i, j = divmod(k - 1, s)
         gnums, gden = giant[i]
-        bnums, bden = baby[j]
+        bnums, bden = baby[j + 1]
         dot = sum(map(mul, gnums[:k], bnums[k - 1 :: -1]))
         out.append(Fraction(dot, gden * bden * k * lam ** (k - 1)))
     g = TruncSeries(tuple(out))

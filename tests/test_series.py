@@ -122,6 +122,49 @@ def test_compose_matches_reference():
         assert compose(f, g) == brute_compose(f, g)
 
 
+_SPLIT_ORDERS = sorted({*range(13), *(s * s + d for s in range(2, 9) for d in (-1, 0, 1))})
+
+
+def _split_inner(n, shape):
+    """An inner jet of order n: dense, g_2 = 0, valuation 2 or 3, or zero."""
+    coeffs = [F(0)] + [F((-1) ** k * (k % 7 + 1), k % 3 + 2) for k in range(1, n + 1)]
+    zeros = {"g2 = 0": (2,), "valuation 2": (1,), "valuation 3": (1, 2), "zero": range(n + 1)}
+    for k in zeros.get(shape, ()):
+        if k <= n:
+            coeffs[k] = F(0)
+    return TruncSeries(tuple(coeffs))
+
+
+def _split_outer(n, shape):
+    """An outer jet of order n: dense, zero, constant, or with block 1 or the top block zero."""
+    coeffs = [F(k % 5 - 2, k % 4 + 1) or F(1, 3) for k in range(n + 1)]
+    s = isqrt(n) or 1
+    zeros = {
+        "zero": range(n + 1),
+        "constant": range(1, n + 1),
+        "zero block 1": range(s, 2 * s),
+        "zero top block": range(n // s * s, n + 1),
+    }
+    for k in zeros.get(shape, ()):
+        if k <= n:
+            coeffs[k] = F(0)
+    return TruncSeries(tuple(coeffs))
+
+
+@pytest.mark.parametrize("inner", ["dense", "g2 = 0", "valuation 2", "valuation 3", "zero"])
+def test_compose_at_every_block_boundary(inner):
+    # orders 0..12 and s^2 - 1, s^2, s^2 + 1 for s = 2..8: every way the
+    # baby-step giant-step split of compose can end, up to the order 65 at
+    # which transforms --series-order 64 checks its reversion
+    for n in _SPLIT_ORDERS:
+        g = _split_inner(n, inner)
+        for outer in ("dense", "zero", "constant", "zero block 1", "zero top block"):
+            f = _split_outer(n, outer)
+            h = compose(f, g)
+            assert h == brute_compose(f, g), (n, outer)
+            assert all(type(c) is F for c in h.coeffs), (n, outer)
+
+
 def test_compose_rejects_nonzero_inner_constant():
     f = TruncSeries.from_coeffs([1, 1])
     with pytest.raises(ValueError):
@@ -682,25 +725,31 @@ def _boundary_jet(n, shape):
     return TruncSeries(tuple(coeffs[: n + 1]))
 
 
-@pytest.mark.parametrize("shape, top", [("small", 65), ("f2 = 0", 37), ("huge f1", 10)])
-def test_revert_at_every_block_boundary(monkeypatch, shape, top):
-    # orders 1..12 and s^2 - 1, s^2, s^2 + 1 for s = 4..8: every way the
-    # baby-step giant-step split can end, up to the order 65 that
-    # transforms --series-order 64 reverts (the reference costs O(n^3)
-    # Fraction operations, so the wider jets stop earlier)
+def _count_convs(monkeypatch):
+    """Record every call of series._conv, and the count at each entry to compose."""
     real_conv, real_compose = series._conv, series.compose
-    convs, seen = [], []
+    convs, starts = [], []
 
     def conv(*args):
         convs.append(args)
         return real_conv(*args)
 
     def compose(f, g):
-        seen.append(len(convs))
+        starts.append(len(convs))
         return real_compose(f, g)
 
     monkeypatch.setattr(series, "_conv", conv)
     monkeypatch.setattr(series, "compose", compose)
+    return convs, starts
+
+
+@pytest.mark.parametrize("shape, top", [("small", 65), ("f2 = 0", 37), ("huge f1", 10)])
+def test_revert_at_every_block_boundary(monkeypatch, shape, top):
+    # orders 1..12 and s^2 - 1, s^2, s^2 + 1 for s = 4..8: every way the
+    # baby-step giant-step split can end, up to the order 65 that
+    # transforms --series-order 64 reverts (the reference costs O(n^3)
+    # Fraction operations, so the wider jets stop earlier)
+    convs, seen = _count_convs(monkeypatch)
     for n in (n for n in _BOUNDARY_ORDERS if n <= top):
         f = _boundary_jet(n, shape)
         convs.clear()
@@ -709,6 +758,35 @@ def test_revert_at_every_block_boundary(monkeypatch, shape, top):
         assert g.coeffs == _lagrange_loop(f), n
         ceil_sqrt = isqrt(n - 1) + 1
         assert seen[0] <= 2 * ceil_sqrt + 1, n  # jet products before the self-check
+        assert len(seen) == 1 and len(convs) <= 4 * isqrt(n) + 2, n  # and with it
+
+
+@pytest.mark.parametrize("n", [16, 24, 48, 65])
+def test_compose_makes_about_2_sqrt_n_jet_products(monkeypatch, n):
+    # s - 1 baby powers and n // s giant steps, s = isqrt(n); Horner in G makes n
+    convs, _ = _count_convs(monkeypatch)
+    f = _boundary_jet(n, "small")
+    g = _split_inner(n, "dense")
+    compose(f, g)
+    assert len(convs) <= isqrt(n - 1) + 1 + -(-n // isqrt(n))
+
+
+def test_revert_self_check_sees_a_wrong_composition(monkeypatch, capsys):
+    # at order 7 revert's own products are H^2, H^4 and H^6 (calls 1-3), and
+    # compose's baby power G^2 is call 4; call 5 is compose's first giant step,
+    # G^2 (f_6 + f_7 G) to order 3
+    f = TruncSeries.from_coeffs([0, 2, 1, F(3, 5), -1, F(1, 2), 2, 1])
+    convs, starts = _count_convs(monkeypatch)
+    revert(f)
+    assert starts == [3] and len(convs) == 7
+    monkeypatch.undo()
+    _skew_call(monkeypatch, "_conv", _bump, 5)
+    with pytest.raises(InconsistencyError):
+        revert(f)
+    monkeypatch.undo()
+    _skew_call(monkeypatch, "_conv", _bump, 5)
+    assert main(["transforms", "--p", "2", "--t", "1/2", "--series-order", "6"]) == 3
+    assert "internal contradiction" in capsys.readouterr().err
 
 
 def test_bp_square_check_fires(monkeypatch, capsys):
