@@ -620,7 +620,7 @@ def test_pow1p_matches_fraction_recurrence(f, alpha):
 @settings(max_examples=200, deadline=None)
 @given(_wide_jet(), _wide_jet(), st.sampled_from(((), (1,), (2,), (1, 2))))
 def test_compose_matches_brute_force(f, g, zeros):
-    # g_1 = 0 or g_2 = 0 leaves the inner jet unscaled
+    # g_1 = 0 leaves the inner jet unscaled; g_2 = 0 rescales it by den(g_3)
     for i in (0, *zeros):
         if i <= g.order:
             g = _with(g, i, F(0))
@@ -654,6 +654,47 @@ def test_revert_matches_lagrange_reference(f, f1):
     g = revert(f)
     assert g.coeffs == _lagrange_loop(f)
     assert all(type(c) is F for c in g.coeffs)
+
+
+@pytest.mark.parametrize(
+    "coeffs, lam",
+    [
+        pytest.param([0, F(3, 2)], 1, id="n = 1"),
+        pytest.param([0, 2, F(1, 3)], 6, id="n = 2"),
+        pytest.param([0, 2, 0, F(1, 5), F(1, 7)], 5, id="c2 = 0"),
+        pytest.param([0, 0, F(1, 3), F(1, 5), 2], 1, id="valuation 2"),
+        pytest.param([0, 0, 0, F(1, 5), F(2, 7)], 1, id="valuation 3"),
+        pytest.param([0, 1, F(1, 3), F(1, 10**50), 1, 2], 3 * 10**50, id="c3 = 1/10^50"),
+        pytest.param([0, 1, F(2, 11), F(3, 11 * 37), F(5, 11 * 37**2)], 407, id="growth 37"),
+        pytest.param([0, 1, F(1, 11), F(1, 121), F(1, 1331)], 11, id="growth 11"),
+    ],
+)
+def test_rescale_takes_offset_and_growth(coeffs, lam):
+    # den(c_2 / c_1) times the part of den(c_3) not in den(c_2); revert and
+    # compose are exact for any lam, so each result equals its reference
+    jet = TruncSeries.from_coeffs(coeffs)
+    assert series._rescale(jet.coeffs) == lam
+    outer = TruncSeries.from_coeffs([F(k % 5 - 2, k % 4 + 1) for k in range(jet.order + 1)])
+    assert compose(outer, jet) == brute_compose(outer, jet)
+    if jet.coeffs[1]:
+        assert revert(jet).coeffs == _lagrange_loop(jet)
+
+
+def test_revert_of_z_m_rescales_to_an_integer_jet(monkeypatch):
+    # at (61/37, 5/11) the moments' denominators are 11 * 37^(k - 1): lam = 407
+    # clears them all, where den(f_2 / f_1) = 11 left F / z over 251 bits in the
+    # reversion that transforms --series-order 48 makes
+    real, dens = series._scaled, []
+
+    def scaled(coeffs, s):
+        out = real(coeffs, s)
+        dens.append(out[1])
+        return out
+
+    monkeypatch.setattr(series, "_scaled", scaled)
+    f = moment_series(Params.exact(F(61, 37), F(5, 11)), 48).shift_up(1)
+    revert(f)
+    assert dens[0] == 1  # F / z, the first rescaled jet; the self-check's follows
 
 
 # -- the independent-route cross-checks still fire --------------------------------
@@ -696,7 +737,7 @@ def _bump(nums):
         pytest.param("_conv", _bump, 1, id="_conv-_bump"),
         # H^4 = H^2 H^2, the first giant-step product
         pytest.param("_conv", _bump, 2, id="_conv-_bump-giant"),
-        # F / z, rescaled by lam = 2
+        # F / z, rescaled by lam = 10: den(f_2 / f_1) = 2 times den(f_3) = 5
         pytest.param("_scaled", lambda jet: (_bump(jet[0]), jet[1]), 1, id="_scaled-<lambda>"),
     ],
 )
