@@ -13,6 +13,10 @@ of the paper go only to the subcommands that read them: the jet order
 moment quadrature's tolerance ``--tol`` to ``moments-check``.  Any other
 subcommand rejects them as unknown flags.
 
+Only ``errors`` and ``exact_seq``, which every subcommand uses, load with
+this module.  Each handler imports the other layers it calls (``series``,
+``density``, ``posdef``, ``verify``), so a command loads only those.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error or a float
 limit (a value left the float range: an overflow, or an underflow to zero
 that a division then met; a quadrature did not converge), 3 internal
@@ -29,7 +33,6 @@ from fractions import Fraction
 from math import isfinite
 from typing import Optional
 
-from .density import density_grid, moment_quadrature_full
 from .errors import DigitLimitError, FussDeformError, InconsistencyError
 from .exact_seq import (
     Params,
@@ -42,16 +45,6 @@ from .exact_seq import (
     parse_rational,
     raney,
     rational_str,
-)
-from .posdef import classify_point, g_of_p, infdiv_check
-from .series import (
-    TruncSeries,
-    cumulant_jet,
-    cumulants_from_moments,
-    moment_series,
-    r_series_closed,
-    s_series_closed,
-    s_series_from_moments,
 )
 
 __all__ = ["main"]
@@ -102,6 +95,8 @@ def _axis(lo, hi, steps: int) -> list:
 
 def _classify(p: Fraction, t: Fraction, size: int):
     """The ``posdef``/``domain-grid`` record of one (p, t) cell, and its Hankel report."""
+    from .posdef import classify_point
+
     record = classify_point(Params.exact(p, t), size)
     cell = {
         "p": rational_str(p),
@@ -152,13 +147,22 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     return 0
 
 
-def _rendered(jet: TruncSeries) -> list[str]:
-    """The coefficients of ``jet`` as text: a jet past the digit limit stops
-    the command before the next, larger jet is built."""
+def _rendered(jet) -> list[str]:
+    """The coefficients of the ``TruncSeries`` ``jet`` as text: a jet past the
+    digit limit stops the command before the next, larger jet is built."""
     return [rational_str(c) for c in jet.coeffs]
 
 
 def _cmd_transforms(args: argparse.Namespace) -> int:
+    from .series import (
+        cumulant_jet,
+        cumulants_from_moments,
+        moment_series,
+        r_series_closed,
+        s_series_closed,
+        s_series_from_moments,
+    )
+
     params = Params.exact(args.p, args.t)
     p, t = params.p, params.t
     order = args.series_order
@@ -183,6 +187,8 @@ def _cmd_transforms(args: argparse.Namespace) -> int:
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
+    from .density import density_grid
+
     params = Params.exact(args.p, args.t)
     if args.grid < 1:
         raise ValueError("--grid must be positive")
@@ -197,6 +203,8 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 
 def _cmd_moments_check(args: argparse.Namespace) -> int:
+    from .density import moment_quadrature_full
+
     params = Params.exact(args.p, args.t)
     p, t = rational_str(params.p), rational_str(params.t)
     if args.n_max < 0:
@@ -211,6 +219,8 @@ def _cmd_moments_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_gfun(args: argparse.Namespace) -> int:
+    from .posdef import g_of_p
+
     if args.steps < 1:
         raise ValueError("--steps must be positive")
     if not isfinite(args.p_min):
@@ -243,6 +253,8 @@ def _cmd_posdef(args: argparse.Namespace) -> int:
 
 
 def _cmd_infdiv(args: argparse.Namespace) -> int:
+    from .posdef import infdiv_check
+
     p = parse_rational(args.p)
     t = parse_rational(args.t)
     report = infdiv_check(p, t, args.hankel_size)
@@ -279,7 +291,6 @@ def _cmd_domain_grid(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # loaded on first use: no other command needs it
     from .verify import format_report, run_criteria
 
     results = run_criteria(series_order=args.series_order, only=args.only)

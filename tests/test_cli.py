@@ -1,9 +1,10 @@
-"""Command-line front end: formats, exit codes, determinism."""
+"""Command-line front end: formats, exit codes, determinism, and the layers each command loads."""
 
 import argparse
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -449,8 +450,8 @@ def test_transforms_stops_at_the_first_jet_past_the_digit_limit(
     def refuse(*args):
         raise AssertionError("built a jet after one past the digit limit")
 
-    for name in never_built:
-        monkeypatch.setattr(fussdeform.cli, name, refuse)
+    for name in never_built:  # the handler imports them from series when it runs
+        monkeypatch.setattr(fussdeform.series, name, refuse)
     for fmt in ("csv", "json"):
         argv = ("transforms", "--p", "2", "--t", t, "--series-order", order, "--format", fmt)
         code, out, err = run(capsys, *argv)
@@ -674,7 +675,56 @@ def test_subprocess_module_invocation():
     assert list(record) == ["ident", "label", "tags", "passed", "detail", "seconds"]
 
 
-def test_console_script_if_installed():
+# One command of each subcommand, and of each seq subject that builds jets, with
+# the modules under fussdeform.cli that it loads in a fresh interpreter: a
+# handler imports the layers it calls, so each command loads only those.
+_FLOAT = {"exact_seq", "density", "_backend", "_kernels_py"}
+_POSITIVITY = {"exact_seq", "series", "posdef", "_backend", "_kernels_py"}
+_LAYERS_PER_COMMAND = {
+    ("seq", "a", "--p", "5/2", "--t", "1/3", "--n", "4"): {"exact_seq"},
+    ("seq", "a022558", "--n", "4"): {"exact_seq", "series"},
+    ("seq", "a220910", "--n", "4", "--method", "cumulant"): {"exact_seq", "series"},
+    ("transforms", "--p", "5/2", "--t", "1/3", "--series-order", "4"): {"exact_seq", "series"},
+    ("density", "--p", "5/2", "--t", "1/3", "--grid", "3"): _FLOAT,
+    ("moments-check", "--p", "5/2", "--t", "1/3", "--n-max", "2"): _FLOAT,
+    ("gfun", "--steps", "3"): _POSITIVITY,
+    ("posdef", "--p", "3/2", "--t", "1/5"): _POSITIVITY,
+    ("infdiv", "--p", "2", "--t", "1/2"): _POSITIVITY,
+    ("domain-grid", "--steps", "2"): _POSITIVITY,
+    ("verify", "--only", "c1"): _FLOAT | _POSITIVITY | {"verify"},
+}
+
+
+@pytest.mark.parametrize("argv", list(_LAYERS_PER_COMMAND), ids=" ".join)
+def test_each_command_loads_only_its_layers(argv):
+    src = os.path.dirname(os.path.dirname(fussdeform.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import contextlib, io, sys\n"
+        "import fussdeform.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = fussdeform.cli.main(sys.argv[1:])\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('fussdeform.')))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    code, *loaded = result.stdout.split()
+    assert code == "0"
+    layers = {name.removeprefix("fussdeform.") for name in loaded} - {"cli", "errors"}
+    assert layers == _LAYERS_PER_COMMAND[argv]
+
+
+def _untimed(text: str) -> str:
+    """``verify``'s report with each criterion's seconds blanked out."""
+    return re.sub(r"\[\d+\.\d+s\]", "[s]", text)
+
+
+def test_console_script_if_installed(capsys):
     exe = shutil.which("fussdeform")
     if exe is None:
         pytest.skip("console script not on PATH")
@@ -689,3 +739,13 @@ def test_console_script_if_installed():
         "constellation(p=3),1,2,6/1",
         "constellation(p=3),1,3,54/1",
     ]
+    # the installed entry point loads the package __init__, then
+    # fussdeform.cli:main: every subcommand prints through it what main prints
+    for argv in _LAYERS_PER_COMMAND:
+        code, out, err = run(capsys, *argv)
+        result = subprocess.run([exe, *argv], capture_output=True, text=True)
+        assert (result.returncode, _untimed(result.stdout), result.stderr) == (
+            code,
+            _untimed(out),
+            err,
+        ), argv

@@ -2,8 +2,9 @@
 commands print, no build artifact is tracked, the benchmark's layer tracer still finds
 every entry point it wraps and wraps every kernel the package calls but the per-point
 ones, every name in an ``__all__`` resolves, the package re-exports each module's
-``__all__`` once, importing the CLI loads only what every command needs, and the
-package's records keep their fields, constructors and (im)mutability."""
+``__all__`` once and resolves the names of its lazy layers on first use, importing
+the CLI loads only what every command needs, and the package's records keep their
+fields, constructors and (im)mutability."""
 
 import ast
 import importlib
@@ -153,20 +154,12 @@ def test_package_reexports_each_module_all_once():
         assert [n for n in mod.__all__ if getattr(fussdeform, n, None) is not getattr(mod, n)] == [], module
 
 
-def test_cli_import_loads_only_what_every_command_needs():
-    # Start-up is paid by every command: verify and json load on first use, and no
-    # record is a dataclass (dataclasses pulls in inspect).  Modules that site loads
-    # before the import do not count.
+def _fresh(code: str) -> str:
+    """The stdout of ``code`` run in a new interpreter that imports fussdeform from here."""
     import fussdeform
 
     src = os.path.dirname(os.path.dirname(fussdeform.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = (
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        "import fussdeform.cli\n"
-        "print(*sorted(set(sys.modules) - before))\n"
-    )
     result = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -174,9 +167,57 @@ def test_cli_import_loads_only_what_every_command_needs():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0, result.stderr
-    loaded = set(result.stdout.split())
-    assert "fussdeform.cli" in loaded
-    assert loaded & {"dataclasses", "inspect", "json", "fussdeform.verify"} == set()
+    return result.stdout
+
+
+def test_cli_import_loads_only_what_every_command_needs():
+    # Start-up is paid by every command: the layers only some commands call, verify
+    # and json load on first use, and no record is a dataclass (dataclasses pulls in
+    # inspect).  Modules that site loads before the import do not count.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import fussdeform, fussdeform.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    loaded = set(_fresh(code).split())
+    assert {"fussdeform.cli", "fussdeform.errors", "fussdeform.exact_seq"} <= loaded
+    assert loaded & {"dataclasses", "inspect", "json"} == set()
+    layers = ("series", "density", "posdef", "_kernels_py", "_backend", "verify")
+    assert loaded & {f"fussdeform.{name}" for name in layers} == set()
+
+
+def test_package_resolves_lazy_names_on_first_use():
+    # series and density load when one of their names is first asked for; the
+    # package still offers every name of the four modules, in their order
+    import fussdeform
+    from fussdeform import density, errors, exact_seq, series
+
+    modules = (errors, exact_seq, series, density)
+    namespace: dict = {}
+    exec("from fussdeform import *", namespace)
+    del namespace["__builtins__"]
+    assert list(namespace) == ["__version__", "backend_name", *(n for m in modules for n in m.__all__)]
+    for module in modules:
+        assert all(namespace[name] is getattr(module, name) for name in module.__all__)
+    assert set(namespace) <= set(dir(fussdeform))
+    for name in ("no_such_name", "_no_such_module", "__no_such_dunder__"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(fussdeform, name)
+
+    code = (
+        "import pickle, sys\n"
+        "from fractions import Fraction\n"
+        "import fussdeform\n"
+        "assert 'fussdeform.posdef' not in sys.modules\n"
+        "assert fussdeform.posdef is sys.modules['fussdeform.posdef']\n"
+        "jet = fussdeform.TruncSeries.from_coeffs([1, Fraction(-2, 3), 5])\n"
+        "back = pickle.loads(pickle.dumps(jet))\n"
+        "assert back == jet and type(back) is fussdeform.TruncSeries\n"
+        "print(pickle.dumps(jet).hex())\n"
+    )
+    jet = pickle.loads(bytes.fromhex(_fresh(code)))
+    assert jet == TruncSeries.from_coeffs([1, Fraction(-2, 3), 5])
 
 
 _RECORDS = {

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction as F
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -630,7 +630,11 @@ def test_compose_matches_brute_force(f, g, zeros):
 
 
 def _lagrange_loop(f):
-    """Reference: g_k = [w^(k-1)] (w / f(w))^k / k, one Fraction at a time."""
+    """Reference: g_k = [w^(k-1)] (w / f(w))^k / k, by the schoolbook product.
+
+    h = w / f(w) is built one Fraction at a time; its powers h^k are carried
+    as integer numerators over the one denominator den^k.
+    """
     n = f.order
     base = f.coeffs[1:]
     h = []
@@ -639,11 +643,14 @@ def _lagrange_loop(f):
         for j in range(1, k + 1):
             acc -= base[j] * h[k - j]
         h.append(acc / base[0])
+    den = lcm(*(c.denominator for c in h))
+    nums = [c.numerator * (den // c.denominator) for c in h]
     out = [F(0)]
-    power = h
+    power, scale = nums, den
     for k in range(1, n + 1):
-        out.append(power[k - 1] / k)
-        power = [sum((power[i] * h[j - i] for i in range(j + 1)), F(0)) for j in range(n)]
+        out.append(F(power[k - 1], scale * k))
+        power = [sum(power[i] * nums[j - i] for i in range(j + 1)) for j in range(n)]
+        scale *= den
     return tuple(out)
 
 
@@ -789,7 +796,7 @@ def test_revert_at_every_block_boundary(monkeypatch, shape, top):
     # orders 1..12 and s^2 - 1, s^2, s^2 + 1 for s = 4..8: every way the
     # baby-step giant-step split can end, up to the order 65 that
     # transforms --series-order 64 reverts (the reference costs O(n^3)
-    # Fraction operations, so the wider jets stop earlier)
+    # products of growing integers, so the wider jets stop earlier)
     convs, seen = _count_convs(monkeypatch)
     for n in (n for n in _BOUNDARY_ORDERS if n <= top):
         f = _boundary_jet(n, shape)
