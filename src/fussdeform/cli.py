@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache
-from fractions import Fraction
 from math import isfinite
 from typing import Optional
 
@@ -82,29 +81,14 @@ def _emit(args: argparse.Namespace, header: str, rows: list[str], payload) -> No
             raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
 
 
-def _cell_row(cell: dict) -> str:
+def _cell_row(p: str, t: str, theorem: bool, hankel_verdict: str) -> str:
     """A ``posdef``/``domain-grid`` cell as a CSV row, its theorem verdict spelt as in JSON."""
-    theorem = "true" if cell["theorem"] else "false"
-    return ",".join((cell["p"], cell["t"], theorem, cell["hankel_verdict"]))
+    return ",".join((p, t, "true" if theorem else "false", hankel_verdict))
 
 
 def _axis(lo, hi, steps: int) -> list:
     """``steps`` evenly spaced values from ``lo`` to ``hi`` (just ``lo`` for one step)."""
     return [lo if steps == 1 else lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
-
-
-def _classify(p: Fraction, t: Fraction, size: int):
-    """The ``posdef``/``domain-grid`` record of one (p, t) cell, and its Hankel report."""
-    from .posdef import classify_point
-
-    record = classify_point(Params.exact(p, t), size)
-    cell = {
-        "p": rational_str(p),
-        "t": rational_str(t),
-        "theorem": record["theorem_verdict"],
-        "hankel_verdict": record["hankel"].verdict,
-    }
-    return cell, record["hankel"]
 
 
 def _cmd_seq(args: argparse.Namespace) -> int:
@@ -240,15 +224,20 @@ def _cmd_gfun(args: argparse.Namespace) -> int:
 
 
 def _cmd_posdef(args: argparse.Namespace) -> int:
+    from .posdef import classify_point
+
     size = args.hankel_size
-    cell, hankel = _classify(parse_rational(args.p), parse_rational(args.t), size)
+    params = Params.exact(args.p, args.t)
+    record = classify_point(params, size)
+    hankel = record["hankel"]
     payload = {
-        "p": cell["p"],
-        "t": cell["t"],
-        "theorem_verdict": cell["theorem"],
+        "p": rational_str(params.p),
+        "t": rational_str(params.t),
+        "theorem_verdict": record["theorem_verdict"],
         "hankel": {"size": size, "minors": hankel.minors, "verdict": hankel.verdict},
     }
-    _emit(args, _CELL_HEADER, [_cell_row(cell)], payload)
+    row = _cell_row(payload["p"], payload["t"], payload["theorem_verdict"], hankel.verdict)
+    _emit(args, _CELL_HEADER, [row], payload)
     return 0
 
 
@@ -270,6 +259,8 @@ def _cmd_infdiv(args: argparse.Namespace) -> int:
 
 
 def _cmd_domain_grid(args: argparse.Namespace) -> int:
+    from .posdef import classify_row
+
     p_min = parse_rational(args.p_min)
     p_max = parse_rational(args.p_max)
     t_min = parse_rational(args.t_min)
@@ -281,12 +272,18 @@ def _cmd_domain_grid(args: argparse.Namespace) -> int:
         raise ValueError("the classification covers p >= 1")
     if p_max < p_min or t_max < t_min:
         raise ValueError("ranges must be nondecreasing")
-    cells = [
-        _classify(p, t, args.hankel_size)[0]
-        for p in _axis(p_min, p_max, steps)
-        for t in _axis(t_min, t_max, steps)
-    ]
-    _emit(args, _CELL_HEADER, [_cell_row(c) for c in cells], cells)
+    ts = _axis(t_min, t_max, steps)
+    cells = []
+    for p in _axis(p_min, p_max, steps):
+        # one row of cells at p: its interval and Raney integers are built once
+        for t, (theorem, verdict) in zip(ts, classify_row(p, ts, args.hankel_size)):
+            cells.append({
+                "p": rational_str(p),
+                "t": rational_str(t),
+                "theorem": theorem,
+                "hankel_verdict": verdict,
+            })
+    _emit(args, _CELL_HEADER, [_cell_row(**c) for c in cells], cells)
     return 0
 
 

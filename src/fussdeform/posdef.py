@@ -23,10 +23,16 @@ denominators by their lcm L, and one symmetric fraction-free (Bareiss)
 elimination in natural order gives the leading principal minors (the pivots,
 each divided once by a power of L and of s) and the verdict (the signs of the
 pivots).  Every division in it is exact, because each intermediate entry is
-itself a minor of the integer section.  classify_point takes a cell's section
-straight from the moment jet's Raney integers (series._moment_parts, B_p^2
-check included), one gcd per entry and no Fraction, runs both routes and
-refuses to return if they genuinely disagree.
+itself a minor of the integer section.  The elimination is one generator of
+pivots (_pivots), which also states the verdict rule; it makes each step
+only when the next pivot is read.  classify_point takes a cell's section
+straight from the moment jet's Raney integers (series._fuss_parts, B_p^2
+check included, and the t-combination series._moment_parts), one gcd per
+entry and no Fraction, runs both routes and refuses to return if they
+genuinely disagree.  classify_row does the same for a row of cells at one p:
+it builds the interval and the Raney integers once, and hankel_report with
+minors=False reads each cell's pivots only until its verdict is decided, so
+an indefinite cell stops at its first negative pivot and no minor is built.
 """
 
 from __future__ import annotations
@@ -34,12 +40,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isfinite, lcm
-from typing import NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from ._backend import kernels
 from .errors import InconsistencyError
-from .exact_seq import Params, SeqTable
-from .series import _moment_parts, cumulants_from_moments, moment_series
+from .exact_seq import Params, RationalLike, SeqTable, parse_rational
+from .series import _fuss_parts, _moment_parts, cumulants_from_moments, moment_series
 
 __all__ = [
     "psi_min",
@@ -47,6 +53,7 @@ __all__ = [
     "HankelVerdict",
     "hankel_report",
     "classify_point",
+    "classify_row",
     "infdiv_check",
     "theorem_interval",
 ]
@@ -137,15 +144,58 @@ class _IntSection(list):
     __slots__ = ()
 
 
+def _cell_section(parts: list[tuple[int, int, int]], t: Fraction) -> _IntSection:
+    """The moment section of one cell at t, from the p-only part of its row, as reduced pairs."""
+    section = _IntSection()
+    for num, den in _moment_parts(parts, t):
+        g = gcd(num, den)
+        section.append((num // g, den // g))
+    return section
+
+
+def _pivots(b: list[list[int]]) -> Iterator[tuple[Optional[int], str]]:
+    """The symmetric fraction-free elimination of the integer Hankel section b, run lazily.
+
+    Yields each pivot k of B (its leading minor of order k + 1 until a zero
+    pivot drops out) with the verdict of the pivots so far, and makes step k
+    of the elimination only when the next pivot is asked for, so a caller
+    that stops reading at an indefinite verdict skips the rest.  A zero
+    pivot facing a nonzero entry is yielded as None, indefinite, and ends
+    the elimination (see hankel_report).
+    """
+    size = len(b)
+    verdict = "positive_definite"
+    prev = 1
+    for k in range(size):
+        row = b[k]
+        pivot = row[k]
+        if pivot == 0 and any(row[k + 1 :]):
+            yield None, "indefinite"
+            return
+        if pivot < 0:
+            verdict = "indefinite"
+        elif pivot == 0 and verdict == "positive_definite":
+            verdict = "positive_semidefinite"
+        yield pivot, verdict
+        if pivot == 0:
+            continue
+        for i in range(k + 1, size):
+            r, f = b[i], row[i]
+            for j in range(i, size):
+                r[j] = (pivot * r[j] - f * row[j]) // prev
+        prev = pivot
+
+
 def hankel_report(
-    seq: Union[SeqTable, Sequence[Union[Fraction, int, str]]], size: int
+    seq: Union[SeqTable, Sequence[Union[Fraction, int, str]]], size: int, minors: bool = True
 ) -> HankelVerdict:
     """Definiteness of H = (seq[i+j])_{0 <= i,j < size}, all arithmetic exact.
 
     The values are read as reduced integer pairs (numerator, denominator):
     those of a SeqTable, of Fractions and ints, of anything else Fraction
     accepts (such as "1/3") after one conversion, or the pairs that
-    classify_point takes straight from the moment jet's Raney integers.
+    classify_point and classify_row take straight from the moment jet's
+    Raney integers.
     With d_k the denominator of v_k = seq[k], s = d_2 // gcd(d_1, d_2) (s = 1
     at size 1) is the part of d_2 not in d_1: the ratio b for moment sections
     at p = a/b, the growth of den(t) for cumulant sections at tiny t.  The
@@ -155,7 +205,7 @@ def hankel_report(
     (n_k s^k / g, d_k / g), g = gcd(s^k, d_k).  D H D is scaled to the
     integer Hankel section B = L D H D, L the lcm of the denominators of the
     w_k, and one symmetric fraction-free (Bareiss) elimination in natural
-    order runs on the upper triangle of B.  Each update
+    order (_pivots) runs on the upper triangle of B.  Each update
 
         b[i][j] = (pivot * b[i][j] - b[k][i] * b[k][j]) // prev
 
@@ -174,6 +224,11 @@ def hankel_report(
     semidefinite.  A zero pivot facing a nonzero entry b makes H indefinite
     (a 2x2 principal minor is -b^2); the later leading minors need not
     vanish there, so they come from separate determinants.
+
+    With minors=False no minor is built (minors is an empty list) and the
+    pivots are read only until the verdict is decided: a negative pivot, or
+    a zero pivot facing a nonzero entry, ends the elimination as indefinite;
+    otherwise every pivot is read.  classify_row reads each cell so.
     """
     pairs = seq
     if not isinstance(seq, _IntSection):
@@ -198,33 +253,36 @@ def hankel_report(
     scale = lcm(*(den for _, den in w))
     h = [num * (scale // den) for num, den in w]
     b = [h[i : i + size] for i in range(size)]
-    minors: list[Fraction] = []
-    verdict = "positive_definite"
-    prev = 1
+    if not minors:
+        for _, verdict in _pivots(b):
+            if verdict == "indefinite":
+                break
+        return HankelVerdict(size=size, minors=[], verdict=verdict)
+    found: list[Fraction] = []
     power = 1  # scale ** (k + 1) * s ** (k * (k + 1))
     singular = False
-    for k in range(size):
-        row = b[k]
-        pivot = row[k]
+    for k, (pivot, verdict) in enumerate(_pivots(b)):
         power *= scale * s ** (2 * k)
-        if pivot == 0 and any(row[k + 1 :]):
+        if pivot is None:
             values = [Fraction(num, den) for num, den in pairs]
-            minors += [_det([values[i : i + m + 1] for i in range(m + 1)]) for m in range(k, size)]
-            return HankelVerdict(size=size, minors=minors, verdict="indefinite")
+            found += [_det([values[i : i + m + 1] for i in range(m + 1)]) for m in range(k, size)]
+            break
         singular = singular or pivot == 0
-        minors.append(Fraction(0) if singular else Fraction(pivot, power))
-        if pivot < 0:
-            verdict = "indefinite"
-        elif pivot == 0:
-            if verdict == "positive_definite":
-                verdict = "positive_semidefinite"
-            continue
-        for i in range(k + 1, size):
-            r, f = b[i], row[i]
-            for j in range(i, size):
-                r[j] = (pivot * r[j] - f * row[j]) // prev
-        prev = pivot
-    return HankelVerdict(size=size, minors=minors, verdict=verdict)
+        found.append(Fraction(0) if singular else Fraction(pivot, power))
+    return HankelVerdict(size=size, minors=found, verdict=verdict)
+
+
+def _cross_checked(p: Fraction, t: Fraction, tf: float, interval, verdict: str, size: int) -> bool:
+    """The interval criterion at t (tf = float(t)), within the 1e-6 boundary tolerance.
+    Raises if the Hankel verdict is indefinite while t lies strictly inside the interval."""
+    lower, upper = interval
+    top = float(upper)
+    if verdict == "indefinite" and lower + _CLASSIFY_TOL <= tf <= top - _CLASSIFY_TOL:
+        raise InconsistencyError(
+            f"Hankel section of size {size} is indefinite at (p={p}, t={t}) although "
+            f"t lies inside the admissible interval [{lower}, {top}]"
+        )
+    return lower - _CLASSIFY_TOL <= tf <= top + _CLASSIFY_TOL
 
 
 def classify_point(params: Params, size: int = 6) -> dict:
@@ -237,24 +295,36 @@ def classify_point(params: Params, size: int = 6) -> dict:
     p, t = params.p, params.t
     if p < 1:
         raise ValueError("the classification covers p >= 1")
-    lower, upper = theorem_interval(p)
+    interval = theorem_interval(p)
     tf = float(t)
-    theorem_verdict = (lower - _CLASSIFY_TOL <= tf) and (tf <= float(upper) + _CLASSIFY_TOL)
-    section = _IntSection()
-    for num, den in _moment_parts(params, 2 * size - 2):
-        g = gcd(num, den)
-        section.append((num // g, den // g))
-    hankel = hankel_report(section, size)
-    if (
-        hankel.verdict == "indefinite"
-        and lower + _CLASSIFY_TOL <= tf
-        and tf <= float(upper) - _CLASSIFY_TOL
-    ):
-        raise InconsistencyError(
-            f"Hankel section of size {size} is indefinite at (p={p}, t={t}) although "
-            f"t lies inside the admissible interval [{lower}, {float(upper)}]"
-        )
+    hankel = hankel_report(_cell_section(_fuss_parts(p, 2 * size - 2), t), size)
+    theorem_verdict = _cross_checked(p, t, tf, interval, hankel.verdict, size)
     return {"theorem_verdict": theorem_verdict, "hankel": hankel}
+
+
+def classify_row(
+    p: RationalLike, ts: Sequence[RationalLike], size: int = 6
+) -> Iterator[tuple[bool, str]]:
+    """classify_point's (theorem verdict, Hankel verdict) at (p, t) for each t in ts, in order.
+
+    The admissible interval and the p-only part of the moment section
+    (series._fuss_parts, B_p^2 check included) are built once for the row.
+    Each cell's section goes to hankel_report with minors=False, which reads
+    the elimination only until the verdict is decided: a negative pivot, or
+    a zero pivot facing a nonzero entry, ends the cell as indefinite;
+    otherwise every pivot is read.  No minor is built.  The cross-check of
+    classify_point raises here too.  Cells are computed as they are read.
+    """
+    p = parse_rational(p)
+    if p < 1:
+        raise ValueError("the classification covers p >= 1")
+    interval = theorem_interval(p)
+    parts = _fuss_parts(p, 2 * size - 2)
+    for t in ts:
+        t = parse_rational(t)
+        tf = float(t)
+        verdict = hankel_report(_cell_section(parts, t), size, minors=False).verdict
+        yield _cross_checked(p, t, tf, interval, verdict, size), verdict
 
 
 def infdiv_check(p: Union[int, Fraction], t, size: int = 6) -> HankelVerdict:

@@ -32,7 +32,7 @@ from .exact_seq import (
     ex1_table,
     raney,
 )
-from .posdef import classify_point, g_of_p, hankel_report, infdiv_check
+from .posdef import classify_point, classify_row, g_of_p, hankel_report, infdiv_check
 from .series import (
     TruncSeries,
     bp_series,
@@ -252,12 +252,11 @@ def _c09_quadrature(order: int) -> str:
 def _c10_positivity(order: int) -> str:
     report = hankel_report(catalan_table(18), 10)
     _assert(report.minors == [F(1)] * 10, "Catalan minors are not all 1")
+    ts = [F(2) * j / 19 for j in range(20)]
     for i in range(20):
         p = F(1) + F(2) * i / 19
-        for j in range(20):
-            t = F(2) * j / 19
-            record = classify_point(Params.exact(p, t), 4)
-            if record["theorem_verdict"] and record["hankel"].verdict == "indefinite":
+        for t, (theorem, verdict) in zip(ts, classify_row(p, ts, 4)):
+            if theorem and verdict == "indefinite":
                 raise AssertionError(f"contradiction at (p, t) = ({p}, {t})")
     record = classify_point(Params.exact(2, F(7, 5)), 8)
     _assert(record["hankel"].verdict == "indefinite", "(2, 7/5) not flagged at size 8")

@@ -374,6 +374,30 @@ def test_domain_grid_rejects_bad_ranges(capsys):
     assert code == 2
 
 
+def test_domain_grid_cells_match_posdef_at_size_16(capsys):
+    # t = -1, 0, 1, 2, 3 at p = 1, 3/2, 2, 5/2, 3: semidefinite (1, 1), a zero pivot facing
+    # a nonzero entry at (3/2, 0), and definite and indefinite cells on both sides of 2p/(p+1)
+    grid = ["domain-grid", "--steps", "5", "--t-min", "-1", "--t-max", "3", "--hankel-size", "16"]
+    code, out, _ = run(capsys, *grid)
+    assert code == 0
+    rows = out.splitlines()[1:]
+    code, out, _ = run(capsys, *grid, "--format", "json")
+    assert code == 0
+    cells = json.loads(out)
+    assert len(rows) == len(cells) == 25
+    assert {cell["hankel_verdict"] for cell in cells} == {
+        "positive_definite", "positive_semidefinite", "indefinite"
+    }
+    for row, cell in zip(rows, cells):
+        point = ["posdef", f"--p={cell['p']}", f"--t={cell['t']}", "--hankel-size", "16"]
+        assert run(capsys, *point) == (0, f"p,t,theorem,hankel_verdict\n{row}\n", "")
+        code, out, _ = run(capsys, *point, "--format", "json")
+        record = json.loads(out)
+        assert (record["p"], record["t"]) == (cell["p"], cell["t"])
+        assert record["theorem_verdict"] == cell["theorem"]
+        assert record["hankel"]["verdict"] == cell["hankel_verdict"]
+
+
 def test_out_flag_writes_the_same_bytes(tmp_path, capsys):
     target = tmp_path / "seq.csv"
     code, out, _ = run(capsys, "seq", "a220910", "--n", "5")

@@ -21,9 +21,11 @@ from fussdeform import (
 from fussdeform._backend import kernels
 from fussdeform.cli import _build_parser, main
 from fussdeform.exact_seq import SeqTable, catalan_table
+from fussdeform import series
 from fussdeform.posdef import (
     HankelVerdict,
     classify_point,
+    classify_row,
     g_of_p,
     hankel_report,
     infdiv_check,
@@ -565,6 +567,107 @@ def test_classify_reads_the_moment_section_as_hankel_report_does(p, t, size):
     params = Params.exact(F(*p), F(*t))
     values = moment_series(params, 2 * size - 2).coeffs
     assert classify_point(params, size)["hankel"] == hankel_report(values, size)
+
+
+# t landmarks of every row: negative t, 0, 1, 2, t near 10^-300 on both sides of 0
+_ROW_LANDMARKS = (F(-1, 2), F(0), F(1), F(2), F(1, 10**300), F(-3, 10**300), F(7, 10**300 + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 48).flatmap(lambda b: st.tuples(st.integers(b, 4 * b), st.just(b))),
+    st.lists(st.fractions(min_value=-1, max_value=3, max_denominator=24), max_size=4),
+    st.integers(1, 16),
+)
+@example((1, 1), [], 5)  # p = 1: every section is at best semidefinite
+@example((3, 2), [], 3)  # (3/2, 0) has a zero pivot facing a nonzero entry
+def test_classify_row_gives_each_cell_the_verdicts_of_classify_point(p, ts, size):
+    p = F(*p)
+    ts = [*ts, *_ROW_LANDMARKS, 2 * p / (p + 1)]
+    row = list(classify_row(p, ts, size))
+    points = [classify_point(Params.exact(p, t), size) for t in ts]
+    assert row == [(point["theorem_verdict"], point["hankel"].verdict) for point in points]
+
+
+@pytest.mark.parametrize(
+    "p, t, size, verdict",
+    [
+        (1, F(1), 5, "positive_semidefinite"),  # a zero pivot and a vanishing row from order 2 on
+        (F(3, 2), F(0), 3, "indefinite"),  # the second pivot is 0 facing a nonzero entry
+    ],
+)
+def test_classify_row_at_a_zero_pivot(p, t, size, verdict):
+    point = classify_point(Params.exact(p, t), size)
+    assert point["hankel"].verdict == verdict
+    assert list(classify_row(p, [t], size)) == [(point["theorem_verdict"], verdict)]
+
+
+def _count_pivot_reads(monkeypatch):
+    reads = []
+    real = posdef._pivots
+
+    def counted(b):
+        for item in real(b):
+            reads.append(item)
+            yield item
+
+    monkeypatch.setattr(posdef, "_pivots", counted)
+    return reads
+
+
+def test_classify_row_stops_an_indefinite_cell_at_its_verdict(monkeypatch):
+    # at (2, -1) the leading minor of order 2 is already negative: the row path, which is
+    # hankel_report with minors=False, reads pivots 0 and 1, one elimination step; with
+    # minors hankel_report reads all 16
+    reads = _count_pivot_reads(monkeypatch)
+    assert list(classify_row(2, [F(-1)], 16)) == [(False, "indefinite")]
+    assert [verdict for _, verdict in reads] == ["positive_definite", "indefinite"]
+    reads.clear()
+    assert classify_point(Params.exact(2, F(-1)), 16)["hankel"].minors[1] == -1
+    assert len(reads) == 16
+    reads.clear()
+    moments = moment_series(Params.exact(2, F(-1)), 30).coeffs
+    assert hankel_report(moments, 16, minors=False) == HankelVerdict(16, [], "indefinite")
+    assert len(reads) == 2
+    reads.clear()
+    assert list(classify_row(2, [F(1)], 16)) == [(True, "positive_definite")]
+    assert len(reads) == 16
+
+
+def test_classify_row_builds_the_raney_integers_once_per_row(monkeypatch):
+    # two Raney numerators (r = 1, 2) at each n = 1..2m - 2, per p row, whatever the steps
+    calls = []
+    real = series._raney_num
+    monkeypatch.setattr(series, "_raney_num", lambda p, r, n: calls.append(n) or real(p, r, n))
+    for steps in (1, 2, 5):
+        calls.clear()
+        assert main(["domain-grid", "--steps", str(steps), "--hankel-size", "4"]) == 0
+        assert len(calls) == steps * 2 * 6, steps
+
+
+@pytest.mark.parametrize("n, size, code", [(3, 3, 3), (4, 3, 3), (3, 2, 0)])
+def test_domain_grid_runs_the_bp_square_check_on_every_row(monkeypatch, capsys, n, size, code):
+    # r = 2 off by one at n: caught while n <= 2 size - 2, the order the section reads
+    real = series._raney_num
+    monkeypatch.setattr(series, "_raney_num", lambda p, r, k: real(p, r, k) + (r == 2 and k == n))
+    argv = ["domain-grid", "--steps", "2", "--hankel-size", str(size)]
+    assert main(argv) == code
+    assert ("internal contradiction" in capsys.readouterr().err) == (code == 3)
+
+
+def test_domain_grid_cross_checks_every_cell(monkeypatch, capsys):
+    # a forced indefinite verdict contradicts t strictly inside [g(2), 4/3] = [0, 4/3], not above
+    def indefinite(b):
+        yield -1, "indefinite"
+
+    monkeypatch.setattr(posdef, "_pivots", indefinite)
+    with pytest.raises(InconsistencyError):
+        list(classify_row(2, [F(1)], 6))
+    grid = ["domain-grid", "--steps", "1", "--p-min", "2", "--t-max", "2"]
+    assert main([*grid, "--t-min", "1"]) == 3
+    assert "internal contradiction" in capsys.readouterr().err
+    assert main([*grid, "--t-min", "2"]) == 0
+    assert capsys.readouterr().out.endswith("2/1,2/1,false,indefinite\n")
 
 
 def test_classify_inside_the_admissible_interval():
