@@ -16,6 +16,13 @@ generating-function counterparts (t = 0).  Quantities that admit two
 independent formulas (a product closed form and the affine combination, a
 constellation count and its a_n expression, ...) are evaluated both ways and
 compared; a mismatch raises :class:`~fussdeform.errors.InconsistencyError`.
+
+This module owns the integers of a_n.  _fuss_terms gives the two Raney
+numerators of each n of a run over their common denominator b^(n-1) n!
+(p = a/b), _fuss_parts the run 0..order with the B_p^2 product-vs-Raney
+check at every n, and _affine is the one affine formula over the parts.
+seq a and the constellation counts call it once per table,
+series.moment_series once per jet, and posdef once per Hankel cell.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
+from operator import add, mul
 from typing import Iterable, NamedTuple, Union
 
 from .errors import DigitLimitError, InconsistencyError
@@ -187,15 +195,52 @@ def _same(num: int, den: int, other_num: int, other_den: int) -> bool:
     return num * other_den == other_num * den
 
 
-def _affine_parts(p: Fraction | int, t: Fraction, n: int) -> tuple[int, int]:
-    # t * raney(p, 1, n) + (1 - t) * raney(p, 2, n) with t = u/v.  Both Raney
-    # numerators are over b^(n-1) n! (r is an integer), so the sum is over
-    # v b^(n-1) n!.
-    if n == 0:
-        return 1, 1
+def _fuss_terms(p: Fraction | int, ns: range) -> list[tuple[int, int, int]]:
+    """(R1, R2, D) for each n of the run ns (step 1): raney(p, 1, n) = R1 / D and
+    raney(p, 2, n) = R2 / D over their common denominator D = b^(n-1) n!, p = a/b
+    (see _raney_num, r an integer); (1, 1, 1) at n = 0.  D is carried along the run."""
+    b = p.denominator
+    parts = []
+    den = 0  # D of the previous n, 0 before the first n >= 1
+    for n in ns:
+        if n == 0:
+            parts.append((1, 1, 1))
+            continue
+        den = den * b * n if den else b ** (n - 1) * factorial(n)
+        parts.append((_raney_num(p, 1, n), _raney_num(p, 2, n), den))
+    return parts
+
+
+def _fuss_parts(p: Fraction, order: int) -> list[tuple[int, int, int]]:
+    """The part of a_n(p, t) that depends on p alone: _fuss_terms at n = 0..order, checked.
+
+    With p = a/b, A_n = b R1 and E_n = b R2 (A_0 = 1) are raney(p, 1, n) and
+    raney(p, 2, n) scaled by b^n n!, so B_p * B_p = B_p^2 is the integer
+    identity sum_k C(n, k) A_k A_(n-k) = E_n, checked at every n: the
+    product of the r = 1 jet against the Raney formula for r = 2.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    b = p.denominator
+    parts = _fuss_terms(p, range(order + 1))
+    ones = [1]
+    binom = [1]  # row n of Pascal's triangle
+    for one, two, _ in parts[1:]:
+        ones.append(b * one)
+        binom = [1, *map(add, binom, binom[1:]), 1]
+        if sum(map(mul, map(mul, binom, ones), reversed(ones))) != b * two:
+            raise InconsistencyError(
+                f"B_{p}^2 jet disagrees between multiplication and the Raney formula"
+            )
+    return parts
+
+
+def _affine(parts: list[tuple[int, int, int]], t: Fraction) -> list[tuple[int, int]]:
+    """t raney(p, 1, n) + (1 - t) raney(p, 2, n) for each part (R1, R2, D) of _fuss_terms,
+    as unreduced pairs: with t = u/v, (u R1 + (v - u) R2, v D); (v, v) at n = 0."""
     u, v = t.numerator, t.denominator
-    num = u * _raney_num(p, 1, n) + (v - u) * _raney_num(p, 2, n)
-    return num, v * p.denominator ** (n - 1) * factorial(n)
+    w = v - u
+    return [(u * one + w * two, v * den) for one, two, den in parts]
 
 
 def _deformed_closed_parts(p: Fraction | int, t: Fraction, n: int) -> tuple[int, int]:
@@ -215,16 +260,18 @@ def _deformed_closed_parts(p: Fraction | int, t: Fraction, n: int) -> tuple[int,
     return num * last, b ** (n - 1) * v * factorial(n)
 
 
-def _deformed_parts(p: Fraction | int, t: Fraction, n: int) -> tuple[int, int]:
-    """a_n(p, t) as an unreduced integer pair, the affine route checked against the closed one."""
-    num, den = _affine_parts(p, t, n)
-    closed_num, closed_den = _deformed_closed_parts(p, t, n)
-    if not _same(num, den, closed_num, closed_den):
-        raise InconsistencyError(
-            f"a_{n}({p},{t}): affine route {Fraction(num, den)} "
-            f"!= closed form {Fraction(closed_num, closed_den)}"
-        )
-    return num, den
+def _deformed_parts(p: Fraction | int, t: Fraction, ns: range) -> list[tuple[int, int]]:
+    """a_n(p, t) for n in ns as unreduced integer pairs, the affine route checked against
+    the closed one at every n."""
+    pairs = _affine(_fuss_terms(p, ns), t)
+    for n, (num, den) in zip(ns, pairs):
+        closed_num, closed_den = _deformed_closed_parts(p, t, n)
+        if not _same(num, den, closed_num, closed_den):
+            raise InconsistencyError(
+                f"a_{n}({p},{t}): affine route {Fraction(num, den)} "
+                f"!= closed form {Fraction(closed_num, closed_den)}"
+            )
+    return pairs
 
 
 def deformed_fuss(params: Params, n: int) -> Fraction:
@@ -236,13 +283,13 @@ def deformed_fuss(params: Params, n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return Fraction(*_deformed_parts(params.p, params.t, n))
+    return Fraction(*_deformed_parts(params.p, params.t, range(n, n + 1))[0])
 
 
 def deformed_table(params: Params, n_max: int) -> SeqTable:
     """SeqTable of a_0(p,t) .. a_{n_max}(p,t)."""
     p, t = params.p, params.t
-    values = [Fraction(*_deformed_parts(p, t, n)) for n in range(n_max + 1)]
+    values = [Fraction(num, den) for num, den in _deformed_parts(p, t, range(n_max + 1))]
     try:
         label = f"a(p={p};t={t})"
     except ValueError:  # str(Fraction) past the digit limit
@@ -258,6 +305,23 @@ def _constellation_parts(p: int, n: int) -> tuple[int, int]:
     return (p + 1) * p ** (n - 1) * prod(range(top, top - (n - 2), -1)), factorial(n)
 
 
+def _constellations(p: int, ns: range) -> list[Fraction]:
+    """C_p(n) for n in ns, each direct count checked against the deformed-family route."""
+    if not isinstance(p, int) or isinstance(p, bool) or p < 2:
+        raise ValueError("constellation counts require integer p >= 2")
+    values = []
+    for n, (a_num, a_den) in zip(ns, _deformed_parts(p, Fraction(2 * p, p + 1), ns)):
+        num, den = _constellation_parts(p, n)
+        via_num, via_den = (p + 1) * p ** (n - 1) * a_num, 2 * a_den
+        if not _same(num, den, via_num, via_den):
+            raise InconsistencyError(
+                f"C_{p}({n}): direct {Fraction(num, den)} "
+                f"!= deformed-family route {Fraction(via_num, via_den)}"
+            )
+        values.append(Fraction(num, den))
+    return values
+
+
 def constellation_count(p: int, n: int) -> Fraction:
     """Number of p-constellations with n polygons (p >= 2 integer, n >= 1).
 
@@ -265,23 +329,14 @@ def constellation_count(p: int, n: int) -> Fraction:
     as one integer product over n!, and cross-checked against the
     deformed-family identity C_p(n) = (p+1) p^n / (2p) * a_n(p, 2p/(p+1)).
     """
-    if not isinstance(p, int) or isinstance(p, bool) or p < 2:
-        raise ValueError("constellation counts require integer p >= 2")
     if n < 1:
         raise ValueError("constellation counts start at n = 1")
-    num, den = _constellation_parts(p, n)
-    a_num, a_den = _deformed_parts(p, Fraction(2 * p, p + 1), n)
-    via_num, via_den = (p + 1) * p ** (n - 1) * a_num, 2 * a_den
-    if not _same(num, den, via_num, via_den):
-        raise InconsistencyError(
-            f"C_{p}({n}): direct {Fraction(num, den)} "
-            f"!= deformed-family route {Fraction(via_num, via_den)}"
-        )
-    return Fraction(num, den)
+    return _constellations(p, range(n, n + 1))[0]
 
 
 def constellation_table(p: int, n_max: int) -> SeqTable:
-    values = [constellation_count(p, n) for n in range(1, n_max + 1)]
+    """SeqTable of C_p(1) .. C_p(n_max), checked as constellation_count checks each."""
+    values = _constellations(p, range(1, n_max + 1))
     return SeqTable(label=f"constellation(p={p})", offset=1, values=values)
 
 

@@ -26,26 +26,26 @@ pivots).  Every division in it is exact, because each intermediate entry is
 itself a minor of the integer section.  The elimination is one generator of
 pivots (_pivots), which also states the verdict rule; it makes each step
 only when the next pivot is read.  classify_point takes a cell's section
-straight from the moment jet's Raney integers (series._fuss_parts, B_p^2
-check included, and the t-combination series._moment_parts), one gcd per
-entry and no Fraction, runs both routes and refuses to return if they
-genuinely disagree.  classify_row does the same for a row of cells at one p:
-it builds the interval and the Raney integers once, and hankel_report with
-minors=False reads each cell's pivots only until its verdict is decided, so
-an indefinite cell stops at its first negative pivot and no minor is built.
+straight from the Raney integers of a_n that exact_seq owns (the row
+exact_seq._fuss_parts, B_p^2 check included, and the affine formula
+exact_seq._affine), one gcd per entry and no Fraction, runs both routes and
+refuses to return if they genuinely disagree.  classify_row does the same
+for a row of cells at one p: it builds the interval and the Raney integers
+once, and hankel_report with minors=False reads each cell's pivots only until
+its verdict is decided, so an indefinite cell stops at its first negative
+pivot and no minor is built.  Only infdiv_check needs the jet engine, so it
+alone imports series, when it runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isfinite, lcm
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from ._backend import kernels
 from .errors import InconsistencyError
-from .exact_seq import Params, RationalLike, SeqTable, parse_rational
-from .series import _fuss_parts, _moment_parts, cumulants_from_moments, moment_series
+from .exact_seq import Params, RationalLike, SeqTable, _affine, _fuss_parts, parse_rational
 
 __all__ = [
     "psi_min",
@@ -73,8 +73,14 @@ def psi_min(p: float, t: float) -> tuple[float, float]:
     return kernels.psi_min(p, t)
 
 
-@lru_cache(maxsize=1024)
-def _g_cached(p: float) -> float:
+def g_of_p(p: float) -> float:
+    """The least t in [0, 1] with psi_{p,t} >= 0 on (0, pi): max(0, sup -B/A over A > 0)
+    for psi = t A + B.  It is 0 with no scan for p >= 2.  Below 2 it is 0 where psi_min(p, 0)
+    >= -1e-12; otherwise it is checked by psi_min(p, g(p)) >= -1e-12 (else InconsistencyError).
+    Its three scans share one set of grid samples."""
+    p = float(p)
+    if not (isfinite(p) and p >= 1.0):
+        raise ValueError("g is defined for p >= 1")
     # For p >= 2, phi / p <= pi / 2 on [0, pi], so psi_{p,0}(phi) = 2 sin(phi) cos(phi / p) >= 0
     # (in floats too, as float pi < pi) and g(p) = 0 needs no scan.
     if p >= 2.0 or kernels.psi_min(p, 0.0)[0] >= -_FEAS_TOL:
@@ -84,17 +90,6 @@ def _g_cached(p: float) -> float:
     if value < -_FEAS_TOL:
         raise InconsistencyError(f"g({p!r}) = {g!r}, yet the minimum of psi there is {value!r}")
     return g
-
-
-def g_of_p(p: float) -> float:
-    """The least t in [0, 1] with psi_{p,t} >= 0 on (0, pi): max(0, sup -B/A over A > 0)
-    for psi = t A + B.  It is 0 with no scan for p >= 2.  Below 2 it is 0 where psi_min(p, 0)
-    >= -1e-12; otherwise it is checked by psi_min(p, g(p)) >= -1e-12 (else InconsistencyError).
-    Its three scans share one set of grid samples."""
-    p = float(p)
-    if not (isfinite(p) and p >= 1.0):
-        raise ValueError("g is defined for p >= 1")
-    return _g_cached(p)
 
 
 def theorem_interval(p: Union[int, Fraction, float]) -> tuple[float, Fraction]:
@@ -147,7 +142,7 @@ class _IntSection(list):
 def _cell_section(parts: list[tuple[int, int, int]], t: Fraction) -> _IntSection:
     """The moment section of one cell at t, from the p-only part of its row, as reduced pairs."""
     section = _IntSection()
-    for num, den in _moment_parts(parts, t):
+    for num, den in _affine(parts, t):
         g = gcd(num, den)
         section.append((num // g, den // g))
     return section
@@ -192,10 +187,10 @@ def hankel_report(
     """Definiteness of H = (seq[i+j])_{0 <= i,j < size}, all arithmetic exact.
 
     The values are read as reduced integer pairs (numerator, denominator):
-    those of a SeqTable, of Fractions and ints, of anything else Fraction
-    accepts (such as "1/3") after one conversion, or the pairs that
-    classify_point and classify_row take straight from the moment jet's
-    Raney integers.
+    those of a SeqTable (which must start at offset 0), of Fractions and
+    ints, of anything else Fraction accepts (such as "1/3") after one
+    conversion, or the pairs that classify_point and classify_row take
+    straight from the Raney integers of exact_seq.
     With d_k the denominator of v_k = seq[k], s = d_2 // gcd(d_1, d_2) (s = 1
     at size 1) is the part of d_2 not in d_1: the ratio b for moment sections
     at p = a/b, the growth of den(t) for cumulant sections at tiny t.  The
@@ -232,8 +227,12 @@ def hankel_report(
     """
     pairs = seq
     if not isinstance(seq, _IntSection):
+        if isinstance(seq, SeqTable):
+            if seq.offset != 0:
+                raise ValueError("a Hankel section is read from index 0: need an offset-0 table")
+            seq = seq.values
         pairs = []
-        for v in seq.values if isinstance(seq, SeqTable) else seq:
+        for v in seq:
             if not isinstance(v, (int, Fraction)):
                 v = Fraction(v)
             pairs.append((v.numerator, v.denominator))
@@ -308,7 +307,7 @@ def classify_row(
     """classify_point's (theorem verdict, Hankel verdict) at (p, t) for each t in ts, in order.
 
     The admissible interval and the p-only part of the moment section
-    (series._fuss_parts, B_p^2 check included) are built once for the row.
+    (exact_seq._fuss_parts, B_p^2 check included) are built once for the row.
     Each cell's section goes to hankel_report with minors=False, which reads
     the elimination only until the verdict is decided: a negative pivot, or
     a zero pivot facing a nonzero entry, ends the cell as indefinite;
@@ -332,13 +331,23 @@ def infdiv_check(p: Union[int, Fraction], t, size: int = 6) -> HankelVerdict:
 
     The distribution is freely infinitely divisible exactly when every such
     section is positive semidefinite; an indefinite section certifies the
-    negative.  Cumulants are derived from the moment jet, so this covers
-    p in {2, 3} where the family's closed descriptions apply.
+    negative.  Cumulants r_1..r_(2 size) are derived from the moment jet and
+    compared with the closed R-transform jet, so this covers p in {2, 3} where
+    the family's closed descriptions apply; a mismatch raises
+    InconsistencyError.
     """
+    from .series import cumulants_from_moments, moment_series, r_series_closed
+
     frac = Fraction(p)
     if frac not in (2, 3):
         raise ValueError("the divisibility check covers p in {2, 3}")
     params = Params.exact(frac, t)
-    cumulants = cumulants_from_moments(moment_series(params, 2 * size))
-    shifted = [cumulants.cumulant(n) for n in range(2, 2 * size + 1)]
-    return hankel_report(shifted, size)
+    order = 2 * size
+    cumulants = cumulants_from_moments(moment_series(params, order)).values
+    closed = r_series_closed(frac, params.t, order).coeffs[1:]
+    for n, (r, c) in enumerate(zip(cumulants, closed), 1):
+        if r != c:
+            raise InconsistencyError(
+                f"r_{n} at p = {frac}: the reverted moment jet and the closed R-transform disagree"
+            )
+    return hankel_report(cumulants[1:], size)

@@ -31,12 +31,11 @@ coefficients of f on the baby powers G^0..G^s by Horner's rule in G^s
 (Paterson and Stockmeyer; Horner's rule in G, n products, made perfbench
 jets 13% slower), and revert needs one coefficient of each Lagrange power
 and reads it as one dot product of a baby-step and a giant-step power
-(Brent and Kung).  The moment jet is built and its B_p^2 check made on
-integer jets scaled by b^n n!, one Fraction per moment; the exact Hankel
-test of posdef reads those integer pairs without the Fractions.  The
-integers that depend on p alone, with their B_p^2 check, are one part
-(_fuss_parts) and the t-combination another (_moment_parts), so a p row of
-cells builds the first once.
+(Brent and Kung).  The moment jet is one Fraction per moment, read off the
+integers of a_n that exact_seq owns: the Raney parts of each n with their
+B_p^2 check (exact_seq._fuss_parts) and the one affine formula over them
+(exact_seq._affine).  The exact Hankel test of posdef reads the same
+integer pairs without the Fractions.
 Timings are from a 2-vCPU host.
 """
 
@@ -44,11 +43,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import add, mul
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .errors import InconsistencyError
-from .exact_seq import Params, RationalLike, _raney_num, parse_rational, raney
+from .exact_seq import Params, RationalLike, _affine, _fuss_parts, parse_rational, raney
 
 __all__ = [
     "TruncSeries",
@@ -494,54 +493,17 @@ def bp_series(p: RationalLike, r: RationalLike, order: int) -> TruncSeries:
     return TruncSeries(tuple(raney(p, r, n) for n in range(order + 1)))
 
 
-def _fuss_parts(p: Fraction, order: int) -> list[tuple[int, int, int]]:
-    """The part of the moment jet that depends on p alone: (A_n, E_n, b^n n!), n = 0..order.
-
-    With p = a/b, A_n = b^n n! raney(p, 1, n) and E_n = b^n n! raney(p, 2, n)
-    are integers, b times the numerators of the Raney pairs.  B_p * B_p =
-    B_p^2 scaled by b^n n! is the integer identity
-    sum_k C(n, k) A_k A_(n-k) = E_n, checked at every n: the product of the
-    r = 1 jet against the Raney formula for r = 2.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    b = p.denominator
-    ones = [1]
-    out = [(1, 1, 1)]
-    binom = [1]  # row n of Pascal's triangle
-    scale = 1  # b^n n!
-    for n in range(1, order + 1):
-        ones.append(b * _raney_num(p, 1, n))
-        two = b * _raney_num(p, 2, n)
-        binom = [1, *map(add, binom, binom[1:]), 1]
-        if sum(map(mul, map(mul, binom, ones), reversed(ones))) != two:
-            raise InconsistencyError(
-                f"B_{p}^2 jet disagrees between multiplication and the Raney formula"
-            )
-        scale *= b * n
-        out.append((ones[n], two, scale))
-    return out
-
-
-def _moment_parts(parts: list[tuple[int, int, int]], t: Fraction) -> list[tuple[int, int]]:
-    """Unreduced integer pairs (numerator, denominator) of the moments m_0..m_order at t,
-    from the p-only part of _fuss_parts: with t = u/v, m_n is
-    (u A_n + (v - u) E_n) / (v b^n n!), and m_0 is (v, v)."""
-    u, v = t.numerator, t.denominator
-    return [(u * one + (v - u) * two, v * scale) for one, two, scale in parts]
-
-
 def moment_series(params: Params, order: int) -> TruncSeries:
     """Moment jet of the deformed family: t B_p + (1 - t) B_p^2.
 
-    One Fraction per integer pair of _moment_parts over _fuss_parts, whose
-    B_p^2 check (the product of the r = 1 Raney jet against the Raney formula
-    for r = 2) runs at every n.  posdef.classify_point and posdef.classify_row
-    read the same pairs, reduced by one gcd each, as their Hankel sections,
-    and build no Fraction from them; classify_row builds _fuss_parts once per
-    p row.
+    One Fraction per integer pair of exact_seq's affine formula over the Raney
+    parts of exact_seq._fuss_parts, whose B_p^2 check (the product of the r = 1
+    Raney jet against the Raney formula for r = 2) runs at every n.
+    posdef.classify_point and posdef.classify_row read the same pairs, reduced
+    by one gcd each, as their Hankel sections, and build no Fraction from them;
+    classify_row builds _fuss_parts once per p row.
     """
-    pairs = _moment_parts(_fuss_parts(params.p, order), params.t)
+    pairs = _affine(_fuss_parts(params.p, order), params.t)
     return TruncSeries(tuple(Fraction(num, den) for num, den in pairs))
 
 

@@ -703,7 +703,7 @@ def test_subprocess_module_invocation():
 # the modules under fussdeform.cli that it loads in a fresh interpreter: a
 # handler imports the layers it calls, so each command loads only those.
 _FLOAT = {"exact_seq", "density", "_backend", "_kernels_py"}
-_POSITIVITY = {"exact_seq", "series", "posdef", "_backend", "_kernels_py"}
+_POSITIVITY = {"exact_seq", "posdef", "_backend", "_kernels_py"}
 _LAYERS_PER_COMMAND = {
     ("seq", "a", "--p", "5/2", "--t", "1/3", "--n", "4"): {"exact_seq"},
     ("seq", "a022558", "--n", "4"): {"exact_seq", "series"},
@@ -713,9 +713,9 @@ _LAYERS_PER_COMMAND = {
     ("moments-check", "--p", "5/2", "--t", "1/3", "--n-max", "2"): _FLOAT,
     ("gfun", "--steps", "3"): _POSITIVITY,
     ("posdef", "--p", "3/2", "--t", "1/5"): _POSITIVITY,
-    ("infdiv", "--p", "2", "--t", "1/2"): _POSITIVITY,
+    ("infdiv", "--p", "2", "--t", "1/2"): _POSITIVITY | {"series"},
     ("domain-grid", "--steps", "2"): _POSITIVITY,
-    ("verify", "--only", "c1"): _FLOAT | _POSITIVITY | {"verify"},
+    ("verify", "--only", "c1"): _FLOAT | _POSITIVITY | {"series", "verify"},
 }
 
 

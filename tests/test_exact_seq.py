@@ -327,9 +327,8 @@ def test_constellation_cross_check_fires_on_the_family_route(monkeypatch, capsys
     # there passes the affine/closed check (it wraps it) and must meet the direct count.
     real = exact_seq._deformed_parts
 
-    def off_by_one(p, t, n):
-        num, den = real(p, t, n)
-        return num + den * (n == 4), den
+    def off_by_one(p, t, ns):
+        return [(num + den * (n == 4), den) for n, (num, den) in zip(ns, real(p, t, ns))]
 
     monkeypatch.setattr(exact_seq, "_deformed_parts", off_by_one)
     assert constellation_count(3, 3) == F(*exact_seq._constellation_parts(3, 3))

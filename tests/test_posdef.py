@@ -20,7 +20,8 @@ from fussdeform import (
 )
 from fussdeform._backend import kernels
 from fussdeform.cli import _build_parser, main
-from fussdeform.exact_seq import SeqTable, catalan_table
+from fussdeform import exact_seq
+from fussdeform.exact_seq import SeqTable, catalan_table, constellation_table
 from fussdeform import series
 from fussdeform.posdef import (
     HankelVerdict,
@@ -230,14 +231,10 @@ def test_g_is_certified_by_psi_min(monkeypatch, capsys):
         return value - 1e-6, phi
 
     monkeypatch.setattr(kernels, "g_sup", low_sup)
-    posdef._g_cached.cache_clear()
-    try:
-        with pytest.raises(InconsistencyError):
-            g_of_p(1.5)
-        assert main(["gfun", "--p-min", "1.5", "--p-max", "1.5", "--steps", "1"]) == 3
-        assert "internal contradiction" in capsys.readouterr().err
-    finally:
-        posdef._g_cached.cache_clear()
+    with pytest.raises(InconsistencyError):
+        g_of_p(1.5)
+    assert main(["gfun", "--p-min", "1.5", "--p-max", "1.5", "--steps", "1"]) == 3
+    assert "internal contradiction" in capsys.readouterr().err
 
 
 _P_EDGES = [1.0, 1.5, math.nextafter(2.0, 0.0), 2.0, 1e6]
@@ -269,12 +266,8 @@ def test_g_needs_no_scan_from_two_on(monkeypatch):
     # the scan the shortcut skips would find psi(p, 0, .) >= 0, so g(p) = 0 either way
     for p in ps:
         assert kernels.psi_min(p, 0.0)[0] >= -posdef._FEAS_TOL, p
-    posdef._g_cached.cache_clear()
     monkeypatch.setattr(posdef, "kernels", object())  # any kernel call raises AttributeError
-    try:
-        assert [g_of_p(p) for p in ps] == [0.0] * len(ps)
-    finally:
-        posdef._g_cached.cache_clear()
+    assert [g_of_p(p) for p in ps] == [0.0] * len(ps)
 
 
 def test_g_builds_one_sample_grid_below_two(monkeypatch):
@@ -287,11 +280,7 @@ def test_g_builds_one_sample_grid_below_two(monkeypatch):
 
     monkeypatch.setattr(kernels, "_grid_samples", recording)
     monkeypatch.setattr(kernels, "_psi_samples", (None, (), (), ()))
-    posdef._g_cached.cache_clear()
-    try:
-        assert g_of_p(1.5) == 0.19999999999999998
-    finally:
-        posdef._g_cached.cache_clear()
+    assert g_of_p(1.5) == 0.19999999999999998
     # psi_min at t = 0, g_sup and the certificate psi_min at t = g read one set of samples
     assert len(seen) == 3
     assert all(samples is seen[0] for samples in seen)
@@ -334,6 +323,9 @@ def test_hankel_catalan_minors_are_all_one():
     report = hankel_report(catalan_table(18), 10)
     assert report.minors == [F(1)] * 10
     assert report.verdict == "positive_definite"
+    # the section is read from index 0, so a table that starts elsewhere is refused
+    with pytest.raises(ValueError):
+        hankel_report(constellation_table(3, 5), 2)
 
 
 def test_hankel_rank_one_is_semidefinite():
@@ -637,8 +629,8 @@ def test_classify_row_stops_an_indefinite_cell_at_its_verdict(monkeypatch):
 def test_classify_row_builds_the_raney_integers_once_per_row(monkeypatch):
     # two Raney numerators (r = 1, 2) at each n = 1..2m - 2, per p row, whatever the steps
     calls = []
-    real = series._raney_num
-    monkeypatch.setattr(series, "_raney_num", lambda p, r, n: calls.append(n) or real(p, r, n))
+    real = exact_seq._raney_num
+    monkeypatch.setattr(exact_seq, "_raney_num", lambda p, r, n: calls.append(n) or real(p, r, n))
     for steps in (1, 2, 5):
         calls.clear()
         assert main(["domain-grid", "--steps", str(steps), "--hankel-size", "4"]) == 0
@@ -648,8 +640,12 @@ def test_classify_row_builds_the_raney_integers_once_per_row(monkeypatch):
 @pytest.mark.parametrize("n, size, code", [(3, 3, 3), (4, 3, 3), (3, 2, 0)])
 def test_domain_grid_runs_the_bp_square_check_on_every_row(monkeypatch, capsys, n, size, code):
     # r = 2 off by one at n: caught while n <= 2 size - 2, the order the section reads
-    real = series._raney_num
-    monkeypatch.setattr(series, "_raney_num", lambda p, r, k: real(p, r, k) + (r == 2 and k == n))
+    real = exact_seq._raney_num
+
+    def skewed(p, r, k):
+        return real(p, r, k) + (r == 2 and k == n)
+
+    monkeypatch.setattr(exact_seq, "_raney_num", skewed)
     argv = ["domain-grid", "--steps", "2", "--hankel-size", str(size)]
     assert main(argv) == code
     assert ("internal contradiction" in capsys.readouterr().err) == (code == 3)
@@ -753,6 +749,22 @@ def test_infdiv_inside_the_divisibility_windows():
 def test_infdiv_outside_the_divisibility_windows():
     for p, t in ((2, F(1, 2)), (2, F(3, 4)), (3, F(2)), (2, F(3, 2))):
         assert infdiv_check(p, t, 5).verdict == "indefinite", (p, t)
+
+
+def test_infdiv_checks_the_moment_route_against_the_closed_r(monkeypatch, capsys):
+    # r_1..r_(2m) of the reverted moment jet must equal the closed R-transform jet
+    real = series.r_series_closed
+
+    def skewed(p, t, order):
+        coeffs = list(real(p, t, order).coeffs)
+        coeffs[5] += 1
+        return series.TruncSeries(coeffs)
+
+    monkeypatch.setattr(series, "r_series_closed", skewed)
+    with pytest.raises(InconsistencyError):
+        infdiv_check(2, F(7, 6), 3)
+    assert main(["infdiv", "--p", "3", "--t", "1/2"]) == 3
+    assert "internal contradiction" in capsys.readouterr().err
 
 
 def test_infdiv_covers_only_the_closed_description():

@@ -28,7 +28,7 @@ from fussdeform import (
     s_series_from_moments,
     sqrt1p,
 )
-from fussdeform import series
+from fussdeform import exact_seq, series
 from fussdeform.cli import main
 from test_exact_seq import _raney_loop
 
@@ -838,19 +838,22 @@ def test_revert_self_check_sees_a_wrong_composition(monkeypatch, capsys):
 
 
 def test_bp_square_check_fires(monkeypatch, capsys):
-    # r = 2 off by one at n = 3, where moment_series reads the Raney formula
-    real = series._raney_num
+    # r = 2 off by one at n = 3 in the one Raney source: seq a meets it in the
+    # affine vs closed check, transforms, posdef and domain-grid in the B_p^2 check
+    real = exact_seq._raney_num
 
     def skewed(p, r, n):
         return real(p, r, n) + (r == 2 and n == 3)
 
-    monkeypatch.setattr(series, "_raney_num", skewed)
+    monkeypatch.setattr(exact_seq, "_raney_num", skewed)
     params = Params.exact(F(5, 2), F(1, 3))
     moment_series(params, 2)
     with pytest.raises(InconsistencyError):
         moment_series(params, 6)
-    for command in ("transforms", "posdef"):
-        assert main([command, "--p", "5/2", "--t", "1/3"]) == 3
+    point = ["--p", "5/2", "--t", "1/3"]
+    for argv in (["seq", "a", *point, "--n", "4"], ["transforms", *point], ["posdef", *point],
+                 ["domain-grid", "--steps", "2"]):
+        assert main(argv) == 3, argv
         assert "internal contradiction" in capsys.readouterr().err
 
 
