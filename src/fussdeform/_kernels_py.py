@@ -8,13 +8,14 @@ Only plain floats are used here.  Exact arithmetic lives elsewhere.
 The settings no caller varies are module constants: psi and -B/A are scanned at _PSI_GRID + 1
 points of [0, pi] and refined by golden section to width _PSI_TOL.  Both scans read the grid
 samples of the last p scanned (_psi_samples), so psi_min(p, 0), g_sup(p) and the check
-psi_min(p, g) of one g(p) compute them once; the refinement evaluates each point afresh.  rho
-is inverted by bisection to width _RHO_TOL, which halves a dyadic bracket down to leaves of
-width _LEAF = 2^-44, the largest power of two within _RHO_TOL.  The adaptive quadrature starts
-from _INIT_PANELS panels, halves a panel at most _MAX_DEPTH times and stops once its error
-estimate is within _ATOL + _RTOL |value|.  moment_quad alone takes its absolute tolerance as an
-argument.  cumulant_quad integrates every cumulant-side measure by one rule, in theta with
-x = lo + (hi - lo) sin(theta)^2.
+psi_min(p, g) of one g(p) compute them once; the refinement evaluates each point afresh.
+g(p) reads only whether psi_min(p, 0) is below -1e-12, so its t = 0 scan passes that bound and
+stops at a grid sample under it, unrefined.  rho is inverted by bisection to width _RHO_TOL,
+which halves a dyadic bracket down to leaves of width _LEAF = 2^-44, the largest power of two
+within _RHO_TOL.  The adaptive quadrature starts from _INIT_PANELS panels, halves a panel at
+most _MAX_DEPTH times and stops once its error estimate is within _ATOL + _RTOL |value|.
+moment_quad alone takes its absolute tolerance as an argument.  cumulant_quad integrates every
+cumulant-side measure by one rule, in theta with x = lo + (hi - lo) sin(theta)^2.
 """
 
 from functools import partial
@@ -131,14 +132,17 @@ def _golden(f, a, b):
     return xm, f(xm)
 
 
-def _grid_min(f, vals):
+def _grid_min(f, vals, below=None):
     """Minimum of f over [0, pi] from vals[i] = f(i pi / grid): (value, argmin).  Golden section
     refines each cell bracketing a local minimum, one per flat run of equal values (the run's
-    last point, where the values rise again); +inf marks a point without a value."""
+    last point, where the values rise again); +inf marks a point without a value.  A least grid
+    sample under below is returned unrefined."""
     grid = len(vals) - 1
     step = pi / grid
     best = min(range(grid + 1), key=vals.__getitem__)
     best_val, best_phi = vals[best], best * step
+    if below is not None and best_val < below:
+        return best_val, best_phi
     brackets = [
         ((i - 1) * step, (i + 1) * step)
         for i in range(1, grid)
@@ -179,12 +183,14 @@ def _grid_samples(p):
     return _psi_samples
 
 
-def psi_min(p, t):
+def psi_min(p, t, below=None):
     """Global minimum of psi(p, t, .) over [0, pi]: (value, argmin); psi is written inline on
-    the grid samples and evaluated pointwise by the refinement."""
+    the grid samples and evaluated pointwise by the refinement.  A least grid sample under
+    below is returned unrefined (see _grid_min): the refinement could only lower it, so whether
+    the minimum is under below is already decided."""
     _, sin_k, sin_1, cos_p = _grid_samples(p)
     vals = [t * a + 2.0 * (1.0 - t) * s * c for a, s, c in zip(sin_k, sin_1, cos_p)]
-    return _grid_min(partial(psi, p, t), vals)
+    return _grid_min(partial(psi, p, t), vals, below)
 
 
 def _t_bound(p, phi):

@@ -228,7 +228,8 @@ def _cmd_posdef(args: argparse.Namespace) -> int:
 
     size = args.hankel_size
     params = Params.exact(args.p, args.t)
-    record = classify_point(params, size)
+    # a CSV row prints no minor, so its elimination stops at the verdict
+    record = classify_point(params, size, minors=args.format == "json")
     hankel = record["hankel"]
     payload = {
         "p": rational_str(params.p),

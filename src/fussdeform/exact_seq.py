@@ -217,7 +217,9 @@ def _fuss_parts(p: Fraction, order: int) -> list[tuple[int, int, int]]:
     With p = a/b, A_n = b R1 and E_n = b R2 (A_0 = 1) are raney(p, 1, n) and
     raney(p, 2, n) scaled by b^n n!, so B_p * B_p = B_p^2 is the integer
     identity sum_k C(n, k) A_k A_(n-k) = E_n, checked at every n: the
-    product of the r = 1 jet against the Raney formula for r = 2.
+    product of the r = 1 jet against the Raney formula for r = 2.  Terms k
+    and n - k are equal, so the sum is twice that over k < n/2, plus the
+    middle term C(n, n/2) A_(n/2)^2 at even n: each product is taken once.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -225,10 +227,15 @@ def _fuss_parts(p: Fraction, order: int) -> list[tuple[int, int, int]]:
     parts = _fuss_terms(p, range(order + 1))
     ones = [1]
     binom = [1]  # row n of Pascal's triangle
-    for one, two, _ in parts[1:]:
+    for n, (one, two, _) in enumerate(parts[1:], 1):
         ones.append(b * one)
         binom = [1, *map(add, binom, binom[1:]), 1]
-        if sum(map(mul, map(mul, binom, ones), reversed(ones))) != b * two:
+        half, odd = divmod(n, 2)
+        # k = 0..ceil(n/2) - 1 against n - k; map stops at the shorter binomial slice
+        total = 2 * sum(map(mul, map(mul, binom[: half + odd], ones), reversed(ones)))
+        if not odd:
+            total += binom[half] * ones[half] ** 2
+        if total != b * two:
             raise InconsistencyError(
                 f"B_{p}^2 jet disagrees between multiplication and the Raney formula"
             )

@@ -31,10 +31,12 @@ exact_seq._fuss_parts, B_p^2 check included, and the affine formula
 exact_seq._affine), one gcd per entry and no Fraction, runs both routes and
 refuses to return if they genuinely disagree.  classify_row does the same
 for a row of cells at one p: it builds the interval and the Raney integers
-once, and hankel_report with minors=False reads each cell's pivots only until
-its verdict is decided, so an indefinite cell stops at its first negative
-pivot and no minor is built.  Only infdiv_check needs the jet engine, so it
-alone imports series, when it runs.
+once.  hankel_report with minors=False reads a section's pivots only until
+its verdict is decided, so an indefinite section stops at its first negative
+pivot and no minor is built.  classify_row reads every cell so, and
+classify_point does when asked for no minors, as the CSV form of posdef
+asks.  Only infdiv_check needs the jet engine, so it alone imports series,
+when it runs.
 """
 
 from __future__ import annotations
@@ -83,7 +85,9 @@ def g_of_p(p: float) -> float:
         raise ValueError("g is defined for p >= 1")
     # For p >= 2, phi / p <= pi / 2 on [0, pi], so psi_{p,0}(phi) = 2 sin(phi) cos(phi / p) >= 0
     # (in floats too, as float pi < pi) and g(p) = 0 needs no scan.
-    if p >= 2.0 or kernels.psi_min(p, 0.0)[0] >= -_FEAS_TOL:
+    # Only the sign of psi_min(p, 0) + 1e-12 is read, so a grid sample below -1e-12 decides it
+    # before any refinement, which could only lower the minimum.
+    if p >= 2.0 or kernels.psi_min(p, 0.0, -_FEAS_TOL)[0] >= -_FEAS_TOL:
         return 0.0
     g = min(1.0, max(0.0, kernels.g_sup(p)[0]))
     value = kernels.psi_min(p, g)[0]
@@ -223,7 +227,8 @@ def hankel_report(
     With minors=False no minor is built (minors is an empty list) and the
     pivots are read only until the verdict is decided: a negative pivot, or
     a zero pivot facing a nonzero entry, ends the elimination as indefinite;
-    otherwise every pivot is read.  classify_row reads each cell so.
+    otherwise every pivot is read.  classify_row reads each cell so, and the
+    CSV form of posdef reads its one section so.
     """
     pairs = seq
     if not isinstance(seq, _IntSection):
@@ -284,19 +289,21 @@ def _cross_checked(p: Fraction, t: Fraction, tf: float, interval, verdict: str, 
     return lower - _CLASSIFY_TOL <= tf <= top + _CLASSIFY_TOL
 
 
-def classify_point(params: Params, size: int = 6) -> dict:
+def classify_point(params: Params, size: int = 6, minors: bool = True) -> dict:
     """Classify (p, t): interval criterion vs exact Hankel section, cross-checked.
 
     The two routes are genuinely independent; a Hankel section that is
     indefinite while t sits strictly inside the admissible interval (beyond
-    the 1e-6 boundary tolerance) is a contradiction and raises.
+    the 1e-6 boundary tolerance) is a contradiction and raises.  minors goes
+    to hankel_report: with minors=False the report's minors are [] and the
+    elimination stops at the verdict, which is the same either way.
     """
     p, t = params.p, params.t
     if p < 1:
         raise ValueError("the classification covers p >= 1")
     interval = theorem_interval(p)
     tf = float(t)
-    hankel = hankel_report(_cell_section(_fuss_parts(p, 2 * size - 2), t), size)
+    hankel = hankel_report(_cell_section(_fuss_parts(p, 2 * size - 2), t), size, minors)
     theorem_verdict = _cross_checked(p, t, tf, interval, hankel.verdict, size)
     return {"theorem_verdict": theorem_verdict, "hankel": hankel}
 

@@ -328,6 +328,22 @@ def test_posdef_json_minors(capsys):
     assert payload["hankel"]["minors"] == ["1/1", "1/1", "1/1", "1/1"]
 
 
+def test_posdef_csv_rows_are_rebuilt_from_the_json_payloads(capsys):
+    # the CSV row stops its elimination at the verdict, the JSON payload reads every minor:
+    # 20 cells at sizes 1..16, t below, inside and above [g(p), 2p/(p+1)]
+    cells = [(p, t) for p in ("1", "3/2", "2", "7/3", "5") for t in ("-1/2", "0", "1", "9/5")]
+    for i, (p, t) in enumerate(cells):
+        point = ["posdef", "--p", p, f"--t={t}", "--hankel-size", str(1 + 3 * i % 16)]
+        code, csv_out, _ = run(capsys, *point)
+        assert code == 0
+        code, out, _ = run(capsys, *point, "--format", "json")
+        assert code == 0
+        record = json.loads(out)
+        theorem = "true" if record["theorem_verdict"] else "false"
+        row = ",".join((record["p"], record["t"], theorem, record["hankel"]["verdict"]))
+        assert csv_out == f"p,t,theorem,hankel_verdict\n{row}\n", point
+
+
 def test_posdef_negative_t_needs_the_equals_form(capsys):
     # argparse reads "-1/3" after "--t" as a flag, so a negative t is given as --t=-1/3
     code, out, _ = run(capsys, "posdef", "--p", "2", "--t=-1/3", "--format", "json")

@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fussdeform import (
@@ -287,6 +287,58 @@ def test_g_builds_one_sample_grid_below_two(monkeypatch):
     assert seen[0][0] == 1.5
 
 
+@pytest.mark.parametrize(
+    "p, refined",
+    [(1.0, False), (1.25, False), (1.5, False), (1.75, False),
+     (1.999, True), (1.999999, True), (2.0 - 1e-9, True)],
+)
+def test_psi_min_below_decides_as_the_full_scan(monkeypatch, p, refined):
+    # g(p) reads only whether psi_min(p, 0) >= -1e-12, so it passes below = -1e-12 and a grid
+    # sample under that is returned unrefined.  From 1.999 on no grid sample is under it (at
+    # 1.999999 the least is -6.2e-13), so the refinement must still run and give the full
+    # scan's value: at 1.999 it finds -6.2e-7 between the last two samples.
+    tol = posdef._FEAS_TOL
+    full = kernels.psi_min(p, 0.0)
+    assert full == _psi_min_pointwise(p, 0.0)
+    golden = kernels._golden
+    calls = []
+    monkeypatch.setattr(kernels, "_golden", lambda *args: calls.append(args) or golden(*args))
+    value, phi = kernels.psi_min(p, 0.0, -tol)
+    assert (value >= -tol) == (full[0] >= -tol)
+    assert (calls != []) == refined
+    step = math.pi / kernels._PSI_GRID
+    grid = [kernels.psi(p, 0.0, i * step) for i in range(kernels._PSI_GRID + 1)]
+    low = min(grid)
+    assert (low < -tol) != refined
+    if refined:
+        assert (value, phi) == full
+    else:
+        assert value == low
+    # without below the scan is the full one, refinement included
+    assert kernels.psi_min(p, 0.0) == full
+
+
+def test_grid_min_returns_only_a_sample_strictly_under_below_unrefined():
+    # f is far below every sample, so a refined scan returns f's value and an unrefined one the
+    # least sample
+    def f(phi):
+        return -1.0
+
+    assert kernels._grid_min(f, [1.0, -2e-12, 1.0], -1e-12)[0] == -2e-12
+    assert kernels._grid_min(f, [1.0, -1e-12, 1.0], -1e-12)[0] == -1.0
+    assert kernels._grid_min(f, [1.0, -2e-12, 1.0])[0] == -1.0
+
+
+def test_g_passes_the_tolerance_to_its_t0_scan(monkeypatch):
+    # the t = 0 scan may stop at a grid sample below -1e-12; g_sup and the check at t = g(p),
+    # whose values are used, are full scans
+    calls = []
+    real = kernels.psi_min
+    monkeypatch.setattr(kernels, "psi_min", lambda *args: calls.append(args) or real(*args))
+    g = g_of_p(1.5)
+    assert calls == [(1.5, 0.0, -posdef._FEAS_TOL), (1.5, g)]
+
+
 def test_flat_scans_refine_one_cell_per_run(monkeypatch):
     # At p = 1, psi(1, 1, .) is 0 on the whole grid and B/A is -1 wherever
     # A > 0, so each scan is flat runs only; each run is refined once.
@@ -561,6 +613,29 @@ def test_classify_reads_the_moment_section_as_hankel_report_does(p, t, size):
     assert classify_point(params, size)["hankel"] == hankel_report(values, size)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 48).flatmap(lambda b: st.tuples(st.integers(b, 4 * b), st.just(b))),
+    st.sampled_from(("below", "inside", "above")),
+    st.fractions(min_value=0, max_value=1, max_denominator=24),
+    st.integers(1, 16),
+)
+@example((1, 1), "inside", F(1), 5)  # p = 1: a zero pivot and a vanishing row
+@example((3, 2), "inside", F(0), 3)  # (3/2, 0): a zero pivot facing a nonzero entry
+def test_classify_point_without_minors_gives_the_same_verdicts(p, side, u, size):
+    # t below 0, in [0, 2p/(p+1)] or above it, by the fraction u of a unit step or of the span;
+    # below 0 takes u in (0, 1], as u = 0 would put t at 0
+    assume(side != "below" or u > 0)
+    p = F(*p)
+    top = 2 * p / (p + 1)
+    t = {"below": -u, "inside": u * top, "above": top + u}[side]
+    params = Params.exact(p, t)
+    full = classify_point(params, size)
+    bare = classify_point(params, size, minors=False)
+    assert bare["theorem_verdict"] == full["theorem_verdict"]
+    assert bare["hankel"] == HankelVerdict(size, [], full["hankel"].verdict)
+
+
 # t landmarks of every row: negative t, 0, 1, 2, t near 10^-300 on both sides of 0
 _ROW_LANDMARKS = (F(-1, 2), F(0), F(1), F(2), F(1, 10**300), F(-3, 10**300), F(7, 10**300 + 1))
 
@@ -623,6 +698,19 @@ def test_classify_row_stops_an_indefinite_cell_at_its_verdict(monkeypatch):
     assert len(reads) == 2
     reads.clear()
     assert list(classify_row(2, [F(1)], 16)) == [(True, "positive_definite")]
+    assert len(reads) == 16
+
+
+def test_posdef_csv_stops_at_the_verdict_and_json_reads_every_pivot(monkeypatch, capsys):
+    # at (2, -1) the leading minor of order 2 is -1: the CSV row reads pivots 0 and 1, the JSON
+    # payload, which prints every minor, all 16
+    reads = _count_pivot_reads(monkeypatch)
+    point = ["posdef", "--p", "2", "--t=-1", "--hankel-size", "16"]
+    assert main(point) == 0
+    assert capsys.readouterr().out.endswith("2/1,-1/1,false,indefinite\n")
+    assert [verdict for _, verdict in reads] == ["positive_definite", "indefinite"]
+    reads.clear()
+    assert main([*point, "--format", "json"]) == 0
     assert len(reads) == 16
 
 

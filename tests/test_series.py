@@ -838,23 +838,27 @@ def test_revert_self_check_sees_a_wrong_composition(monkeypatch, capsys):
 
 
 def test_bp_square_check_fires(monkeypatch, capsys):
-    # r = 2 off by one at n = 3 in the one Raney source: seq a meets it in the
-    # affine vs closed check, transforms, posdef and domain-grid in the B_p^2 check
+    # r = 2 off by one at n = 3, then at n = 4, in the one Raney source: seq a meets it in the
+    # affine vs closed check, transforms, posdef and domain-grid in the B_p^2 check.  The check
+    # passes to order n - 1 and raises at order n; passing covers both halves of its sum, since
+    # one without the doubled pairs (k, n - k) breaks at n = 1, one without the middle term at 2
     real = exact_seq._raney_num
-
-    def skewed(p, r, n):
-        return real(p, r, n) + (r == 2 and n == 3)
-
-    monkeypatch.setattr(exact_seq, "_raney_num", skewed)
     params = Params.exact(F(5, 2), F(1, 3))
-    moment_series(params, 2)
-    with pytest.raises(InconsistencyError):
-        moment_series(params, 6)
     point = ["--p", "5/2", "--t", "1/3"]
-    for argv in (["seq", "a", *point, "--n", "4"], ["transforms", *point], ["posdef", *point],
-                 ["domain-grid", "--steps", "2"]):
-        assert main(argv) == 3, argv
-        assert "internal contradiction" in capsys.readouterr().err
+    for skew_n in (3, 4):
+        monkeypatch.setattr(
+            exact_seq, "_raney_num", lambda p, r, n: real(p, r, n) + (r == 2 and n == skew_n)
+        )
+        exact_seq._fuss_parts(params.p, skew_n - 1)
+        with pytest.raises(InconsistencyError):
+            exact_seq._fuss_parts(params.p, skew_n)
+        moment_series(params, skew_n - 1)
+        with pytest.raises(InconsistencyError):
+            moment_series(params, 6)
+        for argv in (["seq", "a", *point, "--n", "4"], ["transforms", *point],
+                     ["posdef", *point], ["domain-grid", "--steps", "2"]):
+            assert main(argv) == 3, (skew_n, argv)
+            assert "internal contradiction" in capsys.readouterr().err
 
 
 _P_OR_T = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
