@@ -25,18 +25,18 @@ each divided once by a power of L and of s) and the verdict (the signs of the
 pivots).  Every division in it is exact, because each intermediate entry is
 itself a minor of the integer section.  The elimination is one generator of
 pivots (_pivots), which also states the verdict rule; it makes each step
-only when the next pivot is read.  classify_point takes a cell's section
-straight from the Raney integers of a_n that exact_seq owns (the row
-exact_seq._fuss_parts, B_p^2 check included, and the affine formula
-exact_seq._affine), one gcd per entry and no Fraction, runs both routes and
-refuses to return if they genuinely disagree.  classify_row does the same
-for a row of cells at one p: it builds the interval and the Raney integers
-once.  hankel_report with minors=False reads a section's pivots only until
-its verdict is decided, so an indefinite section stops at its first negative
-pivot and no minor is built.  classify_row reads every cell so, and
-classify_point does when asked for no minors, as the CSV form of posdef
-asks.  Only infdiv_check needs the jet engine, so it alone imports series,
-when it runs.
+only when the next pivot is read.  One cell path, _classify, classifies a
+row of cells at one p: it builds the interval and the Raney integers of a_n
+that exact_seq owns (the row exact_seq._fuss_parts, B_p^2 check included)
+once, takes each cell's section straight from the affine formula
+exact_seq._affine, one gcd per entry and no Fraction, runs both routes and
+refuses to return if they genuinely disagree.  classify_point is its
+one-cell case and classify_row its row case.  hankel_report with
+minors=False reads a section's pivots only until its verdict is decided, so
+an indefinite section stops at its first negative pivot and no minor is
+built.  classify_row reads every cell so, and classify_point does when asked
+for no minors, as the CSV form of posdef asks.  Only infdiv_check needs the
+jet engine, so it alone imports series, when it runs.
 """
 
 from __future__ import annotations
@@ -143,15 +143,6 @@ class _IntSection(list):
     __slots__ = ()
 
 
-def _cell_section(parts: list[tuple[int, int, int]], t: Fraction) -> _IntSection:
-    """The moment section of one cell at t, from the p-only part of its row, as reduced pairs."""
-    section = _IntSection()
-    for num, den in _affine(parts, t):
-        g = gcd(num, den)
-        section.append((num // g, den // g))
-    return section
-
-
 def _pivots(b: list[list[int]]) -> Iterator[tuple[Optional[int], str]]:
     """The symmetric fraction-free elimination of the integer Hankel section b, run lazily.
 
@@ -193,8 +184,8 @@ def hankel_report(
     The values are read as reduced integer pairs (numerator, denominator):
     those of a SeqTable (which must start at offset 0), of Fractions and
     ints, of anything else Fraction accepts (such as "1/3") after one
-    conversion, or the pairs that classify_point and classify_row take
-    straight from the Raney integers of exact_seq.
+    conversion, or the pairs that the cell path of classify_point and
+    classify_row (_classify) takes straight from the Raney integers of exact_seq.
     With d_k the denominator of v_k = seq[k], s = d_2 // gcd(d_1, d_2) (s = 1
     at size 1) is the part of d_2 not in d_1: the ratio b for moment sections
     at p = a/b, the growth of den(t) for cumulant sections at tiny t.  The
@@ -276,35 +267,50 @@ def hankel_report(
     return HankelVerdict(size=size, minors=found, verdict=verdict)
 
 
-def _cross_checked(p: Fraction, t: Fraction, tf: float, interval, verdict: str, size: int) -> bool:
-    """The interval criterion at t (tf = float(t)), within the 1e-6 boundary tolerance.
-    Raises if the Hankel verdict is indefinite while t lies strictly inside the interval."""
-    lower, upper = interval
+def _classify(
+    p: RationalLike, ts: Sequence[RationalLike], size: int, minors: bool
+) -> Iterator[tuple[bool, HankelVerdict]]:
+    """The theorem verdict and the Hankel report at (p, t) for each t in ts, in order.
+
+    The interval and the p-only part of the moment section (exact_seq._fuss_parts,
+    B_p^2 check included) are built once.  Each cell's section, the pairs of
+    exact_seq._affine reduced by one gcd each, goes to hankel_report by its module
+    name, so a tracer that rebinds that name sees each cell's elimination.  A Hankel
+    section that is indefinite while t sits strictly inside the interval (beyond the
+    1e-6 boundary tolerance) is a contradiction and raises.  Cells are computed as
+    they are read.
+    """
+    p = parse_rational(p)
+    if p < 1:
+        raise ValueError("the classification covers p >= 1")
+    lower, upper = theorem_interval(p)
     top = float(upper)
-    if verdict == "indefinite" and lower + _CLASSIFY_TOL <= tf <= top - _CLASSIFY_TOL:
-        raise InconsistencyError(
-            f"Hankel section of size {size} is indefinite at (p={p}, t={t}) although "
-            f"t lies inside the admissible interval [{lower}, {top}]"
-        )
-    return lower - _CLASSIFY_TOL <= tf <= top + _CLASSIFY_TOL
+    parts = _fuss_parts(p, 2 * size - 2)
+    for t in ts:
+        t = parse_rational(t)
+        tf = float(t)
+        section = _IntSection()
+        for num, den in _affine(parts, t):
+            g = gcd(num, den)
+            section.append((num // g, den // g))
+        hankel = hankel_report(section, size, minors)
+        if hankel.verdict == "indefinite" and lower + _CLASSIFY_TOL <= tf <= top - _CLASSIFY_TOL:
+            raise InconsistencyError(
+                f"Hankel section of size {size} is indefinite at (p={p}, t={t}) although "
+                f"t lies inside the admissible interval [{lower}, {top}]"
+            )
+        yield lower - _CLASSIFY_TOL <= tf <= top + _CLASSIFY_TOL, hankel
 
 
 def classify_point(params: Params, size: int = 6, minors: bool = True) -> dict:
     """Classify (p, t): interval criterion vs exact Hankel section, cross-checked.
 
-    The two routes are genuinely independent; a Hankel section that is
-    indefinite while t sits strictly inside the admissible interval (beyond
-    the 1e-6 boundary tolerance) is a contradiction and raises.  minors goes
-    to hankel_report: with minors=False the report's minors are [] and the
-    elimination stops at the verdict, which is the same either way.
+    The one-cell case of _classify.  The two routes are genuinely independent,
+    and a genuine disagreement raises.  minors goes to hankel_report: with
+    minors=False the report's minors are [] and the elimination stops at the
+    verdict, which is the same either way.
     """
-    p, t = params.p, params.t
-    if p < 1:
-        raise ValueError("the classification covers p >= 1")
-    interval = theorem_interval(p)
-    tf = float(t)
-    hankel = hankel_report(_cell_section(_fuss_parts(p, 2 * size - 2), t), size, minors)
-    theorem_verdict = _cross_checked(p, t, tf, interval, hankel.verdict, size)
+    theorem_verdict, hankel = next(_classify(params.p, [params.t], size, minors))
     return {"theorem_verdict": theorem_verdict, "hankel": hankel}
 
 
@@ -313,24 +319,12 @@ def classify_row(
 ) -> Iterator[tuple[bool, str]]:
     """classify_point's (theorem verdict, Hankel verdict) at (p, t) for each t in ts, in order.
 
-    The admissible interval and the p-only part of the moment section
-    (exact_seq._fuss_parts, B_p^2 check included) are built once for the row.
-    Each cell's section goes to hankel_report with minors=False, which reads
-    the elimination only until the verdict is decided: a negative pivot, or
-    a zero pivot facing a nonzero entry, ends the cell as indefinite;
-    otherwise every pivot is read.  No minor is built.  The cross-check of
-    classify_point raises here too.  Cells are computed as they are read.
+    The row case of _classify, which builds the interval and the Raney integers once
+    for the row, with minors=False: each cell's elimination is read only until its
+    verdict is decided and no minor is built.  Cells are computed as they are read.
     """
-    p = parse_rational(p)
-    if p < 1:
-        raise ValueError("the classification covers p >= 1")
-    interval = theorem_interval(p)
-    parts = _fuss_parts(p, 2 * size - 2)
-    for t in ts:
-        t = parse_rational(t)
-        tf = float(t)
-        verdict = hankel_report(_cell_section(parts, t), size, minors=False).verdict
-        yield _cross_checked(p, t, tf, interval, verdict, size), verdict
+    for theorem_verdict, hankel in _classify(p, ts, size, minors=False):
+        yield theorem_verdict, hankel.verdict
 
 
 def infdiv_check(p: Union[int, Fraction], t, size: int = 6) -> HankelVerdict:

@@ -14,11 +14,12 @@ Fractions, but every sum of products runs in integers.  A jet product
 convolution over one common denominator.  ``*`` convolves only the nonzero
 span of the factor whose span is shorter, as the closed R jets multiply
 short polynomials by dense radicals (untrimmed, perfbench seq-tables ran
-6.4% slower).  The quotient and pow1p are recurrences, each coefficient
-summed over one running denominator that widens (one gcd) only when a
-term's denominator does not divide it (on one common denominator seq-tables
-ran 1.6 to 1.8 times slower).  revert keeps its own recurrence for w / F(w)
-(through the jet quotient perfbench jets ran 4% slower).  compose and
+6.4% slower).  The quotient and pow1p are recurrences of one shape, each
+coefficient summed by one helper (_running_sum) over one running denominator
+that widens (one gcd) only when a term's denominator does not divide it (on
+one common denominator seq-tables ran 1.6 to 1.8 times slower).  revert
+keeps its own recurrence for w / F(w) (through the jet quotient perfbench
+jets ran 4% slower).  compose and
 revert first rescale the variable, z -> lam z, by one rule: den(c_2 / c_1)
 times the part of den(c_3) not in den(c_2), which takes the growth of the
 denominators with the index as well as their offset, so that the shared
@@ -74,11 +75,23 @@ def _split(coeffs: Sequence[Fraction]) -> tuple[list[int], list[int]]:
     return [c.numerator for c in coeffs], [c.denominator for c in coeffs]
 
 
-def _widen(num: int, den: int, d: int) -> tuple[int, int, int]:
-    """Rewrite num/den over lcm(den, d); also return the multiplier lcm // d."""
-    g = gcd(den, d)
-    m = d // g
-    return num * m, den * m, den // g
+def _running_sum(
+    num: int, den: int, slope: int, base: int,
+    fn: list[int], fd: list[int], gn: list[int], gd: list[int], k: int,
+) -> tuple[int, int]:
+    """num/den plus the sum over j = 1..k of (slope j + base) (fn_j / fd_j) (gn_(k-j) / gd_(k-j)),
+    over one running denominator that widens (one gcd) only when a term's does not divide it."""
+    for j in range(1, k + 1):
+        x = fn[j]
+        if x and gn[k - j]:
+            d = fd[j] * gd[k - j]
+            q, r = divmod(den, d)
+            if r:  # widen to lcm(den, d)
+                g = gcd(den, d)
+                m = d // g
+                num, den, q = num * m, den * m, den // g
+            num += (slope * j + base) * x * gn[k - j] * q
+    return num, den
 
 
 def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
@@ -147,10 +160,42 @@ def _lincomb(terms: list[tuple[int, int, list[int], int]], n: int) -> tuple[list
     return _reduced(acc, common)
 
 
-class TruncSeries:
+class _Frozen:
+    """An immutable record of one tuple field, the one name in the subclass's __slots__,
+    which the subclass's __init__ sets once through object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(
+            f"cannot assign to field {name!r} of an immutable {type(self).__name__}"
+        )
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+    def _field(self) -> tuple:
+        return getattr(self, self.__slots__[0])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field() == other._field()
+
+    def __hash__(self) -> int:
+        return hash(self._field())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.__slots__[0]}={self._field()!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, as __setattr__ refuses
+        return type(self), (self._field(),)
+
+
+class TruncSeries(_Frozen):
     """Jet c_0 + c_1 z + ... + c_N z^N with exact rational coefficients.
 
-    Immutable: ``coeffs`` is set once, by the constructor.
+    Immutable (the frozen base _Frozen): ``coeffs`` is set once, by the constructor.
     """
 
     __slots__ = ("coeffs",)
@@ -159,26 +204,6 @@ class TruncSeries:
         if not coeffs:
             raise ValueError("a jet needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", tuple(parse_rational(c) for c in coeffs))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable TruncSeries")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of an immutable TruncSeries")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"TruncSeries(coeffs={self.coeffs!r})"
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__, as __setattr__ refuses
-        return TruncSeries, (self.coeffs,)
 
     # -- construction -------------------------------------------------------
 
@@ -277,15 +302,7 @@ class TruncSeries:
         on: list[int] = []
         od: list[int] = []
         for k in range(n + 1):
-            num, den = an[k], ad[k]
-            for j in range(1, k + 1):
-                x = bn[j]
-                if x and on[k - j]:
-                    d = bd[j] * od[k - j]
-                    q, r = divmod(den, d)
-                    if r:
-                        num, den, q = _widen(num, den, d)
-                    num -= x * on[k - j] * q
+            num, den = _running_sum(an[k], ad[k], 0, -1, bn, bd, on, od, k)
             c = Fraction(num * bd[0], den * bn[0])
             out.append(c)
             on.append(c.numerator)
@@ -428,15 +445,7 @@ def pow1p(f: TruncSeries, alpha: RationalLike) -> TruncSeries:
     on = [1]
     od = [1]
     for k in range(1, n + 1):
-        num, den = 0, 1
-        for j in range(1, k + 1):
-            x = fn[j]
-            if x and on[k - j]:
-                d = fd[j] * od[k - j]
-                q, r = divmod(den, d)
-                if r:
-                    num, den, q = _widen(num, den, d)
-                num += (j * (u + v) - k * v) * x * on[k - j] * q
+        num, den = _running_sum(0, 1, u + v, -k * v, fn, fd, on, od, k)
         c = Fraction(num, den * v * k)
         out.append(c)
         on.append(c.numerator)
@@ -444,36 +453,16 @@ def pow1p(f: TruncSeries, alpha: RationalLike) -> TruncSeries:
     return TruncSeries(tuple(out))
 
 
-class CumulantTable:
+class CumulantTable(_Frozen):
     """Free cumulants r_1..r_N.
 
-    Immutable: ``values`` is set once, by the constructor.
+    Immutable (the frozen base _Frozen): ``values`` is set once, by the constructor.
     """
 
     __slots__ = ("values",)
 
     def __init__(self, values: Sequence[RationalLike]) -> None:
         object.__setattr__(self, "values", tuple(parse_rational(v) for v in values))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable CumulantTable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of an immutable CumulantTable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash(self.values)
-
-    def __repr__(self) -> str:
-        return f"CumulantTable(values={self.values!r})"
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__, as __setattr__ refuses
-        return CumulantTable, (self.values,)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -498,10 +487,10 @@ def moment_series(params: Params, order: int) -> TruncSeries:
 
     One Fraction per integer pair of exact_seq's affine formula over the Raney
     parts of exact_seq._fuss_parts, whose B_p^2 check (the product of the r = 1
-    Raney jet against the Raney formula for r = 2) runs at every n.
-    posdef.classify_point and posdef.classify_row read the same pairs, reduced
-    by one gcd each, as their Hankel sections, and build no Fraction from them;
-    classify_row builds _fuss_parts once per p row.
+    Raney jet against the Raney formula for r = 2) runs at every n.  The one
+    cell path of posdef (posdef._classify, under classify_point and
+    classify_row) reads the same pairs, reduced by one gcd each, as its Hankel
+    sections, builds no Fraction from them, and builds _fuss_parts once per p.
     """
     pairs = _affine(_fuss_parts(params.p, order), params.t)
     return TruncSeries(tuple(Fraction(num, den) for num, den in pairs))

@@ -714,6 +714,27 @@ def test_posdef_csv_stops_at_the_verdict_and_json_reads_every_pivot(monkeypatch,
     assert len(reads) == 16
 
 
+def test_every_cell_path_reaches_hankel_report_by_its_module_name(monkeypatch):
+    # a tracer rebinds posdef.hankel_report to time each cell's elimination as posdef work;
+    # a cell path that read its section any other way would hide it
+    calls = []
+    real = posdef.hankel_report
+
+    def counted(seq, size, minors=True):
+        calls.append(size)
+        return real(seq, size, minors)
+
+    monkeypatch.setattr(posdef, "hankel_report", counted)
+    assert classify_point(Params.exact(2, F(1)), 5)["hankel"].verdict == "positive_definite"
+    assert calls == [5]
+    calls.clear()
+    assert len(list(classify_row(2, [F(-1), F(0), F(1)], 4))) == 3
+    assert calls == [4] * 3
+    calls.clear()
+    assert main(["domain-grid", "--steps", "2", "--hankel-size", "3"]) == 0
+    assert calls == [3] * 4
+
+
 def test_classify_row_builds_the_raney_integers_once_per_row(monkeypatch):
     # two Raney numerators (r = 1, 2) at each n = 1..2m - 2, per p row, whatever the steps
     calls = []
