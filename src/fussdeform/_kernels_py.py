@@ -6,16 +6,16 @@ binds this module as ``kernels``.
 Only plain floats are used here.  Exact arithmetic lives elsewhere.
 
 The settings no caller varies are module constants: psi and -B/A are scanned at _PSI_GRID + 1
-points of [0, pi] and refined by golden section to width _PSI_TOL.  Both scans read the grid
-samples of the last p scanned (_psi_samples), so psi_min(p, 0), g_sup(p) and the check
-psi_min(p, g) of one g(p) compute them once; the refinement evaluates each point afresh.
-g(p) reads only whether psi_min(p, 0) is below -1e-12, so its t = 0 scan passes that bound and
-stops at a grid sample under it, unrefined.  rho is inverted by bisection to width _RHO_TOL,
-which halves a dyadic bracket down to leaves of width _LEAF = 2^-44, the largest power of two
-within _RHO_TOL.  The adaptive quadrature starts from _INIT_PANELS panels, halves a panel at
-most _MAX_DEPTH times and stops once its error estimate is within _ATOL + _RTOL |value|.
-moment_quad alone takes its absolute tolerance as an argument.  cumulant_quad integrates every
-cumulant-side measure by one rule, in theta with x = lo + (hi - lo) sin(theta)^2.
+points of [0, pi] and refined by golden section to width _PSI_TOL.  g_scan, all of g(p) below
+2, builds the grid samples of its p once and reads them in each of its three scans; the
+refinement evaluates each point afresh.  rho is inverted by bisection to width _RHO_TOL, which
+halves a dyadic bracket down to leaves of width _LEAF = 2^-44, the largest power of two within
+_RHO_TOL.  The adaptive quadrature starts from _INIT_PANELS panels, halves a panel at most
+_MAX_DEPTH times and stops once its error estimate is within _ATOL + _RTOL |value|.
+moment_quad alone takes its absolute tolerance as an argument; it integrates the moments
+0..n_max of one (p, t) in one call, which samples each panel's nodes once for all of them.
+cumulant_quad integrates every cumulant-side measure by one rule, in theta with
+x = lo + (hi - lo) sin(theta)^2.  No kernel keeps a value from one call to the next.
 """
 
 from functools import partial
@@ -38,7 +38,7 @@ __all__ = [
     "psi",
     "psi_forms",
     "psi_min",
-    "g_sup",
+    "g_scan",
     "rho_bisect",
     "integrate_callable",
     "moment_quad",
@@ -132,17 +132,14 @@ def _golden(f, a, b):
     return xm, f(xm)
 
 
-def _grid_min(f, vals, below=None):
+def _grid_min(f, vals):
     """Minimum of f over [0, pi] from vals[i] = f(i pi / grid): (value, argmin).  Golden section
     refines each cell bracketing a local minimum, one per flat run of equal values (the run's
-    last point, where the values rise again); +inf marks a point without a value.  A least grid
-    sample under below is returned unrefined."""
+    last point, where the values rise again); +inf marks a point without a value."""
     grid = len(vals) - 1
     step = pi / grid
     best = min(range(grid + 1), key=vals.__getitem__)
     best_val, best_phi = vals[best], best * step
-    if below is not None and best_val < below:
-        return best_val, best_phi
     brackets = [
         ((i - 1) * step, (i + 1) * step)
         for i in range(1, grid)
@@ -159,38 +156,29 @@ def _grid_min(f, vals, below=None):
     return best_val, best_phi
 
 
-# The grid samples of the last p scanned: (p, sin((1 - 1/p) phi_i), sin(phi_i), cos(phi_i / p))
-# at phi_i = i pi / _PSI_GRID, as three flat lists.  They do not depend on t, so the scans of one
-# g(p) (psi_min at t = 0, g_sup, psi_min at t = g) share them; one p is held at a time.
-_psi_samples = (None, (), (), ())
+def _psi_grid(p):
+    """The grid samples psi is built from at p, which do not depend on t: the three lists
+    sin((1 - 1/p) phi_i), sin(phi_i) and cos(phi_i / p) at phi_i = i pi / _PSI_GRID."""
+    k = 1.0 - 1.0 / p
+    step = pi / _PSI_GRID
+    grid = range(_PSI_GRID + 1)
+    return (
+        [sin(k * (i * step)) for i in grid],
+        [sin(i * step) for i in grid],
+        [cos(i * step / p) for i in grid],
+    )
 
 
-def _grid_samples(p):
-    """The grid samples of psi at p (see _psi_samples), built when p is not the one held."""
-    global _psi_samples
-    if _psi_samples[0] != p:
-        # drop the old samples first, so that two sets never coexist
-        _psi_samples = (None, (), (), ())
-        k = 1.0 - 1.0 / p
-        step = pi / _PSI_GRID
-        grid = range(_PSI_GRID + 1)
-        _psi_samples = (
-            p,
-            [sin(k * (i * step)) for i in grid],
-            [sin(i * step) for i in grid],
-            [cos(i * step / p) for i in grid],
-        )
-    return _psi_samples
+def _psi_scan(p, t, samples):
+    """Global minimum of psi(p, t, .) over [0, pi] from the _psi_grid samples of p: (value,
+    argmin); psi is written inline on the samples and evaluated pointwise by the refinement."""
+    vals = [t * a + 2.0 * (1.0 - t) * s * c for a, s, c in zip(*samples)]
+    return _grid_min(partial(psi, p, t), vals)
 
 
-def psi_min(p, t, below=None):
-    """Global minimum of psi(p, t, .) over [0, pi]: (value, argmin); psi is written inline on
-    the grid samples and evaluated pointwise by the refinement.  A least grid sample under
-    below is returned unrefined (see _grid_min): the refinement could only lower it, so whether
-    the minimum is under below is already decided."""
-    _, sin_k, sin_1, cos_p = _grid_samples(p)
-    vals = [t * a + 2.0 * (1.0 - t) * s * c for a, s, c in zip(sin_k, sin_1, cos_p)]
-    return _grid_min(partial(psi, p, t), vals, below)
+def psi_min(p, t):
+    """Global minimum of psi(p, t, .) over [0, pi]: (value, argmin)."""
+    return _psi_scan(p, t, _psi_grid(p))
 
 
 def _t_bound(p, phi):
@@ -200,17 +188,23 @@ def _t_bound(p, phi):
     return b / a if a > 0.0 else inf
 
 
-def g_sup(p):
-    """sup of -B/A over A > 0 (see _t_bound): psi(p, t, .) >= 0 needs t >= it.  (value, argmax).
-    _t_bound is written inline on the grid samples and evaluated pointwise by the refinement."""
-    _, sin_k, sin_1, cos_p = _grid_samples(p)
-    vals = []
-    for u, s, c in zip(sin_k, sin_1, cos_p):
-        b = 2.0 * s * c
-        a = u - b
-        vals.append(b / a if a > 0.0 else inf)
-    value, phi = _grid_min(partial(_t_bound, p), vals)
-    return -value, phi
+def g_scan(p, tol):
+    """g(p) and the least psi(p, g(p), .) over [0, pi]: (g, value), from one set of grid samples.
+
+    g = 0 where the minimum of psi(p, 0, .) is >= -tol; only that sign is read, so a grid sample
+    under -tol decides it before any refinement, which could only lower the minimum.  Otherwise
+    g is the sup of -B/A over A > 0 (see _t_bound), clamped to [0, 1], and value the minimum of
+    psi at t = g, which a caller checks against -tol.  psi at t = 0 and _t_bound are written
+    inline on the grid samples and evaluated pointwise by the refinement."""
+    sin_k, sin_1, cos_p = samples = _psi_grid(p)
+    zero = [2.0 * s * c for s, c in zip(sin_1, cos_p)]  # psi(p, 0, .), which is B
+    if min(zero) >= -tol:
+        value = _grid_min(partial(psi, p, 0.0), zero)[0]
+        if value >= -tol:
+            return 0.0, value
+    bounds = [b / (u - b) if u - b > 0.0 else inf for u, b in zip(sin_k, zero)]
+    g = min(1.0, max(0.0, -_grid_min(partial(_t_bound, p), bounds)[0]))
+    return g, _psi_scan(p, g, samples)[0]
 
 
 def _cell_eta(p, lo, hi):
@@ -497,30 +491,26 @@ def integrate_callable(f, a, b):
 _INSET = 1e-12
 
 
-# The angle-space samples of the last (p, t) integrated: ((p, t), panels),
-# where panels maps (a, b) to its half width and the triples
-# (rho, f_phi, |rho'|) at its 15 nodes.  They do not depend on n, so every
-# moment reuses them; one (p, t) is held at a time.  The moments-check runs of
-# the benchmark (n <= 200) need under 30 panels per (p, t), but a quadrature
-# that fails to converge splits into 4096, whose samples would take about
-# 20 MB, so at most _KEPT_PANELS are kept.
-_moment_nodes = (None, {})
+# A quadrature that fails to converge splits into 4096 panels, whose samples would take about
+# 20 MB, so moment_quad keeps those of at most _KEPT_PANELS; the moments-check runs of the
+# benchmark (n <= 200) need under 30 panels per (p, t).
 _KEPT_PANELS = 256
 
 
-def moment_quad(p, t, n, atol=_ATOL):
-    """n-th moment of the density of the (p, t) family, integrated in angle space.
+def moment_quad(p, t, n_max, atol=_ATOL):
+    """The moments 0..n_max of the density of the (p, t) family, integrated in angle space: a
+    list of (value, error_estimate, converged), one per n, that stops at the first n that does
+    not converge.
 
-    The x-space integral over (0, p^p (p-1)^(1-p)) becomes
-    int_0^{pi/p} rho^n * f_phi * |rho'| dphi, whose integrand stays bounded at
-    both endpoints.  Returns (value, error_estimate, converged).
+    The x-space integral over (0, p^p (p-1)^(1-p)) becomes int_0^{pi/p} rho^n * f_phi * |rho'|
+    dphi, whose integrand stays bounded at both endpoints.  A panel's (rho, f_phi, |rho'|) at its
+    15 nodes do not depend on n, so each n reads the samples an earlier n took.  A
+    ZeroDivisionError (f_phi's denominator underflows at large p) is raised again with the n
+    it reached as its one argument.
     """
-    global _moment_nodes
-    if _moment_nodes[0] != (p, t):
-        _moment_nodes = ((p, t), {})
-    samples = _moment_nodes[1]
+    samples = {}  # (a, b) -> (half width, the triples at its nodes)
 
-    def panel(a, b):
+    def panel(n, a, b):
         hit = samples.get((a, b))
         if hit is None:
             h, nodes = _gk15_nodes(a, b)
@@ -530,18 +520,26 @@ def moment_quad(p, t, n, atol=_ATOL):
         h, triples = hit
         return _gk15_sum(h, [r ** n * f * w for r, f, w in triples])
 
-    value, err, converged = _adaptive(panel, _INSET, pi / p - _INSET, atol)
-    # Two errors the panel estimates do not see; refinement ignores both.
-    # rho multiplies about 2p sines, each good to half an ulp, so rho^n is off
-    # by about n (p + 1) _EPS relative.  And the integral leaves out
-    # (0, _INSET), where the integrand vanishes like phi^2, and
-    # (pi/p - _INSET, pi/p), where it tends to rho^n t p^2 / pi with rho of
-    # order _INSET / sin(pi/p): only n = 0 leaves mass worth counting there,
-    # about _INSET t p^2 / pi, bounded by twice that.
-    err += n * (p + 1.0) * _EPS * fabs(value)
-    if n == 0:
-        err += 2.0 * _INSET * fabs(t) * p * p / pi
-    return value, err, converged
+    table = []
+    for n in range(n_max + 1):
+        try:
+            value, err, converged = _adaptive(partial(panel, n), _INSET, pi / p - _INSET, atol)
+        except ZeroDivisionError:
+            raise ZeroDivisionError(n) from None
+        # Two errors the panel estimates do not see; refinement ignores both.
+        # rho multiplies about 2p sines, each good to half an ulp, so rho^n is off
+        # by about n (p + 1) _EPS relative.  And the integral leaves out
+        # (0, _INSET), where the integrand vanishes like phi^2, and
+        # (pi/p - _INSET, pi/p), where it tends to rho^n t p^2 / pi with rho of
+        # order _INSET / sin(pi/p): only n = 0 leaves mass worth counting there,
+        # about _INSET t p^2 / pi, bounded by twice that.
+        err += n * (p + 1.0) * _EPS * fabs(value)
+        if n == 0:
+            err += 2.0 * _INSET * fabs(t) * p * p / pi
+        table.append((value, err, converged))
+        if not converged:
+            break
+    return table
 
 
 # -- the cumulant-side measures ----------------------------------------------

@@ -194,8 +194,7 @@ def _cmd_moments_check(args: argparse.Namespace) -> int:
     if args.n_max < 0:
         raise ValueError("--n-max must be nonnegative")
     records, rows = [], []
-    for n in range(args.n_max + 1):
-        value, err = moment_quadrature_full(params, n, tol=args.tol)
+    for n, (value, err) in enumerate(moment_quadrature_full(params, args.n_max, tol=args.tol)):
         records.append({"p": p, "t": t, "n": n, "value": value, "est_error": err})
         rows.append(f"{p},{t},{n},{value!r},{err!r}")
     _emit(args, "p,t,n,value,est_error", rows, records)

@@ -15,7 +15,8 @@ Two routes to the density f_{p,t} = t W_{p,1} + (1 - t) W_{p,2} on (0, c(p)):
 f_pt, w_param and density_grid evaluate through one helper, which resolves the
 route, and on the closed route the form for p, once per call.  Moment
 quadrature integrates in the angle variable (x = rho(phi) bounds the integrand
-at both support edges) with the adaptive Gauss-Kronrod kernels.  The
+at both support edges) with the adaptive Gauss-Kronrod kernels; one call gives
+the moments 0..n_max of one (p, t), which share the integrand's samples.  The
 cumulant-side measures are defined in the kernels; cumulant_quadrature checks
 the range of t and integrates x^n against them.
 The kernels' settings are constants of fussdeform._kernels_py (bisection width
@@ -261,31 +262,33 @@ def density_grid(params: Params, grid_size: int, route: str = "parametric") -> l
     return _mixed(p, t, [upper * i / (grid_size + 1) for i in range(1, grid_size + 1)], route)
 
 
-def moment_quadrature_full(params: Params, n: int, tol: float = 1e-10) -> tuple[float, float]:
-    """(value, error estimate) for the n-th moment of f_{p,t} by angle-space quadrature to the
-    absolute tolerance tol."""
-    if n < 0:
+def moment_quadrature_full(params: Params, n_max: int, tol: float = 1e-10) -> list:
+    """(value, error estimate) of the moments n = 0..n_max of f_{p,t}, by one angle-space
+    quadrature call to the absolute tolerance tol.  The first n that does not converge raises
+    QuadratureError, and a float limit (at large p) OverflowError; each names that n."""
+    if n_max < 0:
         raise ValueError("n must be nonnegative")
     p, t = params.as_floats()
     if not p > 1.0:
         raise ValueError("moment quadrature requires p > 1")
     try:
-        value, err, ok = kernels.moment_quad(p, t, n, tol)
-    except ZeroDivisionError:  # at large p, f_phi's denominator underflows to 0 near both ends
+        table = kernels.moment_quad(p, t, n_max, tol)
+    except ZeroDivisionError as exc:  # at large p, f_phi's denominator underflows to 0
         raise OverflowError(
-            f"moment quadrature left the float range at p={p}, t={t}, n={n}"
+            f"moment quadrature left the float range at p={p}, t={t}, n={exc.args[0]}"
         ) from None
+    value, err, ok = table[-1]
     if not ok:
         raise QuadratureError(
-            f"moment quadrature did not converge at (p={p}, t={t}, n={n}): "
+            f"moment quadrature did not converge at (p={p}, t={t}, n={len(table) - 1}): "
             f"estimate {value} with error {err}"
         )
-    return value, err
+    return [(value, err) for value, err, _ in table]
 
 
 def moment_quadrature(params: Params, n: int, tol: float = 1e-10) -> float:
-    """The n-th moment of f_{p,t}; see moment_quadrature_full for the error estimate."""
-    return moment_quadrature_full(params, n, tol)[0]
+    """The n-th moment of f_{p,t}: the value in entry n of moment_quadrature_full."""
+    return moment_quadrature_full(params, n, tol)[n][0]
 
 
 def cumulant_quadrature(case: str, t: float, n: int) -> tuple[float, float]:

@@ -9,8 +9,9 @@ form the closed interval [g(p), 2p/(p+1)].  psi is affine in t, so g(p) is
 one maximisation over phi, which the minimum of psi at t = g(p) then checks.
 For p >= 2, phi / p <= pi / 2 on [0, pi] makes psi_{p,0} >= 0, so g(p) = 0
 with no scan.  Below 2, the minimum at t = 0, the maximisation and the check
-read one set of grid samples of p, which the kernels compute once.  psi_min
-checks p and t and returns the kernels' (value, phi) of that minimum.
+are one kernel call, kernels.g_scan, which builds the grid samples of p once;
+g_of_p raises on a failed check.  psi_min checks p and t and returns the
+kernels' (value, phi) of that minimum.
 
 Independently, the moment sequence a_n(p, t) is positive definite exactly when
 every Hankel matrix (a_{i+j}) is positive semidefinite.  hankel_report is
@@ -77,20 +78,17 @@ def psi_min(p: float, t: float) -> tuple[float, float]:
 
 def g_of_p(p: float) -> float:
     """The least t in [0, 1] with psi_{p,t} >= 0 on (0, pi): max(0, sup -B/A over A > 0)
-    for psi = t A + B.  It is 0 with no scan for p >= 2.  Below 2 it is 0 where psi_min(p, 0)
-    >= -1e-12; otherwise it is checked by psi_min(p, g(p)) >= -1e-12 (else InconsistencyError).
-    Its three scans share one set of grid samples."""
+    for psi = t A + B.  It is 0 with no scan for p >= 2.  Below 2 it is one kernel call on one
+    set of grid samples (kernels.g_scan): 0 where psi_min(p, 0) >= -1e-12, otherwise checked by
+    psi_min(p, g(p)) >= -1e-12 (else InconsistencyError)."""
     p = float(p)
     if not (isfinite(p) and p >= 1.0):
         raise ValueError("g is defined for p >= 1")
     # For p >= 2, phi / p <= pi / 2 on [0, pi], so psi_{p,0}(phi) = 2 sin(phi) cos(phi / p) >= 0
     # (in floats too, as float pi < pi) and g(p) = 0 needs no scan.
-    # Only the sign of psi_min(p, 0) + 1e-12 is read, so a grid sample below -1e-12 decides it
-    # before any refinement, which could only lower the minimum.
-    if p >= 2.0 or kernels.psi_min(p, 0.0, -_FEAS_TOL)[0] >= -_FEAS_TOL:
+    if p >= 2.0:
         return 0.0
-    g = min(1.0, max(0.0, kernels.g_sup(p)[0]))
-    value = kernels.psi_min(p, g)[0]
+    g, value = kernels.g_scan(p, _FEAS_TOL)
     if value < -_FEAS_TOL:
         raise InconsistencyError(f"g({p!r}) = {g!r}, yet the minimum of psi there is {value!r}")
     return g

@@ -212,8 +212,7 @@ def _c09_quadrature(order: int) -> str:
     for p, t in ((F(2), F(1, 2)), (F(2), F(4, 3)), (F(3), F(1)), (F(3, 2), F(1, 5))):
         params = Params.exact(p, t)
         moments = moment_series(params, 10)
-        for n in range(11):
-            value, _ = moment_quadrature_full(params, n)
+        for n, (value, _) in enumerate(moment_quadrature_full(params, 10)):
             exact = float(moments.coefficient(n)) if n else 1.0
             _assert(
                 abs(value / exact - 1.0) <= 1e-8,

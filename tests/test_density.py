@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction as F
 from math import frexp, pi, sin, sqrt
 
@@ -602,7 +603,7 @@ def test_each_evaluation_solves_its_points_by_one_kernel_call(monkeypatch):
     assert not hasattr(kernels, "rho_bisect_grid")
 
 
-def test_float_limits_next_to_c_are_overflow_errors():
+def test_float_limits_next_to_c_are_overflow_errors(monkeypatch):
     # x this close to c(62) sends the end-cell bisection to phi near 1e-7, where
     # sin((p - 1) phi)^(p - 1) in rho's denominator underflows to 0; at p = 100 the moment
     # quadrature meets the same underflow in f_phi
@@ -612,6 +613,18 @@ def test_float_limits_next_to_c_are_overflow_errors():
             evaluate()
     with pytest.raises(OverflowError, match=re.escape("p=100.0, t=1.0, n=0")):
         moment_quadrature_full(Params.exact(100, 1), 0)
+    # a limit met by a later moment of the table names that moment
+    adaptive, runs = kernels._adaptive, []
+
+    def underflow_at_n2(*args):
+        runs.append(args)
+        if len(runs) == 3:
+            raise ZeroDivisionError("float division by zero")
+        return adaptive(*args)
+
+    monkeypatch.setattr(kernels, "_adaptive", underflow_at_n2)
+    with pytest.raises(OverflowError, match=re.escape("p=2.0, t=0.5, n=2")):
+        moment_quadrature_full(Params.exact(2, F(1, 2)), 5)
 
 
 @pytest.mark.parametrize("p, t", [(F(3, 2), F(1, 5)), (F(5, 2), F(1, 2)), (F(97, 37), F(1, 3))])
@@ -681,7 +694,7 @@ def test_moment_quad_is_deterministic():
 
 
 def _moment_quad_reference(p, t, n):
-    """moment_quad without its node store: every panel samples the integrand afresh."""
+    """One moment with no shared samples: every panel samples the integrand afresh."""
 
     def g(phi):
         return kernels.rho(p, phi) ** n * kernels.f_phi(p, t, phi) * abs(kernels.rho_prime(p, phi))
@@ -690,33 +703,59 @@ def _moment_quad_reference(p, t, n):
 
 
 def test_moment_quad_reuse_is_bit_identical():
+    # the single-n floats moment_quad gave when each call integrated one moment
+    assert [kernels.moment_quad(2.5, 0.5, 12)[n] for n in (0, 5, 12)] == [
+        (0.9999999999990051, 2.0005390188949322e-12, True),
+        (229.55078125000006, 3.4405097661100946e-12, True),
+        (9332163.750000007, 2.716746299689493e-06, True),
+    ]
     rng = random.Random(1507)
     points = [(1.5, 0.2), (1.5, 1.2), (2.0, 0.5), (2.0, 4.0 / 3.0), (3.0, 1.0), (3.0, 0.0)]
     for _ in range(20):
         p = 4.0 - 3.0 * rng.random()
         points.append((p, 2.0 * p / (p + 1.0) * rng.random()))
     for p, t in points:
-        # each n reuses the samples the earlier n of this (p, t) left behind
+        # each n of the table reads the samples the earlier n left behind
+        table = kernels.moment_quad(p, t, 200)
+        assert len(table) == 201 and all(ok for _, _, ok in table), (p, t)
         for n in sorted(rng.sample(range(201), 6)) + [0, 200]:
-            value, err, ok = kernels.moment_quad(p, t, n)
+            value, err, ok = table[n]
             ref_value, ref_err, ref_ok = _moment_quad_reference(p, t, n)
             assert (value, ok) == (ref_value, ref_ok), (p, t, n)
             # moment_quad adds the rounding of rho^n and the end slices
             assert err >= ref_err, (p, t, n)
 
 
-def test_moment_node_store_holds_the_last_point(capsys):
+def test_moment_quad_keeps_at_most_the_kept_panels(monkeypatch, capsys):
+    # one kernel call per moments-check, whatever its n-max
+    calls = []
+    real = kernels.moment_quad
+    monkeypatch.setattr(kernels, "moment_quad", lambda *args: calls.append(args) or real(*args))
     for argv in (("--p", "5/2", "--t", "1/2"), ("--p", "7/3", "--t", "2/3")):
         assert fussdeform.cli.main(["moments-check", *argv, "--n-max", "12"]) == 0
     capsys.readouterr()
-    (p, t), panels = kernels._moment_nodes
-    assert (p, t) == (7.0 / 3.0, 2.0 / 3.0)
-    assert panels and all(0.0 < a < b < pi / p for a, b in panels)
-    # a quadrature that gives up after 4096 panels keeps only some of them
-    value, _, ok = kernels.moment_quad(11.0 / 8.0, 6.0 / 5.0, 20)
-    assert len(kernels._moment_nodes[1]) == kernels._KEPT_PANELS
-    assert (value, ok) == _moment_quad_reference(11.0 / 8.0, 6.0 / 5.0, 20)[::2]
-    assert not ok
+    assert calls == [(2.5, 0.5, 12, 1e-10), (7.0 / 3.0, 2.0 / 3.0, 12, 1e-10)]
+    monkeypatch.setattr(kernels, "moment_quad", real)
+    expected = kernels.moment_quad(2.5, 0.5, 12)
+    kept = kernels._KEPT_PANELS
+    nodes = kernels._gk15_nodes
+    sampled = []
+    monkeypatch.setattr(kernels, "_gk15_nodes", lambda a, b: sampled.append((a, b)) or nodes(a, b))
+    # with room for 4 panels, the first 4 sampled are kept and each n samples the others again:
+    # every n asks for the 8 initial panels
+    monkeypatch.setattr(kernels, "_KEPT_PANELS", 4)
+    assert kernels.moment_quad(2.5, 0.5, 12) == expected
+    counts = Counter(sampled)
+    assert [counts[panel] for panel in list(counts)[:8]] == [1] * 4 + [13] * 4
+    # a quadrature that gives up after 4096 panels, at n = 20, keeps the first _KEPT_PANELS
+    monkeypatch.setattr(kernels, "_KEPT_PANELS", kept)
+    sampled.clear()
+    table = kernels.moment_quad(11.0 / 8.0, 6.0 / 5.0, 240)
+    counts = Counter(sampled)
+    assert len(counts) > kept == 256
+    assert [counts[panel] for panel in list(counts)[:kept]] == [1] * kept
+    assert [ok for _, _, ok in table] == [True] * 20 + [False]
+    assert table[20][::2] == _moment_quad_reference(11.0 / 8.0, 6.0 / 5.0, 20)[::2]
 
 
 def test_masses_normalize_to_one():
@@ -744,8 +783,11 @@ def test_moment_quadrature_matches_exact_moments():
     for p, t in pairs:
         params = Params.exact(p, t)
         mom = moment_series(params, 10)
-        for n in range(1, 11):
-            value, est = moment_quadrature_full(params, n)
+        table = moment_quadrature_full(params, 10)
+        assert len(table) == 11
+        for n in (0, 4, 10):
+            assert moment_quadrature(params, n) == table[n][0], (p, t, n)
+        for n, (value, est) in enumerate(table[1:], 1):
             exact = float(mom.coefficient(n))
             assert abs(value - exact) <= 1e-8 * abs(exact), (p, t, n, value, exact)
             assert est < 1e-6

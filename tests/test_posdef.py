@@ -153,10 +153,15 @@ def _t_bound(p, phi):
     return b / a if a > 0.0 else math.inf
 
 
-def _g_sup_pointwise(p):
-    """kernels.g_sup with every grid point evaluated by _t_bound itself."""
-    value, phi = _scan_pointwise(lambda x: _t_bound(p, x))
-    return -value, phi
+def _g_scan_pointwise(p, tol):
+    """kernels.g_scan with every grid point evaluated by psi and _t_bound themselves."""
+    step = math.pi / kernels._PSI_GRID
+    if min(kernels.psi(p, 0.0, i * step) for i in range(kernels._PSI_GRID + 1)) >= -tol:
+        value = _psi_min_pointwise(p, 0.0)[0]
+        if value >= -tol:
+            return 0.0, value
+    g = min(1.0, max(0.0, -_scan_pointwise(lambda x: _t_bound(p, x))[0]))
+    return g, _psi_min_pointwise(p, g)[0]
 
 
 def _g_bisection(p):
@@ -224,13 +229,14 @@ def test_g_is_certified_by_psi_min(monkeypatch, capsys):
     for p in (1.05, 1.5, 1.99):
         g = g_of_p(p)
         assert kernels.psi_min(p, g)[0] >= -1e-12
-    sup = kernels.g_sup
+    grid_min = kernels._grid_min
 
-    def low_sup(*args):
-        value, phi = sup(*args)
-        return value - 1e-6, phi
+    def low_sup(f, vals):
+        # the sup of -B/A is the negated minimum of B/A: raising that minimum lowers the sup
+        value, phi = grid_min(f, vals)
+        return (value + 1e-6 if f.func is kernels._t_bound else value), phi
 
-    monkeypatch.setattr(kernels, "g_sup", low_sup)
+    monkeypatch.setattr(kernels, "_grid_min", low_sup)
     with pytest.raises(InconsistencyError):
         g_of_p(1.5)
     assert main(["gfun", "--p-min", "1.5", "--p-max", "1.5", "--steps", "1"]) == 3
@@ -251,12 +257,12 @@ _P_EDGES = [1.0, 1.5, math.nextafter(2.0, 0.0), 2.0, 1e6]
     t=st.floats(0.0, 2.0),
 )
 def test_the_grid_samples_follow_p(ps, order, t):
-    # psi_min and g_sup read their grid values from the samples of the last p scanned; any
-    # interleaving of p values, repeats included, must give the pointwise scans' floats.
+    # psi_min and g_scan build their grid samples from the p of the call; any interleaving of
+    # p values, repeats included, must give the pointwise scans' floats.
     for i in order:
         p = ps[i % len(ps)]
         assert kernels.psi_min(p, t) == _psi_min_pointwise(p, t), (p, t)
-        assert kernels.g_sup(p) == _g_sup_pointwise(p), p
+        assert kernels.g_scan(p, posdef._FEAS_TOL) == _g_scan_pointwise(p, posdef._FEAS_TOL), p
 
 
 def test_g_needs_no_scan_from_two_on(monkeypatch):
@@ -271,20 +277,32 @@ def test_g_needs_no_scan_from_two_on(monkeypatch):
 
 
 def test_g_builds_one_sample_grid_below_two(monkeypatch):
-    built = kernels._grid_samples
+    built = kernels._psi_grid
     seen = []
-
-    def recording(p):
-        seen.append(built(p))
-        return seen[-1]
-
-    monkeypatch.setattr(kernels, "_grid_samples", recording)
-    monkeypatch.setattr(kernels, "_psi_samples", (None, (), (), ()))
+    monkeypatch.setattr(kernels, "_psi_grid", lambda p: seen.append(p) or built(p))
+    # one grid per g(p) below 2, whichever way its t = 0 test goes, and none from 2 on
+    ps = [1.0, 1.5, 1.75, 1.999, 1.999999, 2.0 - 1e-9, math.nextafter(2.0, 0.0)]
+    for p in ps:
+        seen.clear()
+        g_of_p(p)
+        assert seen == [p], p
+    seen.clear()
     assert g_of_p(1.5) == 0.19999999999999998
-    # psi_min at t = 0, g_sup and the certificate psi_min at t = g read one set of samples
-    assert len(seen) == 3
-    assert all(samples is seen[0] for samples in seen)
-    assert seen[0][0] == 1.5
+    assert [g_of_p(p) for p in (2.0, 2.5, 7.0)] == [0.0] * 3
+    assert seen == [1.5]
+
+
+def _golden_calls(monkeypatch):
+    """The (f, a, b) of every golden-section refinement from here on, in order."""
+    golden = kernels._golden
+    calls = []
+    monkeypatch.setattr(kernels, "_golden", lambda *args: calls.append(args) or golden(*args))
+    return calls
+
+
+def _refines(calls, func, p, *rest):
+    """The refinements among calls of func(p, *rest, .)."""
+    return [f for f, _, _ in calls if f.func is func and f.args == (p, *rest)]
 
 
 @pytest.mark.parametrize(
@@ -293,67 +311,54 @@ def test_g_builds_one_sample_grid_below_two(monkeypatch):
      (1.999, True), (1.999999, True), (2.0 - 1e-9, True)],
 )
 def test_psi_min_below_decides_as_the_full_scan(monkeypatch, p, refined):
-    # g(p) reads only whether psi_min(p, 0) >= -1e-12, so it passes below = -1e-12 and a grid
-    # sample under that is returned unrefined.  From 1.999 on no grid sample is under it (at
-    # 1.999999 the least is -6.2e-13), so the refinement must still run and give the full
-    # scan's value: at 1.999 it finds -6.2e-7 between the last two samples.
+    # g_scan reads only whether the minimum of psi(p, 0, .) is >= -1e-12, so a grid sample
+    # strictly under that ends its t = 0 test unrefined.  From 1.999 on no grid sample is under
+    # it (at 1.999999 the least is -6.2e-13), so the refinement must still run and give the full
+    # scan's verdict: at 1.999 it finds -6.2e-7 between the last two samples.
     tol = posdef._FEAS_TOL
     full = kernels.psi_min(p, 0.0)
     assert full == _psi_min_pointwise(p, 0.0)
-    golden = kernels._golden
-    calls = []
-    monkeypatch.setattr(kernels, "_golden", lambda *args: calls.append(args) or golden(*args))
-    value, phi = kernels.psi_min(p, 0.0, -tol)
-    assert (value >= -tol) == (full[0] >= -tol)
-    assert (calls != []) == refined
     step = math.pi / kernels._PSI_GRID
-    grid = [kernels.psi(p, 0.0, i * step) for i in range(kernels._PSI_GRID + 1)]
-    low = min(grid)
+    low = min(kernels.psi(p, 0.0, i * step) for i in range(kernels._PSI_GRID + 1))
     assert (low < -tol) != refined
-    if refined:
-        assert (value, phi) == full
-    else:
-        assert value == low
-    # without below the scan is the full one, refinement included
-    assert kernels.psi_min(p, 0.0) == full
-
-
-def test_grid_min_returns_only_a_sample_strictly_under_below_unrefined():
-    # f is far below every sample, so a refined scan returns f's value and an unrefined one the
-    # least sample
-    def f(phi):
-        return -1.0
-
-    assert kernels._grid_min(f, [1.0, -2e-12, 1.0], -1e-12)[0] == -2e-12
-    assert kernels._grid_min(f, [1.0, -1e-12, 1.0], -1e-12)[0] == -1.0
-    assert kernels._grid_min(f, [1.0, -2e-12, 1.0])[0] == -1.0
+    calls = _golden_calls(monkeypatch)
+    g, value = kernels.g_scan(p, tol)
+    assert (g == 0.0) == (full[0] >= -tol)
+    assert (_refines(calls, kernels.psi, p, 0.0) != []) == refined
+    # the value is a full scan's: at t = 0 when it is feasible, else at t = g
+    assert value == (full[0] if g == 0.0 else kernels.psi_min(p, g)[0])
+    if not refined:
+        # only a sample strictly under the tolerance ends the test: one at it is refined
+        calls.clear()
+        assert (kernels.g_scan(p, -low)[0] == 0.0) == (full[0] >= low)
+        assert _refines(calls, kernels.psi, p, 0.0) != []
 
 
 def test_g_passes_the_tolerance_to_its_t0_scan(monkeypatch):
-    # the t = 0 scan may stop at a grid sample below -1e-12; g_sup and the check at t = g(p),
-    # whose values are used, are full scans
+    # g(p) below 2 is one g_scan call with its tolerance; at 1.5 the t = 0 test stops at a grid
+    # sample, and the sup scan and the check at t = g(p), whose values are used, are refined
     calls = []
-    real = kernels.psi_min
-    monkeypatch.setattr(kernels, "psi_min", lambda *args: calls.append(args) or real(*args))
+    real = kernels.g_scan
+    monkeypatch.setattr(kernels, "g_scan", lambda *args: calls.append(args) or real(*args))
+    refinements = _golden_calls(monkeypatch)
     g = g_of_p(1.5)
-    assert calls == [(1.5, 0.0, -posdef._FEAS_TOL), (1.5, g)]
+    assert calls == [(1.5, posdef._FEAS_TOL)]
+    assert _refines(refinements, kernels.psi, 1.5, 0.0) == []
+    assert _refines(refinements, kernels._t_bound, 1.5) != []
+    assert _refines(refinements, kernels.psi, 1.5, g) != []
 
 
 def test_flat_scans_refine_one_cell_per_run(monkeypatch):
-    # At p = 1, psi(1, 1, .) is 0 on the whole grid and B/A is -1 wherever
-    # A > 0, so each scan is flat runs only; each run is refined once.
-    golden = kernels._golden
-    calls = []
-
-    def counting_golden(*args):
-        calls.append(args)
-        return golden(*args)
-
-    monkeypatch.setattr(kernels, "_golden", counting_golden)
-    assert kernels.psi_min(1.0, 1.0) == (0.0, 0.0)
-    assert len(calls) <= 2
+    # At p = 1, B/A is -1 wherever A > 0 and psi(1, 1, .) is 0 on the whole grid, so the sup
+    # scan and the check at g = 1 are flat runs only; each run is refined once.  (The t = 0
+    # test stops at psi(1, 0, 3 pi / 4) = -1.)
+    calls = _golden_calls(monkeypatch)
+    assert kernels.g_scan(1.0, posdef._FEAS_TOL) == (1.0, 0.0)
+    assert _refines(calls, kernels.psi, 1.0, 0.0) == []
+    assert 1 <= len(_refines(calls, kernels._t_bound, 1.0)) <= 2
+    assert 1 <= len(_refines(calls, kernels.psi, 1.0, 1.0)) <= 2
     calls.clear()
-    assert kernels.g_sup(1.0) == (1.0, 1.576932249946439)
+    assert kernels.psi_min(1.0, 1.0) == (0.0, 0.0)
     assert len(calls) <= 2
 
 

@@ -1,7 +1,8 @@
 """Repository hygiene: the README's library tour runs and its CLI tour shows what the
 commands print, no build artifact is tracked, the benchmark's layer tracer still finds
 every entry point it wraps and wraps every kernel the package calls but the per-point
-ones, every name in an ``__all__`` resolves, the package re-exports each module's
+ones, the float kernels keep no state between calls and evaluate no more than their old
+memos did, every name in an ``__all__`` resolves, the package re-exports each module's
 ``__all__`` once and resolves the names of its lazy layers on first use, importing
 the CLI loads only what every command needs, and the package's records keep their
 fields, constructors and (im)mutability."""
@@ -17,6 +18,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -119,7 +121,7 @@ def test_layer_tracer_finds_every_entry_point():
 def test_every_kernel_the_package_calls_is_traced_or_per_point():
     # A kernel reached through ``kernels.<name>`` that the tracer does not wrap counts as self
     # time of its caller.  Only per-point helpers, whose wrapping would cost more than their
-    # work, may stay unwrapped, and g_sup, which the tracer does not wrap yet.
+    # work, may stay unwrapped, and g_scan, which the tracer does not wrap yet.
     spec = importlib.util.spec_from_file_location("layertrace", ROOT / "perfbench" / "layertrace.py")
     layertrace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layertrace)
@@ -132,8 +134,36 @@ def test_every_kernel_the_package_calls_is_traced_or_per_point():
             if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "kernels":
                 used.add(node.attr)
     assert used - set(layertrace._KERNELS) == {
-        "rho", "rho_prime", "w_phi", "f_phi", "g_sup", "CUMULANT_MEASURES"
+        "rho", "rho_prime", "w_phi", "f_phi", "g_scan", "CUMULANT_MEASURES"
     }
+
+
+def test_the_kernels_keep_no_state_between_calls():
+    # a module-level memo would need a ``global`` rebinding; the reuse lives inside one call
+    tree = ast.parse((ROOT / "src" / "fussdeform" / "_kernels_py.py").read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)] == []
+
+
+def test_the_float_paths_evaluate_as_often_as_with_their_memos(monkeypatch, capsys):
+    # counts measured when the kernels kept the last p's psi grid and the last (p, t)'s
+    # quadrature nodes between calls: one call each does no more work
+    from fussdeform import _kernels_py as kernels
+    from fussdeform.cli import main
+    from fussdeform.posdef import g_of_p
+
+    calls = Counter()
+
+    def counting(name, real):
+        return lambda *args: calls.update([name]) or real(*args)
+
+    for name in ("rho", "psi", "_t_bound"):
+        monkeypatch.setattr(kernels, name, counting(name, getattr(kernels, name)))
+    assert main(["moments-check", "--p", "5/2", "--t", "1/2", "--n-max", "12"]) == 0
+    capsys.readouterr()
+    assert calls == {"rho": 300}
+    calls.clear()
+    assert g_of_p(1.5) == 0.19999999999999998
+    assert calls == {"psi": 102, "_t_bound": 52}
 
 
 @pytest.mark.parametrize(
