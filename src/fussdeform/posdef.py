@@ -13,37 +13,39 @@ are one kernel call, kernels.g_scan, which builds the grid samples of p once;
 g_of_p raises on a failed check.  psi_min checks p and t and returns the
 kernels' (value, phi) of that minimum.
 
-Independently, the moment sequence a_n(p, t) is positive definite exactly when
-every Hankel matrix (a_{i+j}) is positive semidefinite.  hankel_report is
-exact and runs in Python integers: it reads the section as reduced integer
-pairs (numerator, denominator).  It first rescales the section to
-s^(i+j) a_{i+j}, which is D H D with D = diag(1, s, ..., s^(m-1)) and again a
-Hankel section; the integer s = den(a_2) / gcd(den(a_1), den(a_2)) takes out
-the geometric growth of the denominators.  It then clears the remaining
+Independently, the moment sequence a_n(p, t) is positive definite exactly
+when every Hankel matrix (a_{i+j}) is positive semidefinite.  hankel_report
+is exact and runs in Python integers: it reads the section as reduced integer
+pairs (numerator, denominator).  It first rescales the section to s^(i+j)
+a_{i+j}, which is D H D with D = diag(1, s, ..., s^(m-1)) and again a Hankel
+section; the integer s = den(a_2) / gcd(den(a_1), den(a_2)) takes out the
+geometric growth of the denominators.  It then clears the remaining
 denominators by their lcm L, and one symmetric fraction-free (Bareiss)
 elimination in natural order gives the leading principal minors (the pivots,
 each divided once by a power of L and of s) and the verdict (the signs of the
 pivots).  Every division in it is exact, because each intermediate entry is
 itself a minor of the integer section.  The elimination is one generator of
-pivots (_pivots), which also states the verdict rule; it makes each step
-only when the next pivot is read.  One cell path, _classify, classifies a
-row of cells at one p: it builds the interval and the Raney integers of a_n
-that exact_seq owns (the row exact_seq._fuss_parts, B_p^2 check included)
-once, takes each cell's section straight from the affine formula
-exact_seq._affine, one gcd per entry and no Fraction, runs both routes and
-refuses to return if they genuinely disagree.  classify_point is its
-one-cell case and classify_row its row case.  hankel_report with
-minors=False reads a section's pivots only until its verdict is decided, so
-an indefinite section stops at its first negative pivot and no minor is
-built.  classify_row reads every cell so, and classify_point does when asked
-for no minors, as the CSV form of posdef asks.  Only infdiv_check needs the
-jet engine, so it alone imports series, when it runs.
+pivots (_pivots), which also states the verdict rule; it makes each step only
+when the next pivot is read.  It is the only elimination: where it breaks
+down, the later minors come from its pivots on shifted sections
+(_shifted_minors).  One cell path, _classify, classifies a row of cells at
+one p: it builds the interval and the Raney integers of a_n that exact_seq
+owns (the row exact_seq._fuss_parts, B_p^2 check included) once, takes each
+cell's section straight from the affine formula exact_seq._affine, one gcd
+per entry and no Fraction, runs both routes and refuses to return if they
+genuinely disagree.  classify_point is its one-cell case and classify_row its
+row case.  hankel_report with minors=False reads a section's pivots only
+until its verdict is decided, so an indefinite section stops at its first
+negative pivot and no minor is built.  classify_row reads every cell so, and
+classify_point does when asked for no minors, as the CSV form of posdef asks.
+Only infdiv_check needs the jet engine, so it alone imports series, when it
+runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isfinite, lcm
+from math import gcd, isfinite, lcm, prod
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from ._backend import kernels
@@ -110,31 +112,6 @@ class HankelVerdict(NamedTuple):
     verdict: str  # positive_definite | positive_semidefinite | indefinite
 
 
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    a = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        inv = a[col][col]
-        det *= inv
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] / inv
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det
-
-
 class _IntSection(list):
     """A Hankel section as a list of reduced integer pairs (numerator, denominator > 0)."""
 
@@ -174,6 +151,34 @@ def _pivots(b: list[list[int]]) -> Iterator[tuple[Optional[int], str]]:
         prev = pivot
 
 
+def _at_zero(points: list[tuple[int, int]]) -> Fraction:
+    """Exact Lagrange interpolation: the value at 0 of the polynomial through the (x, y) points."""
+    total = Fraction(0)
+    for i, (x, y) in enumerate(points):
+        others = [xm for m, (xm, _) in enumerate(points) if m != i]
+        total += Fraction(y * prod(others), prod(xm - x for xm in others))
+    return total
+
+
+def _shifted_minors(h: list[int], size: int, first: int) -> list[Fraction]:
+    """The leading minors of orders first..size of the integer Hankel section B = (h[i+j]).
+
+    Minor j of B + eI is a monic integer polynomial of degree j in e, and pivot j - 1
+    of B + eI where no pivot is 0 or None.  The first size + 1 such shifts e = 1, 2, ...
+    are kept (the minors have at most size (size + 1) / 2 roots to skip), and minor j
+    of B is the interpolation through the first j + 1 of them, read at e = 0.
+    """
+    kept = []
+    e = 0
+    while len(kept) <= size:
+        e += 1
+        b = [[h[i + j] + (e if i == j else 0) for j in range(size)] for i in range(size)]
+        pivots = [pivot for pivot, _ in _pivots(b)]
+        if all(pivots):
+            kept.append((e, pivots))
+    return [_at_zero([(e, piv[j - 1]) for e, piv in kept[: j + 1]]) for j in range(first, size + 1)]
+
+
 def hankel_report(
     seq: Union[SeqTable, Sequence[Union[Fraction, int, str]]], size: int, minors: bool = True
 ) -> HankelVerdict:
@@ -211,7 +216,7 @@ def hankel_report(
     so the divisions stay exact; every later minor is 0 and H is at best
     semidefinite.  A zero pivot facing a nonzero entry b makes H indefinite
     (a 2x2 principal minor is -b^2); the later leading minors need not
-    vanish there, so they come from separate determinants.
+    vanish there, so _shifted_minors reads them from the shifted sections B + eI.
 
     With minors=False no minor is built (minors is an empty list) and the
     pivots are read only until the verdict is decided: a negative pivot, or
@@ -257,8 +262,9 @@ def hankel_report(
     for k, (pivot, verdict) in enumerate(_pivots(b)):
         power *= scale * s ** (2 * k)
         if pivot is None:
-            values = [Fraction(num, den) for num, den in pairs]
-            found += [_det([values[i : i + m + 1] for i in range(m + 1)]) for m in range(k, size)]
+            for j, minor in enumerate(_shifted_minors(h, size, k + 1), k + 1):
+                found.append(Fraction(minor, power))
+                power *= scale * s ** (2 * j)
             break
         singular = singular or pivot == 0
         found.append(Fraction(0) if singular else Fraction(pivot, power))

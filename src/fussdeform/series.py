@@ -6,7 +6,9 @@ every identity in this module is an identity of jets.  On top of the generic
 engine (multiply, divide, compose, revert, and one power recurrence pow1p,
 of which sqrt1p is the alpha = 1/2 case) sit the domain series: the Fuss
 generating function B_p, the moment series of the deformed family, free
-cumulants, and the S- and R-transforms with their closed forms.
+cumulants, and the S- and R-transforms with their closed forms.  The closed
+R jets (p = 2, 3) and the named generating functions are each (A + B sqrt(C)) / D,
+built by one routine (_radical_jet) from coefficient lists.
 
 Everything here is exact; floats never enter.  Coefficients are stored as
 Fractions, but every sum of products runs in integers.  A jet product
@@ -573,14 +575,29 @@ def s_series_closed(params: Params, order: int) -> TruncSeries:
     return s
 
 
-def r_series_closed(p: RationalLike, t: RationalLike, order: int) -> TruncSeries:
-    """Closed-form R-transform jet for p = 2 or p = 3.
+def _radical_jet(lead, cofactor, radicand, den, order: int, shift: int = 0) -> TruncSeries:
+    """(lead + cofactor sqrt1p(radicand)) / den to order, from coefficient lists.
 
-    p = 2, t = 1 is the Catalan case R = z/(1-z).  The p = 3 closed form has
-    a denominator 2(t - 1 + z)^2, which is 2 z^2 at t = 1; there the numerator
-    z - 2 z^2 - z sqrt(1 - 4z) shares the factor z^2, so both are built two
-    orders higher and divided by z^2 first, which leaves R = C(z) - 1 with C
-    the Catalan generating function.  No t needs a second route.
+    den is a list, or a number that divides each coefficient.  With shift > 0 (den a
+    list) numerator and den are built shift orders higher and divided by z^shift first.
+    """
+    n = order + shift
+    rad = sqrt1p(TruncSeries.from_coeffs(radicand, n))
+    num = TruncSeries.from_coeffs(lead, n) + TruncSeries.from_coeffs(cofactor, n) * rad
+    if not isinstance(den, list):
+        return num / den
+    return num.shift_down(shift) / TruncSeries.from_coeffs(den, n).shift_down(shift)
+
+
+def r_series_closed(p: RationalLike, t: RationalLike, order: int) -> TruncSeries:
+    """Closed-form R-transform jet for p = 2 or p = 3, one _radical_jet each.
+
+    At p = 2 the denominator is the number 2(t - 1); t = 1 is the Catalan case
+    R = z/(1-z).  The p = 3 closed form has a denominator 2(t - 1 + z)^2, which
+    is 2 z^2 at t = 1; there the numerator z - 2 z^2 - z sqrt(1 - 4z) shares the
+    factor z^2, so both are built two orders higher and divided by z^2 first,
+    which leaves R = C(z) - 1 with C the Catalan generating function.  No t
+    needs a second route.
     """
     p = parse_rational(p)
     t = parse_rational(t)
@@ -589,20 +606,11 @@ def r_series_closed(p: RationalLike, t: RationalLike, order: int) -> TruncSeries
     if p == 2:
         if t == 1:
             return TruncSeries((Fraction(0),) + (Fraction(1),) * order)
-        rad = sqrt1p(TruncSeries.from_coeffs([1, 2 - 4 * t, 1], order))
-        front = TruncSeries.from_coeffs([t - 1, -1], order)
-        num = TruncSeries.from_coeffs([1 - t, 3 * t - 2, -1], order) + front * rad
-        r = num / (2 * (t - 1))
+        r = _radical_jet([1 - t, 3 * t - 2, -1], [t - 1, -1], [1, 2 - 4 * t, 1], 2 * (t - 1), order)
     elif p == 3:
-        shift = 2 if t == 1 else 0
-        n = order + shift
-        rad = sqrt1p(TruncSeries.from_coeffs([1, -4 * t], n))
-        num = (
-            TruncSeries.from_coeffs([-((t - 1) ** 2), 4 - 7 * t + 4 * t * t, -2], n)
-            + TruncSeries.from_coeffs([(1 - t) ** 2, -t], n) * rad
-        )
-        den = TruncSeries.from_coeffs([2 * (t - 1) ** 2, 4 * (t - 1), 2], n)
-        r = num.shift_down(shift) / den.shift_down(shift)
+        u = (t - 1) ** 2
+        lead, den = [-u, 4 - 7 * t + 4 * t * t, -2], [2 * u, 4 * (t - 1), 2]
+        r = _radical_jet(lead, [u, -t], [1, -4 * t], den, order, 2 if t == 1 else 0)
     else:
         raise ValueError("closed R-transform is implemented for p in {2, 3} only")
     if r.coeffs[0] != 0:
@@ -610,36 +618,20 @@ def r_series_closed(p: RationalLike, t: RationalLike, order: int) -> TruncSeries
     return r
 
 
-def _gf_ex1(order: int) -> TruncSeries:
+# (lead, cofactor, radicand, den) of each named generating function, expanded
+_GF = {
     # (1 + 18 z - 27 z^2 + sqrt((1 - z)(1 - 9 z)^3)) / 2
-    f = TruncSeries.from_coeffs([1, -9], order)
-    rad = sqrt1p(TruncSeries.from_coeffs([1, -1], order) * f * f * f)
-    return (TruncSeries.from_coeffs([1, 18, -27], order) + rad) / 2
-
-
-def _gf_a220910(order: int) -> TruncSeries:
+    "ex1_gf": ([1, 18, -27], [1], [1, -28, 270, -972, 729], 2),
     # (1 + 36 z + sqrt((1 - 12 z)^3)) / (2 (1 + 4 z)^2)
-    f = TruncSeries.from_coeffs([1, -12], order)
-    rad = sqrt1p(f * f * f)
-    num = TruncSeries.from_coeffs([1, 36], order) + rad
-    g = TruncSeries.from_coeffs([1, 4], order)
-    return num / (2 * g * g)
-
-
-def _gf_a022558(order: int) -> TruncSeries:
+    "a220910_gf": ([1, 36], [1], [1, -36, 432, -1728], [2, 16, 32]),
     # (1 + 20 z - 8 z^2 + sqrt((1 - 8 z)^3)) / (2 (1 + z)^3)
-    f = TruncSeries.from_coeffs([1, -8], order)
-    rad = sqrt1p(f * f * f)
-    num = TruncSeries.from_coeffs([1, 20, -8], order) + rad
-    g = TruncSeries.from_coeffs([1, 1], order)
-    return num / (2 * g * g * g)
-
-
-GF_NAMES = ("ex1_gf", "a220910_gf", "a022558_gf")
+    "a022558_gf": ([1, 20, -8], [1], [1, -24, 192, -512], [2, 6, 6, 2]),
+}
+GF_NAMES = tuple(_GF)
 
 
 def gf_closed_expand(name: str, order: int) -> TruncSeries:
-    """Expand one of the named algebraic generating functions as a jet.
+    """Expand one of the named algebraic generating functions (one _radical_jet) as a jet.
 
     ``ex1_gf``      -- ordinary GF of 3^n r_n(2, 4/3) (1, 2, 5, 16, 64, ...)
     ``a220910_gf``  -- ordinary GF of A220910 (1, 1, 3, 14, 83, ...)
@@ -647,10 +639,6 @@ def gf_closed_expand(name: str, order: int) -> TruncSeries:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if name == "ex1_gf":
-        return _gf_ex1(order)
-    if name == "a220910_gf":
-        return _gf_a220910(order)
-    if name == "a022558_gf":
-        return _gf_a022558(order)
+    if name in _GF:
+        return _radical_jet(*_GF[name], order)
     raise ValueError(f"unknown generating function {name!r}; expected one of {GF_NAMES}")

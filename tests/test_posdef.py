@@ -408,20 +408,49 @@ def test_hankel_zero_diagonal_with_coupling_is_indefinite():
     assert report.verdict == "indefinite"
 
 
-def test_hankel_needs_no_determinant_without_breakdown(monkeypatch):
+def _count_eliminations(monkeypatch):
     calls = []
-    real_det = posdef._det
-    monkeypatch.setattr(posdef, "_det", lambda rows: calls.append(rows) or real_det(rows))
+    real = posdef._pivots
+    monkeypatch.setattr(posdef, "_pivots", lambda b: calls.append(len(b)) or real(b))
+    return calls
+
+
+def test_hankel_needs_no_determinant_without_breakdown(monkeypatch):
+    # a section that does not break down is one elimination, with no shifted section
+    calls = _count_eliminations(monkeypatch)
     assert hankel_report(catalan_table(30), 16).verdict == "positive_definite"
     assert hankel_report([F(1)] * 9, 5).verdict == "positive_semidefinite"
     moments = moment_series(Params.exact(2, F(7, 5)), 14)
     report = hankel_report([moments.coefficient(k) for k in range(15)], 8)
     assert report.minors[3] < 0 and report.verdict == "indefinite"
-    assert calls == []
+    assert calls == [16, 5, 8]
+
+
+def _det(rows):
+    # Gaussian elimination over Fractions with row swaps: a reference determinant
+    # that shares no code with posdef's integer elimination
+    n = len(rows)
+    a = [list(r) for r in rows]
+    det = F(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return F(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        inv = a[col][col]
+        det *= inv
+        for r in range(col + 1, n):
+            if a[r][col] != 0:
+                f = a[r][col] / inv
+                for c in range(col, n):
+                    a[r][c] -= f * a[col][c]
+    return det
 
 
 def _leibniz_det(rows):
-    # sum over permutations of sign * product, independent of posdef._det
+    # sum over permutations of sign * product, independent of posdef
     n = len(rows)
     total = F(0)
     for perm in permutations(range(n)):
@@ -440,11 +469,8 @@ def _minor(values, index):
 # mixed denominators, so the integer elimination scales by a nontrivial lcm
 _SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=12)
 # moments of a discrete measure, so semidefinite sections of every rank occur
-_MEASURE = st.lists(
-    st.tuples(_SMALL, st.fractions(min_value=F(1, 2), max_value=2, max_denominator=12)),
-    min_size=1,
-    max_size=5,
-)
+_ATOM = st.tuples(_SMALL, st.fractions(min_value=F(1, 2), max_value=2, max_denominator=12))
+_MEASURE = st.lists(_ATOM, min_size=1, max_size=5)
 
 
 @st.composite
@@ -507,8 +533,46 @@ def test_hankel_report_rescaled_sections_match_brute_force(section):
     test_hankel_report_matches_brute_force.hypothesis.inner_test(section)
 
 
+_NONZERO = _SMALL.filter(bool)
+
+
+@st.composite
+def _breakdown_sections(draw):
+    # sections with a zero pivot facing a nonzero entry by construction, sizes 2..6
+    # (a size-1 section cannot break down)
+    case = draw(st.sampled_from(["v0", "after_block", "after_drop_out"]))
+    if case == "v0":  # v_0 = 0 facing v_1 != 0
+        size = draw(st.integers(2, 6))
+        rest = draw(st.lists(_SMALL, min_size=2 * size - 3, max_size=2 * size - 3))
+        return [F(0), draw(_NONZERO)] + rest, size
+    # the moments of m distinct atoms with positive weights: the leading block of
+    # order m is positive definite, and pivot m is 0 with the rest of its row
+    atoms = draw(st.lists(_ATOM, min_size=1, max_size=3, unique_by=lambda atom: atom[0]))
+    m = len(atoms)
+    moments = [sum(w * x**k for x, w in atoms) for k in range(2 * m + 4)]
+    if case == "after_block":
+        # v_(2m+1) moved: pivot m faces it; the later values are free
+        size = draw(st.integers(m + 2, 6))
+        rest = draw(st.lists(_SMALL, min_size=2 * size - 3 - 2 * m, max_size=2 * size - 3 - 2 * m))
+        return moments[: 2 * m + 1] + [moments[2 * m + 1] + draw(_NONZERO)] + rest, size
+    # size m + 3 and v_(2m+3) moved: row m stays zero and drops out, then pivot m + 1
+    # is 0 facing the moved entry, and every leading minor of order above m is 0
+    return moments[: 2 * m + 3] + [moments[2 * m + 3] + draw(_NONZERO), draw(_SMALL)], m + 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(_breakdown_sections())
+def test_hankel_report_breakdown_sections_match_brute_force(section):
+    # the brute-force minors and verdict rules above, where the elimination breaks down
+    values, size = section
+    scale = math.lcm(*(v.denominator for v in values))
+    b = [[int(v * scale) for v in values[i : i + size]] for i in range(size)]
+    assert None in [pivot for pivot, _ in posdef._pivots(b)]
+    test_hankel_report_matches_brute_force.hypothesis.inner_test(section)
+
+
 def _leading_dets(values, size):
-    return [posdef._det([values[i : i + k + 1] for i in range(k + 1)]) for k in range(size)]
+    return [_det([values[i : i + k + 1] for i in range(k + 1)]) for k in range(size)]
 
 
 @pytest.mark.parametrize("p, t, size", [(2, F(1, 10**300), 5), (3, F(7, 10**300), 4)])
@@ -532,9 +596,7 @@ def test_classify_minors_stay_exact_at_size_16():
 @pytest.mark.parametrize("size", [12, 16])
 def test_hankel_minors_are_the_leading_determinants(monkeypatch, size):
     # hankel-grid-like points: p over 8..48, t over 3..12; (3/2, 0) breaks down
-    calls = []
-    real_det = posdef._det
-    monkeypatch.setattr(posdef, "_det", lambda rows: calls.append(rows) or real_det(rows))
+    calls = _count_eliminations(monkeypatch)
     points = {
         (F(37, 24), F(5, 12)): "positive_definite",
         (F(11, 8), F(4, 5)): "positive_definite",
@@ -545,10 +607,10 @@ def test_hankel_minors_are_the_leading_determinants(monkeypatch, size):
         calls.clear()
         values = _moments(p, t, size)
         report = hankel_report(values, size)
-        leading = [real_det([values[i : i + k + 1] for i in range(k + 1)]) for k in range(size)]
-        assert report.minors == leading, (p, t)
+        assert report.minors == _leading_dets(values, size), (p, t)
         assert report.verdict == verdict, (p, t)
-        assert bool(calls) == (t == 0), (p, t)  # only the breakdown point reaches _det
+        # only the breakdown point runs the elimination on shifted sections
+        assert (len(calls) > 1) == (t == 0), (p, t)
 
 
 def test_hankel_zero_row_mid_section_keeps_the_elimination_exact():
@@ -582,7 +644,7 @@ def test_hankel_accepts_table_or_plain_sequence():
     [
         ([F(1), F(1, 3), F(1, 3), F(-2, 9), F(5, 4)], 3),
         ([F(0), F(1), F(0)], 2),
-        ([F(1), F(1), F(1), F(2), F(5)], 3),  # the breakdown branch through _det
+        ([F(1), F(1), F(1), F(2), F(5)], 3),  # the breakdown branch, minors from shifts
         ([F(2), F(-6, 5), F(1), F(0), F(7, 2), F(3, 8), F(11, 6)], 4),
     ],
 )
@@ -609,7 +671,7 @@ def test_hankel_input_forms_give_one_report(values, size):
     st.integers(1, 16),
 )
 @example((1, 1), (1, 1), 2)  # rank one: positive_semidefinite through a zero pivot
-@example((3, 2), (0, 1), 3)  # a zero pivot facing a nonzero entry: indefinite through _det
+@example((3, 2), (0, 1), 3)  # a zero pivot facing a nonzero entry: indefinite, shifted minors
 def test_classify_reads_the_moment_section_as_hankel_report_does(p, t, size):
     # classify_point's integer section against the Fraction moment jet, with t
     # on both sides of 2p/(p+1)

@@ -1,6 +1,7 @@
 """Series engine and transform layer: jet algebra, reversion, closed forms."""
 
 import random
+import sys
 from fractions import Fraction as F
 from math import comb, isqrt, lcm
 
@@ -448,6 +449,34 @@ def test_gf_scaled_cumulant_links():
     r3 = r_series_closed(3, F(3, 2), n)
     scaled = TruncSeries(tuple(F(2) ** k * c for k, c in enumerate(r3.coeffs)))
     assert gf_closed_expand("a220910_gf", n) == scaled + 1
+
+
+def test_radical_jets_at_truncating_orders():
+    # orders 0..2 are shorter than the coefficient lists of the closed forms, which
+    # are then cut to the order; each jet must be the prefix of the order-10 jet
+    for name in series.GF_NAMES:
+        full = gf_closed_expand(name, 10)
+        for order in (0, 1, 2):
+            assert gf_closed_expand(name, order) == full.truncate(order), (name, order)
+    for t in (F(0), F(1, 2), F(4, 3), F(-2, 3), F(5)):
+        full = r_series_closed(2, t, 10)
+        for n in (1, 2):
+            assert r_series_closed(2, t, n) == full.truncate(n), (t, n)
+
+
+def test_r_closed_p2_divides_by_a_number(monkeypatch):
+    # R at p = 2 is divided by the number 2 (t - 1): the one running sum per
+    # coefficient is sqrt1p's, where a jet quotient would add one more each
+    callers = []
+    real = series._running_sum
+
+    def counted(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(*args)
+
+    monkeypatch.setattr(series, "_running_sum", counted)
+    r_series_closed(2, F(4, 3), 300)
+    assert callers == ["pow1p"] * 300
 
 
 def test_bp_trig_closed_forms_at_a_point():
