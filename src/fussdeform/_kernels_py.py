@@ -33,7 +33,6 @@ _INIT_PANELS = 8
 __all__ = [
     "rho",
     "rho_prime",
-    "w_phi",
     "f_phi",
     "psi",
     "psi_forms",
@@ -67,16 +66,6 @@ def rho_prime(p, phi):
         - (p - 1.0) * (p - 1.0) * cos((p - 1.0) * phi) / sin((p - 1.0) * phi)
     )
     return rho(p, phi) * factor
-
-
-def w_phi(p, r, phi):
-    """Angle form of the component density W_{p,r} at x = rho(p, phi)."""
-    return (
-        sin((p - 1.0) * phi) ** (p - r - 1.0)
-        * sin(phi)
-        * sin(r * phi)
-        / (pi * sin(p * phi) ** (p - r))
-    )
 
 
 def f_phi(p, t, phi):

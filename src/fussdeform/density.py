@@ -12,8 +12,9 @@ Two routes to the density f_{p,t} = t W_{p,1} + (1 - t) W_{p,2} on (0, c(p)):
   starts Newton's method at each point from the previous point's root;
 * closed     -- the six elementary closed forms for p in {2, 3, 3/2}, r in {1, 2}.
 
-f_pt, w_param and density_grid evaluate through one helper, which resolves the
-route, and on the closed route the form for p, once per call.  Moment
+density_grid evaluates through one helper, which resolves the route, and on the
+closed route the form for p, once per call; the components W_{p,1} and W_{p,2}
+are f_{p,t} at t = 1 and t = 0.  Moment
 quadrature integrates in the angle variable (x = rho(phi) bounds the integrand
 at both support edges) with the adaptive Gauss-Kronrod kernels; one call gives
 the moments 0..n_max of one (p, t), which share the integrand's samples.  The
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import partial
 from math import ceil, frexp, isfinite, ldexp, pi, sqrt
 from operator import neg
 from typing import NamedTuple, Optional
@@ -41,11 +41,7 @@ from .exact_seq import Params
 __all__ = [
     "DensitySample",
     "support_c",
-    "rho",
-    "rho_prime",
-    "w_param",
     "w_closed",
-    "f_pt",
     "density_grid",
     "moment_quadrature",
     "moment_quadrature_full",
@@ -67,28 +63,6 @@ def support_c(p: float) -> float:
     if not (isfinite(p) and p > 1.0):
         raise ValueError("support requires p > 1")
     return p**p * (p - 1.0) ** (1.0 - p)
-
-
-def _check_phi(p: float, phi: float) -> tuple[float, float]:
-    p = float(p)
-    phi = float(phi)
-    if not (isfinite(p) and p > 1.0):
-        raise ValueError("rho requires p > 1")
-    if not (0.0 < phi < pi / p):
-        raise ValueError(f"phi must lie in (0, pi/p) = (0, {pi / p})")
-    return p, phi
-
-
-def rho(p: float, phi: float) -> float:
-    """The support coordinate x = sin(p phi)^p / (sin phi sin((p-1) phi)^(p-1))."""
-    p, phi = _check_phi(p, phi)
-    return kernels.rho(p, phi)
-
-
-def rho_prime(p: float, phi: float) -> float:
-    """d rho / d phi (negative throughout the domain)."""
-    p, phi = _check_phi(p, phi)
-    return kernels.rho_prime(p, phi)
 
 
 _SCAN_POINTS = 64
@@ -132,21 +106,6 @@ def _brackets(p: float, xs) -> list[tuple[float, float]]:
             i = max(bisect_left(vals, -x, key=neg) - 1, 0)
             out.append((phis[i], phis[i + 1]))
     return out
-
-
-def _check_x(p: float, x: float) -> tuple[float, float]:
-    p = float(p)
-    x = float(x)
-    upper = support_c(p)
-    if not (isfinite(x) and 0.0 < x < upper):
-        raise ValueError(f"x must lie in the open support (0, {upper})")
-    return p, x
-
-
-def w_param(p: float, r: float, x: float) -> DensitySample:
-    """Component density W_{p,r}(x) through the angle parametrization."""
-    p, x = _check_x(p, x)
-    return _samples(p, [x], "parametric", partial(kernels.w_phi, p, float(r)))[0]
 
 
 _THIRD = 1.0 / 3.0
@@ -203,54 +162,38 @@ def w_closed(p, r: int, x: float) -> float:
         raise ValueError(f"unsupported p={p!r} for the closed forms") from exc
     if r not in (1, 2):
         raise ValueError("closed forms cover r in {1, 2}")
-    _, x = _check_x(float(p_key), x)
+    x = float(x)
+    upper = support_c(float(p_key))
+    if not (isfinite(x) and 0.0 < x < upper):
+        raise ValueError(f"x must lie in the open support (0, {upper})")
     return _closed_form(p_key)(r, x)
 
 
-def _samples(p: float, xs: list[float], route: str, angle, closed=None) -> list[DensitySample]:
-    """A sample at each of the increasing xs.  parametric: its phi solves x = rho(p, phi), all
-    of them by one kernel call, and its value is angle(phi); closed: phi is None and the value
-    is closed(form, x), with the closed form for p read once.  A float limit on the way (rho's
-    denominator leaves the normal floats, or the angle form's underflows to 0, next to c(p))
-    raises OverflowError."""
+def _samples(p: float, t: float, xs: list[float], route: str) -> list[DensitySample]:
+    """A sample of f_{p,t} = t W_{p,1} + (1 - t) W_{p,2} at each of the increasing xs.
+    parametric: its phi solves x = rho(p, phi), all of them by one kernel call, and its value
+    is the angle form kernels.f_phi; closed: phi is None and the value is the closed form, with
+    the form for p read once.  A float limit raises OverflowError: rho's denominator leaves the
+    normal floats, or the angle form's underflows to 0, next to c(p), or a huge |t| overflows a
+    value."""
     if route == "closed":
         form = _closed_form(p)
-        return [DensitySample(x, None, closed(form, x)) for x in xs]
-    if route != "parametric":
+        samples = [DensitySample(x, None, t * form(1, x) + (1.0 - t) * form(2, x)) for x in xs]
+    elif route != "parametric":
         raise ValueError("route must be 'parametric' or 'closed'")
-    try:
-        phis = kernels.rho_bisect(p, xs, _brackets(p, xs))
-        return [DensitySample(x, phi, angle(phi)) for x, phi in zip(xs, phis)]
-    except ZeroDivisionError:
-        at = xs[0] if len(xs) == 1 else f"{xs[0]}..{xs[-1]}"
-        raise OverflowError(
-            f"the angle parametrization left the float range at p={p}, x={at}"
-        ) from None
-
-
-def _mixed(p: float, t: float, xs: list[float], route: str) -> list[DensitySample]:
-    """_samples of f_{p,t} = t W_{p,1} + (1 - t) W_{p,2}, each value checked by _finite."""
-    samples = _samples(
-        p, xs, route, partial(kernels.f_phi, p, t),
-        lambda form, x: t * form(1, x) + (1.0 - t) * form(2, x),
-    )
+    else:
+        try:
+            phis = kernels.rho_bisect(p, xs, _brackets(p, xs))
+            samples = [DensitySample(x, phi, kernels.f_phi(p, t, phi)) for x, phi in zip(xs, phis)]
+        except ZeroDivisionError:
+            at = xs[0] if len(xs) == 1 else f"{xs[0]}..{xs[-1]}"
+            raise OverflowError(
+                f"the angle parametrization left the float range at p={p}, x={at}"
+            ) from None
     for x, _, value in samples:
-        _finite(p, t, x, value)
+        if not isfinite(value):
+            raise OverflowError(f"f_(p,t)(x) is {value} at p={p}, t={t}, x={x}")
     return samples
-
-
-def _finite(p: float, t: float, x: float, value: float) -> float:
-    """value, the density at x, once it is known to be finite: a huge |t| overflows it."""
-    if not isfinite(value):
-        raise OverflowError(f"f_(p,t)(x) is {value} at p={p}, t={t}, x={x}")
-    return value
-
-
-def f_pt(params: Params, x: float, route: str = "parametric") -> float:
-    """Density f_{p,t}(x) = t W_{p,1}(x) + (1-t) W_{p,2}(x)."""
-    p, t = params.as_floats()
-    p, x = _check_x(p, x)
-    return _mixed(p, t, [x], route)[0].value
 
 
 def density_grid(params: Params, grid_size: int, route: str = "parametric") -> list[DensitySample]:
@@ -259,7 +202,7 @@ def density_grid(params: Params, grid_size: int, route: str = "parametric") -> l
         raise ValueError("grid_size must be positive")
     p, t = params.as_floats()
     upper = support_c(p)
-    return _mixed(p, t, [upper * i / (grid_size + 1) for i in range(1, grid_size + 1)], route)
+    return _samples(p, t, [upper * i / (grid_size + 1) for i in range(1, grid_size + 1)], route)
 
 
 def moment_quadrature_full(params: Params, n_max: int, tol: float = 1e-10) -> list:

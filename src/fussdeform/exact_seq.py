@@ -139,12 +139,6 @@ class SeqTable:
     def __len__(self) -> int:
         return len(self.values)
 
-    def term(self, n: int) -> Fraction:
-        i = n - self.offset
-        if not 0 <= i < len(self.values):
-            raise IndexError(f"index {n} outside stored range")
-        return self.values[i]
-
     def to_json_obj(self) -> dict:
         return {
             "label": self.label,

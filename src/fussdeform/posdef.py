@@ -285,8 +285,6 @@ def _classify(
     they are read.
     """
     p = parse_rational(p)
-    if p < 1:
-        raise ValueError("the classification covers p >= 1")
     lower, upper = theorem_interval(p)
     top = float(upper)
     parts = _fuss_parts(p, 2 * size - 2)

@@ -17,9 +17,7 @@ from .density import (
     cumulant_quadrature,
     density_grid,
     moment_quadrature_full,
-    support_c,
     w_closed,
-    w_param,
 )
 from .errors import InconsistencyError
 from .exact_seq import (
@@ -34,12 +32,14 @@ from .exact_seq import (
 )
 from .posdef import classify_point, classify_row, g_of_p, hankel_report, infdiv_check
 from .series import (
+    CumulantTable,
     TruncSeries,
     bp_series,
     compose,
     cumulants_from_moments,
     gf_closed_expand,
     moment_series,
+    moments_from_cumulants,
     pow1p,
     r_series_closed,
     s_series_closed,
@@ -169,13 +169,21 @@ def _c06_transform_consistency(order: int) -> str:
         table = cumulants_from_moments(moments)
         r_jet = TruncSeries.from_coeffs([F(0)] + list(table.values), n)
         if p in (2, 3):
-            _assert(r_series_closed(p, t, n) == r_jet, f"R routes differ at ({p}, {t})")
+            closed = r_series_closed(p, t, n)
+            _assert(closed == r_jet, f"R routes differ at ({p}, {t})")
+            _assert(
+                moments_from_cumulants(CumulantTable(closed.coeffs[1:])) == moments,
+                f"the closed R does not give back the moments at ({p}, {t})",
+            )
         z_s = s_closed.shift_up(1).truncate(n)
         _assert(
             compose(r_jet, z_s) == TruncSeries.identity(n),
             f"R(z S(z)) = z fails at ({p}, {t})",
         )
-    return f"S, R, and the coupling identity agree to order {n} at all six points"
+    return (
+        f"S, R, and the coupling identity agree to order {n} at all six points; the closed R "
+        "gives back the moments at the five with p in {2, 3}"
+    )
 
 
 def _c07_boundary_function(order: int) -> str:
@@ -191,13 +199,11 @@ def _c07_boundary_function(order: int) -> str:
 
 
 def _c08_density_agreement(order: int) -> str:
+    # W_{p,r} is f_{p,t} at t = 2 - r; the grid's 50 points are x = c(p) i/51
     for p in (F(2), F(3), F(3, 2)):
-        upper = support_c(float(p))
         for r in (1, 2):
-            worst = 0.0
-            for i in range(1, 51):
-                x = upper * i / 51
-                worst = max(worst, abs(w_param(float(p), r, x).value - w_closed(p, r, x)))
+            grid = density_grid(Params.exact(p, 2 - r), 50)
+            worst = max(abs(s.value - w_closed(p, r, s.x)) for s in grid)
             _assert(worst <= 1e-10, f"routes deviate by {worst} at (p, r) = ({p}, {r})")
     _assert(w_closed(F(3, 2), 2, 0.3) < 0, "the (3/2, 2) component never goes negative")
     grid = density_grid(Params.exact(F(3, 2), F(1, 5)), 400)

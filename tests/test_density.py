@@ -25,18 +25,20 @@ from fussdeform import (
     cumulant_quadrature,
     density_grid,
     ex1_table,
-    f_pt,
     moment_quadrature,
     moment_quadrature_full,
     moment_series,
     r_series_closed,
-    rho,
-    rho_prime,
     support_c,
     w_closed,
-    w_param,
 )
 from fussdeform._backend import kernels
+
+
+def _f(params, x, route="parametric"):
+    """f_{p,t}(x) at the one point x, by the evaluator behind density_grid."""
+    p, t = params.as_floats()
+    return density._samples(p, t, [x], route)[0].value
 
 
 def test_support_endpoint_values():
@@ -54,28 +56,19 @@ def test_support_rejects_small_p():
 
 def test_rho_closed_value_p2():
     # rho(2, phi) = 4 cos^2 phi, so rho(2, pi/3) = 1
-    assert rho(2, pi / 3) == pytest.approx(1.0, abs=1e-12)
+    assert kernels.rho(2, pi / 3) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rho_limits():
     for p in (2.0, 3.0, 1.5, 2.5):
         top = pi / p
-        assert rho(p, 1e-8) == pytest.approx(support_c(p), rel=1e-10)
-        assert rho(p, top * (1 - 1e-8)) < 1e-6
-
-
-def test_rho_domain_checks():
-    with pytest.raises(ValueError):
-        rho(2, 0.0)
-    with pytest.raises(ValueError):
-        rho(2, pi / 2)
-    with pytest.raises(ValueError):
-        rho(1.0, 0.5)
+        assert kernels.rho(p, 1e-8) == pytest.approx(support_c(p), rel=1e-10)
+        assert kernels.rho(p, top * (1 - 1e-8)) < 1e-6
 
 
 def test_rho_prime_closed_value_p2():
     # rho(2, phi) = 4 cos^2 phi  =>  rho' = -4 sin 2phi  =>  rho'(pi/4) = -4
-    assert rho_prime(2, pi / 4) == pytest.approx(-4.0, abs=1e-12)
+    assert kernels.rho_prime(2, pi / 4) == pytest.approx(-4.0, abs=1e-12)
 
 
 def test_rho_prime_matches_finite_differences():
@@ -85,32 +78,33 @@ def test_rho_prime_matches_finite_differences():
         p = 1.0 + rng.uniform(0.1, 3.0)
         top = pi / p
         phi = rng.uniform(0.15, 0.85) * top
-        numeric = (rho(p, phi + h) - rho(p, phi - h)) / (2 * h)
-        assert rho_prime(p, phi) == pytest.approx(numeric, rel=1e-6)
+        numeric = (kernels.rho(p, phi + h) - kernels.rho(p, phi - h)) / (2 * h)
+        assert kernels.rho_prime(p, phi) == pytest.approx(numeric, rel=1e-6)
 
 
 def test_rho_prime_negative_throughout():
     for p in (1.2, 1.5, 2.0, 3.0, 4.5):
         top = pi / p
         for i in range(1, 40):
-            assert rho_prime(p, top * i / 40) < 0.0
+            assert kernels.rho_prime(p, top * i / 40) < 0.0
 
 
 def test_w_param_closed_values_p2():
-    # W_{2,1}(1) = sqrt(3)/(2 pi) and W_{2,2}(2) = 1/pi
-    s = w_param(2, 1, 1.0)
+    # W_{2,1}(1) = sqrt(3)/(2 pi) and W_{2,2}(2) = 1/pi; W_{p,r} is f_{p,t} at t = 2 - r
+    (s,) = density._samples(2.0, 1.0, [1.0], "parametric")
     assert s.value == pytest.approx(sqrt(3.0) / (2.0 * pi), abs=1e-12)
     assert s.x == 1.0 and 0.0 < s.phi < pi / 2
-    assert w_param(2, 2, 2.0).value == pytest.approx(1.0 / pi, abs=1e-12)
+    assert _f(Params.exact(2, 0), 2.0) == pytest.approx(1.0 / pi, abs=1e-12)
 
 
 def test_w_param_agrees_with_all_six_closed_forms():
+    # W_{p,r} is f_{p,t} at t = 2 - r, sampled at x = c(p) i/51, i = 1..50
     for p in (F(2), F(3), F(3, 2)):
         upper = support_c(float(p))
         for r in (1, 2):
-            for i in range(1, 51):
-                x = upper * i / 51
-                a = w_param(float(p), r, x).value
+            grid = density_grid(Params.exact(p, 2 - r), 50)
+            assert [s.x for s in grid] == [upper * i / 51 for i in range(1, 51)]
+            for x, _, a in grid:
                 b = w_closed(p, r, x)
                 assert abs(a - b) <= 1e-10, (p, r, x, a, b)
 
@@ -133,9 +127,9 @@ def test_w_closed_domain_checks():
 
 def test_closed_route_error_messages():
     # The first failing check names the fault.  w_closed checks that p is a
-    # number, then r, p > 1, x and the form for p; f_pt p > 1, x, the route
-    # and the form; density_grid the grid size, p > 1, the route and the form.
-    two, five, one = Params.exact(2, 1), Params.exact(5, 1), Params.exact(1, 1)
+    # number, then r, p > 1, x and the form for p; density_grid the grid size,
+    # p > 1, the route and the form.
+    five, one = Params.exact(5, 1), Params.exact(1, 1)
     cases = [
         (lambda: w_closed("two", 1, 1.0), "unsupported p='two' for the closed forms"),
         (lambda: w_closed(1, 1, 0.5), "support requires p > 1"),
@@ -143,10 +137,6 @@ def test_closed_route_error_messages():
         (lambda: w_closed(5, 1, 100.0), "x must lie in the open support (0, 12.20703125)"),
         (lambda: w_closed(2, 1, 4.0), "x must lie in the open support (0, 4.0)"),
         (lambda: w_closed(5, 1, 1.0), "closed forms cover p in {2, 3, 3/2}"),
-        (lambda: f_pt(one, 0.5, "closed"), "support requires p > 1"),
-        (lambda: f_pt(two, 4.0, "series"), "x must lie in the open support (0, 4.0)"),
-        (lambda: f_pt(five, 1.0, "series"), "route must be 'parametric' or 'closed'"),
-        (lambda: f_pt(five, 1.0, "closed"), "closed forms cover p in {2, 3, 3/2}"),
         (lambda: density_grid(one, 0, "series"), "grid_size must be positive"),
         (lambda: density_grid(one, 3, "series"), "support requires p > 1"),
         (lambda: density_grid(five, 3, "series"), "route must be 'parametric' or 'closed'"),
@@ -171,8 +161,8 @@ def test_f_pt_p2_display_formula():
         x = rng.uniform(0.05, 3.95)
         params = Params.exact(2, t)
         expected = float(t + x - t * x) * sqrt((4.0 - x) / x) / (2.0 * pi)
-        assert f_pt(params, x) == pytest.approx(expected, rel=1e-11, abs=1e-13)
-        assert f_pt(params, x, route="closed") == pytest.approx(expected, rel=1e-11, abs=1e-13)
+        assert _f(params, x) == pytest.approx(expected, rel=1e-11, abs=1e-13)
+        assert _f(params, x, route="closed") == pytest.approx(expected, rel=1e-11, abs=1e-13)
 
 
 def test_f_pt_routes_agree():
@@ -183,8 +173,8 @@ def test_f_pt_routes_agree():
             t = F(rng.randint(0, 8), 6)
             x = rng.uniform(0.02, 0.98) * upper
             params = Params.exact(p, t)
-            a = f_pt(params, x, route="parametric")
-            b = f_pt(params, x, route="closed")
+            a = _f(params, x, route="parametric")
+            b = _f(params, x, route="closed")
             assert a == pytest.approx(b, rel=1e-10, abs=1e-12)
 
 
@@ -195,14 +185,24 @@ def test_f_pt_routes_agree():
 def test_non_finite_density_is_a_float_limit(route, p, x, t):
     params = Params.exact(p, t)
     with pytest.raises(OverflowError):
-        f_pt(params, x, route=route)
+        _f(params, x, route=route)
     with pytest.raises(OverflowError):
         density_grid(params, 3 if route == "parametric" else 400, route=route)
 
 
 def test_f_pt_rejects_unknown_route():
     with pytest.raises(ValueError):
-        f_pt(Params.exact(2, 1), 1.0, route="series")
+        _f(Params.exact(2, 1), 1.0, route="series")
+
+
+def _w_phi(p, r, phi):
+    """The angle form of the component density W_{p,r} at x = rho(p, phi)."""
+    return (
+        sin((p - 1.0) * phi) ** (p - r - 1.0)
+        * sin(phi)
+        * sin(r * phi)
+        / (pi * sin(p * phi) ** (p - r))
+    )
 
 
 def test_phi_form_is_the_affine_combination():
@@ -211,7 +211,7 @@ def test_phi_form_is_the_affine_combination():
         p = 1.0 + rng.uniform(0.1, 3.0)
         t = rng.uniform(-1.0, 2.0)
         phi = rng.uniform(0.05, 0.95) * pi / p
-        combo = t * kernels.w_phi(p, 1.0, phi) + (1.0 - t) * kernels.w_phi(p, 2.0, phi)
+        combo = t * _w_phi(p, 1.0, phi) + (1.0 - t) * _w_phi(p, 2.0, phi)
         assert kernels.f_phi(p, t, phi) == pytest.approx(combo, rel=1e-11, abs=1e-12)
 
 
@@ -432,8 +432,8 @@ def _scan_cell(p, x):
 
 
 def test_rho_bisect_is_plain_bisection_with_fewer_rho_calls(monkeypatch):
-    # every point of density_grid and of f_pt ends in one _bisect call, which closes the count
-    # of its rho calls
+    # every point of density_grid and of a one-point evaluation ends in one _bisect call, which
+    # closes the count of its rho calls
     real_rho, real_bisect, real_scan = kernels.rho, kernels._bisect, density._rho_scan
     count = [0]
     solves = []
@@ -466,7 +466,7 @@ def test_rho_bisect_is_plain_bisection_with_fewer_rho_calls(monkeypatch):
         assert len(solves) == before + 2000
         # one point in each end cell: above the first scan value, below the last
         for x in ((vals[0] + support_c(p)) / 2.0, vals[-1] / 2.0):
-            f_pt(params, x)
+            _f(params, x)
     end_cells = 0
     for p, x, lo, hi, phi, calls in solves:
         assert (lo, hi) == _scan_cell(p, x), (p, x)
@@ -531,7 +531,7 @@ def test_rho_bisect_grid_proves_its_windows(monkeypatch):
 def test_rho_bisect_grid_solves_each_point_as_solve_phi(p, us, repeats):
     # the roots of a sorted grid, solved by one call, against each point solved on its own
     def solve(xs):
-        return [s.phi for s in density._samples(p, xs, "parametric", abs)]
+        return kernels.rho_bisect(p, xs, density._brackets(p, xs))
 
     try:
         _, vals = density._rho_scan(p)
@@ -548,10 +548,10 @@ def test_rho_bisect_grid_solves_each_point_as_solve_phi(p, us, repeats):
     for x in xs:
         try:
             expected += solve([x])
-        except OverflowError:
+        except ZeroDivisionError:
             # x within an ulp or so of c(p) at large p: bisection reaches a phi where rho's
             # denominator underflows, and the grid stops at the same point
-            with pytest.raises(OverflowError):
+            with pytest.raises(ZeroDivisionError):
                 solve(xs)
             return
     assert solve(xs) == expected
@@ -571,7 +571,7 @@ def test_solve_phi_brackets_in_the_first_scan_cell_that_holds_x(monkeypatch):
         xs = list(vals) + [(a + b) / 2.0 for a, b in zip(vals, vals[1:])]
         for x in xs:
             brackets.clear()
-            w_param(p, 1, x)
+            density._samples(p, 1.0, [x], "parametric")
             assert brackets == [_scan_cell(p, x)], (p, x)
 
 
@@ -592,10 +592,9 @@ def test_each_evaluation_solves_its_points_by_one_kernel_call(monkeypatch):
     params = Params.exact(2, F(1, 3))
     for evaluate, points in (
         (lambda: density_grid(params, 500), 500),
-        (lambda: f_pt(params, 1.0), 1),
-        (lambda: w_param(2.0, 2, 1.0), 1),
+        (lambda: _f(params, 1.0), 1),
         (lambda: density_grid(params, 500, route="closed"), None),
-        (lambda: f_pt(params, 1.0, route="closed"), None),
+        (lambda: _f(params, 1.0, route="closed"), None),
     ):
         calls.clear()
         evaluate()
@@ -608,9 +607,9 @@ def test_float_limits_next_to_c_are_overflow_errors(monkeypatch):
     # sin((p - 1) phi)^(p - 1) in rho's denominator underflows to 0; at p = 100 the moment
     # quadrature meets the same underflow in f_phi
     x = support_c(62) * (1.0 - 1e-12)
-    for evaluate in (lambda: f_pt(Params.exact(62, F(1, 3)), x), lambda: w_param(62, 1, x)):
+    for t in (F(1, 3), F(1)):
         with pytest.raises(OverflowError, match=re.escape(f"p=62.0, x={x}")):
-            evaluate()
+            _f(Params.exact(62, t), x)
     with pytest.raises(OverflowError, match=re.escape("p=100.0, t=1.0, n=0")):
         moment_quadrature_full(Params.exact(100, 1), 0)
     # a limit met by a later moment of the table names that moment
@@ -629,10 +628,11 @@ def test_float_limits_next_to_c_are_overflow_errors(monkeypatch):
 
 @pytest.mark.parametrize("p, t", [(F(3, 2), F(1, 5)), (F(5, 2), F(1, 2)), (F(97, 37), F(1, 3))])
 def test_density_grid_matches_w_param_and_f_pt(p, t):
+    # the grid, solved by one call, against each of its points evaluated on its own
     params = Params.exact(p, t)
+    pf, tf = params.as_floats()
     for s in density_grid(params, 1000):
-        assert s.phi == w_param(float(p), 1, s.x).phi, s.x
-        assert s.value == f_pt(params, s.x), s.x
+        assert density._samples(pf, tf, [s.x], "parametric") == [s], s.x
 
 
 def _density_reference(p, t, x):
@@ -892,11 +892,11 @@ def test_fixed_measures_reproduce_integer_sequences():
     table = a220910_table(8)
     for n in range(9):
         value, _ = cumulant_quadrature("a220910", 0.0, n)
-        assert value == pytest.approx(float(table.term(n)), rel=1e-9)
+        assert value == pytest.approx(float(table.values[n]), rel=1e-9)
     table = a022558_table(8)
     for n in range(9):
         value, _ = cumulant_quadrature("a022558", 0.0, n)
-        assert value == pytest.approx(float(table.term(n)), rel=1e-9)
+        assert value == pytest.approx(float(table.values[n]), rel=1e-9)
 
 
 def test_verbatim_moment_integral_on_one_nine():
@@ -914,7 +914,7 @@ def test_verbatim_moment_integral_on_one_nine():
     for n in range(7):
         value, _, ok = kernels.integrate_callable(make_integrand(n), 1.0 + 1e-12, 9.0 - 1e-12)
         assert ok
-        assert value == pytest.approx(float(table.term(n)), rel=1e-7)
+        assert value == pytest.approx(float(table.values[n]), rel=1e-7)
 
 
 def test_quadrature_error_when_depth_exhausted():

