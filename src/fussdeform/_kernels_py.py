@@ -5,13 +5,15 @@ binds this module as ``kernels``.
 
 Only plain floats are used here.  Exact arithmetic lives elsewhere.
 
-The settings no caller varies are module constants: psi and -B/A are scanned at _PSI_GRID + 1
-points of [0, pi] and refined by golden section to width _PSI_TOL.  g_scan, all of g(p) below
-2, builds the grid samples of its p once and reads them in each of its three scans; the
-refinement evaluates each point afresh.  rho is inverted by bisection to width _RHO_TOL, which
-halves a dyadic bracket down to leaves of width _LEAF = 2^-44, the largest power of two within
-_RHO_TOL.  The adaptive quadrature starts from _INIT_PANELS panels, halves a panel at most
-_MAX_DEPTH times and stops once its error estimate is within _ATOL + _RTOL |value|.
+The settings no caller varies are module constants: psi_min scans psi at the _PSI_GRID + 1
+points i pi / _PSI_GRID of [0, pi] and refines by golden section to width _PSI_TOL.  g_scan, all
+of g(p) below 2, scans psi and -B/A the same way but only at the points from
+i = floor(min(p, 2) _PSI_GRID / 2) - 2 on, the arc where psi can go negative (see g_scan), and
+builds those samples of its p once for its three scans; the refinement evaluates each point
+afresh.  rho is inverted by bisection to width _RHO_TOL, which halves a dyadic bracket down to
+leaves of width _LEAF = 2^-44, the largest power of two within _RHO_TOL.  The adaptive
+quadrature starts from _INIT_PANELS panels, halves a panel at most _MAX_DEPTH times and stops
+once its error estimate is within _ATOL + _RTOL |value|.
 moment_quad alone takes its absolute tolerance as an argument; it integrates the moments
 0..n_max of one (p, t) in one call, which samples each panel's nodes once for all of them.
 cumulant_quad integrates every cumulant-side measure by one rule, in theta with
@@ -121,22 +123,26 @@ def _golden(f, a, b):
     return xm, f(xm)
 
 
-def _grid_min(f, vals):
-    """Minimum of f over [0, pi] from vals[i] = f(i pi / grid): (value, argmin).  Golden section
-    refines each cell bracketing a local minimum, one per flat run of equal values (the run's
-    last point, where the values rise again); +inf marks a point without a value."""
-    grid = len(vals) - 1
-    step = pi / grid
-    best = min(range(grid + 1), key=vals.__getitem__)
-    best_val, best_phi = vals[best], best * step
+def _grid_min(f, vals, first):
+    """Minimum of f over [0, pi] from vals[i] = f((first + i) pi / _PSI_GRID): (value, argmin).
+    Golden section refines each cell bracketing a local minimum, one per flat run of equal
+    values (the run's last point, where the values rise again); +inf marks a point without a
+    value.  With first > 0 the caller knows f >= 0 left of the sample first + 1, and 0.0 at
+    phi = 0 stands for that part: it is the value unless the scan finds one below it."""
+    last = len(vals) - 1
+    step = pi / _PSI_GRID
+    best = min(range(last + 1), key=vals.__getitem__)
+    best_val, best_phi = vals[best], (first + best) * step
+    if first and not best_val < 0.0:
+        best_val, best_phi = 0.0, 0.0
     brackets = [
-        ((i - 1) * step, (i + 1) * step)
-        for i in range(1, grid)
+        ((first + i - 1) * step, (first + i + 1) * step)
+        for i in range(1, last)
         if vals[i] < inf and vals[i] <= vals[i - 1] and vals[i] < vals[i + 1]
     ]
-    if vals[0] < inf and vals[0] <= vals[1]:
+    if not first and vals[0] < inf and vals[0] <= vals[1]:
         brackets.append((0.0, step))
-    if vals[grid] < inf and vals[grid] <= vals[grid - 1]:
+    if vals[last] < inf and vals[last] <= vals[last - 1]:
         brackets.append((pi - step, pi))
     for a, b in brackets:
         xm, fm = _golden(f, a, b)
@@ -145,12 +151,13 @@ def _grid_min(f, vals):
     return best_val, best_phi
 
 
-def _psi_grid(p):
+def _psi_grid(p, first):
     """The grid samples psi is built from at p, which do not depend on t: the three lists
-    sin((1 - 1/p) phi_i), sin(phi_i) and cos(phi_i / p) at phi_i = i pi / _PSI_GRID."""
+    sin((1 - 1/p) phi_i), sin(phi_i) and cos(phi_i / p) at phi_i = i pi / _PSI_GRID, from
+    i = first to _PSI_GRID."""
     k = 1.0 - 1.0 / p
     step = pi / _PSI_GRID
-    grid = range(_PSI_GRID + 1)
+    grid = range(first, _PSI_GRID + 1)
     return (
         [sin(k * (i * step)) for i in grid],
         [sin(i * step) for i in grid],
@@ -158,16 +165,18 @@ def _psi_grid(p):
     )
 
 
-def _psi_scan(p, t, samples):
-    """Global minimum of psi(p, t, .) over [0, pi] from the _psi_grid samples of p: (value,
-    argmin); psi is written inline on the samples and evaluated pointwise by the refinement."""
+def _psi_scan(p, t, samples, first):
+    """Global minimum of psi(p, t, .) over [0, pi] from the _psi_grid samples of p from first
+    on (see _grid_min): (value, argmin); psi is written inline on the samples and evaluated
+    pointwise by the refinement."""
     vals = [t * a + 2.0 * (1.0 - t) * s * c for a, s, c in zip(*samples)]
-    return _grid_min(partial(psi, p, t), vals)
+    return _grid_min(partial(psi, p, t), vals, first)
 
 
 def psi_min(p, t):
-    """Global minimum of psi(p, t, .) over [0, pi]: (value, argmin)."""
-    return _psi_scan(p, t, _psi_grid(p))
+    """Global minimum of psi(p, t, .) over [0, pi], for any t, from every grid point: (value,
+    argmin)."""
+    return _psi_scan(p, t, _psi_grid(p, 0), 0)
 
 
 def _t_bound(p, phi):
@@ -179,21 +188,32 @@ def _t_bound(p, phi):
 
 def g_scan(p, tol):
     """g(p) and the least psi(p, g(p), .) over [0, pi]: (g, value), from one set of grid samples.
+    Callers guarantee p >= 1.
 
     g = 0 where the minimum of psi(p, 0, .) is >= -tol; only that sign is read, so a grid sample
     under -tol decides it before any refinement, which could only lower the minimum.  Otherwise
     g is the sup of -B/A over A > 0 (see _t_bound), clamped to [0, 1], and value the minimum of
     psi at t = g, which a caller checks against -tol.  psi at t = 0 and _t_bound are written
-    inline on the grid samples and evaluated pointwise by the refinement."""
-    sin_k, sin_1, cos_p = samples = _psi_grid(p)
+    inline on the grid samples and evaluated pointwise by the refinement.
+
+    The three scans read only the samples from first = floor(min(p, 2) _PSI_GRID / 2) - 2 on.
+    For t in [0, 1] and phi in [0, p pi / 2] (all of [0, pi] from p = 2 on) each term of psi is
+    >= 0, and so is B = 2 sin(phi) cos(phi / p), as phi / p <= pi / 2.  The grid samples left of
+    first and the refinements of the cells up to first lie in [0, (first + 1) pi / _PSI_GRID],
+    where the two cells of margin keep cos(phi / p) clear of 0 in floats, so each gives psi >= 0
+    and B/A >= 0 or inf.  None of them can take the minimum of psi below psi(p, t, 0) = 0.0,
+    which _grid_min folds in, or give -B/A > 0, so g and value are the floats a scan of the
+    whole grid gives."""
+    first = int(min(p, 2.0) * (_PSI_GRID // 2)) - 2
+    sin_k, sin_1, cos_p = samples = _psi_grid(p, first)
     zero = [2.0 * s * c for s, c in zip(sin_1, cos_p)]  # psi(p, 0, .), which is B
     if min(zero) >= -tol:
-        value = _grid_min(partial(psi, p, 0.0), zero)[0]
+        value = _grid_min(partial(psi, p, 0.0), zero, first)[0]
         if value >= -tol:
             return 0.0, value
     bounds = [b / (u - b) if u - b > 0.0 else inf for u, b in zip(sin_k, zero)]
-    g = min(1.0, max(0.0, -_grid_min(partial(_t_bound, p), bounds)[0]))
-    return g, _psi_scan(p, g, samples)[0]
+    g = min(1.0, max(0.0, -_grid_min(partial(_t_bound, p), bounds, first)[0]))
+    return g, _psi_scan(p, g, samples, first)[0]
 
 
 def _cell_eta(p, lo, hi):

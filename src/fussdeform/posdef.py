@@ -10,8 +10,12 @@ one maximisation over phi, which the minimum of psi at t = g(p) then checks.
 For p >= 2, phi / p <= pi / 2 on [0, pi] makes psi_{p,0} >= 0, so g(p) = 0
 with no scan.  Below 2, the minimum at t = 0, the maximisation and the check
 are one kernel call, kernels.g_scan, which builds the grid samples of p once;
-g_of_p raises on a failed check.  psi_min checks p and t and returns the
-kernels' (value, phi) of that minimum.
+g_of_p raises on a failed check.  For t in [0, 1] every term of psi, and
+B = 2 sin(phi) cos(phi / p), is >= 0 on [0, p pi / 2], so g_scan scans only the
+arc from two grid cells before p pi / 2 to pi, with psi(p, t, 0) = 0 standing
+for the rest: g(p) and its check are the floats a scan of all of [0, pi]
+gives.  psi_min checks p and t and returns the kernels' (value, phi) of that
+minimum, from the whole grid, as it accepts any t.
 
 Independently, the moment sequence a_n(p, t) is positive definite exactly
 when every Hankel matrix (a_{i+j}) is positive semidefinite.  hankel_report
@@ -81,8 +85,10 @@ def psi_min(p: float, t: float) -> tuple[float, float]:
 def g_of_p(p: float) -> float:
     """The least t in [0, 1] with psi_{p,t} >= 0 on (0, pi): max(0, sup -B/A over A > 0)
     for psi = t A + B.  It is 0 with no scan for p >= 2.  Below 2 it is one kernel call on one
-    set of grid samples (kernels.g_scan): 0 where psi_min(p, 0) >= -1e-12, otherwise checked by
-    psi_min(p, g(p)) >= -1e-12 (else InconsistencyError)."""
+    set of grid samples (kernels.g_scan), which covers only the arc from p pi / 2 on, less two
+    grid cells, where psi can go negative: 0 where psi_min(p, 0) >= -1e-12, otherwise checked by
+    psi_min(p, g(p)) >= -1e-12 (else InconsistencyError); both minima are those of the full
+    scan."""
     p = float(p)
     if not (isfinite(p) and p >= 1.0):
         raise ValueError("g is defined for p >= 1")

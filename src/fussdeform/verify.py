@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction as F
+from math import nextafter
 from typing import NamedTuple
 
 from .density import (
@@ -30,7 +31,14 @@ from .exact_seq import (
     ex1_table,
     raney,
 )
-from .posdef import classify_point, classify_row, g_of_p, hankel_report, infdiv_check
+from .posdef import (
+    _FEAS_TOL,
+    classify_point,
+    classify_row,
+    g_of_p,
+    hankel_report,
+    infdiv_check,
+)
 from .series import (
     CumulantTable,
     TruncSeries,
@@ -195,7 +203,14 @@ def _c07_boundary_function(order: int) -> str:
         all(a > b for a, b in zip(values, values[1:])),
         "g fails to decrease strictly across p = 1.05..1.95",
     )
-    return "g hits 1/5, 0, 1 at the landmarks and decreases strictly"
+    # g_scan checks psi at t = g on the arc where psi can go negative; the full scan must agree
+    for p in (1.0, 1.25, 1.5, 1.75, nextafter(2.0, 0.0)):
+        g, value = kernels.g_scan(p, _FEAS_TOL)
+        _assert(value == kernels.psi_min(p, g)[0], f"g_scan's check at p={p!r} misses psi_min's")
+    return (
+        "g hits 1/5, 0, 1 at the landmarks and decreases strictly; its check of psi at g "
+        "equals the full scan's at five p"
+    )
 
 
 def _c08_density_agreement(order: int) -> str:

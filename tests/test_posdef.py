@@ -231,9 +231,10 @@ def test_g_is_certified_by_psi_min(monkeypatch, capsys):
         assert kernels.psi_min(p, g)[0] >= -1e-12
     grid_min = kernels._grid_min
 
-    def low_sup(f, vals):
+    def low_sup(f, vals, first):
         # the sup of -B/A is the negated minimum of B/A: raising that minimum lowers the sup
-        value, phi = grid_min(f, vals)
+        assert first == _arc_first(f.args[0])
+        value, phi = grid_min(f, vals, first)
         return (value + 1e-6 if f.func is kernels._t_bound else value), phi
 
     monkeypatch.setattr(kernels, "_grid_min", low_sup)
@@ -243,10 +244,17 @@ def test_g_is_certified_by_psi_min(monkeypatch, capsys):
     assert "internal contradiction" in capsys.readouterr().err
 
 
-_P_EDGES = [1.0, 1.5, math.nextafter(2.0, 0.0), 2.0, 1e6]
+def _arc_first(p):
+    """The first grid index of g_scan's scans at p: the arc where psi can go negative, two cells
+    before p pi / 2 and capped at two cells before pi."""
+    return math.floor(min(p, 2.0) * kernels._PSI_GRID / 2) - 2
+
+
+_P_EDGES = [1.0, 1.5, math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 3.0), 1e6]
 
 
 @settings(max_examples=40, deadline=None)
+@example(ps=[2.0, math.nextafter(2.0, 3.0), 1e6], order=[0, 1, 2], t=0.5)
 @given(
     ps=st.lists(
         st.one_of(st.sampled_from(_P_EDGES), st.floats(1.0, 2.0), st.floats(1.0, 1e6)),
@@ -258,11 +266,36 @@ _P_EDGES = [1.0, 1.5, math.nextafter(2.0, 0.0), 2.0, 1e6]
 )
 def test_the_grid_samples_follow_p(ps, order, t):
     # psi_min and g_scan build their grid samples from the p of the call; any interleaving of
-    # p values, repeats included, must give the pointwise scans' floats.
+    # p values, repeats included, must give the pointwise scans' floats.  g_scan scans only the
+    # arc from _arc_first(p) on, which p >= 2 caps, and must still give the floats of the
+    # full-grid reference.
     for i in order:
         p = ps[i % len(ps)]
         assert kernels.psi_min(p, t) == _psi_min_pointwise(p, t), (p, t)
-        assert kernels.g_scan(p, posdef._FEAS_TOL) == _g_scan_pointwise(p, posdef._FEAS_TOL), p
+        for tol in (0.0, 1e-12, 1e-3):
+            assert kernels.g_scan(p, tol) == _g_scan_pointwise(p, tol), (p, tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.floats(1.0, 2.0, exclude_max=True), u=st.floats(0.0, 1.0))
+@example(p=1.0, u=0.5)
+@example(p=1.5, u=0.5)
+@example(p=math.nextafter(2.0, 0.0), u=0.5)
+def test_psi_is_nonnegative_left_of_the_arc(p, u):
+    # The lemma behind g_scan's arc, on floats: for t in [0, 1] every grid sample left of the
+    # first index g_scan scans has psi >= 0, and B/A >= 0 or inf.
+    built = kernels._psi_grid
+    firsts = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_psi_grid", lambda p, i: firsts.append(i) or built(p, i))
+        kernels.g_scan(p, posdef._FEAS_TOL)
+    [first] = firsts
+    assert first == _arc_first(p)
+    step = math.pi / kernels._PSI_GRID
+    for i in range(first):
+        for t in (0.0, 1.0, u):
+            assert kernels.psi(p, t, i * step) >= 0.0, (p, t, i)
+        assert kernels._t_bound(p, i * step) >= 0.0, (p, i)
 
 
 def test_g_needs_no_scan_from_two_on(monkeypatch):
@@ -279,17 +312,18 @@ def test_g_needs_no_scan_from_two_on(monkeypatch):
 def test_g_builds_one_sample_grid_below_two(monkeypatch):
     built = kernels._psi_grid
     seen = []
-    monkeypatch.setattr(kernels, "_psi_grid", lambda p: seen.append(p) or built(p))
-    # one grid per g(p) below 2, whichever way its t = 0 test goes, and none from 2 on
+    monkeypatch.setattr(kernels, "_psi_grid", lambda p, i: seen.append((p, i)) or built(p, i))
+    # one grid per g(p) below 2, whichever way its t = 0 test goes, starting at the arc, and none
+    # from 2 on
     ps = [1.0, 1.5, 1.75, 1.999, 1.999999, 2.0 - 1e-9, math.nextafter(2.0, 0.0)]
     for p in ps:
         seen.clear()
         g_of_p(p)
-        assert seen == [p], p
+        assert seen == [(p, _arc_first(p))], p
     seen.clear()
     assert g_of_p(1.5) == 0.19999999999999998
     assert [g_of_p(p) for p in (2.0, 2.5, 7.0)] == [0.0] * 3
-    assert seen == [1.5]
+    assert seen == [(1.5, 382)]
 
 
 def _golden_calls(monkeypatch):

@@ -171,7 +171,6 @@ def _every_command() -> list[list[str]]:
 # (_UNREACHED_TABLES, by module) no longer names it.
 _UNREACHED = {
     "kernels.psi_forms": "the three writings of psi, whose agreement is a float check",
-    "kernels.psi_min": "the kernel behind posdef.psi_min",
     "posdef.psi_min": "the range-checked minimum of psi that the landmark tests read",
     "density.moment_quadrature": "one moment, entry n of moment_quadrature_full",
     "exact_seq.deformed_fuss": "a single-value library convenience over deformed_table",
@@ -243,7 +242,8 @@ def test_the_kernels_keep_no_state_between_calls():
 
 def test_the_float_paths_evaluate_as_often_as_with_their_memos(monkeypatch, capsys):
     # counts measured when the kernels kept the last p's psi grid and the last (p, t)'s
-    # quadrature nodes between calls: one call each does no more work
+    # quadrature nodes between calls: one call each does no more work.  g(1.5) refines psi at
+    # t = g in one cell, as g_scan's arc leaves out the cell (0, pi / 512) a full scan refines.
     from fussdeform import _kernels_py as kernels
     from fussdeform.cli import main
     from fussdeform.posdef import g_of_p
@@ -260,7 +260,7 @@ def test_the_float_paths_evaluate_as_often_as_with_their_memos(monkeypatch, caps
     assert calls == {"rho": 300}
     calls.clear()
     assert g_of_p(1.5) == 0.19999999999999998
-    assert calls == {"psi": 102, "_t_bound": 52}
+    assert calls == {"psi": 52, "_t_bound": 52}
 
 
 @pytest.mark.parametrize(
