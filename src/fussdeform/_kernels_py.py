@@ -10,8 +10,8 @@ points i pi / _PSI_GRID of [0, pi] and refines by golden section to width _PSI_T
 of g(p) below 2, scans psi and -B/A the same way but only at the points from
 i = floor(min(p, 2) _PSI_GRID / 2) - 2 on, the arc where psi can go negative (see g_scan), and
 builds those samples of its p once for its three scans; the refinement evaluates each point
-afresh.  rho is inverted by bisection to width _RHO_TOL, which halves a dyadic bracket down to
-leaves of width _LEAF = 2^-44, the largest power of two within _RHO_TOL.  The adaptive
+afresh.  rho_bisect scans rho at _SCAN_POINTS or more points and bisects a scan cell to width
+_RHO_TOL (see rho_bisect), a dyadic one down to leaves _LEAF = 2^-44 within _RHO_TOL.  The adaptive
 quadrature starts from _INIT_PANELS panels, halves a panel at most _MAX_DEPTH times and stops
 once its error estimate is within _ATOL + _RTOL |value|.
 moment_quad alone takes its absolute tolerance as an argument; it integrates the moments
@@ -20,19 +20,25 @@ cumulant_quad integrates every cumulant-side measure by one rule, in theta with
 x = lo + (hi - lo) sin(theta)^2.  No kernel keeps a value from one call to the next.
 """
 
+from bisect import bisect_left
 from functools import partial
-from math import cos, fabs, frexp, inf, ldexp, log, pi, sin, sqrt, tan
+from math import ceil, cos, fabs, frexp, inf, ldexp, log, pi, sin, sqrt, tan
+from operator import neg
 from sys import float_info
+
+from .errors import BracketingError
 
 _PSI_GRID = 512
 _PSI_TOL = 1e-12
 _RHO_TOL = 1e-13
+_SCAN_POINTS = 64
 _ATOL = 1e-10
 _RTOL = 1e-12
 _MAX_DEPTH = 20
 _INIT_PANELS = 8
 
 __all__ = [
+    "support_end",
     "rho",
     "rho_prime",
     "f_phi",
@@ -49,6 +55,11 @@ __all__ = [
 
 
 # -- trig parametrization of the spectral density ---------------------------
+
+
+def support_end(p):
+    """c(p) = p^p (p-1)^(1-p): the limit of rho at phi = 0, the right end of the support."""
+    return p**p * (p - 1.0) ** (1.0 - p)
 
 
 def rho(p, phi):
@@ -330,29 +341,55 @@ def _bisect(p, x, lo, hi, a, b):
     return 0.5 * (lo + hi)
 
 
-def rho_bisect(p, xs, brackets):
-    """Solve rho(p, phi) = x for each x of the increasing xs by bisection on its bracket
-    (lo, hi), rho(lo) >= x >= rho(hi): the list of roots.
+def _rho_scan(p):
+    """The scan of rho_bisect (see there): (ends, vals), the ends of its cells, end cells
+    included, and rho at its points."""
+    top = pi / p
+    h = ldexp(1.0, frexp(top / (_SCAN_POINTS + 1))[1] - 1)
+    if (_SCAN_POINTS + 1) * h >= top:
+        h *= 0.5
+    phis = [i * h for i in range(1, ceil(top / h) - 1)]
+    vals = [rho(p, phi) for phi in phis]
+    chain = [support_end(p)] + vals + [0.0]
+    if not all(a > b for a, b in zip(chain, chain[1:])):
+        raise BracketingError(f"rho(p={p}, .) is not strictly decreasing on the scan grid")
+    return [top * 1e-12] + phis + [top - top * 1e-12], vals
 
-    Each root is the float plain bisection returns, but rho is evaluated only at the midpoints
-    inside the window of _rho_window, and in a dyadic bracket the loop starts from the smallest
-    dyadic interval that holds the window (see _bisect); with no window (a, b) = (lo, hi), which
-    is plain bisection.  eta is computed once per run of equal brackets.  Newton starts from a
+
+def rho_bisect(p, xs):
+    """Solve rho(p, phi) = x for each x of the increasing xs by bisection: the list of roots.
+
+    A scan of rho turns the assumption that rho decreases into a runtime check and gives each x
+    its bracket.  It samples rho at h, 2h, ..., K h for the largest power of two h that leaves
+    K >= _SCAN_POINTS with (K + 1) h < pi/p, and raises BracketingError unless c(p), those
+    values and 0 strictly decrease.  Each interior cell (i h, (i + 1) h) is then a dyadic
+    interval, a power-of-two width and a left end that is a multiple of it, so each bisection
+    midpoint in it is exact.  The bracket of x is the first interior cell that holds it, or an
+    end cell: (pi/p 1e-12, h) above the first value, (K h, pi/p (1 - 1e-12)) below the last.
+
+    Each root is the float plain bisection of its bracket returns, but rho is evaluated only at
+    the midpoints inside the window of _rho_window, and in a dyadic cell the loop starts from
+    the smallest dyadic interval that holds the window (see _bisect); with no window (a, b) =
+    (lo, hi), which is plain bisection.  eta is computed once per cell.  Newton starts from a
     second-order prediction off the previous root: d = dlog x / slope, then
     d += curve d^2 / (2 slope), with the slope l' and curve -l'' of l = log rho at that root's
-    last Newton iterate; it starts at the bracket midpoint when there is none (as for the first
-    x) or the prediction leaves the bracket.  Each root still comes from a window whose two ends
+    last Newton iterate; it starts at the cell midpoint when there is none (as for the first
+    x) or the prediction leaves the cell.  Each root still comes from a window whose two ends
     rho has proven.  log x is computed once per point.  A root found without a window at which
     rho's denominator sin(phi) sin((p - 1) phi)^(p - 1) is below the normal floats (next to
     c(p) at large p) raises ZeroDivisionError: rho there has lost its relative accuracy.
     """
+    ends, vals = _rho_scan(p)
     roots = []
-    cell = eta = slope = None
+    cell = slope = None
     q = p - 1.0
-    for x, bracket in zip(xs, brackets):
-        lo, hi = bracket
-        if bracket != cell:
-            cell, eta = bracket, _cell_eta(p, lo, hi)
+    for x in xs:
+        # cell i is (ends[i], ends[i + 1]); as vals decreases, the first interior cell with
+        # vals[i - 1] >= x >= vals[i] is i = the count of values above x, or 1 when x is vals[0]
+        i = 0 if x > vals[0] else max(bisect_left(vals, -x, key=neg), 1)
+        lo, hi = ends[i], ends[i + 1]
+        if i != cell:
+            cell, eta = i, _cell_eta(p, lo, hi)
         lx = log(x) if 0.0 < x else None
         start = 0.5 * (lo + hi)
         if slope is not None:

@@ -3,13 +3,9 @@
 Two routes to the density f_{p,t} = t W_{p,1} + (1 - t) W_{p,2} on (0, c(p)):
 
 * parametric -- solve x = rho(phi) on (0, pi/p) and evaluate the angle form
-  (works for every p > 1); rho is assumed strictly decreasing, an assumption
-  converted into a runtime check by a monotone scan per p at 64 or more
-  multiples of a power of two, whose cells bracket the bisection.  Each
-  interior cell is a dyadic interval, so the bisection starts from the
-  smallest dyadic interval that holds the window Newton's method proves.  The
-  points of a call, one or a whole grid, are solved by one kernel call that
-  starts Newton's method at each point from the previous point's root;
+  (works for every p > 1).  The points of a call, one or a whole grid, are
+  solved by one call to kernels.rho_bisect, whose docstring describes the scan
+  that checks rho decreases and brackets each point;
 * closed     -- the six elementary closed forms for p in {2, 3, 3/2}, r in {1, 2}.
 
 density_grid evaluates through one helper, which resolves the route, and on the
@@ -28,14 +24,12 @@ is float arithmetic; exact statements live in the rational modules.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
-from math import ceil, frexp, isfinite, ldexp, pi, sqrt
-from operator import neg
+from math import isfinite, pi, sqrt
 from typing import NamedTuple, Optional
 
 from ._backend import kernels
-from .errors import BracketingError, QuadratureError
+from .errors import QuadratureError
 from .exact_seq import Params
 
 __all__ = [
@@ -58,54 +52,11 @@ class DensitySample(NamedTuple):
 
 
 def support_c(p: float) -> float:
-    """c(p) = p^p (p-1)^(1-p), the right endpoint of the support (0, c(p))."""
+    """c(p), the right endpoint of the support (0, c(p)): kernels.support_end once p > 1."""
     p = float(p)
     if not (isfinite(p) and p > 1.0):
         raise ValueError("support requires p > 1")
-    return p**p * (p - 1.0) ** (1.0 - p)
-
-
-_SCAN_POINTS = 64
-
-
-def _rho_scan(p: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Monotonicity check + bisection bracket grid for rho(p, .): the scan points h, 2h, ..., K h
-    for the largest power of two h that leaves K >= _SCAN_POINTS with (K + 1) h < pi/p, and rho
-    at each.  Every interior cell is then a dyadic interval (a power-of-two width, a left end
-    that is a multiple of it), so each bisection midpoint in it is exact."""
-    top = pi / p
-    h = ldexp(1.0, frexp(top / (_SCAN_POINTS + 1))[1] - 1)
-    if (_SCAN_POINTS + 1) * h >= top:
-        h *= 0.5
-    phis = tuple(i * h for i in range(1, ceil(top / h) - 1))
-    vals = tuple(kernels.rho(p, f) for f in phis)
-    chain = (support_c(p),) + vals + (0.0,)
-    for a, b in zip(chain, chain[1:]):
-        if not a > b:
-            raise BracketingError(
-                f"rho(p={p}, .) is not strictly decreasing on the scan grid"
-            )
-    return phis, vals
-
-
-def _brackets(p: float, xs) -> list[tuple[float, float]]:
-    """The bisection bracket of each x: the first scan cell that holds it, or an end cell."""
-    phis, vals = _rho_scan(p)
-    top = pi / p
-    inset = top * 1e-12
-    first, last = (inset, phis[0]), (phis[-1], top - inset)
-    out = []
-    for x in xs:
-        if x > vals[0]:
-            out.append(first)
-        elif x < vals[-1]:
-            out.append(last)
-        else:
-            # vals decreases, so the first cell with vals[i] >= x >= vals[i + 1] starts one
-            # before the count of values above x (at 0 when x is vals[0])
-            i = max(bisect_left(vals, -x, key=neg) - 1, 0)
-            out.append((phis[i], phis[i + 1]))
-    return out
+    return kernels.support_end(p)
 
 
 _THIRD = 1.0 / 3.0
@@ -183,7 +134,7 @@ def _samples(p: float, t: float, xs: list[float], route: str) -> list[DensitySam
         raise ValueError("route must be 'parametric' or 'closed'")
     else:
         try:
-            phis = kernels.rho_bisect(p, xs, _brackets(p, xs))
+            phis = kernels.rho_bisect(p, xs)
             samples = [DensitySample(x, phi, kernels.f_phi(p, t, phi)) for x, phi in zip(xs, phis)]
         except ZeroDivisionError:
             at = xs[0] if len(xs) == 1 else f"{xs[0]}..{xs[-1]}"

@@ -29,6 +29,7 @@ from .exact_seq import (
     binomial_transform,
     catalan_table,
     ex1_table,
+    necessary_gap,
     raney,
 )
 from .posdef import (
@@ -280,13 +281,19 @@ def _c10_positivity(order: int) -> str:
                 raise AssertionError(f"contradiction at (p, t) = ({p}, {t})")
     record = classify_point(Params.exact(2, F(7, 5)), 8)
     _assert(record["hankel"].verdict == "indefinite", "(2, 7/5) not flagged at size 8")
+    # a_0 = 1, so the order-2 leading minor is a_2 - a_1^2: at (2, 7/5), an interior cell and a
+    # breakdown cell it equals necessary_gap (11/25, 2 and 0)
+    for p, t, size in ((2, F(7, 5), 8), (F(5, 2), F(1, 2), 6), (F(3, 2), F(0), 6)):
+        params = Params.exact(p, t)
+        minor = classify_point(params, size)["hankel"].minors[1]
+        _assert(minor == necessary_gap(params), f"({p}, {t}): order-2 minor is not a_2 - a_1^2")
     _assert(infdiv_check(2, F(1, 2), 5).verdict == "indefinite", "(2, 1/2) divisibility")
     for p, t in ((2, F(0)), (2, F(7, 6)), (2, F(4, 3)), (3, F(1)), (3, F(3, 2))):
         _assert(
             infdiv_check(p, t, 5).verdict != "indefinite",
             f"({p}, {t}) wrongly flagged as not divisible",
         )
-    return "Catalan minors, 400-cell grid, size-8 detection, divisibility verdicts"
+    return "Catalan minors, 400-cell grid, size-8 detection, order-2 minors, divisibility verdicts"
 
 
 def _c11_recurrence_and_ode(order: int) -> str:

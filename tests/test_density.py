@@ -4,7 +4,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction as F
-from math import frexp, pi, sin, sqrt
+from math import frexp, nextafter, pi, sin, sqrt
 
 import mpmath
 import pytest
@@ -335,26 +335,41 @@ def _plain_bisect(p, x, lo, hi, tol=1e-13):
     return 0.5 * (lo + hi)
 
 
-def test_rho_scan_cells_are_dyadic_with_a_window():
+def test_rho_scan_cells_are_dyadic_with_a_window(monkeypatch):
     # the scan points are h, 2h, ..., K h for a power of two h with (K + 1) h < pi/p, so each
     # interior cell has a power-of-two width and a left end that is a multiple of it, and
-    # stays far enough from pi/p for _cell_eta to bound its window; p near 1, a spread of
-    # rational p = a/b in (1, 4] with b from 8 to 48, and large p
+    # stays far enough from pi/p for _cell_eta to bound its window; rho_bisect at the scan
+    # values bisects every interior cell and bounds the window of each (one _cell_eta call per
+    # cell); p near 1, a spread of rational p = a/b in (1, 4] with b from 8 to 48, and large p
+    real_eta = kernels._cell_eta
+    cells = []
+
+    def recorded_eta(p, lo, hi):
+        eta = real_eta(p, lo, hi)
+        cells.append((lo, hi, eta))
+        return eta
+
+    monkeypatch.setattr(kernels, "_cell_eta", recorded_eta)
     ps = (
         [1.0 + i / 1000 for i in range(1, 50)]
         + [float(F(a, b)) for b in range(8, 49, 4) for a in range(b + 1, 4 * b + 1, 3)]
         + [20.0, 62.0, 100.0]
     )
     for p in ps:
-        phis, _ = density._rho_scan(p)
+        ends, vals = kernels._rho_scan(p)
+        phis = ends[1:-1]
         h = phis[0]
+        assert [ends[0], ends[-1]] == [pi / p * 1e-12, pi / p - pi / p * 1e-12], p
         assert len(phis) >= 64, p
-        assert frexp(h)[0] == 0.5 and phis == tuple(i * h for i in range(1, len(phis) + 1)), p
+        assert frexp(h)[0] == 0.5 and phis == [i * h for i in range(1, len(phis) + 1)], p
         assert (len(phis) + 1) * h < pi / p, p
-        for lo, hi in zip(phis, phis[1:]):
+        cells.clear()
+        kernels.rho_bisect(p, vals[::-1])
+        assert [(lo, hi) for lo, hi, _ in cells] == list(zip(phis, phis[1:]))[::-1], p
+        for lo, hi, eta in cells:
             width = hi - lo
             assert frexp(width)[0] == 0.5 and lo % width == 0.0, (p, lo)
-            assert kernels._cell_eta(p, lo, hi) is not None, (p, lo)
+            assert eta is not None, (p, lo)
 
 
 @st.composite
@@ -413,28 +428,33 @@ def test_rho_bisect_recovers_the_angle():
         top = pi / p
         phi0 = (0.05 + 0.9 * rng.random()) * top
         x = kernels.rho(p, phi0)
-        (phi,) = kernels.rho_bisect(p, [x], [(top * 1e-9, top * (1.0 - 1e-9))])
+        (phi,) = kernels.rho_bisect(p, [x])
         assert abs(phi - phi0) <= 1e-9
-        assert phi == _plain_bisect(p, x, top * 1e-9, top * (1.0 - 1e-9))
+        assert phi == _plain_bisect(p, x, *_scan_cells(p, [x])[0])
 
 
-def _scan_cell(p, x):
-    """The bracket rho_bisect bisects for x: the cell above the first scan value, the one below
-    the last, or else the first scan cell with vals[i] >= x >= vals[i + 1]."""
-    phis, vals = density._rho_scan(p)
+def _scan_cells(p, xs):
+    """The bracket rho_bisect bisects for each x: the cell above the first scan value, the one
+    below the last, or else the first scan cell with vals[i] >= x >= vals[i + 1]."""
+    ends, vals = kernels._rho_scan(p)
+    phis = ends[1:-1]
     top = pi / p
-    if x > vals[0]:
-        return top * 1e-12, phis[0]
-    if x < vals[-1]:
-        return phis[-1], top - top * 1e-12
-    i = next(i for i in range(len(vals) - 1) if vals[i] >= x >= vals[i + 1])
-    return phis[i], phis[i + 1]
+    cells = []
+    for x in xs:
+        if x > vals[0]:
+            cells.append((top * 1e-12, phis[0]))
+        elif x < vals[-1]:
+            cells.append((phis[-1], top - top * 1e-12))
+        else:
+            i = next(i for i in range(len(vals) - 1) if vals[i] >= x >= vals[i + 1])
+            cells.append((phis[i], phis[i + 1]))
+    return cells
 
 
 def test_rho_bisect_is_plain_bisection_with_fewer_rho_calls(monkeypatch):
     # every point of density_grid and of a one-point evaluation ends in one _bisect call, which
     # closes the count of its rho calls
-    real_rho, real_bisect, real_scan = kernels.rho, kernels._bisect, density._rho_scan
+    real_rho, real_bisect, real_scan = kernels.rho, kernels._bisect, kernels._rho_scan
     count = [0]
     solves = []
 
@@ -456,10 +476,10 @@ def test_rho_bisect_is_plain_bisection_with_fewer_rho_calls(monkeypatch):
 
     monkeypatch.setattr(kernels, "rho", counted_rho)
     monkeypatch.setattr(kernels, "_bisect", recorded_bisect)
-    monkeypatch.setattr(density, "_rho_scan", uncounted_scan)
+    monkeypatch.setattr(kernels, "_rho_scan", uncounted_scan)
     for p in (F(101, 100), F(3, 2), F(2), F(37, 13), F(4), F(20), F(100)):
         params = Params.exact(p, F(1, 3))
-        _, vals = density._rho_scan(float(p))
+        _, vals = kernels._rho_scan(float(p))
         count[0] = 0
         before = len(solves)
         density_grid(params, 2000)
@@ -469,8 +489,8 @@ def test_rho_bisect_is_plain_bisection_with_fewer_rho_calls(monkeypatch):
             _f(params, x)
     end_cells = 0
     for p, x, lo, hi, phi, calls in solves:
-        assert (lo, hi) == _scan_cell(p, x), (p, x)
-        phis, _ = density._rho_scan(p)
+        assert [(lo, hi)] == _scan_cells(p, [x]), (p, x)
+        phis = kernels._rho_scan(p)[0][1:-1]
         count[0] = 0
         assert phi == _plain_bisect(p, x, lo, hi), (p, x)
         if lo < phis[0] or hi > phis[-1]:
@@ -483,8 +503,9 @@ def test_rho_bisect_is_plain_bisection_with_fewer_rho_calls(monkeypatch):
 
 
 def test_rho_bisect_proves_its_window(monkeypatch):
-    # a rho with a relative error of 1e-6, far past the bound the window assumes: the checks
-    # at the ends of the window see it, so the result stays plain bisection's
+    # a rho with a relative error of 1e-6, far past the bound the window assumes, in the scan
+    # and the bisection alike: the checks at the ends of the window see it, so the result stays
+    # plain bisection's over the cell the noisy scan gives x, a point inside an interior cell
     real_rho = kernels.rho
 
     def noisy_rho(p, phi):
@@ -494,11 +515,12 @@ def test_rho_bisect_proves_its_window(monkeypatch):
     rng = random.Random(7)
     for _ in range(200):
         p = 1.1 + 2.9 * rng.random()
-        phis, _ = density._rho_scan(p)
+        phis = kernels._rho_scan(p)[0][1:-1]
         i = rng.randrange(len(phis) - 1)
         lo, hi = phis[i], phis[i + 1]
         x = real_rho(p, lo + (hi - lo) * rng.random())
-        assert kernels.rho_bisect(p, [x], [(lo, hi)]) == [_plain_bisect(p, x, lo, hi)], (p, x)
+        ((lo, hi),) = _scan_cells(p, [x])
+        assert kernels.rho_bisect(p, [x]) == [_plain_bisect(p, x, lo, hi)], (p, x)
 
 
 def test_rho_bisect_grid_proves_its_windows(monkeypatch):
@@ -509,17 +531,14 @@ def test_rho_bisect_grid_proves_its_windows(monkeypatch):
     def noisy_rho(p, phi):
         return real_rho(p, phi) * (1.0 + 1e-6 * sin(1e9 * phi))
 
+    monkeypatch.setattr(kernels, "rho", noisy_rho)
     rng = random.Random(8)
-    grids = []
     for _ in range(20):
         p = 1.1 + 2.9 * rng.random()
         upper = support_c(p)
         xs = [upper * i / 301 for i in range(1, 301)]
-        grids.append((p, xs, density._brackets(p, xs)))
-    monkeypatch.setattr(kernels, "rho", noisy_rho)
-    for p, xs, brackets in grids:
-        plain = [_plain_bisect(p, x, lo, hi) for x, (lo, hi) in zip(xs, brackets)]
-        assert kernels.rho_bisect(p, xs, brackets) == plain, p
+        plain = [_plain_bisect(p, x, lo, hi) for x, (lo, hi) in zip(xs, _scan_cells(p, xs))]
+        assert kernels.rho_bisect(p, xs) == plain, p
 
 
 @settings(max_examples=60, deadline=None)
@@ -528,13 +547,13 @@ def test_rho_bisect_grid_proves_its_windows(monkeypatch):
     us=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)),
     repeats=st.lists(st.integers(min_value=0, max_value=200), max_size=8),
 )
-def test_rho_bisect_grid_solves_each_point_as_solve_phi(p, us, repeats):
+def test_rho_bisect_grid_matches_each_point_solved_alone(p, us, repeats):
     # the roots of a sorted grid, solved by one call, against each point solved on its own
     def solve(xs):
-        return kernels.rho_bisect(p, xs, density._brackets(p, xs))
+        return kernels.rho_bisect(p, xs)
 
     try:
-        _, vals = density._rho_scan(p)
+        _, vals = kernels._rho_scan(p)
     except BracketingError:  # p so close to 1 that the scan cannot tell rho decreases
         with pytest.raises(BracketingError):
             solve([0.5])
@@ -557,37 +576,48 @@ def test_rho_bisect_grid_solves_each_point_as_solve_phi(p, us, repeats):
     assert solve(xs) == expected
 
 
-def test_solve_phi_brackets_in_the_first_scan_cell_that_holds_x(monkeypatch):
+def test_density_grid_raises_bracketing_error_next_to_p_1():
+    # a few ulps above p = 1 the scan's values of rho do not strictly decrease
+    for p in (F(nextafter(1.0, 2.0)), F(1.00000000000001)):
+        message = f"rho(p={float(p)}, .) is not strictly decreasing"
+        with pytest.raises(BracketingError, match=re.escape(message)):
+            density_grid(Params.exact(p, F(1, 2)), 5)
+
+
+def test_rho_bisect_brackets_in_the_first_scan_cell_that_holds_x(monkeypatch):
+    real_bisect = kernels._bisect
     brackets = []
 
-    def recorded_rho_bisect(p, xs, cells):
-        brackets.extend(cells)
-        return [0.5 * (lo + hi) for lo, hi in cells]
+    def recorded_bisect(p, x, lo, hi, a, b):
+        brackets.append((lo, hi))
+        return real_bisect(p, x, lo, hi, a, b)
 
-    monkeypatch.setattr(kernels, "rho_bisect", recorded_rho_bisect)
+    monkeypatch.setattr(kernels, "_bisect", recorded_bisect)
     for p in (1.01, 1.5, 2.0, 37.0 / 13.0, 20.0):
-        _, vals = density._rho_scan(p)
-        # every scan value, where two cells hold x, and a point inside each cell
+        _, vals = kernels._rho_scan(p)
+        # every scan value, where two cells hold x, a point inside each cell, and a point in
+        # each end cell
         xs = list(vals) + [(a + b) / 2.0 for a, b in zip(vals, vals[1:])]
+        xs += [(vals[0] + support_c(p)) / 2.0, vals[-1] / 2.0]
         for x in xs:
             brackets.clear()
             density._samples(p, 1.0, [x], "parametric")
-            assert brackets == [_scan_cell(p, x)], (p, x)
+            assert brackets == _scan_cells(p, [x]), (p, x)
 
 
 def test_each_evaluation_solves_its_points_by_one_kernel_call(monkeypatch):
-    real_brackets, real_rho_bisect = density._brackets, kernels.rho_bisect
+    real_scan, real_rho_bisect = kernels._rho_scan, kernels.rho_bisect
     calls = []
 
-    def recorded_brackets(p, xs):
-        calls.append(("brackets", len(xs)))
-        return real_brackets(p, xs)
+    def recorded_scan(p):
+        calls.append(("rho_scan", p))
+        return real_scan(p)
 
-    def recorded_rho_bisect(p, xs, brackets):
+    def recorded_rho_bisect(p, xs):
         calls.append(("rho_bisect", len(xs)))
-        return real_rho_bisect(p, xs, brackets)
+        return real_rho_bisect(p, xs)
 
-    monkeypatch.setattr(density, "_brackets", recorded_brackets)
+    monkeypatch.setattr(kernels, "_rho_scan", recorded_scan)
     monkeypatch.setattr(kernels, "rho_bisect", recorded_rho_bisect)
     params = Params.exact(2, F(1, 3))
     for evaluate, points in (
@@ -598,7 +628,7 @@ def test_each_evaluation_solves_its_points_by_one_kernel_call(monkeypatch):
     ):
         calls.clear()
         evaluate()
-        assert calls == ([] if points is None else [("brackets", points), ("rho_bisect", points)])
+        assert calls == ([] if points is None else [("rho_bisect", points), ("rho_scan", 2.0)])
     assert not hasattr(kernels, "rho_bisect_grid")
 
 
@@ -627,7 +657,7 @@ def test_float_limits_next_to_c_are_overflow_errors(monkeypatch):
 
 
 @pytest.mark.parametrize("p, t", [(F(3, 2), F(1, 5)), (F(5, 2), F(1, 2)), (F(97, 37), F(1, 3))])
-def test_density_grid_matches_w_param_and_f_pt(p, t):
+def test_density_grid_matches_each_point_evaluated_alone(p, t):
     # the grid, solved by one call, against each of its points evaluated on its own
     params = Params.exact(p, t)
     pf, tf = params.as_floats()
