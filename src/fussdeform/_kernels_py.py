@@ -7,9 +7,9 @@ Only plain floats are used here.  Exact arithmetic lives elsewhere.
 
 The settings no caller varies are module constants: psi_min scans psi at the _PSI_GRID + 1
 points i pi / _PSI_GRID of [0, pi] and refines by golden section to width _PSI_TOL.  g_scan, all
-of g(p) below 2, scans psi and -B/A the same way but only at the points from
-i = floor(min(p, 2) _PSI_GRID / 2) - 2 on, the arc where psi can go negative (see g_scan), and
-builds those samples of its p once for its three scans; the refinement evaluates each point
+of g(p), is 0 from p = 2 on with no scan; below 2 it scans psi and -B/A the same way from
+i = floor(p _PSI_GRID / 2) - 2 on, the arc where psi can go negative, on samples of its p built
+once, and reads psi's sign against -_FEAS_TOL (see g_scan); the refinement evaluates each point
 afresh.  rho_bisect scans rho at _SCAN_POINTS or more points and bisects a scan cell to width
 _RHO_TOL (see rho_bisect), a dyadic one down to leaves _LEAF = 2^-44 within _RHO_TOL.  The adaptive
 quadrature starts from _INIT_PANELS panels, halves a panel at most _MAX_DEPTH times and stops
@@ -26,10 +26,11 @@ from math import ceil, cos, fabs, frexp, inf, ldexp, log, pi, sin, sqrt, tan
 from operator import neg
 from sys import float_info
 
-from .errors import BracketingError
+from .errors import BracketingError, InconsistencyError
 
 _PSI_GRID = 512
 _PSI_TOL = 1e-12
+_FEAS_TOL = 1e-12
 _RHO_TOL = 1e-13
 _SCAN_POINTS = 64
 _ATOL = 1e-10
@@ -58,8 +59,12 @@ __all__ = [
 
 
 def support_end(p):
-    """c(p) = p^p (p-1)^(1-p): the limit of rho at phi = 0, the right end of the support."""
-    return p**p * (p - 1.0) ** (1.0 - p)
+    """c(p) = p^p (p-1)^(1-p): the limit of rho at phi = 0, the right end of the support.
+    Where p^p overflows (from p = 144 on) it is p (p / (p-1))^(p-1), which stays below e p."""
+    try:
+        return p**p * (p - 1.0) ** (1.0 - p)
+    except OverflowError:
+        return p * (p / (p - 1.0)) ** (p - 1.0)
 
 
 def rho(p, phi):
@@ -197,34 +202,40 @@ def _t_bound(p, phi):
     return b / a if a > 0.0 else inf
 
 
-def g_scan(p, tol):
+def g_scan(p):
     """g(p) and the least psi(p, g(p), .) over [0, pi]: (g, value), from one set of grid samples.
     Callers guarantee p >= 1.
 
-    g = 0 where the minimum of psi(p, 0, .) is >= -tol; only that sign is read, so a grid sample
-    under -tol decides it before any refinement, which could only lower the minimum.  Otherwise
-    g is the sup of -B/A over A > 0 (see _t_bound), clamped to [0, 1], and value the minimum of
-    psi at t = g, which a caller checks against -tol.  psi at t = 0 and _t_bound are written
+    From p = 2 on, phi / p <= pi / 2 on [0, pi] makes psi(p, 0, .) >= 0, in floats too (float
+    pi < pi), so (0.0, 0.0) needs no grid sample.  Below 2, g = 0 where the minimum of
+    psi(p, 0, .) is >= -_FEAS_TOL; only that sign is read, so a grid sample under it decides it
+    before any refinement, which could only lower the minimum.  Otherwise g is the sup of -B/A
+    over A > 0 (see _t_bound), clamped to [0, 1], and value the minimum of psi at t = g, which
+    must be >= -_FEAS_TOL (else InconsistencyError).  psi at t = 0 and _t_bound are written
     inline on the grid samples and evaluated pointwise by the refinement.
 
-    The three scans read only the samples from first = floor(min(p, 2) _PSI_GRID / 2) - 2 on.
-    For t in [0, 1] and phi in [0, p pi / 2] (all of [0, pi] from p = 2 on) each term of psi is
-    >= 0, and so is B = 2 sin(phi) cos(phi / p), as phi / p <= pi / 2.  The grid samples left of
-    first and the refinements of the cells up to first lie in [0, (first + 1) pi / _PSI_GRID],
-    where the two cells of margin keep cos(phi / p) clear of 0 in floats, so each gives psi >= 0
-    and B/A >= 0 or inf.  None of them can take the minimum of psi below psi(p, t, 0) = 0.0,
-    which _grid_min folds in, or give -B/A > 0, so g and value are the floats a scan of the
-    whole grid gives."""
-    first = int(min(p, 2.0) * (_PSI_GRID // 2)) - 2
+    The three scans read only the samples from first = floor(p _PSI_GRID / 2) - 2 on.  For t in
+    [0, 1] and phi in [0, p pi / 2] each term of psi is >= 0, and so is B = 2 sin(phi)
+    cos(phi / p), as phi / p <= pi / 2.  The grid samples left of first and the refinements of
+    the cells up to first lie in [0, (first + 1) pi / _PSI_GRID], where the two cells of margin
+    keep cos(phi / p) clear of 0 in floats, so each gives psi >= 0 and B/A >= 0 or inf.  None of
+    them can take the minimum of psi below psi(p, t, 0) = 0.0, which _grid_min folds in, or give
+    -B/A > 0, so g and value are the floats a scan of the whole grid gives."""
+    if p >= 2.0:
+        return 0.0, 0.0
+    first = int(p * (_PSI_GRID // 2)) - 2
     sin_k, sin_1, cos_p = samples = _psi_grid(p, first)
     zero = [2.0 * s * c for s, c in zip(sin_1, cos_p)]  # psi(p, 0, .), which is B
-    if min(zero) >= -tol:
+    if min(zero) >= -_FEAS_TOL:
         value = _grid_min(partial(psi, p, 0.0), zero, first)[0]
-        if value >= -tol:
+        if value >= -_FEAS_TOL:
             return 0.0, value
     bounds = [b / (u - b) if u - b > 0.0 else inf for u, b in zip(sin_k, zero)]
     g = min(1.0, max(0.0, -_grid_min(partial(_t_bound, p), bounds, first)[0]))
-    return g, _psi_scan(p, g, samples, first)[0]
+    value = _psi_scan(p, g, samples, first)[0]
+    if value < -_FEAS_TOL:
+        raise InconsistencyError(f"g({p!r}) = {g!r}, yet the minimum of psi there is {value!r}")
+    return g, value
 
 
 def _cell_eta(p, lo, hi):
@@ -550,9 +561,9 @@ def moment_quad(p, t, n_max, atol=_ATOL):
 
     The x-space integral over (0, p^p (p-1)^(1-p)) becomes int_0^{pi/p} rho^n * f_phi * |rho'|
     dphi, whose integrand stays bounded at both endpoints.  A panel's (rho, f_phi, |rho'|) at its
-    15 nodes do not depend on n, so each n reads the samples an earlier n took.  A
-    ZeroDivisionError (f_phi's denominator underflows at large p) is raised again with the n
-    it reached as its one argument.
+    15 nodes do not depend on n, so each n reads the samples an earlier n took.  A float limit,
+    f_phi's denominator underflowing to 0 at large p or rho^n overflowing at large n, raises
+    OverflowError naming p, t and the n it reached.
     """
     samples = {}  # (a, b) -> (half width, the triples at its nodes)
 
@@ -570,8 +581,10 @@ def moment_quad(p, t, n_max, atol=_ATOL):
     for n in range(n_max + 1):
         try:
             value, err, converged = _adaptive(partial(panel, n), _INSET, pi / p - _INSET, atol)
-        except ZeroDivisionError:
-            raise ZeroDivisionError(n) from None
+        except (ZeroDivisionError, OverflowError):
+            raise OverflowError(
+                f"moment quadrature left the float range at p={p}, t={t}, n={n}"
+            ) from None
         # Two errors the panel estimates do not see; refinement ignores both.
         # rho multiplies about 2p sines, each good to half an ulp, so rho^n is off
         # by about n (p + 1) _EPS relative.  And the integral leaves out

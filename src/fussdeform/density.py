@@ -159,18 +159,14 @@ def density_grid(params: Params, grid_size: int, route: str = "parametric") -> l
 def moment_quadrature_full(params: Params, n_max: int, tol: float = 1e-10) -> list:
     """(value, error estimate) of the moments n = 0..n_max of f_{p,t}, by one angle-space
     quadrature call to the absolute tolerance tol.  The first n that does not converge raises
-    QuadratureError, and a float limit (at large p) OverflowError; each names that n."""
+    QuadratureError, and a float limit (at large p or large n) the kernel's OverflowError;
+    each names that n."""
     if n_max < 0:
         raise ValueError("n must be nonnegative")
     p, t = params.as_floats()
     if not p > 1.0:
         raise ValueError("moment quadrature requires p > 1")
-    try:
-        table = kernels.moment_quad(p, t, n_max, tol)
-    except ZeroDivisionError as exc:  # at large p, f_phi's denominator underflows to 0
-        raise OverflowError(
-            f"moment quadrature left the float range at p={p}, t={t}, n={exc.args[0]}"
-        ) from None
+    table = kernels.moment_quad(p, t, n_max, tol)
     value, err, ok = table[-1]
     if not ok:
         raise QuadratureError(

@@ -4,8 +4,9 @@ Every value in this module is exact and returned as a ``fractions.Fraction``.
 The products and sums behind them (Raney numbers, both routes of a_n,
 constellation counts, the A220910 recurrence and closed sums, the binomial
 transform) are accumulated in Python integers over one known denominator and
-reduced once per value.  Two routes to one value are compared as unreduced
-integer pairs (numerator, denominator), by one equality when the
+reduced once per value; _cleared, which series and posdef share, brings a run
+over its least common denominator.  Two routes to one value are compared as
+unreduced integer pairs (numerator, denominator), by one equality when the
 denominators agree and by cross-multiplication otherwise, so the check costs
 no gcd.  The central object is the two-parameter family
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import add, mul
 from typing import Iterable, NamedTuple, Union
 
@@ -189,6 +190,19 @@ def _same(num: int, den: int, other_num: int, other_den: int) -> bool:
     return num * other_den == other_num * den
 
 
+def _cleared(pairs: Iterable[tuple[int, int]], s: int) -> tuple[list[int], int]:
+    """The values v_k s^k of the reduced pairs v_k = (num, den > 0) over their least common
+    denominator: the lcm of the dens of (num s^k, den), each reduced by gcd(s^k, den)."""
+    reduced = []
+    sk = 1  # s ** k
+    for num, den in pairs:
+        g = gcd(sk, den)
+        reduced.append((num * (sk // g), den // g))
+        sk *= s
+    common = lcm(*(den for _, den in reduced))
+    return [num * (common // den) for num, den in reduced], common
+
+
 def _fuss_terms(p: Fraction | int, ns: range) -> list[tuple[int, int, int]]:
     """(R1, R2, D) for each n of the run ns (step 1): raney(p, 1, n) = R1 / D and
     raney(p, 2, n) = R2 / D over their common denominator D = b^(n-1) n!, p = a/b
@@ -346,9 +360,10 @@ def binomial_transform(seq: SeqTable, direction: str = "forward") -> SeqTable:
 
     The transform acts on absolute indices, so the input table must start at
     offset 0.  forward followed by inverse is the identity.  The inputs are
-    scaled once to the lcm of their denominators; b_n is then the head of the
-    n-th row of a difference table whose rows follow c'_i = c_{i+1} - c_i
-    (forward) or c'_i = c_{i+1} + c_i (inverse), in integer additions only.
+    scaled once to the lcm of their denominators (_cleared); b_n is then the
+    head of the n-th row of a difference table whose rows follow
+    c'_i = c_{i+1} - c_i (forward) or c'_i = c_{i+1} + c_i (inverse), in
+    integer additions only.
     """
     if seq.offset != 0:
         raise ValueError("binomial transform is defined for offset-0 tables")
@@ -362,8 +377,7 @@ def binomial_transform(seq: SeqTable, direction: str = "forward") -> SeqTable:
         label = f"inv-binomial({seq.label})"
     else:
         raise ValueError("direction must be 'forward' or 'inverse'")
-    den = lcm(*(v.denominator for v in seq.values))
-    row = [v.numerator * (den // v.denominator) for v in seq.values]
+    row, den = _cleared(((v.numerator, v.denominator) for v in seq.values), 1)
     out = []
     while row:
         out.append(Fraction(row[0], den))

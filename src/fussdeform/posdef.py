@@ -7,15 +7,15 @@ The density f_{p,t} is nonnegative exactly when the angle function
 stays nonnegative on (0, pi).  For each p >= 1 the admissible deformations
 form the closed interval [g(p), 2p/(p+1)].  psi is affine in t, so g(p) is
 one maximisation over phi, which the minimum of psi at t = g(p) then checks.
-For p >= 2, phi / p <= pi / 2 on [0, pi] makes psi_{p,0} >= 0, so g(p) = 0
-with no scan.  Below 2, the minimum at t = 0, the maximisation and the check
-are one kernel call, kernels.g_scan, which builds the grid samples of p once;
-g_of_p raises on a failed check.  For t in [0, 1] every term of psi, and
-B = 2 sin(phi) cos(phi / p), is >= 0 on [0, p pi / 2], so g_scan scans only the
-arc from two grid cells before p pi / 2 to pi, with psi(p, t, 0) = 0 standing
-for the rest: g(p) and its check are the floats a scan of all of [0, pi]
-gives.  psi_min checks p and t and returns the kernels' (value, phi) of that
-minimum, from the whole grid, as it accepts any t.
+g_of_p checks p and makes one kernel call, kernels.g_scan, which owns the
+tolerance, the check (InconsistencyError) and the case p >= 2, where
+phi / p <= pi / 2 on [0, pi] makes psi_{p,0} >= 0 and g(p) = 0 needs no scan.
+Below 2 it builds the grid samples of p once.  For t in [0, 1] every term of
+psi, and B = 2 sin(phi) cos(phi / p), is >= 0 on [0, p pi / 2], so g_scan
+scans only the arc from two grid cells before p pi / 2 to pi, with
+psi(p, t, 0) = 0 standing for the rest: g(p) and its check are the floats a
+scan of all of [0, pi] gives.  psi_min checks p and t and returns the kernels'
+(value, phi) of that minimum, from the whole grid, as it accepts any t.
 
 Independently, the moment sequence a_n(p, t) is positive definite exactly
 when every Hankel matrix (a_{i+j}) is positive semidefinite.  hankel_report
@@ -49,12 +49,14 @@ runs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isfinite, lcm, prod
+from math import gcd, isfinite, prod
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from ._backend import kernels
 from .errors import InconsistencyError
-from .exact_seq import Params, RationalLike, SeqTable, _affine, _fuss_parts, parse_rational
+from .exact_seq import (
+    Params, RationalLike, SeqTable, _affine, _cleared, _fuss_parts, parse_rational,
+)
 
 __all__ = [
     "psi_min",
@@ -67,7 +69,6 @@ __all__ = [
     "theorem_interval",
 ]
 
-_FEAS_TOL = 1e-12
 _CLASSIFY_TOL = 1e-6
 
 
@@ -83,23 +84,12 @@ def psi_min(p: float, t: float) -> tuple[float, float]:
 
 
 def g_of_p(p: float) -> float:
-    """The least t in [0, 1] with psi_{p,t} >= 0 on (0, pi): max(0, sup -B/A over A > 0)
-    for psi = t A + B.  It is 0 with no scan for p >= 2.  Below 2 it is one kernel call on one
-    set of grid samples (kernels.g_scan), which covers only the arc from p pi / 2 on, less two
-    grid cells, where psi can go negative: 0 where psi_min(p, 0) >= -1e-12, otherwise checked by
-    psi_min(p, g(p)) >= -1e-12 (else InconsistencyError); both minima are those of the full
-    scan."""
+    """The least t in [0, 1] with psi_{p,t} >= 0 on (0, pi), once p >= 1 is checked: one
+    kernels.g_scan call, which owns the tolerance, the p >= 2 case and the check (see there)."""
     p = float(p)
     if not (isfinite(p) and p >= 1.0):
         raise ValueError("g is defined for p >= 1")
-    # For p >= 2, phi / p <= pi / 2 on [0, pi], so psi_{p,0}(phi) = 2 sin(phi) cos(phi / p) >= 0
-    # (in floats too, as float pi < pi) and g(p) = 0 needs no scan.
-    if p >= 2.0:
-        return 0.0
-    g, value = kernels.g_scan(p, _FEAS_TOL)
-    if value < -_FEAS_TOL:
-        raise InconsistencyError(f"g({p!r}) = {g!r}, yet the minimum of psi there is {value!r}")
-    return g
+    return kernels.g_scan(p)[0]
 
 
 def theorem_interval(p: Union[int, Fraction, float]) -> tuple[float, Fraction]:
@@ -200,11 +190,10 @@ def hankel_report(
     at p = a/b, the growth of den(t) for cumulant sections at tiny t.  The
     values w_k = s^k v_k form D H D, D = diag(1, s, ..., s^(size-1)), which
     is again a Hankel section, and its leading minor of order k + 1 is
-    s^(k(k+1)) times that of H, a positive factor.  w_k is the reduced pair
-    (n_k s^k / g, d_k / g), g = gcd(s^k, d_k).  D H D is scaled to the
-    integer Hankel section B = L D H D, L the lcm of the denominators of the
-    w_k, and one symmetric fraction-free (Bareiss) elimination in natural
-    order (_pivots) runs on the upper triangle of B.  Each update
+    s^(k(k+1)) times that of H, a positive factor.  exact_seq._cleared scales
+    D H D to the integer Hankel section B = L D H D, L the least common
+    denominator of the w_k.  One symmetric fraction-free (Bareiss) elimination
+    in natural order (_pivots) runs on the upper triangle of B.  Each update
 
         b[i][j] = (pivot * b[i][j] - b[k][i] * b[k][j]) // prev
 
@@ -248,14 +237,7 @@ def hankel_report(
     pairs = pairs[: 2 * size - 1]
     d1, d2 = (pairs[1][1], pairs[2][1]) if size > 1 else (1, 1)
     s = d2 // gcd(d1, d2)
-    w = []
-    sk = 1  # s ** k
-    for num, den in pairs:
-        g = gcd(sk, den)
-        w.append((num * (sk // g), den // g))
-        sk *= s
-    scale = lcm(*(den for _, den in w))
-    h = [num * (scale // den) for num, den in w]
+    h, scale = _cleared(pairs, s)
     b = [h[i : i + size] for i in range(size)]
     if not minors:
         for _, verdict in _pivots(b):

@@ -13,10 +13,11 @@ built by one routine (_radical_jet) from coefficient lists.
 Everything here is exact; floats never enter.  Coefficients are stored as
 Fractions, but every sum of products runs in integers.  A jet product
 (``*``, each power and each giant step of compose and revert) is one integer
-convolution over one common denominator.  ``*`` convolves only the nonzero
-span of the factor whose span is shorter, as the closed R jets multiply
-short polynomials by dense radicals (untrimmed, perfbench seq-tables ran
-6.4% slower).  The quotient and pow1p are recurrences of one shape, each
+convolution over one common denominator, which exact_seq._cleared clears, as
+it clears posdef's Hankel sections.  ``*`` convolves only the nonzero span of
+the factor whose span is shorter, as the closed R jets multiply short
+polynomials by dense radicals (untrimmed, perfbench seq-tables ran 6.4%
+slower).  The quotient and pow1p are recurrences of one shape, each
 coefficient summed by one helper (_running_sum) over one running denominator
 that widens (one gcd) only when a term's denominator does not divide it (on
 one common denominator seq-tables ran 1.6 to 1.8 times slower).  revert
@@ -50,7 +51,7 @@ from operator import mul
 from typing import Optional, Sequence, Union
 
 from .errors import InconsistencyError
-from .exact_seq import Params, RationalLike, _affine, _fuss_parts, parse_rational, raney
+from .exact_seq import Params, RationalLike, _affine, _cleared, _fuss_parts, parse_rational, raney
 
 __all__ = [
     "TruncSeries",
@@ -103,14 +104,8 @@ def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
 
 
 def _scaled(coeffs: Sequence[Fraction], s: int) -> tuple[list[int], int]:
-    """The jet of c_k s^k as reduced integer numerators over one common denominator."""
-    den = lcm(*[c.denominator for c in coeffs])
-    nums = []
-    w = 1
-    for c in coeffs:
-        nums.append(c.numerator * (den // c.denominator) * w)
-        w *= s
-    return _reduced(nums, den)
+    """The jet of c_k s^k as reduced integer numerators over one common denominator (_cleared)."""
+    return _cleared(((c.numerator, c.denominator) for c in coeffs), s)
 
 
 def _rescale(c: Sequence[Fraction]) -> int:

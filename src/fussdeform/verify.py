@@ -33,7 +33,6 @@ from .exact_seq import (
     raney,
 )
 from .posdef import (
-    _FEAS_TOL,
     classify_point,
     classify_row,
     g_of_p,
@@ -206,7 +205,7 @@ def _c07_boundary_function(order: int) -> str:
     )
     # g_scan checks psi at t = g on the arc where psi can go negative; the full scan must agree
     for p in (1.0, 1.25, 1.5, 1.75, nextafter(2.0, 0.0)):
-        g, value = kernels.g_scan(p, _FEAS_TOL)
+        g, value = kernels.g_scan(p)
         _assert(value == kernels.psi_min(p, g)[0], f"g_scan's check at p={p!r} misses psi_min's")
     return (
         "g hits 1/5, 0, 1 at the landmarks and decreases strictly; its check of psi at g "

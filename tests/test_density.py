@@ -4,7 +4,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction as F
-from math import frexp, nextafter, pi, sin, sqrt
+from math import frexp, isfinite, nextafter, pi, sin, sqrt
 
 import mpmath
 import pytest
@@ -45,6 +45,17 @@ def test_support_endpoint_values():
     assert support_c(2) == pytest.approx(4.0, abs=1e-14)
     assert support_c(3) == pytest.approx(27.0 / 4.0, abs=1e-13)
     assert support_c(1.5) == pytest.approx(3.0 * sqrt(3.0) / 2.0, abs=1e-14)
+
+
+def test_support_end_past_the_overflow_of_p_to_the_p():
+    # p^p overflows from p = 144 on, while c(p) < e p; at 143 c(p) keeps its float
+    assert support_c(143) == 387.3543657340457
+    for p in (143, 144, 150, 197.5):
+        with mpmath.workdps(40):
+            ref = mpmath.mpf(p) ** p * (mpmath.mpf(p) - 1) ** (1 - mpmath.mpf(p))
+        assert abs(support_c(p) - ref) <= 2e-14 * ref, p
+    grid = density_grid(Params.exact(150, F(1, 2)), 50)
+    assert all(isfinite(s.value) and s.value >= 0.0 for s in grid)
 
 
 def test_support_rejects_small_p():
@@ -89,7 +100,7 @@ def test_rho_prime_negative_throughout():
             assert kernels.rho_prime(p, top * i / 40) < 0.0
 
 
-def test_w_param_closed_values_p2():
+def test_parametric_component_values_p2():
     # W_{2,1}(1) = sqrt(3)/(2 pi) and W_{2,2}(2) = 1/pi; W_{p,r} is f_{p,t} at t = 2 - r
     (s,) = density._samples(2.0, 1.0, [1.0], "parametric")
     assert s.value == pytest.approx(sqrt(3.0) / (2.0 * pi), abs=1e-12)
@@ -97,7 +108,7 @@ def test_w_param_closed_values_p2():
     assert _f(Params.exact(2, 0), 2.0) == pytest.approx(1.0 / pi, abs=1e-12)
 
 
-def test_w_param_agrees_with_all_six_closed_forms():
+def test_parametric_components_agree_with_all_six_closed_forms():
     # W_{p,r} is f_{p,t} at t = 2 - r, sampled at x = c(p) i/51, i = 1..50
     for p in (F(2), F(3), F(3, 2)):
         upper = support_c(float(p))
@@ -153,7 +164,7 @@ def test_w32_component_takes_negative_values():
     assert w_closed(F(3, 2), 2, 0.3) < -0.1
 
 
-def test_f_pt_p2_display_formula():
+def test_density_p2_display_formula_on_both_routes():
     # f_{2,t}(x) = (t + x - t x) sqrt((4-x)/x) / (2 pi)
     rng = random.Random(1203)
     for _ in range(25):
@@ -165,7 +176,7 @@ def test_f_pt_p2_display_formula():
         assert _f(params, x, route="closed") == pytest.approx(expected, rel=1e-11, abs=1e-13)
 
 
-def test_f_pt_routes_agree():
+def test_density_routes_agree():
     rng = random.Random(77)
     for p in (F(2), F(3), F(3, 2)):
         upper = support_c(float(p))
@@ -190,7 +201,7 @@ def test_non_finite_density_is_a_float_limit(route, p, x, t):
         density_grid(params, 3 if route == "parametric" else 400, route=route)
 
 
-def test_f_pt_rejects_unknown_route():
+def test_density_rejects_an_unknown_route():
     with pytest.raises(ValueError):
         _f(Params.exact(2, 1), 1.0, route="series")
 
@@ -642,6 +653,9 @@ def test_float_limits_next_to_c_are_overflow_errors(monkeypatch):
             _f(Params.exact(62, t), x)
     with pytest.raises(OverflowError, match=re.escape("p=100.0, t=1.0, n=0")):
         moment_quadrature_full(Params.exact(100, 1), 0)
+    # at large n, rho^n overflows next to c(4) = 9.48...
+    with pytest.raises(OverflowError, match=re.escape("p=4.0, t=0.5, n=316")):
+        moment_quadrature_full(Params.exact(4, F(1, 2)), 600)
     # a limit met by a later moment of the table names that moment
     adaptive, runs = kernels._adaptive, []
 

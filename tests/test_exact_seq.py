@@ -3,10 +3,10 @@
 import random
 from fractions import Fraction as F
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fussdeform import (
@@ -27,7 +27,7 @@ from fussdeform import (
     parse_rational,
     raney,
 )
-from fussdeform import exact_seq
+from fussdeform import exact_seq, series
 from fussdeform.cli import main
 from fussdeform.verify import run_criteria
 
@@ -384,6 +384,45 @@ def test_binomial_transform_matches_fraction_loop(values):
     assert all(type(v) is F for v in fwd.values + inv.values)
     assert binomial_transform(fwd, "inverse").values == values
     assert binomial_transform(inv, "forward").values == values
+
+
+def _scaled_reference(coeffs, s):
+    """The values c_k s^k over one common denominator as the jet engine cleared them before
+    exact_seq._cleared: every numerator over the lcm of the denominators, then one gcd."""
+    den = lcm(*[c.denominator for c in coeffs])
+    nums = []
+    w = 1
+    for c in coeffs:
+        nums.append(c.numerator * (den // c.denominator) * w)
+        w *= s
+    g = gcd(den, *nums)
+    return [x // g for x in nums], den // g
+
+
+# denominators that share factors with the scales below, and arbitrary ones
+_SHARED_DEN = st.builds(lambda a, b, c: 2**a * 5**b * 7**c, *[st.integers(0, 12)] * 3)
+_CLEARED_VALUE = st.builds(
+    F, st.integers(-(10**20), 10**20), _SHARED_DEN | st.integers(1, 10**12)
+) | st.just(F(0))
+
+
+@settings(max_examples=300, deadline=None)
+@example(values=[], s=1)
+@example(values=[], s=7)
+@example(values=[F(0)], s=10)
+@example(values=[F(0), F(0), F(0)], s=7)
+@example(values=[F(-3, 28)], s=7)
+@example(values=[F(1), F(-1, 10), F(1, 100), F(0), F(-7, 1000)], s=10)
+@given(
+    values=st.lists(_CLEARED_VALUE, max_size=12),
+    s=st.sampled_from([1, 2, 7, 1_000_003]) | st.integers(1, 8).map(lambda k: 10**k),
+)
+def test_cleared_is_the_least_common_denominator_form(values, s):
+    # Both ways give the unique form with a positive denominator and no common content, so
+    # the numerators and the denominator agree integer for integer.
+    expected = _scaled_reference(values, s)
+    assert exact_seq._cleared([(v.numerator, v.denominator) for v in values], s) == expected
+    assert series._scaled(values, s) == expected
 
 
 def test_binomial_transform_rejects_offset_and_empty():

@@ -153,22 +153,26 @@ def _t_bound(p, phi):
     return b / a if a > 0.0 else math.inf
 
 
-def _g_scan_pointwise(p, tol):
-    """kernels.g_scan with every grid point evaluated by psi and _t_bound themselves."""
+def _g_scan_pointwise(p):
+    """kernels.g_scan with every grid point evaluated by psi and _t_bound themselves, at every
+    p and with its tolerance kernels._FEAS_TOL: (g, value), or InconsistencyError where the
+    check of psi at t = g fails."""
+    tol = kernels._FEAS_TOL
     step = math.pi / kernels._PSI_GRID
     if min(kernels.psi(p, 0.0, i * step) for i in range(kernels._PSI_GRID + 1)) >= -tol:
         value = _psi_min_pointwise(p, 0.0)[0]
         if value >= -tol:
             return 0.0, value
     g = min(1.0, max(0.0, -_scan_pointwise(lambda x: _t_bound(p, x))[0]))
-    return g, _psi_min_pointwise(p, g)[0]
+    value = _psi_min_pointwise(p, g)[0]
+    return InconsistencyError if value < -tol else (g, value)
 
 
 def _g_bisection(p):
     """The least t in [0, 1] that psi_min finds feasible, bracketed to 1e-9 by bisection."""
 
     def feasible(t):
-        return kernels.psi_min(p, t)[0] >= -posdef._FEAS_TOL
+        return kernels.psi_min(p, t)[0] >= -kernels._FEAS_TOL
 
     if feasible(0.0):
         return 0.0
@@ -245,9 +249,9 @@ def test_g_is_certified_by_psi_min(monkeypatch, capsys):
 
 
 def _arc_first(p):
-    """The first grid index of g_scan's scans at p: the arc where psi can go negative, two cells
-    before p pi / 2 and capped at two cells before pi."""
-    return math.floor(min(p, 2.0) * kernels._PSI_GRID / 2) - 2
+    """The first grid index of g_scan's scans at p < 2: the arc where psi can go negative, from
+    two cells before p pi / 2."""
+    return math.floor(p * kernels._PSI_GRID / 2) - 2
 
 
 _P_EDGES = [1.0, 1.5, math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 3.0), 1e6]
@@ -267,13 +271,19 @@ _P_EDGES = [1.0, 1.5, math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 3.0), 1
 def test_the_grid_samples_follow_p(ps, order, t):
     # psi_min and g_scan build their grid samples from the p of the call; any interleaving of
     # p values, repeats included, must give the pointwise scans' floats.  g_scan scans only the
-    # arc from _arc_first(p) on, which p >= 2 caps, and must still give the floats of the
-    # full-grid reference.
+    # arc from _arc_first(p) on, and none from p = 2 on, and must still give the floats of the
+    # full-grid reference, or raise where its check does, at each tolerance.
     for i in order:
         p = ps[i % len(ps)]
         assert kernels.psi_min(p, t) == _psi_min_pointwise(p, t), (p, t)
         for tol in (0.0, 1e-12, 1e-3):
-            assert kernels.g_scan(p, tol) == _g_scan_pointwise(p, tol), (p, tol)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(kernels, "_FEAS_TOL", tol)
+                try:
+                    got = kernels.g_scan(p)
+                except InconsistencyError:
+                    got = InconsistencyError
+                assert got == _g_scan_pointwise(p), (p, tol)
 
 
 @settings(max_examples=60, deadline=None)
@@ -288,7 +298,7 @@ def test_psi_is_nonnegative_left_of_the_arc(p, u):
     firsts = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "_psi_grid", lambda p, i: firsts.append(i) or built(p, i))
-        kernels.g_scan(p, posdef._FEAS_TOL)
+        kernels.g_scan(p)
     [first] = firsts
     assert first == _arc_first(p)
     step = math.pi / kernels._PSI_GRID
@@ -304,9 +314,12 @@ def test_g_needs_no_scan_from_two_on(monkeypatch):
     ps += [rng.uniform(2.0, 100.0) for _ in range(20)]
     # the scan the shortcut skips would find psi(p, 0, .) >= 0, so g(p) = 0 either way
     for p in ps:
-        assert kernels.psi_min(p, 0.0)[0] >= -posdef._FEAS_TOL, p
-    monkeypatch.setattr(posdef, "kernels", object())  # any kernel call raises AttributeError
+        assert kernels.psi_min(p, 0.0)[0] >= -kernels._FEAS_TOL, p
+    built = []
+    monkeypatch.setattr(kernels, "_psi_grid", lambda *args: built.append(args))
     assert [g_of_p(p) for p in ps] == [0.0] * len(ps)
+    assert [kernels.g_scan(p) for p in ps] == [(0.0, 0.0)] * len(ps)
+    assert built == []
 
 
 def test_g_builds_one_sample_grid_below_two(monkeypatch):
@@ -349,14 +362,14 @@ def test_psi_min_below_decides_as_the_full_scan(monkeypatch, p, refined):
     # strictly under that ends its t = 0 test unrefined.  From 1.999 on no grid sample is under
     # it (at 1.999999 the least is -6.2e-13), so the refinement must still run and give the full
     # scan's verdict: at 1.999 it finds -6.2e-7 between the last two samples.
-    tol = posdef._FEAS_TOL
+    tol = kernels._FEAS_TOL
     full = kernels.psi_min(p, 0.0)
     assert full == _psi_min_pointwise(p, 0.0)
     step = math.pi / kernels._PSI_GRID
     low = min(kernels.psi(p, 0.0, i * step) for i in range(kernels._PSI_GRID + 1))
     assert (low < -tol) != refined
     calls = _golden_calls(monkeypatch)
-    g, value = kernels.g_scan(p, tol)
+    g, value = kernels.g_scan(p)
     assert (g == 0.0) == (full[0] >= -tol)
     assert (_refines(calls, kernels.psi, p, 0.0) != []) == refined
     # the value is a full scan's: at t = 0 when it is feasible, else at t = g
@@ -364,19 +377,21 @@ def test_psi_min_below_decides_as_the_full_scan(monkeypatch, p, refined):
     if not refined:
         # only a sample strictly under the tolerance ends the test: one at it is refined
         calls.clear()
-        assert (kernels.g_scan(p, -low)[0] == 0.0) == (full[0] >= low)
+        monkeypatch.setattr(kernels, "_FEAS_TOL", -low)
+        assert (kernels.g_scan(p)[0] == 0.0) == (full[0] >= low)
         assert _refines(calls, kernels.psi, p, 0.0) != []
 
 
 def test_g_passes_the_tolerance_to_its_t0_scan(monkeypatch):
-    # g(p) below 2 is one g_scan call with its tolerance; at 1.5 the t = 0 test stops at a grid
-    # sample, and the sup scan and the check at t = g(p), whose values are used, are refined
+    # g(p) below 2 is one g_scan call, which reads its own tolerance; at 1.5 the t = 0 test stops
+    # at a grid sample, and the sup scan and the check at t = g(p), whose values are used, are
+    # refined
     calls = []
     real = kernels.g_scan
     monkeypatch.setattr(kernels, "g_scan", lambda *args: calls.append(args) or real(*args))
     refinements = _golden_calls(monkeypatch)
     g = g_of_p(1.5)
-    assert calls == [(1.5, posdef._FEAS_TOL)]
+    assert calls == [(1.5,)]
     assert _refines(refinements, kernels.psi, 1.5, 0.0) == []
     assert _refines(refinements, kernels._t_bound, 1.5) != []
     assert _refines(refinements, kernels.psi, 1.5, g) != []
@@ -387,7 +402,7 @@ def test_flat_scans_refine_one_cell_per_run(monkeypatch):
     # scan and the check at g = 1 are flat runs only; each run is refined once.  (The t = 0
     # test stops at psi(1, 0, 3 pi / 4) = -1.)
     calls = _golden_calls(monkeypatch)
-    assert kernels.g_scan(1.0, posdef._FEAS_TOL) == (1.0, 0.0)
+    assert kernels.g_scan(1.0) == (1.0, 0.0)
     assert _refines(calls, kernels.psi, 1.0, 0.0) == []
     assert 1 <= len(_refines(calls, kernels._t_bound, 1.0)) <= 2
     assert 1 <= len(_refines(calls, kernels.psi, 1.0, 1.0)) <= 2

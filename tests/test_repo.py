@@ -1,5 +1,6 @@
 """Repository hygiene: the README's library tour runs and its CLI tour shows what the
-commands print, no build artifact is tracked, the benchmark's layer tracer still finds
+commands print, no build artifact is tracked, the runtime imports only the standard library
+and itself, the benchmark's layer tracer still finds
 every entry point it wraps and wraps every kernel the package calls but the per-point
 ones, the commands reach every public function but a listed few, the float kernels keep
 no state between calls and evaluate no more than their old memos did, every name in an
@@ -94,6 +95,21 @@ def test_no_tracked_file_is_ignored():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == ""
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    # pyproject.toml declares no dependency, so every absolute import under src/ names a module
+    # of the standard library or the package itself; relative imports are the package's
+    allowed = set(sys.stdlib_module_names) | {"fussdeform"}
+    for path in (ROOT / "src" / "fussdeform").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            assert {name.split(".")[0] for name in names} <= allowed, (path.name, names)
 
 
 def test_layer_tracer_finds_every_entry_point():
