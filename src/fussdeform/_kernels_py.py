@@ -10,29 +10,28 @@ points i pi / _PSI_GRID of [0, pi] and refines by golden section to width _PSI_T
 of g(p), is 0 from p = 2 on with no scan; below 2 it scans psi and -B/A the same way from
 i = floor(p _PSI_GRID / 2) - 2 on, the arc where psi can go negative, on samples of its p built
 once, and reads psi's sign against -_FEAS_TOL (see g_scan); the refinement evaluates each point
-afresh.  rho_bisect scans rho at _SCAN_POINTS or more points and bisects a scan cell to width
-_RHO_TOL (see rho_bisect), a dyadic one down to leaves _LEAF = 2^-44 within _RHO_TOL.  The adaptive
-quadrature starts from _INIT_PANELS panels, halves a panel at most _MAX_DEPTH times and stops
-once its error estimate is within _ATOL + _RTOL |value|.
+afresh.  rho_bisect inverts rho by Newton's method on x (B - 1) = B^p, continued down the
+points (see rho_bisect): at most _NEWTON_STEPS steps per attempt, a relative residual within
+_NEWTON_TOL to accept a root, and at most _HALVINGS halvings of the continuation step.  The
+adaptive quadrature starts from _INIT_PANELS panels, halves a panel at most _MAX_DEPTH times and
+stops once its error estimate is within _ATOL + _RTOL |value|.
 moment_quad alone takes its absolute tolerance as an argument; it integrates the moments
 0..n_max of one (p, t) in one call, which samples each panel's nodes once for all of them.
 cumulant_quad integrates every cumulant-side measure by one rule, in theta with
 x = lo + (hi - lo) sin(theta)^2.  No kernel keeps a value from one call to the next.
 """
 
-from bisect import bisect_left
 from functools import partial
-from math import ceil, cos, fabs, frexp, inf, ldexp, log, pi, sin, sqrt, tan
-from operator import neg
-from sys import float_info
+from math import atan2, cos, exp, fabs, inf, log1p, pi, sin, sqrt
 
-from .errors import BracketingError, InconsistencyError
+from .errors import InconsistencyError
 
 _PSI_GRID = 512
 _PSI_TOL = 1e-12
 _FEAS_TOL = 1e-12
-_RHO_TOL = 1e-13
-_SCAN_POINTS = 64
+_NEWTON_TOL = 1e-12
+_NEWTON_STEPS = 64
+_HALVINGS = 30
 _ATOL = 1e-10
 _RTOL = 1e-12
 _MAX_DEPTH = 20
@@ -60,11 +59,13 @@ __all__ = [
 
 def support_end(p):
     """c(p) = p^p (p-1)^(1-p): the limit of rho at phi = 0, the right end of the support.
-    Where p^p overflows (from p = 144 on) it is p (p / (p-1))^(p-1), which stays below e p."""
+    Where p^p overflows (from p = 144 on) it is p exp((p-1) log1p(1/(p-1))), which stays below
+    e p: the exponent is about 1, and the rounding of 1/(p-1) moves it by an ulp or so, where
+    p (p/(p-1))^(p-1) would multiply the rounding of p/(p-1) by p - 1."""
     try:
         return p**p * (p - 1.0) ** (1.0 - p)
     except OverflowError:
-        return p * (p / (p - 1.0)) ** (p - 1.0)
+        return p * exp((p - 1.0) * log1p(1.0 / (p - 1.0)))
 
 
 def rho(p, phi):
@@ -238,183 +239,76 @@ def g_scan(p):
     return g, value
 
 
-def _cell_eta(p, lo, hi):
-    """The margin eta by which rho must clear x at the ends of a window in [lo, hi] to prove
-    it (see _rho_window), or None where no window can be proven.  It depends only on the cell.
-    """
-    width = hi - lo
-    # End cells get no window: near 0 the three cotangents of the slope in _rho_window cancel
-    # (each is about 1/phi, their sum is O(phi)), and near pi/p the sines lose their relative
-    # accuracy.
-    if not (1.0 < p and 0.0 < 0.5 * width <= lo and p * (hi + 0.5 * width) < pi):
-        return None
-    # Float error of rho = sin(p phi)^p / (sin(phi) sin(q phi)^q) on the cell, q = p - 1.0
-    # (exact for 1 < p < 2^53), in units of u = _EPS / 2, the relative error of a correctly
-    # rounded operation.  p phi and q phi round by u, and sin turns an argument error into a
-    # relative one by its condition number |v cot v| <= v / sin v, which grows on (0, pi), so
-    # its value at hi bounds the cell; sin and pow are good to one ulp (2 u), the product and
-    # quotient to u.  To first order, |float rho / rho - 1| <= e with
-    #     e = u (p (k_p + 2) + q (k_q + 2) + 8),  k_p = p hi / sin(p hi),  k_q = q hi / sin(q hi).
-    # The bound needs every intermediate to be a normal float, so sin(p phi)^p and
-    # sin(phi) sin(q phi)^q stay above 1e-300 (each sine is least at an end of the cell, as sin
-    # is concave on (0, pi)), and e small enough that its square does not count.
-    q = p - 1.0
-    s_p, s_q = sin(p * hi), sin(q * hi)
-    if not (
-        min(sin(p * lo), s_p) ** p > 1e-300
-        and min(sin(lo), sin(hi)) * min(sin(q * lo), s_q) ** q > 1e-300
-    ):
-        return None
-    e = 0.5 * _EPS * (p * (p * hi / s_p + 2.0) + q * (q * hi / s_q + 2.0) + 8.0)
-    # For phi <= a in the cell, float rho(phi) >= rho(phi) (1 - e) >= rho(a) (1 - e) (rho
-    # decreases) >= float rho(a) (1 - e) / (1 + e), which is >= x once float rho(a) >= x (1 + eta)
-    # with eta >= 2 e / (1 - e); likewise at b.  eta = 4 e is twice that, which also covers
-    # the rounding of x (1 +- eta).
-    eta = 4.0 * e
-    return eta if eta < 1e-3 else None
-
-
-def _rho_window(p, x, lx, lo, hi, eta, start):
-    """A window [a, b] of [lo, hi] with rho(p, phi) >= x proven for every float phi in [lo, a]
-    and rho(p, phi) < x for every one in [b, hi], and the slope and curve of log rho at the
-    last Newton iterate: (a, b, slope, curve); (lo, hi, None, None) when none is proven.
-
-    lx is log x (None when x <= 0) and eta is _cell_eta(p, lo, hi).  Newton in log rho from
-    start in the cell predicts the root, and one evaluation at each end of the window proves it.
-    """
-    if eta is None or lx is None:
-        return lo, hi, None, None
-    # log rho is concave in phi (its second derivative, with csc^2 = 1 + cot^2 the negative of
-    # curve below, is negative wherever sampled for p from 1.001 to 300), so from any start,
-    # the cell midpoint or one predicted from a neighbouring root, one Newton step lands right
-    # of the root, and from there the steps go left and do not pass it; a step past hi
-    # restarts at hi.  miss (in log rho) is four times the error C s^2 that the last step s
-    # leaves, C = |l''| / (2 |l'|).  Where concavity failed, the check at a and b would reject
-    # the window.
-    q = p - 1.0
-    pp, qq = p * p, q * q
-    phi = start
-    for _ in range(8):
-        cp, c1, cq = 1.0 / tan(p * phi), 1.0 / tan(phi), 1.0 / tan(q * phi)
-        slope = pp * cp - c1 - qq * cq
-        if not slope < 0.0:
-            return lo, hi, None, None
-        step = (log(rho(p, phi)) - lx) / slope
-        phi -= step
-        if phi > hi:
-            phi = hi
-        elif not phi > lo:
-            return lo, hi, None, None
-        curve = pp * p * (1.0 + cp * cp) - 1.0 - c1 * c1 - qq * q * (1.0 + cq * cq)
-        miss = 2.0 * step * step * fabs(curve)
-        if miss <= eta:
-            break
-    else:
-        return lo, hi, None, None
-    # In log rho the window reaches eta past the root for the check, e for the rounding of rho,
-    # and eta / 4 to spare, beyond what Newton may miss.
-    half = (1.5 * eta + miss) / -slope
-    a, b = phi - half, phi + half
-    if lo <= a and b <= hi and rho(p, a) >= x * (1.0 + eta) and rho(p, b) < x * (1.0 - eta):
-        return a, b, slope, curve
-    return lo, hi, None, None
-
-
-# Bisection of a dyadic bracket (see _bisect) halves it down to leaves of width _LEAF, the
-# largest power of two within _RHO_TOL, so each midpoint on the way is a multiple of _LEAF.
-_LEAF = 2.0**-44
-
-
-def _bisect(p, x, lo, hi, a, b):
-    """Bisection of [lo, hi] to width _RHO_TOL for rho(p, phi) = x that evaluates rho only at
-    the midpoints inside the window (a, b) and decides one outside it by its position, as rho
-    would decide it.
-
-    A dyadic bracket in (0, pi) (a power-of-two width of at least _LEAF, a left end that is a
-    multiple of it) has exact midpoints, and its bisection passes through each dyadic interval
-    that holds [a, b]; the loop starts from the smallest one that holds the leaves of a and b,
-    read off their indices, so the midpoints it skips are all <= a or >= b, and the result is
-    the same float."""
-    width = hi - lo  # exact once lo is 0 or a multiple of it (Sterbenz)
-    if _LEAF <= width and hi < pi and frexp(width)[0] == 0.5 and lo % width == 0.0:
-        ia, ib = int(a / _LEAF), int(b / _LEAF)
-        level = (ia ^ ib).bit_length()
-        node = ldexp(_LEAF, level)
-        if node < width:
-            lo = (ia >> level << level) * _LEAF
-            hi = lo + node
-    while (hi - lo) > _RHO_TOL:
-        mid = 0.5 * (lo + hi)
-        if mid <= a or (mid < b and rho(p, mid) >= x):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _rho_scan(p):
-    """The scan of rho_bisect (see there): (ends, vals), the ends of its cells, end cells
-    included, and rho at its points."""
-    top = pi / p
-    h = ldexp(1.0, frexp(top / (_SCAN_POINTS + 1))[1] - 1)
-    if (_SCAN_POINTS + 1) * h >= top:
-        h *= 0.5
-    phis = [i * h for i in range(1, ceil(top / h) - 1)]
-    vals = [rho(p, phi) for phi in phis]
-    chain = [support_end(p)] + vals + [0.0]
-    if not all(a > b for a, b in zip(chain, chain[1:])):
-        raise BracketingError(f"rho(p={p}, .) is not strictly decreasing on the scan grid")
-    return [top * 1e-12] + phis + [top - top * 1e-12], vals
+def _newton(p, x, b):
+    """Newton's method on h(B) = x (B - 1) - B^p (principal power) from b: the root it settles
+    on, or None when it does not settle within _NEWTON_STEPS steps or leaves the float range.
+    It stops after a step within 4 _EPS |B|, or before a step no shorter than the one before:
+    where rounding sets a floor above 4 _EPS (next to the double root at x = c(p), or at p next
+    to 1), the steps stop shrinking there.  rho_bisect checks whatever it returns."""
+    last = inf
+    try:
+        for _ in range(_NEWTON_STEPS):
+            power = b**p
+            step = (x * (b - 1.0) - power) / (x - p * power / b)
+            size = abs(step)
+            if size >= last:
+                return b
+            b -= step
+            if size <= 4.0 * _EPS * abs(b):
+                return b
+            last = size
+    except (OverflowError, ZeroDivisionError):
+        pass
+    return None
 
 
 def rho_bisect(p, xs):
-    """Solve rho(p, phi) = x for each x of the increasing xs by bisection: the list of roots.
+    """Solve rho(p, phi) = x for each x of the increasing xs by Newton's method: the list of
+    roots phi in (0, pi/p).  (The name predates the method; perfbench's tracer looks it up.)
 
-    A scan of rho turns the assumption that rho decreases into a runtime check and gives each x
-    its bracket.  It samples rho at h, 2h, ..., K h for the largest power of two h that leaves
-    K >= _SCAN_POINTS with (K + 1) h < pi/p, and raises BracketingError unless c(p), those
-    values and 0 strictly decrease.  Each interior cell (i h, (i + 1) h) is then a dyadic
-    interval, a power-of-two width and a left end that is a multiple of it, so each bisection
-    midpoint in it is exact.  The bracket of x is the first interior cell that holds it, or an
-    end cell: (pi/p 1e-12, h) above the first value, (K h, pi/p (1 - 1e-12)) below the last.
-
-    Each root is the float plain bisection of its bracket returns, but rho is evaluated only at
-    the midpoints inside the window of _rho_window, and in a dyadic cell the loop starts from
-    the smallest dyadic interval that holds the window (see _bisect); with no window (a, b) =
-    (lo, hi), which is plain bisection.  eta is computed once per cell.  Newton starts from a
-    second-order prediction off the previous root: d = dlog x / slope, then
-    d += curve d^2 / (2 slope), with the slope l' and curve -l'' of l = log rho at that root's
-    last Newton iterate; it starts at the cell midpoint when there is none (as for the first
-    x) or the prediction leaves the cell.  Each root still comes from a window whose two ends
-    rho has proven.  log x is computed once per point.  A root found without a window at which
-    rho's denominator sin(phi) sin((p - 1) phi)^(p - 1) is below the normal floats (next to
-    c(p) at large p) raises ZeroDivisionError: rho there has lost its relative accuracy.
+    For 0 < x < c(p), x (B - 1) = B^p (principal power) has exactly one root B in the sector
+    0 < arg B < pi/p, and rho(p, arg B) = x: with B = r e^(i phi), the imaginary part gives
+    r^(p-1) = x sin(phi) / sin(p phi), the real part r sin((p-1) phi) = sin(p phi), and together
+    x = rho(p, phi), which strictly decreases on (0, pi/p).  At x = c(p) the root is the double
+    root p/(p-1).  The solve continues from there down the xs, largest first: Newton (see
+    _newton) starts the first point at p/(p-1) + i sqrt(2 p (c - x) / (c (p-1)^3)), the root of
+    the equation's expansion to second order about the double root, and each later point at
+    the last accepted root.  A root is accepted only inside the sector and only when the
+    residual |x (B - 1) - B^p| is within _NEWTON_TOL (x |B - 1| + |B|^p); this check, not an
+    assumption on rho, is what makes each phi the root.  A point that fails is approached
+    again from halfway to the last accepted x, and one still lost after _HALVINGS halvings
+    raises OverflowError naming p and x.
     """
-    ends, vals = _rho_scan(p)
-    roots = []
-    cell = slope = None
-    q = p - 1.0
-    for x in xs:
-        # cell i is (ends[i], ends[i + 1]); as vals decreases, the first interior cell with
-        # vals[i - 1] >= x >= vals[i] is i = the count of values above x, or 1 when x is vals[0]
-        i = 0 if x > vals[0] else max(bisect_left(vals, -x, key=neg), 1)
-        lo, hi = ends[i], ends[i + 1]
-        if i != cell:
-            cell, eta = i, _cell_eta(p, lo, hi)
-        lx = log(x) if 0.0 < x else None
-        start = 0.5 * (lo + hi)
-        if slope is not None:
-            d = (lx - last_lx) / slope
-            d += curve * d * d / (2.0 * slope)
-            if lo < root + d < hi:
-                start = root + d
-        a, b, slope, curve = _rho_window(p, x, lx, lo, hi, eta, start)
-        root = _bisect(p, x, lo, hi, a, b)
-        if slope is None and sin(root) * sin(q * root) ** q < float_info.min:
-            raise ZeroDivisionError(f"rho's denominator underflows at p={p}, phi={root}")
-        roots.append(root)
-        last_lx = lx
-    return roots
+    c = support_end(p)
+    double = p / (p - 1.0)
+    top = pi / p
+    anchor, b = c, None  # the last accepted x and its root; None stands for the double root
+    phis = []
+    for x in reversed(xs):
+        target, halvings = x, 0
+        while True:
+            if b is None:
+                start = complex(double, sqrt(2.0 * p * (c - target) / c) / (p - 1.0) ** 1.5)
+            else:
+                start = b
+            root = _newton(p, target, start)
+            if (
+                root is not None
+                and 0.0 < atan2(root.imag, root.real) < top
+                and abs(target * (root - 1.0) - root**p)
+                <= _NEWTON_TOL * (target * abs(root - 1.0) + abs(root) ** p)
+            ):
+                anchor, b = target, root
+                if target == x:
+                    break
+                target = x
+            elif halvings == _HALVINGS:
+                raise OverflowError(f"rho's inversion left the float range at p={p}, x={x}")
+            else:
+                halvings += 1
+                target = 0.5 * (anchor + target)
+        phis.append(atan2(b.imag, b.real))
+    return phis[::-1]
 
 
 # -- Gauss-Kronrod 7/15 adaptive quadrature ----------------------------------

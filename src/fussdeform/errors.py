@@ -4,7 +4,6 @@ __all__ = [
     "FussDeformError",
     "InconsistencyError",
     "QuadratureError",
-    "BracketingError",
     "DigitLimitError",
 ]
 
@@ -25,10 +24,6 @@ class InconsistencyError(FussDeformError):
 
 class QuadratureError(FussDeformError):
     """The adaptive quadrature scheme failed to reach the requested tolerance."""
-
-
-class BracketingError(FussDeformError):
-    """A bracketing / monotonicity precondition failed during root isolation."""
 
 
 class DigitLimitError(FussDeformError, ValueError):

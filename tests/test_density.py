@@ -1,14 +1,15 @@
 """Density layer: parametrization vs closed forms, quadrature vs exact values."""
 
+import cmath
 import random
 import re
 from collections import Counter
 from fractions import Fraction as F
-from math import frexp, isfinite, nextafter, pi, sin, sqrt
+from math import inf, isfinite, nextafter, pi, sin, sqrt
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fussdeform
@@ -16,7 +17,6 @@ import fussdeform.cli
 import fussdeform.density as density
 import fussdeform.verify as verify
 from fussdeform import (
-    BracketingError,
     DensitySample,
     Params,
     QuadratureError,
@@ -50,10 +50,10 @@ def test_support_endpoint_values():
 def test_support_end_past_the_overflow_of_p_to_the_p():
     # p^p overflows from p = 144 on, while c(p) < e p; at 143 c(p) keeps its float
     assert support_c(143) == 387.3543657340457
-    for p in (143, 144, 150, 197.5):
+    for p in (143, 144, 150, 197.5, 250, 1000):
         with mpmath.workdps(40):
             ref = mpmath.mpf(p) ** p * (mpmath.mpf(p) - 1) ** (1 - mpmath.mpf(p))
-        assert abs(support_c(p) - ref) <= 2e-14 * ref, p
+        assert abs(support_c(p) - ref) <= 4e-16 * ref, p
     grid = density_grid(Params.exact(150, F(1, 2)), 50)
     assert all(isfinite(s.value) and s.value >= 0.0 for s in grid)
 
@@ -335,103 +335,6 @@ def test_backend_name_is_python():
     assert fussdeform.backend_name == "python"
 
 
-def _plain_bisect(p, x, lo, hi, tol=1e-13):
-    """rho_bisect as plain bisection, which evaluates rho at every midpoint."""
-    while (hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        if kernels.rho(p, mid) >= x:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def test_rho_scan_cells_are_dyadic_with_a_window(monkeypatch):
-    # the scan points are h, 2h, ..., K h for a power of two h with (K + 1) h < pi/p, so each
-    # interior cell has a power-of-two width and a left end that is a multiple of it, and
-    # stays far enough from pi/p for _cell_eta to bound its window; rho_bisect at the scan
-    # values bisects every interior cell and bounds the window of each (one _cell_eta call per
-    # cell); p near 1, a spread of rational p = a/b in (1, 4] with b from 8 to 48, and large p
-    real_eta = kernels._cell_eta
-    cells = []
-
-    def recorded_eta(p, lo, hi):
-        eta = real_eta(p, lo, hi)
-        cells.append((lo, hi, eta))
-        return eta
-
-    monkeypatch.setattr(kernels, "_cell_eta", recorded_eta)
-    ps = (
-        [1.0 + i / 1000 for i in range(1, 50)]
-        + [float(F(a, b)) for b in range(8, 49, 4) for a in range(b + 1, 4 * b + 1, 3)]
-        + [20.0, 62.0, 100.0]
-    )
-    for p in ps:
-        ends, vals = kernels._rho_scan(p)
-        phis = ends[1:-1]
-        h = phis[0]
-        assert [ends[0], ends[-1]] == [pi / p * 1e-12, pi / p - pi / p * 1e-12], p
-        assert len(phis) >= 64, p
-        assert frexp(h)[0] == 0.5 and phis == [i * h for i in range(1, len(phis) + 1)], p
-        assert (len(phis) + 1) * h < pi / p, p
-        cells.clear()
-        kernels.rho_bisect(p, vals[::-1])
-        assert [(lo, hi) for lo, hi, _ in cells] == list(zip(phis, phis[1:]))[::-1], p
-        for lo, hi, eta in cells:
-            width = hi - lo
-            assert frexp(width)[0] == 0.5 and lo % width == 0.0, (p, lo)
-            assert eta is not None, (p, lo)
-
-
-@st.composite
-def _bracket_windows(draw):
-    """A bracket [lo, hi] in (0, pi) and a window lo <= a < b <= hi: mostly a dyadic bracket,
-    sometimes one moved by a third of its width or stretched by 11/8, which is not; each end
-    of the window the bracket's, a leaf boundary or a point inside a leaf, the window inside
-    one leaf, across a few or across many."""
-    level = draw(st.integers(min_value=-44, max_value=-2))
-    width = 2.0**level
-    lo = draw(st.integers(min_value=0, max_value=int(pi / width) - 3)) * width
-    lo += draw(st.sampled_from([0.0, 0.0, 0.0, 1.0 / 3.0])) * width
-    hi = lo + draw(st.sampled_from([1.0, 1.0, 1.0, 1.375])) * width
-    leaf = kernels._LEAF
-    leaves = int((hi - lo) / leaf)
-    inside = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
-    ia = draw(st.integers(min_value=0, max_value=leaves))
-    ib = draw(
-        st.one_of(
-            st.just(ia),
-            st.integers(min_value=ia, max_value=min(ia + 3, leaves)),
-            st.integers(min_value=ia, max_value=leaves),
-        )
-    )
-    a = draw(st.one_of(st.just(lo), st.just(min(lo + (ia + draw(inside)) * leaf, hi))))
-    b = draw(st.one_of(st.just(hi), st.just(min(lo + (ib + draw(inside)) * leaf, hi))))
-    return lo, hi, a, b
-
-
-@settings(max_examples=400, deadline=None)
-@given(window=_bracket_windows(), salt=st.integers(min_value=0, max_value=2**32))
-def test_bisect_jump_returns_plain_bisection(window, salt):
-    # a rho that is >= x up to a, < x from b on and arbitrary in between: whatever it says
-    # inside the window, _bisect returns the float of plain bisection over the whole bracket,
-    # from the dyadic interval that holds the window in a dyadic bracket, from the bracket in
-    # any other
-    lo, hi, a, b = window
-    assume(a < b)
-
-    def window_rho(p, phi):
-        if phi <= a:
-            return 1.0
-        if phi >= b:
-            return 0.0
-        return float(hash((phi, salt)) & 1)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernels, "rho", window_rho)
-        assert kernels._bisect(2.0, 0.5, lo, hi, a, b) == _plain_bisect(2.0, 0.5, lo, hi)
-
-
 def test_rho_bisect_recovers_the_angle():
     rng = random.Random(2026)
     for _ in range(25):
@@ -441,115 +344,17 @@ def test_rho_bisect_recovers_the_angle():
         x = kernels.rho(p, phi0)
         (phi,) = kernels.rho_bisect(p, [x])
         assert abs(phi - phi0) <= 1e-9
-        assert phi == _plain_bisect(p, x, *_scan_cells(p, [x])[0])
 
 
-def _scan_cells(p, xs):
-    """The bracket rho_bisect bisects for each x: the cell above the first scan value, the one
-    below the last, or else the first scan cell with vals[i] >= x >= vals[i + 1]."""
-    ends, vals = kernels._rho_scan(p)
-    phis = ends[1:-1]
-    top = pi / p
-    cells = []
-    for x in xs:
-        if x > vals[0]:
-            cells.append((top * 1e-12, phis[0]))
-        elif x < vals[-1]:
-            cells.append((phis[-1], top - top * 1e-12))
-        else:
-            i = next(i for i in range(len(vals) - 1) if vals[i] >= x >= vals[i + 1])
-            cells.append((phis[i], phis[i + 1]))
-    return cells
-
-
-def test_rho_bisect_is_plain_bisection_with_fewer_rho_calls(monkeypatch):
-    # every point of density_grid and of a one-point evaluation ends in one _bisect call, which
-    # closes the count of its rho calls
-    real_rho, real_bisect, real_scan = kernels.rho, kernels._bisect, kernels._rho_scan
-    count = [0]
-    solves = []
-
-    def counted_rho(p, phi):
-        count[0] += 1
-        return real_rho(p, phi)
-
-    def recorded_bisect(p, x, lo, hi, a, b):
-        phi = real_bisect(p, x, lo, hi, a, b)
-        solves.append((p, x, lo, hi, phi, count[0]))
-        count[0] = 0
-        return phi
-
-    def uncounted_scan(p):
-        # the scan brackets every point of a call; its rho calls belong to no one solve
-        scan = real_scan(p)
-        count[0] = 0
-        return scan
-
-    monkeypatch.setattr(kernels, "rho", counted_rho)
-    monkeypatch.setattr(kernels, "_bisect", recorded_bisect)
-    monkeypatch.setattr(kernels, "_rho_scan", uncounted_scan)
-    for p in (F(101, 100), F(3, 2), F(2), F(37, 13), F(4), F(20), F(100)):
-        params = Params.exact(p, F(1, 3))
-        _, vals = kernels._rho_scan(float(p))
-        count[0] = 0
-        before = len(solves)
-        density_grid(params, 2000)
-        assert len(solves) == before + 2000
-        # one point in each end cell: above the first scan value, below the last
-        for x in ((vals[0] + support_c(p)) / 2.0, vals[-1] / 2.0):
-            _f(params, x)
-    end_cells = 0
-    for p, x, lo, hi, phi, calls in solves:
-        assert [(lo, hi)] == _scan_cells(p, [x]), (p, x)
-        phis = kernels._rho_scan(p)[0][1:-1]
-        count[0] = 0
-        assert phi == _plain_bisect(p, x, lo, hi), (p, x)
-        if lo < phis[0] or hi > phis[-1]:
-            # no window: every midpoint is evaluated, as in plain bisection
-            end_cells += 1
-            assert calls == count[0], (p, x)
-        else:
-            assert calls <= 12, (p, x, calls)
-    assert end_cells >= 2 * 7
-
-
-def test_rho_bisect_proves_its_window(monkeypatch):
-    # a rho with a relative error of 1e-6, far past the bound the window assumes, in the scan
-    # and the bisection alike: the checks at the ends of the window see it, so the result stays
-    # plain bisection's over the cell the noisy scan gives x, a point inside an interior cell
-    real_rho = kernels.rho
-
-    def noisy_rho(p, phi):
-        return real_rho(p, phi) * (1.0 + 1e-6 * sin(1e9 * phi))
-
-    monkeypatch.setattr(kernels, "rho", noisy_rho)
-    rng = random.Random(7)
-    for _ in range(200):
-        p = 1.1 + 2.9 * rng.random()
-        phis = kernels._rho_scan(p)[0][1:-1]
-        i = rng.randrange(len(phis) - 1)
-        lo, hi = phis[i], phis[i + 1]
-        x = real_rho(p, lo + (hi - lo) * rng.random())
-        ((lo, hi),) = _scan_cells(p, [x])
-        assert kernels.rho_bisect(p, [x]) == [_plain_bisect(p, x, lo, hi)], (p, x)
-
-
-def test_rho_bisect_grid_proves_its_windows(monkeypatch):
-    # the noisy rho of test_rho_bisect_proves_its_window along sorted grids: neither a start
-    # predicted from a neighbouring root nor the midpoint start reaches the result
-    real_rho = kernels.rho
-
-    def noisy_rho(p, phi):
-        return real_rho(p, phi) * (1.0 + 1e-6 * sin(1e9 * phi))
-
-    monkeypatch.setattr(kernels, "rho", noisy_rho)
-    rng = random.Random(8)
-    for _ in range(20):
-        p = 1.1 + 2.9 * rng.random()
-        upper = support_c(p)
-        xs = [upper * i / 301 for i in range(1, 301)]
-        plain = [_plain_bisect(p, x, lo, hi) for x, (lo, hi) in zip(xs, _scan_cells(p, xs))]
-        assert kernels.rho_bisect(p, xs) == plain, p
+def _phi_condition(p, x, phi):
+    """How far an error of an ulp in the terms of x (B - 1) = B^p moves phi = arg B:
+    _EPS (x |B - 1| + |B|^p) / (|h'(B)| |B|), with h'(B) = x - p B^p / B and
+    B = e^(i phi) sin(p phi) / sin((p - 1) phi).  It grows without bound next to c(p), at the
+    double root, and everywhere as p nears 1."""
+    b = cmath.rect(sin(p * phi) / sin((p - 1.0) * phi), phi)
+    power = b**p
+    slope = abs(x - p * power / b) * abs(b)
+    return kernels._EPS * (x * abs(b - 1.0) + abs(power)) / slope if slope else inf
 
 
 @settings(max_examples=60, deadline=None)
@@ -559,76 +364,49 @@ def test_rho_bisect_grid_proves_its_windows(monkeypatch):
     repeats=st.lists(st.integers(min_value=0, max_value=200), max_size=8),
 )
 def test_rho_bisect_grid_matches_each_point_solved_alone(p, us, repeats):
-    # the roots of a sorted grid, solved by one call, against each point solved on its own
-    def solve(xs):
-        return kernels.rho_bisect(p, xs)
-
-    try:
-        _, vals = kernels._rho_scan(p)
-    except BracketingError:  # p so close to 1 that the scan cannot tell rho decreases
-        with pytest.raises(BracketingError):
-            solve([0.5])
-        return
+    # the roots of a sorted grid, solved by one continuation, against each point solved on its
+    # own from the double root: the starts differ, so the floats may too, by 1e-13 plus 64 times
+    # what rounding moves phi by; a float limit names p in either case
     upper = support_c(p)
-    # random points, every scan value, a point in each end cell, then duplicates
-    xs = [upper * u for u in us] + list(vals) + [(vals[0] + upper) / 2.0, vals[-1] / 2.0]
+    # random points, a grid, a point within 1e-9 of each end, then duplicates
+    xs = [upper * u for u in us] + [upper * i / 65 for i in range(1, 65)]
+    xs += [upper * 1e-9, upper * (1.0 - 1e-9)]
+    xs = [x for x in xs if x < upper]
     xs += [xs[i % len(xs)] for i in repeats]
     xs.sort()
-    expected = []
-    for x in xs:
+    try:
+        grid = kernels.rho_bisect(p, xs)
+    except OverflowError as exc:
+        assert f"p={p}," in str(exc)
+        grid = [None] * len(xs)
+    for x, phi in zip(xs, grid):
         try:
-            expected += solve([x])
-        except ZeroDivisionError:
-            # x within an ulp or so of c(p) at large p: bisection reaches a phi where rho's
-            # denominator underflows, and the grid stops at the same point
-            with pytest.raises(ZeroDivisionError):
-                solve(xs)
-            return
-    assert solve(xs) == expected
+            (alone,) = kernels.rho_bisect(p, [x])
+        except OverflowError as exc:
+            assert f"p={p}, x={x}" in str(exc)
+            continue
+        assert 0.0 < alone < pi / p, (x, alone)
+        if phi is not None:
+            assert abs(alone - phi) <= 1e-13 + 64.0 * _phi_condition(p, x, phi), (x, alone, phi)
 
 
-def test_density_grid_raises_bracketing_error_next_to_p_1():
-    # a few ulps above p = 1 the scan's values of rho do not strictly decrease
-    for p in (F(nextafter(1.0, 2.0)), F(1.00000000000001)):
-        message = f"rho(p={float(p)}, .) is not strictly decreasing"
-        with pytest.raises(BracketingError, match=re.escape(message)):
-            density_grid(Params.exact(p, F(1, 2)), 5)
-
-
-def test_rho_bisect_brackets_in_the_first_scan_cell_that_holds_x(monkeypatch):
-    real_bisect = kernels._bisect
-    brackets = []
-
-    def recorded_bisect(p, x, lo, hi, a, b):
-        brackets.append((lo, hi))
-        return real_bisect(p, x, lo, hi, a, b)
-
-    monkeypatch.setattr(kernels, "_bisect", recorded_bisect)
-    for p in (1.01, 1.5, 2.0, 37.0 / 13.0, 20.0):
-        _, vals = kernels._rho_scan(p)
-        # every scan value, where two cells hold x, a point inside each cell, and a point in
-        # each end cell
-        xs = list(vals) + [(a + b) / 2.0 for a, b in zip(vals, vals[1:])]
-        xs += [(vals[0] + support_c(p)) / 2.0, vals[-1] / 2.0]
-        for x in xs:
-            brackets.clear()
-            density._samples(p, 1.0, [x], "parametric")
-            assert brackets == _scan_cells(p, [x]), (p, x)
+def test_density_grid_next_to_p_1_is_a_float_limit(capsys):
+    # an ulp above p = 1 the root of the smallest x rounds to pi/p, out of the open sector
+    p = F(nextafter(1.0, 2.0))
+    with pytest.raises(OverflowError, match=re.escape(f"at p={float(p)}, x=")):
+        density_grid(Params.exact(p, F(1, 2)), 5)
+    assert fussdeform.cli.main(["density", "--p", str(p), "--t", "1/2", "--grid", "5"]) == 2
+    assert capsys.readouterr().err == "fussdeform: error: a value left the float range\n"
 
 
 def test_each_evaluation_solves_its_points_by_one_kernel_call(monkeypatch):
-    real_scan, real_rho_bisect = kernels._rho_scan, kernels.rho_bisect
+    real_rho_bisect = kernels.rho_bisect
     calls = []
-
-    def recorded_scan(p):
-        calls.append(("rho_scan", p))
-        return real_scan(p)
 
     def recorded_rho_bisect(p, xs):
         calls.append(("rho_bisect", len(xs)))
         return real_rho_bisect(p, xs)
 
-    monkeypatch.setattr(kernels, "_rho_scan", recorded_scan)
     monkeypatch.setattr(kernels, "rho_bisect", recorded_rho_bisect)
     params = Params.exact(2, F(1, 3))
     for evaluate, points in (
@@ -639,14 +417,125 @@ def test_each_evaluation_solves_its_points_by_one_kernel_call(monkeypatch):
     ):
         calls.clear()
         evaluate()
-        assert calls == ([] if points is None else [("rho_bisect", points), ("rho_scan", 2.0)])
+        assert calls == ([] if points is None else [("rho_bisect", points)])
     assert not hasattr(kernels, "rho_bisect_grid")
 
 
+@pytest.mark.parametrize("p", [1.000001, 1.001, 1.01, 4.0, 20.0])
+def test_rho_bisect_stops_newton_at_the_rounding_floor(p):
+    # next to the double root, and everywhere at p next to 1, rounding keeps Newton's steps
+    # from shrinking to 4 _EPS |B|; it stops where they stop shrinking, so these points solve
+    upper = support_c(p)
+    xs = [upper * i / 2001 for i in range(1, 2001)]
+    for xs in (xs, *([upper * (1.0 - 10.0**-e)] for e in (4, 5, 6, 10, 14, 16))):
+        phis = kernels.rho_bisect(p, xs)
+        assert all(0.0 < phi < pi / p for phi in phis), (p, xs[-1])
+        assert all(a > b for a, b in zip(phis, phis[1:])), p
+
+
+def test_rho_bisect_recovers_a_lost_point_from_halfway(monkeypatch):
+    # a Newton that loses every point of the grid at its first attempt: each is solved after
+    # one halving, from the root halfway to the last accepted x, as by the plain continuation
+    real_newton = kernels._newton
+    p = 2.5
+    xs = [support_c(p) * i / 21 for i in range(1, 21)]
+    expected = kernels.rho_bisect(p, xs)
+    targets = []
+
+    def losing_newton(p, x, b):
+        targets.append(x)
+        return None if x in xs and targets.count(x) == 1 else real_newton(p, x, b)
+
+    monkeypatch.setattr(kernels, "_newton", losing_newton)
+    phis = kernels.rho_bisect(p, xs)
+    assert max(abs(a - b) for a, b in zip(phis, expected)) <= 1e-13
+    anchors = [support_c(p)] + xs[::-1]
+    halfway = [0.5 * (a + x) for a, x in zip(anchors, xs[::-1])]
+    assert targets == [t for x, h in zip(xs[::-1], halfway) for t in (x, h, x)]
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        # the conjugate of the root: a root of the equation, but arg B < 0, out of the sector
+        lambda root, start: root.conjugate(),
+        # the start, untouched: inside the sector, but not a root
+        lambda root, start: start,
+    ],
+    ids=["conjugate", "start"],
+)
+def test_rho_bisect_accepts_only_roots_in_the_sector(monkeypatch, fault):
+    # a Newton that settles on a planted wrong answer: the first point, the largest, is never
+    # accepted, and after at most _HALVINGS halvings, each an attempt and maybe a second one
+    # from the halfway point, the float limit names it
+    real_newton = kernels._newton
+    tries = []
+
+    def faulty_newton(p, x, b):
+        root = real_newton(p, x, b)
+        tries.append(x)
+        return None if root is None else fault(root, b)
+
+    monkeypatch.setattr(kernels, "_newton", faulty_newton)
+    for p in (1.5, 2.0, 37.0 / 13.0, 20.0):
+        for xs in ([support_c(p) / 2.0], [support_c(p) * i / 11 for i in range(1, 11)]):
+            tries.clear()
+            with pytest.raises(OverflowError, match=re.escape(f"at p={p}, x={xs[-1]}")):
+                kernels.rho_bisect(p, xs)
+            assert len(tries) <= 2 * kernels._HALVINGS + 1, (p, len(xs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.fractions(min_value=1, max_value=300, max_denominator=64).filter(lambda p: p > 1)
+    | st.floats(min_value=1.0, max_value=300.0, exclude_min=True).map(F),
+    t=st.fractions(min_value=-2, max_value=2, max_denominator=12),
+    grid=st.integers(min_value=1, max_value=60),
+)
+def test_density_grid_is_in_the_sector_or_a_float_limit(p, t, grid):
+    # every phi a grid returns is in the open sector and decreases along x; a grid it cannot
+    # give raises OverflowError naming p
+    params = Params.exact(p, t)
+    try:
+        samples = density_grid(params, grid)
+    except OverflowError as exc:
+        assert f"p={float(p)}" in str(exc)
+        return
+    phis = [s.phi for s in samples]
+    assert all(0.0 < phi < pi / float(p) for phi in phis), p
+    assert all(a > b for a, b in zip(phis, phis[1:])), p
+    assert all(isfinite(s.value) for s in samples), p
+
+
+@pytest.mark.parametrize("p", ["198", "397/2", "250"])
+def test_density_prints_at_large_p_with_mean_a1(capsys, p):
+    # at large p the density sits next to the float limit of f_phi, which starts at p = 283 at
+    # grid 400; below it the grid is a probability density with mean a_1 = 3/2 at t = 1/2
+    assert fussdeform.cli.main(["density", "--p", p, "--t", "1/2", "--grid", "400"]) == 0
+    out, err = capsys.readouterr()
+    header, *rows = out.splitlines()
+    assert (header, len(rows), err) == ("x,phi,f", 400, "")
+    xs, phis, values = zip(*[map(float, row.split(",")) for row in rows])
+    assert all(0.0 < phi < pi / float(F(p)) for phi in phis)
+    assert all(a > b for a, b in zip(phis, phis[1:]))
+    assert all(isfinite(f) and f >= 0.0 for f in values)
+    dx = support_c(F(p)) / 401
+    assert abs(sum(x * f * dx for x, f in zip(xs, values)) - 1.5) <= 5e-3
+
+
+def test_angle_form_underflow_names_its_x():
+    # at p = 300 the grid point next to c(300) is the one where f_phi's denominator
+    # sin(p phi)^(p - 1) underflows to 0
+    xs = [support_c(300) * i / 401 for i in range(1, 401)]
+    with pytest.raises(OverflowError, match=re.escape(f"at p=300.0, x={xs[-1]}")):
+        density_grid(Params.exact(300, F(1, 2)), 400)
+    assert all(isfinite(s.value) for s in density._samples(300.0, 0.5, xs[:-1], "parametric"))
+
+
 def test_float_limits_next_to_c_are_overflow_errors(monkeypatch):
-    # x this close to c(62) sends the end-cell bisection to phi near 1e-7, where
-    # sin((p - 1) phi)^(p - 1) in rho's denominator underflows to 0; at p = 100 the moment
-    # quadrature meets the same underflow in f_phi
+    # x this close to c(62) has its root at phi of about 2.3e-8, where f_phi's denominator
+    # sin(p phi)^(p - 1) underflows to 0; at p = 100 the moment quadrature meets the same
+    # underflow in f_phi
     x = support_c(62) * (1.0 - 1e-12)
     for t in (F(1, 3), F(1)):
         with pytest.raises(OverflowError, match=re.escape(f"p=62.0, x={x}")):
@@ -672,11 +561,14 @@ def test_float_limits_next_to_c_are_overflow_errors(monkeypatch):
 
 @pytest.mark.parametrize("p, t", [(F(3, 2), F(1, 5)), (F(5, 2), F(1, 2)), (F(97, 37), F(1, 3))])
 def test_density_grid_matches_each_point_evaluated_alone(p, t):
-    # the grid, solved by one call, against each of its points evaluated on its own
+    # the grid, solved by one continuation, against each of its points evaluated on its own:
+    # phi within 1e-13, and the value within what that moves f
     params = Params.exact(p, t)
     pf, tf = params.as_floats()
     for s in density_grid(params, 1000):
-        assert density._samples(pf, tf, [s.x], "parametric") == [s], s.x
+        ((x, phi, value),) = density._samples(pf, tf, [s.x], "parametric")
+        assert x == s.x and abs(phi - s.phi) <= 1e-13, s.x
+        assert abs(value - s.value) <= 1e-12, s.x
 
 
 def _density_reference(p, t, x):
@@ -712,16 +604,16 @@ def _density_reference(p, t, x):
      (F(4), F(-1, 3)), (F(20), F(1, 3))],
 )
 def test_density_grid_matches_a_50_digit_reference(p, t):
-    # each phi is within the bisection width of the root; each value is off by at most what
-    # that moves f, |f'(phi*)| _RHO_TOL, plus a rounding allowance of 1e-14 of the largest value
+    # each phi is within 1e-13 of the root; each value is off by at most what that moves f,
+    # |f'(phi*)| 1e-13, plus a rounding allowance of 1e-14 of the largest value
     params = Params.exact(p, t)
     pf, tf = params.as_floats()
     samples = density_grid(params, 30)
     refs = [_density_reference(pf, tf, s.x) for s in samples]
     scale = max(abs(f_star) for _, f_star, _ in refs)
     for s, (phi_star, f_star, slope) in zip(samples, refs):
-        assert abs(s.phi - phi_star) <= kernels._RHO_TOL, s.x
-        assert abs(s.value - f_star) <= abs(slope) * kernels._RHO_TOL + 1e-14 * scale, s.x
+        assert abs(s.phi - phi_star) <= 1e-13, s.x
+        assert abs(s.value - f_star) <= abs(slope) * 1e-13 + 1e-14 * scale, s.x
 
 
 def test_density_sample_fields_are_fixed():
