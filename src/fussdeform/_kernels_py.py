@@ -12,11 +12,12 @@ i = floor(p _PSI_GRID / 2) - 2 on, the arc where psi can go negative, on samples
 once, and reads psi's sign against -_FEAS_TOL (see g_scan); the refinement evaluates each point
 afresh.  rho_bisect inverts rho by Newton's method on x (B - 1) = B^p, continued down the
 points (see rho_bisect): at most _NEWTON_STEPS steps per attempt, a relative residual within
-_NEWTON_TOL to accept a root, and at most _HALVINGS halvings of the continuation step.  The
-adaptive quadrature starts from _INIT_PANELS panels, halves a panel at most _MAX_DEPTH times and
-stops once its error estimate is within _ATOL + _RTOL |value|.
-moment_quad alone takes its absolute tolerance as an argument; it integrates the moments
-0..n_max of one (p, t) in one call, which samples each panel's nodes once for all of them.
+_NEWTON_TOL to accept a root, and at most _HALVINGS halvings of the continuation step; the
+density at a root B is mass(t, B) / (pi x).  The adaptive quadrature starts from _INIT_PANELS
+panels, halves a panel at most _MAX_DEPTH times and stops once its error estimate is within
+_ATOL + _RTOL |value|.  moment_quad alone takes its absolute tolerance as an argument; it
+integrates the moments 0..n_max of one (p, t) over (_INSET, pi/p - _INSET) in one call, which
+samples each panel's nodes once for all of them, kept for at most _KEPT_PANELS panels.
 cumulant_quad integrates every cumulant-side measure by one rule, in theta with
 x = lo + (hi - lo) sin(theta)^2.  No kernel keeps a value from one call to the next.
 """
@@ -40,8 +41,7 @@ _INIT_PANELS = 8
 __all__ = [
     "support_end",
     "rho",
-    "rho_prime",
-    "f_phi",
+    "mass",
     "psi",
     "psi_forms",
     "psi_min",
@@ -69,33 +69,19 @@ def support_end(p):
 
 
 def rho(p, phi):
-    """x-coordinate of the density parametrization: sin(p phi)^p / (sin phi sin((p-1)phi)^(p-1)).
+    """x-coordinate of the density parametrization: sin(p phi)^p / (sin phi sin((p-1)phi)^(p-1)),
+    written r^p sin((p-1)phi) / sin(phi) with r = sin(p phi) / sin((p-1)phi).
 
     Strictly decreasing on (0, pi/p) from p^p (p-1)^(1-p) down to 0.
     Callers guarantee p > 1 and 0 < phi < pi/p.
     """
-    return sin(p * phi) ** p / (sin(phi) * sin((p - 1.0) * phi) ** (p - 1.0))
+    sq = sin((p - 1.0) * phi)
+    return (sin(p * phi) / sq) ** p * sq / sin(phi)
 
 
-def rho_prime(p, phi):
-    """Derivative of rho: rho * (p^2 cot(p phi) - cot(phi) - (p-1)^2 cot((p-1) phi))."""
-    factor = (
-        p * p * cos(p * phi) / sin(p * phi)
-        - cos(phi) / sin(phi)
-        - (p - 1.0) * (p - 1.0) * cos((p - 1.0) * phi) / sin((p - 1.0) * phi)
-    )
-    return rho(p, phi) * factor
-
-
-def f_phi(p, t, phi):
-    """Angle form of the mixed density t W_{p,1} + (1-t) W_{p,2} at x = rho(p, phi)."""
-    s1 = sin((p - 1.0) * phi)
-    return (
-        sin(phi) ** 2
-        * s1 ** (p - 3.0)
-        * (t * s1 + 2.0 * (1.0 - t) * sin(p * phi) * cos(phi))
-        / (pi * sin(p * phi) ** (p - 1.0))
-    )
+def mass(t, b):
+    """Im(t b + (1-t) b^2), which is pi x f_{p,t}(x) at the root b of x (B - 1) = B^p."""
+    return t * b.imag + (1.0 - t) * (b * b).imag
 
 
 # -- the feasibility function on [0, pi] -------------------------------------
@@ -263,8 +249,9 @@ def _newton(p, x, b):
 
 
 def rho_bisect(p, xs):
-    """Solve rho(p, phi) = x for each x of the increasing xs by Newton's method: the list of
-    roots phi in (0, pi/p).  (The name predates the method; perfbench's tracer looks it up.)
+    """Solve x (B - 1) = B^p for each x of the increasing xs by Newton's method: the list of
+    roots B, whose arguments phi in (0, pi/p) solve rho(p, phi) = x.  (The name predates the
+    method; perfbench's tracer looks it up.)
 
     For 0 < x < c(p), x (B - 1) = B^p (principal power) has exactly one root B in the sector
     0 < arg B < pi/p, and rho(p, arg B) = x: with B = r e^(i phi), the imaginary part gives
@@ -275,7 +262,7 @@ def rho_bisect(p, xs):
     the equation's expansion to second order about the double root, and each later point at
     the last accepted root.  A root is accepted only inside the sector and only when the
     residual |x (B - 1) - B^p| is within _NEWTON_TOL (x |B - 1| + |B|^p); this check, not an
-    assumption on rho, is what makes each phi the root.  A point that fails is approached
+    assumption on rho, is what makes each B the root.  A point that fails is approached
     again from halfway to the last accepted x, and one still lost after _HALVINGS halvings
     raises OverflowError naming p and x.
     """
@@ -283,7 +270,7 @@ def rho_bisect(p, xs):
     double = p / (p - 1.0)
     top = pi / p
     anchor, b = c, None  # the last accepted x and its root; None stands for the double root
-    phis = []
+    roots = []
     for x in reversed(xs):
         target, halvings = x, 0
         while True:
@@ -307,8 +294,8 @@ def rho_bisect(p, xs):
             else:
                 halvings += 1
                 target = 0.5 * (anchor + target)
-        phis.append(atan2(b.imag, b.real))
-    return phis[::-1]
+        roots.append(b)
+    return roots[::-1]
 
 
 # -- Gauss-Kronrod 7/15 adaptive quadrature ----------------------------------
@@ -448,28 +435,39 @@ _INSET = 1e-12
 _KEPT_PANELS = 256
 
 
+def _node(p, t, phi):
+    """x = rho(p, phi) and the weight f |dx/dphi| at one node phi of moment_quad: f is
+    mass(t, B) / (pi x) at the root B = r e^(i phi), r = sin(p phi) / sin((p-1) phi), and
+    |dx/dphi| = x |p^2 cot(p phi) - cot(phi) - (p-1)^2 cot((p-1) phi)|, so x cancels."""
+    sp, sq = sin(p * phi), sin((p - 1.0) * phi)
+    slope = p * p * cos(p * phi) / sp - cos(phi) / sin(phi)
+    slope -= (p - 1.0) * (p - 1.0) * cos((p - 1.0) * phi) / sq
+    r = sp / sq
+    return rho(p, phi), mass(t, complex(r * cos(phi), r * sin(phi))) * fabs(slope) / pi
+
+
 def moment_quad(p, t, n_max, atol=_ATOL):
     """The moments 0..n_max of the density of the (p, t) family, integrated in angle space: a
     list of (value, error_estimate, converged), one per n, that stops at the first n that does
     not converge.
 
-    The x-space integral over (0, p^p (p-1)^(1-p)) becomes int_0^{pi/p} rho^n * f_phi * |rho'|
-    dphi, whose integrand stays bounded at both endpoints.  A panel's (rho, f_phi, |rho'|) at its
-    15 nodes do not depend on n, so each n reads the samples an earlier n took.  A float limit,
-    f_phi's denominator underflowing to 0 at large p or rho^n overflowing at large n, raises
-    OverflowError naming p, t and the n it reached.
+    The x-space integral over (0, p^p (p-1)^(1-p)) becomes int_0^{pi/p} rho^n f |rho'| dphi,
+    whose integrand stays bounded at both endpoints.  A panel's (x, weight) pairs at its 15
+    nodes (see _node) do not depend on n, so each n reads the samples an earlier n took.  A
+    float limit, such as rho^n overflowing at large n, raises OverflowError naming p, t and the
+    n it reached.
     """
-    samples = {}  # (a, b) -> (half width, the triples at its nodes)
+    samples = {}  # (a, b) -> (half width, the (x, weight) pairs at its nodes)
 
     def panel(n, a, b):
         hit = samples.get((a, b))
         if hit is None:
             h, nodes = _gk15_nodes(a, b)
-            hit = (h, [(rho(p, x), f_phi(p, t, x), fabs(rho_prime(p, x))) for x in nodes])
+            hit = (h, [_node(p, t, phi) for phi in nodes])
             if len(samples) < _KEPT_PANELS:
                 samples[(a, b)] = hit
-        h, triples = hit
-        return _gk15_sum(h, [r ** n * f * w for r, f, w in triples])
+        h, pairs = hit
+        return _gk15_sum(h, [x**n * w for x, w in pairs])
 
     table = []
     for n in range(n_max + 1):
@@ -480,9 +478,9 @@ def moment_quad(p, t, n_max, atol=_ATOL):
                 f"moment quadrature left the float range at p={p}, t={t}, n={n}"
             ) from None
         # Two errors the panel estimates do not see; refinement ignores both.
-        # rho multiplies about 2p sines, each good to half an ulp, so rho^n is off
-        # by about n (p + 1) _EPS relative.  And the integral leaves out
-        # (0, _INSET), where the integrand vanishes like phi^2, and
+        # rho raises a quotient of two sines, each good to half an ulp, to the
+        # power p, so rho^n is off by about n (p + 1) _EPS relative.  And the
+        # integral leaves out (0, _INSET), where the integrand vanishes like phi^2, and
         # (pi/p - _INSET, pi/p), where it tends to rho^n t p^2 / pi with rho of
         # order _INSET / sin(pi/p): only n = 0 leaves mass worth counting there,
         # about _INSET t p^2 / pi, bounded by twice that.

@@ -2,10 +2,11 @@
 
 Two routes to the density f_{p,t} = t W_{p,1} + (1 - t) W_{p,2} on (0, c(p)):
 
-* parametric -- solve x = rho(phi) on (0, pi/p) and evaluate the angle form
-  (works for every p > 1).  The points of a call, one or a whole grid, are
-  solved by one call to kernels.rho_bisect, whose docstring describes the
-  Newton continuation and the check that accepts each root;
+* parametric -- phi = arg B, which solves x = rho(phi), and the value
+  kernels.mass(t, B) / (pi x) at the root B of x (B - 1) = B^p in the sector
+  0 < arg B < pi/p (every p > 1); one call to kernels.rho_bisect, whose docstring
+  describes the Newton continuation and the check that accepts each root,
+  solves the points of a call, one or a whole grid;
 * closed     -- the six elementary closed forms for p in {2, 3, 3/2}, r in {1, 2}.
 
 density_grid evaluates through one helper, which resolves the route, and on the
@@ -17,16 +18,16 @@ the moments 0..n_max of one (p, t), which share the integrand's samples.  The
 cumulant-side measures are defined in the kernels; cumulant_quadrature checks
 the range of t and integrates x^n against them.
 The kernels' settings are constants of fussdeform._kernels_py (Newton's method
-_NEWTON_TOL, _NEWTON_STEPS and _HALVINGS; quadrature _ATOL, _RTOL, _MAX_DEPTH
-and _INIT_PANELS); only the absolute tolerance of moment quadrature is an
-argument here.  Everything here is float arithmetic; exact statements live in
-the rational modules.
+_NEWTON_TOL, _NEWTON_STEPS and _HALVINGS; quadrature _ATOL, _RTOL, _MAX_DEPTH,
+_INIT_PANELS, _INSET and _KEPT_PANELS); only the absolute tolerance of moment
+quadrature is an argument here.  Everything here is float arithmetic; exact
+statements live in the rational modules.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isfinite, pi, sqrt
+from math import atan2, isfinite, pi, sqrt
 from typing import NamedTuple, Optional
 
 from ._backend import kernels
@@ -123,24 +124,21 @@ def w_closed(p, r: int, x: float) -> float:
 
 def _samples(p: float, t: float, xs: list[float], route: str) -> list[DensitySample]:
     """A sample of f_{p,t} = t W_{p,1} + (1 - t) W_{p,2} at each of the increasing xs.
-    parametric: its phi solves x = rho(p, phi), all of them by one kernel call, and its value
-    is the angle form kernels.f_phi; closed: phi is None and the value is the closed form, with
-    the form for p read once.  A float limit raises OverflowError naming p and x: the inversion
-    loses a point, the angle form's denominator underflows to 0 next to c(p), or a huge |t|
-    overflows a value."""
+    parametric: the roots B of x (B - 1) = B^p come from one kernel call, phi = arg B solves
+    x = rho(p, phi), and the value is kernels.mass(t, B) / (pi x); closed: phi is None and the
+    value is the closed form, with the form for p read once.  A float limit raises
+    OverflowError naming p and x: the inversion loses a point, or a huge |t| overflows a
+    value."""
     if route == "closed":
         form = _closed_form(p)
         samples = [DensitySample(x, None, t * form(1, x) + (1.0 - t) * form(2, x)) for x in xs]
     elif route != "parametric":
         raise ValueError("route must be 'parametric' or 'closed'")
     else:
-        samples = []
-        for x, phi in zip(xs, kernels.rho_bisect(p, xs)):
-            try:
-                samples.append(DensitySample(x, phi, kernels.f_phi(p, t, phi)))
-            except ZeroDivisionError:
-                message = f"the angle form left the float range at p={p}, x={x}"
-                raise OverflowError(message) from None
+        samples = [
+            DensitySample(x, atan2(b.imag, b.real), kernels.mass(t, b) / (pi * x))
+            for x, b in zip(xs, kernels.rho_bisect(p, xs))
+        ]
     for x, _, value in samples:
         if not isfinite(value):
             raise OverflowError(f"f_(p,t)(x) is {value} at p={p}, t={t}, x={x}")

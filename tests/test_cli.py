@@ -426,11 +426,12 @@ def test_out_flag_writes_the_same_bytes(tmp_path, capsys):
     "argv",
     [
         ("density", "--p", "1e400", "--t", "1"),
-        # f_phi's denominator sin(p phi)^(p - 1) underflows to 0 next to c(1000)
-        ("density", "--p", "1000", "--t", "1/3", "--grid", "400"),
+        # rho's inversion loses a point of grid 400 at p = 2e4
+        ("density", "--p", "20000", "--t", "1/3", "--grid", "400"),
+        # rho^n overflows at the nodes next to c(4) from n = 316 on
         ("moments-check", "--p", "4", "--t", "1/2", "--n-max", "600"),
-        # sin(p phi)^(p - 1) underflows to 0 next to the right endpoint
-        ("moments-check", "--p", "100", "--t", "1", "--n-max", "0"),
+        # an ulp above p = 1 the root of the smallest x rounds to pi/p, out of the open sector
+        ("density", "--p", "1.0000000000000002", "--t", "1/2", "--grid", "5"),
     ],
 )
 def test_float_range_overflow_is_usage_error(capsys, argv):
@@ -439,8 +440,24 @@ def test_float_range_overflow_is_usage_error(capsys, argv):
     assert err == "fussdeform: error: a value left the float range\n"
 
 
+@pytest.mark.parametrize("t", ["1", "1/2"])
+@pytest.mark.parametrize("p", ["100", "1000"])
+def test_moments_check_at_large_p_meets_a_n_within_est_error(capsys, p, t):
+    # the quadrature's weight takes no power of a small sine, so large p prints, and each
+    # moment meets the exact a_n within its estimate
+    code, out, err = run(capsys, "moments-check", "--p", p, "--t", t, "--n-max", "3")
+    assert (code, err) == (0, "")
+    header, *rows = out.splitlines()
+    assert (header, len(rows)) == ("p,t,n,value,est_error", 4)
+    params = fussdeform.Params.exact(p, t)
+    for n, row in enumerate(rows):
+        value, est_error = map(float, row.split(",")[3:])
+        assert abs(value - float(fussdeform.deformed_fuss(params, n))) <= est_error, row
+
+
 def test_density_prints_at_large_p_short_of_the_float_limit(capsys):
-    # at p = 1000 the three points of grid 3 keep f_phi's denominator in the normal floats
+    # at p = 1000 the three points of grid 3 print; rho's inversion loses points from about
+    # p = 1.6e4 at grid 400
     code, out, err = run(capsys, "density", "--p", "1000", "--t", "1/3", "--grid", "3")
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 4

@@ -2,7 +2,8 @@
 commands print, no build artifact is tracked, the runtime imports only the standard library
 and itself, the benchmark's layer tracer still finds
 every entry point it wraps and wraps every kernel the package calls but the per-point
-ones, the commands reach every public function but a listed few, the float kernels keep
+ones, the commands reach every public function but a listed few, a fault planted in each shared
+mechanism fails the ``verify`` criteria it names, the float kernels keep
 no state between calls and evaluate no more than their old memos did, every name in an
 ``__all__`` resolves, the package re-exports each module's ``__all__`` once and resolves
 the names of its lazy layers on first use, importing the CLI loads only what every
@@ -10,6 +11,7 @@ command needs, and the package's records keep their fields, constructors and
 (im)mutability."""
 
 import ast
+import cmath
 import copy
 import importlib
 import importlib.util
@@ -145,7 +147,7 @@ def test_layer_tracer_finds_every_entry_point():
 def test_every_kernel_the_package_calls_is_traced_or_per_point():
     # A kernel reached through ``kernels.<name>`` that the tracer does not wrap counts as self
     # time of its caller.  Only per-point helpers, whose wrapping would cost more than their
-    # work, may stay unwrapped, and g_scan, which the tracer does not wrap yet: f_phi, one
+    # work, may stay unwrapped, and g_scan, which the tracer does not wrap yet: mass, one
     # density value, and support_end, the one copy of c(p) that support_c reads after its range
     # check.  rho is not among them: only the kernels evaluate it.
     layertrace = _layertrace()
@@ -157,7 +159,7 @@ def test_every_kernel_the_package_calls_is_traced_or_per_point():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "kernels":
                 used.add(node.attr)
-    unwrapped = {"support_end", "f_phi", "g_scan", "CUMULANT_MEASURES"}
+    unwrapped = {"support_end", "mass", "g_scan", "CUMULANT_MEASURES"}
     assert used - set(layertrace._KERNELS) == unwrapped
 
 
@@ -251,6 +253,71 @@ def test_every_public_function_is_reached(capsys):
         assert function in getattr(layertrace, _UNREACHED_TABLES[module]), name
 
 
+def _bumped(values, index):
+    """values with 1 added to entry index, where there is one."""
+    return [v + (i == index) for i, v in enumerate(values)]
+
+
+def _cleared_with_numerator_7_bumped(real):
+    def cleared(pairs, s):
+        nums, den = real(pairs, s)
+        return _bumped(nums, 7), den
+
+    return cleared
+
+
+def _pivots_with_pivot_3_flipped(real):
+    def pivots(b):
+        for k, (pivot, verdict) in enumerate(real(b)):
+            yield (-pivot if k == 3 and pivot else pivot), verdict
+
+    return pivots
+
+
+def _node_with_weight_scaled(real):
+    def node(p, t, phi):
+        x, weight = real(p, t, phi)
+        return x, weight * (1.0 + 1e-7)
+
+    return node
+
+
+# (module, name, the fault planted in it, the verify criteria that then fail): one fault in
+# each mechanism that two sides of a cross-check share, or that a float check reads
+_PLANTED_FAULTS = [
+    ("series", "_conv", lambda real: lambda a, b, n: _bumped(real(a, b, n), 9),
+     "c1 c2 c3 c5 c6 c9 c10 c11"),
+    ("exact_seq", "_cleared", _cleared_with_numerator_7_bumped, "c1 c2 c3 c5 c6 c9 c10 c11"),
+    ("exact_seq", "_raney_num", lambda real: lambda p, r, n: real(p, r, n) + (n == 6),
+     "c2 c5 c6 c9 c10"),
+    ("posdef", "_pivots", _pivots_with_pivot_3_flipped, "c10"),
+    ("_kernels_py", "rho_bisect",
+     lambda real: lambda p, xs: [b * cmath.rect(1.0, 1e-9) for b in real(p, xs)], "c8"),
+    ("_kernels_py", "mass", lambda real: lambda t, b: real(t, b) * (1.0 + 1e-8), "c8 c9"),
+    ("_kernels_py", "_node", _node_with_weight_scaled, "c9"),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name, fault, failing",
+    _PLANTED_FAULTS,
+    ids=[f"{module}.{name}" for module, name, *_ in _PLANTED_FAULTS],
+)
+def test_a_fault_planted_in_a_shared_mechanism_fails_verify(
+    monkeypatch, module, name, fault, failing
+):
+    # the fault replaces the function in every module that binds it; a change that blinds a
+    # check, or gives two routes one more shared step, shows up here as a different list
+    from fussdeform.verify import run_criteria
+
+    real = getattr(importlib.import_module(f"fussdeform.{module}"), name)
+    planted = fault(real)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "fussdeform" and vars(mod).get(name) is real:
+            monkeypatch.setattr(mod, name, planted)
+    assert [r.ident for r in run_criteria() if not r.passed] == failing.split()
+
+
 def test_the_kernels_keep_no_state_between_calls():
     # a module-level memo would need a ``global`` rebinding; the reuse lives inside one call
     tree = ast.parse((ROOT / "src" / "fussdeform" / "_kernels_py.py").read_text(encoding="utf-8"))
@@ -259,8 +326,10 @@ def test_the_kernels_keep_no_state_between_calls():
 
 def test_the_float_paths_evaluate_as_often_as_with_their_memos(monkeypatch, capsys):
     # counts measured when the kernels kept the last p's psi grid and the last (p, t)'s
-    # quadrature nodes between calls: one call each does no more work.  g(1.5) refines psi at
-    # t = g in one cell, as g_scan's arc leaves out the cell (0, pi / 512) a full scan refines.
+    # quadrature nodes between calls: one call each does no more work.  Each quadrature node
+    # evaluates rho once, for 150 nodes, where it took 300 while |rho'| evaluated rho again.
+    # g(1.5) refines psi at t = g in one cell, as g_scan's arc leaves out the cell
+    # (0, pi / 512) a full scan refines.
     from fussdeform import _kernels_py as kernels
     from fussdeform.cli import main
     from fussdeform.posdef import g_of_p
@@ -274,7 +343,7 @@ def test_the_float_paths_evaluate_as_often_as_with_their_memos(monkeypatch, caps
         monkeypatch.setattr(kernels, name, counting(name, getattr(kernels, name)))
     assert main(["moments-check", "--p", "5/2", "--t", "1/2", "--n-max", "12"]) == 0
     capsys.readouterr()
-    assert calls == {"rho": 300}
+    assert calls == {"rho": 150}
     calls.clear()
     assert g_of_p(1.5) == 0.19999999999999998
     assert calls == {"psi": 52, "_t_bound": 52}
