@@ -8,9 +8,9 @@ Only plain floats are used here.  Exact arithmetic lives elsewhere.
 No kernel keeps a value from one call to the next.  The settings no caller varies are these
 module constants:
 
-* _PSI_GRID, _PSI_TOL: psi_min scans psi at the points i pi / _PSI_GRID, i = 0.._PSI_GRID,
-  refined by golden section to width _PSI_TOL; g_scan's check scans them from
-  i = floor(p _PSI_GRID / 2) - 2 on, and its search runs to the same width (see g_scan).
+* _PSI_GRID, _PSI_TOL: _psi_scan evaluates psi itself at the points i pi / _PSI_GRID, from
+  i = 0 for psi_min and from i = floor(p _PSI_GRID / 2) - 2 for g_scan's check, and refines
+  by golden section to width _PSI_TOL; g_scan's search runs to the same width (see g_scan).
 * _FEAS_TOL: the least psi at t = g(p) that g_scan's check accepts.
 * _NEWTON_STEPS, _NEWTON_TOL, _HALVINGS: rho_bisect's steps per Newton attempt, relative
   residual to accept a root, and halvings of the continuation step (see rho_bisect).
@@ -26,7 +26,7 @@ x = lo + (hi - lo) sin(theta)^2.
 """
 
 from functools import partial
-from math import atan2, cos, exp, fabs, inf, log1p, pi, sin, sqrt
+from math import atan2, cos, exp, fabs, inf, isfinite, log1p, pi, sin, sqrt
 
 from .errors import InconsistencyError
 
@@ -98,7 +98,7 @@ def psi(p, t, phi):
 
 def psi_forms(p, t, phi):
     """The three algebraically equal writings of psi (agreement is a float check)."""
-    a = t * sin((1.0 - 1.0 / p) * phi) + 2.0 * (1.0 - t) * sin(phi) * cos(phi / p)
+    a = psi(p, t, phi)
     b = (2.0 - t) * sin(phi) * cos(phi / p) - t * cos(phi) * sin(phi / p)
     c = (1.0 - t) * sin((1.0 + 1.0 / p) * phi) + sin((1.0 - 1.0 / p) * phi)
     return (a, b, c)
@@ -130,14 +130,18 @@ def _golden(f, a, b):
     return xm, f(xm)
 
 
-def _grid_min(f, vals, first):
-    """Minimum of f over [0, pi] from vals[i] = f((first + i) pi / _PSI_GRID): (value, argmin).
-    Golden section refines each cell bracketing a local minimum, one per flat run of equal
-    values (the run's last point, where the values rise again).  With first > 0 the caller
-    knows f >= 0 left of the sample first + 1, and 0.0 at phi = 0 stands for that part: it is
-    the value unless the scan finds one below it."""
-    last = len(vals) - 1
+def _psi_scan(p, t, first):
+    """Minimum of psi(p, t, .) over [0, pi] from its samples at i pi / _PSI_GRID, i = first to
+    _PSI_GRID: (value, argmin).  Golden section refines each cell bracketing a local minimum, one
+    per flat run of equal values (the run's last point, where the values rise again).  With
+    first > 0 the caller knows psi >= 0 left of the sample first + 1, and 0.0 at phi = 0 stands
+    for that part: it is the value unless the scan finds one below it.  A minimum that is not
+    finite (2 (1 - t) overflows from |t| near 1e308 on) is a float limit: OverflowError naming p
+    and t."""
+    f = partial(psi, p, t)
     step = pi / _PSI_GRID
+    vals = [f(i * step) for i in range(first, _PSI_GRID + 1)]
+    last = len(vals) - 1
     best = min(range(last + 1), key=vals.__getitem__)
     best_val, best_phi = vals[best], (first + best) * step
     if first and not best_val < 0.0:
@@ -155,35 +159,15 @@ def _grid_min(f, vals, first):
         xm, fm = _golden(f, a, b)
         if fm < best_val:
             best_val, best_phi = fm, xm
+    if not isfinite(best_val):
+        raise OverflowError(f"the minimum of psi left the float range at p={p}, t={t}")
     return best_val, best_phi
 
 
-def _psi_grid(p, first):
-    """The grid samples psi is built from at p, which do not depend on t: the three lists
-    sin((1 - 1/p) phi_i), sin(phi_i) and cos(phi_i / p) at phi_i = i pi / _PSI_GRID, from
-    i = first to _PSI_GRID."""
-    k = 1.0 - 1.0 / p
-    step = pi / _PSI_GRID
-    grid = range(first, _PSI_GRID + 1)
-    return (
-        [sin(k * (i * step)) for i in grid],
-        [sin(i * step) for i in grid],
-        [cos(i * step / p) for i in grid],
-    )
-
-
-def _psi_scan(p, t, samples, first):
-    """Global minimum of psi(p, t, .) over [0, pi] from the _psi_grid samples of p from first
-    on (see _grid_min): (value, argmin); psi is written inline on the samples and evaluated
-    pointwise by the refinement."""
-    vals = [t * a + 2.0 * (1.0 - t) * s * c for a, s, c in zip(*samples)]
-    return _grid_min(partial(psi, p, t), vals, first)
-
-
 def psi_min(p, t):
-    """Global minimum of psi(p, t, .) over [0, pi], for any t, from every grid point: (value,
-    argmin)."""
-    return _psi_scan(p, t, _psi_grid(p, 0), 0)
+    """Global minimum of psi(p, t, .) over [0, pi], for any t, from every grid point (see
+    _psi_scan): (value, argmin)."""
+    return _psi_scan(p, t, 0)
 
 
 def _t_bound(p, phi):
@@ -205,16 +189,16 @@ def g_scan(p):
     measured; value, the minimum of psi at t = g, must be >= -_FEAS_TOL (else
     InconsistencyError), so a search settled on a lower maximum cannot pass unseen.
 
-    The check scans the psi grid samples from first = floor(p _PSI_GRID / 2) - 2 on.  For t in
-    [0, 1] each term of psi is >= 0 on [0, p pi / 2], and the samples and refinements left of
-    first lie in [0, (first + 1) pi / _PSI_GRID], where the two cells of margin keep
-    cos(phi / p) clear of 0 in floats.  None of them can take the minimum below
-    psi(p, t, 0) = 0.0, which _grid_min folds in, so value is a whole-grid scan's float."""
+    The check is _psi_scan from first = floor(p _PSI_GRID / 2) - 2 on.  For t in [0, 1] each
+    term of psi is >= 0 on [0, p pi / 2], and the samples and refinements left of first lie in
+    [0, (first + 1) pi / _PSI_GRID], where the two cells of margin keep cos(phi / p) clear of 0
+    in floats.  None of them can take the minimum below psi(p, t, 0) = 0.0, which _psi_scan
+    folds in, so value is psi_min's float."""
     if p >= 2.0:
         return 0.0, 0.0
     g = min(1.0, max(0.0, -_golden(partial(_t_bound, p), p * pi / 2.0, pi)[1]))
     first = int(p * (_PSI_GRID // 2)) - 2
-    value = _psi_scan(p, g, _psi_grid(p, first), first)[0]
+    value = _psi_scan(p, g, first)[0]
     if value < -_FEAS_TOL:
         raise InconsistencyError(f"g({p!r}) = {g!r}, yet the minimum of psi there is {value!r}")
     return g, value

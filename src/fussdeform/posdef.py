@@ -15,10 +15,11 @@ phi -> 0, its lower end from min Re B, negative only on the arc
 kernels.g_scan, which owns the case p >= 2 (g(p) = 0, no search), the one
 golden-section search below 2 (psi = t A + B, A > 0 on the arc), the
 tolerance and the check (InconsistencyError): the minimum of psi at t = g(p)
-over the grid samples from two cells before p pi / 2 on, the floats a scan of
-all of [0, pi] gives.  psi_min checks p and t and returns the kernels'
-(value, phi) of the minimum of psi_{p,t} from the whole grid, as it accepts
-any t.
+from the grid samples of psi itself from two cells before p pi / 2 on, the
+floats a scan of all of [0, pi] gives.  psi_min checks p and t and returns the
+kernels' (value, phi) of the minimum of psi_{p,t} from the whole grid, as it
+accepts any t; where that minimum leaves the float range (|t| near 1e308) the
+kernels raise OverflowError.
 
 Independently, the moment sequence a_n(p, t) is positive definite exactly
 when every Hankel matrix (a_{i+j}) is positive semidefinite.  hankel_report

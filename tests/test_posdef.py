@@ -4,6 +4,7 @@ import cmath
 import inspect
 import math
 import random
+import re
 from fractions import Fraction as F
 from itertools import combinations, permutations
 
@@ -117,6 +118,17 @@ def test_psi_min_locates_the_critical_angle():
 def test_psi_min_flags_negative_regions():
     assert psi_min(1.5, 0.1)[0] < -0.01
     assert psi_min(1.0, 0.5)[0] == pytest.approx(-0.5, abs=1e-10)
+
+
+def test_psi_min_reports_a_float_limit():
+    # from |t| near 1e308 on 2 (1 - t) overflows, and inf sin(0) is nan: a float limit, not a
+    # minimum; just inside the range the minimum is still the finite -|t| or so
+    for p, t in ((1.5, 1e308), (3.0, -1.7e308)):
+        with pytest.raises(OverflowError, match=re.escape(f"p={p}, t={t}")):
+            psi_min(p, t)
+    for p, t in ((1.5, 1e307), (1.5, 6e307), (1.5, -6e307), (3.0, 8e307)):
+        value = psi_min(p, t)[0]
+        assert math.isfinite(value) and value == pytest.approx(-abs(t), rel=1e-15), (p, t)
 
 
 def test_g_landmark_values():
@@ -332,10 +344,10 @@ def test_psi_is_nonnegative_left_of_the_arc(p, u):
     # The lemmas behind g_scan, on floats: for t in [0, 1] every grid sample left of the first
     # index its check scans has psi >= 0, and A > 0 on the open arc (p pi / 2, pi) its search
     # reads B/A on, next to both ends included.
-    built = kernels._psi_grid
+    scan = kernels._psi_scan
     firsts = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernels, "_psi_grid", lambda p, i: firsts.append(i) or built(p, i))
+        patch.setattr(kernels, "_psi_scan", lambda p, t, i: firsts.append(i) or scan(p, t, i))
         kernels.g_scan(p)
     [first] = firsts
     assert first == _arc_first(p)
@@ -356,27 +368,27 @@ def test_g_needs_no_scan_from_two_on(monkeypatch):
     # the scan the shortcut skips would find psi(p, 0, .) >= 0, so g(p) = 0 either way
     for p in ps:
         assert kernels.psi_min(p, 0.0)[0] >= -kernels._FEAS_TOL, p
-    built = []
-    monkeypatch.setattr(kernels, "_psi_grid", lambda *args: built.append(args))
+    scans = []
+    monkeypatch.setattr(kernels, "_psi_scan", lambda *args: scans.append(args))
     assert [g_of_p(p) for p in ps] == [0.0] * len(ps)
     assert [kernels.g_scan(p) for p in ps] == [(0.0, 0.0)] * len(ps)
-    assert built == []
+    assert scans == []
 
 
 def test_g_builds_one_sample_grid_below_two(monkeypatch):
-    built = kernels._psi_grid
+    scan = kernels._psi_scan
     seen = []
-    monkeypatch.setattr(kernels, "_psi_grid", lambda p, i: seen.append((p, i)) or built(p, i))
-    # one grid per g(p) below 2, for its check, starting at the arc, and none from 2 on
+    monkeypatch.setattr(kernels, "_psi_scan", lambda *args: seen.append(args) or scan(*args))
+    # one scan per g(p) below 2, for its check at t = g, starting at the arc, and none from 2 on
     ps = [1.0, 1.5, 1.75, 1.999, 1.999999, 2.0 - 1e-9, math.nextafter(2.0, 0.0)]
     for p in ps:
         seen.clear()
-        g_of_p(p)
-        assert seen == [(p, _arc_first(p))], p
+        g = g_of_p(p)
+        assert seen == [(p, g, _arc_first(p))], p
     seen.clear()
     assert g_of_p(1.5) == 0.19999999999999996
     assert [g_of_p(p) for p in (2.0, 2.5, 7.0)] == [0.0] * 3
-    assert seen == [(1.5, 382)]
+    assert seen == [(1.5, 0.19999999999999996, 382)]
 
 
 def _golden_calls(monkeypatch):
@@ -392,7 +404,7 @@ def _refines(calls, func, p, *rest):
     return [f for f, _, _ in calls if f.func is func and f.args == (p, *rest)]
 
 
-def test_g_passes_the_tolerance_to_its_t0_scan(monkeypatch):
+def test_g_is_one_search_and_one_refined_check(monkeypatch):
     # g(p) below 2 is one g_scan call, which reads its own tolerance: one golden-section search
     # of B/A, and a check of psi at t = g(p) whose value is refined
     calls = []

@@ -3,8 +3,8 @@ commands print, no build artifact is tracked, the runtime imports only the stand
 and itself, the benchmark's layer tracer still finds
 every entry point it wraps and wraps every kernel the package calls but the per-point
 ones, the commands reach every public function but a listed few, a fault planted in each shared
-mechanism fails the ``verify`` criteria it names, the two sides of each cross-check share no
-package function outside its ledger, the float kernels keep
+mechanism fails the ``verify`` criteria and sets the CLI exit codes it names, the two sides of
+each cross-check share no package function outside its ledger, the float kernels keep
 no state between calls and evaluate no more than their old memos did, every name in an
 ``__all__`` resolves, the package re-exports each module's ``__all__`` once and resolves
 the names of its lazy layers on first use, importing the CLI loads only what every
@@ -285,40 +285,73 @@ def _node_with_weight_scaled(real):
     return node
 
 
-# (module, name, the fault planted in it, the verify criteria that then fail): one fault in
-# each mechanism that two sides of a cross-check share, or that a float check reads
+# (module, name, the fault planted in it, the verify criteria that then fail, the _FAULT_COMMANDS
+# that then exit 3): one fault in each mechanism that two sides of a cross-check share, or that
+# a float check reads
 _PLANTED_FAULTS = [
     ("series", "_conv", lambda real: lambda a, b, n: _bumped(real(a, b, n), 9),
-     "c1 c2 c3 c5 c6 c9 c10 c11"),
-    ("exact_seq", "_cleared", _cleared_with_numerator_7_bumped, "c1 c2 c3 c5 c6 c9 c10 c11"),
+     "c1 c2 c3 c5 c6 c9 c10 c11", "transforms infdiv-2 infdiv-3"),
+    ("exact_seq", "_cleared", _cleared_with_numerator_7_bumped, "c1 c2 c3 c5 c6 c9 c10 c11",
+     "transforms infdiv-2 infdiv-3 domain-grid"),
     ("exact_seq", "_raney_num", lambda real: lambda p, r, n: real(p, r, n) + (n == 6),
-     "c2 c5 c6 c9 c10"),
-    ("posdef", "_pivots", _pivots_with_pivot_3_flipped, "c10"),
+     "c2 c5 c6 c9 c10", "transforms infdiv-2 infdiv-3 posdef domain-grid seq-a"),
+    ("posdef", "_pivots", _pivots_with_pivot_3_flipped, "c10", ""),
     ("_kernels_py", "rho_bisect",
-     lambda real: lambda p, xs: [b * cmath.rect(1.0, 1e-9) for b in real(p, xs)], "c8"),
-    ("_kernels_py", "mass", lambda real: lambda t, b: real(t, b) * (1.0 + 1e-8), "c8 c9"),
-    ("_kernels_py", "_node", _node_with_weight_scaled, "c9"),
+     lambda real: lambda p, xs: [b * cmath.rect(1.0, 1e-9) for b in real(p, xs)], "c8", ""),
+    ("_kernels_py", "mass", lambda real: lambda t, b: real(t, b) * (1.0 + 1e-8), "c8 c9", ""),
+    ("_kernels_py", "_node", _node_with_weight_scaled, "c9", ""),
 ]
 
+# one command of each computing path, by label; without a fault each exits 0
+_FAULT_COMMANDS = {
+    "transforms": "transforms --p 5/2 --t 1/3",
+    "infdiv-2": "infdiv --p 2 --t 4/3",
+    "infdiv-3": "infdiv --p 3 --t 1/2",
+    "posdef": "posdef --p 3/2 --t 1/2",
+    "domain-grid": "domain-grid --steps 3",
+    "seq-a": "seq a --p 5/2 --t 1/3 --n 12",
+    "density": "density --p 5/2 --t 1/2 --grid 5",
+    "moments-check": "moments-check --p 5/2 --t 1/2 --n-max 4",
+    "gfun": "gfun --steps 3",
+}
 
-@pytest.mark.parametrize(
-    "module, name, fault, failing",
-    _PLANTED_FAULTS,
-    ids=[f"{module}.{name}" for module, name, *_ in _PLANTED_FAULTS],
-)
-def test_a_fault_planted_in_a_shared_mechanism_fails_verify(
-    monkeypatch, module, name, fault, failing
-):
-    # the fault replaces the function in every module that binds it; a change that blinds a
-    # check, or gives two routes one more shared step, shows up here as a different list
-    from fussdeform.verify import run_criteria
 
+def _plant(monkeypatch, module, name, fault):
+    """Replace the function in every module that binds it by the fault planted in it."""
     real = getattr(importlib.import_module(f"fussdeform.{module}"), name)
     planted = fault(real)
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.split(".")[0] == "fussdeform" and vars(mod).get(name) is real:
             monkeypatch.setattr(mod, name, planted)
+
+
+_FAULT_IDS = [f"{module}.{name}" for module, name, *_ in _PLANTED_FAULTS]
+
+
+@pytest.mark.parametrize("module, name, fault, failing, _", _PLANTED_FAULTS, ids=_FAULT_IDS)
+def test_a_fault_planted_in_a_shared_mechanism_fails_verify(
+    monkeypatch, module, name, fault, failing, _
+):
+    # a change that blinds a check, or gives two routes one more shared step, shows up here as
+    # a different list
+    from fussdeform.verify import run_criteria
+
+    _plant(monkeypatch, module, name, fault)
     assert [r.ident for r in run_criteria() if not r.passed] == failing.split()
+
+
+@pytest.mark.parametrize("module, name, fault, _, exit_3", _PLANTED_FAULTS, ids=_FAULT_IDS)
+def test_a_fault_planted_in_a_shared_mechanism_sets_the_cli_exit_codes(
+    monkeypatch, capsys, module, name, fault, _, exit_3
+):
+    # the commands whose own cross-checks see the fault exit 3 and every other one exits 0;
+    # the float faults reach only verify's c8 and c9
+    from fussdeform.cli import main
+
+    _plant(monkeypatch, module, name, fault)
+    codes = {label: main(shlex.split(argv)) for label, argv in _FAULT_COMMANDS.items()}
+    capsys.readouterr()
+    assert codes == {label: 3 if label in exit_3.split() else 0 for label in _FAULT_COMMANDS}
 
 
 def _cross_check_sides():
@@ -438,8 +471,9 @@ def test_the_float_paths_evaluate_as_often_as_with_their_memos(monkeypatch, caps
     # counts measured when the kernels kept the last p's psi grid and the last (p, t)'s
     # quadrature nodes between calls: one call each does no more work.  Each quadrature node
     # evaluates rho once, for 150 nodes, where it took 300 while |rho'| evaluated rho again.
-    # g(1.5) refines psi at t = g in one cell, as g_scan's arc leaves out the cell
-    # (0, pi / 512) a full scan refines; its one search of B/A evaluates _t_bound at 60 points.
+    # g(1.5) samples psi at t = g on the 131 grid points of its arc, from index 382 on, and
+    # refines it in one cell at 52 points, as the arc leaves out the cell (0, pi / 512) a full
+    # scan refines; its one search of B/A evaluates _t_bound at 60 points.
     from fussdeform import _kernels_py as kernels
     from fussdeform.cli import main
     from fussdeform.posdef import g_of_p
@@ -456,7 +490,7 @@ def test_the_float_paths_evaluate_as_often_as_with_their_memos(monkeypatch, caps
     assert calls == {"rho": 150}
     calls.clear()
     assert g_of_p(1.5) == 0.19999999999999996
-    assert calls == {"psi": 52, "_t_bound": 60}
+    assert calls == {"psi": 131 + 52, "_t_bound": 60}
 
 
 @pytest.mark.parametrize(
