@@ -37,12 +37,12 @@ from .exact_seq import (
     Params,
     SeqTable,
     _A220910_METHODS,
+    _raney_run,
     a022558_table,
     a220910_table,
     constellation_table,
     deformed_table,
     parse_rational,
-    raney,
     rational_str,
 )
 
@@ -104,11 +104,8 @@ def _cmd_seq(args: argparse.Namespace) -> int:
             raise ValueError("seq raney needs --p and --r")
         p = parse_rational(args.p)
         r = parse_rational(args.r)
-        table = SeqTable(
-            label=f"raney(p={rational_str(p)};r={rational_str(r)})",
-            offset=0,
-            values=[raney(p, r, k) for k in range(n + 1)],
-        )
+        values = _raney_run(p, r, range(n + 1))
+        table = SeqTable(f"raney(p={rational_str(p)};r={rational_str(r)})", 0, values)
     elif args.subject == "constellation":
         if args.p is None:
             raise ValueError("seq constellation needs --p")

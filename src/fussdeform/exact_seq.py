@@ -24,6 +24,16 @@ numerators of each n of a run over their common denominator b^(n-1) n!
 check at every n, and _affine is the one affine formula over the parts.
 seq a and the constellation counts call it once per table,
 series.moment_series once per jet, and posdef once per Hankel cell.
+
+A table is one run.  The factors of a Raney numerator, of a_n's closed product
+and of a constellation count move up from n - b to n (from n - 1 for the
+constellations): a factors join at the top and a - b leave at the bottom, so a
+value is the one b places back times a quotient of short products, and n! and
+b^(n-1) are carried.  A direct product seeds each residue class mod b, and
+stays in use where the step takes at least as many factors (2a - b >= n - 1 for
+a Raney numerator), at p <= 1, and after a 0 (r <= 0 can give one).  The Raney
+numerators (_raney_step) and the closed product (_closed_step) step by separate
+code, so the affine vs closed check still compares two derivations.
 """
 
 from __future__ import annotations
@@ -158,12 +168,41 @@ def _raney_num(p: Fraction | int, r: Fraction | int, n: int) -> int:
     return c * prod(range(base - bd, base - n * bd, -bd))
 
 
-def _raney_parts(p: Fraction | int, r: Fraction | int, n: int) -> tuple[int, int]:
-    # raney(p, r, n) as an unreduced integer pair (see _raney_num).
-    if n == 0:
-        return 1, 1
-    b, d = p.denominator, r.denominator
-    return _raney_num(p, r, n), d * (b * d) ** (n - 1) * factorial(n)
+def _raney_step(num: int, new: range, dropped: range) -> int:
+    # the Raney numerator of n from that of n - b: times the a new top factors, over the
+    # a - b dropped bottom factors (see _raney_nums)
+    return num * prod(new) // prod(dropped)
+
+
+def _raney_nums(p: Fraction | int, r: Fraction | int, ns: range) -> list[int]:
+    """_raney_num(p, r, n) for each n >= 1 of the run ns (step 1).  Where p = a/b > 1,
+    2a - b < n - 1 and the run holds a nonzero numerator at n - b, the n - 1 factors of n are
+    those of n - b moved up by b d: a new ones at the top, a - b dropped at the bottom
+    (_raney_step).  Elsewhere the value is a direct product."""
+    a, b = p.numerator, p.denominator
+    bd = b * r.denominator
+    nums = []
+    for n in ns:  # nums[-b] is the numerator of n - b, if the run holds it
+        if b < a and 2 * a - b < n - 1 and len(nums) >= b and nums[-b]:
+            top = n * a * r.denominator + r.numerator * b - bd
+            low = top - (n - 2) * bd  # the n - 1 factors run from top down to low
+            dropped = range(low - (a - b) * bd, low, bd)
+            nums.append(_raney_step(nums[-b], range(top, top - a * bd, -bd), dropped))
+        else:
+            nums.append(_raney_num(p, r, n))
+    return nums
+
+
+def _raney_run(p: Fraction, r: Fraction, ns: range) -> list[Fraction]:
+    """raney(p, r, n) for n in ns (step 1): _raney_nums over d (b d)^(n-1) n!, carried."""
+    bd = p.denominator * r.denominator
+    run = range(max(ns.start, 1), ns.stop)
+    values = [Fraction(1)] if 0 in ns else []
+    den = r.denominator * bd ** (run.start - 1) * factorial(run.start)
+    for n, num in zip(run, _raney_nums(p, r, run)):
+        values.append(Fraction(num, den))
+        den *= bd * (n + 1)
+    return values
 
 
 def raney(p: RationalLike, r: RationalLike, n: int) -> Fraction:
@@ -180,7 +219,7 @@ def raney(p: RationalLike, r: RationalLike, n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return Fraction(*_raney_parts(parse_rational(p), parse_rational(r), n))
+    return _raney_run(parse_rational(p), parse_rational(r), range(n, n + 1))[0]
 
 
 def _same(num: int, den: int, other_num: int, other_den: int) -> bool:
@@ -206,16 +245,14 @@ def _cleared(pairs: Iterable[tuple[int, int]], s: int) -> tuple[list[int], int]:
 def _fuss_terms(p: Fraction | int, ns: range) -> list[tuple[int, int, int]]:
     """(R1, R2, D) for each n of the run ns (step 1): raney(p, 1, n) = R1 / D and
     raney(p, 2, n) = R2 / D over their common denominator D = b^(n-1) n!, p = a/b
-    (see _raney_num, r an integer); (1, 1, 1) at n = 0.  D is carried along the run."""
+    (see _raney_nums, r an integer); (1, 1, 1) at n = 0.  D is carried along the run."""
     b = p.denominator
-    parts = []
+    run = range(max(ns.start, 1), ns.stop)
+    parts = [(1, 1, 1)] if 0 in ns else []
     den = 0  # D of the previous n, 0 before the first n >= 1
-    for n in ns:
-        if n == 0:
-            parts.append((1, 1, 1))
-            continue
+    for n, one, two in zip(run, _raney_nums(p, 1, run), _raney_nums(p, 2, run)):
         den = den * b * n if den else b ** (n - 1) * factorial(n)
-        parts.append((_raney_num(p, 1, n), _raney_num(p, 2, n), den))
+        parts.append((one, two, den))
     return parts
 
 
@@ -258,29 +295,45 @@ def _affine(parts: list[tuple[int, int, int]], t: Fraction) -> list[tuple[int, i
     return [(u * one + w * two, v * den) for one, two, den in parts]
 
 
-def _deformed_closed_parts(p: Fraction | int, t: Fraction, n: int) -> tuple[int, int]:
-    # Single product form with the vanishing linear factors cancelled, so it
-    # stays well defined when (n p - n + 1)(n p - n + 2) has a zero factor.
-    # For p = a/b and t = u/v: prod_{i<n-2} (n a - i b) times the last factor
-    # n (2p - t - pt) + 2 scaled by b v, over b^(n-1) v n!.
-    u, v = t.numerator, t.denominator
-    if n == 0:
-        return 1, 1
-    if n == 1:
-        return 2 * v - u, v
+def _closed_step(num: int, new: range, dropped: range) -> int:
+    # the closed product of n from that of n - b, by its own code, so that the affine vs
+    # closed check compares two derivations (see _deformed_closed_parts)
+    return num * prod(new) // prod(dropped)
+
+
+def _deformed_closed_parts(p: Fraction | int, t: Fraction, ns: range) -> list[tuple[int, int]]:
+    # a_n(p, t) for n in ns (step 1) by the single product form with the vanishing linear
+    # factors cancelled, so it stays well defined when (n p - n + 1)(n p - n + 2) has a zero
+    # factor.  For p = a/b and t = u/v: P_n = prod_{i<n-2} (n a - i b) times the last factor
+    # n (2p - t - pt) + 2 scaled by b v, over b^(n-1) v n!.  With p > 1 and 2a - b < n - 2,
+    # P_n is P_(n-b) with a factors added at the top and a - b dropped at the bottom.
     a, b = p.numerator, p.denominator
-    na = n * a
-    num = prod(range(na, na - (n - 2) * b, -b))
-    last = n * (2 * a * v - u * b - a * u) + 2 * b * v
-    return num * last, b ** (n - 1) * v * factorial(n)
+    u, v = t.numerator, t.denominator
+    last = {}  # P_n of the last n of each residue class mod b
+    den = 0  # the denominator of the previous n, 0 before the first n >= 2
+    pairs = []
+    for n in ns:
+        if n < 2:
+            pairs.append(((1, 1), (2 * v - u, v))[n])
+            continue
+        top, low = n * a, n * a - (n - 3) * b  # the n - 2 factors run from top down to low
+        num = last.pop(n - b, 0)
+        if num and b < a and 2 * a - b < n - 2:
+            num = _closed_step(num, range(top, top - a * b, -b), range(low - (a - b) * b, low, b))
+        else:
+            num = prod(range(top, low - b, -b))
+        last[n] = num
+        den = den * b * n if den else b ** (n - 1) * v * factorial(n)
+        pairs.append((num * (n * (2 * a * v - u * b - a * u) + 2 * b * v), den))
+    return pairs
 
 
 def _deformed_parts(p: Fraction | int, t: Fraction, ns: range) -> list[tuple[int, int]]:
     """a_n(p, t) for n in ns as unreduced integer pairs, the affine route checked against
     the closed one at every n."""
     pairs = _affine(_fuss_terms(p, ns), t)
-    for n, (num, den) in zip(ns, pairs):
-        closed_num, closed_den = _deformed_closed_parts(p, t, n)
+    closed = _deformed_closed_parts(p, t, ns)
+    for n, (num, den), (closed_num, closed_den) in zip(ns, pairs, closed):
         if not _same(num, den, closed_num, closed_den):
             raise InconsistencyError(
                 f"a_{n}({p},{t}): affine route {Fraction(num, den)} "
@@ -312,12 +365,24 @@ def deformed_table(params: Params, n_max: int) -> SeqTable:
     return SeqTable(label=label, offset=0, values=values)
 
 
-def _constellation_parts(p: int, n: int) -> tuple[int, int]:
-    # binom(np, n) / ((np-n+1)(np-n+2)) cancels to prod_{i<n-2} (np - i) / n!
-    if n == 1:
-        return 1, 1
-    top = n * p
-    return (p + 1) * p ** (n - 1) * prod(range(top, top - (n - 2), -1)), factorial(n)
+def _constellation_parts(p: int, ns: range) -> list[tuple[int, int]]:
+    # C_p(n) for n in ns (step 1): binom(np, n) / ((np-n+1)(np-n+2)) cancels to
+    # P_n / n!, P_n = prod_{i<n-2} (np - i), times (p + 1) p^(n-1).  When 2p - 1 < n - 2,
+    # P_n is P_(n-1) with p factors added at the top and p - 1 dropped at the bottom.
+    num = den = 0  # P_n and n! of the previous n, 0 before the first n >= 2
+    parts = []
+    for n in ns:
+        if n == 1:
+            parts.append((1, 1))
+            continue
+        top, low = n * p, n * p - n + 3  # the n - 2 factors run from top down to low
+        if num and 2 * p - 1 < n - 2:
+            num = num * prod(range(top, top - p, -1)) // prod(range(low - p + 1, low))
+        else:
+            num = prod(range(top, low - 1, -1))
+        den = den * n if den else factorial(n)
+        parts.append(((p + 1) * p ** (n - 1) * num, den))
+    return parts
 
 
 def _constellations(p: int, ns: range) -> list[Fraction]:
@@ -325,8 +390,8 @@ def _constellations(p: int, ns: range) -> list[Fraction]:
     if not isinstance(p, int) or isinstance(p, bool) or p < 2:
         raise ValueError("constellation counts require integer p >= 2")
     values = []
-    for n, (a_num, a_den) in zip(ns, _deformed_parts(p, Fraction(2 * p, p + 1), ns)):
-        num, den = _constellation_parts(p, n)
+    family = _deformed_parts(p, Fraction(2 * p, p + 1), ns)
+    for n, (num, den), (a_num, a_den) in zip(ns, _constellation_parts(p, ns), family):
         via_num, via_den = (p + 1) * p ** (n - 1) * a_num, 2 * a_den
         if not _same(num, den, via_num, via_den):
             raise InconsistencyError(
@@ -513,5 +578,5 @@ def necessary_gap(params: Params) -> Fraction:
 
 def catalan_table(n_max: int) -> SeqTable:
     """Catalan numbers as a SeqTable (the t = 1, p = 2 slice of the family)."""
-    values = [raney(2, 1, n) for n in range(n_max + 1)]
+    values = _raney_run(Fraction(2), Fraction(1), range(n_max + 1))
     return SeqTable(label="catalan", offset=0, values=values)

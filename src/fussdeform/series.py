@@ -20,10 +20,12 @@ polynomials by dense radicals (untrimmed, perfbench seq-tables ran 6.4%
 slower).  The quotient and pow1p are recurrences of one shape, each
 coefficient summed by one helper (_running_sum) over one running denominator
 that widens (one gcd) only when a term's denominator does not divide it (on
-one common denominator seq-tables ran 1.6 to 1.8 times slower).  revert
-keeps its own recurrence for w / F(w) (through the jet quotient perfbench
-jets ran 4% slower).  compose and
-revert first rescale the variable, z -> lam z, by one rule: den(c_2 / c_1)
+one common denominator seq-tables ran 1.6 to 1.8 times slower); the sum
+stops at the last nonzero coefficient of the divisor or of pow1p's base, so
+the radicands and denominator lists of the closed jets cost O(n span), not
+O(n^2).  revert keeps its own recurrence for w / F(w) (through the jet
+quotient perfbench jets ran 4% slower).  compose and revert first rescale
+the variable, z -> lam z, by one rule: den(c_2 / c_1)
 times the part of den(c_3) not in den(c_2), which takes the growth of the
 denominators with the index as well as their offset, so that the shared
 denominator does not carry it (with den(c_2 / c_1) alone the reversion of
@@ -83,8 +85,9 @@ def _running_sum(
     fn: list[int], fd: list[int], gn: list[int], gd: list[int], k: int,
 ) -> tuple[int, int]:
     """num/den plus the sum over j = 1..k of (slope j + base) (fn_j / fd_j) (gn_(k-j) / gd_(k-j)),
-    over one running denominator that widens (one gcd) only when a term's does not divide it."""
-    for j in range(1, k + 1):
+    over one running denominator that widens (one gcd) only when a term's does not divide it.
+    fn ends at its last nonzero coefficient, so the sum stops there."""
+    for j in range(1, min(k, len(fn) - 1) + 1):
         x = fn[j]
         if x and gn[k - j]:
             d = fd[j] * gd[k - j]
@@ -295,6 +298,7 @@ class TruncSeries(_Frozen):
         n = min(self.order, other.order)
         an, ad = _split(self.coeffs[: n + 1])
         bn, bd = _split(other.coeffs[: n + 1])
+        bn = bn[: _span(bn)[1]]
         out: list[Fraction] = []
         on: list[int] = []
         od: list[int] = []
@@ -438,6 +442,7 @@ def pow1p(f: TruncSeries, alpha: RationalLike) -> TruncSeries:
     u, v = a.numerator, a.denominator
     n = f.order
     fn, fd = _split(f.coeffs)
+    fn = fn[: _span(fn)[1]]
     out = [Fraction(1)]
     on = [1]
     od = [1]
@@ -543,7 +548,7 @@ def s_series_from_moments(m: TruncSeries) -> TruncSeries:
         raise ValueError("s_series_from_moments needs m_0 = 1")
     if m.order < 1 or m.coeffs[1] == 0:
         raise ValueError("s_series_from_moments needs m_1 != 0 and order >= 1")
-    chi = revert(m - 1)
+    chi = revert(TruncSeries((Fraction(0),) + m.coeffs[1:]))  # M - 1, as m_0 = 1
     ratio = chi.shift_down(1)  # chi / w, constant term 1/m_1
     one_plus_w = TruncSeries.from_coeffs([1, 1], ratio.order)
     return one_plus_w * ratio

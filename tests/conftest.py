@@ -1,0 +1,10 @@
+"""Hypothesis profiles: ``ci`` draws the same examples on every run and prints the blob
+that replays a failure; select it with ``HYPOTHESIS_PROFILE=ci``.  Other runs keep the
+default profile."""
+
+import os
+
+from hypothesis import settings
+
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))

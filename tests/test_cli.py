@@ -1,6 +1,8 @@
 """Command-line front end: formats, exit codes, determinism, and the layers each command loads."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import random
@@ -11,6 +13,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fussdeform
 import fussdeform.cli as cli
@@ -618,6 +622,65 @@ def test_cli_fuzz_keeps_the_exit_code_contract(capsys):
             pytest.fail(f"{' '.join(argv)} raised {exc!r}")
         assert code in (0, 2), argv
         capsys.readouterr()
+
+
+# the values each of p, t, r and n may take: non-finite, past the float range, a zero
+# denominator, no number, large, zero, negative, below 1, and a few where the runs step
+_CONTRACT_POOL = (
+    "nan", "inf", "1e-1000", "3/0", "abc", "198", "0", "-1", "-5/2", "1/2", "1e300", "5/2", "3",
+)
+# the size flags of each computing subcommand, kept small
+_CONTRACT_SIZES = {
+    "seq": {}, "transforms": {"--series-order": 6}, "density": {"--grid": 5},
+    "moments-check": {"--n-max": 3}, "gfun": {"--steps": 3}, "posdef": {"--hankel-size": 4},
+    "infdiv": {"--hankel-size": 4}, "domain-grid": {"--steps": 3, "--hankel-size": 4},
+}
+
+
+@st.composite
+def _contract_argv(draw):
+    """argv of one computing subcommand, each flag it reads drawn from the pool or left out."""
+    pool = st.sampled_from(_CONTRACT_POOL)
+    command = draw(st.sampled_from(sorted(_CONTRACT_SIZES)))
+    argv = [command]
+    if command == "seq":
+        argv.append(draw(st.sampled_from(_SUBJECTS)))
+        flags = ["--p", "--t", "--r", "--n"]
+        if argv[1] == "a220910":
+            argv += ["--method", draw(st.sampled_from(cli._A220910_METHODS))]
+    elif command in ("gfun", "domain-grid"):
+        flags = ["--p-min", "--p-max"] + ["--t-min", "--t-max"] * (command == "domain-grid")
+    else:
+        flags = ["--p", "--t"]
+    for flag in flags:
+        if draw(st.integers(0, 3)):  # each flag given three times in four
+            argv += [flag, draw(pool)]
+    for flag, top in _CONTRACT_SIZES[command].items():
+        argv += [flag, str(draw(st.integers(1, top)))]
+    if command == "transforms":
+        argv += ["--route", draw(st.sampled_from(("closed", "moments")))]
+    return argv
+
+
+@settings(max_examples=600, deadline=None)
+@given(_contract_argv())
+# seq raney, a and constellation where the runs fall back to direct products: p <= 1, and
+# r <= 0, whose numerators are 0 at n = 14..19 at p = 3; and a constellation run that steps
+@example(["seq", "raney", "--p", "1/2", "--r", "-5/2", "--n", "198"])
+@example(["seq", "raney", "--p", "3", "--r", "-40", "--n", "198"])
+@example(["seq", "a", "--p", "-5/2", "--t", "1/2", "--n", "198"])
+@example(["seq", "constellation", "--p", "1", "--n", "198"])
+@example(["seq", "constellation", "--p", "3", "--n", "198"])
+def test_every_drawn_argv_keeps_the_exit_code_contract(argv):
+    # exit 0 or 2 (a usage error or a float limit), never a contradiction or a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the arguments
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def test_csv_does_not_render_the_minors_it_omits(capsys):

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction as F
 from itertools import product
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -117,7 +117,7 @@ def test_raney_matches_fraction_loop(p, r, n):
 
 
 def _closed(p, t, n):
-    return F(*exact_seq._deformed_closed_parts(p, t, n))
+    return F(*exact_seq._deformed_closed_parts(p, t, range(n, n + 1))[0])
 
 
 def test_affine_closed_check_fires(monkeypatch, capsys):
@@ -166,15 +166,17 @@ def test_deformed_closed_where_the_textbook_denominator_vanishes(n):
 def test_affine_closed_check_fires_on_the_closed_route(monkeypatch, capsys):
     real = exact_seq._deformed_closed_parts
 
-    def one_factor_too_many(p, t, n):
-        num, den = real(p, t, n)
-        if n == 5:  # the factor n p - (n - 2) = (n a - (n - 2) b) / b
-            num, den = num * (n * p.numerator - (n - 2) * p.denominator), den * p.denominator
-        return num, den
+    def one_factor_too_many(p, t, ns):
+        pairs = real(p, t, ns)
+        for i, n in enumerate(ns):
+            if n == 5:  # the factor n p - (n - 2) = (n a - (n - 2) b) / b
+                num, den = pairs[i]
+                pairs[i] = num * (n * p.numerator - (n - 2) * p.denominator), den * p.denominator
+        return pairs
 
     monkeypatch.setattr(exact_seq, "_deformed_closed_parts", one_factor_too_many)
     params = Params.exact(F(5, 2), F(1, 3))
-    assert deformed_fuss(params, 4) == F(*real(params.p, params.t, 4))
+    assert deformed_fuss(params, 4) == F(*real(params.p, params.t, range(4, 5))[0])
     with pytest.raises(InconsistencyError):
         deformed_fuss(params, 5)
     assert main(["seq", "a", "--p", "5/2", "--t", "1/3", "--n", "6"]) == 3
@@ -309,17 +311,18 @@ def test_constellation_matches_fraction_loop(p):
         assert constellation_count(p, n) == _constellation_loop(p, n)
 
 
-def test_constellation_cross_check_fires(monkeypatch):
+def test_constellation_cross_check_fires(monkeypatch, capsys):
     real = exact_seq._constellation_parts
 
-    def off_by_one(p, n):
-        num, den = real(p, n)
-        return num + den * (n == 4), den
+    def off_by_one(p, ns):
+        return [(num + den * (n == 4), den) for n, (num, den) in zip(ns, real(p, ns))]
 
     monkeypatch.setattr(exact_seq, "_constellation_parts", off_by_one)
-    assert constellation_count(3, 3) == F(*real(3, 3))
+    assert constellation_count(3, 3) == F(*real(3, range(3, 4))[0])
     with pytest.raises(InconsistencyError):
         constellation_count(3, 4)
+    assert main(["seq", "constellation", "--p", "3", "--n", "5"]) == 3
+    assert "internal contradiction" in capsys.readouterr().err
 
 
 def test_constellation_cross_check_fires_on_the_family_route(monkeypatch, capsys):
@@ -331,11 +334,82 @@ def test_constellation_cross_check_fires_on_the_family_route(monkeypatch, capsys
         return [(num + den * (n == 4), den) for n, (num, den) in zip(ns, real(p, t, ns))]
 
     monkeypatch.setattr(exact_seq, "_deformed_parts", off_by_one)
-    assert constellation_count(3, 3) == F(*exact_seq._constellation_parts(3, 3))
+    assert constellation_count(3, 3) == F(*exact_seq._constellation_parts(3, range(3, 4))[0])
     with pytest.raises(InconsistencyError):
         constellation_count(3, 4)
     assert main(["seq", "constellation", "--p", "3", "--n", "5"]) == 3
     assert "internal contradiction" in capsys.readouterr().err
+
+
+def _raney_pair(p, r, n):
+    """Reference: the numerator of raney(p, r, n) that _raney_nums gives, and its denominator
+    d (b d)^(n-1) n!, one math.prod per n; (1, 1) at n = 0."""
+    if n == 0:
+        return 1, 1
+    a, b, c, d = p.numerator, p.denominator, r.numerator, r.denominator
+    num = c * prod(n * a * d + c * b - i * b * d for i in range(1, n))
+    return num, d * (b * d) ** (n - 1) * factorial(n)
+
+
+def _closed_pair(p, t, n):
+    """Reference: a_n(p, t) as the pair _deformed_closed_parts gives, one math.prod per n."""
+    a, b, u, v = p.numerator, p.denominator, t.numerator, t.denominator
+    if n < 2:
+        return ((1, 1), (2 * v - u, v))[n]
+    last = n * (2 * a * v - u * b - a * u) + 2 * b * v
+    return prod(n * a - i * b for i in range(n - 2)) * last, b ** (n - 1) * v * factorial(n)
+
+
+def _constellation_pair(p, n):
+    """Reference: C_p(n) as the pair _constellation_parts gives, one math.prod per n."""
+    if n == 1:
+        return 1, 1
+    return (p + 1) * p ** (n - 1) * prod(n * p - i for i in range(n - 2)), factorial(n)
+
+
+@st.composite
+def _run_case(draw):
+    """(p, r, ns): p = a/b of either sign, at most 1 or an integer, r = c/d of either sign or
+    0, where factors vanish, and a run that may start above 0 and reach n = 300."""
+    b = draw(st.sampled_from((1, 1, 2, 3, 7, 12)))
+    p = F(draw(st.integers(-3 * b, 9 * b)), b)
+    r = draw(_RATIONAL | st.sampled_from((F(0), F(-1), F(-4), F(-7, 2))))
+    start = draw(st.integers(0, 40))
+    return p, r, range(start, draw(st.integers(start, 300)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_run_case())
+@example((F(3), F(-40), range(0, 60)))  # a Raney numerator is 0 at n = 14..19, stepped past
+@example((F(5, 2), F(-41, 2), range(3, 80)))  # 0 at n = 9, 11, 13: one class mod 2 only
+@example((F(1, 3), F(2), range(0, 50)))  # p < 1: every value a direct product
+def test_stepped_runs_match_direct_products(case):
+    p, r, ns = case
+    run = range(max(ns.start, 1), ns.stop)
+    assert exact_seq._raney_nums(p, r, run) == [_raney_pair(p, r, n)[0] for n in run]
+    assert exact_seq._raney_run(p, r, ns) == [F(*_raney_pair(p, r, n)) for n in ns]
+    assert exact_seq._deformed_closed_parts(p, r, ns) == [_closed_pair(p, r, n) for n in ns]
+    if p.denominator == 1 and p >= 2:
+        expected = [_constellation_pair(int(p), n) for n in run]
+        assert exact_seq._constellation_parts(int(p), run) == expected
+
+
+def test_a_table_to_300_steps_every_product_past_its_crossover(monkeypatch):
+    # p = 7/3: a Raney numerator is a direct product while the step's 2a - b = 11 factors are
+    # at least its n - 1, so at n = 1..12, and a step from n - 3 after; the closed product,
+    # of n - 2 factors, steps from n = 14 on.  A change that stops stepping shows up here
+    calls = {name: [] for name in ("_raney_num", "_raney_step", "_closed_step")}
+    for name, seen in calls.items():
+        real = getattr(exact_seq, name)
+        monkeypatch.setattr(
+            exact_seq, name, lambda *args, real=real, seen=seen: seen.append(args) or real(*args)
+        )
+    table = deformed_table(Params(F(7, 3), F(1, 5)), 300)
+    assert table.values[300] == deformed_fuss(Params(F(7, 3), F(1, 5)), 300)
+    assert sorted(n for _, r, n in calls["_raney_num"] if r == 1) == list(range(1, 13)) + [300]
+    assert sorted(n for _, r, n in calls["_raney_num"] if r == 2) == list(range(1, 13)) + [300]
+    assert len(calls["_raney_step"]) == 2 * (300 - 12)
+    assert len(calls["_closed_step"]) == 300 - 13
 
 
 def test_constellation_rejects_bad_parameters():

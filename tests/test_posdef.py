@@ -880,10 +880,14 @@ def test_every_cell_path_reaches_hankel_report_by_its_module_name(monkeypatch):
 
 
 def test_classify_row_builds_the_raney_integers_once_per_row(monkeypatch):
-    # two Raney numerators (r = 1, 2) at each n = 1..2m - 2, per p row, whatever the steps
+    # two Raney numerators (r = 1, 2) at each n = 1..2m - 2, per p row, whatever the steps:
+    # each a direct product or a step from n - b (at p = 2 from n = 5 on, at p = 3/2 at n = 6)
     calls = []
-    real = exact_seq._raney_num
-    monkeypatch.setattr(exact_seq, "_raney_num", lambda p, r, n: calls.append(n) or real(p, r, n))
+    for name in ("_raney_num", "_raney_step"):
+        real = getattr(exact_seq, name)
+        monkeypatch.setattr(
+            exact_seq, name, lambda *args, real=real: calls.append(args) or real(*args)
+        )
     for steps in (1, 2, 5):
         calls.clear()
         assert main(["domain-grid", "--steps", str(steps), "--hankel-size", "4"]) == 0

@@ -269,6 +269,13 @@ def _cleared_with_numerator_7_bumped(real):
     return cleared
 
 
+def _top_factor_off_by_one(real):
+    def step(num, new, dropped):
+        return real(num, new, dropped) // new[0] * (new[0] + 1)
+
+    return step
+
+
 def _pivots_with_pivot_3_flipped(real):
     def pivots(b):
         for k, (pivot, verdict) in enumerate(real(b)):
@@ -293,8 +300,15 @@ _PLANTED_FAULTS = [
      "c1 c2 c3 c5 c6 c9 c10 c11", "transforms infdiv-2 infdiv-3"),
     ("exact_seq", "_cleared", _cleared_with_numerator_7_bumped, "c1 c2 c3 c5 c6 c9 c10 c11",
      "transforms infdiv-2 infdiv-3 domain-grid"),
-    ("exact_seq", "_raney_num", lambda real: lambda p, r, n: real(p, r, n) + (n == 6),
+    # n = 4 is a direct product at every p the commands use (p = 2 steps from n = 5 on), and
+    # each later n of its residue class steps from it
+    ("exact_seq", "_raney_num", lambda real: lambda p, r, n: real(p, r, n) + (n == 4),
      "c2 c5 c6 c9 c10", "transforms infdiv-2 infdiv-3 posdef domain-grid seq-a"),
+    # the steps of a run, one new factor off by one; no verify criterion reads a_n where the
+    # closed product steps, so only the affine vs closed check of seq a sees that one
+    ("exact_seq", "_raney_step", _top_factor_off_by_one, "c2 c6 c9 c10",
+     "transforms infdiv-2 infdiv-3 posdef domain-grid seq-a"),
+    ("exact_seq", "_closed_step", _top_factor_off_by_one, "", "seq-a"),
     ("posdef", "_pivots", _pivots_with_pivot_3_flipped, "c10", ""),
     ("_kernels_py", "rho_bisect",
      lambda real: lambda p, xs: [b * cmath.rect(1.0, 1e-9) for b in real(p, xs)], "c8", ""),
@@ -370,7 +384,8 @@ def _cross_check_sides():
             ]
         return lambda: [series.r_series_closed(p, t, 8) for p, t in cases]
 
-    p, t, ns = Fraction(5, 2), Fraction(1, 3), range(12)
+    # n < 40 at p = 5/2: the Raney numerators step from n = 10 on, the closed product from 11
+    p, t, ns = Fraction(5, 2), Fraction(1, 3), range(40)
     cell = Params.exact(Fraction(3, 2), Fraction(1, 2))
     c6 = [Params.exact(Fraction(*p), Fraction(*t)) for p, t in (
         ((2, 1), (1, 2)), ((2, 1), (1, 1)), ((2, 1), (4, 3)),
@@ -382,7 +397,12 @@ def _cross_check_sides():
     return [
         ("a_n affine vs closed", [
             lambda: exact_seq._affine(exact_seq._fuss_terms(p, ns), t),
-            lambda: [exact_seq._deformed_closed_parts(p, t, n) for n in ns],
+            lambda: exact_seq._deformed_closed_parts(p, t, ns),
+        ], set()),
+        # the direct count steps its product by its own code, b = 1
+        ("C_p(n) direct vs deformed-family route", [
+            lambda: exact_seq._constellation_parts(3, ns[1:]),
+            lambda: exact_seq._deformed_parts(3, Fraction(3, 2), ns[1:]),
         ], set()),
         ("theorem interval vs hankel_report", [
             lambda: posdef.theorem_interval(cell.p),
@@ -390,19 +410,18 @@ def _cross_check_sides():
         ], set()),
         # the B_p^2 check is an identity on one set of Raney integers, not two routes
         ("B_p^2 product vs Raney formula", [
-            lambda: [exact_seq._raney_num(p, 1, n) for n in ns[1:]],
-            lambda: [exact_seq._raney_num(p, 2, n) for n in ns[1:]],
-        ], {"exact_seq._raney_num"}),
+            lambda: exact_seq._raney_nums(p, 1, ns[1:]),
+            lambda: exact_seq._raney_nums(p, 2, ns[1:]),
+        ], {"exact_seq._raney_nums", "exact_seq._raney_num", "exact_seq._raney_step"}),
         # the jet core: a Lagrange route to the cumulants would share none of it
         ("infdiv reverted moments vs closed R", [infdiv_side("moments"), infdiv_side("closed")],
          jet | {"series._running_sum", "series._split", "series.TruncSeries.__truediv__",
                 "series.TruncSeries.shift_down"}),
+        # the jet product; M - 1 is read off m's coefficients, not built by jet subtraction
         ("verify c6 S from moments vs closed S", [
             lambda: [series.s_series_from_moments(series.moment_series(q, 16)) for q in c6],
             lambda: [series.s_series_closed(q, 15) for q in c6],
-        ], jet | {"series.TruncSeries.__add__", "series.TruncSeries.__mul__",
-                  "series.TruncSeries.__neg__", "series.TruncSeries.__sub__",
-                  "series.TruncSeries._coerce", "series.TruncSeries.constant"}),
+        ], jet | {"series.TruncSeries.__mul__"}),
         # the table plumbing only
         ("A220910 routes",
          [partial(exact_seq.a220910_table, 20, method) for method in exact_seq._A220910_METHODS],
