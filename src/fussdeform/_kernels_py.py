@@ -12,14 +12,19 @@ module constants:
   i = 0 for psi_min and from i = floor(p _PSI_GRID / 2) - 2 for g_scan's check, and refines
   by golden section to width _PSI_TOL; g_scan's search runs to the same width (see g_scan).
 * _FEAS_TOL: the least psi at t = g(p) that g_scan's check accepts.
-* _NEWTON_STEPS, _NEWTON_TOL, _HALVINGS: rho_bisect's steps per Newton attempt, relative
-  residual to accept a root, and halvings of the continuation step (see rho_bisect).
+* _NEWTON_STEPS, _NEWTON_TOL, _HALVINGS, _EDGE: rho_bisect's steps per Newton attempt,
+  relative residual to accept a root, halvings of the continuation step, and the relative
+  distance from the sector's edge pi/p within which a root's argument is left to rounding.
+  Newton starts each point from the quadratic through the last three roots, or from the last
+  root until three are known, after a halving and after a root within _EDGE of the edge (see
+  rho_bisect).
 * _INIT_PANELS, _MAX_DEPTH, _MAX_PANELS, _ATOL, _RTOL: the adaptive Gauss-Kronrod quadrature
   starts from _INIT_PANELS panels, halves one at most _MAX_DEPTH times, holds at most
-  _MAX_PANELS and stops at an error within _ATOL + _RTOL |value|; moment_quad, which alone
-  takes its absolute tolerance as an argument, keeps the samples of at most _MAX_PANELS panels.
+  _MAX_PANELS and stops at an error within _ATOL + _RTOL |value|; moment_quad alone takes its
+  absolute tolerance as an argument.
 * _INSET: moment_quad integrates the moments 0..n_max of one (p, t) over
-  (_INSET, pi/p - _INSET), sampling each panel's nodes once for all of them.
+  (_INSET, pi/p - _INSET), moment n starting from the partition moment n - 1 ended with, so
+  _MAX_PANELS bounds that partition too; each panel samples its nodes once for all the n.
 
 cumulant_quad integrates every cumulant-side measure by one rule, in theta with
 x = lo + (hi - lo) sin(theta)^2.
@@ -27,6 +32,7 @@ x = lo + (hi - lo) sin(theta)^2.
 
 from functools import partial
 from math import atan2, cos, exp, fabs, inf, isfinite, log1p, pi, sin, sqrt
+from operator import mul
 
 from .errors import InconsistencyError
 
@@ -36,6 +42,7 @@ _FEAS_TOL = 1e-12
 _NEWTON_TOL = 1e-12
 _NEWTON_STEPS = 64
 _HALVINGS = 30
+_EDGE = 1e-12
 _ATOL = 1e-10
 _RTOL = 1e-12
 _MAX_DEPTH = 20
@@ -239,32 +246,45 @@ def rho_bisect(p, xs):
     root p/(p-1).  The solve continues from there down the xs, largest first: Newton (see
     _newton) starts the first point at p/(p-1) + i sqrt(2 p (c - x) / (c (p-1)^3)), the root of
     the equation's expansion to second order about the double root, and each later point at
-    the last accepted root.  A root is accepted only inside the sector and only when the
-    residual |x (B - 1) - B^p| is within _NEWTON_TOL (x |B - 1| + |B|^p); this check, not an
-    assumption on rho, is what makes each B the root.  A point that fails is approached
-    again from halfway to the last accepted x, and one still lost after _HALVINGS halvings
-    raises OverflowError naming p and x.
+    3 (b1 - b2) + b3, the quadratic through the last three accepted roots b1, b2, b3 (off by a
+    term of third order in the step on an even grid), or at the last accepted root b1 until
+    three roots are known, counting afresh after a halving and after a root whose argument is
+    within _EDGE pi/p of pi/p.  There (p within about 1e-12 of 1) the last bits of arg B are
+    rounding and decide the sector check, and the last root as the start keeps the floats of
+    the plain continuation: a start extrapolated from such roots let four points of a 7-point
+    grid at p = 1 + 2^-52 pass one float below pi/p, with equal phi, where the plain
+    continuation rounds them to pi/p and fails them.  A root is accepted only inside the
+    sector and only when the residual |x (B - 1) - B^p| is within _NEWTON_TOL
+    (x |B - 1| + |B|^p); this check, not an assumption on rho or on the start, is what makes
+    each B the root.  A point that fails is approached again from halfway to the last accepted
+    x, and one still lost after _HALVINGS halvings raises OverflowError naming p and x.
     """
     c = support_end(p)
     double = p / (p - 1.0)
     top = pi / p
     anchor, b = c, None  # the last accepted x and its root; None stands for the double root
+    b2 = b3 = None  # the two roots accepted before b since a restart of the count, if two
     roots = []
     for x in reversed(xs):
         target, halvings = x, 0
         while True:
             if b is None:
                 start = complex(double, sqrt(2.0 * p * (c - target) / c) / (p - 1.0) ** 1.5)
-            else:
+            elif b3 is None:
                 start = b
+            else:
+                start = 3.0 * (b - b2) + b3
             root = _newton(p, target, start)
+            phi = None if root is None else atan2(root.imag, root.real)
             if (
-                root is not None
-                and 0.0 < atan2(root.imag, root.real) < top
+                phi is not None
+                and 0.0 < phi < top
                 and abs(target * (root - 1.0) - root**p)
                 <= _NEWTON_TOL * (target * abs(root - 1.0) + abs(root) ** p)
             ):
-                anchor, b = target, root
+                anchor, b, b2, b3 = target, root, b, b2
+                if top - phi < _EDGE * top:
+                    b2 = b3 = None
                 if target == x:
                     break
                 target = x
@@ -273,6 +293,7 @@ def rho_bisect(p, xs):
             else:
                 halvings += 1
                 target = 0.5 * (anchor + target)
+                b2 = b3 = None
         roots.append(b)
     return roots[::-1]
 
@@ -342,6 +363,13 @@ def _gk15_sum(h, fx):
         + _K4 * (fabs(l4) + fabs(r4)) + _K5 * (fabs(l5) + fabs(r5))
         + _K6 * (fabs(l6) + fabs(r6))
     ) * h
+    return kron, _gk_error(kron, gauss, resabs), resabs
+
+
+def _gk_error(kron, gauss, resabs):
+    """QUADPACK's error estimate of one panel from its Kronrod and Gauss sums and resabs, the
+    Kronrod sum of |f|: |kron - gauss|, lowered to (200 |kron - gauss|)^1.5 where that is less,
+    and raised to 50 _EPS resabs, the rounding of the sums."""
     d = fabs(kron - gauss)
     err = d
     # (200 d)^1.5 < d only when 200 d < 1; skipping it otherwise keeps the
@@ -353,7 +381,7 @@ def _gk15_sum(h, fx):
     floor = 50.0 * _EPS * resabs
     if err < floor:
         err = floor
-    return kron, err, resabs
+    return err
 
 
 def _gk15(f, a, b):
@@ -362,50 +390,63 @@ def _gk15(f, a, b):
     return _gk15_sum(h, [f(x) for x in nodes])
 
 
-def _adaptive(panel, a, b, atol):
-    """Worst-panel-first refinement of panel(a, b) -> (value, error, resabs), from _INIT_PANELS
-    panels, each halved at most _MAX_DEPTH times and at most _MAX_PANELS in all, until the error
-    is within atol + _RTOL |value|.
+def _first_panels(panel, a, b):
+    """The _INIT_PANELS equal panels of [a, b], each evaluated by panel(a, b, depth) at depth 0."""
+    width = (b - a) / _INIT_PANELS
+    return [
+        panel(a + i * width, b if i == _INIT_PANELS - 1 else a + (i + 1) * width, 0)
+        for i in range(_INIT_PANELS)
+    ]
+
+
+def _adaptive(panel, panels, atol):
+    """Worst-panel-first refinement of panels, a list of rows [value, error, depth, a, b, ...]
+    that it refines in place: the worst panel is halved, panel(a, b, depth) evaluating each half,
+    until the error is within atol + _RTOL |value|.  A panel is halved at most _MAX_DEPTH times,
+    and the list holds at most _MAX_PANELS.
 
     Returns (value, error_estimate, converged).
     """
-    panels = []  # [a, b, value, err, depth]
-    width = (b - a) / _INIT_PANELS
-    for i in range(_INIT_PANELS):
-        pa = a + i * width
-        pb = b if i == _INIT_PANELS - 1 else a + (i + 1) * width
-        v, e, _ = panel(pa, pb)
-        panels.append([pa, pb, v, e, 0])
     while True:
         total = 0.0
         err = 0.0
         for row in panels:
-            total += row[2]
-            err += row[3]
+            total += row[0]
+            err += row[1]
         if err <= atol + _RTOL * fabs(total):
             return total, err, True
         worst = -1
         worst_err = -1.0
         for i, row in enumerate(panels):
-            if row[4] < _MAX_DEPTH and row[3] > worst_err:
+            if row[2] < _MAX_DEPTH and row[1] > worst_err:
                 worst = i
-                worst_err = row[3]
+                worst_err = row[1]
         if worst < 0 or len(panels) >= _MAX_PANELS:
             return total, err, False
-        pa, pb, _, _, depth = panels[worst]
+        _, _, depth, pa, pb = panels[worst][:5]
         mid = 0.5 * (pa + pb)
-        v1, e1, _ = panel(pa, mid)
-        v2, e2, _ = panel(mid, pb)
-        panels[worst] = [pa, mid, v1, e1, depth + 1]
-        panels.append([mid, pb, v2, e2, depth + 1])
+        panels[worst] = panel(pa, mid, depth + 1)
+        panels.append(panel(mid, pb, depth + 1))
+
+
+def _callable_panel(f, a, b, depth):
+    """The row of integrate_callable's panel [a, b] (see _adaptive)."""
+    value, err, _ = _gk15(f, a, b)
+    return [value, err, depth, a, b]
 
 
 def integrate_callable(f, a, b):
     """Adaptive Gauss-Kronrod integral of a Python callable on [a, b]: (value, error, converged)."""
-    return _adaptive(partial(_gk15, f), a, b, _ATOL)
+    panel = partial(_callable_panel, f)
+    return _adaptive(panel, _first_panels(panel, a, b), _ATOL)
 
 
 _INSET = 1e-12
+
+# The Kronrod and Gauss weights of the 15 nodes in _gk15_nodes' order; Gauss leaves out the
+# pairs 0, 2, 4 and 6.
+_KRONROD15 = (_K7, _K0, _K0, _K1, _K1, _K2, _K2, _K3, _K3, _K4, _K4, _K5, _K5, _K6, _K6)
+_GAUSS15 = (_G3, 0.0, 0.0, _G0, _G0, 0.0, 0.0, _G1, _G1, 0.0, 0.0, _G2, _G2, 0.0, 0.0)
 
 
 def _node(p, t, phi):
@@ -419,45 +460,77 @@ def _node(p, t, phi):
     return rho(p, phi), mass(t, complex(r * cos(phi), r * sin(phi))) * fabs(slope) / pi
 
 
+def _moment_sums(row):
+    """Set a moment panel's value, error and resabs from its weights and its powers x^n.  The
+    powers are >= 0, so where every Kronrod weight is too, resabs is the Kronrod sum itself.  A
+    sum that leaves the float range raises OverflowError."""
+    kronrod, gauss, absolute, powers = row[7:]
+    value = sum(map(mul, kronrod, powers))
+    resabs = value if absolute is None else sum(map(mul, absolute, powers))
+    err = _gk_error(value, sum(map(mul, gauss, powers)), resabs)
+    if not isfinite(err):
+        raise OverflowError("a panel sum left the float range")
+    row[0], row[1], row[5] = value, err, resabs
+
+
+def _moment_panel(p, t, n, a, b, depth):
+    """The row of moment_quad's panel [a, b] at moment n: [value, error, depth, a, b, resabs,
+    then per node x, the Kronrod and Gauss weights times f |dx/dphi| h (see _node), |the Kronrod
+    weight| or None where none is negative, and x^n]."""
+    h, phis = _gk15_nodes(a, b)
+    xs, weights = zip(*[_node(p, t, phi) for phi in phis])
+    kronrod = [k * h * w for k, w in zip(_KRONROD15, weights)]
+    gauss = [g * h * w for g, w in zip(_GAUSS15, weights)]
+    absolute = list(map(fabs, kronrod)) if min(kronrod) < 0.0 else None
+    row = [0.0, 0.0, depth, a, b, 0.0, xs, kronrod, gauss, absolute, [x**n for x in xs]]
+    _moment_sums(row)
+    return row
+
+
 def moment_quad(p, t, n_max, atol=_ATOL):
     """The moments 0..n_max of the density of the (p, t) family, integrated in angle space: a
     list of (value, error_estimate, converged), one per n, that stops at the first n that does
     not converge.
 
     The x-space integral over (0, p^p (p-1)^(1-p)) becomes int_0^{pi/p} rho^n f |rho'| dphi,
-    whose integrand stays bounded at both endpoints.  A panel's (x, weight) pairs at its 15
-    nodes (see _node) do not depend on n, so each n reads the samples an earlier n took.  A
-    float limit, such as rho^n overflowing at large n, raises OverflowError naming p, t and the
-    n it reached.
+    whose integrand stays bounded at both endpoints.  Moment n starts from the partition that
+    moment n - 1 ended with and refines it (see _adaptive); each panel keeps its 15 nodes' x and
+    weights (see _moment_panel), and the next moment multiplies each node's x^n by x.  A float
+    limit, such as x^n overflowing at large n, raises OverflowError naming p, t and the n it
+    reached.
     """
-    samples = {}  # (a, b) -> (half width, the (x, weight) pairs at its nodes)
-
-    def panel(n, a, b):
-        hit = samples.get((a, b))
-        if hit is None:
-            h, nodes = _gk15_nodes(a, b)
-            hit = (h, [_node(p, t, phi) for phi in nodes])
-            if len(samples) < _MAX_PANELS:
-                samples[(a, b)] = hit
-        h, pairs = hit
-        return _gk15_sum(h, [x**n * w for x, w in pairs])
-
+    a, b = _INSET, pi / p - _INSET
     table = []
+    panels = None
     for n in range(n_max + 1):
+        panel = partial(_moment_panel, p, t, n)
         try:
-            value, err, converged = _adaptive(partial(panel, n), _INSET, pi / p - _INSET, atol)
+            if panels is None:
+                panels = _first_panels(panel, a, b)
+            else:
+                for row in panels:
+                    row[10] = list(map(mul, row[10], row[6]))  # x^n = x^(n-1) x at each node
+                    _moment_sums(row)
+            value, err, converged = _adaptive(panel, panels, atol)
         except (ZeroDivisionError, OverflowError):
             raise OverflowError(
                 f"moment quadrature left the float range at p={p}, t={t}, n={n}"
             ) from None
-        # Two errors the panel estimates do not see; refinement ignores both.
+        # Three errors the panel estimates do not see; refinement ignores them.
         # rho raises a quotient of two sines, each good to half an ulp, to the
-        # power p, so rho^n is off by about n (p + 1) _EPS relative.  And the
-        # integral leaves out (0, _INSET), where the integrand vanishes like phi^2, and
-        # (pi/p - _INSET, pi/p), where it tends to rho^n t p^2 / pi with rho of
-        # order _INSET / sin(pi/p): only n = 0 leaves mass worth counting there,
-        # about _INSET t p^2 / pi, bounded by twice that.
-        err += n * (p + 1.0) * _EPS * fabs(value)
+        # power p, so rho^n is off by about n (p + 1) _EPS relative.  Each x^n
+        # is x^(n-1) x rounded, n - 1 roundings of _EPS / 2 relative each, or
+        # x**n for a panel split at n, within an ulp: either way within
+        # n _EPS / 2 relative, so the sums move by at most n _EPS / 2 times
+        # their resabs.  And the integral leaves out (0, _INSET), where the
+        # integrand vanishes like phi^2, and (pi/p - _INSET, pi/p), where it
+        # tends to rho^n t p^2 / pi with rho of order _INSET / sin(pi/p): only
+        # n = 0 leaves mass worth counting there, about _INSET t p^2 / pi,
+        # bounded by twice that.
+        resabs = 0.0
+        for row in panels:
+            resabs += row[5]
+        err += n * ((p + 1.0) * fabs(value) + 0.5 * resabs) * _EPS
         if n == 0:
             err += 2.0 * _INSET * fabs(t) * p * p / pi
         table.append((value, err, converged))

@@ -14,7 +14,8 @@ closed route the form for p, once per call; the components W_{p,1} and W_{p,2}
 are f_{p,t} at t = 1 and t = 0.  Moment
 quadrature integrates in the angle variable (x = rho(phi) bounds the integrand
 at both support edges) with the adaptive Gauss-Kronrod kernels; one call gives
-the moments 0..n_max of one (p, t), which share the integrand's samples.  The
+the moments 0..n_max of one (p, t), each n refining the partition and reusing
+the node samples of the n before it.  The
 cumulant-side measures are defined in the kernels; cumulant_quadrature checks
 the range of t and integrates x^n against them.
 The kernels' settings are the constants that the fussdeform._kernels_py

@@ -28,6 +28,7 @@ from .exact_seq import (
     a220910_table,
     binomial_transform,
     catalan_table,
+    deformed_table,
     ex1_table,
     necessary_gap,
 )
@@ -234,6 +235,13 @@ def _c09_quadrature(order: int) -> str:
                 abs(value / exact - 1.0) <= 1e-8,
                 f"moment {n} at ({p}, {t}) off by {abs(value / exact - 1.0)}",
             )
+    # To n = 40 against the exact table, whose affine vs closed check at p = 7/3 runs past
+    # n = 2a - b + 2 = 13, from where the closed product steps
+    params = Params.exact(F(7, 3), F(1, 5))
+    exact = deformed_table(params, 40).values
+    for n, (value, _) in enumerate(moment_quadrature_full(params, 40)):
+        miss = abs(value / float(exact[n]) - 1.0)
+        _assert(miss <= 1e-8, f"moment {n} at (7/3, 1/5) off by {miss}")
     # The cumulant-side measures: (case, t, exact moments 0..8, scale).  scale^n times moment n
     # is the exact value; p2 at t = 4/3 under x -> 3x is the measure of the ex1 sequence.
     cases = [
@@ -258,9 +266,9 @@ def _c09_quadrature(order: int) -> str:
                 f"{case} moment {n} at t = {t} off by {miss}, beyond its estimate {scale**n * err}",
             )
     return (
-        "moments to n = 10 within 1e-8; the p2, p3, a220910 and a022558 densities are >= 0 at "
-        "63 points and match their moments to n = 8 within the error estimate (float evidence, "
-        "not a proof)"
+        "moments to n = 10, and to n = 40 at (7/3, 1/5), within 1e-8; the p2, p3, a220910 and "
+        "a022558 densities are >= 0 at 63 points and match their moments to n = 8 within the "
+        "error estimate (float evidence, not a proof)"
     )
 
 

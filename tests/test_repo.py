@@ -304,11 +304,11 @@ _PLANTED_FAULTS = [
     # each later n of its residue class steps from it
     ("exact_seq", "_raney_num", lambda real: lambda p, r, n: real(p, r, n) + (n == 4),
      "c2 c5 c6 c9 c10", "transforms infdiv-2 infdiv-3 posdef domain-grid seq-a"),
-    # the steps of a run, one new factor off by one; no verify criterion reads a_n where the
-    # closed product steps, so only the affine vs closed check of seq a sees that one
+    # the steps of a run, one new factor off by one; among the criteria only c9 reads a_n where
+    # the closed product steps (to n = 40 at p = 7/3), and among the commands seq a
     ("exact_seq", "_raney_step", _top_factor_off_by_one, "c2 c6 c9 c10",
      "transforms infdiv-2 infdiv-3 posdef domain-grid seq-a"),
-    ("exact_seq", "_closed_step", _top_factor_off_by_one, "", "seq-a"),
+    ("exact_seq", "_closed_step", _top_factor_off_by_one, "c9", "seq-a"),
     ("posdef", "_pivots", _pivots_with_pivot_3_flipped, "c10", ""),
     ("_kernels_py", "rho_bisect",
      lambda real: lambda p, xs: [b * cmath.rect(1.0, 1e-9) for b in real(p, xs)], "c8", ""),
