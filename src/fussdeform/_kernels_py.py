@@ -345,25 +345,38 @@ _K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7 = _WGK
 _G0, _G1, _G2, _G3 = _WG
 
 
-def _gk15_sum(h, fx):
-    """Gauss 7 / Kronrod 15 sums of the values fx at _gk15_nodes: (kronrod, error, resabs).
+# The Kronrod and Gauss weights of the 15 nodes in _gk15_nodes' order; Gauss leaves out the
+# pairs 0, 2, 4 and 6.
+_KRONROD15 = (_K7, _K0, _K0, _K1, _K1, _K2, _K2, _K3, _K3, _K4, _K4, _K5, _K5, _K6, _K6)
+_GAUSS15 = (_G3, 0.0, 0.0, _G0, _G0, 0.0, 0.0, _G1, _G1, 0.0, 0.0, _G2, _G2, 0.0, 0.0)
 
-    Pair j holds the nodes c -+ h x_j; Gauss uses pairs 1, 3 and 5.  Each sum runs left to
-    right and is scaled by h last."""
-    fc, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6 = fx
-    s1, s3, s5 = l1 + r1, l3 + r3, l5 + r5
-    kron = (
-        _K7 * fc + _K0 * (l0 + r0) + _K1 * s1 + _K2 * (l2 + r2) + _K3 * s3
-        + _K4 * (l4 + r4) + _K5 * s5 + _K6 * (l6 + r6)
-    ) * h
-    gauss = (_G3 * fc + _G0 * s1 + _G1 * s3 + _G2 * s5) * h
-    resabs = (
-        _K7 * fabs(fc) + _K0 * (fabs(l0) + fabs(r0)) + _K1 * (fabs(l1) + fabs(r1))
-        + _K2 * (fabs(l2) + fabs(r2)) + _K3 * (fabs(l3) + fabs(r3))
-        + _K4 * (fabs(l4) + fabs(r4)) + _K5 * (fabs(l5) + fabs(r5))
-        + _K6 * (fabs(l6) + fabs(r6))
-    ) * h
-    return kron, _gk_error(kron, gauss, resabs), resabs
+
+def _kronrod_sum(w, x):
+    """The sum of w_i x_i over the 15 nodes, added left to right.  It is written out, not
+    sum(), so that it gives the same float on every Python: from 3.12 on, sum() of floats
+    compensates its rounding."""
+    w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11, w12, w13, w14 = w
+    x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14 = x
+    return (
+        w0 * x0 + w1 * x1 + w2 * x2 + w3 * x3 + w4 * x4 + w5 * x5 + w6 * x6 + w7 * x7
+        + w8 * x8 + w9 * x9 + w10 * x10 + w11 * x11 + w12 * x12 + w13 * x13 + w14 * x14
+    )
+
+
+def _gauss_sum(g, x):
+    """The sum of g_i x_i over the 7 Gauss nodes (the centre and pairs 1, 3 and 5) of the 15,
+    added left to right as _kronrod_sum does; the other nodes, of Gauss weight 0, are left out."""
+    g0, _, _, g3, g4, _, _, g7, g8, _, _, g11, g12, _, _ = g
+    x0, _, _, x3, x4, _, _, x7, x8, _, _, x11, x12, _, _ = x
+    return g0 * x0 + g3 * x3 + g4 * x4 + g7 * x7 + g8 * x8 + g11 * x11 + g12 * x12
+
+
+def _gk15_sum(h, fx):
+    """Gauss 7 / Kronrod 15 sums of the values fx at _gk15_nodes: (kronrod, error, resabs),
+    each sum scaled by h last."""
+    kron = _kronrod_sum(_KRONROD15, fx) * h
+    resabs = _kronrod_sum(_KRONROD15, map(fabs, fx)) * h
+    return kron, _gk_error(kron, _gauss_sum(_GAUSS15, fx) * h, resabs), resabs
 
 
 def _gk_error(kron, gauss, resabs):
@@ -390,6 +403,12 @@ def _gk15(f, a, b):
     return _gk15_sum(h, [f(x) for x in nodes])
 
 
+# The slots of a panel's row: its Kronrod value and error estimate, how often it was halved and
+# its ends.  moment_quad's rows carry six more (see _moment_panel).
+_VALUE, _ERR, _DEPTH, _A, _B = range(5)
+_RESABS, _XS, _KRONROD, _GAUSS, _ABSOLUTE, _POWERS = range(5, 11)
+
+
 def _first_panels(panel, a, b):
     """The _INIT_PANELS equal panels of [a, b], each evaluated by panel(a, b, depth) at depth 0."""
     width = (b - a) / _INIT_PANELS
@@ -400,10 +419,10 @@ def _first_panels(panel, a, b):
 
 
 def _adaptive(panel, panels, atol):
-    """Worst-panel-first refinement of panels, a list of rows [value, error, depth, a, b, ...]
-    that it refines in place: the worst panel is halved, panel(a, b, depth) evaluating each half,
-    until the error is within atol + _RTOL |value|.  A panel is halved at most _MAX_DEPTH times,
-    and the list holds at most _MAX_PANELS.
+    """Worst-panel-first refinement of panels, a list of rows (see _VALUE) that it refines in
+    place: the worst panel is halved, panel(a, b, depth) evaluating each half, until the error
+    is within atol + _RTOL |value|.  A panel is halved at most _MAX_DEPTH times, and the list
+    holds at most _MAX_PANELS.
 
     Returns (value, error_estimate, converged).
     """
@@ -411,26 +430,27 @@ def _adaptive(panel, panels, atol):
         total = 0.0
         err = 0.0
         for row in panels:
-            total += row[0]
-            err += row[1]
+            total += row[_VALUE]
+            err += row[_ERR]
         if err <= atol + _RTOL * fabs(total):
             return total, err, True
         worst = -1
         worst_err = -1.0
         for i, row in enumerate(panels):
-            if row[2] < _MAX_DEPTH and row[1] > worst_err:
+            if row[_DEPTH] < _MAX_DEPTH and row[_ERR] > worst_err:
                 worst = i
-                worst_err = row[1]
+                worst_err = row[_ERR]
         if worst < 0 or len(panels) >= _MAX_PANELS:
             return total, err, False
-        _, _, depth, pa, pb = panels[worst][:5]
+        row = panels[worst]
+        depth, pa, pb = row[_DEPTH], row[_A], row[_B]
         mid = 0.5 * (pa + pb)
         panels[worst] = panel(pa, mid, depth + 1)
         panels.append(panel(mid, pb, depth + 1))
 
 
 def _callable_panel(f, a, b, depth):
-    """The row of integrate_callable's panel [a, b] (see _adaptive)."""
+    """The row of integrate_callable's panel [a, b] (see _VALUE)."""
     value, err, _ = _gk15(f, a, b)
     return [value, err, depth, a, b]
 
@@ -442,11 +462,6 @@ def integrate_callable(f, a, b):
 
 
 _INSET = 1e-12
-
-# The Kronrod and Gauss weights of the 15 nodes in _gk15_nodes' order; Gauss leaves out the
-# pairs 0, 2, 4 and 6.
-_KRONROD15 = (_K7, _K0, _K0, _K1, _K1, _K2, _K2, _K3, _K3, _K4, _K4, _K5, _K5, _K6, _K6)
-_GAUSS15 = (_G3, 0.0, 0.0, _G0, _G0, 0.0, 0.0, _G1, _G1, 0.0, 0.0, _G2, _G2, 0.0, 0.0)
 
 
 def _node(p, t, phi):
@@ -464,19 +479,19 @@ def _moment_sums(row):
     """Set a moment panel's value, error and resabs from its weights and its powers x^n.  The
     powers are >= 0, so where every Kronrod weight is too, resabs is the Kronrod sum itself.  A
     sum that leaves the float range raises OverflowError."""
-    kronrod, gauss, absolute, powers = row[7:]
-    value = sum(map(mul, kronrod, powers))
-    resabs = value if absolute is None else sum(map(mul, absolute, powers))
-    err = _gk_error(value, sum(map(mul, gauss, powers)), resabs)
+    powers, absolute = row[_POWERS], row[_ABSOLUTE]
+    value = _kronrod_sum(row[_KRONROD], powers)
+    resabs = value if absolute is None else _kronrod_sum(absolute, powers)
+    err = _gk_error(value, _gauss_sum(row[_GAUSS], powers), resabs)
     if not isfinite(err):
         raise OverflowError("a panel sum left the float range")
-    row[0], row[1], row[5] = value, err, resabs
+    row[_VALUE], row[_ERR], row[_RESABS] = value, err, resabs
 
 
 def _moment_panel(p, t, n, a, b, depth):
-    """The row of moment_quad's panel [a, b] at moment n: [value, error, depth, a, b, resabs,
-    then per node x, the Kronrod and Gauss weights times f |dx/dphi| h (see _node), |the Kronrod
-    weight| or None where none is negative, and x^n]."""
+    """The row of moment_quad's panel [a, b] at moment n: the slots of every row (see _VALUE),
+    then resabs and, per node, x, the Kronrod and Gauss weights times f |dx/dphi| h (see
+    _node), |the Kronrod weight| or None where none is negative, and x^n."""
     h, phis = _gk15_nodes(a, b)
     xs, weights = zip(*[_node(p, t, phi) for phi in phis])
     kronrod = [k * h * w for k, w in zip(_KRONROD15, weights)]
@@ -509,7 +524,7 @@ def moment_quad(p, t, n_max, atol=_ATOL):
                 panels = _first_panels(panel, a, b)
             else:
                 for row in panels:
-                    row[10] = list(map(mul, row[10], row[6]))  # x^n = x^(n-1) x at each node
+                    row[_POWERS] = list(map(mul, row[_POWERS], row[_XS]))  # x^(n-1) x
                     _moment_sums(row)
             value, err, converged = _adaptive(panel, panels, atol)
         except (ZeroDivisionError, OverflowError):
@@ -529,7 +544,7 @@ def moment_quad(p, t, n_max, atol=_ATOL):
         # bounded by twice that.
         resabs = 0.0
         for row in panels:
-            resabs += row[5]
+            resabs += row[_RESABS]
         err += n * ((p + 1.0) * fabs(value) + 0.5 * resabs) * _EPS
         if n == 0:
             err += 2.0 * _INSET * fabs(t) * p * p / pi

@@ -297,19 +297,18 @@ def test_gk_rule_is_exact_on_polynomials():
 
 
 def _gk15_sum_loop(h, fx):
-    """_gk15_sum as a loop over the node pairs, branching per pair for the Gauss sum;
-    also returns d = |kronrod - gauss|."""
+    """_gk15_sum as a loop over the nodes in order, branching per node pair for the Gauss
+    sum; also returns d = |kronrod - gauss|."""
     fc = fx[0]
     kron = kernels._WGK[7] * fc
     gauss = kernels._WG[3] * fc
     resabs = kernels._WGK[7] * abs(fc)
-    for j in range(7):
-        f1 = fx[2 * j + 1]
-        f2 = fx[2 * j + 2]
-        kron += kernels._WGK[j] * (f1 + f2)
-        resabs += kernels._WGK[j] * (abs(f1) + abs(f2))
+    for i in range(1, 15):
+        j = (i - 1) // 2
+        kron += kernels._WGK[j] * fx[i]
+        resabs += kernels._WGK[j] * abs(fx[i])
         if j & 1:
-            gauss += kernels._WG[(j - 1) // 2] * (f1 + f2)
+            gauss += kernels._WG[(j - 1) // 2] * fx[i]
     kron *= h
     gauss *= h
     resabs *= h
