@@ -16,15 +16,20 @@ module constants:
   relative residual to accept a root, halvings of the continuation step, and the relative
   distance from the sector's edge pi/p within which a root's argument is left to rounding.
   Newton starts each point from the quadratic through the last three roots, or from the last
-  root until three are known, after a halving and after a root within _EDGE of the edge (see
-  rho_bisect).
+  root until three are known, after a halving and after a root within _EDGE of the edge, and
+  returns with each root the iterate it stepped from and that iterate's power B^p, which the
+  residual check reads (see rho_bisect and _newton): one complex power per Newton step and
+  none besides.
 * _INIT_PANELS, _MAX_DEPTH, _MAX_PANELS, _ATOL, _RTOL: the adaptive Gauss-Kronrod quadrature
   starts from _INIT_PANELS panels, halves one at most _MAX_DEPTH times, holds at most
   _MAX_PANELS and stops at an error within _ATOL + _RTOL |value|; moment_quad alone takes its
   absolute tolerance as an argument.
-* _INSET: moment_quad integrates the moments 0..n_max of one (p, t) over
+* _INSET, _RETIRE: moment_quad integrates the moments 0..n_max of one (p, t) over
   (_INSET, pi/p - _INSET), moment n starting from the partition moment n - 1 ended with, so
-  _MAX_PANELS bounds that partition too; each panel samples its nodes once for all the n.
+  _MAX_PANELS bounds that partition too; each panel samples its nodes once for all the n.  A
+  panel whose sums fall to _RETIRE = _EPS _RTOL of a converged moment, below the rounding of
+  the tolerance, retires from the sums and leaves a bound in the error estimate instead (see
+  moment_quad); _RETIRE is derived from the two constants, not set on its own.
 
 cumulant_quad integrates every cumulant-side measure by one rule, in theta with
 x = lo + (hi - lo) sin(theta)^2.
@@ -212,11 +217,14 @@ def g_scan(p):
 
 
 def _newton(p, x, b):
-    """Newton's method on h(B) = x (B - 1) - B^p (principal power) from b: the root it settles
-    on, or None when it does not settle within _NEWTON_STEPS steps or leaves the float range.
-    It stops after a step within 4 _EPS |B|, or before a step no shorter than the one before:
-    where rounding sets a floor above 4 _EPS (next to the double root at x = c(p), or at p next
-    to 1), the steps stop shrinking there.  rho_bisect checks whatever it returns."""
+    """Newton's method on h(B) = x (B - 1) - B^p (principal power) from b: (checked, power,
+    root), or None when it does not settle within _NEWTON_STEPS steps or leaves the float
+    range.  It stops after a step within 4 _EPS |B|, or before a step no shorter than the one
+    before: where rounding sets a floor above 4 _EPS (next to the double root at x = c(p), or
+    at p next to 1), the steps stop shrinking there.  root is where it stops; checked is the
+    last iterate whose power it computed, and power is that B^p: checked is the iterate that
+    root stepped from, or root itself where it stops before a step.  rho_bisect checks the
+    residual of checked with power, so it takes no power of its own."""
     last = inf
     try:
         for _ in range(_NEWTON_STEPS):
@@ -224,10 +232,11 @@ def _newton(p, x, b):
             step = (x * (b - 1.0) - power) / (x - p * power / b)
             size = abs(step)
             if size >= last:
-                return b
-            b -= step
-            if size <= 4.0 * _EPS * abs(b):
-                return b
+                return b, power, b
+            root = b - step
+            if size <= 4.0 * _EPS * abs(root):
+                return b, power, root
+            b = root
             last = size
     except (OverflowError, ZeroDivisionError):
         pass
@@ -236,8 +245,8 @@ def _newton(p, x, b):
 
 def rho_bisect(p, xs):
     """Solve x (B - 1) = B^p for each x of the increasing xs by Newton's method: the list of
-    roots B, whose arguments phi in (0, pi/p) solve rho(p, phi) = x.  (The name predates the
-    method; perfbench's tracer looks it up.)
+    pairs (B, phi), the root B and its argument phi in (0, pi/p), which solves rho(p, phi) = x.
+    (The name predates the method; perfbench's tracer looks it up.)
 
     For 0 < x < c(p), x (B - 1) = B^p (principal power) has exactly one root B in the sector
     0 < arg B < pi/p, and rho(p, arg B) = x: with B = r e^(i phi), the imaginary part gives
@@ -254,10 +263,14 @@ def rho_bisect(p, xs):
     the plain continuation: a start extrapolated from such roots let four points of a 7-point
     grid at p = 1 + 2^-52 pass one float below pi/p, with equal phi, where the plain
     continuation rounds them to pi/p and fails them.  A root is accepted only inside the
-    sector and only when the residual |x (B - 1) - B^p| is within _NEWTON_TOL
-    (x |B - 1| + |B|^p); this check, not an assumption on rho or on the start, is what makes
-    each B the root.  A point that fails is approached again from halfway to the last accepted
-    x, and one still lost after _HALVINGS halvings raises OverflowError naming p and x.
+    sector and only when the residual |x (B - 1) - B^p| of the iterate it stepped from is
+    within _NEWTON_TOL (x |B - 1| + |B^p|), with the B^p that _newton computed there; this
+    check, not an assumption on rho or on the start, is what makes each B the root, and the
+    root is at most Newton's last step, 4 _EPS |B|, from the iterate checked.  An x equal to the
+    last accepted x takes that checked root again: Newton restarted at a root next to the
+    double root can step out of the sector on rounding alone.  A point that fails is approached
+    again from halfway to the last accepted x, and one still lost after _HALVINGS halvings
+    raises OverflowError naming p and x.
     """
     c = support_end(p)
     double = p / (p - 1.0)
@@ -266,6 +279,9 @@ def rho_bisect(p, xs):
     b2 = b3 = None  # the two roots accepted before b since a restart of the count, if two
     roots = []
     for x in reversed(xs):
+        if x == anchor and roots:
+            roots.append(roots[-1])
+            continue
         target, halvings = x, 0
         while True:
             if b is None:
@@ -274,27 +290,26 @@ def rho_bisect(p, xs):
                 start = b
             else:
                 start = 3.0 * (b - b2) + b3
-            root = _newton(p, target, start)
-            phi = None if root is None else atan2(root.imag, root.real)
-            if (
-                phi is not None
-                and 0.0 < phi < top
-                and abs(target * (root - 1.0) - root**p)
-                <= _NEWTON_TOL * (target * abs(root - 1.0) + abs(root) ** p)
-            ):
-                anchor, b, b2, b3 = target, root, b, b2
-                if top - phi < _EDGE * top:
-                    b2 = b3 = None
-                if target == x:
-                    break
-                target = x
-            elif halvings == _HALVINGS:
+            found = _newton(p, target, start)
+            if found is not None:
+                checked, power, root = found
+                phi = atan2(root.imag, root.real)
+                if 0.0 < phi < top and abs(target * (checked - 1.0) - power) <= _NEWTON_TOL * (
+                    target * abs(checked - 1.0) + abs(power)
+                ):
+                    anchor, b, b2, b3 = target, root, b, b2
+                    if top - phi < _EDGE * top:
+                        b2 = b3 = None
+                    if target == x:
+                        break
+                    target = x
+                    continue
+            if halvings == _HALVINGS:
                 raise OverflowError(f"rho's inversion left the float range at p={p}, x={x}")
-            else:
-                halvings += 1
-                target = 0.5 * (anchor + target)
-                b2 = b3 = None
-        roots.append(b)
+            halvings += 1
+            target = 0.5 * (anchor + target)
+            b2 = b3 = None
+        roots.append((b, phi))
     return roots[::-1]
 
 
@@ -418,11 +433,12 @@ def _first_panels(panel, a, b):
     ]
 
 
-def _adaptive(panel, panels, atol):
+def _adaptive(panel, panels, atol, held=0):
     """Worst-panel-first refinement of panels, a list of rows (see _VALUE) that it refines in
     place: the worst panel is halved, panel(a, b, depth) evaluating each half, until the error
     is within atol + _RTOL |value|.  A panel is halved at most _MAX_DEPTH times, and the list
-    holds at most _MAX_PANELS.
+    holds at most _MAX_PANELS less held, the count of the partition's panels kept elsewhere
+    (moment_quad's retired panels).
 
     Returns (value, error_estimate, converged).
     """
@@ -440,7 +456,7 @@ def _adaptive(panel, panels, atol):
             if row[_DEPTH] < _MAX_DEPTH and row[_ERR] > worst_err:
                 worst = i
                 worst_err = row[_ERR]
-        if worst < 0 or len(panels) >= _MAX_PANELS:
+        if worst < 0 or len(panels) + held >= _MAX_PANELS:
             return total, err, False
         row = panels[worst]
         depth, pa, pb = row[_DEPTH], row[_A], row[_B]
@@ -462,6 +478,7 @@ def integrate_callable(f, a, b):
 
 
 _INSET = 1e-12
+_RETIRE = _EPS * _RTOL
 
 
 def _node(p, t, phi):
@@ -510,13 +527,20 @@ def moment_quad(p, t, n_max, atol=_ATOL):
     The x-space integral over (0, p^p (p-1)^(1-p)) becomes int_0^{pi/p} rho^n f |rho'| dphi,
     whose integrand stays bounded at both endpoints.  Moment n starts from the partition that
     moment n - 1 ended with and refines it (see _adaptive); each panel keeps its 15 nodes' x and
-    weights (see _moment_panel), and the next moment multiplies each node's x^n by x.  A float
+    weights (see _moment_panel), and the next moment multiplies each node's x^n by x.
+
+    Once moment n has converged, a panel whose resabs is at most _RETIRE |value| retires: it
+    keeps its place in the partition, so _MAX_PANELS counts it, but is neither stepped nor
+    summed.  Its contribution to a later moment n + k is at most its resabs at n times
+    (its largest node x)^k, and the error estimate adds that bound; a panel whose bound passes
+    _RETIRE |value| of the moment at hand takes x^n afresh and rejoins the sums.  A float
     limit, such as x^n overflowing at large n, raises OverflowError naming p, t and the n it
     reached.
     """
     a, b = _INSET, pi / p - _INSET
     table = []
     panels = None
+    retired = []  # [bound, largest node x, row] of each retired panel
     for n in range(n_max + 1):
         panel = partial(_moment_panel, p, t, n)
         try:
@@ -526,31 +550,53 @@ def moment_quad(p, t, n_max, atol=_ATOL):
                 for row in panels:
                     row[_POWERS] = list(map(mul, row[_POWERS], row[_XS]))  # x^(n-1) x
                     _moment_sums(row)
-            value, err, converged = _adaptive(panel, panels, atol)
+                for entry in retired:
+                    entry[0] *= entry[1]
+            value, err, converged = _adaptive(panel, panels, atol, len(retired))
+            limit = _RETIRE * fabs(value)
+            back = [entry[2] for entry in retired if entry[0] > limit] if converged else ()
+            if back:
+                retired = [entry for entry in retired if entry[0] <= limit]
+                for row in back:
+                    row[_POWERS] = [x**n for x in row[_XS]]
+                    _moment_sums(row)
+                panels += back
+                value, err, converged = _adaptive(panel, panels, atol, len(retired))
         except (ZeroDivisionError, OverflowError):
             raise OverflowError(
                 f"moment quadrature left the float range at p={p}, t={t}, n={n}"
             ) from None
-        # Three errors the panel estimates do not see; refinement ignores them.
+        # Four errors the panel estimates do not see; refinement ignores them.
         # rho raises a quotient of two sines, each good to half an ulp, to the
         # power p, so rho^n is off by about n (p + 1) _EPS relative.  Each x^n
         # is x^(n-1) x rounded, n - 1 roundings of _EPS / 2 relative each, or
-        # x**n for a panel split at n, within an ulp: either way within
-        # n _EPS / 2 relative, so the sums move by at most n _EPS / 2 times
-        # their resabs.  And the integral leaves out (0, _INSET), where the
-        # integrand vanishes like phi^2, and (pi/p - _INSET, pi/p), where it
+        # x**n for a panel split or rejoined at n, within an ulp: either way
+        # within n _EPS / 2 relative, so the sums move by at most n _EPS / 2
+        # times their resabs.  And the integral leaves out (0, _INSET), where
+        # the integrand vanishes like phi^2, and (pi/p - _INSET, pi/p), where it
         # tends to rho^n t p^2 / pi with rho of order _INSET / sin(pi/p): only
         # n = 0 leaves mass worth counting there, about _INSET t p^2 / pi,
-        # bounded by twice that.
+        # bounded by twice that.  And the retired panels, left out of the sums,
+        # add their bounds.
         resabs = 0.0
         for row in panels:
             resabs += row[_RESABS]
         err += n * ((p + 1.0) * fabs(value) + 0.5 * resabs) * _EPS
         if n == 0:
             err += 2.0 * _INSET * fabs(t) * p * p / pi
+        for entry in retired:
+            err += entry[0]
         table.append((value, err, converged))
         if not converged:
             break
+        limit = _RETIRE * fabs(value)
+        kept = []
+        for row in panels:
+            if row[_RESABS] <= limit:
+                retired.append([row[_RESABS], max(row[_XS]), row])
+            else:
+                kept.append(row)
+        panels = kept
     return table
 
 

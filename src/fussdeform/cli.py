@@ -190,10 +190,15 @@ def _cmd_moments_check(args: argparse.Namespace) -> int:
     p, t = rational_str(params.p), rational_str(params.t)
     if args.n_max < 0:
         raise ValueError("--n-max must be nonnegative")
-    records, rows = [], []
-    for n, (value, err) in enumerate(moment_quadrature_full(params, args.n_max, tol=args.tol)):
-        records.append({"p": p, "t": t, "n": n, "value": value, "est_error": err})
-        rows.append(f"{p},{t},{n},{value!r},{err!r}")
+    table = moment_quadrature_full(params, args.n_max, tol=args.tol)
+    if args.format == "json":
+        rows, records = [], [
+            {"p": p, "t": t, "n": n, "value": value, "est_error": err}
+            for n, (value, err) in enumerate(table)
+        ]
+    else:
+        rows = [f"{p},{t},{n},{value!r},{err!r}" for n, (value, err) in enumerate(table)]
+        records = None
     _emit(args, "p,t,n,value,est_error", rows, records)
     return 0
 

@@ -6,8 +6,9 @@ Two routes to the density f_{p,t} = t W_{p,1} + (1 - t) W_{p,2} on (0, c(p)):
   kernels.mass(t, B) / (pi x) at the root B of x (B - 1) = B^p in the sector
   0 < arg B < pi/p (every p > 1); one call to kernels.rho_bisect, whose docstring
   describes the Newton continuation and the check that accepts each root,
-  solves the points of a call, one or a whole grid;
-* closed     -- the six elementary closed forms for p in {2, 3, 3/2}, r in {1, 2}.
+  solves the points of a call, one or a whole grid, and returns each root with phi;
+* closed     -- the six elementary closed forms for p in {2, 3, 3/2}, r in {1, 2}:
+  one function per p gives both components from one set of radicals.
 
 density_grid evaluates through one helper, which resolves the route, and on the
 closed route the form for p, once per call; the components W_{p,1} and W_{p,2}
@@ -15,7 +16,8 @@ are f_{p,t} at t = 1 and t = 0.  Moment
 quadrature integrates in the angle variable (x = rho(phi) bounds the integrand
 at both support edges) with the adaptive Gauss-Kronrod kernels; one call gives
 the moments 0..n_max of one (p, t), each n refining the partition and reusing
-the node samples of the n before it.  The
+the node samples of the n before it, less the panels that fell below rounding
+(kernels.moment_quad retires them and bounds what they leave out).  The
 cumulant-side measures are defined in the kernels; cumulant_quadrature checks
 the range of t and integrates x^n against them.
 The kernels' settings are the constants that the fussdeform._kernels_py
@@ -27,7 +29,7 @@ the rational modules.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import atan2, isfinite, pi, sqrt
+from math import isfinite, pi, sqrt
 from typing import NamedTuple, Optional
 
 from ._backend import kernels
@@ -62,38 +64,40 @@ def support_c(p: float) -> float:
 
 
 _THIRD = 1.0 / 3.0
+_ROOT3 = sqrt(3.0)
+
+# Each closed form gives both components (W_{p,1}, W_{p,2}) at x from one set of radicals.
 
 
-def _w_closed_2(r: int, x: float) -> float:
-    if r == 1:
-        return sqrt((4.0 - x) / x) / (2.0 * pi)
-    return sqrt(x * (4.0 - x)) / (2.0 * pi)
+def _w_closed_2(x: float) -> tuple[float, float]:
+    d = 4.0 - x
+    return sqrt(d / x) / (2.0 * pi), sqrt(x * d) / (2.0 * pi)
 
 
-def _w_closed_3(r: int, x: float) -> float:
+def _w_closed_3(x: float) -> tuple[float, float]:
     up = 1.0 + sqrt(1.0 - 4.0 * x / 27.0)
     fx = 4.0 * x
-    if r == 1:
-        return (3.0 * up ** (2.0 * _THIRD) - fx**_THIRD) / (
-            sqrt(3.0) * pi * fx ** (2.0 * _THIRD) * up**_THIRD
-        )
-    return (9.0 * up ** (4.0 * _THIRD) - fx ** (2.0 * _THIRD)) / (
-        2.0 * pi * 3.0**1.5 * fx**_THIRD * up ** (2.0 * _THIRD)
-    )
+    fx1, fx2 = fx**_THIRD, fx ** (2.0 * _THIRD)
+    up2 = up ** (2.0 * _THIRD)
+    w1 = (3.0 * up2 - fx1) / (_ROOT3 * pi * fx2 * up**_THIRD)
+    w2 = (9.0 * up ** (4.0 * _THIRD) - fx2) / (2.0 * pi * 3.0**1.5 * fx1 * up2)
+    return w1, w2
 
 
-def _w_closed_32(r: int, x: float) -> float:
+def _w_closed_32(x: float) -> tuple[float, float]:
     s = sqrt(1.0 - 4.0 * x * x / 27.0)
     up = 1.0 + s
     um = (4.0 * x * x / 27.0) / up  # 1 - s without cancellation
     d13 = up**_THIRD - um**_THIRD
     d23 = up ** (2.0 * _THIRD) - um ** (2.0 * _THIRD)
     tx = 2.0 * x
-    if r == 1:
-        return sqrt(3.0) * d13 / (2.0 * tx**_THIRD * pi) + sqrt(3.0) * tx**_THIRD * d23 / (4.0 * pi)
-    return sqrt(3.0) * tx ** (5.0 * _THIRD) * d13 / (8.0 * pi) + sqrt(3.0) * tx**_THIRD * (
-        x * x - 1.0
-    ) * d23 / (4.0 * pi)
+    tx1 = tx**_THIRD
+    w1 = _ROOT3 * d13 / (2.0 * tx1 * pi) + _ROOT3 * tx1 * d23 / (4.0 * pi)
+    w2 = (
+        _ROOT3 * tx ** (5.0 * _THIRD) * d13 / (8.0 * pi)
+        + _ROOT3 * tx1 * (x * x - 1.0) * d23 / (4.0 * pi)
+    )
+    return w1, w2
 
 
 # Keyed by value: 2.0, Fraction(2) and 2 all find the same form.
@@ -119,25 +123,27 @@ def w_closed(p, r: int, x: float) -> float:
     upper = support_c(float(p_key))
     if not (isfinite(x) and 0.0 < x < upper):
         raise ValueError(f"x must lie in the open support (0, {upper})")
-    return _closed_form(p_key)(r, x)
+    return _closed_form(p_key)(x)[r - 1]
 
 
 def _samples(p: float, t: float, xs: list[float], route: str) -> list[DensitySample]:
     """A sample of f_{p,t} = t W_{p,1} + (1 - t) W_{p,2} at each of the increasing xs.
-    parametric: the roots B of x (B - 1) = B^p come from one kernel call, phi = arg B solves
-    x = rho(p, phi), and the value is kernels.mass(t, B) / (pi x); closed: phi is None and the
-    value is the closed form, with the form for p read once.  A float limit raises
-    OverflowError naming p and x: the inversion loses a point, or a huge |t| overflows a
-    value."""
+    parametric: the roots B of x (B - 1) = B^p and their arguments phi, which solve
+    x = rho(p, phi), come from one kernel call, and the value is kernels.mass(t, B) / (pi x);
+    closed: phi is None and the value mixes the two components of the closed form for p, read
+    once.  A float limit raises OverflowError naming p and x: the inversion loses a point, or a
+    huge |t| overflows a value."""
     if route == "closed":
         form = _closed_form(p)
-        samples = [DensitySample(x, None, t * form(1, x) + (1.0 - t) * form(2, x)) for x in xs]
+        samples = [
+            DensitySample(x, None, t * w1 + (1.0 - t) * w2) for x, (w1, w2) in zip(xs, map(form, xs))
+        ]
     elif route != "parametric":
         raise ValueError("route must be 'parametric' or 'closed'")
     else:
         samples = [
-            DensitySample(x, atan2(b.imag, b.real), kernels.mass(t, b) / (pi * x))
-            for x, b in zip(xs, kernels.rho_bisect(p, xs))
+            DensitySample(x, phi, kernels.mass(t, b) / (pi * x))
+            for x, (b, phi) in zip(xs, kernels.rho_bisect(p, xs))
         ]
     for x, _, value in samples:
         if not isfinite(value):

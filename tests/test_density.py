@@ -1,6 +1,7 @@
 """Density layer: parametrization vs closed forms, quadrature vs exact values."""
 
 import cmath
+import hashlib
 import inspect
 import random
 import re
@@ -10,7 +11,7 @@ from math import inf, isfinite, nextafter, pi, sin, sqrt, ulp
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fussdeform
@@ -247,8 +248,7 @@ def test_phi_form_is_the_affine_combination():
         p = 1.0 + rng.uniform(0.1, 3.0)
         t = rng.uniform(-1.0, 2.0)
         x = kernels.rho(p, rng.uniform(0.05, 0.95) * pi / p)
-        (b,) = kernels.rho_bisect(p, [x])
-        phi = cmath.phase(b)
+        ((b, phi),) = kernels.rho_bisect(p, [x])
         combo = t * _w_phi(p, 1.0, phi) + (1.0 - t) * _w_phi(p, 2.0, phi)
         assert kernels.mass(t, b) / (pi * x) == pytest.approx(combo, rel=1e-11, abs=1e-12)
 
@@ -368,8 +368,8 @@ def test_rho_bisect_recovers_the_angle():
         top = pi / p
         phi0 = (0.05 + 0.9 * rng.random()) * top
         x = kernels.rho(p, phi0)
-        (b,) = kernels.rho_bisect(p, [x])
-        assert abs(cmath.phase(b) - phi0) <= 1e-9
+        ((b, phi),) = kernels.rho_bisect(p, [x])
+        assert phi == cmath.phase(b) and abs(phi - phi0) <= 1e-9
 
 
 def _phi_condition(p, x, phi):
@@ -389,11 +389,14 @@ def _phi_condition(p, x, phi):
     us=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)),
     repeats=st.lists(st.integers(min_value=0, max_value=200), max_size=8),
 )
+@example(p=12.0, us=[0.9999999999999999, 0.9999999999999999], repeats=[])
 def test_rho_bisect_grid_matches_each_point_solved_alone(p, us, repeats):
     # the roots of a sorted grid, solved by one continuation, against each point solved on its
     # own from the double root: the starts differ, so the floats may too, within 1e-13; within
     # 1% of c(p) the double root makes phi ill-conditioned, and the bound adds 64 times what
-    # rounding moves phi by there
+    # rounding moves phi by there.  The example repeats x = c(12) (1 - 1.1e-16), whose root has
+    # argument 4.1e-10: Newton restarted at that root stepped out of the sector on rounding
+    # alone and lost the grid; a repeated x now takes the checked root again
     upper = support_c(p)
     # random points, a grid, a point within 1e-9 of each end, then duplicates
     xs = [upper * u for u in us] + [upper * i / 65 for i in range(1, 65)]
@@ -402,7 +405,7 @@ def test_rho_bisect_grid_matches_each_point_solved_alone(p, us, repeats):
     xs += [xs[i % len(xs)] for i in repeats]
     xs.sort()
     try:
-        grid = [cmath.phase(b) for b in kernels.rho_bisect(p, xs)]
+        grid = [phi for _, phi in kernels.rho_bisect(p, xs)]
     except OverflowError as exc:
         # the grid may lose only a point that is lost alone too, or, a few ulps above p = 1, one
         # whose root alone is within a few ulps of pi/p: there the rounding of arg B decides the
@@ -411,20 +414,19 @@ def test_rho_bisect_grid_matches_each_point_solved_alone(p, us, repeats):
         lost = re.fullmatch(message + "(.+)", str(exc))
         assert lost, str(exc)
         try:
-            (alone,) = kernels.rho_bisect(p, [float(lost[1])])
+            ((_, alone),) = kernels.rho_bisect(p, [float(lost[1])])
         except OverflowError:
             return
-        assert pi / p - cmath.phase(alone) <= 8.0 * ulp(pi), (lost[1], alone)
+        assert pi / p - alone <= 8.0 * ulp(pi), (lost[1], alone)
         return
     for x, phi in zip(xs, grid):
         # the continuation may reach a point that its halvings from c(p) do not reach alone,
         # such as x = 1e-45 c(p); the converse is what this test looks for
         try:
-            (alone,) = kernels.rho_bisect(p, [x])
+            ((_, alone),) = kernels.rho_bisect(p, [x])
         except OverflowError as exc:
             assert f"p={p}, x={x}" in str(exc)
             continue
-        alone = cmath.phase(alone)
         bound = 1e-13 if x <= 0.99 * upper else 1e-13 + 64.0 * _phi_condition(p, x, phi)
         assert abs(alone - phi) <= bound, (x, alone, phi)
 
@@ -491,7 +493,7 @@ def test_rho_bisect_stops_newton_at_the_rounding_floor(p):
     upper = support_c(p)
     xs = [upper * i / 2001 for i in range(1, 2001)]
     for xs in (xs, *([upper * (1.0 - 10.0**-e)] for e in (4, 5, 6, 10, 14, 16))):
-        phis = [cmath.phase(b) for b in kernels.rho_bisect(p, xs)]
+        phis = [phi for _, phi in kernels.rho_bisect(p, xs)]
         assert all(0.0 < phi < pi / p for phi in phis), (p, xs[-1])
         assert all(a > b for a, b in zip(phis, phis[1:])), p
 
@@ -502,7 +504,7 @@ def test_rho_bisect_recovers_a_lost_point_from_halfway(monkeypatch):
     real_newton = kernels._newton
     p = 2.5
     xs = [support_c(p) * i / 21 for i in range(1, 21)]
-    expected = [cmath.phase(b) for b in kernels.rho_bisect(p, xs)]
+    expected = [phi for _, phi in kernels.rho_bisect(p, xs)]
     targets = []
 
     def losing_newton(p, x, b):
@@ -510,7 +512,7 @@ def test_rho_bisect_recovers_a_lost_point_from_halfway(monkeypatch):
         return None if x in xs and targets.count(x) == 1 else real_newton(p, x, b)
 
     monkeypatch.setattr(kernels, "_newton", losing_newton)
-    phis = [cmath.phase(b) for b in kernels.rho_bisect(p, xs)]
+    phis = [phi for _, phi in kernels.rho_bisect(p, xs)]
     assert max(abs(a - b) for a, b in zip(phis, expected)) <= 1e-13
     anchors = [support_c(p)] + xs[::-1]
     halfway = [0.5 * (a + x) for a, x in zip(anchors, xs[::-1])]
@@ -518,7 +520,7 @@ def test_rho_bisect_recovers_a_lost_point_from_halfway(monkeypatch):
     # each halving restarts from the last root, and each point still solves as it does alone
     monkeypatch.setattr(kernels, "_newton", real_newton)
     for x, phi in zip(xs, phis):
-        assert abs(cmath.phase(kernels.rho_bisect(p, [x])[0]) - phi) <= 1e-13, x
+        assert abs(kernels.rho_bisect(p, [x])[0][1] - phi) <= 1e-13, x
 
 
 @pytest.mark.parametrize("p", [1.1, 2.5, 4.0, 20.0])
@@ -535,46 +537,77 @@ def test_rho_bisect_uneven_grids_match_each_point_solved_alone(p):
     ]
     for xs in grids:
         xs = sorted(x for x in xs if x <= 0.99 * upper)
-        phis = [cmath.phase(b) for b in kernels.rho_bisect(p, xs)]
+        phis = [phi for _, phi in kernels.rho_bisect(p, xs)]
         for x, phi in zip(xs, phis):
-            assert abs(cmath.phase(kernels.rho_bisect(p, [x])[0]) - phi) <= 1e-13, (p, x)
+            assert abs(kernels.rho_bisect(p, [x])[0][1] - phi) <= 1e-13, (p, x)
 
 
-def _newton_steps(p, xs):
-    """The roots of rho_bisect(p, xs) and the Newton steps it took, counted as the times
-    _newton evaluates B^p."""
-    code = kernels._newton.__code__
-    lines, first = inspect.getsourcelines(kernels._newton)
-    line = first + next(i for i, text in enumerate(lines) if "power = b**p" in text)
-    steps = 0
+def _complex_powers(p, xs):
+    """The roots of rho_bisect(p, xs) and the powers B^p it took, counted as the times a line of
+    _newton or rho_bisect that raises to the power p runs."""
+    lines = {}
+    for function in (kernels._newton, kernels.rho_bisect):
+        source, first = inspect.getsourcelines(function)
+        lines[function.__code__] = {first + i for i, text in enumerate(source) if "**p" in text}
+    powers = 0
 
-    def in_newton(frame, event, arg):
-        nonlocal steps
-        steps += event == "line" and frame.f_lineno == line
-        return in_newton
+    def in_kernel(frame, event, arg):
+        nonlocal powers
+        powers += event == "line" and frame.f_lineno in lines[frame.f_code]
+        return in_kernel
 
     previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: in_newton if frame.f_code is code else None)
+    sys.settrace(lambda frame, event, arg: in_kernel if frame.f_code in lines else None)
     try:
         roots = kernels.rho_bisect(p, xs)
     finally:
         sys.settrace(previous)
-    return roots, steps
+    return roots, powers
 
 
 def test_rho_bisect_takes_few_newton_steps_per_point():
     # a count, not a time: over 200- and 2000-point grids at four p, the predicted starts take
-    # 2.4 steps per point (the last root as the start took 4.1); at 200 points alone it is
-    # 3.1-3.5, at 2000 points 2.2-2.6
-    steps = points = 0
+    # 2.4 Newton steps per point (the last root as the start took 4.1); at 200 points alone it
+    # is 3.1-3.5, at 2000 points 2.2-2.6.  Each step takes one power B^p, and the check that
+    # accepts a root reads the power Newton computed at the iterate it checks, so that is all
+    # the powers (the check used to take B**p and |B|**p afresh, two more per point)
+    powers = points = 0
     for p in (1.1, 2.5, 4.0, 20.0):
         for size in (200, 2000):
             xs = [support_c(p) * i / (size + 1) for i in range(1, size + 1)]
-            roots, count = _newton_steps(p, xs)
+            roots, count = _complex_powers(p, xs)
             assert len(roots) == size
-            steps += count
+            powers += count
             points += size
-    assert steps <= 2.6 * points, steps / points
+    assert powers <= 2.6 * points, powers / points
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.floats(min_value=1.0, max_value=1000.0, exclude_min=True),
+    us=st.lists(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True), max_size=50
+    ),
+    size=st.integers(min_value=0, max_value=300),
+)
+def test_rho_bisect_roots_meet_the_residual_gate_with_a_fresh_power(p, us, size):
+    # the check that accepts a root reads the residual of the iterate Newton's last step
+    # started from, with the power B^p Newton computed there; every root returned, one step
+    # on, meets the same gate with B**p taken afresh.  A power's own rounding grows like p: at
+    # p = 1000 it is up to 1.9e-13 relative (against 40-digit mpmath), a fifth of the gate, and
+    # from about p = 1.6e4, where the inversion starts to lose points, it alone can pass it
+    upper = support_c(p)
+    xs = [upper * u for u in us] + [upper * i / (size + 1) for i in range(1, size + 1)]
+    xs = sorted({x for x in xs if 0.0 < x < upper})
+    try:
+        roots = kernels.rho_bisect(p, xs)
+    except OverflowError as exc:
+        assert f"at p={p}, x=" in str(exc)
+        return
+    for x, (b, phi) in zip(xs, roots):
+        power = b**p
+        assert abs(x * (b - 1.0) - power) <= kernels._NEWTON_TOL * (x * abs(b - 1.0) + abs(power))
+        assert phi == cmath.phase(b) and 0.0 < phi < pi / p, (x, b)
 
 
 @pytest.mark.parametrize(
@@ -595,9 +628,12 @@ def test_rho_bisect_accepts_only_roots_in_the_sector(monkeypatch, fault):
     tries = []
 
     def faulty_newton(p, x, b):
-        root = real_newton(p, x, b)
+        found = real_newton(p, x, b)
         tries.append(x)
-        return None if root is None else fault(root, b)
+        if found is None:
+            return None
+        root = fault(found[2], b)
+        return root, root**p, root
 
     monkeypatch.setattr(kernels, "_newton", faulty_newton)
     for p in (1.5, 2.0, 37.0 / 13.0, 20.0):
@@ -798,6 +834,80 @@ def test_moment_quad_tables_are_prefix_stable():
         full = kernels.moment_quad(p, t, n_max)
         for k in (0, 1, 7, len(full) // 2, len(full) - 1):
             assert full[: k + 1] == kernels.moment_quad(p, t, k), (p, t, k)
+
+
+def test_moment_quad_retires_panels_within_its_estimate(monkeypatch):
+    # once a moment converges, a panel whose sums are at most _RETIRE |value| leaves the sums
+    # and leaves its bound in the estimate: every moment to n = 200 stays within its estimate
+    # of the exact a_n, at landmarks and at t next to g(p), where the density touches 0; the
+    # values are the floats of the table that sums every panel, and the retired panels save
+    # at least a fifth of the panel sums
+    sums = []
+    real_sums = kernels._moment_sums
+    monkeypatch.setattr(kernels, "_moment_sums", lambda row: sums.append(1) or real_sums(row))
+    retire = kernels._RETIRE
+    g = {p: F(kernels.g_scan(float(p))[0]) for p in (F(5, 4), F(7, 4))}
+    points = [(F(5, 2), F(1, 2)), (F(3, 2), F(1, 5)), (F(5, 4), g[F(5, 4)]),
+              (F(7, 4), g[F(7, 4)]), (F(11, 10), F(0)), (F(3), F(1)), (F(2), F(4, 3)),
+              (F(4), F(-1, 3))]
+    for p, t in points:
+        exact = deformed_table(Params.exact(p, t), 200).values
+        tables, counts = [], []
+        for threshold in (retire, 0.0):
+            monkeypatch.setattr(kernels, "_RETIRE", threshold)
+            sums.clear()
+            tables.append(kernels.moment_quad(float(p), float(t), 200))
+            counts.append(len(sums))
+        table, every = tables
+        assert len(table) == 201 and all(ok for _, _, ok in table), (p, t)
+        for n, (value, err, _) in enumerate(table):
+            assert abs(F(value) - exact[n]) <= err, (p, t, n)
+        assert [value for value, _, _ in table] == [value for value, _, _ in every], (p, t)
+        assert counts[0] <= 0.8 * counts[1], (p, t, counts)
+
+
+def test_moment_quad_retired_panels_rejoin_when_their_bound_grows(monkeypatch):
+    # a planted node rule whose right half (phi > pi/(2p), panels 4 to 7 of the first
+    # partition) weighs 1e-40 times as much at 100 times the x: those panels retire after
+    # n = 0, their bound resabs (100 x)^k outgrows _RETIRE |value|, and they take x^n afresh
+    # and rejoin; each moment stays within its estimate of the table that sums every panel
+    node = kernels._node
+
+    def planted(p, t, phi):
+        x, weight = node(p, t, phi)
+        return (100.0 * x, 1e-40 * weight) if phi > pi / (2.0 * p) else (x, weight)
+
+    monkeypatch.setattr(kernels, "_node", planted)
+    adaptive = kernels._adaptive
+    held = []
+    monkeypatch.setattr(
+        kernels,
+        "_adaptive",
+        lambda panel, panels, atol, kept=0: held.append(kept) or adaptive(panel, panels, atol, kept),
+    )
+    table = kernels.moment_quad(2.5, 0.5, 60)
+    assert held[:2] == [0, 4] and any(b < a for a, b in zip(held, held[1:])), held
+    monkeypatch.setattr(kernels, "_RETIRE", 0.0)
+    every = kernels.moment_quad(2.5, 0.5, 60)
+    assert len(table) == len(every) == 61
+    for (value, err, ok), (reference, _, _) in zip(table, every):
+        assert ok and abs(value - reference) <= err
+
+
+def test_moment_quad_without_retiring_keeps_the_carried_partition_floats(monkeypatch):
+    # with _RETIRE = 0 only a panel whose sums are exactly 0 could leave, and the tables are the
+    # floats of the carried partition before panels retired, bit for bit (sha256 of the repr)
+    monkeypatch.setattr(kernels, "_RETIRE", 0.0)
+    digests = {
+        (2.5, 0.5, 200): "b1b576202e7ecbc16003041de9a6ebf2caa9b400570b8d3675906337808e748f",
+        (1.5, 0.0, 120): "b1f38e39b30a4803dd85a9580ee49a94dff28d54c1c4547ab022cb39ce0aefcd",
+        (11.0 / 8.0, 6.0 / 5.0, 240): "0e630b20f2b633b97c21d9e59b6a04847636bed32e47398f8d0adce8b7e7ad3d",
+        (3.0, 1.0, 200): "2c383bd4744ea2cd913a05214904ba98e4c21c3370ef156f1bb2cd145e233797",
+        (1.1, 0.2, 200): "265a18b540d708424d328f739c925f8ecac2edbc13e9c653ff9e29c70438a782",
+    }
+    for (p, t, n_max), digest in digests.items():
+        table = kernels.moment_quad(p, t, n_max)
+        assert hashlib.sha256(repr(table).encode()).hexdigest() == digest, (p, t)
 
 
 def test_moment_quad_partition_stays_within_the_panel_cap(monkeypatch, capsys):

@@ -311,7 +311,8 @@ _PLANTED_FAULTS = [
     ("exact_seq", "_closed_step", _top_factor_off_by_one, "c9", "seq-a"),
     ("posdef", "_pivots", _pivots_with_pivot_3_flipped, "c10", ""),
     ("_kernels_py", "rho_bisect",
-     lambda real: lambda p, xs: [b * cmath.rect(1.0, 1e-9) for b in real(p, xs)], "c8", ""),
+     lambda real: lambda p, xs: [(b * cmath.rect(1.0, 1e-9), phi + 1e-9) for b, phi in real(p, xs)],
+     "c8", ""),
     ("_kernels_py", "mass", lambda real: lambda t, b: real(t, b) * (1.0 + 1e-8), "c8 c9", ""),
     ("_kernels_py", "_node", _node_with_weight_scaled, "c9", ""),
 ]
