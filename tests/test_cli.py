@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fussdeform
-import fussdeform.cli as cli
+import seams
 from fussdeform.cli import main
 
 A220910_CSV = """label,offset,n,value
@@ -312,7 +312,7 @@ def test_non_finite_density_is_a_float_limit(capsys, route, p, t, fmt):
 def test_json_payloads_carry_no_nan_or_infinity(value):
     args = argparse.Namespace(format="json", out=None)
     with pytest.raises(OverflowError):
-        cli._emit(args, "f", [], [{"f": value}])
+        seams.emit(args, "f", [], [{"f": value}])
 
 
 def test_posdef_csv_row(capsys):
@@ -520,7 +520,7 @@ def test_transforms_stops_at_the_first_jet_past_the_digit_limit(
         raise AssertionError("built a jet after one past the digit limit")
 
     for name in never_built:  # the handler imports them from series when it runs
-        monkeypatch.setattr(fussdeform.series, name, refuse)
+        seams.plant(monkeypatch, name, lambda real: refuse)
     for fmt in ("csv", "json"):
         argv = ("transforms", "--p", "2", "--t", t, "--series-order", order, "--format", fmt)
         code, out, err = run(capsys, *argv)
@@ -647,7 +647,7 @@ def _contract_argv(draw):
         argv.append(draw(st.sampled_from(_SUBJECTS)))
         flags = ["--p", "--t", "--r", "--n"]
         if argv[1] == "a220910":
-            argv += ["--method", draw(st.sampled_from(cli._A220910_METHODS))]
+            argv += ["--method", draw(st.sampled_from(seams.A220910_METHODS))]
     elif command in ("gfun", "domain-grid"):
         flags = ["--p-min", "--p-max"] + ["--t-min", "--t-max"] * (command == "domain-grid")
     else:
@@ -809,8 +809,8 @@ def test_subprocess_module_invocation():
 # One command of each subcommand, and of each seq subject that builds jets, with
 # the modules under fussdeform.cli that it loads in a fresh interpreter: a
 # handler imports the layers it calls, so each command loads only those.
-_FLOAT = {"exact_seq", "density", "_backend", "_kernels_py"}
-_POSITIVITY = {"exact_seq", "posdef", "_backend", "_kernels_py"}
+_FLOAT = {"exact_seq", "density", seams.BACKEND_MODULE, seams.KERNELS_MODULE}
+_POSITIVITY = {"exact_seq", "posdef", seams.BACKEND_MODULE, seams.KERNELS_MODULE}
 _LAYERS_PER_COMMAND = {
     ("seq", "a", "--p", "5/2", "--t", "1/3", "--n", "4"): {"exact_seq"},
     ("seq", "a022558", "--n", "4"): {"exact_seq", "series"},

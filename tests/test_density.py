@@ -2,10 +2,8 @@
 
 import cmath
 import hashlib
-import inspect
 import random
 import re
-import sys
 from fractions import Fraction as F
 from math import inf, isfinite, nextafter, pi, sin, sqrt, ulp
 
@@ -16,8 +14,8 @@ from hypothesis import strategies as st
 
 import fussdeform
 import fussdeform.cli
-import fussdeform.density as density
 import fussdeform.verify as verify
+import seams
 from fussdeform import (
     DensitySample,
     Params,
@@ -35,13 +33,13 @@ from fussdeform import (
     support_c,
     w_closed,
 )
-from fussdeform._backend import kernels
+from seams import kernels
 
 
 def _f(params, x, route="parametric"):
     """f_{p,t}(x) at the one point x, by the evaluator behind density_grid."""
     p, t = params.as_floats()
-    return density._samples(p, t, [x], route)[0].value
+    return seams.samples(p, t, [x], route)[0].value
 
 
 def test_support_endpoint_values():
@@ -83,7 +81,7 @@ def test_rho_limits():
 def _node_slope(p, phi):
     """|rho'(phi)| as moment_quad's node weighs it: the weight f |dx/dphi| over f, which at
     t = 1 is mass(1, B) / (pi x) with B = r e^(i phi), r = sin(p phi) / sin((p - 1) phi)."""
-    x, weight = kernels._node(p, 1.0, phi)
+    x, weight = seams.node(p, 1.0, phi)
     b = cmath.rect(sin(p * phi) / sin((p - 1.0) * phi), phi)
     return weight * pi * x / kernels.mass(1.0, b)
 
@@ -93,13 +91,13 @@ def _rho_difference(p, phi, h=1e-6):
     return (kernels.rho(p, phi + h) - kernels.rho(p, phi - h)) / (2 * h)
 
 
-def test_rho_prime_closed_value_p2():
+def test_node_slope_closed_value_p2():
     # rho(2, phi) = 4 cos^2 phi  =>  rho' = -4 sin 2phi  =>  rho'(pi/4) = -4
     assert _rho_difference(2, pi / 4) == pytest.approx(-4.0, abs=1e-8)
     assert _node_slope(2, pi / 4) == pytest.approx(4.0, abs=1e-12)
 
 
-def test_rho_prime_matches_finite_differences():
+def test_node_slope_matches_central_differences_of_rho():
     rng = random.Random(40902)
     for _ in range(20):
         p = 1.0 + rng.uniform(0.1, 3.0)
@@ -108,7 +106,7 @@ def test_rho_prime_matches_finite_differences():
         assert _node_slope(p, phi) == pytest.approx(-_rho_difference(p, phi), rel=1e-6)
 
 
-def test_rho_prime_negative_throughout():
+def test_node_slope_is_the_size_of_rho_differences_throughout():
     # rho decreases, and the node's |rho'| is the size of its differences
     for p in (1.2, 1.5, 2.0, 3.0, 4.5):
         top = pi / p
@@ -120,7 +118,7 @@ def test_rho_prime_negative_throughout():
 
 def test_parametric_component_values_p2():
     # W_{2,1}(1) = sqrt(3)/(2 pi) and W_{2,2}(2) = 1/pi; W_{p,r} is f_{p,t} at t = 2 - r
-    (s,) = density._samples(2.0, 1.0, [1.0], "parametric")
+    (s,) = seams.samples(2.0, 1.0, [1.0], "parametric")
     assert s.value == pytest.approx(sqrt(3.0) / (2.0 * pi), abs=1e-12)
     assert s.x == 1.0 and 0.0 < s.phi < pi / 2
     assert _f(Params.exact(2, 0), 2.0) == pytest.approx(1.0 / pi, abs=1e-12)
@@ -288,7 +286,7 @@ def test_density_grid_layout():
 
 
 def test_gk_rule_is_exact_on_polynomials():
-    val, err, resabs = kernels._gk15(lambda x: x**13, 0.0, 1.0)
+    val, err, resabs = seams.gk15(lambda x: x**13, 0.0, 1.0)
     assert val == pytest.approx(1.0 / 14.0, rel=1e-14)
     assert err < 1e-12
     total, err, ok = kernels.integrate_callable(sin, 0.0, pi)
@@ -297,18 +295,19 @@ def test_gk_rule_is_exact_on_polynomials():
 
 
 def _gk15_sum_loop(h, fx):
-    """_gk15_sum as a loop over the nodes in order, branching per node pair for the Gauss
-    sum; also returns d = |kronrod - gauss|."""
+    """The kernels' Gauss-Kronrod sums (seams.gk15_sum) as a loop over the nodes in order,
+    branching per node pair for the Gauss sum; also returns d = |kronrod - gauss|."""
+    wgk, wg = seams.WGK, seams.WG
     fc = fx[0]
-    kron = kernels._WGK[7] * fc
-    gauss = kernels._WG[3] * fc
-    resabs = kernels._WGK[7] * abs(fc)
+    kron = wgk[7] * fc
+    gauss = wg[3] * fc
+    resabs = wgk[7] * abs(fc)
     for i in range(1, 15):
         j = (i - 1) // 2
-        kron += kernels._WGK[j] * fx[i]
-        resabs += kernels._WGK[j] * abs(fx[i])
+        kron += wgk[j] * fx[i]
+        resabs += wgk[j] * abs(fx[i])
         if j & 1:
-            gauss += kernels._WG[(j - 1) // 2] * fx[i]
+            gauss += wg[(j - 1) // 2] * fx[i]
     kron *= h
     gauss *= h
     resabs *= h
@@ -318,7 +317,7 @@ def _gk15_sum_loop(h, fx):
         scaled = (200.0 * d) ** 1.5
         if scaled < err:
             err = scaled
-    floor = 50.0 * kernels._EPS * resabs
+    floor = 50.0 * seams.EPS * resabs
     if err < floor:
         err = floor
     return (kron, err, resabs), d
@@ -344,7 +343,7 @@ def test_gk15_sum_matches_the_loop():
                 for _ in range(15)
             ]
         expected, d = _gk15_sum_loop(h, fx)
-        assert kernels._gk15_sum(h, fx) == expected, (h, fx)
+        assert seams.gk15_sum(h, fx) == expected, (h, fx)
         if d > 0.0:
             scaled_d["below 1" if 200.0 * d < 1.0 else "at least 1"] += 1
     assert min(scaled_d.values()) > 500, scaled_d
@@ -352,7 +351,7 @@ def test_gk15_sum_matches_the_loop():
 
 def test_gk_error_estimate_survives_huge_integrands():
     # Gauss and Kronrod differ by ~1e247 here, so (200 d)^1.5 would overflow.
-    val, err, _ = kernels._gk15(lambda x: 1e250 * x**40, 0.0, 1.0)
+    val, err, _ = seams.gk15(lambda x: 1e250 * x**40, 0.0, 1.0)
     assert val == pytest.approx(1e250 / 41.0, rel=1e-6)
     assert 0.0 < err < val
 
@@ -374,13 +373,13 @@ def test_rho_bisect_recovers_the_angle():
 
 def _phi_condition(p, x, phi):
     """How far an error of an ulp in the terms of x (B - 1) = B^p moves phi = arg B:
-    _EPS (x |B - 1| + |B|^p) / (|h'(B)| |B|), with h'(B) = x - p B^p / B and
+    eps (x |B - 1| + |B|^p) / (|h'(B)| |B|), eps the float epsilon, with h'(B) = x - p B^p / B and
     B = e^(i phi) sin(p phi) / sin((p - 1) phi).  It grows without bound next to c(p), at the
     double root, and everywhere as p nears 1."""
     b = cmath.rect(sin(p * phi) / sin((p - 1.0) * phi), phi)
     power = b**p
     slope = abs(x - p * power / b) * abs(b)
-    return kernels._EPS * (x * abs(b - 1.0) + abs(power)) / slope if slope else inf
+    return seams.EPS * (x * abs(b - 1.0) + abs(power)) / slope if slope else inf
 
 
 @settings(max_examples=60, deadline=None)
@@ -447,14 +446,7 @@ def test_density_grid_next_to_p_1_is_a_float_limit(capsys):
 def test_density_next_to_p_1_prints_through_a_restart(monkeypatch, capsys, p, grid):
     # next to p = 1 the continuation loses a point at its first attempt and solves it from
     # halfway to the last accepted x: these grids print only through that restart
-    real_newton = kernels._newton
-    attempts = []
-
-    def counted_newton(p, x, b):
-        attempts.append(x)
-        return real_newton(p, x, b)
-
-    monkeypatch.setattr(kernels, "_newton", counted_newton)
+    attempts = seams.record(monkeypatch, "newton")
     assert fussdeform.cli.main(["density", "--p", p, "--t", "1/2", "--grid", str(grid)]) == 0
     assert len(attempts) > grid
     _, *rows = capsys.readouterr().out.splitlines()
@@ -465,14 +457,7 @@ def test_density_next_to_p_1_prints_through_a_restart(monkeypatch, capsys, p, gr
 
 
 def test_each_evaluation_solves_its_points_by_one_kernel_call(monkeypatch):
-    real_rho_bisect = kernels.rho_bisect
-    calls = []
-
-    def recorded_rho_bisect(p, xs):
-        calls.append(("rho_bisect", len(xs)))
-        return real_rho_bisect(p, xs)
-
-    monkeypatch.setattr(kernels, "rho_bisect", recorded_rho_bisect)
+    calls = seams.record(monkeypatch, "rho_bisect")
     params = Params.exact(2, F(1, 3))
     for evaluate, points in (
         (lambda: density_grid(params, 500), 500),
@@ -482,14 +467,14 @@ def test_each_evaluation_solves_its_points_by_one_kernel_call(monkeypatch):
     ):
         calls.clear()
         evaluate()
-        assert calls == ([] if points is None else [("rho_bisect", points)])
+        assert [len(xs) for _, xs in calls] == ([] if points is None else [points])
     assert not hasattr(kernels, "rho_bisect_grid")
 
 
 @pytest.mark.parametrize("p", [1.000001, 1.001, 1.01, 4.0, 20.0])
 def test_rho_bisect_stops_newton_at_the_rounding_floor(p):
     # next to the double root, and everywhere at p next to 1, rounding keeps Newton's steps
-    # from shrinking to 4 _EPS |B|; it stops where they stop shrinking, so these points solve
+    # from shrinking to 4 eps |B|; it stops where they stop shrinking, so these points solve
     upper = support_c(p)
     xs = [upper * i / 2001 for i in range(1, 2001)]
     for xs in (xs, *([upper * (1.0 - 10.0**-e)] for e in (4, 5, 6, 10, 14, 16))):
@@ -501,24 +486,26 @@ def test_rho_bisect_stops_newton_at_the_rounding_floor(p):
 def test_rho_bisect_recovers_a_lost_point_from_halfway(monkeypatch):
     # a Newton that loses every point of the grid at its first attempt: each is solved after
     # one halving, from the root halfway to the last accepted x, as by the plain continuation
-    real_newton = kernels._newton
     p = 2.5
     xs = [support_c(p) * i / 21 for i in range(1, 21)]
     expected = [phi for _, phi in kernels.rho_bisect(p, xs)]
     targets = []
 
-    def losing_newton(p, x, b):
-        targets.append(x)
-        return None if x in xs and targets.count(x) == 1 else real_newton(p, x, b)
+    def losing(real_newton):
+        def newton(p, x, b):
+            targets.append(x)
+            return None if x in xs and targets.count(x) == 1 else real_newton(p, x, b)
 
-    monkeypatch.setattr(kernels, "_newton", losing_newton)
+        return newton
+
+    seams.plant(monkeypatch, "newton", losing)
     phis = [phi for _, phi in kernels.rho_bisect(p, xs)]
     assert max(abs(a - b) for a, b in zip(phis, expected)) <= 1e-13
     anchors = [support_c(p)] + xs[::-1]
     halfway = [0.5 * (a + x) for a, x in zip(anchors, xs[::-1])]
     assert targets == [t for x, h in zip(xs[::-1], halfway) for t in (x, h, x)]
     # each halving restarts from the last root, and each point still solves as it does alone
-    monkeypatch.setattr(kernels, "_newton", real_newton)
+    monkeypatch.undo()
     for x, phi in zip(xs, phis):
         assert abs(kernels.rho_bisect(p, [x])[0][1] - phi) <= 1e-13, x
 
@@ -542,29 +529,6 @@ def test_rho_bisect_uneven_grids_match_each_point_solved_alone(p):
             assert abs(kernels.rho_bisect(p, [x])[0][1] - phi) <= 1e-13, (p, x)
 
 
-def _complex_powers(p, xs):
-    """The roots of rho_bisect(p, xs) and the powers B^p it took, counted as the times a line of
-    _newton or rho_bisect that raises to the power p runs."""
-    lines = {}
-    for function in (kernels._newton, kernels.rho_bisect):
-        source, first = inspect.getsourcelines(function)
-        lines[function.__code__] = {first + i for i, text in enumerate(source) if "**p" in text}
-    powers = 0
-
-    def in_kernel(frame, event, arg):
-        nonlocal powers
-        powers += event == "line" and frame.f_lineno in lines[frame.f_code]
-        return in_kernel
-
-    previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: in_kernel if frame.f_code in lines else None)
-    try:
-        roots = kernels.rho_bisect(p, xs)
-    finally:
-        sys.settrace(previous)
-    return roots, powers
-
-
 def test_rho_bisect_takes_few_newton_steps_per_point():
     # a count, not a time: over 200- and 2000-point grids at four p, the predicted starts take
     # 2.4 Newton steps per point (the last root as the start took 4.1); at 200 points alone it
@@ -575,7 +539,7 @@ def test_rho_bisect_takes_few_newton_steps_per_point():
     for p in (1.1, 2.5, 4.0, 20.0):
         for size in (200, 2000):
             xs = [support_c(p) * i / (size + 1) for i in range(1, size + 1)]
-            roots, count = _complex_powers(p, xs)
+            roots, count = seams.complex_powers(p, xs)
             assert len(roots) == size
             powers += count
             points += size
@@ -606,7 +570,7 @@ def test_rho_bisect_roots_meet_the_residual_gate_with_a_fresh_power(p, us, size)
         return
     for x, (b, phi) in zip(xs, roots):
         power = b**p
-        assert abs(x * (b - 1.0) - power) <= kernels._NEWTON_TOL * (x * abs(b - 1.0) + abs(power))
+        assert abs(x * (b - 1.0) - power) <= seams.NEWTON_TOL * (x * abs(b - 1.0) + abs(power))
         assert phi == cmath.phase(b) and 0.0 < phi < pi / p, (x, b)
 
 
@@ -622,26 +586,28 @@ def test_rho_bisect_roots_meet_the_residual_gate_with_a_fresh_power(p, us, size)
 )
 def test_rho_bisect_accepts_only_roots_in_the_sector(monkeypatch, fault):
     # a Newton that settles on a planted wrong answer: the first point, the largest, is never
-    # accepted, and after at most _HALVINGS halvings, each an attempt and maybe a second one
+    # accepted, and after at most HALVINGS halvings, each an attempt and maybe a second one
     # from the halfway point, the float limit names it
-    real_newton = kernels._newton
     tries = []
 
-    def faulty_newton(p, x, b):
-        found = real_newton(p, x, b)
-        tries.append(x)
-        if found is None:
-            return None
-        root = fault(found[2], b)
-        return root, root**p, root
+    def faulty(real_newton):
+        def newton(p, x, b):
+            found = real_newton(p, x, b)
+            tries.append(x)
+            if found is None:
+                return None
+            root = fault(found[2], b)
+            return root, root**p, root
 
-    monkeypatch.setattr(kernels, "_newton", faulty_newton)
+        return newton
+
+    seams.plant(monkeypatch, "newton", faulty)
     for p in (1.5, 2.0, 37.0 / 13.0, 20.0):
         for xs in ([support_c(p) / 2.0], [support_c(p) * i / 11 for i in range(1, 11)]):
             tries.clear()
             with pytest.raises(OverflowError, match=re.escape(f"at p={p}, x={xs[-1]}")):
                 kernels.rho_bisect(p, xs)
-            assert len(tries) <= 2 * kernels._HALVINGS + 1, (p, len(xs))
+            assert len(tries) <= 2 * seams.HALVINGS + 1, (p, len(xs))
 
 
 @settings(max_examples=80, deadline=None)
@@ -707,13 +673,14 @@ def test_float_limits_next_to_c_are_overflow_errors(monkeypatch):
         moment_quadrature_full(Params.exact(4, F(1, 2)), 600)
     # a limit met by a later moment of the table names that moment: with every x scaled by
     # 1e103, x^2 stays a float at each node (x < 4) and x^3 overflows at the nodes past 0.56
-    node = kernels._node
+    def scaled(node):
+        def planted(p, t, phi):
+            x, weight = node(p, t, phi)
+            return 1e103 * x, weight
 
-    def scaled(p, t, phi):
-        x, weight = node(p, t, phi)
-        return 1e103 * x, weight
+        return planted
 
-    monkeypatch.setattr(kernels, "_node", scaled)
+    seams.plant(monkeypatch, "node", scaled)
     with pytest.raises(OverflowError, match=re.escape("p=2.0, t=0.5, n=3")):
         moment_quadrature_full(Params.exact(2, F(1, 2)), 5)
 
@@ -721,7 +688,7 @@ def test_float_limits_next_to_c_are_overflow_errors(monkeypatch):
     def undefined(p, t, phi):
         raise ZeroDivisionError("float division by zero")
 
-    monkeypatch.setattr(kernels, "_node", undefined)
+    seams.plant(monkeypatch, "node", lambda real: undefined)
     with pytest.raises(OverflowError, match=re.escape("p=2.0, t=0.5, n=0")):
         moment_quadrature_full(Params.exact(2, F(1, 2)), 5)
 
@@ -733,7 +700,7 @@ def test_density_grid_matches_each_point_evaluated_alone(p, t):
     params = Params.exact(p, t)
     pf, tf = params.as_floats()
     for s in density_grid(params, 1000):
-        ((x, phi, value),) = density._samples(pf, tf, [s.x], "parametric")
+        ((x, phi, value),) = seams.samples(pf, tf, [s.x], "parametric")
         assert x == s.x and abs(phi - s.phi) <= 1e-13, s.x
         assert abs(value - s.value) <= 1e-12, s.x
 
@@ -783,7 +750,7 @@ def test_density_grid_matches_a_50_digit_reference(p, t):
     upper = support_c(pf)
     samples = density_grid(params, 30)
     near_c = [upper * (1.0 - 10.0**-e) for e in (12, 10, 8, 6)] if p <= 20 else []
-    near_c = density._samples(pf, tf, near_c, "parametric")
+    near_c = seams.samples(pf, tf, near_c, "parametric")
     refs = [_density_reference(pf, tf, s.x) for s in samples + near_c]
     scale = max(abs(f_star) for _, f_star, _ in refs[: len(samples)])
     for i, (s, (phi_star, f_star, slope)) in enumerate(zip(samples + near_c, refs)):
@@ -837,15 +804,13 @@ def test_moment_quad_tables_are_prefix_stable():
 
 
 def test_moment_quad_retires_panels_within_its_estimate(monkeypatch):
-    # once a moment converges, a panel whose sums are at most _RETIRE |value| leaves the sums
+    # once a moment converges, a panel whose sums are at most RETIRE |value| leaves the sums
     # and leaves its bound in the estimate: every moment to n = 200 stays within its estimate
     # of the exact a_n, at landmarks and at t next to g(p), where the density touches 0; the
     # values are the floats of the table that sums every panel, and the retired panels save
     # at least a fifth of the panel sums
-    sums = []
-    real_sums = kernels._moment_sums
-    monkeypatch.setattr(kernels, "_moment_sums", lambda row: sums.append(1) or real_sums(row))
-    retire = kernels._RETIRE
+    sums = seams.record(monkeypatch, "moment_sums")
+    retire = seams.RETIRE
     g = {p: F(kernels.g_scan(float(p))[0]) for p in (F(5, 4), F(7, 4))}
     points = [(F(5, 2), F(1, 2)), (F(3, 2), F(1, 5)), (F(5, 4), g[F(5, 4)]),
               (F(7, 4), g[F(7, 4)]), (F(11, 10), F(0)), (F(3), F(1)), (F(2), F(4, 3)),
@@ -854,7 +819,7 @@ def test_moment_quad_retires_panels_within_its_estimate(monkeypatch):
         exact = deformed_table(Params.exact(p, t), 200).values
         tables, counts = [], []
         for threshold in (retire, 0.0):
-            monkeypatch.setattr(kernels, "_RETIRE", threshold)
+            seams.override(monkeypatch, "RETIRE", threshold)
             sums.clear()
             tables.append(kernels.moment_quad(float(p), float(t), 200))
             counts.append(len(sums))
@@ -869,25 +834,22 @@ def test_moment_quad_retires_panels_within_its_estimate(monkeypatch):
 def test_moment_quad_retired_panels_rejoin_when_their_bound_grows(monkeypatch):
     # a planted node rule whose right half (phi > pi/(2p), panels 4 to 7 of the first
     # partition) weighs 1e-40 times as much at 100 times the x: those panels retire after
-    # n = 0, their bound resabs (100 x)^k outgrows _RETIRE |value|, and they take x^n afresh
+    # n = 0, their bound resabs (100 x)^k outgrows RETIRE |value|, and they take x^n afresh
     # and rejoin; each moment stays within its estimate of the table that sums every panel
-    node = kernels._node
+    def far_and_light(node):
+        def planted(p, t, phi):
+            x, weight = node(p, t, phi)
+            return (100.0 * x, 1e-40 * weight) if phi > pi / (2.0 * p) else (x, weight)
 
-    def planted(p, t, phi):
-        x, weight = node(p, t, phi)
-        return (100.0 * x, 1e-40 * weight) if phi > pi / (2.0 * p) else (x, weight)
+        return planted
 
-    monkeypatch.setattr(kernels, "_node", planted)
-    adaptive = kernels._adaptive
-    held = []
-    monkeypatch.setattr(
-        kernels,
-        "_adaptive",
-        lambda panel, panels, atol, kept=0: held.append(kept) or adaptive(panel, panels, atol, kept),
-    )
+    seams.plant(monkeypatch, "node", far_and_light)
+    calls = seams.record(monkeypatch, "adaptive")
     table = kernels.moment_quad(2.5, 0.5, 60)
+    # the retired panels each refinement holds, its fourth argument
+    held = [args[3] for args in calls]
     assert held[:2] == [0, 4] and any(b < a for a, b in zip(held, held[1:])), held
-    monkeypatch.setattr(kernels, "_RETIRE", 0.0)
+    seams.override(monkeypatch, "RETIRE", 0.0)
     every = kernels.moment_quad(2.5, 0.5, 60)
     assert len(table) == len(every) == 61
     for (value, err, ok), (reference, _, _) in zip(table, every):
@@ -895,9 +857,9 @@ def test_moment_quad_retired_panels_rejoin_when_their_bound_grows(monkeypatch):
 
 
 def test_moment_quad_without_retiring_keeps_the_carried_partition_floats(monkeypatch):
-    # with _RETIRE = 0 only a panel whose sums are exactly 0 could leave, and the tables are the
+    # with RETIRE = 0 only a panel whose sums are exactly 0 could leave, and the tables are the
     # floats of the carried partition before panels retired, bit for bit (sha256 of the repr)
-    monkeypatch.setattr(kernels, "_RETIRE", 0.0)
+    seams.override(monkeypatch, "RETIRE", 0.0)
     digests = {
         (2.5, 0.5, 200): "b1b576202e7ecbc16003041de9a6ebf2caa9b400570b8d3675906337808e748f",
         (1.5, 0.0, 120): "b1f38e39b30a4803dd85a9580ee49a94dff28d54c1c4547ab022cb39ce0aefcd",
@@ -912,54 +874,48 @@ def test_moment_quad_without_retiring_keeps_the_carried_partition_floats(monkeyp
 
 def test_moment_quad_partition_stays_within_the_panel_cap(monkeypatch, capsys):
     # one kernel call per moments-check, whatever its n-max
-    calls = []
-    real = kernels.moment_quad
-    monkeypatch.setattr(kernels, "moment_quad", lambda *args: calls.append(args) or real(*args))
+    calls = seams.record(monkeypatch, "moment_quad")
     for argv in (("--p", "5/2", "--t", "1/2"), ("--p", "7/3", "--t", "2/3")):
         assert fussdeform.cli.main(["moments-check", *argv, "--n-max", "12"]) == 0
     capsys.readouterr()
     assert calls == [(2.5, 0.5, 12, 1e-10), (7.0 / 3.0, 2.0 / 3.0, 12, 1e-10)]
-    monkeypatch.setattr(kernels, "moment_quad", real)
-    panel = kernels._moment_panel
-    made = []
-    monkeypatch.setattr(
-        kernels, "_moment_panel", lambda p, t, n, *rest: made.append(n) or panel(p, t, n, *rest)
-    )
+    monkeypatch.undo()
+    made = seams.record(monkeypatch, "moment_panel")
 
     def partition():
-        # the _INIT_PANELS first panels, then two per split, one of them in the split one's place
-        return kernels._INIT_PANELS + (len(made) - kernels._INIT_PANELS) // 2
+        # the INIT_PANELS first panels, then two per split, one of them in the split one's place
+        return seams.INIT_PANELS + (len(made) - seams.INIT_PANELS) // 2
 
     # moment n starts from the partition of n - 1: (5/2, 1/2) ends with 15 panels at n = 100,
     # and each n splits only panels its own estimate calls for
     expected = kernels.moment_quad(2.5, 0.5, 200)
-    assert partition() == 15 and max(made) == 100
+    assert partition() == 15 and max(n for _, _, n, *_ in made) == 100
     assert [ok for _, _, ok in expected] == [True] * 201
     # a cap below that stops the table at the first n whose panels would pass it
-    monkeypatch.setattr(kernels, "_MAX_PANELS", 12)
+    seams.override(monkeypatch, "MAX_PANELS", 12)
     made.clear()
     table = kernels.moment_quad(2.5, 0.5, 200)
     assert partition() == 12 and table[-1][2] is False
     assert table[:-1] == expected[: len(table) - 1]
-    # a quadrature gives up once it holds _MAX_PANELS panels: the 8 initial ones and two more
+    # a quadrature gives up once it holds MAX_PANELS panels: the 8 initial ones and two more
     # sampled per split
     cap = 256
-    monkeypatch.setattr(kernels, "_MAX_PANELS", cap)
+    seams.override(monkeypatch, "MAX_PANELS", cap)
     sampled = []
 
     def never(a, b, depth):
         sampled.append((a, b))
         return [0.0, 1.0, depth, a, b]
 
-    panels = kernels._first_panels(never, 0.0, 1.0)
-    assert kernels._adaptive(never, panels, 0.0) == (0.0, float(cap), False)
+    panels = seams.first_panels(never, 0.0, 1.0)
+    assert seams.adaptive(never, panels, 0.0) == (0.0, float(cap), False)
     assert len(panels) == cap and len(sampled) == 8 + 2 * (cap - 8)
     # at (11/8, 6/5) a_20 nearly cancels: the table's n = 20 fills the partition to the cap
     # unconverged and stops there
     made.clear()
     table = kernels.moment_quad(11.0 / 8.0, 6.0 / 5.0, 240)
     assert [ok for _, _, ok in table] == [True] * 20 + [False]
-    assert partition() == cap and max(made) == 20
+    assert partition() == cap and max(n for _, _, n, *_ in made) == 20
 
 
 def test_masses_normalize_to_one():
@@ -1179,13 +1135,7 @@ def test_c9_fails_on_a_negative_density_value(monkeypatch):
 
 
 def test_c9_reaches_every_cumulant_measure(monkeypatch):
-    seen = []
-
-    def recording(case, t, n):
-        seen.append(case)
-        return cumulant_quadrature(case, t, n)
-
-    monkeypatch.setattr(verify, "cumulant_quadrature", recording)
+    calls = seams.record(monkeypatch, "cumulant_quadrature")
     (res,) = verify.run_criteria(only="c9")
     assert res.passed, res.detail
-    assert set(seen) == set(kernels.CUMULANT_MEASURES)
+    assert {case for case, _, _ in calls} == set(kernels.CUMULANT_MEASURES)

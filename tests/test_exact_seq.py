@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import seams
 from fussdeform import (
     InconsistencyError,
     Params,
@@ -27,7 +28,6 @@ from fussdeform import (
     parse_rational,
     raney,
 )
-from fussdeform import exact_seq, series
 from fussdeform.cli import main
 from fussdeform.verify import run_criteria
 
@@ -117,16 +117,11 @@ def test_raney_matches_fraction_loop(p, r, n):
 
 
 def _closed(p, t, n):
-    return F(*exact_seq._deformed_closed_parts(p, t, range(n, n + 1))[0])
+    return F(*seams.deformed_closed_parts(p, t, range(n, n + 1))[0])
 
 
 def test_affine_closed_check_fires(monkeypatch, capsys):
-    real = exact_seq._raney_num
-
-    def off_by_one(p, r, n):
-        return real(p, r, n) + (n == 5)
-
-    monkeypatch.setattr(exact_seq, "_raney_num", off_by_one)
+    seams.plant(monkeypatch, "raney_num", lambda real: lambda p, r, n: real(p, r, n) + (n == 5))
     params = Params.exact(F(5, 2), F(1, 3))
     assert deformed_fuss(params, 4) == _closed(params.p, params.t, 4)
     with pytest.raises(InconsistencyError):
@@ -164,17 +159,19 @@ def test_deformed_closed_where_the_textbook_denominator_vanishes(n):
 
 
 def test_affine_closed_check_fires_on_the_closed_route(monkeypatch, capsys):
-    real = exact_seq._deformed_closed_parts
+    def one_factor_too_many(real):
+        def closed_parts(p, t, ns):
+            pairs = real(p, t, ns)
+            for i, n in enumerate(ns):
+                if n == 5:  # the factor n p - (n - 2) = (n a - (n - 2) b) / b
+                    num, den = pairs[i]
+                    num, den = num * (n * p.numerator - (n - 2) * p.denominator), den * p.denominator
+                    pairs[i] = num, den
+            return pairs
 
-    def one_factor_too_many(p, t, ns):
-        pairs = real(p, t, ns)
-        for i, n in enumerate(ns):
-            if n == 5:  # the factor n p - (n - 2) = (n a - (n - 2) b) / b
-                num, den = pairs[i]
-                pairs[i] = num * (n * p.numerator - (n - 2) * p.denominator), den * p.denominator
-        return pairs
+        return closed_parts
 
-    monkeypatch.setattr(exact_seq, "_deformed_closed_parts", one_factor_too_many)
+    real = seams.plant(monkeypatch, "deformed_closed_parts", one_factor_too_many)
     params = Params.exact(F(5, 2), F(1, 3))
     assert deformed_fuss(params, 4) == F(*real(params.p, params.t, range(4, 5))[0])
     with pytest.raises(InconsistencyError):
@@ -312,12 +309,10 @@ def test_constellation_matches_fraction_loop(p):
 
 
 def test_constellation_cross_check_fires(monkeypatch, capsys):
-    real = exact_seq._constellation_parts
+    def off_by_one(real):
+        return lambda p, ns: [(num + den * (n == 4), den) for n, (num, den) in zip(ns, real(p, ns))]
 
-    def off_by_one(p, ns):
-        return [(num + den * (n == 4), den) for n, (num, den) in zip(ns, real(p, ns))]
-
-    monkeypatch.setattr(exact_seq, "_constellation_parts", off_by_one)
+    real = seams.plant(monkeypatch, "constellation_parts", off_by_one)
     assert constellation_count(3, 3) == F(*real(3, range(3, 4))[0])
     with pytest.raises(InconsistencyError):
         constellation_count(3, 4)
@@ -328,13 +323,13 @@ def test_constellation_cross_check_fires(monkeypatch, capsys):
 def test_constellation_cross_check_fires_on_the_family_route(monkeypatch, capsys):
     # a_n enters the count through the deformed-family identity only; a fault
     # there passes the affine/closed check (it wraps it) and must meet the direct count.
-    real = exact_seq._deformed_parts
+    def off_by_one(real):
+        return lambda p, t, ns: [
+            (num + den * (n == 4), den) for n, (num, den) in zip(ns, real(p, t, ns))
+        ]
 
-    def off_by_one(p, t, ns):
-        return [(num + den * (n == 4), den) for n, (num, den) in zip(ns, real(p, t, ns))]
-
-    monkeypatch.setattr(exact_seq, "_deformed_parts", off_by_one)
-    assert constellation_count(3, 3) == F(*exact_seq._constellation_parts(3, range(3, 4))[0])
+    seams.plant(monkeypatch, "deformed_parts", off_by_one)
+    assert constellation_count(3, 3) == F(*seams.constellation_parts(3, range(3, 4))[0])
     with pytest.raises(InconsistencyError):
         constellation_count(3, 4)
     assert main(["seq", "constellation", "--p", "3", "--n", "5"]) == 3
@@ -342,7 +337,7 @@ def test_constellation_cross_check_fires_on_the_family_route(monkeypatch, capsys
 
 
 def _raney_pair(p, r, n):
-    """Reference: the numerator of raney(p, r, n) that _raney_nums gives, and its denominator
+    """Reference: the numerator of raney(p, r, n) that seams.raney_nums gives, and its denominator
     d (b d)^(n-1) n!, one math.prod per n; (1, 1) at n = 0."""
     if n == 0:
         return 1, 1
@@ -352,7 +347,7 @@ def _raney_pair(p, r, n):
 
 
 def _closed_pair(p, t, n):
-    """Reference: a_n(p, t) as the pair _deformed_closed_parts gives, one math.prod per n."""
+    """Reference: a_n(p, t) as the pair seams.deformed_closed_parts gives, one math.prod per n."""
     a, b, u, v = p.numerator, p.denominator, t.numerator, t.denominator
     if n < 2:
         return ((1, 1), (2 * v - u, v))[n]
@@ -361,7 +356,7 @@ def _closed_pair(p, t, n):
 
 
 def _constellation_pair(p, n):
-    """Reference: C_p(n) as the pair _constellation_parts gives, one math.prod per n."""
+    """Reference: C_p(n) as the pair seams.constellation_parts gives, one math.prod per n."""
     if n == 1:
         return 1, 1
     return (p + 1) * p ** (n - 1) * prod(n * p - i for i in range(n - 2)), factorial(n)
@@ -386,30 +381,27 @@ def _run_case(draw):
 def test_stepped_runs_match_direct_products(case):
     p, r, ns = case
     run = range(max(ns.start, 1), ns.stop)
-    assert exact_seq._raney_nums(p, r, run) == [_raney_pair(p, r, n)[0] for n in run]
-    assert exact_seq._raney_run(p, r, ns) == [F(*_raney_pair(p, r, n)) for n in ns]
-    assert exact_seq._deformed_closed_parts(p, r, ns) == [_closed_pair(p, r, n) for n in ns]
+    assert seams.raney_nums(p, r, run) == [_raney_pair(p, r, n)[0] for n in run]
+    assert seams.raney_run(p, r, ns) == [F(*_raney_pair(p, r, n)) for n in ns]
+    assert seams.deformed_closed_parts(p, r, ns) == [_closed_pair(p, r, n) for n in ns]
     if p.denominator == 1 and p >= 2:
         expected = [_constellation_pair(int(p), n) for n in run]
-        assert exact_seq._constellation_parts(int(p), run) == expected
+        assert seams.constellation_parts(int(p), run) == expected
 
 
 def test_a_table_to_300_steps_every_product_past_its_crossover(monkeypatch):
     # p = 7/3: a Raney numerator is a direct product while the step's 2a - b = 11 factors are
     # at least its n - 1, so at n = 1..12, and a step from n - 3 after; the closed product,
     # of n - 2 factors, steps from n = 14 on.  A change that stops stepping shows up here
-    calls = {name: [] for name in ("_raney_num", "_raney_step", "_closed_step")}
-    for name, seen in calls.items():
-        real = getattr(exact_seq, name)
-        monkeypatch.setattr(
-            exact_seq, name, lambda *args, real=real, seen=seen: seen.append(args) or real(*args)
-        )
+    calls = {
+        name: seams.record(monkeypatch, name) for name in ("raney_num", "raney_step", "closed_step")
+    }
     table = deformed_table(Params(F(7, 3), F(1, 5)), 300)
     assert table.values[300] == deformed_fuss(Params(F(7, 3), F(1, 5)), 300)
-    assert sorted(n for _, r, n in calls["_raney_num"] if r == 1) == list(range(1, 13)) + [300]
-    assert sorted(n for _, r, n in calls["_raney_num"] if r == 2) == list(range(1, 13)) + [300]
-    assert len(calls["_raney_step"]) == 2 * (300 - 12)
-    assert len(calls["_closed_step"]) == 300 - 13
+    assert sorted(n for _, r, n in calls["raney_num"] if r == 1) == list(range(1, 13)) + [300]
+    assert sorted(n for _, r, n in calls["raney_num"] if r == 2) == list(range(1, 13)) + [300]
+    assert len(calls["raney_step"]) == 2 * (300 - 12)
+    assert len(calls["closed_step"]) == 300 - 13
 
 
 def test_constellation_rejects_bad_parameters():
@@ -462,7 +454,7 @@ def test_binomial_transform_matches_fraction_loop(values):
 
 def _scaled_reference(coeffs, s):
     """The values c_k s^k over one common denominator as the jet engine cleared them before
-    exact_seq._cleared: every numerator over the lcm of the denominators, then one gcd."""
+    seams.cleared: every numerator over the lcm of the denominators, then one gcd."""
     den = lcm(*[c.denominator for c in coeffs])
     nums = []
     w = 1
@@ -495,8 +487,8 @@ def test_cleared_is_the_least_common_denominator_form(values, s):
     # Both ways give the unique form with a positive denominator and no common content, so
     # the numerators and the denominator agree integer for integer.
     expected = _scaled_reference(values, s)
-    assert exact_seq._cleared([(v.numerator, v.denominator) for v in values], s) == expected
-    assert series._scaled(values, s) == expected
+    assert seams.cleared([(v.numerator, v.denominator) for v in values], s) == expected
+    assert seams.scaled(values, s) == expected
 
 
 def test_binomial_transform_rejects_offset_and_empty():
@@ -557,7 +549,7 @@ def _closed_b_loop(n):
 def test_a220910_closed_sums_match_fraction_loops():
     closed_b = a220910_table(60, "closed_b").values
     for n in range(61):
-        assert exact_seq._a220910_closed_a(n) == _closed_a_loop(n), n
+        assert seams.a220910_closed_a(n) == _closed_a_loop(n), n
         assert closed_b[n] == _closed_b_loop(n), n
 
 
@@ -583,27 +575,28 @@ def _verify_c1():
 
 
 def test_verify_a220910_check_fires_on_closed_a(monkeypatch):
-    real = exact_seq._a220910_closed_a
-    monkeypatch.setattr(exact_seq, "_a220910_closed_a", lambda n: real(n) + (n == 30))
+    seams.plant(monkeypatch, "a220910_closed_a", lambda real: lambda n: real(n) + (n == 30))
     assert _verify_c1() == "method closed_a deviates before n = 50"
 
 
 def test_verify_a220910_check_fires_on_closed_b(monkeypatch):
-    real = exact_seq._a220910_closed_b
+    def skewed(real):
+        def closed_b(n_max):
+            values = real(n_max)
+            values[30] += 1
+            return values
 
-    def skewed(n_max):
-        values = real(n_max)
-        values[30] += 1
-        return values
+        return closed_b
 
-    monkeypatch.setattr(exact_seq, "_a220910_closed_b", skewed)
+    seams.plant(monkeypatch, "a220910_closed_b", skewed)
     assert _verify_c1() == "method closed_b deviates before n = 50"
 
 
 def test_a220910_recurrence_checks_each_division(monkeypatch, capsys):
-    real = exact_seq._a220910_step
-    monkeypatch.setattr(
-        exact_seq, "_a220910_step", lambda n, prev, prev2: real(n, prev, prev2) + (n == 7)
+    seams.plant(
+        monkeypatch,
+        "a220910_step",
+        lambda real: lambda n, prev, prev2: real(n, prev, prev2) + (n == 7),
     )
     assert a220910_table(6).values == A220910_PREFIX[:7]
     with pytest.raises(InconsistencyError, match="n = 7"):

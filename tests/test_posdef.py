@@ -13,18 +13,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import seams
 from fussdeform import (
     InconsistencyError,
     Params,
     moment_series,
     necessary_gap,
-    posdef,
 )
-from fussdeform._backend import kernels
-from fussdeform.cli import _build_parser, main
-from fussdeform import exact_seq
+from fussdeform.cli import main
 from fussdeform.exact_seq import SeqTable, catalan_table, constellation_table
-from fussdeform import series
 from fussdeform.posdef import (
     HankelVerdict,
     classify_point,
@@ -35,7 +32,8 @@ from fussdeform.posdef import (
     psi_min,
     theorem_interval,
 )
-from fussdeform.series import cumulants_from_moments
+from fussdeform.series import TruncSeries, cumulants_from_moments
+from seams import kernels
 
 PHI_STAR = 3.0 * math.asin(math.sqrt(5.0 / 8.0))
 
@@ -148,9 +146,10 @@ def test_g_strictly_decreasing_on_the_unit_gap():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def _scan_pointwise(f, grid=kernels._PSI_GRID):
+def _scan_pointwise(f, grid=None):
     """The kernels' grid scan of f over [0, pi], every one of the grid + 1 points evaluated by f
-    itself; +inf marks a point without a value."""
+    itself, on the kernels' PSI_GRID unless grid is given; +inf marks a point without a value."""
+    grid = seams.PSI_GRID if grid is None else grid
     step = math.pi / grid
     vals = [f(i * step) for i in range(grid + 1)]
     best = min(range(grid + 1), key=vals.__getitem__)
@@ -166,7 +165,7 @@ def _scan_pointwise(f, grid=kernels._PSI_GRID):
     if vals[grid] < math.inf and vals[grid] <= vals[grid - 1]:
         brackets.append((math.pi - step, math.pi))
     for a, b in brackets:
-        xm, fm = kernels._golden(f, a, b)
+        xm, fm = seams.golden(f, a, b)
         if fm < best_val:
             best_val, best_phi = fm, xm
     return best_val, best_phi
@@ -174,7 +173,8 @@ def _scan_pointwise(f, grid=kernels._PSI_GRID):
 
 def _psi_min_pointwise(p, t):
     """kernels.psi_min with every grid point evaluated by psi itself."""
-    return _scan_pointwise(lambda phi: kernels.psi(p, t, phi))
+    psi = kernels.psi
+    return _scan_pointwise(lambda phi: psi(p, t, phi))
 
 
 def _t_bound(p, phi):
@@ -187,22 +187,22 @@ def _t_bound(p, phi):
 
 def _g_scan_pointwise(p):
     """kernels.g_scan with its check scanning the whole grid, every point evaluated by psi
-    itself, at every p and with its tolerance kernels._FEAS_TOL: (g, value), or
+    itself, at every p and with its tolerance seams.FEAS_TOL: (g, value), or
     InconsistencyError where the check of psi at t = g fails.  g is 0 from p = 2 on, and below
     2 the negated minimum of B/A that golden section finds on the arc [p pi / 2, pi]."""
     g = 0.0
     if p < 2.0:
-        search = kernels._golden(lambda x: _t_bound(p, x), p * math.pi / 2.0, math.pi)
+        search = seams.golden(lambda x: _t_bound(p, x), p * math.pi / 2.0, math.pi)
         g = min(1.0, max(0.0, -search[1]))
     value = _psi_min_pointwise(p, g)[0]
-    return InconsistencyError if value < -kernels._FEAS_TOL else (g, value)
+    return InconsistencyError if value < -seams.FEAS_TOL else (g, value)
 
 
 def _g_bisection(p):
     """The least t in [0, 1] that psi_min finds feasible, bracketed to 1e-9 by bisection."""
 
     def feasible(t):
-        return kernels.psi_min(p, t)[0] >= -kernels._FEAS_TOL
+        return kernels.psi_min(p, t)[0] >= -seams.FEAS_TOL
 
     if feasible(0.0):
         return 0.0
@@ -283,14 +283,16 @@ def test_g_is_certified_by_psi_min(monkeypatch, capsys):
     for p in (1.05, 1.5, 1.99):
         g = g_of_p(p)
         assert kernels.psi_min(p, g)[0] >= -1e-12
-    golden = kernels._golden
 
-    def low_sup(f, a, b):
-        # the sup of -B/A is the negated minimum of B/A: raising that minimum lowers the sup
-        phi, value = golden(f, a, b)
-        return phi, (value + 1e-6 if f.func is kernels._t_bound else value)
+    def low_sup(golden):
+        def search(f, a, b):
+            # the sup of -B/A is the negated minimum of B/A: raising that minimum lowers the sup
+            phi, value = golden(f, a, b)
+            return phi, (value + 1e-6 if f.func is seams.t_bound else value)
 
-    monkeypatch.setattr(kernels, "_golden", low_sup)
+        return search
+
+    seams.plant(monkeypatch, "golden", low_sup)
     with pytest.raises(InconsistencyError):
         g_of_p(1.5)
     assert main(["gfun", "--p-min", "1.5", "--p-max", "1.5", "--steps", "1"]) == 3
@@ -300,7 +302,7 @@ def test_g_is_certified_by_psi_min(monkeypatch, capsys):
 def _arc_first(p):
     """The first grid index of g_scan's check at p < 2: the arc where psi can go negative, from
     two cells before p pi / 2."""
-    return math.floor(p * kernels._PSI_GRID / 2) - 2
+    return math.floor(p * seams.PSI_GRID / 2) - 2
 
 
 _P_EDGES = [1.0, 1.5, math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 3.0), 1e6]
@@ -327,7 +329,7 @@ def test_the_grid_samples_follow_p(ps, order, t):
         assert kernels.psi_min(p, t) == _psi_min_pointwise(p, t), (p, t)
         for tol in (0.0, 1e-12, 1e-3):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(kernels, "_FEAS_TOL", tol)
+                seams.override(patch, "FEAS_TOL", tol)
                 try:
                     got = kernels.g_scan(p)
                 except InconsistencyError:
@@ -344,17 +346,16 @@ def test_psi_is_nonnegative_left_of_the_arc(p, u):
     # The lemmas behind g_scan, on floats: for t in [0, 1] every grid sample left of the first
     # index its check scans has psi >= 0, and A > 0 on the open arc (p pi / 2, pi) its search
     # reads B/A on, next to both ends included.
-    scan = kernels._psi_scan
-    firsts = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernels, "_psi_scan", lambda p, t, i: firsts.append(i) or scan(p, t, i))
+        scans = seams.record(patch, "psi_scan")
         kernels.g_scan(p)
-    [first] = firsts
+    [(_, _, first)] = scans
     assert first == _arc_first(p)
-    step = math.pi / kernels._PSI_GRID
+    step = math.pi / seams.PSI_GRID
+    psi = kernels.psi
     for i in range(first):
         for t in (0.0, 1.0, u):
-            assert kernels.psi(p, t, i * step) >= 0.0, (p, t, i)
+            assert psi(p, t, i * step) >= 0.0, (p, t, i)
     lo, hi = math.nextafter(p * math.pi / 2.0, math.pi), math.nextafter(math.pi, 0.0)
     for phi in (lo, hi, lo + u * (hi - lo)):
         b = 2.0 * math.sin(phi) * math.cos(phi / p)
@@ -367,18 +368,16 @@ def test_g_needs_no_scan_from_two_on(monkeypatch):
     ps += [rng.uniform(2.0, 100.0) for _ in range(20)]
     # the scan the shortcut skips would find psi(p, 0, .) >= 0, so g(p) = 0 either way
     for p in ps:
-        assert kernels.psi_min(p, 0.0)[0] >= -kernels._FEAS_TOL, p
+        assert kernels.psi_min(p, 0.0)[0] >= -seams.FEAS_TOL, p
     scans = []
-    monkeypatch.setattr(kernels, "_psi_scan", lambda *args: scans.append(args))
+    seams.plant(monkeypatch, "psi_scan", lambda real: lambda *args: scans.append(args))
     assert [g_of_p(p) for p in ps] == [0.0] * len(ps)
     assert [kernels.g_scan(p) for p in ps] == [(0.0, 0.0)] * len(ps)
     assert scans == []
 
 
 def test_g_builds_one_sample_grid_below_two(monkeypatch):
-    scan = kernels._psi_scan
-    seen = []
-    monkeypatch.setattr(kernels, "_psi_scan", lambda *args: seen.append(args) or scan(*args))
+    seen = seams.record(monkeypatch, "psi_scan")
     # one scan per g(p) below 2, for its check at t = g, starting at the arc, and none from 2 on
     ps = [1.0, 1.5, 1.75, 1.999, 1.999999, 2.0 - 1e-9, math.nextafter(2.0, 0.0)]
     for p in ps:
@@ -391,14 +390,6 @@ def test_g_builds_one_sample_grid_below_two(monkeypatch):
     assert seen == [(1.5, 0.19999999999999996, 382)]
 
 
-def _golden_calls(monkeypatch):
-    """The (f, a, b) of every golden-section refinement from here on, in order."""
-    golden = kernels._golden
-    calls = []
-    monkeypatch.setattr(kernels, "_golden", lambda *args: calls.append(args) or golden(*args))
-    return calls
-
-
 def _refines(calls, func, p, *rest):
     """The refinements among calls of func(p, *rest, .)."""
     return [f for f, _, _ in calls if f.func is func and f.args == (p, *rest)]
@@ -407,22 +398,20 @@ def _refines(calls, func, p, *rest):
 def test_g_is_one_search_and_one_refined_check(monkeypatch):
     # g(p) below 2 is one g_scan call, which reads its own tolerance: one golden-section search
     # of B/A, and a check of psi at t = g(p) whose value is refined
-    calls = []
-    real = kernels.g_scan
-    monkeypatch.setattr(kernels, "g_scan", lambda *args: calls.append(args) or real(*args))
-    refinements = _golden_calls(monkeypatch)
+    calls = seams.record(monkeypatch, "g_scan")
+    refinements = seams.record(monkeypatch, "golden")
     g = g_of_p(1.5)
     assert calls == [(1.5,)]
-    assert len(_refines(refinements, kernels._t_bound, 1.5)) == 1
+    assert len(_refines(refinements, seams.t_bound, 1.5)) == 1
     assert _refines(refinements, kernels.psi, 1.5, g) != []
 
 
 def test_flat_scans_refine_one_cell_per_run(monkeypatch):
     # At p = 1, B/A is -1 on the whole arc and psi(1, 1, .) is 0 on the whole grid, so the
     # search finds -1 and the check at g = 1 is a flat run only, refined once.
-    calls = _golden_calls(monkeypatch)
+    calls = seams.record(monkeypatch, "golden")
     assert kernels.g_scan(1.0) == (1.0, 0.0)
-    assert len(_refines(calls, kernels._t_bound, 1.0)) == 1
+    assert len(_refines(calls, seams.t_bound, 1.0)) == 1
     assert 1 <= len(_refines(calls, kernels.psi, 1.0, 1.0)) <= 2
     calls.clear()
     assert kernels.psi_min(1.0, 1.0) == (0.0, 0.0)
@@ -475,22 +464,15 @@ def test_hankel_zero_diagonal_with_coupling_is_indefinite():
     assert report.verdict == "indefinite"
 
 
-def _count_eliminations(monkeypatch):
-    calls = []
-    real = posdef._pivots
-    monkeypatch.setattr(posdef, "_pivots", lambda b: calls.append(len(b)) or real(b))
-    return calls
-
-
 def test_hankel_needs_no_determinant_without_breakdown(monkeypatch):
     # a section that does not break down is one elimination, with no shifted section
-    calls = _count_eliminations(monkeypatch)
+    calls = seams.record(monkeypatch, "pivots")
     assert hankel_report(catalan_table(30), 16).verdict == "positive_definite"
     assert hankel_report([F(1)] * 9, 5).verdict == "positive_semidefinite"
     moments = moment_series(Params.exact(2, F(7, 5)), 14)
     report = hankel_report([moments.coefficient(k) for k in range(15)], 8)
     assert report.minors[3] < 0 and report.verdict == "indefinite"
-    assert calls == [16, 5, 8]
+    assert [len(b) for b, in calls] == [16, 5, 8]
 
 
 def _det(rows):
@@ -634,7 +616,7 @@ def test_hankel_report_breakdown_sections_match_brute_force(section):
     values, size = section
     scale = math.lcm(*(v.denominator for v in values))
     b = [[int(v * scale) for v in values[i : i + size]] for i in range(size)]
-    assert None in [pivot for pivot, _ in posdef._pivots(b)]
+    assert None in [pivot for pivot, _ in seams.pivots(b)]
     test_hankel_report_matches_brute_force.hypothesis.inner_test(section)
 
 
@@ -663,7 +645,7 @@ def test_classify_minors_stay_exact_at_size_16():
 @pytest.mark.parametrize("size", [12, 16])
 def test_hankel_minors_are_the_leading_determinants(monkeypatch, size):
     # hankel-grid-like points: p over 8..48, t over 3..12; (3/2, 0) breaks down
-    calls = _count_eliminations(monkeypatch)
+    calls = seams.record(monkeypatch, "pivots")
     points = {
         (F(37, 24), F(5, 12)): "positive_definite",
         (F(11, 8), F(4, 5)): "positive_definite",
@@ -815,14 +797,16 @@ def test_classify_row_at_a_zero_pivot(p, t, size, verdict):
 
 def _count_pivot_reads(monkeypatch):
     reads = []
-    real = posdef._pivots
 
-    def counted(b):
-        for item in real(b):
-            reads.append(item)
-            yield item
+    def counted(real):
+        def pivots(b):
+            for item in real(b):
+                reads.append(item)
+                yield item
 
-    monkeypatch.setattr(posdef, "_pivots", counted)
+        return pivots
+
+    seams.plant(monkeypatch, "pivots", counted)
     return reads
 
 
@@ -861,48 +845,38 @@ def test_posdef_csv_stops_at_the_verdict_and_json_reads_every_pivot(monkeypatch,
 def test_every_cell_path_reaches_hankel_report_by_its_module_name(monkeypatch):
     # a tracer rebinds posdef.hankel_report to time each cell's elimination as posdef work;
     # a cell path that read its section any other way would hide it
-    calls = []
-    real = posdef.hankel_report
+    calls = seams.record(monkeypatch, "hankel_report")
 
-    def counted(seq, size, minors=True):
-        calls.append(size)
-        return real(seq, size, minors)
+    def sizes():
+        return [size for _, size, *_ in calls]
 
-    monkeypatch.setattr(posdef, "hankel_report", counted)
     assert classify_point(Params.exact(2, F(1)), 5)["hankel"].verdict == "positive_definite"
-    assert calls == [5]
+    assert sizes() == [5]
     calls.clear()
     assert len(list(classify_row(2, [F(-1), F(0), F(1)], 4))) == 3
-    assert calls == [4] * 3
+    assert sizes() == [4] * 3
     calls.clear()
     assert main(["domain-grid", "--steps", "2", "--hankel-size", "3"]) == 0
-    assert calls == [3] * 4
+    assert sizes() == [3] * 4
 
 
 def test_classify_row_builds_the_raney_integers_once_per_row(monkeypatch):
     # two Raney numerators (r = 1, 2) at each n = 1..2m - 2, per p row, whatever the steps:
     # each a direct product or a step from n - b (at p = 2 from n = 5 on, at p = 3/2 at n = 6)
-    calls = []
-    for name in ("_raney_num", "_raney_step"):
-        real = getattr(exact_seq, name)
-        monkeypatch.setattr(
-            exact_seq, name, lambda *args, real=real: calls.append(args) or real(*args)
-        )
+    calls = [seams.record(monkeypatch, name) for name in ("raney_num", "raney_step")]
     for steps in (1, 2, 5):
-        calls.clear()
+        for seen in calls:
+            seen.clear()
         assert main(["domain-grid", "--steps", str(steps), "--hankel-size", "4"]) == 0
-        assert len(calls) == steps * 2 * 6, steps
+        assert sum(map(len, calls)) == steps * 2 * 6, steps
 
 
 @pytest.mark.parametrize("n, size, code", [(3, 3, 3), (4, 3, 3), (3, 2, 0)])
 def test_domain_grid_runs_the_bp_square_check_on_every_row(monkeypatch, capsys, n, size, code):
     # r = 2 off by one at n: caught while n <= 2 size - 2, the order the section reads
-    real = exact_seq._raney_num
-
-    def skewed(p, r, k):
-        return real(p, r, k) + (r == 2 and k == n)
-
-    monkeypatch.setattr(exact_seq, "_raney_num", skewed)
+    seams.plant(
+        monkeypatch, "raney_num", lambda real: lambda p, r, k: real(p, r, k) + (r == 2 and k == n)
+    )
     argv = ["domain-grid", "--steps", "2", "--hankel-size", str(size)]
     assert main(argv) == code
     assert ("internal contradiction" in capsys.readouterr().err) == (code == 3)
@@ -913,7 +887,7 @@ def test_domain_grid_cross_checks_every_cell(monkeypatch, capsys):
     def indefinite(b):
         yield -1, "indefinite"
 
-    monkeypatch.setattr(posdef, "_pivots", indefinite)
+    seams.plant(monkeypatch, "pivots", lambda real: indefinite)
     with pytest.raises(InconsistencyError):
         list(classify_row(2, [F(1)], 6))
     grid = ["domain-grid", "--steps", "1", "--p-min", "2", "--t-max", "2"]
@@ -1010,14 +984,15 @@ def test_infdiv_outside_the_divisibility_windows():
 
 def test_infdiv_checks_the_moment_route_against_the_closed_r(monkeypatch, capsys):
     # r_1..r_(2m) of the reverted moment jet must equal the closed R-transform jet
-    real = series.r_series_closed
+    def skewed(real):
+        def r_series_closed(p, t, order):
+            coeffs = list(real(p, t, order).coeffs)
+            coeffs[5] += 1
+            return TruncSeries(coeffs)
 
-    def skewed(p, t, order):
-        coeffs = list(real(p, t, order).coeffs)
-        coeffs[5] += 1
-        return series.TruncSeries(coeffs)
+        return r_series_closed
 
-    monkeypatch.setattr(series, "r_series_closed", skewed)
+    seams.plant(monkeypatch, "r_series_closed", skewed)
     with pytest.raises(InconsistencyError):
         infdiv_check(2, F(7, 6), 3)
     assert main(["infdiv", "--p", "3", "--t", "1/2"]) == 3
@@ -1033,6 +1008,6 @@ def test_infdiv_covers_only_the_closed_description():
 
 def test_infdiv_default_size_is_the_cli_default():
     # infdiv_check(p, t) tests the same section as `fussdeform infdiv --p P --t T`.
-    size = _build_parser().parse_args(["infdiv", "--p", "2", "--t", "7/6"]).hankel_size
+    size = seams.build_parser().parse_args(["infdiv", "--p", "2", "--t", "7/6"]).hankel_size
     for f in (infdiv_check, classify_point):
         assert inspect.signature(f).parameters["size"].default == size == 6, f.__name__

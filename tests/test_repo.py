@@ -6,13 +6,17 @@ ones, the commands reach every public function but a listed few, a fault planted
 mechanism fails the ``verify`` criteria and sets the CLI exit codes it names, the two sides of
 each cross-check share no package function outside its ledger, the float kernels keep
 no state between calls and evaluate no more than their old memos did, every name in an
-``__all__`` resolves, the package re-exports each module's ``__all__`` once and resolves
+``__all__`` resolves, every seam of ``tests/seams.py`` resolves and no other test module
+names a private mechanism, the package re-exports each module's ``__all__`` once and resolves
 the names of its lazy layers on first use, importing the CLI loads only what every
 command needs, and the package's records keep their fields, constructors and
-(im)mutability."""
+(im)mutability.
+
+The planted faults, the commands they are run against, the cross-check ledger and the list
+of unreached public functions are tables of ``tests/seams.py``, the one test module that
+reaches the package's private mechanisms; the tests here read them from there."""
 
 import ast
-import cmath
 import copy
 import importlib
 import importlib.util
@@ -23,15 +27,14 @@ import shlex
 import shutil
 import subprocess
 import sys
-from collections import Counter
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
 from pathlib import Path
 from types import CodeType, FunctionType
 
 import pytest
 
+import seams
 from fussdeform.exact_seq import Params, SeqTable
 from fussdeform.posdef import HankelVerdict
 from fussdeform.series import CumulantTable, TruncSeries
@@ -121,8 +124,8 @@ def test_layer_tracer_finds_every_entry_point():
     # ``perfbench/run.py --trace 1`` looks the entry points up by name; a
     # rename in the package would otherwise only show when that run fails.
     import fussdeform
-    from fussdeform import _backend
 
+    kernels = seams.resolve("kernels")
     layertrace = _layertrace()
     modules = {name: getattr(fussdeform, name) for name in ("exact_seq", "series", "posdef", "density")}
     wanted = [
@@ -131,7 +134,7 @@ def test_layer_tracer_finds_every_entry_point():
         (modules["series"].TruncSeries, layertrace._SERIES_METHODS),
         (modules["posdef"], layertrace._POSDEF),
         (modules["density"], layertrace._DENSITY),
-        (_backend.kernels, layertrace._KERNELS),
+        (kernels, layertrace._KERNELS),
     ]
     missing = [name for owner, names in wanted for name in names if not hasattr(owner, name)]
     assert missing == []
@@ -144,7 +147,7 @@ def test_layer_tracer_finds_every_entry_point():
             assert set(layertrace._KERNELS) <= set(vars(proxy)), user
     finally:
         tracer.uninstall()
-    assert all(getattr(fussdeform, user).kernels is _backend.kernels for user in layertrace._KERNEL_USERS)
+    assert all(getattr(fussdeform, user).kernels is kernels for user in layertrace._KERNEL_USERS)
 
 
 def test_every_kernel_the_package_calls_is_traced_or_per_point():
@@ -155,9 +158,9 @@ def test_every_kernel_the_package_calls_is_traced_or_per_point():
     # check.  rho is not among them: only the kernels evaluate it.
     layertrace = _layertrace()
     used = set()
-    # _kernels_py defines the kernels and _backend binds them
+    # one module defines the kernels and the other binds them
     for path in (ROOT / "src" / "fussdeform").glob("*.py"):
-        if path.stem in ("_kernels_py", "_backend"):
+        if path.stem in (seams.KERNELS_MODULE, seams.BACKEND_MODULE):
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "kernels":
@@ -169,13 +172,11 @@ def test_every_kernel_the_package_calls_is_traced_or_per_point():
 def _every_command() -> list[list[str]]:
     """Every subcommand, ``seq`` subject, ``a220910`` method and ``transforms``/``density``
     route, each in both formats, then ``verify``."""
-    from fussdeform.exact_seq import _A220910_METHODS
-
     commands = [
         ["seq", "a", "--p", "5/2", "--t", "1/3", "--n", "6"],
         ["seq", "raney", "--p", "3", "--r", "2", "--n", "6"],
         ["seq", "constellation", "--p", "3", "--n", "6"],
-        *(["seq", "a220910", "--n", "8", "--method", method] for method in _A220910_METHODS),
+        *(["seq", "a220910", "--n", "8", "--method", method] for method in seams.A220910_METHODS),
         ["seq", "a022558", "--n", "6"],
         ["transforms", "--p", "2", "--t", "1/2", "--route", "closed", "--series-order", "6"],
         ["transforms", "--p", "5/2", "--t", "1/3", "--route", "moments", "--series-order", "6"],
@@ -190,16 +191,7 @@ def _every_command() -> list[list[str]]:
     return [[*argv, "--format", fmt] for fmt in ("csv", "json") for argv in commands] + [["verify"]]
 
 
-# The public functions no command or cross-check reaches, each with the reason it stays.  The
-# benchmark's layer tracer wraps every one by name, so each goes only once the tracer's table
-# (_UNREACHED_TABLES, by module) no longer names it.
-_UNREACHED = {
-    "kernels.psi_forms": "the three writings of psi, whose agreement is a float check",
-    "posdef.psi_min": "the range-checked minimum of psi that the landmark tests read",
-    "density.moment_quadrature": "one moment, entry n of moment_quadrature_full",
-    "exact_seq.constellation_count": "a single-value library convenience over constellation_table",
-    "exact_seq.a220910": "a single-value library convenience over a220910_table",
-}
+# the layer tracer's table, by module, that names each of seams.UNREACHED
 _UNREACHED_TABLES = {
     "exact_seq": "_EXACT_SEQ", "posdef": "_POSDEF", "density": "_DENSITY", "kernels": "_KERNELS"
 }
@@ -208,13 +200,11 @@ _UNREACHED_TABLES = {
 def _public_functions() -> dict:
     """The code object of each function named in a module's ``__all__`` and of each public
     method of a class named there, by ``module.name`` or ``module.Class.name``."""
-    from fussdeform import _backend
-
     modules = {
         name: importlib.import_module(f"fussdeform.{name}")
         for name in ("errors", "exact_seq", "series", "density", "posdef", "cli", "verify")
     }
-    modules["kernels"] = _backend.kernels
+    modules["kernels"] = seams.resolve("kernels")
     public = {}
     for label, module in modules.items():
         for name in module.__all__:
@@ -249,185 +239,38 @@ def test_every_public_function_is_reached(capsys):
         sys.setprofile(previous)
     capsys.readouterr()
     assert codes == [0] * len(codes)
-    assert {name for name, code in public.items() if code not in reached} == set(_UNREACHED)
+    assert {name for name, code in public.items() if code not in reached} == set(seams.UNREACHED)
     layertrace = _layertrace()
-    for name in _UNREACHED:
+    for name in seams.UNREACHED:
         module, function = name.split(".")
         assert function in getattr(layertrace, _UNREACHED_TABLES[module]), name
 
 
-def _bumped(values, index):
-    """values with 1 added to entry index, where there is one."""
-    return [v + (i == index) for i, v in enumerate(values)]
+_FAULT_IDS = [".".join(seams.SEAMS[seam]) for seam, *_ in seams.PLANTED_FAULTS]
 
 
-def _cleared_with_numerator_7_bumped(real):
-    def cleared(pairs, s):
-        nums, den = real(pairs, s)
-        return _bumped(nums, 7), den
-
-    return cleared
-
-
-def _top_factor_off_by_one(real):
-    def step(num, new, dropped):
-        return real(num, new, dropped) // new[0] * (new[0] + 1)
-
-    return step
-
-
-def _pivots_with_pivot_3_flipped(real):
-    def pivots(b):
-        for k, (pivot, verdict) in enumerate(real(b)):
-            yield (-pivot if k == 3 and pivot else pivot), verdict
-
-    return pivots
-
-
-def _node_with_weight_scaled(real):
-    def node(p, t, phi):
-        x, weight = real(p, t, phi)
-        return x, weight * (1.0 + 1e-7)
-
-    return node
-
-
-# (module, name, the fault planted in it, the verify criteria that then fail, the _FAULT_COMMANDS
-# that then exit 3): one fault in each mechanism that two sides of a cross-check share, or that
-# a float check reads
-_PLANTED_FAULTS = [
-    ("series", "_conv", lambda real: lambda a, b, n: _bumped(real(a, b, n), 9),
-     "c1 c2 c3 c5 c6 c9 c10 c11", "transforms infdiv-2 infdiv-3"),
-    ("exact_seq", "_cleared", _cleared_with_numerator_7_bumped, "c1 c2 c3 c5 c6 c9 c10 c11",
-     "transforms infdiv-2 infdiv-3 domain-grid"),
-    # n = 4 is a direct product at every p the commands use (p = 2 steps from n = 5 on), and
-    # each later n of its residue class steps from it
-    ("exact_seq", "_raney_num", lambda real: lambda p, r, n: real(p, r, n) + (n == 4),
-     "c2 c5 c6 c9 c10", "transforms infdiv-2 infdiv-3 posdef domain-grid seq-a"),
-    # the steps of a run, one new factor off by one; among the criteria only c9 reads a_n where
-    # the closed product steps (to n = 40 at p = 7/3), and among the commands seq a
-    ("exact_seq", "_raney_step", _top_factor_off_by_one, "c2 c6 c9 c10",
-     "transforms infdiv-2 infdiv-3 posdef domain-grid seq-a"),
-    ("exact_seq", "_closed_step", _top_factor_off_by_one, "c9", "seq-a"),
-    ("posdef", "_pivots", _pivots_with_pivot_3_flipped, "c10", ""),
-    ("_kernels_py", "rho_bisect",
-     lambda real: lambda p, xs: [(b * cmath.rect(1.0, 1e-9), phi + 1e-9) for b, phi in real(p, xs)],
-     "c8", ""),
-    ("_kernels_py", "mass", lambda real: lambda t, b: real(t, b) * (1.0 + 1e-8), "c8 c9", ""),
-    ("_kernels_py", "_node", _node_with_weight_scaled, "c9", ""),
-]
-
-# one command of each computing path, by label; without a fault each exits 0
-_FAULT_COMMANDS = {
-    "transforms": "transforms --p 5/2 --t 1/3",
-    "infdiv-2": "infdiv --p 2 --t 4/3",
-    "infdiv-3": "infdiv --p 3 --t 1/2",
-    "posdef": "posdef --p 3/2 --t 1/2",
-    "domain-grid": "domain-grid --steps 3",
-    "seq-a": "seq a --p 5/2 --t 1/3 --n 12",
-    "density": "density --p 5/2 --t 1/2 --grid 5",
-    "moments-check": "moments-check --p 5/2 --t 1/2 --n-max 4",
-    "gfun": "gfun --steps 3",
-}
-
-
-def _plant(monkeypatch, module, name, fault):
-    """Replace the function in every module that binds it by the fault planted in it."""
-    real = getattr(importlib.import_module(f"fussdeform.{module}"), name)
-    planted = fault(real)
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.split(".")[0] == "fussdeform" and vars(mod).get(name) is real:
-            monkeypatch.setattr(mod, name, planted)
-
-
-_FAULT_IDS = [f"{module}.{name}" for module, name, *_ in _PLANTED_FAULTS]
-
-
-@pytest.mark.parametrize("module, name, fault, failing, _", _PLANTED_FAULTS, ids=_FAULT_IDS)
-def test_a_fault_planted_in_a_shared_mechanism_fails_verify(
-    monkeypatch, module, name, fault, failing, _
-):
+@pytest.mark.parametrize("seam, fault, failing, _", seams.PLANTED_FAULTS, ids=_FAULT_IDS)
+def test_a_fault_planted_in_a_shared_mechanism_fails_verify(monkeypatch, seam, fault, failing, _):
     # a change that blinds a check, or gives two routes one more shared step, shows up here as
     # a different list
     from fussdeform.verify import run_criteria
 
-    _plant(monkeypatch, module, name, fault)
+    seams.plant(monkeypatch, seam, fault)
     assert [r.ident for r in run_criteria() if not r.passed] == failing.split()
 
 
-@pytest.mark.parametrize("module, name, fault, _, exit_3", _PLANTED_FAULTS, ids=_FAULT_IDS)
+@pytest.mark.parametrize("seam, fault, _, exit_3", seams.PLANTED_FAULTS, ids=_FAULT_IDS)
 def test_a_fault_planted_in_a_shared_mechanism_sets_the_cli_exit_codes(
-    monkeypatch, capsys, module, name, fault, _, exit_3
+    monkeypatch, capsys, seam, fault, _, exit_3
 ):
     # the commands whose own cross-checks see the fault exit 3 and every other one exits 0;
     # the float faults reach only verify's c8 and c9
     from fussdeform.cli import main
 
-    _plant(monkeypatch, module, name, fault)
-    codes = {label: main(shlex.split(argv)) for label, argv in _FAULT_COMMANDS.items()}
+    seams.plant(monkeypatch, seam, fault)
+    codes = {label: main(shlex.split(argv)) for label, argv in seams.FAULT_COMMANDS.items()}
     capsys.readouterr()
-    assert codes == {label: 3 if label in exit_3.split() else 0 for label in _FAULT_COMMANDS}
-
-
-def _cross_check_sides():
-    """Each independent-route cross-check: its label, the entry call of each side, and the
-    ledger, the package functions that two of its sides may both reach (their comprehensions
-    counted as the function).  Growing a ledger entry is a decision with a reason."""
-    from fussdeform import exact_seq, posdef, series
-
-    def infdiv_side(route):
-        # infdiv_check's two sides at p = 2 and 3, to order 8 (Hankel size 4)
-        cases = [(Fraction(2), Fraction(4, 3)), (Fraction(3), Fraction(1, 2))]
-        if route == "moments":
-            return lambda: [
-                series.cumulants_from_moments(series.moment_series(Params.exact(p, t), 8))
-                for p, t in cases
-            ]
-        return lambda: [series.r_series_closed(p, t, 8) for p, t in cases]
-
-    # n < 40 at p = 5/2: the Raney numerators step from n = 10 on, the closed product from 11
-    p, t, ns = Fraction(5, 2), Fraction(1, 3), range(40)
-    cell = Params.exact(Fraction(3, 2), Fraction(1, 2))
-    c6 = [Params.exact(Fraction(*p), Fraction(*t)) for p, t in (
-        ((2, 1), (1, 2)), ((2, 1), (1, 1)), ((2, 1), (4, 3)),
-        ((3, 1), (1, 1)), ((3, 1), (3, 2)), ((3, 2), (1, 5)),
-    )]
-    jet = {"series._conv", "series._scaled", "series._span", "exact_seq._cleared",
-           "exact_seq.parse_rational", "series.TruncSeries.__init__",
-           "series.TruncSeries.from_coeffs", "series.TruncSeries.order"}
-    return [
-        ("a_n affine vs closed", [
-            lambda: exact_seq._affine(exact_seq._fuss_terms(p, ns), t),
-            lambda: exact_seq._deformed_closed_parts(p, t, ns),
-        ], set()),
-        # the direct count steps its product by its own code, b = 1
-        ("C_p(n) direct vs deformed-family route", [
-            lambda: exact_seq._constellation_parts(3, ns[1:]),
-            lambda: exact_seq._deformed_parts(3, Fraction(3, 2), ns[1:]),
-        ], set()),
-        ("theorem interval vs hankel_report", [
-            lambda: posdef.theorem_interval(cell.p),
-            lambda: posdef.hankel_report(exact_seq.deformed_table(cell, 8), 5),
-        ], set()),
-        # the B_p^2 check is an identity on one set of Raney integers, not two routes
-        ("B_p^2 product vs Raney formula", [
-            lambda: exact_seq._raney_nums(p, 1, ns[1:]),
-            lambda: exact_seq._raney_nums(p, 2, ns[1:]),
-        ], {"exact_seq._raney_nums", "exact_seq._raney_num", "exact_seq._raney_step"}),
-        # the jet core: a Lagrange route to the cumulants would share none of it
-        ("infdiv reverted moments vs closed R", [infdiv_side("moments"), infdiv_side("closed")],
-         jet | {"series._running_sum", "series._split", "series.TruncSeries.__truediv__",
-                "series.TruncSeries.shift_down"}),
-        # the jet product; M - 1 is read off m's coefficients, not built by jet subtraction
-        ("verify c6 S from moments vs closed S", [
-            lambda: [series.s_series_from_moments(series.moment_series(q, 16)) for q in c6],
-            lambda: [series.s_series_closed(q, 15) for q in c6],
-        ], jet | {"series.TruncSeries.__mul__"}),
-        # the table plumbing only
-        ("A220910 routes",
-         [partial(exact_seq.a220910_table, 20, method) for method in exact_seq._A220910_METHODS],
-         {"exact_seq.a220910_table", "exact_seq.SeqTable.__init__", "exact_seq.parse_rational"}),
-    ]
+    assert codes == {label: 3 if label in exit_3.split() else 0 for label in seams.FAULT_COMMANDS}
 
 
 def _function_names() -> dict:
@@ -441,7 +284,8 @@ def _function_names() -> dict:
             if isinstance(const, CodeType):
                 add(const, name)
 
-    for stem in ("errors", "exact_seq", "series", "density", "posdef", "cli", "verify", "_kernels_py"):
+    for stem in ("errors", "exact_seq", "series", "density", "posdef", "cli", "verify",
+                 seams.KERNELS_MODULE):
         module = importlib.import_module(f"fussdeform.{stem}")
         for obj in vars(module).values():
             if getattr(obj, "__module__", None) != module.__name__:
@@ -474,7 +318,7 @@ def test_cross_checks_share_only_their_ledger():
             sys.setprofile(previous)
         return seen
 
-    for label, sides, ledger in _cross_check_sides():
+    for label, sides, ledger in seams.cross_check_sides():
         seen = [reached(side) for side in sides]
         assert all(seen), label
         shared = {name for a, b in combinations(seen, 2) for name in a & b}
@@ -483,7 +327,8 @@ def test_cross_checks_share_only_their_ledger():
 
 def test_the_kernels_keep_no_state_between_calls():
     # a module-level memo would need a ``global`` rebinding; the reuse lives inside one call
-    tree = ast.parse((ROOT / "src" / "fussdeform" / "_kernels_py.py").read_text(encoding="utf-8"))
+    path = ROOT / "src" / "fussdeform" / f"{seams.KERNELS_MODULE}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)] == []
 
 
@@ -493,34 +338,120 @@ def test_the_float_paths_evaluate_as_often_as_with_their_memos(monkeypatch, caps
     # evaluates rho once, for 150 nodes, where it took 300 while |rho'| evaluated rho again.
     # g(1.5) samples psi at t = g on the 131 grid points of its arc, from index 382 on, and
     # refines it in one cell at 52 points, as the arc leaves out the cell (0, pi / 512) a full
-    # scan refines; its one search of B/A evaluates _t_bound at 60 points.
-    from fussdeform import _kernels_py as kernels
+    # scan refines; its one search of B/A evaluates B/A at 60 points.
     from fussdeform.cli import main
     from fussdeform.posdef import g_of_p
 
-    calls = Counter()
+    calls = {name: seams.record(monkeypatch, name) for name in ("rho", "psi", "t_bound")}
 
-    def counting(name, real):
-        return lambda *args: calls.update([name]) or real(*args)
+    def counts():
+        return {name: len(seen) for name, seen in calls.items()}
 
-    for name in ("rho", "psi", "_t_bound"):
-        monkeypatch.setattr(kernels, name, counting(name, getattr(kernels, name)))
     assert main(["moments-check", "--p", "5/2", "--t", "1/2", "--n-max", "12"]) == 0
     capsys.readouterr()
-    assert calls == {"rho": 150}
-    calls.clear()
+    assert counts() == {"rho": 150, "psi": 0, "t_bound": 0}
+    for seen in calls.values():
+        seen.clear()
     assert g_of_p(1.5) == 0.19999999999999996
-    assert calls == {"psi": 131 + 52, "_t_bound": 60}
+    assert counts() == {"rho": 0, "psi": 131 + 52, "t_bound": 60}
 
 
 @pytest.mark.parametrize(
     "module",
-    ["", ".errors", ".exact_seq", ".series", ".density", ".posdef", ".cli", ".verify", "._kernels_py"],
+    ["", ".errors", ".exact_seq", ".series", ".density", ".posdef", ".cli", ".verify",
+     f".{seams.KERNELS_MODULE}"],
 )
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module("fussdeform" + module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_every_seam_resolves():
+    # a seam resolves only when a test uses it, so a rename under src/ that the seam table
+    # missed fails here by name, and in the tests that use the seam, not in a test module's import
+    missing = []
+    for seam in seams.SEAMS:
+        try:
+            seams.resolve(seam)
+        except (ImportError, AttributeError):
+            missing.append(seam)
+    assert missing == []
+
+
+def _private_names() -> set:
+    """The package's private modules, and the names other than dunders that begin with an
+    underscore and are bound at the top level of one of its modules."""
+    names = set()
+    for path in (ROOT / "src" / "fussdeform").glob("*.py"):
+        names.add(path.stem)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.endswith("__")}
+
+
+def _private_references(path: Path, private: set) -> list[str]:
+    """``file:line name`` for each reference in the test module at path to a private name of
+    the package: an attribute of one of its modules or of the kernels handle, an import, or a
+    string naming it.  pytest ids are labels, not references."""
+    submodules = {p.stem for p in (ROOT / "src" / "fussdeform").glob("*.py")}
+    handles = submodules | {"kernels"}
+    nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    modules = {"fussdeform", "kernels"}
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            modules.update(
+                (alias.asname or alias.name).split(".")[0]
+                for alias in node.names
+                if alias.name.split(".")[0] == "fussdeform"
+            )
+        elif isinstance(node, ast.ImportFrom) and node.module == "fussdeform":
+            modules.update(
+                alias.asname or alias.name for alias in node.names if alias.name in submodules
+            )
+
+    def is_module(node):
+        if isinstance(node, ast.Name):
+            return node.id in modules
+        return isinstance(node, ast.Attribute) and node.attr in handles
+
+    labels = {
+        id(const)
+        for node in nodes
+        if isinstance(node, ast.keyword) and node.arg in ("id", "ids")
+        for const in ast.walk(node.value)
+    }
+    found = set()
+    for node in nodes:
+        if isinstance(node, ast.Attribute) and is_module(node.value):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fussdeform":
+            names = node.module.split(".") + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [part for alias in node.names for part in alias.name.split(".")]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) in labels:
+                continue
+            names = re.findall(r"(?<!\w)_\w+", node.value)
+        else:
+            continue
+        found.update((node.lineno, name) for name in names if name in private)
+    return [f"{path.name}:{line} {name}" for line, name in sorted(found)]
+
+
+def test_only_the_seam_module_reaches_private_names():
+    # tests/seams.py maps each private mechanism a test needs to a seam; any other reference
+    # would make a rename under src/ touch that test module too
+    private = _private_names()
+    found = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        if path.name != "seams.py":
+            found += _private_references(path, private)
+    assert found == [], "\n".join(found)
 
 
 def test_package_reexports_each_module_all_once():
@@ -561,7 +492,7 @@ def test_cli_import_loads_only_what_every_command_needs():
     loaded = set(_fresh(code).split())
     assert {"fussdeform.cli", "fussdeform.errors", "fussdeform.exact_seq"} <= loaded
     assert loaded & {"dataclasses", "inspect", "json"} == set()
-    layers = ("series", "density", "posdef", "_kernels_py", "_backend", "verify")
+    layers = ("series", "density", "posdef", seams.KERNELS_MODULE, seams.BACKEND_MODULE, "verify")
     assert loaded & {f"fussdeform.{name}" for name in layers} == set()
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seams
 from fussdeform import (
     CumulantTable,
     InconsistencyError,
@@ -29,7 +30,7 @@ from fussdeform import (
     s_series_from_moments,
     sqrt1p,
 )
-from fussdeform import exact_seq, series
+from fussdeform import series
 from fussdeform.cli import main
 from test_exact_seq import _raney_loop
 
@@ -372,8 +373,8 @@ def test_r_closed_p3_t1_needs_no_moment_route(monkeypatch):
     def refuse(*args):
         raise AssertionError("the closed R-transform took a second route")
 
-    monkeypatch.setattr(series, "revert", refuse)
-    monkeypatch.setattr(series, "moment_series", refuse)
+    seams.plant(monkeypatch, "revert", lambda real: refuse)
+    seams.plant(monkeypatch, "moment_series", lambda real: refuse)
     assert r_series_closed(3, 1, 12).coeffs[12] == 208012
 
 
@@ -468,13 +469,15 @@ def test_r_closed_p2_divides_by_a_number(monkeypatch):
     # R at p = 2 is divided by the number 2 (t - 1): the one running sum per
     # coefficient is sqrt1p's, where a jet quotient would add one more each
     callers = []
-    real = series._running_sum
 
-    def counted(*args):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return real(*args)
+    def counted(real):
+        def running_sum(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(*args)
 
-    monkeypatch.setattr(series, "_running_sum", counted)
+        return running_sum
+
+    seams.plant(monkeypatch, "running_sum", counted)
     r_series_closed(2, F(4, 3), 300)
     assert callers == ["pow1p"] * 300
 
@@ -709,7 +712,7 @@ def test_rescale_takes_offset_and_growth(coeffs, lam):
     # den(c_2 / c_1) times the part of den(c_3) not in den(c_2); revert and
     # compose are exact for any lam, so each result equals its reference
     jet = TruncSeries.from_coeffs(coeffs)
-    assert series._rescale(jet.coeffs) == lam
+    assert seams.rescale(jet.coeffs) == lam
     outer = TruncSeries.from_coeffs([F(k % 5 - 2, k % 4 + 1) for k in range(jet.order + 1)])
     assert compose(outer, jet) == brute_compose(outer, jet)
     if jet.coeffs[1]:
@@ -720,14 +723,17 @@ def test_revert_of_z_m_rescales_to_an_integer_jet(monkeypatch):
     # at (61/37, 5/11) the moments' denominators are 11 * 37^(k - 1): lam = 407
     # clears them all, where den(f_2 / f_1) = 11 left F / z over 251 bits in the
     # reversion that transforms --series-order 48 makes
-    real, dens = series._scaled, []
+    dens = []
 
-    def scaled(coeffs, s):
-        out = real(coeffs, s)
-        dens.append(out[1])
-        return out
+    def recorded(real):
+        def scaled(coeffs, s):
+            out = real(coeffs, s)
+            dens.append(out[1])
+            return out
 
-    monkeypatch.setattr(series, "_scaled", scaled)
+        return scaled
+
+    seams.plant(monkeypatch, "scaled", recorded)
     f = moment_series(Params.exact(F(61, 37), F(5, 11)), 48).shift_up(1)
     revert(f)
     assert dens[0] == 1  # F / z, the first rescaled jet; the self-check's follows
@@ -741,25 +747,26 @@ def _off_by_one(jet, index):
 
 
 def test_revert_self_check_fires(monkeypatch, capsys):
-    real = series.compose
-    monkeypatch.setattr(series, "compose", lambda f, g: _off_by_one(real(f, g), 2))
+    seams.plant(monkeypatch, "compose", lambda real: lambda f, g: _off_by_one(real(f, g), 2))
     with pytest.raises(InconsistencyError):
         revert(TruncSeries.from_coeffs([0, 1, 1, 1]))
     assert main(["transforms", "--p", "2", "--t", "1/2", "--series-order", "6"]) == 3
     assert "internal contradiction" in capsys.readouterr().err
 
 
-def _skew_call(monkeypatch, name, skew, call):
-    """Make call number ``call`` of ``series.<name>`` return ``skew`` of its result."""
-    real = getattr(series, name)
+def _skew_call(monkeypatch, seam, skew, call):
+    """Make call number ``call`` of the jet helper behind ``seam`` return ``skew`` of its result."""
     calls = []
 
-    def skewed(*args):
-        calls.append(args)
-        out = real(*args)
-        return skew(out) if len(calls) == call else out
+    def skewing(real):
+        def skewed(*args):
+            calls.append(args)
+            out = real(*args)
+            return skew(out) if len(calls) == call else out
 
-    monkeypatch.setattr(series, name, skewed)
+        return skewed
+
+    seams.plant(monkeypatch, seam, skewing)
 
 
 def _bump(nums):
@@ -767,24 +774,24 @@ def _bump(nums):
 
 
 @pytest.mark.parametrize(
-    "name, skew, call",
+    "seam, skew, call",
     [
         # H^2, the first baby power (order 7: s = 2)
-        pytest.param("_conv", _bump, 1, id="_conv-_bump"),
+        pytest.param("conv", _bump, 1, id="_conv-_bump"),
         # H^4 = H^2 H^2, the first giant-step product
-        pytest.param("_conv", _bump, 2, id="_conv-_bump-giant"),
+        pytest.param("conv", _bump, 2, id="_conv-_bump-giant"),
         # F / z, rescaled by lam = 10: den(f_2 / f_1) = 2 times den(f_3) = 5
-        pytest.param("_scaled", lambda jet: (_bump(jet[0]), jet[1]), 1, id="_scaled-<lambda>"),
+        pytest.param("scaled", lambda jet: (_bump(jet[0]), jet[1]), 1, id="_scaled-<lambda>"),
     ],
 )
-def test_revert_self_check_sees_the_working_jets(monkeypatch, capsys, name, skew, call):
+def test_revert_self_check_sees_the_working_jets(monkeypatch, capsys, seam, skew, call):
     # the self-check composes the caller's f, so a wrong rescaled F cannot pass;
     # transforms at order 6 reverts z M(z) at order 7 first
-    _skew_call(monkeypatch, name, skew, call)
+    _skew_call(monkeypatch, seam, skew, call)
     with pytest.raises(InconsistencyError):
         revert(TruncSeries.from_coeffs([0, 2, 1, F(3, 5), -1, F(1, 2), 2, 1]))
     monkeypatch.undo()
-    _skew_call(monkeypatch, name, skew, call)
+    _skew_call(monkeypatch, seam, skew, call)
     assert main(["transforms", "--p", "2", "--t", "1/2", "--series-order", "6"]) == 3
     assert "internal contradiction" in capsys.readouterr().err
 
@@ -803,20 +810,18 @@ def _boundary_jet(n, shape):
 
 
 def _count_convs(monkeypatch):
-    """Record every call of series._conv, and the count at each entry to compose."""
-    real_conv, real_compose = series._conv, series.compose
-    convs, starts = [], []
+    """Record every call of the jet convolution, and the count at each entry to compose."""
+    convs = seams.record(monkeypatch, "conv")
+    starts = []
 
-    def conv(*args):
-        convs.append(args)
-        return real_conv(*args)
+    def counted(real):
+        def compose(f, g):
+            starts.append(len(convs))
+            return real(f, g)
 
-    def compose(f, g):
-        starts.append(len(convs))
-        return real_compose(f, g)
+        return compose
 
-    monkeypatch.setattr(series, "_conv", conv)
-    monkeypatch.setattr(series, "compose", compose)
+    seams.plant(monkeypatch, "compose", counted)
     return convs, starts
 
 
@@ -857,11 +862,11 @@ def test_revert_self_check_sees_a_wrong_composition(monkeypatch, capsys):
     revert(f)
     assert starts == [3] and len(convs) == 7
     monkeypatch.undo()
-    _skew_call(monkeypatch, "_conv", _bump, 5)
+    _skew_call(monkeypatch, "conv", _bump, 5)
     with pytest.raises(InconsistencyError):
         revert(f)
     monkeypatch.undo()
-    _skew_call(monkeypatch, "_conv", _bump, 5)
+    _skew_call(monkeypatch, "conv", _bump, 5)
     assert main(["transforms", "--p", "2", "--t", "1/2", "--series-order", "6"]) == 3
     assert "internal contradiction" in capsys.readouterr().err
 
@@ -871,16 +876,18 @@ def test_bp_square_check_fires(monkeypatch, capsys):
     # affine vs closed check, transforms, posdef and domain-grid in the B_p^2 check.  The check
     # passes to order n - 1 and raises at order n; passing covers both halves of its sum, since
     # one without the doubled pairs (k, n - k) breaks at n = 1, one without the middle term at 2
-    real = exact_seq._raney_num
     params = Params.exact(F(5, 2), F(1, 3))
     point = ["--p", "5/2", "--t", "1/3"]
     for skew_n in (3, 4):
-        monkeypatch.setattr(
-            exact_seq, "_raney_num", lambda p, r, n: real(p, r, n) + (r == 2 and n == skew_n)
+        monkeypatch.undo()  # the skew at n = 4 replaces the one at n = 3
+        seams.plant(
+            monkeypatch,
+            "raney_num",
+            lambda real: lambda p, r, n: real(p, r, n) + (r == 2 and n == skew_n),
         )
-        exact_seq._fuss_parts(params.p, skew_n - 1)
+        seams.fuss_parts(params.p, skew_n - 1)
         with pytest.raises(InconsistencyError):
-            exact_seq._fuss_parts(params.p, skew_n)
+            seams.fuss_parts(params.p, skew_n)
         moment_series(params, skew_n - 1)
         with pytest.raises(InconsistencyError):
             moment_series(params, 6)
