@@ -31,8 +31,8 @@ module constants:
   the tolerance, retires from the sums and leaves a bound in the error estimate instead (see
   moment_quad); _RETIRE is derived from the two constants, not set on its own.
 
-cumulant_quad integrates every cumulant-side measure by one rule, in theta with
-x = lo + (hi - lo) sin(theta)^2.
+cumulant_quad integrates every cumulant-side measure of CUMULANT_MEASURES, which verify's
+c9 also reads pointwise, by one rule, in theta with x = lo + (hi - lo) sin(theta)^2.
 """
 
 from functools import partial

@@ -19,7 +19,7 @@ the moments 0..n_max of one (p, t), each n refining the partition and reusing
 the node samples of the n before it, less the panels that fell below rounding
 (kernels.moment_quad retires them and bounds what they leave out).  The
 cumulant-side measures are defined in the kernels; cumulant_quadrature checks
-the range of t and integrates x^n against them.
+the range of t (3/5 <= t <= 3/2 for p3) and integrates x^n against them.
 The kernels' settings are the constants that the fussdeform._kernels_py
 docstring lists; only the absolute tolerance of moment quadrature is an
 argument here.  Everything here is float arithmetic; exact statements live in

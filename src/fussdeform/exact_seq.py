@@ -4,11 +4,11 @@ Every value in this module is exact and returned as a ``fractions.Fraction``.
 The products and sums behind them (Raney numbers, both routes of a_n,
 constellation counts, the A220910 recurrence and closed sums, the binomial
 transform) are accumulated in Python integers over one known denominator and
-reduced once per value; _cleared, which series and posdef share, brings a run
-over its least common denominator.  Two routes to one value are compared as
-unreduced integer pairs (numerator, denominator), by one equality when the
-denominators agree and by cross-multiplication otherwise, so the check costs
-no gcd.  The central object is the two-parameter family
+reduced once per value; _cleared, which the binomial transform, series and
+posdef share, brings a run over its least common denominator.  Two routes to
+one value are compared as unreduced integer pairs (numerator, denominator), by
+one equality when the denominators agree and by cross-multiplication
+otherwise, so the check costs no gcd.  The central object is the two-parameter family
 
     a_n(p, t) = t * raney(p, 1, n) + (1 - t) * raney(p, 2, n),
 

@@ -1,8 +1,9 @@
 """Truncated power series over exact rationals, and the transform layer.
 
 A :class:`TruncSeries` is an eager, dense jet: a tuple of Fraction
-coefficients c_0..c_N.  Binary operations truncate to the shorter order, so
-every identity in this module is an identity of jets.  On top of the generic
+coefficients c_0..c_N, frozen by the record base it shares with CumulantTable.
+Binary operations truncate to the shorter order, so every identity in this
+module is an identity of jets.  On top of the generic
 engine (multiply, divide, compose, revert, and one power recurrence pow1p,
 of which sqrt1p is the alpha = 1/2 case) sit the domain series: the Fuss
 generating function B_p, the moment series of the deformed family, free
@@ -14,7 +15,8 @@ Everything here is exact; floats never enter.  Coefficients are stored as
 Fractions, but every sum of products runs in integers.  A jet product
 (``*``, each power and each giant step of compose and revert) is one integer
 convolution over one common denominator, which exact_seq._cleared clears, as
-it clears posdef's Hankel sections.  ``*`` convolves only the nonzero span of
+it clears posdef's Hankel sections, with one normalisation per coefficient.
+``*`` convolves only the nonzero span of
 the factor whose span is shorter, as the closed R jets multiply short
 polynomials by dense radicals (untrimmed, perfbench seq-tables ran 6.4%
 slower).  The quotient and pow1p are recurrences of one shape, each
@@ -53,7 +55,9 @@ from operator import mul
 from typing import Optional, Sequence, Union
 
 from .errors import InconsistencyError
-from .exact_seq import Params, RationalLike, _affine, _cleared, _fuss_parts, parse_rational, raney
+from .exact_seq import (
+    Params, RationalLike, _affine, _cleared, _fuss_parts, _raney_run, parse_rational,
+)
 
 __all__ = [
     "TruncSeries",
@@ -476,12 +480,11 @@ class CumulantTable(_Frozen):
 
 
 def bp_series(p: RationalLike, r: RationalLike, order: int) -> TruncSeries:
-    """Jet of B_p(z)^r, whose coefficients are the Raney numbers raney(p, r, n)."""
+    """Jet of B_p(z)^r, whose coefficients are the Raney numbers raney(p, r, n), read from
+    one stepped run."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    p = parse_rational(p)
-    r = parse_rational(r)
-    return TruncSeries(tuple(raney(p, r, n) for n in range(order + 1)))
+    return TruncSeries(tuple(_raney_run(parse_rational(p), parse_rational(r), range(order + 1))))
 
 
 def moment_series(params: Params, order: int) -> TruncSeries:

@@ -224,9 +224,10 @@ PLANTED_FAULTS = [
     # each later n of its residue class steps from it
     ("raney_num", lambda real: lambda p, r, n: real(p, r, n) + (n == 4),
      "c2 c5 c6 c9 c10", "transforms infdiv-2 infdiv-3 posdef domain-grid seq-a"),
-    # the steps of a run, one new factor off by one; among the criteria only c9 reads a_n where
-    # the closed product steps (to n = 40 at p = 7/3), and among the commands seq a
-    ("raney_step", _top_factor_off_by_one, "c2 c6 c9 c10",
+    # the steps of a run, one new factor off by one (c5 reads each B_p^r jet as one run); among
+    # the criteria only c9 reads a_n where the closed product steps (to n = 40 at p = 7/3), and
+    # among the commands seq a
+    ("raney_step", _top_factor_off_by_one, "c2 c5 c6 c9 c10",
      "transforms infdiv-2 infdiv-3 posdef domain-grid seq-a"),
     ("closed_step", _top_factor_off_by_one, "c9", "seq-a"),
     ("pivots", _pivots_with_pivot_3_flipped, "c10", ""),
@@ -322,6 +323,7 @@ UNREACHED = {
     "kernels.psi_forms": "the three writings of psi, whose agreement is a float check",
     "posdef.psi_min": "the range-checked minimum of psi that the landmark tests read",
     "density.moment_quadrature": "one moment, entry n of moment_quadrature_full",
+    "exact_seq.raney": "a single-value library convenience over the stepped run bp_series reads",
     "exact_seq.constellation_count": "a single-value library convenience over constellation_table",
     "exact_seq.a220910": "a single-value library convenience over a220910_table",
 }

@@ -1,11 +1,16 @@
-"""Command-line front end: formats, exit codes, determinism, and the layers each command loads."""
+"""Command-line front end: formats, exit codes, determinism, and the layers each command loads.
+
+The exact bytes of a command are pinned once, as a row of test_cli_layout.py's EXACT_CASES.
+One hypothesis test holds the exit-code contract (exit 0 or 2, argparse's SystemExit 2, no
+traceback) over every computing subcommand and seq subject, with every flag each one reads:
+_FUZZ_COMMANDS gives each flag's typical values, and every flag also draws from _EDGES.
+"""
 
 import argparse
 import contextlib
 import io
 import json
 import os
-import random
 import re
 import shutil
 import subprocess
@@ -36,12 +41,6 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_seq_a220910_golden_csv(capsys):
-    code, out, _ = run(capsys, "seq", "a220910", "--n", "5")
-    assert code == 0
-    assert out == A220910_CSV
-
-
 def test_seq_all_methods_agree(capsys):
     outputs = set()
     for method in ("recurrence", "closed_a", "closed_b", "cumulant"):
@@ -49,41 +48,6 @@ def test_seq_all_methods_agree(capsys):
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
-
-
-def test_seq_trivial_slice(capsys):
-    code, out, _ = run(capsys, "seq", "a", "--p", "1", "--t", "1", "--n", "5")
-    assert code == 0
-    values = [line.split(",")[3] for line in out.strip().splitlines()[1:]]
-    assert values == ["1/1"] * 6
-
-
-def test_seq_constellation(capsys):
-    code, out, _ = run(capsys, "seq", "constellation", "--p", "2", "--n", "4")
-    assert code == 0
-    values = [line.split(",")[3] for line in out.strip().splitlines()[1:]]
-    assert values == ["1/1", "3/1", "12/1", "56/1"]
-
-
-def test_seq_raney_row(capsys):
-    code, out, _ = run(capsys, "seq", "raney", "--p", "2", "--r", "1", "--n", "5")
-    assert code == 0
-    values = [line.split(",")[3] for line in out.strip().splitlines()[1:]]
-    assert values == ["1/1", "1/1", "2/1", "5/1", "14/1", "42/1"]
-
-
-def test_seq_json_format(capsys):
-    code, out, _ = run(capsys, "seq", "a022558", "--n", "10", "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["offset"] == 0
-    assert payload["values"][:5] == ["1/1", "1/1", "2/1", "6/1", "23/1"]
-
-
-def test_seq_decimal_parameter_is_exact(capsys):
-    code, out, _ = run(capsys, "seq", "a", "--p", "2", "--t", "0.25", "--n", "1")
-    assert code == 0
-    assert out.strip().splitlines()[2].endswith(",7/4")
 
 
 def test_seq_missing_parameter_is_usage_error(capsys):
@@ -315,23 +279,6 @@ def test_json_payloads_carry_no_nan_or_infinity(value):
         seams.emit(args, "f", [], [{"f": value}])
 
 
-def test_posdef_csv_row(capsys):
-    code, out, _ = run(capsys, "posdef", "--p", "2", "--t", "7/5", "--hankel-size", "8")
-    assert code == 0
-    assert out == "p,t,theorem,hankel_verdict\n2/1,7/5,false,indefinite\n"
-
-
-def test_posdef_json_minors(capsys):
-    code, out, _ = run(
-        capsys, "posdef", "--p", "2", "--t", "1", "--hankel-size", "4", "--format", "json"
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["theorem_verdict"] is True
-    assert payload["hankel"]["verdict"] == "positive_definite"
-    assert payload["hankel"]["minors"] == ["1/1", "1/1", "1/1", "1/1"]
-
-
 def test_posdef_csv_rows_are_rebuilt_from_the_json_payloads(capsys):
     # the CSV row stops its elimination at the verdict, the JSON payload reads every minor:
     # 20 cells at sizes 1..16, t below, inside and above [g(p), 2p/(p+1)]
@@ -360,12 +307,6 @@ def test_posdef_negative_t_needs_the_equals_form(capsys):
     assert out == ""
     assert "Traceback" not in err
     assert "argument --t: expected one argument" in err
-
-
-def test_infdiv_csv_row(capsys):
-    code, out, _ = run(capsys, "infdiv", "--p", "2", "--t", "1/2", "--hankel-size", "2")
-    assert code == 0
-    assert out == "p,t,verdict\n2/1,1/2,indefinite\n"
 
 
 def test_domain_grid_shape_and_membership(capsys):
@@ -553,13 +494,19 @@ def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
-# every flag takes one of these with probability 0.15, else a typical value
-_EDGES = ("0", "-1", "1/0", "x", "1e400", "nan", "inf")
+# every value a flag may take beside its typical ones: non-finite, past the float range, a
+# zero denominator, no number, zero, negative, and a few where the runs step; 198, the large
+# value where the seq runs step, is typical of the flags that take it and no edge: as an edge
+# of a size flag it would draw domain-grid --steps 198, over a minute with an edge axis
+_EDGES = (
+    "nan", "inf", "1e400", "1e300", "1e-1000", "1/0", "3/0", "x", "abc", "0", "-1", "-5/2",
+    "1/2", "5/2", "3",
+)
 _RATIONALS = (
     "-1/2", "1/5", "1/2", "1", "1.0000001", "6/5", "3/2", "2", "5/2", "3", "7/3", "100", "198",
     "250", "1000",
 )
-_FLOATS = ("1", "1.5", "2", "3", "100", "1000")
+_FLOATS = ("1", "1.5", "2", "3", "100", "198", "1000")
 
 
 def _ints(top):
@@ -567,23 +514,23 @@ def _ints(top):
 
 
 _PT = {"--p": _RATIONALS, "--t": _RATIONALS}
+_ORDERS = _ints(6) + ("65",)
 _HANKEL_SIZES = _ints(4) + ("17",)
-# per subcommand: flags it always gets (p, t and the sizes whose defaults are
-# large), flags it may get
+# per computing subcommand: the flags it always gets (the sizes whose defaults are large), and
+# the flags it may get; transforms may get --series-order twice, and argparse keeps the last
 _FUZZ_COMMANDS = {
     "seq": ({}, {
-        **_PT, "--r": _RATIONALS, "--n": _ints(12),
-        "--method": ("recurrence", "closed_a", "closed_b", "cumulant"),
+        **_PT, "--r": _RATIONALS, "--n": _ints(12) + ("198",), "--method": seams.A220910_METHODS,
     }),
     "transforms": (
-        {**_PT, "--series-order": _ints(6)},
-        {"--route": ("closed", "moments"), "--series-order": _ints(6) + ("65",)},
+        {"--series-order": _ORDERS},
+        {**_PT, "--route": ("closed", "moments"), "--series-order": _ORDERS},
     ),
-    "density": ({**_PT, "--grid": _ints(5)}, {"--route": ("parametric", "closed")}),
-    "moments-check": ({**_PT, "--n-max": _ints(2)}, {"--tol": ("1e-10", "1e-6")}),
+    "density": ({"--grid": _ints(5)}, {**_PT, "--route": ("parametric", "closed")}),
+    "moments-check": ({"--n-max": _ints(3)}, {**_PT, "--tol": ("1e-10", "1e-6")}),
     "gfun": ({"--steps": _ints(3)}, {"--p-min": _FLOATS, "--p-max": _FLOATS}),
-    "posdef": (_PT, {"--hankel-size": _HANKEL_SIZES}),
-    "infdiv": (_PT, {"--hankel-size": _HANKEL_SIZES}),
+    "posdef": ({}, {**_PT, "--hankel-size": _HANKEL_SIZES}),
+    "infdiv": ({}, {**_PT, "--hankel-size": _HANKEL_SIZES}),
     "domain-grid": ({"--steps": _ints(3)}, {
         "--p-min": _RATIONALS, "--p-max": _RATIONALS, "--t-min": _RATIONALS,
         "--t-max": _RATIONALS, "--hankel-size": _HANKEL_SIZES,
@@ -593,77 +540,27 @@ _GLOBAL_FLAGS = {"--format": ("csv", "json")}
 _SUBJECTS = ("a", "raney", "constellation", "a220910", "a022558")
 
 
-def _fuzz_argv(rng):
-    def value(typical):
-        return rng.choice(_EDGES if rng.random() < 0.15 else typical)
-
-    command = rng.choice(sorted(_FUZZ_COMMANDS))
-    required, optional = _FUZZ_COMMANDS[command]
-    argv = [command]
-    if command == "seq":
-        argv.append(value(_SUBJECTS))
-    argv += [item for flag, typical in required.items() for item in (flag, value(typical))]
-    for flag, typical in {**optional, **_GLOBAL_FLAGS}.items():
-        if rng.random() < 0.5:
-            argv += [flag, value(typical)]
-    return argv
-
-
-def test_cli_fuzz_keeps_the_exit_code_contract(capsys):
-    rng = random.Random(20151)
-    for _ in range(400):
-        argv = _fuzz_argv(rng)
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejected the arguments
-            code = exc.code
-            assert code == 2, argv
-        except Exception as exc:
-            pytest.fail(f"{' '.join(argv)} raised {exc!r}")
-        assert code in (0, 2), argv
-        capsys.readouterr()
-
-
-# the values each of p, t, r and n may take: non-finite, past the float range, a zero
-# denominator, no number, large, zero, negative, below 1, and a few where the runs step
-_CONTRACT_POOL = (
-    "nan", "inf", "1e-1000", "3/0", "abc", "198", "0", "-1", "-5/2", "1/2", "1e300", "5/2", "3",
-)
-# the size flags of each computing subcommand, kept small
-_CONTRACT_SIZES = {
-    "seq": {}, "transforms": {"--series-order": 6}, "density": {"--grid": 5},
-    "moments-check": {"--n-max": 3}, "gfun": {"--steps": 3}, "posdef": {"--hankel-size": 4},
-    "infdiv": {"--hankel-size": 4}, "domain-grid": {"--steps": 3, "--hankel-size": 4},
-}
-
-
 @st.composite
-def _contract_argv(draw):
-    """argv of one computing subcommand, each flag it reads drawn from the pool or left out."""
-    pool = st.sampled_from(_CONTRACT_POOL)
-    command = draw(st.sampled_from(sorted(_CONTRACT_SIZES)))
-    argv = [command]
-    if command == "seq":
-        argv.append(draw(st.sampled_from(_SUBJECTS)))
-        flags = ["--p", "--t", "--r", "--n"]
-        if argv[1] == "a220910":
-            argv += ["--method", draw(st.sampled_from(seams.A220910_METHODS))]
-    elif command in ("gfun", "domain-grid"):
-        flags = ["--p-min", "--p-max"] + ["--t-min", "--t-max"] * (command == "domain-grid")
-    else:
-        flags = ["--p", "--t"]
-    for flag in flags:
-        if draw(st.integers(0, 3)):  # each flag given three times in four
-            argv += [flag, draw(pool)]
-    for flag, top in _CONTRACT_SIZES[command].items():
-        argv += [flag, str(draw(st.integers(1, top)))]
-    if command == "transforms":
-        argv += ["--route", draw(st.sampled_from(("closed", "moments")))]
-    return argv
+def _fuzz_argv(draw):
+    """argv of one computing subcommand: the seq subject first, then in any order each flag it
+    always gets and, seven times in eight, each flag it may get; each value (the subject too)
+    is typical seven times in eight, else from the edges."""
+
+    def value(typical):
+        return draw(st.sampled_from(typical if draw(st.integers(0, 7)) else _EDGES))
+
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    required, optional = _FUZZ_COMMANDS[command]
+    argv = [command, value(_SUBJECTS)] if command == "seq" else [command]
+    pairs = [(flag, value(typical)) for flag, typical in required.items()]
+    for flag, typical in {**optional, **_GLOBAL_FLAGS}.items():
+        if draw(st.integers(0, 7)):
+            pairs.append((flag, value(typical)))
+    return argv + [item for pair in draw(st.permutations(pairs)) for item in pair]
 
 
-@settings(max_examples=600, deadline=None)
-@given(_contract_argv())
+@settings(max_examples=600)
+@given(_fuzz_argv())
 # seq raney, a and constellation where the runs fall back to direct products: p <= 1, and
 # r <= 0, whose numerators are 0 at n = 14..19 at p = 3; and a constellation run that steps
 @example(["seq", "raney", "--p", "1/2", "--r", "-5/2", "--n", "198"])
@@ -672,13 +569,15 @@ def _contract_argv(draw):
 @example(["seq", "constellation", "--p", "1", "--n", "198"])
 @example(["seq", "constellation", "--p", "3", "--n", "198"])
 def test_every_drawn_argv_keeps_the_exit_code_contract(argv):
-    # exit 0 or 2 (a usage error or a float limit), never a contradiction or a traceback
+    # exit 0 or 2 (a usage error or a float limit), never a contradiction or a traceback; any
+    # other exception fails the test
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejected the arguments
             code = exc.code
+            assert code == 2, argv
     assert code in (0, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
 

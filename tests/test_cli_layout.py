@@ -3,7 +3,8 @@
 The exact subcommands are pinned byte for byte: each case gives the CSV text
 and the JSON object, which the tool prints as ``json.dumps(obj, indent=2)``.
 The float subcommands are pinned by header or keys, row count and values to
-within 1e-12.
+within 1e-12.  EXACT_CASES holds every exact-bytes golden of the CLI; test_cli.py
+restates none of them.
 """
 
 import json
@@ -35,6 +36,17 @@ def jets_case(argv, p, t, order, route, jets):
     return argv, csv, {"p": p, "t": t, "order": order, "route": route, **jets}
 
 
+def posdef_case(argv, p, t, theorem, minors, verdict):
+    csv = f"p,t,theorem,hankel_verdict\n{p},{t},{'true' if theorem else 'false'},{verdict}\n"
+    hankel = {"size": len(minors), "minors": minors, "verdict": verdict}
+    return argv, csv, {"p": p, "t": t, "theorem_verdict": theorem, "hankel": hankel}
+
+
+def infdiv_case(argv, p, t, minors, verdict):
+    csv = f"p,t,verdict\n{p},{t},{verdict}\n"
+    return argv, csv, {"p": p, "t": t, "size": len(minors), "minors": minors, "verdict": verdict}
+
+
 GRID_CELLS = [
     (p, t, "true", "positive_definite")
     for p in ("2/1", "5/2", "3/1")
@@ -46,19 +58,42 @@ EXACT_CASES = [
         ["seq", "a", "--p", "3/2", "--t", "1/5", "--n", "3"],
         "a(p=3/2;t=1/5)", 0, ["1/1", "9/5", "7/2", "57/8"],
     ),
+    # p = 1 gives a_n = n + 1 - n t, which is 1 at t = 1
+    seq_case(["seq", "a", "--p", "1", "--t", "1", "--n", "5"], "a(p=1;t=1)", 0, ["1/1"] * 6),
+    # a decimal parameter is read exactly
+    seq_case(
+        ["seq", "a", "--p", "2", "--t", "0.25", "--n", "1"], "a(p=2;t=1/4)", 0, ["1/1", "7/4"]
+    ),
     seq_case(
         ["seq", "raney", "--p", "2", "--r", "1", "--n", "3"],
         "raney(p=2/1;r=1/1)", 0, ["1/1", "1/1", "2/1", "5/1"],
+    ),
+    seq_case(
+        ["seq", "raney", "--p", "2", "--r", "1", "--n", "5"],
+        "raney(p=2/1;r=1/1)", 0, ["1/1", "1/1", "2/1", "5/1", "14/1", "42/1"],
     ),
     seq_case(
         ["seq", "constellation", "--p", "2", "--n", "3"],
         "constellation(p=2)", 1, ["1/1", "3/1", "12/1"],
     ),
     seq_case(
+        ["seq", "constellation", "--p", "2", "--n", "4"],
+        "constellation(p=2)", 1, ["1/1", "3/1", "12/1", "56/1"],
+    ),
+    seq_case(
         ["seq", "a220910", "--n", "3", "--method", "closed_b"],
         "A220910", 0, ["1/1", "1/1", "3/1", "14/1"],
     ),
+    seq_case(
+        ["seq", "a220910", "--n", "5"], "A220910", 0, ["1/1", "1/1", "3/1", "14/1", "83/1", "570/1"]
+    ),
     seq_case(["seq", "a022558", "--n", "3"], "A022558", 0, ["1/1", "1/1", "2/1", "6/1"]),
+    seq_case(
+        ["seq", "a022558", "--n", "10"],
+        "A022558", 0,
+        ["1/1", "1/1", "2/1", "6/1", "23/1", "103/1", "512/1", "2740/1", "15485/1", "91245/1",
+         "555662/1"],
+    ),
     jets_case(
         ["transforms", "--p", "2", "--t", "1/2", "--series-order", "3"],
         "2/1", "1/2", 3, "moments",
@@ -77,30 +112,27 @@ EXACT_CASES = [
             "s": ["2/3", "-22/27", "232/243"],
         },
     ),
-    (
+    posdef_case(
         ["posdef", "--p", "2", "--t", "1", "--hankel-size", "3"],
-        "p,t,theorem,hankel_verdict\n2/1,1/1,true,positive_definite\n",
-        {
-            "p": "2/1",
-            "t": "1/1",
-            "theorem_verdict": True,
-            "hankel": {
-                "size": 3,
-                "minors": ["1/1", "1/1", "1/1"],
-                "verdict": "positive_definite",
-            },
-        },
+        "2/1", "1/1", True, ["1/1"] * 3, "positive_definite",
     ),
-    (
+    posdef_case(
+        ["posdef", "--p", "2", "--t", "1", "--hankel-size", "4"],
+        "2/1", "1/1", True, ["1/1"] * 4, "positive_definite",
+    ),
+    posdef_case(
+        ["posdef", "--p", "2", "--t", "7/5", "--hankel-size", "8"],
+        "2/1", "7/5", False,
+        ["1/1", "11/25", "13/125", "-1/125", "-67/3125", "-181/15625", "-11/3125", "-101/390625"],
+        "indefinite",
+    ),
+    infdiv_case(
+        ["infdiv", "--p", "2", "--t", "1/2", "--hankel-size", "2"],
+        "2/1", "1/2", ["5/4", "-21/64"], "indefinite",
+    ),
+    infdiv_case(
         ["infdiv", "--p", "2", "--t", "1/2", "--hankel-size", "3"],
-        "p,t,verdict\n2/1,1/2,indefinite\n",
-        {
-            "p": "2/1",
-            "t": "1/2",
-            "size": 3,
-            "minors": ["5/4", "-21/64", "-89/4096"],
-            "verdict": "indefinite",
-        },
+        "2/1", "1/2", ["5/4", "-21/64", "-89/4096"], "indefinite",
     ),
     (
         ["domain-grid", "--p-min", "2", "--p-max", "3", "--t-min", "1/2", "--t-max", "1",

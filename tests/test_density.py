@@ -382,7 +382,7 @@ def _phi_condition(p, x, phi):
     return seams.EPS * (x * abs(b - 1.0) + abs(power)) / slope if slope else inf
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     p=st.floats(min_value=1.0, max_value=100.0, exclude_min=True),
     us=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)),
@@ -546,7 +546,7 @@ def test_rho_bisect_takes_few_newton_steps_per_point():
     assert powers <= 2.6 * points, powers / points
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     p=st.floats(min_value=1.0, max_value=1000.0, exclude_min=True),
     us=st.lists(
@@ -610,7 +610,7 @@ def test_rho_bisect_accepts_only_roots_in_the_sector(monkeypatch, fault):
             assert len(tries) <= 2 * seams.HALVINGS + 1, (p, len(xs))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(
     p=st.fractions(min_value=1, max_value=300, max_denominator=64).filter(lambda p: p > 1)
     | st.floats(min_value=1.0, max_value=300.0, exclude_min=True).map(F),

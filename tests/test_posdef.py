@@ -264,7 +264,7 @@ def test_g_matches_the_50_digit_reference(p):
     assert abs(g_of_p(p) - _g_reference(p)) <= 1e-14
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(p=st.floats(1.0, 2.0, exclude_max=True))
 @example(p=1.0)
 @example(p=1.5)
@@ -308,7 +308,7 @@ def _arc_first(p):
 _P_EDGES = [1.0, 1.5, math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 3.0), 1e6]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @example(ps=[2.0, math.nextafter(2.0, 3.0), 1e6], order=[0, 1, 2], t=0.5)
 @given(
     ps=st.lists(
@@ -337,7 +337,7 @@ def test_the_grid_samples_follow_p(ps, order, t):
                 assert got == _g_scan_pointwise(p), (p, tol)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(p=st.floats(1.0, 2.0, exclude_max=True), u=st.floats(0.0, 1.0))
 @example(p=1.0, u=0.5)
 @example(p=1.5, u=0.5)
@@ -533,7 +533,7 @@ def _sections(draw):
     return values, size
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_sections())
 def test_hankel_report_matches_brute_force(section):
     values, size = section
@@ -575,7 +575,7 @@ def _geometric_sections(draw):
     return values, size
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_geometric_sections())
 def test_hankel_report_rescaled_sections_match_brute_force(section):
     # the brute-force minors and verdict rules of the test above, on these sections
@@ -609,7 +609,7 @@ def _breakdown_sections(draw):
     return moments[: 2 * m + 3] + [moments[2 * m + 3] + draw(_NONZERO), draw(_SMALL)], m + 3
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_breakdown_sections())
 def test_hankel_report_breakdown_sections_match_brute_force(section):
     # the brute-force minors and verdict rules above, where the elimination breaks down
@@ -723,7 +723,7 @@ def test_hankel_input_forms_give_one_report(values, size):
     )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     st.integers(1, 48).flatmap(lambda b: st.tuples(st.integers(b, 4 * b), st.just(b))),
     st.integers(1, 12).flatmap(lambda v: st.tuples(st.integers(0, 3 * v - 1), st.just(v))),
@@ -739,7 +739,7 @@ def test_classify_reads_the_moment_section_as_hankel_report_does(p, t, size):
     assert classify_point(params, size)["hankel"] == hankel_report(values, size)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     st.integers(1, 48).flatmap(lambda b: st.tuples(st.integers(b, 4 * b), st.just(b))),
     st.sampled_from(("below", "inside", "above")),
@@ -766,7 +766,7 @@ def test_classify_point_without_minors_gives_the_same_verdicts(p, side, u, size)
 _ROW_LANDMARKS = (F(-1, 2), F(0), F(1), F(2), F(1, 10**300), F(-3, 10**300), F(7, 10**300 + 1))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.integers(1, 48).flatmap(lambda b: st.tuples(st.integers(b, 4 * b), st.just(b))),
     st.lists(st.fractions(min_value=-1, max_value=3, max_denominator=24), max_size=4),

@@ -1,7 +1,7 @@
 """Repository hygiene: the README's library tour runs and its CLI tour shows what the
-commands print, no build artifact is tracked, the runtime imports only the standard library
-and itself, the benchmark's layer tracer still finds
-every entry point it wraps and wraps every kernel the package calls but the per-point
+commands print, no build artifact is tracked, neither hypothesis profile sets a deadline,
+the runtime imports only the standard library and itself, the benchmark's layer tracer still
+finds every entry point it wraps and wraps every kernel the package calls but the per-point
 ones, the commands reach every public function but a listed few, a fault planted in each shared
 mechanism fails the ``verify`` criteria and sets the CLI exit codes it names, the two sides of
 each cross-check share no package function outside its ledger, the float kernels keep
@@ -33,6 +33,7 @@ from pathlib import Path
 from types import CodeType, FunctionType
 
 import pytest
+from hypothesis import settings
 
 import seams
 from fussdeform.exact_seq import Params, SeqTable
@@ -103,6 +104,13 @@ def test_no_tracked_file_is_ignored():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("profile", ["default", "ci"])
+def test_no_hypothesis_profile_sets_a_deadline(profile):
+    # tests/conftest.py drops the deadline once for both profiles; the loaded one is in force
+    assert settings.get_profile(profile).deadline is None
+    assert settings().deadline is None
 
 
 def test_the_runtime_imports_only_the_standard_library():

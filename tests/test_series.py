@@ -116,14 +116,6 @@ def brute_compose(f, g):
     return acc
 
 
-def test_compose_matches_reference():
-    rng = random.Random(11)
-    for _ in range(8):
-        f = random_jet(rng, 7)
-        g = random_jet(rng, 7, c0=0)
-        assert compose(f, g) == brute_compose(f, g)
-
-
 _SPLIT_ORDERS = sorted({*range(13), *(s * s + d for s in range(2, 9) for d in (-1, 0, 1))})
 
 
@@ -184,14 +176,6 @@ def test_revert_known_forms():
         inner = TruncSeries.identity(n) * pow1p(TruncSeries.from_coeffs([1, 1], n), -p)
         expected = (TruncSeries.identity(n) * pow1p(bp_series(p, 1, n), p)).truncate(n)
         assert revert(inner) == expected
-
-
-def test_revert_is_compositional_inverse():
-    rng = random.Random(23)
-    for _ in range(8):
-        f = random_jet(rng, 9, c0=0, c1=rng.choice([1, -1, 2, F(1, 3)]))
-        g = revert(f)
-        assert compose(g, f) == TruncSeries.identity(9)
 
 
 def test_revert_rejects_bad_jets():
@@ -302,19 +286,6 @@ def test_catalan_cumulants_are_all_one():
     assert table.cumulant(3) == 1
     with pytest.raises(IndexError):
         table.cumulant(11)
-
-
-def test_cumulant_moment_roundtrip():
-    rng = random.Random(61)
-    for _ in range(6):
-        values = tuple(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(9))
-        table = CumulantTable(values=values)
-        m = moments_from_cumulants(table)
-        assert m.coeffs[0] == 1
-        back = cumulants_from_moments(m.truncate(9))
-        assert back.values == values
-    with pytest.raises(ValueError):
-        cumulants_from_moments(TruncSeries.from_coeffs([2, 1]))
 
 
 def test_eta20_cumulant_sequence():
@@ -506,14 +477,14 @@ def test_bp_trig_closed_forms_at_a_point():
 
 # -- properties of the jet engine -------------------------------------------------
 
-_COEFF = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
+_COEFF = st.builds(F, st.integers(-9, 9), st.integers(1, 6))
 _NONZERO = _COEFF.filter(bool)
 
 
 @st.composite
 def _jets(draw, count, lowest=0):
-    """``count`` jets of one random order in lowest..8."""
-    order = draw(st.integers(lowest, 8))
+    """``count`` jets of one random order in lowest..9."""
+    order = draw(st.integers(lowest, 9))
     coeffs = st.lists(_COEFF, min_size=order + 1, max_size=order + 1)
     return [TruncSeries(tuple(draw(coeffs))) for _ in range(count)]
 
@@ -524,7 +495,7 @@ def _with(jet, index, value):
     return TruncSeries(tuple(coeffs))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(_jets(3), _NONZERO)
 def test_jet_ring_identities(jets, g0):
     f, g, h = jets
@@ -534,7 +505,7 @@ def test_jet_ring_identities(jets, g0):
     assert (f * g) / g == f
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(_jets(1, lowest=1), _NONZERO)
 def test_revert_is_a_two_sided_involution(jets, f1):
     f = _with(_with(jets[0], 0, F(0)), 1, f1)
@@ -545,9 +516,22 @@ def test_revert_is_a_two_sided_involution(jets, f1):
     assert revert(g) == f
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
+@given(_jets(1, lowest=1))
+def test_cumulant_moment_roundtrip(jets):
+    # the jet's tail as cumulants r_1..r_N -> moments -> cumulants; a moment jet needs m_0 = 1
+    values = jets[0].coeffs[1:]
+    m = moments_from_cumulants(CumulantTable(values=values))
+    assert m.coeffs[0] == 1
+    assert cumulants_from_moments(m.truncate(len(values))).values == values
+    with pytest.raises(ValueError):
+        cumulants_from_moments(_with(m, 0, F(2)))
+
+
+@settings(max_examples=100)
 @given(_jets(1, lowest=1))
 def test_cumulant_moment_roundtrip_property(jets):
+    # moments -> cumulants -> moments
     m = _with(jets[0], 0, F(1))
     assert moments_from_cumulants(cumulants_from_moments(m)) == m
 
@@ -605,7 +589,7 @@ def _wide_jet(draw):
     )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_wide_jet(), _wide_jet())
 def test_product_matches_schoolbook(f, g):
     product = f * g
@@ -616,7 +600,7 @@ def test_product_matches_schoolbook(f, g):
 _HUGE = st.integers(1, 10**300)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_wide_jet(), _wide_jet(), _NONZERO | st.builds(F, _HUGE, _HUGE))
 def test_quotient_matches_schoolbook(f, g, g0):
     g = _with(g, 0, g0)
@@ -637,7 +621,7 @@ def _pow1p_loop(f, alpha):
 _ALPHA = st.builds(F, st.integers(-9, 9), st.integers(1, 8)) | st.builds(F, _HUGE, _HUGE)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_wide_jet(), _ALPHA)
 def test_pow1p_matches_fraction_recurrence(f, alpha):
     f = _with(f, 0, F(1))
@@ -649,7 +633,7 @@ def test_pow1p_matches_fraction_recurrence(f, alpha):
 # -- compose and revert against one-Fraction-at-a-time references ------------------
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_wide_jet(), _wide_jet(), st.sampled_from(((), (1,), (2,), (1, 2))))
 def test_compose_matches_brute_force(f, g, zeros):
     # g_1 = 0 leaves the inner jet unscaled; g_2 = 0 rescales it by den(g_3)
@@ -686,7 +670,7 @@ def _lagrange_loop(f):
     return tuple(out)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(_wide_jet(), _NONZERO | st.builds(F, _HUGE, _HUGE))
 def test_revert_matches_lagrange_reference(f, f1):
     f = _with(_with(f.truncate(max(f.order, 1)), 0, F(0)), 1, f1)
@@ -909,7 +893,7 @@ def _moment_params(draw):
     return p, t, draw(st.integers(0, 64))
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(_moment_params())
 def test_moment_series_matches_fraction_reference(args):
     p, t, order = args
