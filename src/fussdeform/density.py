@@ -123,7 +123,7 @@ def w_closed(p, r: int, x: float) -> float:
     upper = support_c(float(p_key))
     if not (isfinite(x) and 0.0 < x < upper):
         raise ValueError(f"x must lie in the open support (0, {upper})")
-    return _closed_form(p_key)(x)[r - 1]
+    return _closed_form(p_key)(x)[int(r) - 1]
 
 
 def _samples(p: float, t: float, xs: list[float], route: str) -> list[DensitySample]:

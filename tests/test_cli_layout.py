@@ -245,4 +245,5 @@ def test_verify_layout(capsys):
     assert code == 0
     (record,) = json.loads(out)
     assert list(record) == ["ident", "label", "tags", "passed", "detail", "seconds"]
+    assert (record["ident"], record["tags"]) == ("c3", ["exact"]) and record["passed"] is True
     assert out == json.dumps([record], indent=2) + "\n"

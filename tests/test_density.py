@@ -1,4 +1,17 @@
-"""Density layer: parametrization vs closed forms, quadrature vs exact values."""
+"""Density layer: parametrization vs closed forms, quadrature vs exact values.
+
+Each property is checked once.  test_density_routes_agree holds the two routes' agreement,
+with w_closed's components at t = 0 and 1, the grid layout and phi None on the closed route;
+the p = 2 display formula stays a reference of its own.  test_phi_form_is_the_affine_combination
+holds one root: its angle and the angle form of the density there.
+test_rho_bisect_grid_matches_each_point_solved_alone holds a grid against each point solved
+alone, on uneven grids too.  test_moment_quad_is_within_its_estimate_of_the_exact_moments holds
+the moment tables against the exact a_n, through the kernel and the density layer.
+test_cumulant_moments_to_fourteen_digits holds the cumulant-side measures' moments, and
+test_cumulant_measure_is_pointwise_positive their sign; two x-space integrals stay references
+of their own.  test_density_sign_follows_the_theorem_region holds the density's sign, and
+test_closed_route_error_messages every refusal of the layer with its message.
+"""
 
 import cmath
 import hashlib
@@ -17,7 +30,6 @@ import fussdeform.cli
 import fussdeform.verify as verify
 import seams
 from fussdeform import (
-    DensitySample,
     Params,
     QuadratureError,
     a022558_table,
@@ -28,7 +40,6 @@ from fussdeform import (
     ex1_table,
     moment_quadrature,
     moment_quadrature_full,
-    moment_series,
     r_series_closed,
     support_c,
     w_closed,
@@ -57,13 +68,6 @@ def test_support_end_past_the_overflow_of_p_to_the_p():
         assert abs(support_c(p) - ref) <= 4e-16 * ref, p
     grid = density_grid(Params.exact(150, F(1, 2)), 50)
     assert all(isfinite(s.value) and s.value >= 0.0 for s in grid)
-
-
-def test_support_rejects_small_p():
-    with pytest.raises(ValueError):
-        support_c(1)
-    with pytest.raises(ValueError):
-        support_c(0.5)
 
 
 def test_rho_closed_value_p2():
@@ -97,23 +101,21 @@ def test_node_slope_closed_value_p2():
     assert _node_slope(2, pi / 4) == pytest.approx(4.0, abs=1e-12)
 
 
-def test_node_slope_matches_central_differences_of_rho():
-    rng = random.Random(40902)
-    for _ in range(20):
-        p = 1.0 + rng.uniform(0.1, 3.0)
-        top = pi / p
-        phi = rng.uniform(0.15, 0.85) * top
-        assert _node_slope(p, phi) == pytest.approx(-_rho_difference(p, phi), rel=1e-6)
-
-
-def test_node_slope_is_the_size_of_rho_differences_throughout():
-    # rho decreases, and the node's |rho'| is the size of its differences
-    for p in (1.2, 1.5, 2.0, 3.0, 4.5):
-        top = pi / p
-        for i in range(1, 40):
-            numeric = _rho_difference(p, top * i / 40)
-            assert numeric < 0.0
-            assert _node_slope(p, top * i / 40) == pytest.approx(-numeric, rel=1e-6)
+@settings(max_examples=40)
+@given(p=st.floats(1.1, 4.5), u=st.floats(0.15, 0.85))
+@example(p=1.2, u=0.5)
+@example(p=1.5, u=0.5)
+@example(p=2.0, u=0.5)
+@example(p=3.0, u=0.5)
+@example(p=4.5, u=0.5)
+def test_node_slope_is_the_size_of_rho_differences_throughout(p, u):
+    # rho decreases, and the node's |rho'| is the size of its differences, at 39 even angles and
+    # a drawn one
+    top = pi / p
+    for phi in [top * i / 40 for i in range(1, 40)] + [u * top]:
+        numeric = _rho_difference(p, phi)
+        assert numeric < 0.0
+        assert _node_slope(p, phi) == pytest.approx(-numeric, rel=1e-6)
 
 
 def test_parametric_component_values_p2():
@@ -124,50 +126,54 @@ def test_parametric_component_values_p2():
     assert _f(Params.exact(2, 0), 2.0) == pytest.approx(1.0 / pi, abs=1e-12)
 
 
-def test_parametric_components_agree_with_all_six_closed_forms():
-    # W_{p,r} is f_{p,t} at t = 2 - r, sampled at x = c(p) i/51, i = 1..50
-    for p in (F(2), F(3), F(3, 2)):
-        upper = support_c(float(p))
-        for r in (1, 2):
-            grid = density_grid(Params.exact(p, 2 - r), 50)
-            assert [s.x for s in grid] == [upper * i / 51 for i in range(1, 51)]
-            for x, _, a in grid:
-                b = w_closed(p, r, x)
-                assert abs(a - b) <= 1e-10, (p, r, x, a, b)
-
-
 def test_w_closed_accepts_float_and_fraction_p():
     assert w_closed(2, 1, 1.0) == w_closed(2.0, 1, 1.0) == w_closed(F(2), 1, 1.0)
     assert w_closed(1.5, 2, 1.0) == w_closed(F(3, 2), 2, 1.0)
+    assert w_closed(2, 1, 1.0) == w_closed(2, 1.0, 1.0) == w_closed(2, F(1), 1.0)
+    assert w_closed(3, 2, 1.0) == w_closed(3, 2.0, 1.0) == w_closed(3, F(2), 1.0)
 
 
-def test_w_closed_domain_checks():
-    with pytest.raises(ValueError):
-        w_closed(5, 1, 1.0)
-    with pytest.raises(ValueError):
-        w_closed(2, 3, 1.0)
-    with pytest.raises(ValueError):
-        w_closed(2, 1, 4.0)
-    with pytest.raises(ValueError):
-        w_closed(2, 1, 0.0)
+_P3_RANGE = (
+    "case p3 quadrature requires 3/5 <= t <= 3/2: below 3/5 the pole at x = 1/(1 - t) crowds "
+    "the support edge 4t, and at t = 1/2 the measure has an atom at x = 2 that its density "
+    "leaves out"
+)
 
 
 def test_closed_route_error_messages():
-    # The first failing check names the fault.  w_closed checks that p is a
-    # number, then r, p > 1, x and the form for p; density_grid the grid size,
-    # p > 1, the route and the form.
-    five, one = Params.exact(5, 1), Params.exact(1, 1)
+    # The first failing check names the fault.  w_closed checks that p is a number, then r,
+    # p > 1, x and the form for p; density_grid the grid size, p > 1, the route and the form;
+    # the moment quadratures n >= 0, then p > 1 or the case and its range of t.
+    five, one, two = Params.exact(5, 1), Params.exact(1, 1), Params.exact(2, 1)
     cases = [
         (lambda: w_closed("two", 1, 1.0), "unsupported p='two' for the closed forms"),
         (lambda: w_closed(1, 1, 0.5), "support requires p > 1"),
         (lambda: w_closed(5, 3, 1.0), "closed forms cover r in {1, 2}"),
+        (lambda: w_closed(2, 3, 1.0), "closed forms cover r in {1, 2}"),
         (lambda: w_closed(5, 1, 100.0), "x must lie in the open support (0, 12.20703125)"),
         (lambda: w_closed(2, 1, 4.0), "x must lie in the open support (0, 4.0)"),
+        (lambda: w_closed(2, 1, 0.0), "x must lie in the open support (0, 4.0)"),
         (lambda: w_closed(5, 1, 1.0), "closed forms cover p in {2, 3, 3/2}"),
+        (lambda: support_c(1), "support requires p > 1"),
+        (lambda: support_c(0.5), "support requires p > 1"),
         (lambda: density_grid(one, 0, "series"), "grid_size must be positive"),
         (lambda: density_grid(one, 3, "series"), "support requires p > 1"),
         (lambda: density_grid(five, 3, "series"), "route must be 'parametric' or 'closed'"),
+        (lambda: _f(two, 1.0, route="series"), "route must be 'parametric' or 'closed'"),
         (lambda: density_grid(five, 3, "closed"), "closed forms cover p in {2, 3, 3/2}"),
+        (lambda: moment_quadrature(one, 0), "moment quadrature requires p > 1"),
+        (lambda: moment_quadrature(two, -1), "n must be nonnegative"),
+        (lambda: cumulant_quadrature("p2", 0.9, 0), "case p2 requires 1 < t <= 4/3"),
+        (lambda: cumulant_quadrature("p2", 1.0, 0), "case p2 requires 1 < t <= 4/3"),
+        (lambda: cumulant_quadrature("p2", 1.5, 0), "case p2 requires 1 < t <= 4/3"),
+        (lambda: cumulant_quadrature("p3", 0.4, 0), _P3_RANGE),
+        (lambda: cumulant_quadrature("p3", 1.6, 0), _P3_RANGE),
+        (lambda: cumulant_quadrature("nope", 1.2, 0), "unknown case 'nope'; expected one of "
+         "('p2', 'p3', 'a220910', 'a022558')"),
+        (lambda: cumulant_quadrature("hankel", 1.0, 0), "unknown case 'hankel'; expected one of "
+         "('p2', 'p3', 'a220910', 'a022558')"),
+        (lambda: cumulant_quadrature("p3", 1.2, -1), "n must be nonnegative"),
+        (lambda: kernels.cumulant_quad("p4", 1.0, 0), "unknown cumulant measure case 'p4'"),
     ]
     for call, message in cases:
         with pytest.raises(ValueError) as info:
@@ -192,17 +198,43 @@ def test_density_p2_display_formula_on_both_routes():
         assert _f(params, x, route="closed") == pytest.approx(expected, rel=1e-11, abs=1e-13)
 
 
-def test_density_routes_agree():
-    rng = random.Random(77)
-    for p in (F(2), F(3), F(3, 2)):
-        upper = support_c(float(p))
-        for _ in range(20):
-            t = F(rng.randint(0, 8), 6)
-            x = rng.uniform(0.02, 0.98) * upper
-            params = Params.exact(p, t)
-            a = _f(params, x, route="parametric")
-            b = _f(params, x, route="closed")
-            assert a == pytest.approx(b, rel=1e-10, abs=1e-12)
+def _agree(a, b):
+    """a is b within 1e-10 relative, or 1e-12 absolute next to 0, and never off by over 1e-10."""
+    return abs(a - b) <= min(1e-10, max(1e-10 * abs(b), 1e-12))
+
+
+@settings(max_examples=60)
+@given(
+    p=st.sampled_from((F(2), F(3), F(3, 2))),
+    k=st.integers(0, 8),
+    us=st.lists(st.floats(0.02, 0.98), max_size=20),
+    grid=st.integers(1, 60),
+)
+@example(p=F(2), k=6, us=[], grid=7)
+@example(p=F(2), k=0, us=[], grid=50)
+@example(p=F(2), k=6, us=[], grid=50)
+@example(p=F(3), k=0, us=[], grid=50)
+@example(p=F(3), k=6, us=[], grid=50)
+@example(p=F(3, 2), k=0, us=[], grid=50)
+@example(p=F(3, 2), k=6, us=[], grid=50)
+def test_density_routes_agree(p, k, us, grid):
+    # at t = k/6, on a grid x = c(p) i/(grid + 1) and at single points x = c(p) u, the parametric
+    # route agrees with the closed one, which leaves phi None; at t = 1 and t = 0 both are the
+    # closed form's component W_{p,r}, r = 2 - t
+    t = F(k, 6)
+    params = Params.exact(p, t)
+    upper = support_c(p)
+    parametric, closed = (density_grid(params, grid, route) for route in ("parametric", "closed"))
+    xs = [upper * i / (grid + 1) for i in range(1, grid + 1)]
+    assert [s.x for s in parametric] == [s.x for s in closed] == xs
+    assert all(a.x < b.x for a, b in zip(parametric, parametric[1:]))
+    assert all(s.phi is None for s in closed)
+    singles = [(x, _f(params, x), _f(params, x, route="closed")) for x in (upper * u for u in us)]
+    for x, a, b in [(s.x, s.value, c.value) for s, c in zip(parametric, closed)] + singles:
+        assert _agree(a, b), (x, a, b)
+        if t in (0, 1):
+            w = w_closed(p, 2 - t, x)
+            assert _agree(a, w) and _agree(b, w), (x, a, b, w)
 
 
 @pytest.mark.parametrize(
@@ -224,11 +256,6 @@ def test_non_finite_density_is_a_float_limit(route, p, x, t):
         assert isfinite(_f(params, 0.649519052838329))
 
 
-def test_density_rejects_an_unknown_route():
-    with pytest.raises(ValueError):
-        _f(Params.exact(2, 1), 1.0, route="series")
-
-
 def _w_phi(p, r, phi):
     """The angle form of the component density W_{p,r} at x = rho(p, phi)."""
     return (
@@ -239,50 +266,34 @@ def _w_phi(p, r, phi):
     )
 
 
-def test_phi_form_is_the_affine_combination():
-    # mass(t, B) / (pi x) at the root B of x (B - 1) = B^p against the angle forms at arg B
-    rng = random.Random(8833)
-    for _ in range(40):
-        p = 1.0 + rng.uniform(0.1, 3.0)
-        t = rng.uniform(-1.0, 2.0)
-        x = kernels.rho(p, rng.uniform(0.05, 0.95) * pi / p)
-        ((b, phi),) = kernels.rho_bisect(p, [x])
-        combo = t * _w_phi(p, 1.0, phi) + (1.0 - t) * _w_phi(p, 2.0, phi)
-        assert kernels.mass(t, b) / (pi * x) == pytest.approx(combo, rel=1e-11, abs=1e-12)
+@settings(max_examples=60)
+@given(p=st.floats(1.1, 4.0), t=st.floats(-1.0, 2.0), u=st.floats(0.05, 0.95))
+def test_phi_form_is_the_affine_combination(p, t, u):
+    # the root B of x (B - 1) = B^p at x = rho(p, phi0) gives phi0 back as arg B, and there
+    # mass(t, B) / (pi x) is the affine combination of the angle forms
+    phi0 = u * pi / p
+    x = kernels.rho(p, phi0)
+    ((b, phi),) = kernels.rho_bisect(p, [x])
+    assert phi == cmath.phase(b) and abs(phi - phi0) <= 1e-9
+    combo = t * _w_phi(p, 1.0, phi) + (1.0 - t) * _w_phi(p, 2.0, phi)
+    assert kernels.mass(t, b) / (pi * x) == pytest.approx(combo, rel=1e-11, abs=1e-12)
 
 
-def test_density_sign_inside_theorem_region_p2():
-    for t in (F(0), F(1), F(4, 3)):
-        params = Params.exact(2, t)
-        for s in density_grid(params, 100):
-            assert s.value >= -1e-12
-
-
-def test_density_sign_outside_theorem_region_p2():
-    for t in (F(-1, 10), F(7, 5)):
-        params = Params.exact(2, t)
-        values = [s.value for s in density_grid(params, 100)]
-        assert min(values) < -1e-4
-
-
-def test_density_nonnegative_at_the_critical_pair():
-    # t = 1/5 is the smallest admissible deformation at p = 3/2
-    params = Params.exact(F(3, 2), F(1, 5))
-    for s in density_grid(params, 200):
-        assert s.value >= -1e-12
-
-
-def test_density_grid_layout():
-    params = Params.exact(2, 1)
-    grid = density_grid(params, 7)
-    assert len(grid) == 7
-    assert grid[0].x == pytest.approx(4.0 / 8.0)
-    assert grid[-1].x == pytest.approx(4.0 * 7.0 / 8.0)
-    assert all(a.x < b.x for a, b in zip(grid, grid[1:]))
-    closed = density_grid(params, 7, route="closed")
-    for a, b in zip(grid, closed):
-        assert a.value == pytest.approx(b.value, rel=1e-10, abs=1e-12)
-        assert b.phi is None
+@pytest.mark.parametrize(
+    "p, t, grid, nonnegative",
+    [
+        (F(2), F(0), 100, True),
+        (F(2), F(1), 100, True),
+        (F(2), F(4, 3), 100, True),
+        (F(3, 2), F(1, 5), 200, True),  # the smallest admissible deformation at p = 3/2
+        (F(2), F(-1, 10), 100, False),
+        (F(2), F(7, 5), 100, False),
+    ],
+)
+def test_density_sign_follows_the_theorem_region(p, t, grid, nonnegative):
+    # nonnegative for g(p) <= t <= 2p/(p + 1), and clearly negative somewhere outside
+    low = min(s.value for s in density_grid(Params.exact(p, t), grid))
+    assert low >= -1e-12 if nonnegative else low < -1e-4
 
 
 def test_gk_rule_is_exact_on_polynomials():
@@ -360,17 +371,6 @@ def test_backend_name_is_python():
     assert fussdeform.backend_name == "python"
 
 
-def test_rho_bisect_recovers_the_angle():
-    rng = random.Random(2026)
-    for _ in range(25):
-        p = 1.1 + 2.9 * rng.random()
-        top = pi / p
-        phi0 = (0.05 + 0.9 * rng.random()) * top
-        x = kernels.rho(p, phi0)
-        ((b, phi),) = kernels.rho_bisect(p, [x])
-        assert phi == cmath.phase(b) and abs(phi - phi0) <= 1e-9
-
-
 def _phi_condition(p, x, phi):
     """How far an error of an ulp in the terms of x (B - 1) = B^p moves phi = arg B:
     eps (x |B - 1| + |B|^p) / (|h'(B)| |B|), eps the float epsilon, with h'(B) = x - p B^p / B and
@@ -382,33 +382,19 @@ def _phi_condition(p, x, phi):
     return seams.EPS * (x * abs(b - 1.0) + abs(power)) / slope if slope else inf
 
 
-@settings(max_examples=60)
-@given(
-    p=st.floats(min_value=1.0, max_value=100.0, exclude_min=True),
-    us=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)),
-    repeats=st.lists(st.integers(min_value=0, max_value=200), max_size=8),
-)
-@example(p=12.0, us=[0.9999999999999999, 0.9999999999999999], repeats=[])
-def test_rho_bisect_grid_matches_each_point_solved_alone(p, us, repeats):
-    # the roots of a sorted grid, solved by one continuation, against each point solved on its
-    # own from the double root: the starts differ, so the floats may too, within 1e-13; within
-    # 1% of c(p) the double root makes phi ill-conditioned, and the bound adds 64 times what
-    # rounding moves phi by there.  The example repeats x = c(12) (1 - 1.1e-16), whose root has
-    # argument 4.1e-10: Newton restarted at that root stepped out of the sector on rounding
-    # alone and lost the grid; a repeated x now takes the checked root again
+def _grid_matches_each_point_alone(p, xs, lossless):
+    """The roots of the sorted xs, solved by one continuation, against each point solved on its
+    own from the double root: the starts differ, so the floats may too, within 1e-13; within 1%
+    of c(p) the double root makes phi ill-conditioned, and the bound adds 64 times what rounding
+    moves phi by there.  Unless lossless, the grid may lose a point, as below."""
     upper = support_c(p)
-    # random points, a grid, a point within 1e-9 of each end, then duplicates
-    xs = [upper * u for u in us] + [upper * i / 65 for i in range(1, 65)]
-    xs += [upper * 1e-9, upper * (1.0 - 1e-9)]
-    xs = [x for x in xs if x < upper]
-    xs += [xs[i % len(xs)] for i in repeats]
-    xs.sort()
     try:
         grid = [phi for _, phi in kernels.rho_bisect(p, xs)]
     except OverflowError as exc:
         # the grid may lose only a point that is lost alone too, or, a few ulps above p = 1, one
         # whose root alone is within a few ulps of pi/p: there the rounding of arg B decides the
         # sector check, whatever the start
+        assert not lossless, str(exc)
         message = re.escape(f"rho's inversion left the float range at p={p}, x=")
         lost = re.fullmatch(message + "(.+)", str(exc))
         assert lost, str(exc)
@@ -424,10 +410,50 @@ def test_rho_bisect_grid_matches_each_point_solved_alone(p, us, repeats):
         try:
             ((_, alone),) = kernels.rho_bisect(p, [x])
         except OverflowError as exc:
-            assert f"p={p}, x={x}" in str(exc)
+            assert not lossless and f"p={p}, x={x}" in str(exc), str(exc)
             continue
         bound = 1e-13 if x <= 0.99 * upper else 1e-13 + 64.0 * _phi_condition(p, x, phi)
         assert abs(alone - phi) <= bound, (x, alone, phi)
+
+
+# 300 uniform draws, seeded: as c(p) u^3 an uneven grid that crowds towards 0
+_RANDOM_46 = random.Random(46)
+_US_46 = [_RANDOM_46.random() for _ in range(300)]
+
+
+@settings(max_examples=60)
+@given(
+    p=st.floats(min_value=1.0, max_value=100.0, exclude_min=True),
+    us=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)),
+    repeats=st.lists(st.integers(min_value=0, max_value=200), max_size=8),
+)
+@example(p=12.0, us=[0.9999999999999999, 0.9999999999999999], repeats=[])
+@example(p=1.1, us=_US_46, repeats=[])
+@example(p=2.5, us=_US_46, repeats=[])
+@example(p=4.0, us=_US_46, repeats=[])
+@example(p=20.0, us=_US_46, repeats=[])
+def test_rho_bisect_grid_matches_each_point_solved_alone(p, us, repeats):
+    # First the drawn grid: random points, an even grid, a point within 1e-9 of each end, then
+    # duplicates.  The example at p = 12 repeats x = c(12) (1 - 1.1e-16), whose root has argument
+    # 4.1e-10: Newton restarted at that root stepped out of the sector on rounding alone and lost
+    # the grid; a repeated x now takes the checked root again.  Then three uneven grids up to
+    # 0.99 c(p): from the fourth point on, Newton starts from the quadratic through the last
+    # three roots, 3 (b1 - b2) + b3, which assumes even steps in x; on grids that step
+    # geometrically, in clusters with gaps, or as c(p) u^3 for the drawn u >= 1e-3, each point
+    # still solves as it does alone, and from p = 1.1 on none is lost
+    upper = support_c(p)
+    xs = [upper * u for u in us] + [upper * i / 65 for i in range(1, 65)]
+    xs += [upper * 1e-9, upper * (1.0 - 1e-9)]
+    xs = [x for x in xs if x < upper]
+    xs += [xs[i % len(xs)] for i in repeats]
+    _grid_matches_each_point_alone(p, sorted(xs), lossless=False)
+    for xs in (
+        [upper * 0.8**i for i in range(1, 120)],
+        [upper * (k + j * 1e-3) / 12 for k in range(1, 12) for j in range(8)],
+        [upper * u**3 for u in us if u >= 1e-3],
+    ):
+        xs = sorted(x for x in xs if x <= 0.99 * upper)
+        _grid_matches_each_point_alone(p, xs, lossless=p >= 1.1)
 
 
 def test_density_grid_next_to_p_1_is_a_float_limit(capsys):
@@ -508,25 +534,6 @@ def test_rho_bisect_recovers_a_lost_point_from_halfway(monkeypatch):
     monkeypatch.undo()
     for x, phi in zip(xs, phis):
         assert abs(kernels.rho_bisect(p, [x])[0][1] - phi) <= 1e-13, x
-
-
-@pytest.mark.parametrize("p", [1.1, 2.5, 4.0, 20.0])
-def test_rho_bisect_uneven_grids_match_each_point_solved_alone(p):
-    # from the fourth point on, Newton starts from the quadratic through the last three roots,
-    # 3 (b1 - b2) + b3, which assumes even steps in x; on grids that step geometrically, in
-    # clusters with gaps, or at random, each point still solves as it does alone
-    upper = support_c(p)
-    rng = random.Random(46)
-    grids = [
-        [upper * 0.8**i for i in range(1, 120)],
-        [upper * (k + j * 1e-3) / 12 for k in range(1, 12) for j in range(8)],
-        [upper * rng.random() ** 3 for _ in range(300)],
-    ]
-    for xs in grids:
-        xs = sorted(x for x in xs if x <= 0.99 * upper)
-        phis = [phi for _, phi in kernels.rho_bisect(p, xs)]
-        for x, phi in zip(xs, phis):
-            assert abs(kernels.rho_bisect(p, [x])[0][1] - phi) <= 1e-13, (p, x)
 
 
 def test_rho_bisect_takes_few_newton_steps_per_point():
@@ -759,40 +766,44 @@ def test_density_grid_matches_a_50_digit_reference(p, t):
         assert abs(s.value - f_star) <= abs(slope) * bound + 1e-14 * scale, s.x
 
 
-def test_density_sample_fields_are_fixed():
-    sample = density_grid(Params.exact(2, 1), 3)[0]
-    assert DensitySample._fields == ("x", "phi", "value")
-    assert sample == DensitySample(x=sample.x, phi=sample.phi, value=sample.value)
-    for name in DensitySample._fields:
-        with pytest.raises(AttributeError):
-            setattr(sample, name, 0.0)
-
-
 def test_moment_quad_is_deterministic():
     assert kernels.moment_quad(1.5, 0.2, 3) == kernels.moment_quad(1.5, 0.2, 3)
 
 
 def test_moment_quad_is_within_its_estimate_of_the_exact_moments():
     # the floats of moments 0, 5 and 12 (the exact a_5 = 229.55078125 and a_12 = 9332163.75
-    # are floats), then every moment of a table against the exact a_n at six landmarks and 20
-    # random rational points with 0 <= t <= 2p/(p+1), where each table converges to n = 200
+    # are floats), then every moment of a table against the exact a_n at 13 landmarks and 20
+    # random rational points with 0 <= t <= 2p/(p+1), where each table converges to n = 200.
+    # The density layer reads the same table: moment_quadrature_full to n = 10 is its prefix,
+    # moment_quadrature(n) its value n, the mass is 1 within 1e-9, and up to p = 3 moments 1..10
+    # are within 1e-8 of a_n relative, with estimates below 1e-6
     assert [kernels.moment_quad(2.5, 0.5, 12)[n] for n in (0, 5, 12)] == [
         (0.999999999999005, 2.0005390188949322e-12, True),
         (229.55078125000006, 3.5679358773021974e-12, True),
         (9332163.750000004, 2.730900062415564e-06, True),
     ]
     rng = random.Random(1507)
-    points = [(F(3, 2), F(1, 5)), (F(3, 2), F(6, 5)), (F(2), F(1, 2)), (F(2), F(4, 3)),
-              (F(3), F(1)), (F(3), F(0))]
+    points = [(F(3, 2), F(1, 5)), (F(3, 2), F(6, 5)), (F(3, 2), F(1)), (F(2), F(0)),
+              (F(2), F(1, 2)), (F(2), F(1)), (F(2), F(4, 3)), (F(3), F(0)), (F(3), F(1)),
+              (F(3), F(3, 2)), (F(5, 2), F(1)), (F(6, 5), F(1, 2)), (F(4), F(0))]
     for _ in range(20):
         p = F(4.0 - 3.0 * rng.random()).limit_denominator(64)
         points.append((p, (2 * p / (p + 1) * F(rng.random())).limit_denominator(64)))
     for p, t in points:
-        exact = deformed_table(Params.exact(p, t), 200).values
+        params = Params.exact(p, t)
+        exact = deformed_table(params, 200).values
         table = kernels.moment_quad(float(p), float(t), 200)
         assert len(table) == 201 and all(ok for _, _, ok in table), (p, t)
         for n, (value, err, _) in enumerate(table):
             assert abs(F(value) - exact[n]) <= err, (p, t, n)
+        assert moment_quadrature_full(params, 10) == [(value, err) for value, err, _ in table[:11]]
+        for n in (0, 4, 10):
+            assert moment_quadrature(params, n) == table[n][0], (p, t, n)
+        assert abs(table[0][0] - 1.0) <= 1e-9, (p, t)
+        for n in range(1, 11) if p <= 3 else ():
+            value, err, _ = table[n]
+            assert abs(value - float(exact[n])) <= 1e-8 * abs(float(exact[n])), (p, t, n)
+            assert err < 1e-6, (p, t, n)
 
 
 def test_moment_quad_tables_are_prefix_stable():
@@ -918,71 +929,28 @@ def test_moment_quad_partition_stays_within_the_panel_cap(monkeypatch, capsys):
     assert partition() == cap and max(n for _, _, n, *_ in made) == 20
 
 
-def test_masses_normalize_to_one():
-    pairs = [
-        (F(2), F(1, 2)),
-        (F(2), F(4, 3)),
-        (F(3), F(1)),
-        (F(3), F(3, 2)),
-        (F(3, 2), F(1, 5)),
-        (F(5, 2), F(1)),
-        (F(6, 5), F(1, 2)),
-        (F(4), F(0)),
-        (F(2), F(0)),
-        (F(2), F(1)),
-        (F(3), F(0)),
-        (F(3, 2), F(1)),
-    ]
-    for p, t in pairs:
-        mass = moment_quadrature(Params.exact(p, t), 0)
-        assert mass == pytest.approx(1.0, abs=1e-9), (p, t, mass)
+def _case_ids(cases):
+    """A test id per (case, t): the case, then t as numerator_denominator unless t is None."""
+    return [case if t is None else f"{case}-{t.numerator}_{t.denominator}" for case, t in cases]
 
 
-def test_moment_quadrature_matches_exact_moments():
-    pairs = [(F(2), F(1, 2)), (F(2), F(4, 3)), (F(3), F(1)), (F(3, 2), F(1, 5))]
-    for p, t in pairs:
-        params = Params.exact(p, t)
-        mom = moment_series(params, 10)
-        table = moment_quadrature_full(params, 10)
-        assert len(table) == 11
-        for n in (0, 4, 10):
-            assert moment_quadrature(params, n) == table[n][0], (p, t, n)
-        for n, (value, est) in enumerate(table[1:], 1):
-            exact = float(mom.coefficient(n))
-            assert abs(value - exact) <= 1e-8 * abs(exact), (p, t, n, value, exact)
-            assert est < 1e-6
+_CUMULANT_CASES = [("p2", F(7, 6)), ("p2", F(4, 3)), ("p2", F(11, 10)), ("p3", F(5, 4)),
+                   *(("p3", F(k, 10)) for k in range(6, 16)), ("a220910", None), ("a022558", None)]
 
 
-def test_cumulant_measure_p2_matches_free_cumulants():
-    for t in (F(7, 6), F(4, 3)):
-        cum = r_series_closed(F(2), t, 9)
-        mass, _ = cumulant_quadrature("p2", float(t), 0)
-        assert mass == pytest.approx(1.0, rel=1e-7)
-        for n in range(1, 9):
-            value, _ = cumulant_quadrature("p2", float(t), n)
-            exact = float(cum.coefficient(n))
-            assert abs(value - exact) <= 1e-7 * abs(exact), (t, n, value, exact)
-
-
-def test_cumulant_measure_p3_matches_free_cumulants():
-    for t in (F(3, 2), F(5, 4)):
-        cum = r_series_closed(F(3), t, 9)
-        mass, _ = cumulant_quadrature("p3", float(t), 0)
-        assert mass == pytest.approx(1.0, rel=1e-7)
-        for n in range(1, 9):
-            value, _ = cumulant_quadrature("p3", float(t), n)
-            exact = float(cum.coefficient(n))
-            assert abs(value - exact) <= 1e-7 * abs(exact), (t, n, value, exact)
-
-
-def test_cumulant_measure_p3_quadrature_from_three_fifths():
-    for k in range(6, 16):
-        t = F(k, 10)
-        cum = r_series_closed(F(3), t, 9)
-        for n in range(9):
-            value, err = cumulant_quadrature("p3", float(t), n)
-            exact = 1.0 if n == 0 else float(cum.coefficient(n))
-            assert abs(value - exact) <= err, (t, n, value, exact, err)
+@pytest.mark.parametrize("case, t", _CUMULANT_CASES, ids=_case_ids(_CUMULANT_CASES))
+def test_cumulant_moments_to_fourteen_digits(case, t):
+    # moments 0..8 of each measure at t (None: the fixed measures), each within its estimate and
+    # within 1e-14 relative: 1 and the free cumulants r_1..r_8 of mu(p, t) for p2 and p3, the
+    # integer sequence named otherwise
+    if t is None:
+        exact = {"a220910": a220910_table, "a022558": a022558_table}[case](8).values
+    else:
+        r = r_series_closed(F(int(case[1])), t, 8)
+        exact = [F(1)] + [r.coefficient(n) for n in range(1, 9)]
+    for n in range(9):
+        value, err = cumulant_quadrature(case, float(t or 0), n)
+        assert abs(value - float(exact[n])) <= min(err, 1e-14 * abs(float(exact[n]))), (n, value)
 
 
 def _cumulant_density(case):
@@ -996,35 +964,17 @@ def test_cumulant_quadrature_p3_stops_at_three_fifths(t):
     assert _cumulant_density("p3")(t, 1.0) > 0.0
 
 
-def test_cumulant_measure_p3_pointwise_positive_at_edges_of_t():
-    for t in (0.5, 1.5):
-        for i in range(1, 60):
-            x = 4.0 * t * i / 60
-            assert _cumulant_density("p3")(t, x) >= 0.0
+_POSITIVE_CASES = [("p2", F(7, 6)), ("p2", F(4, 3)), ("p3", F(1, 2)), ("p3", F(3, 2))]
 
 
-def test_cumulant_measure_p2_pointwise_positive():
-    for t in (7.0 / 6.0, 4.0 / 3.0):
-        lo = 2 * t - 1 - 2 * sqrt(t * t - t)
-        hi = 2 * t - 1 + 2 * sqrt(t * t - t)
-        for i in range(1, 60):
-            x = lo + (hi - lo) * i / 60
-            assert _cumulant_density("p2")(t, x) >= 0.0
-
-
-@pytest.mark.parametrize(
-    "t", [F(7, 6), F(4, 3), F(11, 10), None], ids=["p2-7_6", "p2-4_3", "p2-11_10", "a022558"]
-)
-def test_cumulant_moments_to_fourteen_digits(t):
-    # p2 at t (None: a022558) against its exact moments 1, r_1, ..., r_8 (the a022558 terms)
-    if t is None:
-        case, tf, exact = "a022558", 0.0, a022558_table(8).values
-    else:
-        r = r_series_closed(F(2), t, 8)
-        case, tf, exact = "p2", float(t), [F(1)] + [r.coefficient(n) for n in range(1, 9)]
-    for n in range(9):
-        value, _ = cumulant_quadrature(case, tf, n)
-        assert abs(value - float(exact[n])) <= 1e-14 * float(exact[n]), (case, t, n, value)
+@pytest.mark.parametrize("case, t", _POSITIVE_CASES, ids=_case_ids(_POSITIVE_CASES))
+def test_cumulant_measure_is_pointwise_positive(case, t):
+    # at 59 even points of the open support, p3 also at t = 1/2, below its quadrature's range
+    support, density = kernels.CUMULANT_MEASURES[case]
+    t = float(t)
+    lo, hi = support(t)
+    for i in range(1, 60):
+        assert density(t, lo + (hi - lo) * i / 60) >= 0.0, i
 
 
 @pytest.mark.parametrize(
@@ -1048,17 +998,6 @@ def test_cumulant_quadrature_integrates_the_pointwise_density(case, t, lo, hi):
         assert abs(value - direct) <= 1e-9 * abs(direct), (n, value, direct)
 
 
-def test_fixed_measures_reproduce_integer_sequences():
-    table = a220910_table(8)
-    for n in range(9):
-        value, _ = cumulant_quadrature("a220910", 0.0, n)
-        assert value == pytest.approx(float(table.values[n]), rel=1e-9)
-    table = a022558_table(8)
-    for n in range(9):
-        value, _ = cumulant_quadrature("a022558", 0.0, n)
-        assert value == pytest.approx(float(table.values[n]), rel=1e-9)
-
-
 def test_verbatim_moment_integral_on_one_nine():
     # same measure as the p2 cumulant case at t = 4/3, pushed forward by x -> 3x, written out
     # and integrated in x as an independent reference for the theta rule:
@@ -1080,34 +1019,6 @@ def test_verbatim_moment_integral_on_one_nine():
 def test_quadrature_error_when_depth_exhausted():
     with pytest.raises(QuadratureError):
         moment_quadrature(Params.exact(F(11, 8), F(6, 5)), 20)
-
-
-def test_moment_quadrature_domain_checks():
-    with pytest.raises(ValueError):
-        moment_quadrature(Params.exact(1, 1), 0)
-    with pytest.raises(ValueError):
-        moment_quadrature(Params.exact(2, 1), -1)
-
-
-def test_cumulant_quadrature_domain_checks():
-    with pytest.raises(ValueError, match="1 < t <= 4/3"):
-        cumulant_quadrature("p2", 0.9, 0)
-    with pytest.raises(ValueError, match="1 < t <= 4/3"):
-        cumulant_quadrature("p2", 1.0, 0)  # t must exceed 1
-    with pytest.raises(ValueError, match="1 < t <= 4/3"):
-        cumulant_quadrature("p2", 1.5, 0)  # t above 4/3
-    with pytest.raises(ValueError, match="3/5 <= t <= 3/2"):
-        cumulant_quadrature("p3", 0.4, 0)
-    with pytest.raises(ValueError, match="3/5 <= t <= 3/2"):
-        cumulant_quadrature("p3", 1.6, 0)
-    with pytest.raises(ValueError, match="unknown case"):
-        cumulant_quadrature("nope", 1.2, 0)
-    with pytest.raises(ValueError, match="unknown case"):
-        cumulant_quadrature("hankel", 1.0, 0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        cumulant_quadrature("p3", 1.2, -1)
-    with pytest.raises(ValueError):
-        kernels.cumulant_quad("p4", 1.0, 0)
 
 
 def _c9(monkeypatch, case, f):

@@ -1,4 +1,16 @@
-"""Positivity layer: psi criterion, the boundary curve g, exact Hankel verdicts."""
+"""Positivity layer: psi criterion, the boundary curve g, exact Hankel verdicts.
+
+Each property is checked once.  test_the_grid_samples_follow_p holds psi_min's floats against
+a pointwise scan, and test_psi_min_landmarks its landmarks.  test_g_matches_the_50_digit_reference
+holds g against its reference, which reads 1, 1/5 and 0 at p = 1, 3/2 and 2;
+test_g_meets_the_bisection holds g against a bisection of psi_min, and
+test_g_needs_no_scan_from_two_on g = 0 from p = 2 on.  test_hankel_report_matches_brute_force
+holds Hankel minors and verdicts against the Leibniz brute force, with the pinned sections as
+examples; only the size-10 Catalan section, too slow for the brute force, is a test of its own.
+test_classify_pins_read_the_same_through_classify_row holds the classification pins,
+test_infdiv_pins the divisibility pins, and test_posdef_error_messages every refusal of the
+layer with its message.
+"""
 
 import cmath
 import inspect
@@ -90,32 +102,23 @@ def test_psi_is_affine_in_re_b_along_the_root_curve():
         assert abs(x * (b - 1.0) - b**p) <= 1e-12 * (x * abs(b - 1.0) + abs(b) ** p), (p, phi)
 
 
-def test_psi_domain_checks():
-    with pytest.raises(ValueError, match="p >= 1"):
-        psi_min(0.9, 1.0)
-    for t in (math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError, match="finite"):
-            psi_min(2.0, t)
-
-
 def test_psi_min_landmarks():
-    assert psi_min(1.0, 1.0)[0] == pytest.approx(0.0, abs=1e-14)
-    assert psi_min(2.0, 0.0)[0] == pytest.approx(0.0, abs=1e-14)
-    # the critical deformation at p = 3/2: the minimum just touches zero
-    assert psi_min(1.5, 0.2)[0] == pytest.approx(0.0, abs=1e-9)
+    # (p, t, an open interval that holds the minimum, the angle it is within 0.05 of): the
+    # minimum touches 0 at t = 1 for p = 1, at t = 0 for p = 2 and at the critical deformation
+    # t = 1/5 for p = 3/2, where psi vanishes at phi*; just below, it is negative near phi*
+    rows = [
+        (1.0, 1.0, -1e-14, 1e-14, None),
+        (2.0, 0.0, -1e-14, 1e-14, None),
+        (1.5, 0.2, -1e-9, 1e-9, None),
+        (1.5, 0.19, -math.inf, -0.009, PHI_STAR),
+        (1.5, 0.1, -math.inf, -0.01, None),
+        (1.0, 0.5, -0.5 - 1e-10, -0.5 + 1e-10, None),
+    ]
+    for p, t, low, high, angle in rows:
+        value, phi = psi_min(p, t)
+        assert low < value < high, (p, t, value)
+        assert angle is None or abs(phi - angle) < 0.05, (p, t, phi)
     assert kernels.psi(1.5, 0.2, PHI_STAR) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_psi_min_locates_the_critical_angle():
-    # just below the critical deformation the minimum is negative, near phi*
-    value, phi = psi_min(1.5, 0.19)
-    assert value < -0.009
-    assert abs(phi - PHI_STAR) < 0.05
-
-
-def test_psi_min_flags_negative_regions():
-    assert psi_min(1.5, 0.1)[0] < -0.01
-    assert psi_min(1.0, 0.5)[0] == pytest.approx(-0.5, abs=1e-10)
 
 
 def test_psi_min_reports_a_float_limit():
@@ -127,17 +130,6 @@ def test_psi_min_reports_a_float_limit():
     for p, t in ((1.5, 1e307), (1.5, 6e307), (1.5, -6e307), (3.0, 8e307)):
         value = psi_min(p, t)[0]
         assert math.isfinite(value) and value == pytest.approx(-abs(t), rel=1e-15), (p, t)
-
-
-def test_g_landmark_values():
-    assert g_of_p(1.5) == pytest.approx(0.2, abs=1e-12)
-    assert g_of_p(2.0) <= 1e-6
-    assert g_of_p(1.0) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_g_vanishes_beyond_two():
-    for p in (2.0, 2.5, 3.0, 4.0, 7.0):
-        assert g_of_p(p) == 0.0
 
 
 def test_g_strictly_decreasing_on_the_unit_gap():
@@ -216,13 +208,11 @@ def _g_bisection(p):
     return hi
 
 
-def test_psi_min_is_pointwise_psi_and_g_meets_the_bisection():
+def test_g_meets_the_bisection():
     rng = random.Random(7312)
     ps = [1.0, 1.5, 2.0, 3.0, 7.0, 20.0] + [1.0 + 3.0 * rng.random() for _ in range(4)]
     for p in ps:
         assert 0.0 <= _g_bisection(p) - g_of_p(p) <= 1e-9, p
-        for t in (0.0, rng.random(), 2.0 * rng.random()):
-            assert kernels.psi_min(p, t) == _psi_min_pointwise(p, t), (p, t)
 
 
 def _g_reference(p, points=1000):
@@ -260,8 +250,11 @@ def _g_reference(p, points=1000):
      2.0 - 1e-6, 2.0 - 1e-9, 2.0, 3.0, 7.0, 20.0],
 )
 def test_g_matches_the_50_digit_reference(p):
-    # next to p = 2, g is its true positive value: g(2 - 1e-6) is 6.17e-13
-    assert abs(g_of_p(p) - _g_reference(p)) <= 1e-14
+    # next to p = 2, g is its true positive value: g(2 - 1e-6) is 6.17e-13; the reference reads
+    # g(1) = 1, g(3/2) = 1/5 and g(2) = 0
+    reference = _g_reference(p)
+    assert reference == {1.0: 1.0, 1.5: 0.2, 2.0: 0.0}.get(p, reference)
+    assert abs(g_of_p(p) - reference) <= 1e-14
 
 
 @settings(max_examples=60)
@@ -364,7 +357,7 @@ def test_psi_is_nonnegative_left_of_the_arc(p, u):
 
 def test_g_needs_no_scan_from_two_on(monkeypatch):
     rng = random.Random(2718)
-    ps = [2.0, math.nextafter(2.0, math.inf), 2.5, 3.0, 7.0, 1e6, 1e307]
+    ps = [2.0, math.nextafter(2.0, math.inf), 2.5, 3.0, 4.0, 7.0, 1e6, 1e307]
     ps += [rng.uniform(2.0, 100.0) for _ in range(20)]
     # the scan the shortcut skips would find psi(p, 0, .) >= 0, so g(p) = 0 either way
     for p in ps:
@@ -418,11 +411,6 @@ def test_flat_scans_refine_one_cell_per_run(monkeypatch):
     assert len(calls) <= 2
 
 
-def test_g_rejects_small_p():
-    with pytest.raises(ValueError):
-        g_of_p(0.99)
-
-
 def test_theorem_interval_endpoints():
     lower, upper = theorem_interval(2)
     assert lower == 0.0
@@ -439,29 +427,6 @@ def test_hankel_catalan_minors_are_all_one():
     # the section is read from index 0, so a table that starts elsewhere is refused
     with pytest.raises(ValueError):
         hankel_report(constellation_table(3, 5), 2)
-
-
-def test_hankel_rank_one_is_semidefinite():
-    report = hankel_report([F(1)] * 9, 5)
-    assert report.minors == [F(1), F(0), F(0), F(0), F(0)]
-    assert report.verdict == "positive_semidefinite"
-
-
-def test_hankel_indefinite_section():
-    moments = moment_series(Params.exact(1, F(1, 2)), 2)
-    report = hankel_report([moments.coefficient(k) for k in range(3)], 2)
-    assert report.minors == [F(1), F(-1, 4)]
-    assert report.verdict == "indefinite"
-
-
-def test_hankel_zero_diagonal_with_coupling_is_indefinite():
-    # [[0, 1], [1, 0]] has eigenvalues +-1
-    assert hankel_report([F(0), F(1), F(0)], 2).verdict == "indefinite"
-    # the second pivot of [[1, 1, 1], [1, 1, 2], [1, 2, 5]] is 0 facing 1,
-    # yet the next leading minor does not vanish
-    report = hankel_report([F(1), F(1), F(1), F(2), F(5)], 3)
-    assert report.minors == [F(1), F(0), F(-1)]
-    assert report.verdict == "indefinite"
 
 
 def test_hankel_needs_no_determinant_without_breakdown(monkeypatch):
@@ -533,8 +498,22 @@ def _sections(draw):
     return values, size
 
 
+# two atoms: rank 2, so the third pivot is 0 and every later row vanishes
+_TWO_ATOMS = [F(1, 3) * F(1, 2) ** k + F(2, 3) * F(-3, 2) ** k for k in range(11)]
+
+
 @settings(max_examples=300)
 @given(_sections())
+@example(([F(1)] * 9, 5))  # rank one: positive semidefinite
+@example((moment_series(Params.exact(1, F(1, 2)), 2).coeffs, 2))  # minors 1, -1/4: indefinite
+@example(([F(0), F(1), F(0)], 2))  # [[0, 1], [1, 0]] has eigenvalues +-1
+# the second pivot of [[1, 1, 1], [1, 1, 2], [1, 2, 5]] is 0 facing 1, yet the next leading
+# minor does not vanish
+@example(([F(1), F(1), F(1), F(2), F(5)], 3))
+@example((_TWO_ATOMS, 6))  # minors 1, 8/9, then 0: positive semidefinite
+# a zero row at index 1 of [[1, 1, 1], [1, 1, 1], [1, 1, v4]], then a pivot of the sign of v4 - 1
+@example(([F(1), F(1), F(1), F(1), F(2)], 3))
+@example(([F(1), F(1), F(1), F(1), F(0)], 3))
 def test_hankel_report_matches_brute_force(section):
     values, size = section
     report = hankel_report(values, size)
@@ -662,26 +641,6 @@ def test_hankel_minors_are_the_leading_determinants(monkeypatch, size):
         assert (len(calls) > 1) == (t == 0), (p, t)
 
 
-def test_hankel_zero_row_mid_section_keeps_the_elimination_exact():
-    # two atoms: rank 2, so the third pivot is 0 and every later row vanishes
-    atoms = [(F(1, 2), F(1, 3)), (F(-3, 2), F(2, 3))]
-    values = [sum(w * x**k for x, w in atoms) for k in range(11)]
-    report = hankel_report(values, 6)
-    assert report.minors == [F(1), F(8, 9), F(0), F(0), F(0), F(0)]
-    assert report.verdict == "positive_semidefinite"
-    # [[1, 1, 1], [1, 1, 1], [1, 1, 2]]: a zero row at index 1, then a positive pivot
-    assert hankel_report([F(1), F(1), F(1), F(1), F(2)], 3).verdict == "positive_semidefinite"
-    # [[1, 1, 1], [1, 1, 1], [1, 1, 0]]: a zero row at index 1, then a negative pivot
-    assert hankel_report([F(1), F(1), F(1), F(1), F(0)], 3).verdict == "indefinite"
-
-
-def test_hankel_input_validation():
-    with pytest.raises(ValueError):
-        hankel_report([F(1)] * 4, 3)
-    with pytest.raises(ValueError):
-        hankel_report([F(1)], 0)
-
-
 def test_hankel_refuses_floats():
     # a binary float would enter the exact analysis as its dyadic value: 1/3 as
     # 6004799503160661/18014398509481984, and the minor of order 2 as 1501199875790165/2^54;
@@ -692,12 +651,6 @@ def test_hankel_refuses_floats():
     assert hankel_report(["1", "1/2", "1/3"], 2).minors == [F(1), F(1, 12)]
 
 
-def test_hankel_accepts_table_or_plain_sequence():
-    table = catalan_table(8)
-    assert hankel_report(table, 4) == hankel_report(list(table.values), 4)
-    assert isinstance(hankel_report([1, 1, 2], 2), HankelVerdict)
-
-
 @pytest.mark.parametrize(
     "values, size",
     [
@@ -705,6 +658,8 @@ def test_hankel_accepts_table_or_plain_sequence():
         ([F(0), F(1), F(0)], 2),
         ([F(1), F(1), F(1), F(2), F(5)], 3),  # the breakdown branch, minors from shifts
         ([F(2), F(-6, 5), F(1), F(0), F(7, 2), F(3, 8), F(11, 6)], 4),
+        (catalan_table(8).values, 4),  # a longer table than the section reads
+        ([F(1), F(1), F(2)], 2),
     ],
 )
 def test_hankel_input_forms_give_one_report(values, size):
@@ -716,7 +671,7 @@ def test_hankel_input_forms_give_one_report(values, size):
     assert report == hankel_report([str(v) for v in values], size)
     assert report == hankel_report((v for v in values), size)
     scaled = hankel_report([int(v * scale) for v in values], size)
-    assert scaled.verdict == report.verdict
+    assert isinstance(scaled, HankelVerdict) and scaled.verdict == report.verdict
     assert scaled.minors == [m * scale ** (k + 1) for k, m in enumerate(report.minors)]
     assert hankel_report([int(v) for v in values], size) == hankel_report(
         [F(int(v)) for v in values], size
@@ -780,19 +735,6 @@ def test_classify_row_gives_each_cell_the_verdicts_of_classify_point(p, ts, size
     row = list(classify_row(p, ts, size))
     points = [classify_point(Params.exact(p, t), size) for t in ts]
     assert row == [(point["theorem_verdict"], point["hankel"].verdict) for point in points]
-
-
-@pytest.mark.parametrize(
-    "p, t, size, verdict",
-    [
-        (1, F(1), 5, "positive_semidefinite"),  # a zero pivot and a vanishing row from order 2 on
-        (F(3, 2), F(0), 3, "indefinite"),  # the second pivot is 0 facing a nonzero entry
-    ],
-)
-def test_classify_row_at_a_zero_pivot(p, t, size, verdict):
-    point = classify_point(Params.exact(p, t), size)
-    assert point["hankel"].verdict == verdict
-    assert list(classify_row(p, [t], size)) == [(point["theorem_verdict"], verdict)]
 
 
 def _count_pivot_reads(monkeypatch):
@@ -897,41 +839,35 @@ def test_domain_grid_cross_checks_every_cell(monkeypatch, capsys):
     assert capsys.readouterr().out.endswith("2/1,2/1,false,indefinite\n")
 
 
-def test_classify_inside_the_admissible_interval():
-    record = classify_point(Params.exact(5, F(5, 3)), 6)
-    assert record["theorem_verdict"] is True
-    assert record["hankel"].verdict == "positive_definite"
-    record = classify_point(Params.exact(F(3, 2), F(1, 5)), 6)
-    assert record["theorem_verdict"] is True
-    assert record["hankel"].verdict == "positive_definite"
-    record = classify_point(Params.exact(2, F(4, 3)), 6)
-    assert record["theorem_verdict"] is True
-    assert record["hankel"].verdict == "positive_definite"
+_PD, _PSD, _IND = "positive_definite", "positive_semidefinite", "indefinite"
 
 
-def test_classify_outside_the_admissible_interval():
-    record = classify_point(Params.exact(2, F(7, 5)), 8)
-    assert record["theorem_verdict"] is False
-    assert record["hankel"].verdict == "indefinite"
-    record = classify_point(Params.exact(F(3, 2), F(1, 10)), 6)
-    assert record["theorem_verdict"] is False
-
-
-def test_classify_input_validation():
-    with pytest.raises(ValueError):
-        classify_point(Params.exact(F(1, 2), F(1)), 4)
-
-
-def test_classify_grid_is_coherent():
-    ps = (F(1), F(3, 2), F(2), F(3), F(4))
-    ts = (F(-1, 2), F(0), F(1, 5), F(1, 2), F(1), F(4, 3), F(3, 2), F(2))
-    for p in ps:
-        for t in ts:
-            record = classify_point(Params.exact(p, t), 4)
-            assert set(record) == {"theorem_verdict", "hankel"}
-            if record["theorem_verdict"]:
-                # positive definiteness forces the quadratic necessary condition
-                assert necessary_gap(Params.exact(p, t)) >= F(-1, 10**6)
+def test_classify_pins_read_the_same_through_classify_row():
+    # (p, t, size, theorem verdict, Hankel verdict), then a grid at size 4 whose verdicts are
+    # not pinned: each is one point's record, which classify_row gives again, and where the
+    # theorem holds, positive definiteness forces the quadratic necessary condition
+    rows = [
+        (5, F(5, 3), 6, True, _PD),
+        (F(3, 2), F(1, 5), 6, True, _PD),
+        (2, F(4, 3), 6, True, _PD),
+        (2, F(7, 5), 8, False, _IND),
+        (F(3, 2), F(1, 10), 6, False, _IND),
+        (1, F(1), 5, True, _PSD),  # a zero pivot and a vanishing row from order 2 on
+        (F(3, 2), F(0), 3, False, _IND),  # the second pivot is 0 facing a nonzero entry
+    ]
+    rows += [
+        (p, t, 4, None, None)
+        for p in (F(1), F(3, 2), F(2), F(3), F(4))
+        for t in (F(-1, 2), F(0), F(1, 5), F(1, 2), F(1), F(4, 3), F(3, 2), F(2))
+    ]
+    for p, t, size, theorem, verdict in rows:
+        record = classify_point(Params.exact(p, t), size)
+        assert set(record) == {"theorem_verdict", "hankel"}
+        got = (record["theorem_verdict"], record["hankel"].verdict)
+        assert theorem is None or got == (theorem, verdict), (p, t, size, got)
+        assert list(classify_row(p, [t], size)) == [got], (p, t, size)
+        if got[0]:
+            assert necessary_gap(Params.exact(p, t)) >= F(-1, 10**6), (p, t)
 
 
 def test_hankel_failure_size_bound_above_the_upper_edge():
@@ -960,26 +896,27 @@ def test_indefiniteness_persists_in_larger_sections():
     assert seen_bad
 
 
-def test_infdiv_small_deformation_fails():
-    report = infdiv_check(2, F(1, 2), 2)
-    assert report.minors == [F(5, 4), F(-21, 64)]
-    assert report.verdict == "indefinite"
-
-
-def test_infdiv_free_poisson_degenerate_case():
-    report = infdiv_check(2, F(0), 4)
-    assert report.minors == [F(1), F(0), F(0), F(0)]
-    assert report.verdict == "positive_semidefinite"
-
-
-def test_infdiv_inside_the_divisibility_windows():
-    for p, t in ((2, F(7, 6)), (2, F(4, 3)), (3, F(1)), (3, F(3, 2)), (3, F(1, 2))):
-        assert infdiv_check(p, t, 5).verdict != "indefinite", (p, t)
-
-
-def test_infdiv_outside_the_divisibility_windows():
-    for p, t in ((2, F(1, 2)), (2, F(3, 4)), (3, F(2)), (2, F(3, 2))):
-        assert infdiv_check(p, t, 5).verdict == "indefinite", (p, t)
+def test_infdiv_pins():
+    # (p, t, size, verdict, minors or None): a small deformation fails, the free Poisson case
+    # t = 0 is degenerate, and at size 5 the points inside the divisibility windows pass, those
+    # outside fail
+    rows = [
+        (2, F(1, 2), 2, _IND, [F(5, 4), F(-21, 64)]),
+        (2, F(0), 4, _PSD, [F(1), F(0), F(0), F(0)]),
+        (2, F(7, 6), 5, _PD, None),
+        (2, F(4, 3), 5, _PD, None),
+        (3, F(1), 5, _PD, None),
+        (3, F(3, 2), 5, _PD, None),
+        (3, F(1, 2), 5, _PD, None),
+        (2, F(1, 2), 5, _IND, None),
+        (2, F(3, 4), 5, _IND, None),
+        (3, F(2), 5, _IND, None),
+        (2, F(3, 2), 5, _IND, None),
+    ]
+    for p, t, size, verdict, minors in rows:
+        report = infdiv_check(p, t, size)
+        assert report.verdict == verdict, (p, t, size)
+        assert minors is None or report.minors == minors, (p, t, size)
 
 
 def test_infdiv_checks_the_moment_route_against_the_closed_r(monkeypatch, capsys):
@@ -999,11 +936,24 @@ def test_infdiv_checks_the_moment_route_against_the_closed_r(monkeypatch, capsys
     assert "internal contradiction" in capsys.readouterr().err
 
 
-def test_infdiv_covers_only_the_closed_description():
-    with pytest.raises(ValueError):
-        infdiv_check(4, F(1), 3)
-    with pytest.raises(ValueError):
-        infdiv_check(F(3, 2), F(1), 3)
+def test_posdef_error_messages():
+    half = Params.exact(F(1, 2), F(1))
+    cases = [
+        (lambda: psi_min(0.9, 1.0), "psi requires p >= 1"),
+        (lambda: psi_min(2.0, math.inf), "t must be finite"),
+        (lambda: psi_min(2.0, -math.inf), "t must be finite"),
+        (lambda: psi_min(2.0, math.nan), "t must be finite"),
+        (lambda: g_of_p(0.99), "g is defined for p >= 1"),
+        (lambda: hankel_report([F(1)] * 4, 3), "need at least 5 sequence values, got 4"),
+        (lambda: hankel_report([F(1)], 0), "size must be positive"),
+        (lambda: classify_point(half, 4), "the classification covers p >= 1"),
+        (lambda: infdiv_check(4, F(1), 3), "the divisibility check covers p in {2, 3}"),
+        (lambda: infdiv_check(F(3, 2), F(1), 3), "the divisibility check covers p in {2, 3}"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_infdiv_default_size_is_the_cli_default():

@@ -1,16 +1,15 @@
-"""Repository hygiene: the README's library tour runs and its CLI tour shows what the
-commands print, no build artifact is tracked, neither hypothesis profile sets a deadline,
-the runtime imports only the standard library and itself, the benchmark's layer tracer still
-finds every entry point it wraps and wraps every kernel the package calls but the per-point
-ones, the commands reach every public function but a listed few, a fault planted in each shared
-mechanism fails the ``verify`` criteria and sets the CLI exit codes it names, the two sides of
-each cross-check share no package function outside its ledger, the float kernels keep
-no state between calls and evaluate no more than their old memos did, every name in an
-``__all__`` resolves, every seam of ``tests/seams.py`` resolves and no other test module
-names a private mechanism, the package re-exports each module's ``__all__`` once and resolves
-the names of its lazy layers on first use, importing the CLI loads only what every
-command needs, and the package's records keep their fields, constructors and
-(im)mutability.
+"""Repository hygiene: the README's library tour runs, its CLI tour shows what the commands print
+and every test it names exists, no build artifact is tracked, neither hypothesis profile sets a
+deadline, the runtime imports only the standard library and itself, the benchmark's layer
+tracer still finds every entry point it wraps and wraps every kernel the package calls but the
+per-point ones, the commands reach every public function but a listed few, a fault planted in
+each shared mechanism fails the ``verify`` criteria and sets the CLI exit codes it names, the
+two sides of each cross-check share no package function outside its ledger, the float kernels
+keep no state between calls and evaluate no more than their old memos did, every name in an
+``__all__`` resolves, every seam of ``tests/seams.py`` resolves and no other test module names
+a private mechanism, the package re-exports each module's ``__all__`` once and resolves the
+names of its lazy layers on first use, importing the CLI loads only what every command needs,
+and the package's records keep their fields, constructors and (im)mutability.
 
 The planted faults, the commands they are run against, the cross-check ledger and the list
 of unreached public functions are tables of ``tests/seams.py``, the one test module that
@@ -36,6 +35,7 @@ import pytest
 from hypothesis import settings
 
 import seams
+from fussdeform.density import DensitySample
 from fussdeform.exact_seq import Params, SeqTable
 from fussdeform.posdef import HankelVerdict
 from fussdeform.series import CumulantTable, TruncSeries
@@ -91,6 +91,16 @@ def test_readme_cli_tour_matches(capsys):
         rest = iter(out)
         missing = [line for line in shown if line != "..." and line not in rest]
         assert missing == [], argv
+
+
+def test_every_test_the_readme_names_exists():
+    # a test function or module the README cites by name must still be under tests/
+    names = set()
+    for path in (ROOT / "tests").glob("test_*.py"):
+        names.add(path.stem)
+        names.update(re.findall(r"^def (test_\w+)", path.read_text(encoding="utf-8"), re.MULTILINE))
+    cited = set(re.findall(r"\btest_\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    assert cited and sorted(cited - names) == []
 
 
 def test_no_tracked_file_is_ignored():
@@ -551,6 +561,7 @@ _RECORDS = {
         "detail": "ok",
         "seconds": 0.5,
     },
+    DensitySample: {"x": 0.5, "phi": 1.0, "value": 0.25},
 }
 
 
@@ -559,6 +570,7 @@ def test_record_fields_are_fixed(cls):
     fields = _RECORDS[cls]
     record = cls(**fields)
     assert record == cls(*fields.values())
+    assert getattr(cls, "_fields", tuple(fields)) == tuple(fields)
     assert pickle.loads(pickle.dumps(record)) == record
     for duplicate in (copy.copy(record), copy.deepcopy(record)):
         assert duplicate == record and type(duplicate) is cls
