@@ -37,6 +37,7 @@ from .exact_seq import (
     Params,
     SeqTable,
     _A220910_METHODS,
+    _printable,
     _raney_run,
     a022558_table,
     a220910_table,
@@ -95,6 +96,8 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     n = args.n
     if n < 0:
         raise ValueError("--n must be nonnegative")
+    # the tables of a, raney and constellation stop at the first value past the digit limit,
+    # before the larger ones after it are built
     if args.subject == "a":
         if args.p is None or args.t is None:
             raise ValueError("seq a needs --p and --t")
@@ -104,7 +107,7 @@ def _cmd_seq(args: argparse.Namespace) -> int:
             raise ValueError("seq raney needs --p and --r")
         p = parse_rational(args.p)
         r = parse_rational(args.r)
-        values = _raney_run(p, r, range(n + 1))
+        values = _printable(_raney_run(p, r, range(n + 1)))
         table = SeqTable(f"raney(p={rational_str(p)};r={rational_str(r)})", 0, values)
     elif args.subject == "constellation":
         if args.p is None:

@@ -33,7 +33,10 @@ b^(n-1) are carried.  A direct product seeds each residue class mod b, and
 stays in use where the step takes at least as many factors (2a - b >= n - 1 for
 a Raney numerator), at p <= 1, and after a 0 (r <= 0 can give one).  The Raney
 numerators (_raney_step) and the closed product (_closed_step) step by separate
-code, so the affine vs closed check still compares two derivations.
+code, so the affine vs closed check still compares two derivations.  The runs
+are generators, so a printed table (deformed_table, constellation_table, the
+Raney table of ``seq raney``) stops at its first value of more digits than
+str() prints (_printable) and builds none of the larger ones after it.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import sys
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 from operator import add, mul
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .errors import DigitLimitError, InconsistencyError
 
@@ -94,6 +97,19 @@ def _digit_limit() -> DigitLimitError:
         f"an exact value has more than {sys.get_int_max_str_digits()} digits, "
         "too many for fussdeform to print"
     )
+
+
+def _printable(values: Iterable[Fraction]) -> Iterator[Fraction]:
+    """The values of a run as it makes them, up to the first whose reduced numerator or
+    denominator has more digits than str() prints: that one raises the digit limit's error
+    before the run builds a larger one."""
+    limit = sys.get_int_max_str_digits() or float("inf")  # 0 sets no limit
+    bits = 3 * limit  # 10^limit > 2^bits, so only a number of more bits can reach it
+    for value in values:
+        num, den = value.as_integer_ratio()
+        if (num.bit_length() > bits or den.bit_length() > bits) and max(abs(num), den) >= 10**limit:
+            raise _digit_limit()
+        yield value
 
 
 def rational_str(value: Fraction) -> str:
@@ -160,12 +176,12 @@ class SeqTable:
 
 def _raney_num(p: Fraction | int, r: Fraction | int, n: int) -> int:
     # The numerator of raney(p, r, n) for n >= 1 over d (b d)^(n-1) n!, with
-    # p = a/b and r = c/d: c * prod_{i=1}^{n-1} (n a d + c b - i b d).
+    # p = a/b and r = c/d: c * prod_{i=1}^{n-1} (n a d + c b - i b d), 0 at c = 0.
     a, b = p.numerator, p.denominator
     c, d = r.numerator, r.denominator
     bd = b * d
     base = n * a * d + c * b
-    return c * prod(range(base - bd, base - n * bd, -bd))
+    return c and c * prod(range(base - bd, base - n * bd, -bd))
 
 
 def _raney_step(num: int, new: range, dropped: range) -> int:
@@ -174,7 +190,7 @@ def _raney_step(num: int, new: range, dropped: range) -> int:
     return num * prod(new) // prod(dropped)
 
 
-def _raney_nums(p: Fraction | int, r: Fraction | int, ns: range) -> list[int]:
+def _raney_nums(p: Fraction | int, r: Fraction | int, ns: range) -> Iterator[int]:
     """_raney_num(p, r, n) for each n >= 1 of the run ns (step 1).  Where p = a/b > 1,
     2a - b < n - 1 and the run holds a nonzero numerator at n - b, the n - 1 factors of n are
     those of n - b moved up by b d: a new ones at the top, a - b dropped at the bottom
@@ -187,22 +203,23 @@ def _raney_nums(p: Fraction | int, r: Fraction | int, ns: range) -> list[int]:
             top = n * a * r.denominator + r.numerator * b - bd
             low = top - (n - 2) * bd  # the n - 1 factors run from top down to low
             dropped = range(low - (a - b) * bd, low, bd)
-            nums.append(_raney_step(nums[-b], range(top, top - a * bd, -bd), dropped))
+            num = _raney_step(nums[-b], range(top, top - a * bd, -bd), dropped)
         else:
-            nums.append(_raney_num(p, r, n))
-    return nums
+            num = _raney_num(p, r, n)
+        nums.append(num)
+        yield num
 
 
-def _raney_run(p: Fraction, r: Fraction, ns: range) -> list[Fraction]:
+def _raney_run(p: Fraction, r: Fraction, ns: range) -> Iterator[Fraction]:
     """raney(p, r, n) for n in ns (step 1): _raney_nums over d (b d)^(n-1) n!, carried."""
     bd = p.denominator * r.denominator
     run = range(max(ns.start, 1), ns.stop)
-    values = [Fraction(1)] if 0 in ns else []
+    if 0 in ns:
+        yield Fraction(1)
     den = r.denominator * bd ** (run.start - 1) * factorial(run.start)
     for n, num in zip(run, _raney_nums(p, r, run)):
-        values.append(Fraction(num, den))
+        yield Fraction(num, den)
         den *= bd * (n + 1)
-    return values
 
 
 def raney(p: RationalLike, r: RationalLike, n: int) -> Fraction:
@@ -219,7 +236,7 @@ def raney(p: RationalLike, r: RationalLike, n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _raney_run(parse_rational(p), parse_rational(r), range(n, n + 1))[0]
+    return next(_raney_run(parse_rational(p), parse_rational(r), range(n, n + 1)))
 
 
 def _same(num: int, den: int, other_num: int, other_den: int) -> bool:
@@ -242,18 +259,18 @@ def _cleared(pairs: Iterable[tuple[int, int]], s: int) -> tuple[list[int], int]:
     return [num * (common // den) for num, den in reduced], common
 
 
-def _fuss_terms(p: Fraction | int, ns: range) -> list[tuple[int, int, int]]:
+def _fuss_terms(p: Fraction | int, ns: range) -> Iterator[tuple[int, int, int]]:
     """(R1, R2, D) for each n of the run ns (step 1): raney(p, 1, n) = R1 / D and
     raney(p, 2, n) = R2 / D over their common denominator D = b^(n-1) n!, p = a/b
     (see _raney_nums, r an integer); (1, 1, 1) at n = 0.  D is carried along the run."""
     b = p.denominator
     run = range(max(ns.start, 1), ns.stop)
-    parts = [(1, 1, 1)] if 0 in ns else []
+    if 0 in ns:
+        yield 1, 1, 1
     den = 0  # D of the previous n, 0 before the first n >= 1
     for n, one, two in zip(run, _raney_nums(p, 1, run), _raney_nums(p, 2, run)):
         den = den * b * n if den else b ** (n - 1) * factorial(n)
-        parts.append((one, two, den))
-    return parts
+        yield one, two, den
 
 
 def _fuss_parts(p: Fraction, order: int) -> list[tuple[int, int, int]]:
@@ -269,7 +286,7 @@ def _fuss_parts(p: Fraction, order: int) -> list[tuple[int, int, int]]:
     if order < 0:
         raise ValueError("order must be nonnegative")
     b = p.denominator
-    parts = _fuss_terms(p, range(order + 1))
+    parts = list(_fuss_terms(p, range(order + 1)))
     ones = [1]
     binom = [1]  # row n of Pascal's triangle
     for n, (one, two, _) in enumerate(parts[1:], 1):
@@ -287,12 +304,12 @@ def _fuss_parts(p: Fraction, order: int) -> list[tuple[int, int, int]]:
     return parts
 
 
-def _affine(parts: list[tuple[int, int, int]], t: Fraction) -> list[tuple[int, int]]:
+def _affine(parts: Iterable[tuple[int, int, int]], t: Fraction) -> Iterator[tuple[int, int]]:
     """t raney(p, 1, n) + (1 - t) raney(p, 2, n) for each part (R1, R2, D) of _fuss_terms,
     as unreduced pairs: with t = u/v, (u R1 + (v - u) R2, v D); (v, v) at n = 0."""
     u, v = t.numerator, t.denominator
     w = v - u
-    return [(u * one + w * two, v * den) for one, two, den in parts]
+    return ((u * one + w * two, v * den) for one, two, den in parts)
 
 
 def _closed_step(num: int, new: range, dropped: range) -> int:
@@ -301,7 +318,7 @@ def _closed_step(num: int, new: range, dropped: range) -> int:
     return num * prod(new) // prod(dropped)
 
 
-def _deformed_closed_parts(p: Fraction | int, t: Fraction, ns: range) -> list[tuple[int, int]]:
+def _deformed_closed_parts(p: Fraction | int, t: Fraction, ns: range) -> Iterator[tuple[int, int]]:
     # a_n(p, t) for n in ns (step 1) by the single product form with the vanishing linear
     # factors cancelled, so it stays well defined when (n p - n + 1)(n p - n + 2) has a zero
     # factor.  For p = a/b and t = u/v: P_n = prod_{i<n-2} (n a - i b) times the last factor
@@ -311,10 +328,9 @@ def _deformed_closed_parts(p: Fraction | int, t: Fraction, ns: range) -> list[tu
     u, v = t.numerator, t.denominator
     last = {}  # P_n of the last n of each residue class mod b
     den = 0  # the denominator of the previous n, 0 before the first n >= 2
-    pairs = []
     for n in ns:
         if n < 2:
-            pairs.append(((1, 1), (2 * v - u, v))[n])
+            yield ((1, 1), (2 * v - u, v))[n]
             continue
         top, low = n * a, n * a - (n - 3) * b  # the n - 2 factors run from top down to low
         num = last.pop(n - b, 0)
@@ -324,22 +340,20 @@ def _deformed_closed_parts(p: Fraction | int, t: Fraction, ns: range) -> list[tu
             num = prod(range(top, low - b, -b))
         last[n] = num
         den = den * b * n if den else b ** (n - 1) * v * factorial(n)
-        pairs.append((num * (n * (2 * a * v - u * b - a * u) + 2 * b * v), den))
-    return pairs
+        yield num * (n * (2 * a * v - u * b - a * u) + 2 * b * v), den
 
 
-def _deformed_parts(p: Fraction | int, t: Fraction, ns: range) -> list[tuple[int, int]]:
+def _deformed_parts(p: Fraction | int, t: Fraction, ns: range) -> Iterator[tuple[int, int]]:
     """a_n(p, t) for n in ns as unreduced integer pairs, the affine route checked against
     the closed one at every n."""
-    pairs = _affine(_fuss_terms(p, ns), t)
     closed = _deformed_closed_parts(p, t, ns)
-    for n, (num, den), (closed_num, closed_den) in zip(ns, pairs, closed):
+    for n, (num, den), (closed_num, closed_den) in zip(ns, _affine(_fuss_terms(p, ns), t), closed):
         if not _same(num, den, closed_num, closed_den):
             raise InconsistencyError(
                 f"a_{n}({p},{t}): affine route {Fraction(num, den)} "
                 f"!= closed form {Fraction(closed_num, closed_den)}"
             )
-    return pairs
+        yield num, den
 
 
 def deformed_fuss(params: Params, n: int) -> Fraction:
@@ -351,29 +365,28 @@ def deformed_fuss(params: Params, n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return Fraction(*_deformed_parts(params.p, params.t, range(n, n + 1))[0])
+    return Fraction(*next(_deformed_parts(params.p, params.t, range(n, n + 1))))
 
 
 def deformed_table(params: Params, n_max: int) -> SeqTable:
-    """SeqTable of a_0(p,t) .. a_{n_max}(p,t)."""
+    """SeqTable of a_0(p,t) .. a_{n_max}(p,t), up to the first value past the digit limit."""
     p, t = params.p, params.t
-    values = [Fraction(num, den) for num, den in _deformed_parts(p, t, range(n_max + 1))]
     try:
         label = f"a(p={p};t={t})"
     except ValueError:  # str(Fraction) past the digit limit
         raise _digit_limit() from None
-    return SeqTable(label=label, offset=0, values=values)
+    pairs = _deformed_parts(p, t, range(n_max + 1))
+    return SeqTable(label, 0, _printable(Fraction(num, den) for num, den in pairs))
 
 
-def _constellation_parts(p: int, ns: range) -> list[tuple[int, int]]:
+def _constellation_parts(p: int, ns: range) -> Iterator[tuple[int, int]]:
     # C_p(n) for n in ns (step 1): binom(np, n) / ((np-n+1)(np-n+2)) cancels to
     # P_n / n!, P_n = prod_{i<n-2} (np - i), times (p + 1) p^(n-1).  When 2p - 1 < n - 2,
     # P_n is P_(n-1) with p factors added at the top and p - 1 dropped at the bottom.
     num = den = 0  # P_n and n! of the previous n, 0 before the first n >= 2
-    parts = []
     for n in ns:
         if n == 1:
-            parts.append((1, 1))
+            yield 1, 1
             continue
         top, low = n * p, n * p - n + 3  # the n - 2 factors run from top down to low
         if num and 2 * p - 1 < n - 2:
@@ -381,15 +394,13 @@ def _constellation_parts(p: int, ns: range) -> list[tuple[int, int]]:
         else:
             num = prod(range(top, low - 1, -1))
         den = den * n if den else factorial(n)
-        parts.append(((p + 1) * p ** (n - 1) * num, den))
-    return parts
+        yield (p + 1) * p ** (n - 1) * num, den
 
 
-def _constellations(p: int, ns: range) -> list[Fraction]:
+def _constellations(p: int, ns: range) -> Iterator[Fraction]:
     """C_p(n) for n in ns, each direct count checked against the deformed-family route."""
     if not isinstance(p, int) or isinstance(p, bool) or p < 2:
         raise ValueError("constellation counts require integer p >= 2")
-    values = []
     family = _deformed_parts(p, Fraction(2 * p, p + 1), ns)
     for n, (num, den), (a_num, a_den) in zip(ns, _constellation_parts(p, ns), family):
         via_num, via_den = (p + 1) * p ** (n - 1) * a_num, 2 * a_den
@@ -398,8 +409,7 @@ def _constellations(p: int, ns: range) -> list[Fraction]:
                 f"C_{p}({n}): direct {Fraction(num, den)} "
                 f"!= deformed-family route {Fraction(via_num, via_den)}"
             )
-        values.append(Fraction(num, den))
-    return values
+        yield Fraction(num, den)
 
 
 def constellation_count(p: int, n: int) -> Fraction:
@@ -411,12 +421,13 @@ def constellation_count(p: int, n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("constellation counts start at n = 1")
-    return _constellations(p, range(n, n + 1))[0]
+    return next(_constellations(p, range(n, n + 1)))
 
 
 def constellation_table(p: int, n_max: int) -> SeqTable:
-    """SeqTable of C_p(1) .. C_p(n_max), checked as constellation_count checks each."""
-    values = _constellations(p, range(1, n_max + 1))
+    """SeqTable of C_p(1) .. C_p(n_max), checked as constellation_count checks each, up to the
+    first value past the digit limit."""
+    values = _printable(_constellations(p, range(1, n_max + 1)))
     return SeqTable(label=f"constellation(p={p})", offset=1, values=values)
 
 
@@ -507,15 +518,11 @@ def _a220910_closed_b(n_max: int) -> list[Fraction]:
 
 
 def _scaled_cumulants(p: int, t: Fraction, s: int, n_max: int) -> list[Fraction]:
-    # 1, then s^n r_n(p, t) for n = 1..n_max, with r_n the free cumulants of
-    # the (p, t) family; the closed R expansion lives in the series module.
-    from . import series
+    # 1, then s^n r_n(p, t) for n = 1..n_max, with r_n the free cumulants of the (p, t)
+    # family: the closed jet of R(s z), which lives in the series module.
+    from .series import _r_jet
 
-    values = [Fraction(1)]
-    if n_max >= 1:
-        r = series.r_series_closed(p, t, n_max)
-        values += [Fraction(s) ** n * r.coeffs[n] for n in range(1, n_max + 1)]
-    return values
+    return [Fraction(1), *_r_jet(p, t, s, n_max).coeffs[1:]]
 
 
 def a220910_table(n_max: int, method: str = "recurrence") -> SeqTable:

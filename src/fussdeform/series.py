@@ -16,18 +16,23 @@ Fractions, but every sum of products runs in integers.  A jet product
 (``*``, each power and each giant step of compose and revert) is one integer
 convolution over one common denominator, which exact_seq._cleared clears, as
 it clears posdef's Hankel sections, with one normalisation per coefficient.
-``*`` convolves only the nonzero span of
-the factor whose span is shorter, as the closed R jets multiply short
-polynomials by dense radicals (untrimmed, perfbench seq-tables ran 6.4%
-slower).  The quotient and pow1p are recurrences of one shape, each
-coefficient summed by one helper (_running_sum) over one running denominator
-that widens (one gcd) only when a term's denominator does not divide it (on
-one common denominator seq-tables ran 1.6 to 1.8 times slower); the sum
-stops at the last nonzero coefficient of the divisor or of pow1p's base, so
-the radicands and denominator lists of the closed jets cost O(n span), not
-O(n^2).  revert keeps its own recurrence for w / F(w) (through the jet
-quotient perfbench jets ran 4% slower).  compose and revert first rescale
-the variable, z -> lam z, by one rule: den(c_2 / c_1)
+``*`` convolves only the nonzero span of the factor whose span is shorter, so
+a short factor costs O(n span).  The quotient and pow1p are recurrences of one
+shape, each coefficient summed by one helper (_running_sum) over one running
+denominator that widens (one gcd) only when a term's denominator does not
+divide it (on one common denominator perfbench seq-tables ran 1.6 to 1.8 times
+slower); the sum stops at the last nonzero coefficient of the divisor or of
+pow1p's base, so a short divisor or base costs O(n span), not O(n^2).  The
+closed jets build their radical without pow1p: with w = 4 lam, lam the lcm of
+C's denominators, the integers w^m c_m of sqrt(C) follow one exact recurrence
+(_sqrt_ints), A and B join them over one denominator, and the jet quotient by
+D takes the integer pairs as they are, one Fraction per coefficient.  Through
+sqrt1p, a jet product and the quotient, each coefficient was normalised four
+or five times: r_series_closed at order 300 took 4.6 to 4.9 ms where it takes
+2.0 to 2.1 ms, and at t = 10^-3000, order 12, 0.48 s (p = 2) and 0.58 to 0.64 s
+(p = 3) where it takes 0.14 and 0.32 s.  revert keeps its own recurrence for
+w / F(w) (through the jet quotient perfbench jets ran 4% slower).  compose and
+revert first rescale the variable, z -> lam z, by one rule: den(c_2 / c_1)
 times the part of den(c_3) not in den(c_2), which takes the growth of the
 denominators with the index as well as their offset, so that the shared
 denominator does not carry it (with den(c_2 / c_1) alone the reversion of
@@ -102,6 +107,22 @@ def _running_sum(
                 num, den, q = num * m, den * m, den // g
             num += (slope * j + base) * x * gn[k - j] * q
     return num, den
+
+
+def _quotient(an: list[int], ad: list[int], bn: list[int], bd: list[int]) -> list[Fraction]:
+    """The jet an/ad over bn/bd (numerators over denominators, bn[0] != 0) to the order of a,
+    one Fraction per coefficient; the sum stops at the last nonzero coefficient of b."""
+    bn = bn[: _span(bn)[1]]
+    out: list[Fraction] = []
+    on: list[int] = []
+    od: list[int] = []
+    for k in range(len(an)):
+        num, den = _running_sum(an[k], ad[k], 0, -1, bn, bd, on, od, k)
+        c = Fraction(num * bd[0], den * bn[0])
+        out.append(c)
+        on.append(c.numerator)
+        od.append(c.denominator)
+    return out
 
 
 def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
@@ -300,19 +321,8 @@ class TruncSeries(_Frozen):
                 "jet division needs a nonzero constant term; strip z factors explicitly"
             )
         n = min(self.order, other.order)
-        an, ad = _split(self.coeffs[: n + 1])
-        bn, bd = _split(other.coeffs[: n + 1])
-        bn = bn[: _span(bn)[1]]
-        out: list[Fraction] = []
-        on: list[int] = []
-        od: list[int] = []
-        for k in range(n + 1):
-            num, den = _running_sum(an[k], ad[k], 0, -1, bn, bd, on, od, k)
-            c = Fraction(num * bd[0], den * bn[0])
-            out.append(c)
-            on.append(c.numerator)
-            od.append(c.denominator)
-        return TruncSeries(tuple(out))
+        quotient = _quotient(*_split(self.coeffs[: n + 1]), *_split(other.coeffs[: n + 1]))
+        return TruncSeries(tuple(quotient))
 
     def __rtruediv__(self, other: RationalLike) -> "TruncSeries":
         return TruncSeries.constant(other, self.order) / self
@@ -578,44 +588,86 @@ def s_series_closed(params: Params, order: int) -> TruncSeries:
     return s
 
 
-def _radical_jet(lead, cofactor, radicand, den, order: int, shift: int = 0) -> TruncSeries:
-    """(lead + cofactor sqrt1p(radicand)) / den to order, from coefficient lists.
+def _sqrt_ints(qw: list[int], n: int) -> list[int]:
+    """F_0..F_n of sqrt(1 + qw_1 z + qw_2 z^2 + ...), qw_0 = 1 and each other qw_j a multiple
+    of 4, whose coefficients are then integers: pow1p's recurrence at alpha = 1/2,
+    2 m F_m = sum_j (3 j - 2 m) qw_j F_(m-j), whose division by 2 m is exact (a remainder is a
+    contradiction)."""
+    f = [1]
+    for m in range(1, n + 1):
+        acc = sum((3 * j - 2 * m) * qw[j] * f[m - j] for j in range(1, min(m, len(qw) - 1) + 1))
+        x, r = divmod(acc, 2 * m)
+        if r:
+            raise InconsistencyError(f"radical jet: {2 * m} does not divide step {m}")
+        f.append(x)
+    return f
 
-    den is a list, or a number that divides each coefficient.  With shift > 0 (den a
-    list) numerator and den are built shift orders higher and divided by z^shift first.
+
+def _radical_jet(lead, cofactor, radicand, den: list, order: int, shift: int = 0) -> TruncSeries:
+    """(lead + cofactor sqrt(radicand)) / den to order, from rational coefficient lists,
+    radicand[0] = 1 and den[shift] != 0 (den of one entry is a division by a number); with
+    shift > 0 numerator and den are built shift orders higher and divided by z^shift first.
+
+    With lam the lcm of the radicand's denominators and w = 4 lam, z -> w z makes the
+    radicand 1 + 4 Y with Y an integer polynomial, whose square root has the integer
+    coefficients F_m = w^m f_m (_sqrt_ints).  lead and cofactor join on those integers over
+    their one common denominator d, so numerator coefficient k is N_k / (d w^k), and the jet
+    quotient by den (_quotient) takes these pairs as they are: one Fraction per coefficient.
     """
     n = order + shift
-    rad = sqrt1p(TruncSeries.from_coeffs(radicand, n))
-    num = TruncSeries.from_coeffs(lead, n) + TruncSeries.from_coeffs(cofactor, n) * rad
-    if not isinstance(den, list):
-        return num / den
-    return num.shift_down(shift) / TruncSeries.from_coeffs(den, n).shift_down(shift)
+    q = [parse_rational(x) for x in radicand[: n + 1]]
+    w = 4 * lcm(*(x.denominator for x in q))
+    f = _sqrt_ints([x.numerator * w**j // x.denominator for j, x in enumerate(q)], n)
+    lc = [[parse_rational(x) for x in xs[: n + 1]] for xs in (lead, cofactor)]
+    d = lcm(*(x.denominator for xs in lc for x in xs))
+    nums, cof = ([x.numerator * (d // x.denominator) * w**j for j, x in enumerate(xs)] for xs in lc)
+    nums += [0] * (n + 1 - len(nums))
+    for i, x in enumerate(cof):
+        if x:
+            for k in range(i, n + 1):
+                nums[k] += x * f[k - i]
+    if any(nums[:shift]):
+        raise ValueError(f"jet is not divisible by z^{shift}")
+    dens = [d * w**shift]
+    for _ in range(order):
+        dens.append(dens[-1] * w)
+    return TruncSeries(tuple(_quotient(nums[shift:], dens, *_split(den[shift : n + 1]))))
 
 
 def r_series_closed(p: RationalLike, t: RationalLike, order: int) -> TruncSeries:
     """Closed-form R-transform jet for p = 2 or p = 3, one _radical_jet each.
 
     At p = 2 the denominator is the number 2(t - 1); t = 1 is the Catalan case
-    R = z/(1-z).  The p = 3 closed form has a denominator 2(t - 1 + z)^2, which
-    is 2 z^2 at t = 1; there the numerator z - 2 z^2 - z sqrt(1 - 4z) shares the
-    factor z^2, so both are built two orders higher and divided by z^2 first,
-    which leaves R = C(z) - 1 with C the Catalan generating function.  No t
-    needs a second route.
+    R = z/(1-z), the lists z over 1 - z.  The p = 3 closed form has a denominator
+    2(t - 1 + z)^2, which is 2 z^2 at t = 1; there the numerator z - 2 z^2 - z sqrt(1 - 4z)
+    shares the factor z^2, so both are built two orders higher and divided by z^2 first,
+    which leaves R = C(z) - 1 with C the Catalan generating function.  No t needs a second
+    route.
     """
     p = parse_rational(p)
     t = parse_rational(t)
     if order < 1:
         raise ValueError("order must be at least 1")
+    return _r_jet(p, t, 1, order)
+
+
+def _r_lists(p: Fraction, t: Fraction) -> tuple[tuple[list, list, list, list], int]:
+    """(lead, cofactor, radicand, den) of the closed R jet at p = 2 or 3, and its shift."""
     if p == 2:
         if t == 1:
-            return TruncSeries((Fraction(0),) + (Fraction(1),) * order)
-        r = _radical_jet([1 - t, 3 * t - 2, -1], [t - 1, -1], [1, 2 - 4 * t, 1], 2 * (t - 1), order)
-    elif p == 3:
+            return ([0, 1], [0], [1], [1, -1]), 0
+        return ([1 - t, 3 * t - 2, -1], [t - 1, -1], [1, 2 - 4 * t, 1], [2 * (t - 1)]), 0
+    if p == 3:
         u = (t - 1) ** 2
         lead, den = [-u, 4 - 7 * t + 4 * t * t, -2], [2 * u, 4 * (t - 1), 2]
-        r = _radical_jet(lead, [u, -t], [1, -4 * t], den, order, 2 if t == 1 else 0)
-    else:
-        raise ValueError("closed R-transform is implemented for p in {2, 3} only")
+        return (lead, [u, -t], [1, -4 * t], den), 2 if t == 1 else 0
+    raise ValueError("closed R-transform is implemented for p in {2, 3} only")
+
+
+def _r_jet(p: Fraction, t: Fraction, s: int, order: int) -> TruncSeries:
+    """The jet of R(s z): the lists of _r_lists with coefficient j scaled by s^j."""
+    lists, shift = _r_lists(p, t)
+    r = _radical_jet(*([x * s**j for j, x in enumerate(xs)] for xs in lists), order, shift)
     if r.coeffs[0] != 0:
         raise InconsistencyError("closed R jet has a nonzero constant term")
     return r
@@ -624,7 +676,7 @@ def r_series_closed(p: RationalLike, t: RationalLike, order: int) -> TruncSeries
 # (lead, cofactor, radicand, den) of each named generating function, expanded
 _GF = {
     # (1 + 18 z - 27 z^2 + sqrt((1 - z)(1 - 9 z)^3)) / 2
-    "ex1_gf": ([1, 18, -27], [1], [1, -28, 270, -972, 729], 2),
+    "ex1_gf": ([1, 18, -27], [1], [1, -28, 270, -972, 729], [2]),
     # (1 + 36 z + sqrt((1 - 12 z)^3)) / (2 (1 + 4 z)^2)
     "a220910_gf": ([1, 36], [1], [1, -36, 432, -1728], [2, 16, 32]),
     # (1 + 20 z - 8 z^2 + sqrt((1 - 8 z)^3)) / (2 (1 + z)^3)

@@ -80,9 +80,13 @@ SEAMS = {
     "raney_step": ("exact_seq", "_raney_step"),
     # series
     "conv": ("series", "_conv"),
+    "GF": ("series", "_GF"),
+    "radical_jet": ("series", "_radical_jet"),
+    "r_lists": ("series", "_r_lists"),
     "rescale": ("series", "_rescale"),
     "running_sum": ("series", "_running_sum"),
     "scaled": ("series", "_scaled"),
+    "sqrt_ints": ("series", "_sqrt_ints"),
     "compose": ("series", "compose"),
     "cumulants_from_moments": ("series", "cumulants_from_moments"),
     "moment_series": ("series", "moment_series"),
@@ -216,10 +220,16 @@ def _node_with_weight_scaled(real):
 # then exit 3): one fault in each mechanism that two sides of a cross-check share, or that a
 # float check reads
 PLANTED_FAULTS = [
+    # the closed R jets and the generating functions neither convolve nor clear (their radical
+    # is _sqrt_ints, their quotient _quotient): c1 reads jets only through them, and c3 and c9
+    # clear denominators elsewhere but convolve only there
     ("conv", lambda real: lambda a, b, n: _bumped(real(a, b, n), 9),
-     "c1 c2 c3 c5 c6 c9 c10 c11", "transforms infdiv-2 infdiv-3"),
-    ("cleared", _cleared_with_numerator_7_bumped, "c1 c2 c3 c5 c6 c9 c10 c11",
+     "c2 c5 c6 c10 c11", "transforms infdiv-2 infdiv-3"),
+    ("cleared", _cleared_with_numerator_7_bumped, "c2 c3 c5 c6 c9 c10 c11",
      "transforms infdiv-2 infdiv-3 domain-grid"),
+    # the integer radical under every closed R jet and generating function, F_3 off by one
+    ("sqrt_ints", lambda real: lambda qw, n: _bumped(real(qw, n), 3),
+     "c1 c2 c3 c4 c6 c9 c10 c11", "infdiv-2 infdiv-3"),
     # n = 4 is a direct product at every p the commands use (p = 2 steps from n = 5 on), and
     # each later n of its residue class steps from it
     ("raney_num", lambda real: lambda p, r, n: real(p, r, n) + (n == 4),
@@ -300,10 +310,11 @@ def cross_check_sides():
             lambda: exact_seq._raney_nums(p, 1, ns[1:]),
             lambda: exact_seq._raney_nums(p, 2, ns[1:]),
         ], {"exact_seq._raney_nums", "exact_seq._raney_num", "exact_seq._raney_step"}),
-        # the jet core: a Lagrange route to the cumulants would share none of it
+        # the jet quotient, the moment side's w / v(w) and the closed side's division by its
+        # denominator: a Lagrange route to the cumulants would share none of it
         ("infdiv reverted moments vs closed R", [infdiv_side("moments"), infdiv_side("closed")],
-         jet | {"series._running_sum", "series._split", "series.TruncSeries.__truediv__",
-                "series.TruncSeries.shift_down"}),
+         {"series._quotient", "series._running_sum", "series._span", "series._split",
+          "exact_seq.parse_rational", "series.TruncSeries.__init__"}),
         # the jet product; M - 1 is read off m's coefficients, not built by jet subtraction
         ("verify c6 S from moments vs closed S", [
             lambda: [series.s_series_from_moments(series.moment_series(q, 16)) for q in c6],

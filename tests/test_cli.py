@@ -15,6 +15,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -497,6 +498,9 @@ _RATIONALS = (
     "250", "1000",
 )
 _FLOATS = ("1", "1.5", "2", "3", "100", "198", "1000")
+# the wall time a seq argv may take: at --n 198 each seq a, raney and constellation argv over
+# the values above and the edges, and each a220910 method, ran under 0.2 s on a 2-vCPU host
+_SEQ_SECONDS = 5.0
 
 
 def _ints(top):
@@ -558,10 +562,16 @@ def _fuzz_argv(draw):
 @example(["seq", "a", "--p", "-5/2", "--t", "1/2", "--n", "198"])
 @example(["seq", "constellation", "--p", "1", "--n", "198"])
 @example(["seq", "constellation", "--p", "3", "--n", "198"])
+# seq runs whose values pass the digit limit a few terms in: each stops at the first such value
+@example(["seq", "a", "--p", "1e-1000", "--t", "1/2", "--n", "198"])
+@example(["seq", "a", "--p", "1e300", "--t", "1/2", "--n", "198"])
+@example(["seq", "raney", "--p", "1e-1000", "--r", "1e-1000", "--n", "198"])
+@example(["seq", "constellation", "--p", "1e300", "--n", "198"])
 def test_every_drawn_argv_keeps_the_exit_code_contract(argv):
     # exit 0 or 2 (a usage error or a float limit), never a contradiction or a traceback; any
-    # other exception fails the test
+    # other exception fails the test.  A seq run ends within _SEQ_SECONDS
     out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
@@ -570,6 +580,8 @@ def test_every_drawn_argv_keeps_the_exit_code_contract(argv):
             assert code == 2, argv
     assert code in (0, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+    if argv[0] == "seq":
+        assert time.perf_counter() - start < _SEQ_SECONDS, argv
 
 
 def test_csv_does_not_render_the_minors_it_omits(capsys):

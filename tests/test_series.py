@@ -1,12 +1,11 @@
 """Series engine and transform layer: jet algebra, reversion, closed forms."""
 
 import random
-import sys
 from fractions import Fraction as F
 from math import comb, isqrt, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seams
@@ -436,21 +435,76 @@ def test_radical_jets_at_truncating_orders():
             assert r_series_closed(2, t, n) == full.truncate(n), (t, n)
 
 
+_ENTRY = st.builds(F, st.integers(-30, 30), st.sampled_from((1, 2, 3, 4, 7, 12)))
+
+
+@st.composite
+def _radical_case(draw):
+    """(lead, cofactor, radicand, den, order, shift) of a radical jet: short rational lists with
+    zero and negative entries, radicand[0] = 1, and den a number (one entry) or a list; with
+    shift 2 den starts with z^2 and lead cancels the numerator's first two coefficients."""
+    lists = st.lists(_ENTRY, min_size=1, max_size=4)
+    lead, cofactor, radicand = draw(lists), draw(lists), [F(1), *draw(st.lists(_ENTRY, max_size=4))]
+    den = [draw(_ENTRY.filter(bool))]
+    shift = 0
+    if draw(st.booleans()):
+        den += draw(lists)
+        shift = draw(st.sampled_from((0, 2)))
+    if shift:
+        c, q = cofactor + [0], radicand + [0]
+        lead = [-c[0], -c[0] * q[1] / 2 - c[1], *lead[2:]]
+        den = [0, 0, *den]
+    return lead, cofactor, radicand, den, draw(st.integers(0, 60)), shift
+
+
+class _Named(tuple):
+    """A case shown by its name: the lists at t = 10^-3000 hold more digits than repr prints."""
+
+    def __new__(cls, name, items):
+        case = super().__new__(cls, items)
+        case.name = name
+        return case
+
+    def __repr__(self):
+        return self.name
+
+
+_TINY = F(1, 10**3000)
+
+
+def _radical_route(lead, cofactor, radicand, den, order, shift):
+    """The same jet by the generic engine: sqrt1p, a jet product, and the jet quotient or the
+    division by a number."""
+    n = order + shift
+    num = TruncSeries.from_coeffs(lead, n) + TruncSeries.from_coeffs(cofactor, n) * sqrt1p(
+        TruncSeries.from_coeffs(radicand, n)
+    )
+    if len(den) == 1:
+        return num / den[0]
+    return num.shift_down(shift) / TruncSeries.from_coeffs(den, n).shift_down(shift)
+
+
+@settings(max_examples=100)
+@given(_radical_case())
+@example((*seams.GF["ex1_gf"], 300, 0))
+@example((*seams.GF["a220910_gf"], 300, 0))
+@example((*seams.GF["a022558_gf"], 300, 0))
+@example((*seams.r_lists(F(2), F(4, 3))[0], 300, 0))
+@example((*seams.r_lists(F(3), F(3, 2))[0], 300, 0))
+@example(_Named("R at (2, 1e-3000)", (*seams.r_lists(F(2), _TINY)[0], 12, 0)))
+@example(_Named("R at (3, 1e-3000)", (*seams.r_lists(F(3), _TINY)[0], 12, 0)))
+@example((*seams.r_lists(F(3), F(1))[0], 40, 2))
+def test_radical_jet_matches_the_generic_route(case):
+    # the one integer pass of the closed jets against sqrt1p, * and / of the jet engine
+    assert seams.radical_jet(*case) == _radical_route(*case)
+
+
 def test_r_closed_p2_divides_by_a_number(monkeypatch):
-    # R at p = 2 is divided by the number 2 (t - 1): the one running sum per
-    # coefficient is sqrt1p's, where a jet quotient would add one more each
-    callers = []
-
-    def counted(real):
-        def running_sum(*args):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return real(*args)
-
-        return running_sum
-
-    seams.plant(monkeypatch, "running_sum", counted)
+    # R at p = 2 is divided by the number 2 (t - 1): its radical is integers (no running sum
+    # of pow1p), and the jet quotient's one running sum per coefficient has no term to add
+    calls = seams.record(monkeypatch, "running_sum")
     r_series_closed(2, F(4, 3), 300)
-    assert callers == ["pow1p"] * 300
+    assert [len(fn) for _, _, _, _, fn, *_ in calls] == [1] * 301
 
 
 def test_bp_trig_closed_forms_at_a_point():
