@@ -31,8 +31,10 @@ module constants:
   the tolerance, retires from the sums and leaves a bound in the error estimate instead (see
   moment_quad); _RETIRE is derived from the two constants, not set on its own.
 
-cumulant_quad integrates every cumulant-side measure of CUMULANT_MEASURES, which verify's
-c9 also reads pointwise, by one rule, in theta with x = lo + (hi - lo) sin(theta)^2.
+Both quadratures build each panel with _moment_panel from a node function u -> (x, w) and sum
+it with _moment_sums; integrate_callable is moment 0 of the weight f, u -> (1, f(u)).
+cumulant_quad integrates every cumulant-side measure of CUMULANT_MEASURES, which verify's c9
+also reads pointwise, by integrate_callable, in theta with x = lo + (hi - lo) sin(theta)^2.
 """
 
 from functools import partial
@@ -344,23 +346,11 @@ _WG = (
 _EPS = 2.220446049250313e-16
 
 
-def _gk15_nodes(a, b):
-    """Half width of [a, b] and its 15 Kronrod nodes: the centre, then c -+ h x_j."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    nodes = [c]
-    for x in _XGK:
-        dx = h * x
-        nodes.append(c - dx)
-        nodes.append(c + dx)
-    return h, nodes
-
-
 _K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7 = _WGK
 _G0, _G1, _G2, _G3 = _WG
 
 
-# The Kronrod and Gauss weights of the 15 nodes in _gk15_nodes' order; Gauss leaves out the
+# The Kronrod and Gauss weights of the 15 nodes in _moment_panel's order; Gauss leaves out the
 # pairs 0, 2, 4 and 6.
 _KRONROD15 = (_K7, _K0, _K0, _K1, _K1, _K2, _K2, _K3, _K3, _K4, _K4, _K5, _K5, _K6, _K6)
 _GAUSS15 = (_G3, 0.0, 0.0, _G0, _G0, 0.0, 0.0, _G1, _G1, 0.0, 0.0, _G2, _G2, 0.0, 0.0)
@@ -386,14 +376,6 @@ def _gauss_sum(g, x):
     return g0 * x0 + g3 * x3 + g4 * x4 + g7 * x7 + g8 * x8 + g11 * x11 + g12 * x12
 
 
-def _gk15_sum(h, fx):
-    """Gauss 7 / Kronrod 15 sums of the values fx at _gk15_nodes: (kronrod, error, resabs),
-    each sum scaled by h last."""
-    kron = _kronrod_sum(_KRONROD15, fx) * h
-    resabs = _kronrod_sum(_KRONROD15, map(fabs, fx)) * h
-    return kron, _gk_error(kron, _gauss_sum(_GAUSS15, fx) * h, resabs), resabs
-
-
 def _gk_error(kron, gauss, resabs):
     """QUADPACK's error estimate of one panel from its Kronrod and Gauss sums and resabs, the
     Kronrod sum of |f|: |kron - gauss|, lowered to (200 |kron - gauss|)^1.5 where that is less,
@@ -412,14 +394,9 @@ def _gk_error(kron, gauss, resabs):
     return err
 
 
-def _gk15(f, a, b):
-    """One 7-point Gauss / 15-point Kronrod panel of f: (kronrod, error, resabs)."""
-    h, nodes = _gk15_nodes(a, b)
-    return _gk15_sum(h, [f(x) for x in nodes])
-
-
-# The slots of a panel's row: its Kronrod value and error estimate, how often it was halved and
-# its ends.  moment_quad's rows carry six more (see _moment_panel).
+# The slots of a panel's row, which _moment_panel builds for both quadratures: its Kronrod value
+# and error estimate, how often it was halved and its ends, which _adaptive reads, then six that
+# _moment_sums reads and sets (see _moment_panel).
 _VALUE, _ERR, _DEPTH, _A, _B = range(5)
 _RESABS, _XS, _KRONROD, _GAUSS, _ABSOLUTE, _POWERS = range(5, 11)
 
@@ -465,18 +442,6 @@ def _adaptive(panel, panels, atol, held=0):
         panels.append(panel(mid, pb, depth + 1))
 
 
-def _callable_panel(f, a, b, depth):
-    """The row of integrate_callable's panel [a, b] (see _VALUE)."""
-    value, err, _ = _gk15(f, a, b)
-    return [value, err, depth, a, b]
-
-
-def integrate_callable(f, a, b):
-    """Adaptive Gauss-Kronrod integral of a Python callable on [a, b]: (value, error, converged)."""
-    panel = partial(_callable_panel, f)
-    return _adaptive(panel, _first_panels(panel, a, b), _ATOL)
-
-
 _INSET = 1e-12
 _RETIRE = _EPS * _RTOL
 
@@ -493,9 +458,9 @@ def _node(p, t, phi):
 
 
 def _moment_sums(row):
-    """Set a moment panel's value, error and resabs from its weights and its powers x^n.  The
-    powers are >= 0, so where every Kronrod weight is too, resabs is the Kronrod sum itself.  A
-    sum that leaves the float range raises OverflowError."""
+    """Set a panel's value, error and resabs from its weights and its powers x^n.  The powers
+    are >= 0, so where every Kronrod weight is too, resabs is the Kronrod sum itself.  A sum
+    that leaves the float range raises OverflowError."""
     powers, absolute = row[_POWERS], row[_ABSOLUTE]
     value = _kronrod_sum(row[_KRONROD], powers)
     resabs = value if absolute is None else _kronrod_sum(absolute, powers)
@@ -505,18 +470,33 @@ def _moment_sums(row):
     row[_VALUE], row[_ERR], row[_RESABS] = value, err, resabs
 
 
-def _moment_panel(p, t, n, a, b, depth):
-    """The row of moment_quad's panel [a, b] at moment n: the slots of every row (see _VALUE),
-    then resabs and, per node, x, the Kronrod and Gauss weights times f |dx/dphi| h (see
-    _node), |the Kronrod weight| or None where none is negative, and x^n."""
-    h, phis = _gk15_nodes(a, b)
-    xs, weights = zip(*[_node(p, t, phi) for phi in phis])
+def _moment_panel(node, n, a, b, depth):
+    """The row of the panel [a, b] at moment n of the weight that node gives: the slots of every
+    row (see _VALUE), then resabs and, per Kronrod node u (the centre c, then c -+ h x_j), x and
+    the Kronrod and Gauss weights times w h, where (x, w) = node(u), |the Kronrod weight| or
+    None where none is negative, and x^n."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    us = [c]
+    for x in _XGK:
+        dx = h * x
+        us.append(c - dx)
+        us.append(c + dx)
+    xs, weights = zip(*map(node, us))
     kronrod = [k * h * w for k, w in zip(_KRONROD15, weights)]
     gauss = [g * h * w for g, w in zip(_GAUSS15, weights)]
     absolute = list(map(fabs, kronrod)) if min(kronrod) < 0.0 else None
     row = [0.0, 0.0, depth, a, b, 0.0, xs, kronrod, gauss, absolute, [x**n for x in xs]]
     _moment_sums(row)
     return row
+
+
+def integrate_callable(f, a, b):
+    """Adaptive Gauss-Kronrod integral of a Python callable on [a, b]: (value, error, converged).
+    It is moment 0 of the weight f (see _moment_panel), so a panel sum that leaves the float
+    range raises OverflowError."""
+    panel = partial(_moment_panel, lambda u: (1.0, f(u)), 0)
+    return _adaptive(panel, _first_panels(panel, a, b), _ATOL)
 
 
 def moment_quad(p, t, n_max, atol=_ATOL):
@@ -541,8 +521,9 @@ def moment_quad(p, t, n_max, atol=_ATOL):
     table = []
     panels = None
     retired = []  # [bound, largest node x, row] of each retired panel
+    node = partial(_node, p, t)
     for n in range(n_max + 1):
-        panel = partial(_moment_panel, p, t, n)
+        panel = partial(_moment_panel, node, n)
         try:
             if panels is None:
                 panels = _first_panels(panel, a, b)

@@ -12,14 +12,15 @@ Two routes to the density f_{p,t} = t W_{p,1} + (1 - t) W_{p,2} on (0, c(p)):
 
 density_grid evaluates through one helper, which resolves the route, and on the
 closed route the form for p, once per call; the components W_{p,1} and W_{p,2}
-are f_{p,t} at t = 1 and t = 0.  Moment
-quadrature integrates in the angle variable (x = rho(phi) bounds the integrand
-at both support edges) with the adaptive Gauss-Kronrod kernels; one call gives
-the moments 0..n_max of one (p, t), each n refining the partition and reusing
-the node samples of the n before it, less the panels that fell below rounding
-(kernels.moment_quad retires them and bounds what they leave out).  The
-cumulant-side measures are defined in the kernels; cumulant_quadrature checks
-the range of t (3/5 <= t <= 3/2 for p3) and integrates x^n against them.
+are f_{p,t} at t = 1 and t = 0.  Moment quadrature integrates in the angle
+variable (x = rho(phi) bounds the integrand at both support edges) with the
+adaptive Gauss-Kronrod kernels; one call gives the moments 0..n_max of one
+(p, t), each n refining the partition and reusing the node samples of the n
+before it, less the panels that fell below rounding (kernels.moment_quad
+retires them and bounds what they leave out).  The cumulant-side measures are
+defined in the kernels; cumulant_quadrature checks the range of t (3/5 <= t <=
+3/2 for p3) and integrates x^n against them, as moment 0 of the weight x^n
+times the density, with moment_quad's panel builder and panel sum.
 The kernels' settings are the constants that the fussdeform._kernels_py
 docstring lists; only the absolute tolerance of moment quadrature is an
 argument here.  Everything here is float arithmetic; exact statements live in

@@ -33,8 +33,6 @@ SEAMS = {
     "kernels": (BACKEND_MODULE, "kernels"),
     "adaptive": (KERNELS_MODULE, "_adaptive"),
     "first_panels": (KERNELS_MODULE, "_first_panels"),
-    "gk15": (KERNELS_MODULE, "_gk15"),
-    "gk15_sum": (KERNELS_MODULE, "_gk15_sum"),
     "golden": (KERNELS_MODULE, "_golden"),
     "moment_panel": (KERNELS_MODULE, "_moment_panel"),
     "moment_sums": (KERNELS_MODULE, "_moment_sums"),
@@ -49,6 +47,7 @@ SEAMS = {
     "MAX_PANELS": (KERNELS_MODULE, "_MAX_PANELS"),
     "NEWTON_TOL": (KERNELS_MODULE, "_NEWTON_TOL"),
     "PSI_GRID": (KERNELS_MODULE, "_PSI_GRID"),
+    "RESABS": (KERNELS_MODULE, "_RESABS"),
     "RETIRE": (KERNELS_MODULE, "_RETIRE"),
     "WG": (KERNELS_MODULE, "_WG"),
     "WGK": (KERNELS_MODULE, "_WGK"),
@@ -216,6 +215,14 @@ def _node_with_weight_scaled(real):
     return node
 
 
+def _sums_with_value_scaled(real):
+    def sums(row):
+        real(row)
+        row[0] *= 1.0 + 1e-7  # slot 0 of a panel's row is its value
+
+    return sums
+
+
 # (seam, the fault planted in it, the verify criteria that then fail, the FAULT_COMMANDS that
 # then exit 3): one fault in each mechanism that two sides of a cross-check share, or that a
 # float check reads
@@ -246,6 +253,9 @@ PLANTED_FAULTS = [
      "c8", ""),
     ("mass", lambda real: lambda t, b: real(t, b) * (1.0 + 1e-8), "c8 c9", ""),
     ("node", _node_with_weight_scaled, "c9", ""),
+    # the one panel sum of both quadratures; moments-check prints its moments without comparing
+    # them with the exact a_n, so no command sees the fault
+    ("moment_sums", _sums_with_value_scaled, "c9", ""),
 ]
 
 # one command of each computing path, by label; without a fault each exits 0

@@ -297,7 +297,9 @@ def test_density_sign_follows_the_theorem_region(p, t, grid, nonnegative):
 
 
 def test_gk_rule_is_exact_on_polynomials():
-    val, err, resabs = seams.gk15(lambda x: x**13, 0.0, 1.0)
+    # one panel integrates x^13 as moment 13 of the unit weight (a row starts with its value
+    # and error estimate), and integrate_callable, moment 0 of the weight f, integrates sin
+    val, err = seams.moment_panel(lambda u: (u, 1.0), 13, 0.0, 1.0, 0)[:2]
     assert val == pytest.approx(1.0 / 14.0, rel=1e-14)
     assert err < 1e-12
     total, err, ok = kernels.integrate_callable(sin, 0.0, pi)
@@ -305,23 +307,22 @@ def test_gk_rule_is_exact_on_polynomials():
     assert total == pytest.approx(2.0, rel=1e-12)
 
 
-def _gk15_sum_loop(h, fx):
-    """The kernels' Gauss-Kronrod sums (seams.gk15_sum) as a loop over the nodes in order,
-    branching per node pair for the Gauss sum; also returns d = |kronrod - gauss|."""
+def _panel_loop(h, nodes, n):
+    """The sums of a panel's row (seams.moment_panel, seams.moment_sums) as a loop over its nodes
+    (x, w) in order, branching per node pair for the Gauss sum: (value, error, resabs), and
+    d = |kronrod - gauss|."""
     wgk, wg = seams.WGK, seams.WG
-    fc = fx[0]
-    kron = wgk[7] * fc
-    gauss = wg[3] * fc
-    resabs = wgk[7] * abs(fc)
-    for i in range(1, 15):
+    kron = gauss = resabs = 0.0
+    for i, (x, w) in enumerate(nodes):
         j = (i - 1) // 2
-        kron += wgk[j] * fx[i]
-        resabs += wgk[j] * abs(fx[i])
-        if j & 1:
-            gauss += wg[(j - 1) // 2] * fx[i]
-    kron *= h
-    gauss *= h
-    resabs *= h
+        power = x**n
+        k = wgk[7] if i == 0 else wgk[j]
+        kron += k * h * w * power
+        resabs += abs(k * h * w) * power
+        if i == 0:
+            gauss += wg[3] * h * w * power
+        elif j & 1:
+            gauss += wg[(j - 1) // 2] * h * w * power
     d = abs(kron - gauss)
     err = d
     if 0.0 < 200.0 * d < 1.0:
@@ -334,37 +335,69 @@ def _gk15_sum_loop(h, fx):
     return (kron, err, resabs), d
 
 
-def test_gk15_sum_matches_the_loop():
+def test_moment_sums_matches_the_loop():
+    # the one panel builder and panel sum of both quadratures against a loop over the nodes,
+    # bit for bit, on panels [-h, h] of either orientation and weights of both signs
     rng = random.Random(1983)
     scaled_d = {"below 1": 0, "at least 1": 0}
+    signs = {"one": 0, "both": 0}  # of the Kronrod weights: the value is resabs, or is not
     for _ in range(4000):
         h = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        n = rng.randrange(30)
+        # x^n within 1e+-150 of 1, and x = 0 now and then
+        span = 150.0 / max(n, 1)
         if rng.random() < 0.5:
-            # entries of wholly different sizes and signs, some of them zero
-            fx = [
-                0.0 if rng.random() < 0.1
-                else rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0)
+            # weights of wholly different sizes and signs, some of them zero, at scattered x
+            nodes = [
+                (
+                    0.0 if rng.random() < 0.05 else 10.0 ** rng.uniform(-span, span),
+                    0.0 if rng.random() < 0.1
+                    else rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-150.0, 150.0),
+                )
                 for _ in range(15)
             ]
         else:
-            # a smooth-looking panel at one scale, so Gauss and Kronrod nearly agree
-            scale = 10.0 ** rng.uniform(-300.0, 300.0)
-            fx = [
-                scale * (1.0 + 10.0 ** rng.uniform(-16.0, 0.0) * rng.uniform(-1.0, 1.0))
+            # a smooth-looking panel at one scale and one sign, so Gauss and Kronrod nearly agree
+            x, w = 10.0 ** rng.uniform(-span, span), 10.0 ** rng.uniform(-150.0, 150.0)
+            w *= rng.choice((-1.0, 1.0))
+            nodes = [
+                (x * (1.0 + 1e-12 * rng.uniform(-1.0, 1.0)),
+                 w * (1.0 + 10.0 ** rng.uniform(-16.0, 0.0) * rng.uniform(-1.0, 1.0)))
                 for _ in range(15)
             ]
-        expected, d = _gk15_sum_loop(h, fx)
-        assert seams.gk15_sum(h, fx) == expected, (h, fx)
+        draws = iter(nodes)
+        row = seams.moment_panel(lambda u: next(draws), n, -h, h, 0)
+        expected, d = _panel_loop(h, nodes, n)
+        assert (row[0], row[1], row[seams.RESABS]) == expected, (h, n, nodes)
+        signs["both" if min(h * w for _, w in nodes) < 0.0 else "one"] += 1
         if d > 0.0:
             scaled_d["below 1" if 200.0 * d < 1.0 else "at least 1"] += 1
     assert min(scaled_d.values()) > 500, scaled_d
+    assert min(signs.values()) > 500, signs
 
 
 def test_gk_error_estimate_survives_huge_integrands():
     # Gauss and Kronrod differ by ~1e247 here, so (200 d)^1.5 would overflow.
-    val, err, _ = seams.gk15(lambda x: 1e250 * x**40, 0.0, 1.0)
+    val, err = seams.moment_panel(lambda u: (1.0, 1e250 * u**40), 0, 0.0, 1.0, 0)[:2]
     assert val == pytest.approx(1e250 / 41.0, rel=1e-6)
     assert 0.0 < err < val
+
+
+def test_integrate_callable_raises_once_a_panel_sum_leaves_the_float_range():
+    # each weight is finite, and their sum times the half width is not
+    with pytest.raises(OverflowError, match="a panel sum left the float range"):
+        kernels.integrate_callable(lambda x: 1e300, 0.0, 1e10)
+
+
+def test_integrate_callable_reversed_interval_keeps_the_rounding_floor():
+    # on a > b every weight h f is negative for f > 0, and resabs, the sum of their sizes,
+    # is positive, so each panel's estimate is at least 50 EPS resabs on either orientation
+    forward = kernels.integrate_callable(lambda x: 1.0, 0.0, 1.0)
+    backward = kernels.integrate_callable(lambda x: 1.0, 1.0, 0.0)
+    assert backward[0] == pytest.approx(-forward[0], rel=1e-15)
+    assert backward[1] >= 50.0 * seams.EPS * (1.0 - 1e-12)
+    assert backward[1] == pytest.approx(forward[1], rel=1e-12)
+    assert forward[2] and backward[2]
 
 
 def test_backend_name_is_python():
@@ -900,7 +933,7 @@ def test_moment_quad_partition_stays_within_the_panel_cap(monkeypatch, capsys):
     # moment n starts from the partition of n - 1: (5/2, 1/2) ends with 15 panels at n = 100,
     # and each n splits only panels its own estimate calls for
     expected = kernels.moment_quad(2.5, 0.5, 200)
-    assert partition() == 15 and max(n for _, _, n, *_ in made) == 100
+    assert partition() == 15 and max(n for _, n, *_ in made) == 100
     assert [ok for _, _, ok in expected] == [True] * 201
     # a cap below that stops the table at the first n whose panels would pass it
     seams.override(monkeypatch, "MAX_PANELS", 12)
@@ -926,7 +959,7 @@ def test_moment_quad_partition_stays_within_the_panel_cap(monkeypatch, capsys):
     made.clear()
     table = kernels.moment_quad(11.0 / 8.0, 6.0 / 5.0, 240)
     assert [ok for _, _, ok in table] == [True] * 20 + [False]
-    assert partition() == cap and max(n for _, _, n, *_ in made) == 20
+    assert partition() == cap and max(n for _, n, *_ in made) == 20
 
 
 def _case_ids(cases):
