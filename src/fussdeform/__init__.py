@@ -38,9 +38,9 @@ def __getattr__(name: str):
             names += import_module(f"{__name__}.{lazy}").__all__
         globals()["__all__"] = names
         return names
-    # A submodule before any re-export, whose search imports ``series`` and
-    # ``density``: ``_backend``'s ``from . import _kernels_py`` asks the
-    # package for that name while ``density`` is still loading.
+    # Attribute access to a submodule not yet imported (``fussdeform.posdef``
+    # after ``import fussdeform``), tried before the re-export search, which
+    # would import ``series`` and ``density``.
     if name.isidentifier():
         try:
             return import_module(f"{__name__}.{name}")

@@ -24,12 +24,12 @@ module constants:
   starts from _INIT_PANELS panels, halves one at most _MAX_DEPTH times, holds at most
   _MAX_PANELS and stops at an error within _ATOL + _RTOL |value|; moment_quad alone takes its
   absolute tolerance as an argument.
-* _INSET, _RETIRE: moment_quad integrates the moments 0..n_max of one (p, t) over
-  (_INSET, pi/p - _INSET), moment n starting from the partition moment n - 1 ended with, so
-  _MAX_PANELS bounds that partition too; each panel samples its nodes once for all the n.  A
-  panel whose sums fall to _RETIRE = _EPS _RTOL of a converged moment, below the rounding of
-  the tolerance, retires from the sums and leaves a bound in the error estimate instead (see
-  moment_quad); _RETIRE is derived from the two constants, not set on its own.
+* _RETIRE: moment_quad integrates the moments 0..n_max of one (p, t) over (0, pi/p), moment
+  n starting from the partition moment n - 1 ended with, so _MAX_PANELS bounds that partition
+  too; each panel samples its nodes once for all the n.  A panel whose sums fall to _RETIRE =
+  _EPS _RTOL of a converged moment, below the rounding of the tolerance, retires from the sums
+  and leaves a bound in the error estimate instead (see moment_quad); _RETIRE is derived from
+  the two constants, not set on its own.
 
 Both quadratures build each panel with _moment_panel from a node function u -> (x, w) and sum
 it with _moment_sums; integrate_callable is moment 0 of the weight f, u -> (1, f(u)).
@@ -442,7 +442,6 @@ def _adaptive(panel, panels, atol, held=0):
         panels.append(panel(mid, pb, depth + 1))
 
 
-_INSET = 1e-12
 _RETIRE = _EPS * _RTOL
 
 
@@ -505,7 +504,8 @@ def moment_quad(p, t, n_max, atol=_ATOL):
     not converge.
 
     The x-space integral over (0, p^p (p-1)^(1-p)) becomes int_0^{pi/p} rho^n f |rho'| dphi,
-    whose integrand stays bounded at both endpoints.  Moment n starts from the partition that
+    whose integrand stays bounded at both endpoints, where it is 0/0; no Gauss-Kronrod node lies
+    on an end of its panel, so neither is evaluated.  Moment n starts from the partition that
     moment n - 1 ended with and refines it (see _adaptive); each panel keeps its 15 nodes' x and
     weights (see _moment_panel), and the next moment multiplies each node's x^n by x.
 
@@ -515,9 +515,11 @@ def moment_quad(p, t, n_max, atol=_ATOL):
     (its largest node x)^k, and the error estimate adds that bound; a panel whose bound passes
     _RETIRE |value| of the moment at hand takes x^n afresh and rejoins the sums.  A float
     limit, such as x^n overflowing at large n, raises OverflowError naming p, t and the n it
-    reached.
+    reached; so does a p where p - 1 rounds to p (from about 9e15 on), naming p and t, since
+    there sin(p phi) = sin((p-1) phi) at every node and every weight is 0.
     """
-    a, b = _INSET, pi / p - _INSET
+    if p - 1.0 == p:
+        raise OverflowError(f"moment quadrature left the float range at p={p}, t={t}")
     table = []
     panels = None
     retired = []  # [bound, largest node x, row] of each retired panel
@@ -526,7 +528,7 @@ def moment_quad(p, t, n_max, atol=_ATOL):
         panel = partial(_moment_panel, node, n)
         try:
             if panels is None:
-                panels = _first_panels(panel, a, b)
+                panels = _first_panels(panel, 0.0, pi / p)
             else:
                 for row in panels:
                     row[_POWERS] = list(map(mul, row[_POWERS], row[_XS]))  # x^(n-1) x
@@ -547,24 +549,18 @@ def moment_quad(p, t, n_max, atol=_ATOL):
             raise OverflowError(
                 f"moment quadrature left the float range at p={p}, t={t}, n={n}"
             ) from None
-        # Four errors the panel estimates do not see; refinement ignores them.
+        # Three errors the panel estimates do not see; refinement ignores them.
         # rho raises a quotient of two sines, each good to half an ulp, to the
         # power p, so rho^n is off by about n (p + 1) _EPS relative.  Each x^n
         # is x^(n-1) x rounded, n - 1 roundings of _EPS / 2 relative each, or
         # x**n for a panel split or rejoined at n, within an ulp: either way
         # within n _EPS / 2 relative, so the sums move by at most n _EPS / 2
-        # times their resabs.  And the integral leaves out (0, _INSET), where
-        # the integrand vanishes like phi^2, and (pi/p - _INSET, pi/p), where it
-        # tends to rho^n t p^2 / pi with rho of order _INSET / sin(pi/p): only
-        # n = 0 leaves mass worth counting there, about _INSET t p^2 / pi,
-        # bounded by twice that.  And the retired panels, left out of the sums,
+        # times their resabs.  And the retired panels, left out of the sums,
         # add their bounds.
         resabs = 0.0
         for row in panels:
             resabs += row[_RESABS]
         err += n * ((p + 1.0) * fabs(value) + 0.5 * resabs) * _EPS
-        if n == 0:
-            err += 2.0 * _INSET * fabs(t) * p * p / pi
         for entry in retired:
             err += entry[0]
         table.append((value, err, converged))

@@ -165,7 +165,8 @@ def moment_quadrature_full(params: Params, n_max: int, tol: float = 1e-10) -> li
     """(value, error estimate) of the moments n = 0..n_max of f_{p,t}, by one angle-space
     quadrature call to the absolute tolerance tol.  The first n that does not converge raises
     QuadratureError, and a float limit (at large p or large n) the kernel's OverflowError;
-    each names that n."""
+    each names that n, except the kernel's refusal of a p where p - 1 rounds to p, which
+    names p and t."""
     if n_max < 0:
         raise ValueError("n must be nonnegative")
     p, t = params.as_floats()

@@ -368,19 +368,23 @@ def test_out_flag_writes_the_same_bytes(tmp_path, capsys):
         ("moments-check", "--p", "4", "--t", "1/2", "--n-max", "600"),
         # an ulp above p = 1 the root of the smallest x rounds to pi/p, out of the open sector
         ("density", "--p", "1.0000000000000002", "--t", "1/2", "--grid", "5"),
+        # where p - 1 rounds to p, sin(p phi) = sin((p-1) phi) and every weight would be 0
+        *(("moments-check", "--p", p, "--t", "1/2", "--n-max", "2")
+          for p in ("1e16", "1e20", "1e100")),
     ],
 )
 def test_float_range_overflow_is_usage_error(capsys, argv):
-    code, _, err = run(capsys, *argv)
-    assert code == 2
-    assert err == "fussdeform: error: a value left the float range\n"
+    # no row prints before the error
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "fussdeform: error: a value left the float range\n")
 
 
 @pytest.mark.parametrize("t", ["1", "1/2"])
 @pytest.mark.parametrize("p", ["100", "1000"])
 def test_moments_check_at_large_p_meets_a_n_within_est_error(capsys, p, t):
     # the quadrature's weight takes no power of a small sine, so large p prints, and each
-    # moment meets the exact a_n within its estimate
+    # moment meets the exact a_n within its estimate; over the whole sector (0, pi/p) the
+    # mass is 1 to rounding
     code, out, err = run(capsys, "moments-check", "--p", p, "--t", t, "--n-max", "3")
     assert (code, err) == (0, "")
     header, *rows = out.splitlines()
@@ -389,6 +393,7 @@ def test_moments_check_at_large_p_meets_a_n_within_est_error(capsys, p, t):
     for n, row in enumerate(rows):
         value, est_error = map(float, row.split(",")[3:])
         assert abs(value - float(fussdeform.deformed_fuss(params, n))) <= est_error, row
+    assert abs(float(rows[0].split(",")[3]) - 1.0) <= 1e-12, rows[0]
 
 
 def test_density_prints_at_large_p_short_of_the_float_limit(capsys):
