@@ -35,15 +35,13 @@ from typing import Optional
 from .errors import DigitLimitError, FussDeformError, InconsistencyError
 from .exact_seq import (
     Params,
-    SeqTable,
     _A220910_METHODS,
-    _printable,
-    _raney_run,
     a022558_table,
     a220910_table,
     constellation_table,
     deformed_table,
     parse_rational,
+    raney_table,
     rational_str,
 )
 
@@ -105,10 +103,7 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     elif args.subject == "raney":
         if args.p is None or args.r is None:
             raise ValueError("seq raney needs --p and --r")
-        p = parse_rational(args.p)
-        r = parse_rational(args.r)
-        values = _printable(_raney_run(p, r, range(n + 1)))
-        table = SeqTable(f"raney(p={rational_str(p)};r={rational_str(r)})", 0, values)
+        table = raney_table(args.p, args.r, n)
     elif args.subject == "constellation":
         if args.p is None:
             raise ValueError("seq constellation needs --p")

@@ -18,10 +18,11 @@ independent formulas (a product closed form and the affine combination, a
 constellation count and its a_n expression, ...) are evaluated both ways and
 compared; a mismatch raises :class:`~fussdeform.errors.InconsistencyError`.
 
-This module owns the integers of a_n.  _fuss_terms gives the two Raney
-numerators of each n of a run over their common denominator b^(n-1) n!
-(p = a/b), _fuss_parts the run 0..order with the B_p^2 product-vs-Raney
-check at every n, and _affine is the one affine formula over the parts.
+This module owns the integers of a_n.  _raney_pairs gives a Raney run over
+its denominators d (b d)^(n-1) n! (p = a/b, r = c/d), written and carried there
+alone; _fuss_terms pairs its runs at r = 1 and 2 (equal denominators, d = 1),
+_fuss_parts the run 0..order with the B_p^2 product-vs-Raney check at every n,
+and _affine is the one affine formula over the parts.
 seq a and the constellation counts call it once per table,
 series.moment_series once per jet, and posdef once per Hankel cell.
 
@@ -34,9 +35,9 @@ stays in use where the step takes at least as many factors (2a - b >= n - 1 for
 a Raney numerator), at p <= 1, and after a 0 (r <= 0 can give one).  The Raney
 numerators (_raney_step) and the closed product (_closed_step) step by separate
 code, so the affine vs closed check still compares two derivations.  The runs
-are generators, so a printed table (deformed_table, constellation_table, the
-Raney table of ``seq raney``) stops at its first value of more digits than
-str() prints (_printable) and builds none of the larger ones after it.
+are generators, so a printed table (deformed_table, raney_table,
+constellation_table) stops at its first value of more digits than str()
+prints (_printable) and builds none of the larger ones after it.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ __all__ = [
     "parse_rational",
     "rational_str",
     "raney",
+    "raney_table",
     "deformed_fuss",
     "deformed_table",
     "ex1_table",
@@ -210,16 +212,22 @@ def _raney_nums(p: Fraction | int, r: Fraction | int, ns: range) -> Iterator[int
         yield num
 
 
-def _raney_run(p: Fraction, r: Fraction, ns: range) -> Iterator[Fraction]:
-    """raney(p, r, n) for n in ns (step 1): _raney_nums over d (b d)^(n-1) n!, carried."""
+def _raney_pairs(p: Fraction | int, r: Fraction | int, ns: range) -> Iterator[tuple[int, int]]:
+    """raney(p, r, n) for n in ns (step 1) as unreduced pairs: _raney_nums over
+    d (b d)^(n-1) n!, the denominator carried along the run; (1, 1) at n = 0."""
     bd = p.denominator * r.denominator
     run = range(max(ns.start, 1), ns.stop)
     if 0 in ns:
-        yield Fraction(1)
+        yield 1, 1
     den = r.denominator * bd ** (run.start - 1) * factorial(run.start)
     for n, num in zip(run, _raney_nums(p, r, run)):
-        yield Fraction(num, den)
+        yield num, den
         den *= bd * (n + 1)
+
+
+def _raney_run(p: Fraction, r: Fraction, ns: range) -> Iterator[Fraction]:
+    """raney(p, r, n) for n in ns (step 1), one Fraction per pair of _raney_pairs."""
+    return (Fraction(num, den) for num, den in _raney_pairs(p, r, ns))
 
 
 def raney(p: RationalLike, r: RationalLike, n: int) -> Fraction:
@@ -237,6 +245,14 @@ def raney(p: RationalLike, r: RationalLike, n: int) -> Fraction:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return next(_raney_run(parse_rational(p), parse_rational(r), range(n, n + 1)))
+
+
+def raney_table(p: RationalLike, r: RationalLike, n_max: int) -> SeqTable:
+    """SeqTable of raney(p, r, 0) .. raney(p, r, n_max), one run, up to the first value past
+    the digit limit."""
+    p, r = parse_rational(p), parse_rational(r)
+    label = f"raney(p={rational_str(p)};r={rational_str(r)})"
+    return SeqTable(label, 0, _printable(_raney_run(p, r, range(n_max + 1))))
 
 
 def _same(num: int, den: int, other_num: int, other_den: int) -> bool:
@@ -261,16 +277,10 @@ def _cleared(pairs: Iterable[tuple[int, int]], s: int) -> tuple[list[int], int]:
 
 def _fuss_terms(p: Fraction | int, ns: range) -> Iterator[tuple[int, int, int]]:
     """(R1, R2, D) for each n of the run ns (step 1): raney(p, 1, n) = R1 / D and
-    raney(p, 2, n) = R2 / D over their common denominator D = b^(n-1) n!, p = a/b
-    (see _raney_nums, r an integer); (1, 1, 1) at n = 0.  D is carried along the run."""
-    b = p.denominator
-    run = range(max(ns.start, 1), ns.stop)
-    if 0 in ns:
-        yield 1, 1, 1
-    den = 0  # D of the previous n, 0 before the first n >= 1
-    for n, one, two in zip(run, _raney_nums(p, 1, run), _raney_nums(p, 2, run)):
-        den = den * b * n if den else b ** (n - 1) * factorial(n)
-        yield one, two, den
+    raney(p, 2, n) = R2 / D over their common denominator D = b^(n-1) n!, p = a/b: the
+    _raney_pairs of r = 1 and r = 2, whose denominators agree at d = 1."""
+    pairs = zip(_raney_pairs(p, 1, ns), _raney_pairs(p, 2, ns))
+    return ((one, two, den) for (one, den), (two, _) in pairs)
 
 
 def _fuss_parts(p: Fraction, order: int) -> list[tuple[int, int, int]]:

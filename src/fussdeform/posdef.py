@@ -273,14 +273,13 @@ def _classify(
     The interval and the p-only part of the moment section (exact_seq._fuss_parts,
     B_p^2 check included) are built once.  Each cell's section, the pairs of
     exact_seq._affine reduced by one gcd each, goes to hankel_report by its module
-    name, so a tracer that rebinds that name sees each cell's elimination.  A Hankel
-    section that is indefinite while t sits strictly inside the interval (beyond the
-    1e-6 boundary tolerance) is a contradiction and raises.  Cells are computed as
-    they are read.
+    name, so a tracer that rebinds that name sees each cell's elimination.  t is compared
+    with the exact upper edge 2p/(p+1), and with the float g(p) within 1e-6 either side.
+    A Hankel section that is indefinite while t lies in the interval (more than 1e-6
+    above g(p)) is a contradiction and raises.  Cells are computed as they are read.
     """
     p = parse_rational(p)
     lower, upper = theorem_interval(p)
-    top = float(upper)
     parts = _fuss_parts(p, 2 * size - 2)
     for t in ts:
         t = parse_rational(t)
@@ -290,12 +289,12 @@ def _classify(
             g = gcd(num, den)
             section.append((num // g, den // g))
         hankel = hankel_report(section, size, minors)
-        if hankel.verdict == "indefinite" and lower + _CLASSIFY_TOL <= tf <= top - _CLASSIFY_TOL:
+        if hankel.verdict == "indefinite" and lower + _CLASSIFY_TOL <= tf and t <= upper:
             raise InconsistencyError(
                 f"Hankel section of size {size} is indefinite at (p={p}, t={t}) although "
-                f"t lies inside the admissible interval [{lower}, {top}]"
+                f"t lies inside the admissible interval [{lower}, {upper}]"
             )
-        yield lower - _CLASSIFY_TOL <= tf <= top + _CLASSIFY_TOL, hankel
+        yield lower - _CLASSIFY_TOL <= tf and t <= upper, hankel
 
 
 def classify_point(params: Params, size: int = 6, minors: bool = True) -> dict:

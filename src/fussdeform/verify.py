@@ -226,22 +226,16 @@ def _c08_density_agreement(order: int) -> str:
 
 
 def _c09_quadrature(order: int) -> str:
-    for p, t in ((F(2), F(1, 2)), (F(2), F(4, 3)), (F(3), F(1)), (F(3, 2), F(1, 5))):
-        params = Params.exact(p, t)
-        moments = moment_series(params, 10)
-        for n, (value, _) in enumerate(moment_quadrature_full(params, 10)):
-            exact = float(moments.coefficient(n)) if n else 1.0
-            _assert(
-                abs(value / exact - 1.0) <= 1e-8,
-                f"moment {n} at ({p}, {t}) off by {abs(value / exact - 1.0)}",
-            )
-    # To n = 40 against the exact table, whose affine vs closed check at p = 7/3 runs past
+    # (p, t, n_max): to n = 40 at p = 7/3, whose affine vs closed check runs past
     # n = 2a - b + 2 = 13, from where the closed product steps
-    params = Params.exact(F(7, 3), F(1, 5))
-    exact = deformed_table(params, 40).values
-    for n, (value, _) in enumerate(moment_quadrature_full(params, 40)):
-        miss = abs(value / float(exact[n]) - 1.0)
-        _assert(miss <= 1e-8, f"moment {n} at (7/3, 1/5) off by {miss}")
+    cells = ((2, F(1, 2), 10), (2, F(4, 3), 10), (3, F(1), 10), (F(3, 2), F(1, 5), 10),
+             (F(7, 3), F(1, 5), 40))
+    for p, t, n_max in cells:
+        params = Params.exact(p, t)
+        exact = deformed_table(params, n_max).values
+        for n, (value, _) in enumerate(moment_quadrature_full(params, n_max)):
+            miss = abs(value / float(exact[n]) - 1.0)
+            _assert(miss <= 1e-8, f"moment {n} at ({p}, {t}) off by {miss}")
     # The cumulant-side measures: (case, t, exact moments 0..8, scale).  scale^n times moment n
     # is the exact value; p2 at t = 4/3 under x -> 3x is the measure of the ex1 sequence.
     cases = [

@@ -98,6 +98,8 @@ SEAMS = {
     # cli
     "build_parser": ("cli", "_build_parser"),
     "emit": ("cli", "_emit"),
+    # verify
+    "BUDGETS": ("verify", "_BUDGETS"),
 }
 
 

@@ -670,6 +670,19 @@ def test_verify_unknown_filter(capsys):
     assert code == 2
 
 
+def test_verify_fails_a_criterion_past_its_budget(monkeypatch, capsys):
+    from fussdeform.verify import run_criteria
+
+    seams.override(monkeypatch, "BUDGETS", {**seams.BUDGETS, "c1": 0})
+    (result,) = run_criteria(only="c1")
+    assert not result.passed
+    assert result.detail.startswith("exceeded the 0 s budget (")
+    code, out, _ = run(capsys, "verify", "--only", "c1")
+    assert code == 1
+    assert out.startswith("FAIL  c1   integer sequence, four routes: exceeded the 0 s budget (")
+    assert out.strip().splitlines()[-1] == "0/1 passed; failing: c1"
+
+
 def test_nonconvergent_quadrature_is_a_limit(capsys):
     # a_n nearly cancels above t = 2p/(p+1); the quadrature gives up at n = 20
     code, _, err = run(capsys, "moments-check", "--p", "11/8", "--t", "6/5", "--n-max", "20")

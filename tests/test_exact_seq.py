@@ -27,6 +27,7 @@ from fussdeform import (
     necessary_gap,
     parse_rational,
     raney,
+    raney_table,
 )
 from fussdeform.cli import main
 from fussdeform.verify import run_criteria
@@ -383,6 +384,9 @@ def test_stepped_runs_match_direct_products(case):
     run = range(max(ns.start, 1), ns.stop)
     assert list(seams.raney_nums(p, r, run)) == [_raney_pair(p, r, n)[0] for n in run]
     assert list(seams.raney_run(p, r, ns)) == [F(*_raney_pair(p, r, n)) for n in ns]
+    table = raney_table(p, r, ns.stop - 1)
+    assert table.label == f"raney(p={p.numerator}/{p.denominator};r={r.numerator}/{r.denominator})"
+    assert table.values[ns.start:] == [F(*_raney_pair(p, r, n)) for n in ns]
     assert list(seams.deformed_closed_parts(p, r, ns)) == [_closed_pair(p, r, n) for n in ns]
     if p.denominator == 1 and p >= 2:
         expected = [_constellation_pair(int(p), n) for n in run]

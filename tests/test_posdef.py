@@ -854,6 +854,10 @@ def test_classify_pins_read_the_same_through_classify_row():
         (F(3, 2), F(1, 10), 6, False, _IND),
         (1, F(1), 5, True, _PSD),  # a zero pivot and a vanishing row from order 2 on
         (F(3, 2), F(0), 3, False, _IND),  # the second pivot is 0 facing a nonzero entry
+        # the upper edge 2p/(p+1) is exact: 1e-7 above it is outside, though the section of
+        # size 6 is still positive definite
+        (2, F(4, 3) + F(1, 10**7), 6, False, _PD),
+        (F(5, 2), F(10, 7) + F(1, 10**7), 6, False, _PD),
     ]
     rows += [
         (p, t, 4, None, None)
